@@ -66,7 +66,6 @@ from .constructions import (
     verify_twist,
 )
 from .triangular import (
-    RMatrix,
     TheoremReport,
     check_structure_theorems,
     drinfeld_element,

@@ -387,7 +387,10 @@ class CycScalar:
     @classmethod
     def from_obj(cls, obj) -> "CycScalar":
         n = int(obj["n"])
-        coeffs = tuple(kernel.rat_norm(int(a), int(b)) for a, b in obj["c"])
+        pairs = [(int(a), int(b)) for a, b in obj["c"]]
+        if any(b == 0 for _, b in pairs):
+            raise ShapeError("scalar with zero denominator")
+        coeffs = tuple(kernel.rat_norm(a, b) for a, b in pairs)
         if len(coeffs) != euler_phi(n):
             raise ShapeError("coefficient count does not match order")
         return cls._make(n, coeffs)

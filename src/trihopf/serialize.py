@@ -69,14 +69,21 @@ def hopf_to_obj(h: HopfData):
     }
 
 
+def _index(i, dim: int):
+    """Check a basis index read from a file; a negative one would wrap around."""
+    if not 0 <= i < dim:
+        raise ShapeError(f"index {i!r} out of range for dimension {dim}")
+    return i
+
+
 def hopf_from_obj(obj) -> HopfData:
     dim = int(obj["dim"])
     mult = [[[] for _ in range(dim)] for _ in range(dim)]
     for i, j, k, c in obj["mult"]:
-        mult[i][j].append((k, scalar_from_obj(c)))
+        mult[_index(i, dim)][_index(j, dim)].append((_index(k, dim), scalar_from_obj(c)))
     comult = []
     for entry in obj["comult"]:
-        comult.append(tuple((j, k, scalar_from_obj(c)) for j, k, c in entry))
+        comult.append(tuple((_index(j, dim), _index(k, dim), scalar_from_obj(c)) for j, k, c in entry))
     return make_hopf(
         dim=dim,
         unit=vec_from_obj(obj["unit"]),
@@ -98,7 +105,7 @@ def tensor2_from_obj(obj) -> Tensor2:
     dim = int(obj["host_dim"])
     acc = {}
     for i, j, c in obj["entries"]:
-        acc[(int(i), int(j))] = scalar_from_obj(c)
+        acc[(_index(int(i), dim), _index(int(j), dim))] = scalar_from_obj(c)
     return Tensor2.from_dict(dim, acc)
 
 

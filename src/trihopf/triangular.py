@@ -1,8 +1,11 @@
 """Quasitriangular and triangular structure verification.
 
 An R-matrix lives in H (x) H; the verifiers check the two hexagon
-identities and the conjugation identity exhaustively in H (x) H (x) H,
-triangularity adds flip(R) * R = 1 (x) 1.  The Drinfeld element
+identities and the conjugation identity exhaustively in H (x) H (x) H.
+A triangular structure is an R with R21 = R^-1, so triangularity is
+checked as flip(R) * R = 1 (x) 1 and R * flip(R) = 1 (x) 1; the two
+sides together are the definition of an inverse and certify that R is
+invertible without solving for R^-1.  The Drinfeld element
 u = sum S(b_i) a_i implements S^2 as conjugation; the checks bundled in
 check_structure_theorems assert u^2 = 1, u group-like, S^4 = id,
 S^2 = Ad(u), and the odd-dimension degeneration u = 1 with
@@ -12,7 +15,6 @@ semisimplicity, recording failures instead of raising.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
 
 from .errors import InvalidDrinfeldElement, NotInvertible, NotQuasitriangular
 from .hopf import HopfData, algebra_inverse, is_chevalley, is_semisimple
@@ -31,84 +33,60 @@ from .tensor import (
 )
 
 
-class RMatrix:
-    """A candidate triangular structure with a cached inverse."""
-
-    __slots__ = ("hopf", "value", "_inverse")
-
-    def __init__(self, hopf: HopfData, value: Tensor2, inverse: Optional[Tensor2] = None):
-        if value.dim != hopf.dim:
-            raise NotQuasitriangular("R-matrix dimension does not match the host")
-        self.hopf = hopf
-        self.value = value
-        if inverse is not None:
-            unit2 = unit_tensor2(hopf)
-            if (
-                tensor2_mul(value, inverse, hopf) != unit2
-                or tensor2_mul(inverse, value, hopf) != unit2
-            ):
-                raise NotInvertible("provided inverse is not two-sided")
-        self._inverse = inverse
-
-    @property
-    def inverse(self) -> Tensor2:
-        if self._inverse is None:
-            self._inverse = tensor2_inv(self.value, self.hopf)
-        return self._inverse
+def _hexagons_and_conjugation(h: HopfData, r: Tensor2) -> bool:
+    lhs1 = embed13_23_12(r, "delta_id", h)
+    rhs1 = tensor3_mul(embed13_23_12(r, "13", h), embed13_23_12(r, "23", h), h)
+    if lhs1 != rhs1:
+        return False
+    lhs2 = embed13_23_12(r, "id_delta", h)
+    rhs2 = tensor3_mul(embed13_23_12(r, "13", h), embed13_23_12(r, "12", h), h)
+    if lhs2 != rhs2:
+        return False
+    for i in range(h.dim):
+        delta = h.comult_tensor(i)
+        if tensor2_mul(r, delta, h) != tensor2_mul(flip(delta), r, h):
+            return False
+    return True
 
 
-def _as_tensor(r: Union[RMatrix, Tensor2]) -> Tensor2:
-    return r.value if isinstance(r, RMatrix) else r
-
-
-def verify_quasitriangular(h: HopfData, r: Union[RMatrix, Tensor2]) -> bool:
+def verify_quasitriangular(h: HopfData, r: Tensor2) -> bool:
     """Hexagon identities plus the conjugation identity, exhaustively.
 
     (Delta (x) id)(R) = R13 R23, (id (x) Delta)(R) = R13 R12, and
     R Delta(x) = flip(Delta(x)) R for every basis x; a singular R
     returns False.
     """
-    t = _as_tensor(r)
     try:
-        if isinstance(r, RMatrix):
-            r.inverse
-        else:
-            tensor2_inv(t, h)
+        tensor2_inv(r, h)
     except NotInvertible:
         return False
-    lhs1 = embed13_23_12(t, "delta_id", h)
-    rhs1 = tensor3_mul(embed13_23_12(t, "13", h), embed13_23_12(t, "23", h), h)
-    if lhs1 != rhs1:
+    return _hexagons_and_conjugation(h, r)
+
+
+def verify_triangular(h: HopfData, r: Tensor2) -> bool:
+    """Quasitriangular with R21 = R^-1.
+
+    The unitarity condition is checked on both sides, flip(R) R =
+    1 (x) 1 and R flip(R) = 1 (x) 1; together they certify that R is
+    invertible with inverse R21, so no inverse is solved for.  The
+    hexagon and conjugation identities follow.
+    """
+    unit2 = unit_tensor2(h)
+    r21 = flip(r)
+    if tensor2_mul(r21, r, h) != unit2 or tensor2_mul(r, r21, h) != unit2:
         return False
-    lhs2 = embed13_23_12(t, "id_delta", h)
-    rhs2 = tensor3_mul(embed13_23_12(t, "13", h), embed13_23_12(t, "12", h), h)
-    if lhs2 != rhs2:
-        return False
-    for i in range(h.dim):
-        delta = h.comult_tensor(i)
-        if tensor2_mul(t, delta, h) != tensor2_mul(flip(delta), t, h):
-            return False
-    return True
+    return _hexagons_and_conjugation(h, r)
 
 
-def verify_triangular(h: HopfData, r: Union[RMatrix, Tensor2]) -> bool:
-    """Quasitriangular with the unitarity condition flip(R) R = 1 (x) 1."""
-    t = _as_tensor(r)
-    if tensor2_mul(flip(t), t, h) != unit_tensor2(h):
-        return False
-    return verify_quasitriangular(h, r)
-
-
-def drinfeld_element(h: HopfData, r: Union[RMatrix, Tensor2]) -> Vec:
+def drinfeld_element(h: HopfData, r: Tensor2) -> Vec:
     """u = sum S(b_i) a_i for R = sum a_i (x) b_i.
 
     Validated by its defining property S^2(x) = u x u^-1 on every basis
     element; failure raises NotQuasitriangular.
     """
-    t = _as_tensor(r)
     acc = [SC_ZERO] * h.dim
     s_cols = h.s_columns
-    for i, j, c in t.nonzeros:
+    for i, j, c in r.nonzeros:
         for p, sc in s_cols[j]:
             csc = c * sc
             for k, w in h.mult[p][i]:
@@ -146,14 +124,14 @@ def r_u(h: HopfData, u: Vec) -> Tensor2:
     return t.scale(SC_HALF)
 
 
-def modify_r(h: HopfData, r: Union[RMatrix, Tensor2], u: Vec) -> Tensor2:
+def modify_r(h: HopfData, r: Tensor2, u: Vec) -> Tensor2:
     """R~ = R * R_u, the central modification of the triangular structure."""
-    return tensor2_mul(_as_tensor(r), r_u(h, u), h)
+    return tensor2_mul(r, r_u(h, u), h)
 
 
-def r_matrix_rank(r: Union[RMatrix, Tensor2]) -> int:
+def r_matrix_rank(r: Tensor2) -> int:
     """Rank of the coefficient matrix in the fixed basis, by exact elimination."""
-    return mat_rank(_as_tensor(r).coefficient_matrix())
+    return mat_rank(r.coefficient_matrix())
 
 
 @dataclass(frozen=True)
@@ -191,14 +169,13 @@ class TheoremReport:
         }
 
 
-def check_structure_theorems(h: HopfData, r: Union[RMatrix, Tensor2]) -> TheoremReport:
+def check_structure_theorems(h: HopfData, r: Tensor2) -> TheoremReport:
     """Assert the structural consequences of triangularity, as a report.
 
     Any failure on a constructed catalog instance is a builder bug, so
     the suite doubles as a regression harness.
     """
-    t = _as_tensor(r)
-    u = drinfeld_element(h, t)
+    u = drinfeld_element(h, r)
     u_sq = h.mul_vec(u, u) == h.unit
     u_gl = h.comult_vec(u) == Tensor2.outer(u, u)
     s2 = h.antipode @ h.antipode

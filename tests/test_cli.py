@@ -5,10 +5,12 @@ from pathlib import Path
 
 import pytest
 
+from trihopf import constructions
 from trihopf.cli import main
 from trihopf.groups import FiniteGroup, alternating_nondegenerate_bicharacters, half_bicharacter
 from trihopf.constructions import build_bicharacter_twist
 from trihopf.serialize import dumps, load, tensor2_to_obj
+from trihopf.tensor import tensor2_inv
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -97,6 +99,29 @@ def test_verify_ok_and_corrupted(tmp_path, sweedler_input, capsys):
     assert report["axioms"]["witnesses"]["antipode"] == [0]
 
 
+def test_verify_rejects_out_of_range_indices(tmp_path, sweedler_input, capsys):
+    out = tmp_path / "sw.hopf.json"
+    main(["build", sweedler_input, "--kind", "modified-supergroup", "-o", str(out)])
+    dump = load(out)
+    dump["mult"][0][:3] = [-1, -2, -3]  # would load through negative indexing
+    assert main(["verify", write(tmp_path / "negidx.json", dump)]) == 2
+    dump = load(out)
+    dump["comult"][0][0][:2] = [0, 4]
+    assert main(["verify", write(tmp_path / "bigidx.json", dump)]) == 2
+    r = write(tmp_path / "r.json", {"host_dim": 4, "entries": [[0, -1, 1]]})
+    assert main(["verify", str(out), "--r", r]) == 2
+    assert capsys.readouterr().err.count("malformed input: index") == 3
+
+
+def test_verify_rejects_zero_denominator(tmp_path, sweedler_input, capsys):
+    out = tmp_path / "sw.hopf.json"
+    main(["build", sweedler_input, "--kind", "modified-supergroup", "-o", str(out)])
+    dump = load(out)
+    dump["counit"][0] = {"n": 1, "c": [["1", "0"]]}
+    assert main(["verify", write(tmp_path / "zeroden.json", dump)]) == 2
+    assert "zero denominator" in capsys.readouterr().err
+
+
 def test_verify_s3_full_suite(tmp_path, capsys):
     s3 = write(tmp_path / "s3.json", FiniteGroup.symmetric3().to_obj())
     out = tmp_path / "s3.hopf.json"
@@ -136,7 +161,7 @@ def test_analyze_kz3(tmp_path, capsys):
     }
 
 
-def test_twist_command_roundtrip(tmp_path, capsys):
+def test_twist_command_roundtrip(tmp_path, capsys, monkeypatch):
     z2z2 = FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2))
     gfile = write(tmp_path / "g.json", z2z2.to_obj())
     dump = tmp_path / "g.hopf.json"
@@ -147,7 +172,15 @@ def test_twist_command_roundtrip(tmp_path, capsys):
     jfile = tmp_path / "j.json"
     jfile.write_text(dumps(tensor2_to_obj(j)))
     out = tmp_path / "tw.hopf.json"
+    inversions = []
+
+    def counting_inv(t, host):
+        inversions.append(t)
+        return tensor2_inv(t, host)
+
+    monkeypatch.setattr(constructions, "tensor2_inv", counting_inv)
     assert main(["twist", str(dump), "--twist", str(jfile), "-o", str(out)]) == 0
+    assert len(inversions) == 1  # J is inverted once per run
     assert main(["verify", str(out)]) == 0
     capsys.readouterr()
 
@@ -170,7 +203,7 @@ def test_verify_twist_flag(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_twist_rejects_bad_twist(tmp_path, z2_file):
+def test_twist_rejects_bad_twist(tmp_path, z2_file, capsys):
     dump = tmp_path / "z2.hopf.json"
     main(["build", z2_file, "--kind", "group-algebra", "-o", str(dump)])
     # 1 (x) 1 + 1 (x) g fails counit normalization
@@ -179,7 +212,10 @@ def test_twist_rejects_bad_twist(tmp_path, z2_file):
         "entries": [[0, 0, 1], [0, 1, 1]],
     }
     jfile = write(tmp_path / "j.json", bad)
-    assert main(["twist", str(dump), "--twist", str(jfile), "-o", str(tmp_path / "o.json")]) == 1
+    out = tmp_path / "o.json"
+    assert main(["twist", str(dump), "--twist", str(jfile), "-o", str(out)]) == 1
+    assert "counit or cocycle identity fails" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_modify_command(tmp_path, sweedler_input):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from trihopf import triangular
 from trihopf.constructions import (
     apply_twist,
     build_bicharacter_twist,
@@ -16,12 +17,12 @@ from trihopf.groups import (
     GroupRep,
     alternating_nondegenerate_bicharacters,
     half_bicharacter,
+    sign_characters,
 )
 from trihopf.hopf import verify_hopf
 from trihopf.scalars import CycScalar, root_of_unity
 from trihopf.tensor import Tensor2, Vec, flip, tensor2_mul, unit_tensor2
 from trihopf.triangular import (
-    RMatrix,
     check_structure_theorems,
     drinfeld_element,
     modify_r,
@@ -67,16 +68,18 @@ def test_ru_quasitriangular_on_modified(sweedler):
     assert verify_triangular(h, ru)
 
 
-def test_quasitriangular_but_not_triangular():
+def z3_symmetric_r():
     # symmetric nondegenerate bicharacter on Z3: R = sum beta(s,t) E_s (x) E_t
     # satisfies the hexagons on the cocommutative k[Z3] but flip(R) R != 1.
     z3 = FiniteGroup.cyclic(3)
-    h = group_algebra(z3)
     a = z3.abelian_subgroup(range(3))
     w = root_of_unity(3, 1)
     vals = tuple(tuple(w ** ((s * t) % 3) for t in range(3)) for s in range(3))
-    beta = Bicharacter((3,), vals)
-    r = build_bicharacter_twist(a, beta)
+    return group_algebra(z3), build_bicharacter_twist(a, Bicharacter((3,), vals))
+
+
+def test_quasitriangular_but_not_triangular():
+    h, r = z3_symmetric_r()
     assert verify_quasitriangular(h, r)
     assert not verify_triangular(h, r)
     assert tensor2_mul(flip(r), r, h) != unit_tensor2(h)
@@ -145,13 +148,25 @@ def test_rank4_twisted_z2z2():
     assert r_matrix_rank(r) == 4
 
 
-def test_rmatrix_caches_inverse(sweedler):
-    h, ru = sweedler
-    rm = RMatrix(h, ru)
-    assert rm.inverse == ru  # R_u is its own inverse
-    assert verify_triangular(h, rm)
-    rm2 = RMatrix(h, ru, inverse=ru)
-    assert rm2.inverse == ru
+def test_verify_triangular_solves_nothing(monkeypatch, sweedler):
+    # R21 = R^-1 checked on both sides certifies invertibility by itself
+    def no_solve(*args):
+        raise AssertionError("verify_triangular solved for an inverse")
+
+    monkeypatch.setattr(triangular, "tensor2_inv", no_solve)
+    z2 = FiniteGroup.cyclic(2)
+    z2z2 = FiniteGroup.direct_product(z2, z2)
+    z2cubed = FiniteGroup.direct_product(z2, z2, z2)
+    chars = [c for c in sign_characters(z2cubed) if c[1] == -1]
+    v = GroupRep.from_sign_characters(z2cubed, chars[:2])
+    super32, r32 = modified_supergroup_algebra(z2cubed, v, u=1)
+    assert super32.dim == 32
+    gamma = alternating_nondegenerate_bicharacters((2, 2))[0]
+    twisted, r_tw = semisimple_triangular(z2z2, z2z2.abelian_subgroup(range(4)), gamma, u=1)
+    for h, r in (sweedler, (super32, r32), (twisted, r_tw)):
+        assert verify_triangular(h, r)
+        assert not verify_triangular(h, Tensor2.from_dict(h.dim, {}))
+    assert not verify_triangular(*z3_symmetric_r())
 
 
 def test_structure_theorems_sweedler(sweedler):
