@@ -14,6 +14,11 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
+
+# import trihopf from this checkout, not from an installed copy
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
 
 
 def bench(fn, *args, repeat=5):
@@ -125,6 +130,7 @@ def main():
         env = dict(os.environ)
         env.pop("HOPF_PURE", None)
         env.update(env_extra)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         out = subprocess.run(
             [sys.executable, "-c", WORKLOAD], env=env, check=True,
             capture_output=True, text=True,

@@ -125,7 +125,11 @@ def cmd_build(args) -> int:
     if kind == "group-algebra":
         h = group_algebra(FiniteGroup.from_obj(obj))
     elif kind == "exterior":
-        h = exterior_algebra(int(obj["n"]))
+        n = int(obj["n"])
+        # bound dim = 2^n before building; 2^n > n, so n >= max_dim() needs no power
+        if n >= max_dim() or (n >= 0 and 1 << n > max_dim()):
+            raise ShapeError(f"dimension 2^{n} exceeds HOPF_MAX_DIM={max_dim()}")
+        h = exterior_algebra(n)
     elif kind == "supergroup":
         rep = rep_from_file_obj(obj, base)
         h = supergroup_algebra(rep.group, rep)

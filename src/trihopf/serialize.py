@@ -105,7 +105,10 @@ def tensor2_from_obj(obj) -> Tensor2:
     dim = int(obj["host_dim"])
     acc = {}
     for i, j, c in obj["entries"]:
-        acc[(_index(int(i), dim), _index(int(j), dim))] = scalar_from_obj(c)
+        key = (_index(int(i), dim), _index(int(j), dim))
+        if key in acc:
+            raise ShapeError(f"duplicate entry at index {key}")
+        acc[key] = scalar_from_obj(c)
     return Tensor2.from_dict(dim, acc)
 
 

@@ -4,7 +4,9 @@ Vectors, matrices and tensors hold CycScalar entries and are immutable
 after construction.  Tensor products against a host algebra iterate
 cached nonzero coordinate lists through the host's sparse structure
 tensor, with Koszul signs when the host is a superalgebra.  Kernels and
-ranks come from fraction-free (Bareiss) elimination.
+ranks come from fraction-free (Bareiss) elimination.  An inverse in
+H (x) H is a polynomial in the element, read off its minimal polynomial,
+so it needs no linear system over H (x) H.
 """
 
 from __future__ import annotations
@@ -549,54 +551,54 @@ def embed13_23_12(a: Tensor2, pattern: str, host: "HopfData") -> Tensor3:
 def tensor2_inv(a: Tensor2, host: "HopfData") -> Tensor2:
     """Two-sided inverse of a in the algebra H (x) H.
 
-    Solves the left-multiplication system restricted to the coordinate
-    subalgebra generated by the support of a (always valid: a unital
-    subalgebra of a finite-dimensional algebra contains the inverse of
-    any of its elements that are invertible in the big algebra).
+    a is a root of its minimal polynomial sum_t c_t a^t, found by
+    reducing the powers 1 (x) 1, a, a^2, ... against each other until
+    one depends on the earlier ones.  c_0 = 0 makes a a zero divisor;
+    otherwise a^-1 = -c_0^-1 sum_{t>=1} c_t a^(t-1).  The candidate is
+    multiplied back on both sides before it is returned.
     """
     if a.dim != host.dim:
         raise ShapeError("tensor/host dimension mismatch")
-    mult = host.mult
-    # coordinate support closure under multiplication
-    supp = {i for i, _, _ in a.nonzeros} | {j for _, j, _ in a.nonzeros}
-    supp |= {i for i, _ in host.unit.nonzeros()}
-    while True:
-        new = set()
-        for i in supp:
-            for j in supp:
-                for k, _ in mult[i][j]:
-                    if k not in supp:
-                        new.add(k)
-        if not new:
-            break
-        supp |= new
-    basis = sorted(supp)
-    pairs = [(p, q) for p in basis for q in basis]
-    pair_index = {pq: t for t, pq in enumerate(pairs)}
-    parity = host.parity
-    signed = host.super
-    # left multiplication by a on span{e_p (x) e_q : p, q in supp}
-    rows = [[SC_ZERO] * len(pairs) for _ in range(len(pairs))]
-    for t, (p, q) in enumerate(pairs):
-        for i, j, c in a.nonzeros:
-            coef = c
-            if signed and parity[j] and parity[p]:
-                coef = -coef
-            for k, c1 in mult[i][p]:
-                left = coef * c1
-                for l, c2 in mult[j][q]:
-                    rows[pair_index[(k, l)]][t] = rows[pair_index[(k, l)]][t] + left * c2
     unit2 = unit_tensor2(host)
-    rhs = Vec([unit2.get(p, q) for (p, q) in pairs])
-    sol = solve_linear(Mat(rows), rhs)
-    if sol is None:
-        raise NotInvertible("tensor has no inverse in H(x)H")
-    out = {}
-    for t, (p, q) in enumerate(pairs):
-        c = sol.entries[t]
-        if not c.is_zero():
-            out[(p, q)] = c
-    inv = Tensor2.from_dict(a.dim, out)
+    powers = [unit2]
+    # echelon rows (pivot key, vector, combination of powers), pivot entry 1
+    echelon: list = []
+    while True:
+        vec = {(i, j): c for i, j, c in powers[-1].nonzeros}
+        combo = [SC_ZERO] * (len(powers) - 1) + [SC_ONE]
+        for key, row, row_combo in echelon:
+            f = vec.get(key)
+            if f is None:
+                continue
+            for k, c in row.items():
+                v = vec.get(k, SC_ZERO) - f * c
+                if v.is_zero():
+                    vec.pop(k, None)
+                else:
+                    vec[k] = v
+            for t, c in enumerate(row_combo):
+                if not c.is_zero():
+                    combo[t] = combo[t] - f * c
+        if not vec:
+            break
+        key = min(vec)
+        scale = vec[key].inv()
+        echelon.append(
+            (key, {k: scale * c for k, c in vec.items()}, [scale * c for c in combo])
+        )
+        powers.append(tensor2_mul(powers[-1], a, host))
+    # combo is the minimal polynomial: sum_t combo[t] a^t = 0
+    if combo[0].is_zero():
+        raise NotInvertible("tensor is a zero divisor in H(x)H")
+    minus_inv_c0 = -combo[0].inv()
+    acc: dict = {}
+    for t in range(1, len(combo)):
+        if combo[t].is_zero():
+            continue
+        f = minus_inv_c0 * combo[t]
+        for i, j, c in powers[t - 1].nonzeros:
+            _acc(acc, (i, j), f * c)
+    inv = Tensor2.from_dict(a.dim, {k: v for k, v in acc.items() if not v.is_zero()})
     # certify two-sidedness
     if tensor2_mul(a, inv, host) != unit2 or tensor2_mul(inv, a, host) != unit2:
         raise NotInvertible("tensor has no two-sided inverse in H(x)H")

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, files, determinism."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -53,6 +54,16 @@ def test_build_exterior(tmp_path):
     out = tmp_path / "e.hopf.json"
     assert main(["build", inp, "--kind", "exterior", "-o", str(out)]) == 0
     assert load(out)["super"] is True
+
+
+def test_build_exterior_checks_dim_before_building(tmp_path, capsys):
+    for n in (28, 10**9):
+        inp = write(tmp_path / "e.json", {"n": n})
+        start = time.monotonic()
+        assert main(["build", inp, "--kind", "exterior", "-o", str(tmp_path / "e.hopf.json")]) == 2
+        assert time.monotonic() - start < 1.0
+    assert capsys.readouterr().err.count("exceeds HOPF_MAX_DIM") == 2
+    assert not (tmp_path / "e.hopf.json").exists()
 
 
 def test_build_rejects_b_nonzero_septuple(tmp_path):
@@ -111,6 +122,15 @@ def test_verify_rejects_out_of_range_indices(tmp_path, sweedler_input, capsys):
     r = write(tmp_path / "r.json", {"host_dim": 4, "entries": [[0, -1, 1]]})
     assert main(["verify", str(out), "--r", r]) == 2
     assert capsys.readouterr().err.count("malformed input: index") == 3
+
+
+def test_verify_rejects_duplicate_tensor_entries(tmp_path, z2_file, capsys):
+    out = tmp_path / "z2.hopf.json"
+    main(["build", z2_file, "--kind", "group-algebra", "-o", str(out)])
+    r = write(tmp_path / "r.json", {"host_dim": 2, "entries": [[0, 0, 1], [0, 0, 1]]})
+    assert main(["verify", str(out), "--r", r]) == 2
+    err = capsys.readouterr().err
+    assert "malformed input: duplicate entry" in err and "Traceback" not in err
 
 
 def test_verify_rejects_zero_denominator(tmp_path, sweedler_input, capsys):

@@ -1,13 +1,27 @@
 """Exact linear algebra and tensor-square arithmetic."""
 
+import functools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trihopf.constructions import group_algebra, supergroup_algebra
+from trihopf import tensor
+from trihopf.constructions import (
+    build_bicharacter_twist,
+    group_algebra,
+    modified_supergroup_algebra,
+    supergroup_algebra,
+)
 from trihopf.errors import NotInvertible, ShapeError
-from trihopf.groups import FiniteGroup, GroupRep
+from trihopf.groups import (
+    Bicharacter,
+    FiniteGroup,
+    GroupRep,
+    alternating_nondegenerate_bicharacters,
+    half_bicharacter,
+    sign_characters,
+)
 from trihopf.scalars import CycScalar, root_of_unity
 from trihopf.tensor import (
     Mat,
@@ -138,8 +152,127 @@ def test_tensor2_mul_shape_error(kz2):
 def test_tensor2_inv_singular(kz2):
     # 1 (x) (1 + g) annihilates 1 (x) (1 - g)
     t = Tensor2.from_dict(2, {(0, 0): ONE, (0, 1): ONE})
-    with pytest.raises(NotInvertible):
-        tensor2_inv(t, kz2)
+    for singular in (t, Tensor2.from_dict(2, {})):
+        with pytest.raises(NotInvertible):
+            tensor2_inv(singular, kz2)
+
+
+# --- inverses of twists: the minimal-polynomial path ----------------------
+
+@functools.lru_cache(maxsize=None)
+def _full_twist(factors, index):
+    """Host k[A], A and half of the index-th alternating bicharacter on A."""
+    group = FiniteGroup.direct_product(*[FiniteGroup.cyclic(f) for f in factors])
+    sub = group.abelian_subgroup(range(group.order))
+    beta = half_bicharacter(_alternating(factors)[index])
+    return group_algebra(group), sub, beta
+
+
+@functools.lru_cache(maxsize=None)
+def _alternating(factors):
+    return alternating_nondegenerate_bicharacters(factors)
+
+
+@functools.lru_cache(maxsize=None)
+def _z2e4_twist(nonzeros):
+    """A Z2^4 twist whose J has the given number of nonzero coefficients."""
+    factors = (2, 2, 2, 2)
+    for index in range(len(_alternating(factors))):
+        h, sub, beta = _full_twist(factors, index)
+        if len(build_bicharacter_twist(sub, beta).nonzeros) == nonzeros:
+            return h, sub, beta
+    raise AssertionError(f"no Z2^4 twist with {nonzeros} nonzeros")
+
+
+def _inverse_bicharacter(beta):
+    return Bicharacter(beta.factors, [[v.inv() for v in row] for row in beta.values])
+
+
+TWISTS = {
+    "Z2xZ2": lambda: _full_twist((2, 2), 0),
+    "Z3xZ3-0": lambda: _full_twist((3, 3), 0),
+    "Z3xZ3-1": lambda: _full_twist((3, 3), 1),
+    "Z4xZ4-0": lambda: _full_twist((4, 4), 0),
+    "Z4xZ4-1": lambda: _full_twist((4, 4), 1),
+    "Z2^4-16nz": lambda: _z2e4_twist(16),
+    "Z2^4-64nz": lambda: _z2e4_twist(64),
+}
+
+
+def test_tensor2_inv_solves_nothing(monkeypatch):
+    # the inverse is a polynomial in the element: no linear system is set up
+    cases = []
+    for name in ("Z2^4-16nz", "Z2^4-64nz", "Z3xZ3-0", "Z4xZ4-0"):
+        h, sub, beta = TWISTS[name]()
+        cases.append((h, build_bicharacter_twist(sub, beta), None))
+    z2cubed = FiniteGroup.direct_product(*[FiniteGroup.cyclic(2)] * 3)
+    chars = [c for c in sign_characters(z2cubed) if c[1] == -1]
+    super32, r32 = modified_supergroup_algebra(
+        z2cubed, GroupRep.from_sign_characters(z2cubed, chars[:2]), u=1
+    )
+    assert super32.dim == 32
+    cases.append((super32, r32, flip(r32, super32)))  # triangular: R^-1 = R21
+
+    def no_solve(*args):
+        raise AssertionError("tensor2_inv set up a linear system")
+
+    monkeypatch.setattr(tensor, "solve_linear", no_solve)
+    monkeypatch.setattr(tensor, "_bareiss_echelon", no_solve)
+    for h, a, expected in cases:
+        inv = tensor2_inv(a, h)
+        unit2 = unit_tensor2(h)
+        assert tensor2_mul(a, inv, h) == unit2 == tensor2_mul(inv, a, h)
+        if expected is not None:
+            assert inv == expected
+
+
+@pytest.mark.parametrize("name", list(TWISTS))
+def test_twist_inverse_is_inverse_bicharacter_twist(name):
+    # theorem oracle: J_beta^-1 = J_(beta^-1), since the E_s are orthogonal idempotents
+    h, sub, beta = TWISTS[name]()
+    expected = build_bicharacter_twist(sub, _inverse_bicharacter(beta))
+    assert tensor2_inv(build_bicharacter_twist(sub, beta), h) == expected
+
+
+_Z3 = group_algebra(FiniteGroup.cyclic(3))
+_SUPER_SWEEDLER = supergroup_algebra(
+    FiniteGroup.cyclic(2), GroupRep.from_sign_characters(FiniteGroup.cyclic(2), [(1, -1)])
+)
+
+
+def _left_mult_matrix(a, h):
+    """Matrix of x -> a x on H (x) H, columns indexed by basis pairs."""
+    pairs = [(p, q) for p in range(h.dim) for q in range(h.dim)]
+    cols = [tensor2_mul(a, basis2(h, p, q), h) for p, q in pairs]
+    return Mat([[col.get(k, l) for col in cols] for k, l in pairs])
+
+
+@pytest.mark.parametrize("host", [_Z3, _SUPER_SWEEDLER], ids=["kZ3", "super_sweedler"])
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_tensor2_inv_property(host, data):
+    d = host.dim
+    scalars = st.builds(
+        lambda n, den, k: CycScalar.from_rational(n, den) * root_of_unity(3, k),
+        st.integers(-3, 3),
+        st.integers(1, 3),
+        st.integers(0, 2),
+    )
+    entries = data.draw(
+        st.dictionaries(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)), scalars, max_size=4)
+    )
+    a = Tensor2.from_dict(d, entries)
+    if data.draw(st.booleans()):
+        a = a + unit_tensor2(host)
+    try:
+        inv = tensor2_inv(a, host)
+    except NotInvertible:
+        # independent witness: left multiplication by a has a kernel
+        assert mat_kernel(_left_mult_matrix(a, host))
+    else:
+        unit2 = unit_tensor2(host)
+        assert tensor2_mul(a, inv, host) == unit2
+        assert tensor2_mul(inv, a, host) == unit2
 
 
 def test_flip():
