@@ -30,9 +30,9 @@ from .groups import (
 )
 from .hopf import (
     antipode_order,
-    is_chevalley,
     is_cocommutative,
     jacobson_radical,
+    subspace_is_hopf_ideal,
     verify_hopf,
 )
 from .serialize import dumps, hopf_to_obj, tensor2_to_obj
@@ -43,26 +43,33 @@ from .triangular import (
 )
 
 
+def _cyclic_product(*orders: int):
+    return lambda: FiniteGroup.direct_product(*(FiniteGroup.cyclic(n) for n in orders))
+
+
+# the catalog, name -> constructor, in enumeration order
+CATALOG = {
+    **{f"Z{n}": (lambda n=n: FiniteGroup.cyclic(n)) for n in range(1, 17)},
+    "Z2xZ2": _cyclic_product(2, 2),
+    "Z2xZ2xZ2": _cyclic_product(2, 2, 2),
+    "Z4xZ2": _cyclic_product(4, 2),
+    "Z3xZ3": _cyclic_product(3, 3),
+    "S3": lambda: FiniteGroup.symmetric3(),
+    "D4": lambda: FiniteGroup.dihedral4(),
+    "Q8": lambda: FiniteGroup.quaternion8(),
+}
+
+
 def catalog_groups() -> list[tuple[str, FiniteGroup]]:
-    out = [(f"Z{n}", FiniteGroup.cyclic(n)) for n in range(1, 17)]
-    z2 = FiniteGroup.cyclic(2)
-    z3 = FiniteGroup.cyclic(3)
-    z4 = FiniteGroup.cyclic(4)
-    out.append(("Z2xZ2", FiniteGroup.direct_product(z2, z2)))
-    out.append(("Z2xZ2xZ2", FiniteGroup.direct_product(z2, z2, z2)))
-    out.append(("Z4xZ2", FiniteGroup.direct_product(z4, z2)))
-    out.append(("Z3xZ3", FiniteGroup.direct_product(z3, z3)))
-    out.append(("S3", FiniteGroup.symmetric3()))
-    out.append(("D4", FiniteGroup.dihedral4()))
-    out.append(("Q8", FiniteGroup.quaternion8()))
-    return out
+    return [(name, build()) for name, build in CATALOG.items()]
 
 
 def catalog_group(name: str) -> FiniteGroup:
-    for gname, g in catalog_groups():
-        if gname == name:
-            return g
-    raise KeyError(f"unknown catalog group {name!r}")
+    """Build one catalog group, and only that one."""
+    build = CATALOG.get(name)
+    if build is None:
+        raise KeyError(f"unknown catalog group {name!r}")
+    return build()
 
 
 @dataclass(frozen=True)
@@ -155,22 +162,32 @@ def build_instance(spec: InstanceSpec):
 
 
 def analysis_report(h, r=None) -> dict:
-    """The flat report the analyze command and atlas both emit."""
+    """The flat report the analyze command and atlas both emit.
+
+    When R is triangular the Chevalley property comes from the theorem
+    report, so the radical is tested for being a Hopf ideal only once.
+    """
     rad = jacobson_radical(h)
-    obj = {
-        "dim": h.dim,
-        "super": h.super,
-        "cocommutative": is_cocommutative(h),
-        "semisimple": not rad,
-        "radical_dim": len(rad),
-        "chevalley": is_chevalley(h),
-        "antipode_order": antipode_order(h),
-    }
+    cocommutative = is_cocommutative(h)
+    order = antipode_order(h)
+    block = theorems = None
     if r is not None:
         tri = verify_triangular(h, r)
         block = {"triangular": tri, "r_rank": r_matrix_rank(r)}
         if tri:
-            block.update(check_structure_theorems(h, r).to_obj())
+            theorems = check_structure_theorems(h, r)
+            block.update(theorems.to_obj())
+    chevalley = theorems.chevalley if theorems is not None else subspace_is_hopf_ideal(h, rad)
+    obj = {
+        "dim": h.dim,
+        "super": h.super,
+        "cocommutative": cocommutative,
+        "semisimple": not rad,
+        "radical_dim": len(rad),
+        "chevalley": chevalley,
+        "antipode_order": order,
+    }
+    if block is not None:
         obj["triangular"] = block
     return obj
 

@@ -310,29 +310,16 @@ def modified_supergroup_algebra(
     unit_idx = g.identity * size
     u_idx = u * size
 
-    def tensor_dict_mul(acc: dict, factor: dict) -> dict:
-        out: dict = {}
-        for (a, b), c1 in acc.items():
-            for (p, q), c2 in factor.items():
-                c = c1 * c2
-                for k1, w1 in mult[a][p]:
-                    left = c * w1
-                    for k2, w2 in mult[b][q]:
-                        key = (k1, k2)
-                        val = left * w2
-                        cur = out.get(key)
-                        out[key] = val if cur is None else cur + val
-        return {k: c for k, c in out.items() if not c.is_zero()}
-
     comult = []
     for i in range(dim):
         gi, si = divmod(i, size)
-        acc = {(gi * size, gi * size): SC_ONE}
+        delta = Tensor2(dim, [((gi * size, gi * size), SC_ONE)])
         for bit in range(w):
             if si >> bit & 1:
                 vi = unit_idx + (1 << bit)
-                acc = tensor_dict_mul(acc, {(vi, unit_idx): SC_ONE, (u_idx, vi): SC_ONE})
-        comult.append(tuple((a, b, c) for (a, b), c in sorted(acc.items())))
+                primitive = Tensor2(dim, [((vi, unit_idx), SC_ONE), ((u_idx, vi), SC_ONE)])
+                delta = delta.mul(primitive, mult)
+        comult.append(delta.nonzeros)
     counit = tuple(SC_ONE if i % size == 0 else SC_ZERO for i in range(dim))
 
     def vec_dict_mul(acc: dict, factor: dict) -> dict:
@@ -387,35 +374,21 @@ def build_bicharacter_twist(a: AbelianSubgroup, beta: Bicharacter) -> Tensor2:
             f"bicharacter factors {beta.factors} do not match subgroup factors {a.factors}"
         )
     parent_dim = a.parent.order
-    labels, _, idems = characters(a)
+    _, _, idems = characters(a)
     # inflate idempotents from subgroup coordinates to parent coordinates
-    inflated = []
-    for e in idems:
-        coords = [SC_ZERO] * parent_dim
-        for local, c in enumerate(e.entries):
-            coords[a.elements[local]] = c
-        inflated.append(coords)
-    index = {lab: i for i, lab in enumerate(labels)}
-    acc: dict = {}
-    for s in labels:
-        es = inflated[index[s]]
-        for t in labels:
-            b = beta.values[index[s]][index[t]]
-            if b.is_zero():
-                continue
-            et = inflated[index[t]]
-            for p, cp in enumerate(es):
-                if cp.is_zero():
+    inflated = [tuple((a.elements[local], c) for local, c in e.nonzeros()) for e in idems]
+
+    def terms():
+        for es, row in zip(inflated, beta.values):
+            for et, b in zip(inflated, row):
+                if b.is_zero():
                     continue
-                left = b * cp
-                for q, cq in enumerate(et):
-                    if cq.is_zero():
-                        continue
-                    key = (p, q)
-                    val = left * cq
-                    cur = acc.get(key)
-                    acc[key] = val if cur is None else cur + val
-    return Tensor2.from_dict(parent_dim, {k: v for k, v in acc.items() if not v.is_zero()})
+                for p, cp in es:
+                    left = b * cp
+                    for q, cq in et:
+                        yield (p, q), left * cq
+
+    return Tensor2(parent_dim, terms())
 
 
 def inflate_group_tensor(t: Tensor2, factor: int, dim: int) -> Tensor2:

@@ -1,16 +1,21 @@
-"""Exact dense linear algebra and tensor-square/cube bookkeeping.
+"""Exact linear algebra over H and sparse tensors in H (x) H and H (x) H (x) H.
 
 Vectors, matrices and tensors hold CycScalar entries and are immutable
-after construction.  Tensor products against a host algebra iterate
-cached nonzero coordinate lists through the host's sparse structure
-tensor, with Koszul signs when the host is a superalgebra.  Kernels and
-ranks come from fraction-free (Bareiss) elimination.  An inverse in
-H (x) H is a polynomial in the element, read off its minimal polynomial,
-so it needs no linear system over H (x) H.
+after construction.  Vec and Mat are dense, because elimination walks
+whole rows; kernels and ranks come from fraction-free (Bareiss)
+elimination.  Tensor2 and Tensor3 share one sparse representation, a
+dict from index tuple to nonzero coefficient, and one constructor that
+sums repeated indices and drops zeros; every product, embedding and
+flip in H (x) H and H (x) H (x) H goes through it.  Products iterate the
+nonzeros through the host's sparse structure tensor, with Koszul signs
+when the host is a superalgebra.  An inverse in H (x) H is a polynomial
+in the element, read off its minimal polynomial, so it needs no linear
+system over H (x) H.
 """
 
 from __future__ import annotations
 
+from itertools import chain, product
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .errors import NotInvertible, ShapeError
@@ -305,135 +310,136 @@ def span_echelon(vectors: Sequence[Vec]):
 # ---------------------------------------------------------------------------
 # tensor square / cube
 
-class Tensor2:
-    """Element of H (x) H, stored dense with a cached nonzero list."""
+class _SparseTensor:
+    """Element of a tensor power of H, stored by its nonzero coefficients.
 
-    __slots__ = ("dim", "rows", "_nz")
+    The coefficients sit in a dict from index tuple (one basis index per
+    tensor factor) to a nonzero CycScalar; zeros are never stored.  The
+    constructor takes (index tuple, coefficient) terms, sums repeated
+    indices and drops what cancels; it trusts its indices, so input from
+    outside the program goes through from_dict, which checks them.
+    """
 
-    def __init__(self, rows: Iterable[Iterable[CycScalar]]):
-        self.rows = tuple(tuple(r) for r in rows)
-        self.dim = len(self.rows)
-        if any(len(r) != self.dim for r in self.rows):
-            raise ShapeError("tensor square must be a square array")
+    __slots__ = ("dim", "_coef", "_nz")
+    arity = 0
+
+    def __init__(self, dim: int, terms: Iterable):
+        coef: dict = {}
+        for key, c in terms:
+            cur = coef.get(key)
+            coef[key] = c if cur is None else cur + c
+        self.dim = dim
+        self._coef = {k: c for k, c in coef.items() if not c.is_zero()}
         self._nz = None
 
     @property
     def nonzeros(self):
+        """(index..., coefficient) tuples in increasing index order."""
         if self._nz is None:
-            self._nz = tuple(
-                (i, j, c)
-                for i, row in enumerate(self.rows)
-                for j, c in enumerate(row)
-                if not c.is_zero()
-            )
+            self._nz = tuple(key + (c,) for key, c in sorted(self._coef.items()))
         return self._nz
 
     @classmethod
-    def from_dict(cls, dim: int, entries: dict) -> "Tensor2":
-        rows = [[SC_ZERO] * dim for _ in range(dim)]
-        for (i, j), c in entries.items():
-            rows[i][j] = c
-        return cls(rows)
+    def from_dict(cls, dim: int, entries: dict):
+        """Checked constructor: one index per factor, each in 0..dim-1."""
+        for key in entries:
+            if (
+                not isinstance(key, tuple)
+                or len(key) != cls.arity
+                or not all(0 <= i < dim for i in key)
+            ):
+                raise ShapeError(
+                    f"index {key!r} out of range for {cls.__name__} of dimension {dim}"
+                )
+        return cls(dim, entries.items())
 
     @classmethod
-    def outer(cls, x: Vec, y: Vec) -> "Tensor2":
-        if x.dim != y.dim:
+    def outer(cls, *vecs: Vec):
+        """The pure tensor v_1 (x) ... (x) v_arity."""
+        if len(vecs) != cls.arity or any(v.dim != vecs[0].dim for v in vecs):
             raise ShapeError("outer product of mismatched vectors")
-        ynz = y.nonzeros()
-        rows = []
-        for a in x.entries:
-            if a.is_zero():
-                rows.append((SC_ZERO,) * x.dim)
-            else:
-                row = [SC_ZERO] * x.dim
-                for j, b in ynz:
-                    row[j] = a * b
-                rows.append(tuple(row))
-        return cls(rows)
+        terms = []
+        for factors in product(*(v.nonzeros() for v in vecs)):
+            c = factors[0][1]
+            for _, b in factors[1:]:
+                c = c * b
+            terms.append((tuple(i for i, _ in factors), c))
+        return cls(vecs[0].dim, terms)
 
-    def get(self, i: int, j: int) -> CycScalar:
-        return self.rows[i][j]
+    def get(self, *index: int) -> CycScalar:
+        return self._coef.get(index, SC_ZERO)
 
-    def __add__(self, other: "Tensor2") -> "Tensor2":
-        if self.dim != other.dim:
+    def _check_same_shape(self, other):
+        if type(other) is not type(self) or self.dim != other.dim:
             raise ShapeError("tensor dimension mismatch")
-        return Tensor2(
-            tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)
+
+    def __add__(self, other):
+        self._check_same_shape(other)
+        return type(self)(self.dim, chain(self._coef.items(), other._coef.items()))
+
+    def __sub__(self, other):
+        self._check_same_shape(other)
+        return type(self)(
+            self.dim, chain(self._coef.items(), ((k, -c) for k, c in other._coef.items()))
         )
 
-    def __sub__(self, other: "Tensor2") -> "Tensor2":
-        if self.dim != other.dim:
-            raise ShapeError("tensor dimension mismatch")
-        return Tensor2(
-            tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)
-        )
+    def __neg__(self):
+        return type(self)(self.dim, ((k, -c) for k, c in self._coef.items()))
 
-    def __neg__(self) -> "Tensor2":
-        return Tensor2(tuple(-a for a in r) for r in self.rows)
+    def scale(self, c: CycScalar):
+        return type(self)(self.dim, ((k, c * a) for k, a in self._coef.items()))
 
-    def scale(self, c: CycScalar) -> "Tensor2":
-        return Tensor2(tuple(c * a for a in r) for r in self.rows)
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.dim == other.dim and self._coef == other._coef
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"{type(self).__name__}(dim={self.dim}, nnz={len(self._coef)})"
+
+
+class Tensor2(_SparseTensor):
+    """Element of H (x) H."""
+
+    __slots__ = ()
+    arity = 2
 
     def coefficient_matrix(self) -> Mat:
-        return Mat(self.rows)
+        rows = [[SC_ZERO] * self.dim for _ in range(self.dim)]
+        for (i, j), c in self._coef.items():
+            rows[i][j] = c
+        return Mat(rows)
 
-    def __eq__(self, other):
-        if not isinstance(other, Tensor2):
-            return NotImplemented
-        return self.rows == other.rows
+    def mul(self, other: "Tensor2", mult, parity=None) -> "Tensor2":
+        """Product in A (x) A for the algebra A with structure tensor mult.
 
-    __hash__ = None
+        mult is laid out as HopfData.mult; a parity grading applies the
+        Koszul sign (-1)**(|a2||b1|) per term.  tensor2_mul is the form
+        that checks the factors against a host.
+        """
 
-    def __repr__(self):
-        return f"Tensor2(dim={self.dim}, nnz={len(self.nonzeros)})"
+        def terms():
+            for i, j, ca in self.nonzeros:
+                odd_j = parity is not None and parity[j]
+                for p, q, cb in other.nonzeros:
+                    coef = ca * cb
+                    if odd_j and parity[p]:
+                        coef = -coef
+                    for k, c1 in mult[i][p]:
+                        left = coef * c1
+                        for l, c2 in mult[j][q]:
+                            yield (k, l), left * c2
+
+        return Tensor2(self.dim, terms())
 
 
-class Tensor3:
+class Tensor3(_SparseTensor):
     """Element of H (x) H (x) H; verification workspace only."""
 
-    __slots__ = ("dim", "entries", "_nz")
-
-    def __init__(self, entries):
-        self.entries = tuple(tuple(tuple(r) for r in plane) for plane in entries)
-        self.dim = len(self.entries)
-        for plane in self.entries:
-            if len(plane) != self.dim or any(len(r) != self.dim for r in plane):
-                raise ShapeError("tensor cube must be a cubic array")
-        self._nz = None
-
-    @property
-    def nonzeros(self):
-        if self._nz is None:
-            self._nz = tuple(
-                (i, j, k, c)
-                for i, plane in enumerate(self.entries)
-                for j, row in enumerate(plane)
-                for k, c in enumerate(row)
-                if not c.is_zero()
-            )
-        return self._nz
-
-    @classmethod
-    def from_dict(cls, dim: int, entries: dict) -> "Tensor3":
-        cube = [[[SC_ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-        for (i, j, k), c in entries.items():
-            cube[i][j][k] = c
-        return cls(cube)
-
-    def __eq__(self, other):
-        if not isinstance(other, Tensor3):
-            return NotImplemented
-        return self.entries == other.entries
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"Tensor3(dim={self.dim}, nnz={len(self.nonzeros)})"
-
-
-def _acc(acc: dict, key, val: CycScalar):
-    cur = acc.get(key)
-    acc[key] = val if cur is None else cur + val
+    __slots__ = ()
+    arity = 3
 
 
 def tensor2_mul(a: Tensor2, b: Tensor2, host: "HopfData") -> Tensor2:
@@ -444,21 +450,7 @@ def tensor2_mul(a: Tensor2, b: Tensor2, host: "HopfData") -> Tensor2:
     """
     if a.dim != b.dim or a.dim != host.dim:
         raise ShapeError("tensor/host dimension mismatch")
-    mult = host.mult
-    parity = host.parity
-    signed = host.super
-    acc: dict = {}
-    for i, j, ca in a.nonzeros:
-        pj = parity[j]
-        for p, q, cb in b.nonzeros:
-            coef = ca * cb
-            if signed and pj and parity[p]:
-                coef = -coef
-            for k, c1 in mult[i][p]:
-                left = coef * c1
-                for l, c2 in mult[j][q]:
-                    _acc(acc, (k, l), left * c2)
-    return Tensor2.from_dict(a.dim, {k: v for k, v in acc.items() if not v.is_zero()})
+    return a.mul(b, host.mult, host.parity if host.super else None)
 
 
 def tensor3_mul(a: Tensor3, b: Tensor3, host: "HopfData") -> Tensor3:
@@ -467,34 +459,36 @@ def tensor3_mul(a: Tensor3, b: Tensor3, host: "HopfData") -> Tensor3:
     mult = host.mult
     parity = host.parity
     signed = host.super
-    acc: dict = {}
-    for i1, i2, i3, ca in a.nonzeros:
-        p2, p3 = parity[i2], parity[i3]
-        for j1, j2, j3, cb in b.nonzeros:
-            coef = ca * cb
-            if signed:
-                q1, q2 = parity[j1], parity[j2]
-                if (p2 * q1 + p3 * (q1 + q2)) % 2:
-                    coef = -coef
-            for k1, c1 in mult[i1][j1]:
-                left1 = coef * c1
-                for k2, c2 in mult[i2][j2]:
-                    left2 = left1 * c2
-                    for k3, c3 in mult[i3][j3]:
-                        _acc(acc, (k1, k2, k3), left2 * c3)
-    return Tensor3.from_dict(a.dim, {k: v for k, v in acc.items() if not v.is_zero()})
+
+    def terms():
+        for i1, i2, i3, ca in a.nonzeros:
+            p2, p3 = parity[i2], parity[i3]
+            for j1, j2, j3, cb in b.nonzeros:
+                coef = ca * cb
+                if signed:
+                    q1, q2 = parity[j1], parity[j2]
+                    if (p2 * q1 + p3 * (q1 + q2)) % 2:
+                        coef = -coef
+                for k1, c1 in mult[i1][j1]:
+                    left1 = coef * c1
+                    for k2, c2 in mult[i2][j2]:
+                        left2 = left1 * c2
+                        for k3, c3 in mult[i3][j3]:
+                            yield (k1, k2, k3), left2 * c3
+
+    return Tensor3(a.dim, terms())
 
 
 def flip(a: Tensor2, host: Optional["HopfData"] = None) -> Tensor2:
     """Swap the tensor factors; Koszul sign when the host is super."""
-    signed = host is not None and host.super
-    parity = host.parity if signed else None
-    out = {}
-    for i, j, c in a.nonzeros:
-        if signed and parity[i] and parity[j]:
-            c = -c
-        out[(j, i)] = c
-    return Tensor2.from_dict(a.dim, out)
+    parity = host.parity if host is not None and host.super else None
+    return Tensor2(
+        a.dim,
+        (
+            ((j, i), -c if parity is not None and parity[i] and parity[j] else c)
+            for i, j, c in a.nonzeros
+        ),
+    )
 
 
 def unit_tensor2(host: "HopfData") -> Tensor2:
@@ -502,14 +496,7 @@ def unit_tensor2(host: "HopfData") -> Tensor2:
 
 
 def unit_tensor3(host: "HopfData") -> Tensor3:
-    u = host.unit
-    acc = {}
-    for i, a in u.nonzeros():
-        for j, b in u.nonzeros():
-            ab = a * b
-            for k, c in u.nonzeros():
-                acc[(i, j, k)] = ab * c
-    return Tensor3.from_dict(host.dim, acc)
+    return Tensor3.outer(host.unit, host.unit, host.unit)
 
 
 def embed13_23_12(a: Tensor2, pattern: str, host: "HopfData") -> Tensor3:
@@ -521,31 +508,21 @@ def embed13_23_12(a: Tensor2, pattern: str, host: "HopfData") -> Tensor3:
     """
     if a.dim != host.dim:
         raise ShapeError("tensor/host dimension mismatch")
-    acc: dict = {}
-    if pattern in ("12", "13", "23"):
-        unit_nz = host.unit.nonzeros()
-        for i, j, c in a.nonzeros:
-            for k, u in unit_nz:
-                cu = c * u
-                if pattern == "12":
-                    _acc(acc, (i, j, k), cu)
-                elif pattern == "13":
-                    _acc(acc, (i, k, j), cu)
-                else:
-                    _acc(acc, (k, i, j), cu)
+    unit_nz = host.unit.nonzeros()
+    comult = host.comult
+    if pattern == "12":
+        terms = (((i, j, k), c * u) for i, j, c in a.nonzeros for k, u in unit_nz)
+    elif pattern == "13":
+        terms = (((i, k, j), c * u) for i, j, c in a.nonzeros for k, u in unit_nz)
+    elif pattern == "23":
+        terms = (((k, i, j), c * u) for i, j, c in a.nonzeros for k, u in unit_nz)
     elif pattern == "delta_id":
-        comult = host.comult
-        for i, j, c in a.nonzeros:
-            for p, q, w in comult[i]:
-                _acc(acc, (p, q, j), c * w)
+        terms = (((p, q, j), c * w) for i, j, c in a.nonzeros for p, q, w in comult[i])
     elif pattern == "id_delta":
-        comult = host.comult
-        for i, j, c in a.nonzeros:
-            for p, q, w in comult[j]:
-                _acc(acc, (i, p, q), c * w)
+        terms = (((i, p, q), c * w) for i, j, c in a.nonzeros for p, q, w in comult[j])
     else:
         raise ShapeError(f"unknown slot pattern {pattern!r}")
-    return Tensor3.from_dict(a.dim, {k: v for k, v in acc.items() if not v.is_zero()})
+    return Tensor3(a.dim, terms)
 
 
 def tensor2_inv(a: Tensor2, host: "HopfData") -> Tensor2:
@@ -561,44 +538,35 @@ def tensor2_inv(a: Tensor2, host: "HopfData") -> Tensor2:
         raise ShapeError("tensor/host dimension mismatch")
     unit2 = unit_tensor2(host)
     powers = [unit2]
-    # echelon rows (pivot key, vector, combination of powers), pivot entry 1
+    # echelon rows (pivot index, row, combination of powers), pivot entry 1
     echelon: list = []
     while True:
-        vec = {(i, j): c for i, j, c in powers[-1].nonzeros}
+        vec = powers[-1]
         combo = [SC_ZERO] * (len(powers) - 1) + [SC_ONE]
         for key, row, row_combo in echelon:
-            f = vec.get(key)
-            if f is None:
+            f = vec.get(*key)
+            if f.is_zero():
                 continue
-            for k, c in row.items():
-                v = vec.get(k, SC_ZERO) - f * c
-                if v.is_zero():
-                    vec.pop(k, None)
-                else:
-                    vec[k] = v
+            vec = vec - row.scale(f)
             for t, c in enumerate(row_combo):
                 if not c.is_zero():
                     combo[t] = combo[t] - f * c
-        if not vec:
+        if not vec.nonzeros:
             break
-        key = min(vec)
-        scale = vec[key].inv()
-        echelon.append(
-            (key, {k: scale * c for k, c in vec.items()}, [scale * c for c in combo])
-        )
+        i, j, lead = vec.nonzeros[0]
+        scale = lead.inv()
+        echelon.append(((i, j), vec.scale(scale), [scale * c for c in combo]))
         powers.append(tensor2_mul(powers[-1], a, host))
     # combo is the minimal polynomial: sum_t combo[t] a^t = 0
     if combo[0].is_zero():
         raise NotInvertible("tensor is a zero divisor in H(x)H")
     minus_inv_c0 = -combo[0].inv()
-    acc: dict = {}
+    terms = []
     for t in range(1, len(combo)):
-        if combo[t].is_zero():
-            continue
-        f = minus_inv_c0 * combo[t]
-        for i, j, c in powers[t - 1].nonzeros:
-            _acc(acc, (i, j), f * c)
-    inv = Tensor2.from_dict(a.dim, {k: v for k, v in acc.items() if not v.is_zero()})
+        if not combo[t].is_zero():
+            f = minus_inv_c0 * combo[t]
+            terms.extend(((i, j), f * c) for i, j, c in powers[t - 1].nonzeros)
+    inv = Tensor2(a.dim, terms)
     # certify two-sidedness
     if tensor2_mul(a, inv, host) != unit2 or tensor2_mul(inv, a, host) != unit2:
         raise NotInvertible("tensor has no two-sided inverse in H(x)H")

@@ -44,7 +44,7 @@ def _hexagons_and_conjugation(h: HopfData, r: Tensor2) -> bool:
         return False
     for i in range(h.dim):
         delta = h.comult_tensor(i)
-        if tensor2_mul(r, delta, h) != tensor2_mul(flip(delta), r, h):
+        if tensor2_mul(r, delta, h) != tensor2_mul(flip(delta, h), r, h):
             return False
     return True
 
@@ -72,7 +72,7 @@ def verify_triangular(h: HopfData, r: Tensor2) -> bool:
     hexagon and conjugation identities follow.
     """
     unit2 = unit_tensor2(h)
-    r21 = flip(r)
+    r21 = flip(r, h)
     if tensor2_mul(r21, r, h) != unit2 or tensor2_mul(r, r21, h) != unit2:
         return False
     return _hexagons_and_conjugation(h, r)

@@ -85,6 +85,36 @@ def test_broken_associativity_reports_witness():
     assert report.witnesses["associativity"] == (0, 1, 1)
 
 
+def _with_coproduct(h, i, entries):
+    comult = list(h.comult)
+    comult[i] = tuple(entries)
+    return h.replace(comult=tuple(comult))
+
+
+def test_corrupt_coproduct_witnesses_sweedler(sweedler):
+    # basis 1, v, g, gv; a stray v (x) v in Delta(v) breaks
+    # coassociativity at v, and the bialgebra identity first at (v, g):
+    # Delta(v) Delta(g) gains gv (x) gv, while (v, v) still gives 0 = 0
+    broken = _with_coproduct(sweedler, 1, sweedler.comult[1] + ((1, 1, ONE),))
+    report = verify_hopf(broken)
+    assert report.associativity and report.unit and report.counit
+    assert report.witnesses["coassociativity"] == (1,)
+    assert report.witnesses["bialgebra"] == (1, 2)
+
+
+def test_corrupt_coproduct_witnesses_klein():
+    # k[Z2xZ2] with e1 e2 = e3; Delta(e3) = e1 (x) e2 is not coassociative
+    # at e3, and the first pair whose product is e3 while Delta(e_i)
+    # Delta(e_j) differs is (1, 2): (0, 3) multiplies by the unit
+    h = group_algebra(FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2)))
+    assert h.mult[1][2] == ((3, ONE),)
+    broken = _with_coproduct(h, 3, ((1, 2, ONE),))
+    report = verify_hopf(broken)
+    assert report.associativity and report.unit
+    assert report.witnesses["coassociativity"] == (3,)
+    assert report.witnesses["bialgebra"] == (1, 2)
+
+
 def test_cocommutativity():
     assert is_cocommutative(group_algebra(FiniteGroup.symmetric3()))
     dual = dual_hopf(group_algebra(FiniteGroup.symmetric3()))

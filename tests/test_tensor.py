@@ -26,6 +26,7 @@ from trihopf.scalars import CycScalar, root_of_unity
 from trihopf.tensor import (
     Mat,
     Tensor2,
+    Tensor3,
     Vec,
     embed13_23_12,
     flip,
@@ -35,9 +36,12 @@ from trihopf.tensor import (
     solve_linear,
     tensor2_inv,
     tensor2_mul,
+    tensor3_mul,
     unit_tensor2,
     unit_tensor3,
 )
+
+from _oracles import expand_embedding, expand_flip, expand_product, expand_sum
 
 ONE = CycScalar.one()
 ZERO = CycScalar.zero()
@@ -247,19 +251,24 @@ def _left_mult_matrix(a, h):
     return Mat([[col.get(k, l) for col in cols] for k, l in pairs])
 
 
+# rationals times powers of zeta_3, zero included
+_CYC3_SCALARS = st.builds(
+    lambda n, den, k: CycScalar.from_rational(n, den) * root_of_unity(3, k),
+    st.integers(-3, 3),
+    st.integers(1, 3),
+    st.integers(0, 2),
+)
+
+
 @pytest.mark.parametrize("host", [_Z3, _SUPER_SWEEDLER], ids=["kZ3", "super_sweedler"])
 @given(st.data())
 @settings(max_examples=30, deadline=None)
 def test_tensor2_inv_property(host, data):
     d = host.dim
-    scalars = st.builds(
-        lambda n, den, k: CycScalar.from_rational(n, den) * root_of_unity(3, k),
-        st.integers(-3, 3),
-        st.integers(1, 3),
-        st.integers(0, 2),
-    )
     entries = data.draw(
-        st.dictionaries(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)), scalars, max_size=4)
+        st.dictionaries(
+            st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)), _CYC3_SCALARS, max_size=4
+        )
     )
     a = Tensor2.from_dict(d, entries)
     if data.draw(st.booleans()):
@@ -273,6 +282,54 @@ def test_tensor2_inv_property(host, data):
         unit2 = unit_tensor2(host)
         assert tensor2_mul(a, inv, host) == unit2
         assert tensor2_mul(inv, a, host) == unit2
+
+
+def _coefficients(t):
+    """The coefficients of t by index, after checking the sparse invariants."""
+    keys = [entry[:-1] for entry in t.nonzeros]
+    assert keys == sorted(set(keys))
+    assert not any(entry[-1].is_zero() for entry in t.nonzeros)
+    return {entry[:-1]: entry[-1] for entry in t.nonzeros}
+
+
+@pytest.mark.parametrize("host", [_Z3, _SUPER_SWEEDLER], ids=["kZ3", "super_sweedler"])
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_sparse_tensor_operations_property(host, data):
+    d = host.dim
+
+    def draw(arity):
+        keys = st.tuples(*[st.integers(0, d - 1)] * arity)
+        return data.draw(st.dictionaries(keys, _CYC3_SCALARS, max_size=4))
+
+    a2, b2, a3, b3 = draw(2), draw(2), draw(3), draw(3)
+    x, y = Tensor2.from_dict(d, a2), Tensor2.from_dict(d, b2)
+    u, v = Tensor3.from_dict(d, a3), Tensor3.from_dict(d, b3)
+    assert _coefficients(x) == expand_sum(a2, {})
+    assert _coefficients(u) == expand_sum(a3, {})
+    assert _coefficients(tensor2_mul(x, y, host)) == expand_product(host, a2, b2)
+    assert _coefficients(tensor3_mul(u, v, host)) == expand_product(host, a3, b3)
+    for pattern in ("12", "13", "23", "delta_id", "id_delta"):
+        expected = expand_embedding(host, a2, pattern)
+        assert _coefficients(embed13_23_12(x, pattern, host)) == expected
+    assert _coefficients(flip(x, host)) == expand_flip(host, a2)
+    assert _coefficients(x + y) == expand_sum(a2, b2)
+    assert _coefficients(x - y) == expand_sum(a2, b2, sign=-1)
+    assert _coefficients(u - u) == {}
+
+
+@pytest.mark.parametrize("cls, key", [
+    (Tensor2, (-1, 0)),
+    (Tensor2, (2, 0)),
+    (Tensor2, (0, 2)),
+    (Tensor2, (0,)),
+    (Tensor2, (0, 0, 0)),
+    (Tensor3, (0, -1, 0)),
+    (Tensor3, (0, 0)),
+])
+def test_from_dict_rejects_bad_indices(cls, key):
+    with pytest.raises(ShapeError):
+        cls.from_dict(2, {key: ONE})
 
 
 def test_flip():
@@ -324,8 +381,6 @@ def test_embeddings(kz2):
 
 
 def _t3(h, entries):
-    from trihopf.tensor import Tensor3
-
     return Tensor3.from_dict(h.dim, entries)
 
 

@@ -6,6 +6,7 @@ from trihopf import triangular
 from trihopf.constructions import (
     apply_twist,
     build_bicharacter_twist,
+    exterior_algebra,
     group_algebra,
     modified_supergroup_algebra,
     semisimple_triangular,
@@ -19,7 +20,7 @@ from trihopf.groups import (
     half_bicharacter,
     sign_characters,
 )
-from trihopf.hopf import verify_hopf
+from trihopf.hopf import is_cocommutative, verify_hopf
 from trihopf.scalars import CycScalar, root_of_unity
 from trihopf.tensor import Tensor2, Vec, flip, tensor2_mul, unit_tensor2
 from trihopf.triangular import (
@@ -54,6 +55,17 @@ def sweedler():
 def test_unit_r_on_cocommutative(kz2):
     assert verify_quasitriangular(kz2, unit_tensor2(kz2))
     assert verify_triangular(kz2, unit_tensor2(kz2))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_unit_r_on_supercocommutative(n):
+    # Lambda(V) is supercocommutative, so 1 (x) 1 is triangular; from
+    # dim V = 2 on, Delta(v1 v2) has odd (x) odd terms and the opposite
+    # coproduct needs the Koszul-signed flip
+    h = exterior_algebra(n)
+    assert verify_hopf(h).ok and is_cocommutative(h)
+    assert verify_quasitriangular(h, unit_tensor2(h))
+    assert verify_triangular(h, unit_tensor2(h))
 
 
 def test_gg_fails_hexagon(kz2):
