@@ -15,7 +15,7 @@ from .errors import (
     TwistError,
     UnsupportedStratum,
 )
-from .scalars import CycScalar, Rational, kernel_name, root_of_unity
+from .scalars import CycScalar, kernel_name, root_of_unity
 from .tensor import (
     Mat,
     Tensor2,

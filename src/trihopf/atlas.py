@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .constructions import Septuple, septuple_pipeline, validate_septuple
+from .constructions import Septuple, septuple_pipeline
 from .groups import (
     AbelianSubgroup,
     FiniteGroup,
@@ -157,7 +157,6 @@ def build_instance(spec: InstanceSpec):
         v_dim=math.isqrt(len(spec.subgroup)),
         u=spec.u,
     )
-    assert validate_septuple(septuple).valid
     return septuple_pipeline(septuple)
 
 

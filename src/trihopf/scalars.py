@@ -1,4 +1,4 @@
-"""Exact scalars: rationals and cyclotomic numbers.
+"""Exact scalars: one type for cyclotomic numbers, rationals included.
 
 The ground field is the tower of cyclotomic fields Q(zeta_n).  A value
 of order n is stored as the residue of a polynomial in zeta_n reduced
@@ -104,77 +104,6 @@ def _embed_rows(n: int, m: int) -> tuple[tuple[int, ...], ...]:
 
 
 # ---------------------------------------------------------------------------
-# rationals
-
-class Rational(tuple):
-    """Normalized fraction; also a valid raw kernel coefficient pair."""
-
-    __slots__ = ()
-
-    def __new__(cls, num: int, den: int = 1):
-        try:
-            return tuple.__new__(cls, kernel.rat_norm(num, den))
-        except ZeroDivisionError:
-            raise DivisionByZero("rational with zero denominator") from None
-
-    @property
-    def num(self) -> int:
-        return self[0]
-
-    @property
-    def den(self) -> int:
-        return self[1]
-
-    def _coerce(self, other):
-        if isinstance(other, int):
-            return (other, 1)
-        if isinstance(other, tuple) and len(other) == 2:
-            return (other[0], other[1])
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return tuple.__new__(Rational, kernel.rat_add(tuple(self), o))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return tuple.__new__(Rational, kernel.rat_sub(tuple(self), o))
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return tuple.__new__(Rational, kernel.rat_mul(tuple(self), o))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o[0] == 0:
-            raise DivisionByZero("division by zero")
-        return tuple.__new__(Rational, kernel.rat_div(tuple(self), o))
-
-    def __neg__(self):
-        return tuple.__new__(Rational, (-self[0], self[1]))
-
-    def inv(self) -> "Rational":
-        if self[0] == 0:
-            raise DivisionByZero("inverse of zero")
-        return tuple.__new__(Rational, kernel.rat_inv(tuple(self)))
-
-    def __repr__(self):
-        return f"{self[0]}/{self[1]}" if self[1] != 1 else str(self[0])
-
-
-# ---------------------------------------------------------------------------
 # cyclotomic scalars
 
 _RAT_ZERO = (0, 1)
@@ -257,8 +186,6 @@ class CycScalar:
             return other
         if isinstance(other, int):
             return CycScalar(1, ((other, 1),))
-        if isinstance(other, Rational):
-            return CycScalar(1, (tuple(other),))
         return None
 
     def is_zero(self) -> bool:
@@ -275,11 +202,6 @@ class CycScalar:
             if c[0]:
                 return False
         return True
-
-    def as_rational(self) -> Rational:
-        if not self.is_rational():
-            raise ShapeError(f"{self!r} is not rational")
-        return tuple.__new__(Rational, self.coeffs[0])
 
     # arithmetic ---------------------------------------------------------
 

@@ -76,14 +76,35 @@ def _index(i, dim: int):
     return i
 
 
+def _unique_entries(entries, where: str) -> dict:
+    """Index -> value from a file's (index, value) pairs, refusing a repeated index.
+
+    A repeated structure constant would be summed by some readers and
+    overwritten by others.
+    """
+    out = {}
+    for key, c in entries:
+        if key in out:
+            raise ShapeError(f"duplicate entry at index {key} in {where}")
+        out[key] = c
+    return out
+
+
 def hopf_from_obj(obj) -> HopfData:
     dim = int(obj["dim"])
     mult = [[[] for _ in range(dim)] for _ in range(dim)]
-    for i, j, k, c in obj["mult"]:
-        mult[_index(i, dim)][_index(j, dim)].append((_index(k, dim), scalar_from_obj(c)))
+    entries = _unique_entries(
+        (((_index(i, dim), _index(j, dim), _index(k, dim)), c) for i, j, k, c in obj["mult"]),
+        "mult",
+    )
+    for (i, j, k), c in entries.items():
+        mult[i][j].append((k, scalar_from_obj(c)))
     comult = []
     for entry in obj["comult"]:
-        comult.append(tuple((_index(j, dim), _index(k, dim), scalar_from_obj(c)) for j, k, c in entry))
+        terms = _unique_entries(
+            (((_index(j, dim), _index(k, dim)), c) for j, k, c in entry), "comult"
+        )
+        comult.append(tuple((j, k, scalar_from_obj(c)) for (j, k), c in terms.items()))
     return make_hopf(
         dim=dim,
         unit=vec_from_obj(obj["unit"]),
@@ -103,13 +124,11 @@ def tensor2_to_obj(t: Tensor2):
 
 def tensor2_from_obj(obj) -> Tensor2:
     dim = int(obj["host_dim"])
-    acc = {}
-    for i, j, c in obj["entries"]:
-        key = (_index(int(i), dim), _index(int(j), dim))
-        if key in acc:
-            raise ShapeError(f"duplicate entry at index {key}")
-        acc[key] = scalar_from_obj(c)
-    return Tensor2.from_dict(dim, acc)
+    entries = _unique_entries(
+        (((_index(int(i), dim), _index(int(j), dim)), c) for i, j, c in obj["entries"]),
+        "tensor",
+    )
+    return Tensor2.from_dict(dim, {key: scalar_from_obj(c) for key, c in entries.items()})
 
 
 def dumps(obj) -> str:

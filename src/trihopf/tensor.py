@@ -2,15 +2,16 @@
 
 Vectors, matrices and tensors hold CycScalar entries and are immutable
 after construction.  Vec and Mat are dense, because elimination walks
-whole rows; kernels and ranks come from fraction-free (Bareiss)
-elimination.  Tensor2 and Tensor3 share one sparse representation, a
-dict from index tuple to nonzero coefficient, and one constructor that
-sums repeated indices and drops zeros; every product, embedding and
-flip in H (x) H and H (x) H (x) H goes through it.  Products iterate the
-nonzeros through the host's sparse structure tensor, with Koszul signs
-when the host is a superalgebra.  An inverse in H (x) H is a polynomial
-in the element, read off its minimal polynomial, so it needs no linear
-system over H (x) H.
+whole rows.  Rank, kernel, solution and span membership are all read
+off one reduced row echelon form, computed by Gauss-Jordan elimination
+with one field inverse per pivot.  Tensor2 and Tensor3 share one sparse
+representation, a dict from index tuple to nonzero coefficient, and one
+constructor that sums repeated indices and drops zeros; every product,
+embedding and flip in H (x) H and H (x) H (x) H goes through it.
+Products iterate the nonzeros through the host's sparse structure
+tensor, with Koszul signs when the host is a superalgebra.  An inverse
+in H (x) H is a polynomial in the element, read off its minimal
+polynomial, so it needs no linear system over H (x) H.
 """
 
 from __future__ import annotations
@@ -167,144 +168,105 @@ class Mat:
 # ---------------------------------------------------------------------------
 # elimination
 
-def _bareiss_echelon(rows: Sequence[Sequence[CycScalar]]):
-    """Fraction-free row echelon; returns (matrix, pivot column list)."""
+def _rref(rows: Sequence[Sequence[CycScalar]]):
+    """Reduced row echelon form over the field: (nonzero rows, pivot columns).
+
+    Gauss-Jordan with one field inverse per pivot: every pivot entry is
+    1 and the rest of its column is 0, so the reduced rows are unique
+    and solutions read off them without back-substitution.
+    """
     m = [list(r) for r in rows]
-    if not m:
-        return m, []
-    nr, nc = len(m), len(m[0])
-    prev = SC_ONE
-    pivots = []
-    r = 0
+    nr = len(m)
+    nc = len(m[0]) if m else 0
+    pivots: list[int] = []
     for c in range(nc):
-        p = None
-        for i in range(r, nr):
-            if not m[i][c].is_zero():
-                p = i
-                break
-        if p is None:
-            continue
-        if p != r:
-            m[r], m[p] = m[p], m[r]
-        pivot = m[r][c]
-        for i in range(r + 1, nr):
-            head = m[i][c]
-            if head.is_zero():
-                for j in range(c + 1, nc):
-                    if not m[i][j].is_zero():
-                        m[i][j] = (m[i][j] * pivot) / prev
-            else:
-                for j in range(c + 1, nc):
-                    m[i][j] = (m[i][j] * pivot - head * m[r][j]) / prev
-                m[i][c] = SC_ZERO
-        prev = pivot
-        pivots.append(c)
-        r += 1
+        r = len(pivots)
         if r == nr:
             break
-    return m, pivots
+        p = next((i for i in range(r, nr) if not m[i][c].is_zero()), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        # entries left of c are already 0 in rows r and below
+        inv = m[r][c].inv()
+        tail = [(j, m[r][j] * inv) for j in range(c + 1, nc) if not m[r][j].is_zero()]
+        row = [SC_ZERO] * nc
+        row[c] = SC_ONE
+        for j, e in tail:
+            row[j] = e
+        m[r] = row
+        for i in range(nr):
+            f = m[i][c]
+            if i == r or f.is_zero():
+                continue
+            other = m[i]
+            for j, e in tail:
+                other[j] = other[j] - f * e
+            other[c] = SC_ZERO
+        pivots.append(c)
+    return m[: len(pivots)], pivots
 
 
 def mat_rank(m: Mat) -> int:
-    _, pivots = _bareiss_echelon(m.rows)
-    return len(pivots)
+    return len(_rref(m.rows)[1])
 
 
 def mat_kernel(m: Mat) -> list[Vec]:
-    """Exact null-space basis via fraction-free elimination.
+    """Exact null-space basis, read off the reduced row echelon form.
 
-    One basis vector per free column, with that coordinate set to 1;
-    empty list means the matrix is injective.
+    One basis vector per free (non-pivot) column f: x_f = 1, the other
+    free coordinates 0, and x_p = -row[f] for the pivot p of each
+    reduced row.  An empty list means the matrix is injective.
     """
-    ech, pivots = _bareiss_echelon(m.rows)
+    rows, pivots = _rref(m.rows)
     nc = m.ncols
     pivot_set = set(pivots)
-    free_cols = [c for c in range(nc) if c not in pivot_set]
     basis = []
-    for f in free_cols:
+    for f in range(nc):
+        if f in pivot_set:
+            continue
         x = [SC_ZERO] * nc
         x[f] = SC_ONE
-        for r in range(len(pivots) - 1, -1, -1):
-            c = pivots[r]
-            acc = SC_ZERO
-            for j in range(c + 1, nc):
-                if not x[j].is_zero() and not ech[r][j].is_zero():
-                    acc = acc + ech[r][j] * x[j]
-            if not acc.is_zero():
-                x[c] = -acc / ech[r][c]
+        for row, p in zip(rows, pivots):
+            x[p] = -row[f]
         basis.append(Vec(x))
     return basis
 
 
-def mat_inv(m: Mat) -> Mat:
-    """Exact inverse by Gauss-Jordan; raises NotInvertible when singular."""
-    n = m.nrows
-    if n != m.ncols:
-        raise ShapeError("inverse of non-square matrix")
-    aug = [list(m.rows[i]) + [SC_ONE if j == i else SC_ZERO for j in range(n)] for i in range(n)]
-    for c in range(n):
-        p = None
-        for i in range(c, n):
-            if not aug[i][c].is_zero():
-                p = i
-                break
-        if p is None:
-            raise NotInvertible("singular matrix")
-        aug[c], aug[p] = aug[p], aug[c]
-        inv_p = aug[c][c].inv()
-        aug[c] = [e * inv_p for e in aug[c]]
-        for i in range(n):
-            if i != c and not aug[i][c].is_zero():
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-    return Mat(tuple(tuple(row[n:]) for row in aug))
-
-
 def solve_linear(m: Mat, rhs: Vec) -> Optional[Vec]:
-    """One exact solution of m @ x = rhs, or None when inconsistent."""
+    """The solution of m @ x = rhs with every free unknown 0, or None.
+
+    None means the system is inconsistent: the reduced augmented matrix
+    has a pivot in the rhs column.
+    """
     if m.nrows != rhs.dim:
         raise ShapeError("matrix/vector shape mismatch")
     nc = m.ncols
-    aug = Mat(tuple(tuple(m.rows[i]) + (rhs.entries[i],) for i in range(m.nrows)))
-    ech, pivots = _bareiss_echelon(aug.rows)
+    rows, pivots = _rref([row + (b,) for row, b in zip(m.rows, rhs.entries)])
     if pivots and pivots[-1] == nc:
-        return None  # pivot in the rhs column
+        return None
     x = [SC_ZERO] * nc
-    for r in range(len(pivots) - 1, -1, -1):
-        c = pivots[r]
-        acc = ech[r][nc]
-        for j in range(c + 1, nc):
-            if not x[j].is_zero() and not ech[r][j].is_zero():
-                acc = acc - ech[r][j] * x[j]
-        x[c] = acc / ech[r][c]
-    # rows below the last pivot must be consistent (all-zero coefficients)
-    for r in range(len(pivots), m.nrows):
-        if not ech[r][nc].is_zero():
-            return None
+    for row, p in zip(rows, pivots):
+        x[p] = row[nc]
     return Vec(x)
 
 
 def in_span(basis_echelon, pivots, v: Vec) -> bool:
-    """Membership test against a precomputed echelon basis (rows)."""
+    """Membership test against reduced rows from span_echelon."""
     x = list(v.entries)
-    nc = len(x)
-    for r, c in enumerate(pivots):
-        if x[c].is_zero():
+    for row, p in zip(basis_echelon, pivots):
+        f = x[p]
+        if f.is_zero():
             continue
-        f = x[c] / basis_echelon[r][c]
-        for j in range(c, nc):
-            e = basis_echelon[r][j]
+        for j, e in enumerate(row):
             if not e.is_zero():
                 x[j] = x[j] - f * e
     return all(e.is_zero() for e in x)
 
 
 def span_echelon(vectors: Sequence[Vec]):
-    """Echelonized spanning set for membership tests: (rows, pivots)."""
-    if not vectors:
-        return [], []
-    ech, pivots = _bareiss_echelon([v.entries for v in vectors])
-    return ech[: len(pivots)], pivots
+    """Reduced row echelon basis of the span: (rows, pivot columns)."""
+    return _rref([v.entries for v in vectors])
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,11 @@ A triangular structure is an R with R21 = R^-1, so triangularity is
 checked as flip(R) * R = 1 (x) 1 and R * flip(R) = 1 (x) 1; the two
 sides together are the definition of an inverse and certify that R is
 invertible without solving for R^-1.  The Drinfeld element
-u = sum S(b_i) a_i implements S^2 as conjugation; the checks bundled in
-check_structure_theorems assert u^2 = 1, u group-like, S^4 = id,
-S^2 = Ad(u), and the odd-dimension degeneration u = 1 with
-semisimplicity, recording failures instead of raising.
+u = sum S(b_i) a_i implements S^2 as conjugation, which drinfeld_element
+certifies (or raises); the checks bundled in check_structure_theorems
+assert u^2 = 1, u group-like, S^4 = id and the odd-dimension
+degeneration u = 1 with semisimplicity, recording failures instead of
+raising.
 """
 
 from __future__ import annotations
@@ -175,16 +176,12 @@ def check_structure_theorems(h: HopfData, r: Tensor2) -> TheoremReport:
     Any failure on a constructed catalog instance is a builder bug, so
     the suite doubles as a regression harness.
     """
+    # drinfeld_element raises unless S^2 = Ad(u) on every basis element
     u = drinfeld_element(h, r)
     u_sq = h.mul_vec(u, u) == h.unit
     u_gl = h.comult_vec(u) == Tensor2.outer(u, u)
     s2 = h.antipode @ h.antipode
     s4_ok = s2 @ s2 == Mat.identity(h.dim)
-    u_inv = algebra_inverse(h, u)
-    ad_ok = all(
-        h.mul_vec(h.mul_vec(u, h.basis_vec(i)), u_inv) == s2.col(i)
-        for i in range(h.dim)
-    )
     if h.dim % 2 == 1:
         odd_ok = u == h.unit and is_semisimple(h)
     else:
@@ -194,7 +191,7 @@ def check_structure_theorems(h: HopfData, r: Tensor2) -> TheoremReport:
         u_squared_is_one=u_sq,
         u_grouplike=u_gl,
         s4_is_id=s4_ok,
-        s2_is_ad_u=ad_ok,
+        s2_is_ad_u=True,
         odd_dim_forces_u1_semisimple=odd_ok,
         chevalley=is_chevalley(h),
     )

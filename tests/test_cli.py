@@ -133,6 +133,19 @@ def test_verify_rejects_duplicate_tensor_entries(tmp_path, z2_file, capsys):
     assert "malformed input: duplicate entry" in err and "Traceback" not in err
 
 
+def test_verify_rejects_duplicate_structure_constants(tmp_path, capsys):
+    # a repeated copy would be summed by the verifiers but kept once by same_structure
+    dump = load(GOLDEN / "sweedler.hopf.json")
+    dump["mult"].append(dump["mult"][0])
+    assert main(["verify", write(tmp_path / "dupmult.json", dump)]) == 2
+    dump = load(GOLDEN / "sweedler.hopf.json")
+    dump["comult"][1].append(dump["comult"][1][0])
+    assert main(["verify", write(tmp_path / "dupcomult.json", dump)]) == 2
+    err = capsys.readouterr().err
+    assert "in mult" in err and "in comult" in err and err.count("duplicate entry") == 2
+    assert "Traceback" not in err
+
+
 def test_verify_rejects_zero_denominator(tmp_path, sweedler_input, capsys):
     out = tmp_path / "sw.hopf.json"
     main(["build", sweedler_input, "--kind", "modified-supergroup", "-o", str(out)])

@@ -257,6 +257,17 @@ def test_hopf_ideal_subroutine_rejects_span_of_unit(sweedler):
     assert subspace_is_hopf_ideal(sweedler, [])
 
 
+def test_hopf_ideal_subroutine_tests_the_coproduct():
+    # in k^Z5 both spans pass the counit and antipode legs (S(delta_g) =
+    # delta_(g^-1)); only the second is a coideal
+    from trihopf.hopf import subspace_is_hopf_ideal
+
+    h = dual_hopf(group_algebra(FiniteGroup.cyclic(5)))
+    d = [Vec.basis(5, g) for g in range(5)]
+    assert not subspace_is_hopf_ideal(h, [d[1] - d[2], d[4] - d[3]])
+    assert subspace_is_hopf_ideal(h, [d[1] - d[4], d[2] - d[3]])
+
+
 # --- antipode order -----------------------------------------------------------
 
 def test_antipode_orders(sweedler):

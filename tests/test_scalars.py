@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from trihopf.errors import DivisionByZero, ShapeError
 from trihopf.scalars import (
     CycScalar,
-    Rational,
     cyclotomic_poly,
     euler_phi,
     kernel_name,
@@ -26,16 +25,17 @@ def rand_scalar(data, orders=ORDERS):
 
 
 def test_rational_arithmetic():
-    assert Rational(1, 2) + Rational(1, 3) == Rational(5, 6)
-    assert Rational(2, 4) == Rational(1, 2)
-    assert Rational(3, -6) == Rational(-1, 2)
-    assert Rational(1, 2) * Rational(2, 3) == Rational(1, 3)
-    assert Rational(7, 3).inv() == Rational(3, 7)
-    assert -Rational(0, 5) == Rational(0)
+    q = CycScalar.from_rational
+    assert q(1, 2) + q(1, 3) == q(5, 6)
+    assert q(2, 4) == q(1, 2) and q(2, 4).coeffs == ((1, 2),)
+    assert q(3, -6) == q(-1, 2) and q(3, -6).coeffs == ((-1, 2),)
+    assert q(1, 2) * q(2, 3) == q(1, 3)
+    assert q(7, 3).inv() == q(3, 7)
+    assert -q(0, 5) == q(0) and (-q(0, 5)).coeffs == ((0, 1),)
     with pytest.raises(DivisionByZero):
-        Rational(1, 0)
+        q(1, 0)
     with pytest.raises(DivisionByZero):
-        Rational(0).inv()
+        q(0).inv()
 
 
 def test_root_of_unity_basics():

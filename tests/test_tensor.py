@@ -30,7 +30,6 @@ from trihopf.tensor import (
     Vec,
     embed13_23_12,
     flip,
-    mat_inv,
     mat_kernel,
     mat_rank,
     solve_linear,
@@ -94,16 +93,59 @@ def test_kernel_with_cyclotomic_entries():
     assert m.matvec(basis[0]).is_zero()
 
 
-def test_mat_inv_and_solve():
+def test_solve_linear():
     m = mat_of_ints([[2, 1], [1, 1]])
-    inv = mat_inv(m)
-    assert m @ inv == Mat.identity(2)
     rhs = Vec([sc(3), sc(2)])
     x = solve_linear(m, rhs)
     assert m.matvec(x) == rhs
     assert solve_linear(mat_of_ints([[1, 0], [1, 0]]), Vec([sc(0), sc(1)])) is None
-    with pytest.raises(NotInvertible):
-        mat_inv(mat_of_ints([[1, 1], [1, 1]]))
+
+
+# rationals times powers of zeta_3, zero included
+_CYC3_SCALARS = st.builds(
+    lambda n, den, k: CycScalar.from_rational(n, den) * root_of_unity(3, k),
+    st.integers(-3, 3),
+    st.integers(1, 3),
+    st.integers(0, 2),
+)
+
+
+def _leading_rank(rows, k):
+    """Rank of the first k columns."""
+    return mat_rank(Mat([r[:k] for r in rows]))
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_elimination_property(data):
+    # k[Z3]-sized systems over Q(zeta3); rank deficiency forced by copying
+    # a combination of two rows into a third
+    nrows, ncols = data.draw(st.integers(3, 4)), data.draw(st.integers(1, 4))
+    rows = [[data.draw(_CYC3_SCALARS) for _ in range(ncols)] for _ in range(nrows)]
+    a, b = data.draw(_CYC3_SCALARS), data.draw(_CYC3_SCALARS)
+    rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    m = Mat(rows)
+    basis = mat_kernel(m)
+    assert mat_rank(m) + len(basis) == ncols
+    # column f is free when it depends on the columns left of it
+    free = [f for f in range(ncols) if _leading_rank(rows, f + 1) == _leading_rank(rows, f)]
+    assert len(basis) == len(free)
+    for v, f in zip(basis, free):
+        assert m.matvec(v).is_zero()
+        assert [v.entries[g] for g in free] == [ONE if g == f else ZERO for g in free]
+    # the solution sets every free unknown to 0; None exactly off the column space
+    rhs = Vec(data.draw(_CYC3_SCALARS) for _ in range(nrows))
+    x = solve_linear(m, rhs)
+    solvable = mat_rank(Mat(list(r) + [c] for r, c in zip(rows, rhs.entries))) == mat_rank(m)
+    if x is None:
+        assert not solvable
+    else:
+        assert solvable
+        assert m.matvec(x) == rhs
+        assert all(x.entries[f].is_zero() for f in free)
+    # an rhs built from the columns is always solvable
+    y = Vec(data.draw(_CYC3_SCALARS) for _ in range(ncols))
+    assert solve_linear(m, m.matvec(y)) is not None
 
 
 # --- tensor squares ---------------------------------------------------------
@@ -221,7 +263,7 @@ def test_tensor2_inv_solves_nothing(monkeypatch):
         raise AssertionError("tensor2_inv set up a linear system")
 
     monkeypatch.setattr(tensor, "solve_linear", no_solve)
-    monkeypatch.setattr(tensor, "_bareiss_echelon", no_solve)
+    monkeypatch.setattr(tensor, "_rref", no_solve)
     for h, a, expected in cases:
         inv = tensor2_inv(a, h)
         unit2 = unit_tensor2(h)
@@ -249,15 +291,6 @@ def _left_mult_matrix(a, h):
     pairs = [(p, q) for p in range(h.dim) for q in range(h.dim)]
     cols = [tensor2_mul(a, basis2(h, p, q), h) for p, q in pairs]
     return Mat([[col.get(k, l) for col in cols] for k, l in pairs])
-
-
-# rationals times powers of zeta_3, zero included
-_CYC3_SCALARS = st.builds(
-    lambda n, den, k: CycScalar.from_rational(n, den) * root_of_unity(3, k),
-    st.integers(-3, 3),
-    st.integers(1, 3),
-    st.integers(0, 2),
-)
 
 
 @pytest.mark.parametrize("host", [_Z3, _SUPER_SWEEDLER], ids=["kZ3", "super_sweedler"])
