@@ -379,14 +379,16 @@ def build_bicharacter_twist(a: AbelianSubgroup, beta: Bicharacter) -> Tensor2:
     inflated = [tuple((a.elements[local], c) for local, c in e.nonzeros()) for e in idems]
 
     def terms():
+        # J = sum_s E_s (x) w_s with w_s = sum_t beta(s,t) E_t, summed once per s
         for es, row in zip(inflated, beta.values):
+            w: dict = {}
             for et, b in zip(inflated, row):
-                if b.is_zero():
-                    continue
-                for p, cp in es:
-                    left = b * cp
-                    for q, cq in et:
-                        yield (p, q), left * cq
+                for q, cq in et:
+                    c = b * cq
+                    w[q] = w[q] + c if q in w else c
+            for p, cp in es:
+                for q, c in w.items():
+                    yield (p, q), cp * c
 
     return Tensor2(parent_dim, terms())
 

@@ -499,22 +499,35 @@ class GroupRep:
 
 
 def sign_characters(group: FiniteGroup) -> list[tuple[int, ...]]:
-    """All homomorphisms G -> {+1, -1} as value tuples, brute force."""
-    n = group.order
+    """All homomorphisms G -> {+1, -1} as value tuples.
+
+    A sign choice on a generating set S extends along the edges a -> a*s
+    in at most one way, and the extension f is a homomorphism iff
+    f(a*s) = f(a)f(s) for every a and every s in S (induction on word
+    length).  The result is listed in the order of product((1, -1)).
+    """
+    n, e = group.order, group.identity
+    gens: list[int] = []
+    reached: tuple[int, ...] = (e,)
+    for g in range(n):
+        if g not in reached:
+            gens.append(g)
+            reached = group.subgroup_closure(gens)
     out = []
-    for bits in product((1, -1), repeat=n):
-        if bits[group.identity] != 1:
-            continue
-        ok = True
-        for a in range(n):
-            for b in range(n):
-                if bits[group.mul(a, b)] != bits[a] * bits[b]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(bits)
+    for signs in product((1, -1), repeat=len(gens)):
+        f = [0] * n
+        f[e] = 1
+        frontier = [e]
+        while frontier:
+            a = frontier.pop()
+            for s, fs in zip(gens, signs):
+                b = group.mul(a, s)
+                if not f[b]:
+                    f[b] = f[a] * fs
+                    frontier.append(b)
+        if all(f[group.mul(a, s)] == f[a] * fs for a in range(n) for s, fs in zip(gens, signs)):
+            out.append(tuple(f))
+    out.sort(reverse=True)  # +1 before -1, position by position
     return out
 
 
@@ -534,21 +547,25 @@ class Bicharacter:
         if len(self.values) != n or any(len(r) != n for r in self.values):
             raise BicharacterError("value table has wrong shape")
         index = {lab: i for i, lab in enumerate(self.labels)}
-        add = lambda s, t: tuple((x + y) % f for x, y, f in zip(s, t, self.factors))
-        for i, s in enumerate(self.labels):
-            for j, t in enumerate(self.labels):
-                for k, u in enumerate(self.labels):
-                    if (
-                        self.values[index[add(s, u)]][j]
-                        != self.values[i][j] * self.values[k][j]
-                    ):
+        zero_label = tuple(0 for _ in self.factors)
+        gens = [i for i, f in enumerate(self.factors) if f > 1]
+
+        def plus_unit(lab, i):
+            return index[lab[:i] + ((lab[i] + 1) % self.factors[i],) + lab[i + 1 :]]
+
+        # multiplicative along each unit label g; with the normalization
+        # below this makes each slot a homomorphism (induction on the label)
+        units = [plus_unit(zero_label, i) for i in gens]
+        shift = [[plus_unit(lab, i) for i in gens] for lab in self.labels]
+        v = self.values
+        for i in range(n):
+            for j in range(n):
+                for g, i_g, j_g in zip(units, shift[i], shift[j]):
+                    if v[i_g][j] != v[i][j] * v[g][j]:
                         raise BicharacterError("table not multiplicative in the first slot")
-                    if (
-                        self.values[i][index[add(t, u)]]
-                        != self.values[i][j] * self.values[i][k]
-                    ):
+                    if v[i][j_g] != v[i][j] * v[i][g]:
                         raise BicharacterError("table not multiplicative in the second slot")
-        zero = index[tuple(0 for _ in self.factors)]
+        zero = index[zero_label]
         for i in range(n):
             if self.values[zero][i] != SC_ONE or self.values[i][zero] != SC_ONE:
                 raise BicharacterError("table not normalized at the trivial label")
@@ -596,7 +613,7 @@ class Bicharacter:
         return True
 
     def is_nondegenerate(self) -> bool:
-        rows = {tuple((c.order, c.coeffs) for c in row) for row in self.values}
+        rows = {tuple((c.order, c.nums, c.den) for c in row) for row in self.values}
         return len(rows) == len(self.labels)
 
     def skew(self) -> "Bicharacter":
@@ -666,7 +683,7 @@ def alternating_nondegenerate_bicharacters(factors) -> list[Bicharacter]:
         b = Bicharacter.from_exponent_matrix(factors, gen)
         if not (b.is_alternating() and b.is_nondegenerate()):
             continue
-        key = tuple(tuple((c.order, c.coeffs) for c in row) for row in b.values)
+        key = tuple(tuple((c.order, c.nums, c.den) for c in row) for row in b.values)
         if key not in seen:
             seen.add(key)
             out.append(b)

@@ -1,37 +1,33 @@
 """Exact scalars: one type for cyclotomic numbers, rationals included.
 
 The ground field is the tower of cyclotomic fields Q(zeta_n).  A value
-of order n is stored as the residue of a polynomial in zeta_n reduced
-modulo the n-th cyclotomic polynomial: a dense tuple of phi(n)
-rationals over the power basis 1, z, ..., z**(phi(n)-1).  Arithmetic
-between different orders embeds both operands into Q(zeta_lcm) first.
-A result whose tail coefficients vanish is demoted to order 1, so plain
-rationals always carry the canonical representation n=1.
+of order n is the residue of a polynomial in zeta_n modulo the n-th
+cyclotomic polynomial, stored as ``(order, nums, den)``: a tuple of
+phi(n) integer numerators over the power basis 1, z, ...,
+z**(phi(n)-1) and one positive denominator, with gcd(den, *nums) == 1.
+Arithmetic between different orders embeds both operands into
+Q(zeta_lcm) first.  A value whose tail numerators vanish is demoted to
+order 1, so plain rationals always carry the canonical representation
+n=1; zero is ``(1, (0,), 1)``.
 
-Equality is exact and decidable: same order compares coefficientwise,
-mixed orders compare after embedding into the common field.
+Equality is exact and decidable: same order compares the stored
+fields, mixed orders compare after embedding into the common field.
+The wire form is canonical: ``to_obj`` writes a value in the smallest
+cyclotomic field that contains it, so a dump does not depend on the
+order in which its values were summed.
 """
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import DivisionByZero, ShapeError
 
-if os.environ.get("HOPF_PURE"):
-    from . import _pykernel as kernel
-else:
-    try:
-        from . import _ckernel as kernel  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _pykernel as kernel
-
 
 def kernel_name() -> str:
-    """Which arithmetic kernel was selected at import time."""
-    return "compiled" if kernel.COMPILED else "pure"
+    """Name of the arithmetic kernel: integer arithmetic in pure Python."""
+    return "pure"
 
 
 # ---------------------------------------------------------------------------
@@ -103,44 +99,167 @@ def _embed_rows(n: int, m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+def _embed(nums, n: int, m: int):
+    """Integer numerators of a value of order n, re-expressed at order m."""
+    if n == m:
+        return nums
+    out = [0] * euler_phi(m)
+    if n == 1:
+        out[0] = nums[0]
+        return out
+    for x, row in zip(nums, _embed_rows(n, m)):
+        if x:
+            for j, r in enumerate(row):
+                if r:
+                    out[j] += x * r
+    return out
+
+
+def _mul_nums(u, v, n: int) -> list[int]:
+    """Product of two integer numerator vectors of order n, reduced mod Phi_n."""
+    phi = len(u)
+    conv = [0] * (2 * phi - 1)
+    for i, a in enumerate(u):
+        if a:
+            for j, b in enumerate(v):
+                if b:
+                    conv[i + j] += a * b
+    out = conv[:phi]
+    for c, row in zip(conv[phi:], _reduction_rows(n)):
+        if c:
+            for j, r in enumerate(row):
+                if r:
+                    out[j] += c * r
+    return out
+
+
+def _trim(p: list[int]) -> list[int]:
+    while len(p) > 1 and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _int_poly_inverse(a, n: int) -> tuple[list[int], int]:
+    """(s, c) with s*a = c mod Phi_n and c an integer, by extended Euclid.
+
+    Each remainder comes from integer pseudo-division, and each pair
+    (remainder, cofactor) is divided by its common content, which keeps
+    s*a = r mod Phi_n true and the integers small.  a must be nonzero
+    mod Phi_n, which is irreducible, so the last remainder c is a
+    nonzero constant.
+    """
+    r0, s0 = list(cyclotomic_poly(n)), [0]
+    r1, s1 = _trim(list(a)), [1]
+    while len(r1) > 1:
+        lc, d = r1[-1], len(r1) - 1
+        r, s = r0, s0
+        while len(r) > d:
+            t, shift = r[-1], len(r) - 1 - d
+            r = [lc * x for x in r]
+            for i, y in enumerate(r1):
+                r[i + shift] -= t * y
+            s = [lc * x for x in s] + [0] * (len(s1) + shift - len(s))
+            for i, y in enumerate(s1):
+                s[i + shift] -= t * y
+            r = _trim(r)
+        g = gcd(*r, *s)
+        if g > 1:
+            r = [x // g for x in r]
+            s = [x // g for x in s]
+        r0, s0, r1, s1 = r1, s1, r, s
+    return s1, r1[0]
+
+
+@lru_cache(maxsize=None)
+def _descent_rows(m: int, n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Integer row echelon of [E | I], E the rows embedding order m into order n.
+
+    Each row is (y.E | y) for an integer vector y; the embedding is
+    injective, so every row has a pivot among the first phi(n) columns.
+    """
+    pm, pn = euler_phi(m), euler_phi(n)
+    ech = []
+    for i, e in enumerate(_embed_rows(m, n)):
+        row = list(e) + [int(k == i) for k in range(pm)]
+        for c, piv in ech:
+            x = row[c]
+            if x:
+                row = [piv[c] * a - x * b for a, b in zip(row, piv)]
+        g = gcd(*row)
+        row = tuple(a // g for a in row)
+        ech.append((next(j for j in range(pn) if row[j]), row))
+    return tuple(ech)
+
+
+def _descend(nums, den: int, m: int, n: int):
+    """(nums, den) of a value of order n as a value of order m, or None."""
+    pn = euler_phi(n)
+    t = list(nums) + [0] * euler_phi(m)
+    alpha = 1  # t == (alpha*nums - y.E | -y) throughout
+    for c, piv in _descent_rows(m, n):
+        x = t[c]
+        if x:
+            p = piv[c]
+            t = [p * a - x * b for a, b in zip(t, piv)]
+            alpha *= p
+    if any(t[:pn]):
+        return None
+    sub, den = [-a for a in t[pn:]], den * alpha
+    if den < 0:
+        sub, den = [-a for a in sub], -den
+    g = gcd(den, *sub)
+    return [a // g for a in sub], den // g
+
+
+def _pairs(nums, den: int):
+    out = []
+    for x in nums:
+        g = gcd(x, den)
+        out.append((x // g, den // g))
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # cyclotomic scalars
 
-_RAT_ZERO = (0, 1)
-_RAT_ONE = (1, 1)
+_new = object.__new__
 
 
 class CycScalar:
     """An element of Q(zeta_n), exact, in canonical reduced form."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "nums", "den")
 
-    def __init__(self, order: int, coeffs):
+    def __init__(self, order: int, pairs):
         if order < 1:
             raise ShapeError("order must be positive")
-        try:
-            coeffs = tuple(kernel.rat_norm(a, b) for a, b in coeffs)
-        except ZeroDivisionError:
-            raise DivisionByZero("coefficient with zero denominator") from None
-        if len(coeffs) != euler_phi(order):
+        pairs = tuple(pairs)
+        den = 1
+        for _, b in pairs:
+            if b == 0:
+                raise DivisionByZero("coefficient with zero denominator")
+            den = lcm(den, b)
+        if len(pairs) != euler_phi(order):
             raise ShapeError(
-                f"expected {euler_phi(order)} coefficients for order {order}, got {len(coeffs)}"
+                f"expected {euler_phi(order)} coefficients for order {order}, got {len(pairs)}"
             )
-        self.order = order
-        self.coeffs = coeffs
+        v = _make(order, [a * (den // b) for a, b in pairs], den)
+        self.order, self.nums, self.den = v.order, v.nums, v.den
 
     # construction -----------------------------------------------------
 
     @classmethod
     def from_rational(cls, num: int, den: int = 1) -> "CycScalar":
-        try:
-            return cls(1, (kernel.rat_norm(num, den),))
-        except ZeroDivisionError:
-            raise DivisionByZero("rational with zero denominator") from None
+        if den == 0:
+            raise DivisionByZero("rational with zero denominator")
+        if den < 0:
+            num, den = -num, -den
+        g = gcd(num, den)
+        return _scalar(1, (num // g,), den // g)
 
     @classmethod
     def from_int(cls, k: int) -> "CycScalar":
-        return cls(1, ((k, 1),))
+        return _scalar(1, (k,), 1)
 
     @classmethod
     def zero(cls) -> "CycScalar":
@@ -150,127 +269,110 @@ class CycScalar:
     def one(cls) -> "CycScalar":
         return SC_ONE
 
-    # internal: coeffs already normalized; demote rational-valued results
-    @classmethod
-    def _make(cls, order, coeffs):
-        if order != 1:
-            for c in coeffs[1:]:
-                if c[0]:
-                    break
-            else:
-                order, coeffs = 1, (coeffs[0],)
-        self = object.__new__(cls)
-        self.order = order
-        self.coeffs = coeffs
-        return self
-
-    # helpers ------------------------------------------------------------
-
-    def _embedded(self, m: int):
-        if self.order == m:
-            return self.coeffs
-        rows = _embed_rows(self.order, m)
-        phi = euler_phi(m)
-        out = [_RAT_ZERO] * phi
-        for c, row in zip(self.coeffs, rows):
-            if c[0]:
-                for j in range(phi):
-                    r = row[j]
-                    if r:
-                        out[j] = kernel.rat_add(out[j], kernel.rat_mul(c, (r, 1)))
-        return tuple(out)
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, CycScalar):
-            return other
-        if isinstance(other, int):
-            return CycScalar(1, ((other, 1),))
-        return None
+    @property
+    def coeffs(self) -> tuple[tuple[int, int], ...]:
+        """The value as reduced (num, den) pairs over the power basis."""
+        return _pairs(self.nums, self.den)
 
     def is_zero(self) -> bool:
-        for c in self.coeffs:
-            if c[0]:
-                return False
-        return True
-
-    def is_one(self) -> bool:
-        return self.order == 1 and self.coeffs[0] == _RAT_ONE
-
-    def is_rational(self) -> bool:
-        for c in self.coeffs[1:]:
-            if c[0]:
-                return False
-        return True
+        return self.order == 1 and not self.nums[0]
 
     # arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.order == o.order:
-            return CycScalar._make(self.order, kernel.vec_add(self.coeffs, o.coeffs))
-        m = lcm(self.order, o.order)
-        return CycScalar._make(m, kernel.vec_add(self._embedded(m), o._embedded(m)))
+        if type(other) is not CycScalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        if self.order == 1 == other.order:
+            da, db = self.den, other.den
+            if da == db:
+                num = self.nums[0] + other.nums[0]
+                if da == 1:
+                    return _scalar(1, (num,), 1)
+            else:
+                num = self.nums[0] * db + other.nums[0] * da
+                da *= db
+            g = gcd(num, da)
+            return _scalar(1, (num // g,), da // g)
+        return _sum(self, other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.order == o.order:
-            return CycScalar._make(self.order, kernel.vec_sub(self.coeffs, o.coeffs))
-        m = lcm(self.order, o.order)
-        return CycScalar._make(m, kernel.vec_sub(self._embedded(m), o._embedded(m)))
+        if type(other) is not CycScalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        if self.order == 1 == other.order:
+            da, db = self.den, other.den
+            if da == db:
+                num = self.nums[0] - other.nums[0]
+                if da == 1:
+                    return _scalar(1, (num,), 1)
+            else:
+                num = self.nums[0] * db - other.nums[0] * da
+                da *= db
+            g = gcd(num, da)
+            return _scalar(1, (num // g,), da // g)
+        return _sum(self, other, -1)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return o.__sub__(self)
 
     def __neg__(self):
-        return CycScalar(self.order, kernel.vec_neg(self.coeffs))
+        return _scalar(self.order, tuple(-x for x in self.nums), self.den)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n, m = self.order, o.order
+        if type(other) is not CycScalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        n, m = self.order, other.order
         if n == 1:
+            a = self.nums[0]
             if m == 1:
-                return CycScalar._make(1, (kernel.rat_mul(self.coeffs[0], o.coeffs[0]),))
-            return CycScalar._make(m, kernel.vec_scale(o.coeffs, self.coeffs[0]))
+                num, den = a * other.nums[0], self.den * other.den
+                if den != 1:
+                    g = gcd(num, den)
+                    num, den = num // g, den // g
+                return _scalar(1, (num,), den)
+            if not a:
+                return SC_ZERO
+            return _make(m, [a * x for x in other.nums], self.den * other.den)
         if m == 1:
-            return CycScalar._make(n, kernel.vec_scale(self.coeffs, o.coeffs[0]))
+            b = other.nums[0]
+            if not b:
+                return SC_ZERO
+            return _make(n, [b * x for x in self.nums], self.den * other.den)
         if n == m:
-            return CycScalar._make(n, kernel.cyc_mul_reduce(self.coeffs, o.coeffs, _reduction_rows(n)))
-        k = lcm(n, m)
-        return CycScalar._make(
-            k, kernel.cyc_mul_reduce(self._embedded(k), o._embedded(k), _reduction_rows(k))
-        )
+            u, v = self.nums, other.nums
+        else:
+            n = lcm(n, m)
+            u, v = _embed(self.nums, self.order, n), _embed(other.nums, m, n)
+        return _make(n, _mul_nums(u, v, n), self.den * other.den)
 
     __rmul__ = __mul__
 
     def inv(self) -> "CycScalar":
-        if self.is_zero():
-            raise DivisionByZero("inverse of zero scalar")
-        if self.is_rational():
-            return CycScalar(1, (kernel.rat_inv(self.coeffs[0]),))
-        # extended Euclid in Q[x] against Phi_n (irreducible over Q)
-        phi = euler_phi(self.order)
-        phi_n = [(c, 1) for c in cyclotomic_poly(self.order)]
-        inv_coeffs = _poly_modular_inverse(list(self.coeffs), phi_n)
-        while len(inv_coeffs) > phi:
-            assert inv_coeffs[-1][0] == 0
-            inv_coeffs.pop()
-        inv_coeffs += [_RAT_ZERO] * (phi - len(inv_coeffs))
-        return CycScalar._make(self.order, tuple(inv_coeffs))
+        nums, den = self.nums, self.den
+        if self.order == 1:
+            a = nums[0]
+            if not a:
+                raise DivisionByZero("inverse of zero scalar")
+            return _scalar(1, (den,), a) if a > 0 else _scalar(1, (-den,), -a)
+        # (a/den)**-1 = den*s/c where s*a = c mod Phi_n (irreducible over Q)
+        s, c = _int_poly_inverse(nums, self.order)
+        s = _reduce_int_poly(s, self.order)
+        if c < 0:
+            s, c = [-x for x in s], -c
+        return _make(self.order, [den * x for x in s], c)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return self * o.inv()
@@ -288,23 +390,34 @@ class CycScalar:
         return result
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.order == o.order:
-            return self.coeffs == o.coeffs
-        m = lcm(self.order, o.order)
-        return self._embedded(m) == o._embedded(m)
+        if type(other) is not CycScalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        n, m = self.order, other.order
+        if n == m:
+            return self.den == other.den and self.nums == other.nums
+        k = lcm(n, m)
+        da, db = self.den, other.den
+        return [x * db for x in _embed(self.nums, n, k)] == [x * da for x in _embed(other.nums, m, k)]
 
     def __bool__(self):
-        return not self.is_zero()
+        return self.order != 1 or self.nums[0] != 0
 
     __hash__ = None  # mutable-free but representation-sensitive; keep out of sets
 
     # serialization -------------------------------------------------------
 
     def to_obj(self):
-        return {"n": self.order, "c": [[str(a), str(b)] for a, b in self.coeffs]}
+        n, nums, den = self.order, self.nums, self.den
+        # smallest field first; Q(zeta_m) = Q(zeta_2m) for odd m, so skip m = 2 mod 4
+        for m in range(3, n):
+            if n % m == 0 and m % 4 != 2:
+                sub = _descend(nums, den, m, n)
+                if sub is not None:
+                    n, (nums, den) = m, sub
+                    break
+        return {"n": n, "c": [[str(a), str(b)] for a, b in _pairs(nums, den)]}
 
     @classmethod
     def from_obj(cls, obj) -> "CycScalar":
@@ -312,15 +425,13 @@ class CycScalar:
         pairs = [(int(a), int(b)) for a, b in obj["c"]]
         if any(b == 0 for _, b in pairs):
             raise ShapeError("scalar with zero denominator")
-        coeffs = tuple(kernel.rat_norm(a, b) for a, b in pairs)
-        if len(coeffs) != euler_phi(n):
+        if len(pairs) != euler_phi(n):
             raise ShapeError("coefficient count does not match order")
-        return cls._make(n, coeffs)
+        return cls(n, pairs)
 
     def __repr__(self):
-        if self.is_rational():
-            n, d = self.coeffs[0]
-            return f"{n}/{d}" if d != 1 else str(n)
+        if self.order == 1:
+            return str(self.nums[0]) if self.den == 1 else f"{self.nums[0]}/{self.den}"
         terms = []
         for i, (a, b) in enumerate(self.coeffs):
             if a == 0:
@@ -334,66 +445,60 @@ class CycScalar:
         return " + ".join(terms).replace("+ -", "- ")
 
 
-def _poly_modular_inverse(a, modulus):
-    """Inverse of polynomial a mod an irreducible monic modulus, over Q."""
+def _scalar(order: int, nums: tuple[int, ...], den: int) -> CycScalar:
+    # fields already canonical
+    self = _new(CycScalar)
+    self.order = order
+    self.nums = nums
+    self.den = den
+    return self
 
-    def deg(p):
-        for i in range(len(p) - 1, -1, -1):
-            if p[i][0]:
-                return i
-        return -1
 
-    def divmod_q(num, den):
-        num = list(num)
-        dn = deg(den)
-        lead_inv = kernel.rat_inv(den[dn])
-        q = [_RAT_ZERO] * max(len(num) - dn, 0)
-        for k in range(len(num) - dn - 1, -1, -1):
-            c = num[k + dn]
-            if c[0]:
-                f = kernel.rat_mul(c, lead_inv)
-                q[k] = f
-                for j in range(dn + 1):
-                    num[k + j] = kernel.rat_sub(num[k + j], kernel.rat_mul(f, den[j]))
-        return q, num[:dn] if dn > 0 else [_RAT_ZERO]
+def _make(order: int, nums, den: int) -> CycScalar:
+    """Canonical scalar from integer numerators over a positive denominator."""
+    if order != 1 and not any(nums[1:]):
+        order, nums = 1, nums[:1]
+    g = gcd(den, *nums)
+    if g != 1:
+        return _scalar(order, tuple(x // g for x in nums), den // g)
+    return _scalar(order, tuple(nums), den)
 
-    # extended Euclid: s*a + t*modulus = gcd (a nonzero, modulus irreducible)
-    r0, r1 = list(modulus), list(a)
-    s0, s1 = [_RAT_ZERO], [_RAT_ONE]
-    while deg(r1) > 0:
-        q, rem = divmod_q(r0, r1)
-        r0, r1 = r1, rem
-        # s_new = s0 - q*s1
-        prod = [_RAT_ZERO] * (len(q) + len(s1))
-        for i, qc in enumerate(q):
-            if qc[0]:
-                for j, sc in enumerate(s1):
-                    if sc[0]:
-                        prod[i + j] = kernel.rat_add(prod[i + j], kernel.rat_mul(qc, sc))
-        new_s = [
-            kernel.rat_sub(s0[i] if i < len(s0) else _RAT_ZERO, prod[i] if i < len(prod) else _RAT_ZERO)
-            for i in range(max(len(s0), len(prod)))
-        ]
-        s0, s1 = s1, new_s
-    g = r1[0] if r1 else _RAT_ZERO
-    if g[0] == 0:
-        raise DivisionByZero("inverse of zero scalar")
-    ginv = kernel.rat_inv(g)
-    return [kernel.rat_mul(c, ginv) for c in s1]
+
+def _coerce(other):
+    if isinstance(other, CycScalar):
+        return other
+    if isinstance(other, int):
+        return _scalar(1, (other,), 1)
+    return None
+
+
+def _sum(a: CycScalar, b: CycScalar, sign: int) -> CycScalar:
+    """a + sign*b for operands not both rational."""
+    n, m = a.order, b.order
+    k = n if n == m else lcm(n, m)
+    u, v = _embed(a.nums, n, k), _embed(b.nums, m, k)
+    da, db = a.den, b.den
+    if da != db:
+        u, v, da = [x * db for x in u], [y * da for y in v], da * db
+    nums = [x + y for x, y in zip(u, v)] if sign > 0 else [x - y for x, y in zip(u, v)]
+    return _make(k, nums, da)
 
 
 def root_of_unity(n: int, k: int) -> CycScalar:
     """zeta_n**k in canonical reduced form."""
     if n < 1:
         raise ShapeError("order must be positive")
-    p = k % n
+    return _root_of_unity(n, k % n)
+
+
+@lru_cache(maxsize=None)
+def _root_of_unity(n: int, p: int) -> CycScalar:
     if n == 1:
         return SC_ONE
-    coeffs = tuple((c, 1) for c in _reduce_int_poly([0] * p + [1], n))
-    return CycScalar._make(n, coeffs)
+    return _make(n, _reduce_int_poly([0] * p + [1], n), 1)
 
 
-SC_ZERO = CycScalar(1, (_RAT_ZERO,))
-SC_ONE = CycScalar(1, (_RAT_ONE,))
-SC_MINUS_ONE = CycScalar(1, ((-1, 1),))
-SC_HALF = CycScalar(1, ((1, 2),))
+SC_ZERO = _scalar(1, (0,), 1)
+SC_ONE = _scalar(1, (1,), 1)
+SC_MINUS_ONE = _scalar(1, (-1,), 1)
+SC_HALF = _scalar(1, (1,), 2)

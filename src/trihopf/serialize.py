@@ -25,7 +25,7 @@ def scalar_to_obj(c: CycScalar):
 
 
 def scalar_from_obj(obj) -> CycScalar:
-    if isinstance(obj, int):
+    if type(obj) is int:  # not bool: JSON true is no scalar
         return CycScalar.from_int(obj)
     if isinstance(obj, dict):
         return CycScalar.from_obj(obj)
@@ -70,7 +70,10 @@ def hopf_to_obj(h: HopfData):
 
 
 def _index(i, dim: int):
-    """Check a basis index read from a file; a negative one would wrap around."""
+    """Check a basis index read from a file: an int (not a bool, float or
+    string) in 0..dim-1; a negative one would wrap around."""
+    if type(i) is not int:
+        raise ShapeError(f"index {i!r} is not an integer")
     if not 0 <= i < dim:
         raise ShapeError(f"index {i!r} out of range for dimension {dim}")
     return i
@@ -125,7 +128,7 @@ def tensor2_to_obj(t: Tensor2):
 def tensor2_from_obj(obj) -> Tensor2:
     dim = int(obj["host_dim"])
     entries = _unique_entries(
-        (((_index(int(i), dim), _index(int(j), dim)), c) for i, j, c in obj["entries"]),
+        (((_index(i, dim), _index(j, dim)), c) for i, j, c in obj["entries"]),
         "tensor",
     )
     return Tensor2.from_dict(dim, {key: scalar_from_obj(c) for key, c in entries.items()})

@@ -7,11 +7,17 @@ and keeps it when the ideal is nilpotent (every nilpotent ideal sits
 inside the radical).  The oracle is the sum of the kept ideals; no
 trace form is involved anywhere.  The tensor oracles expand products,
 embeddings and flips in tensor powers of H one pure tensor at a time.
+The group oracles try every candidate, and the cyclotomic reference
+computes over Fraction modulo the product formula for Phi_n, with
+inverses from the Galois norm.
 """
 
+from fractions import Fraction
+from functools import lru_cache
 from itertools import product
+from math import gcd
 
-from trihopf.scalars import SC_ZERO
+from trihopf.scalars import SC_ONE, SC_ZERO, root_of_unity
 from trihopf.tensor import Vec, in_span, span_echelon
 
 
@@ -171,3 +177,188 @@ def expand_sum(a, b, sign=1):
     for k, c in b.items():
         _add(out, k, c if sign > 0 else -c)
     return _drop_zeros(out)
+
+
+# --- groups layer, by brute force -----------------------------------------
+
+def bruteforce_sign_characters(group):
+    """Every sign vector that is a homomorphism, in product((1, -1)) order."""
+    n = group.order
+    out = []
+    for bits in product((1, -1), repeat=n):
+        if bits[group.identity] == 1 and all(
+            bits[group.mul(a, b)] == bits[a] * bits[b] for a in range(n) for b in range(n)
+        ):
+            out.append(bits)
+    return out
+
+
+def _label_add(factors, s, t):
+    return tuple((x + y) % f for x, y, f in zip(s, t, factors))
+
+
+def is_bicharacter_table(factors, values):
+    """Normalized and multiplicative in each slot, checked for every triple."""
+    labels = list(product(*[range(f) for f in factors]))
+    index = {lab: i for i, lab in enumerate(labels)}
+    for i, s in enumerate(labels):
+        for j, t in enumerate(labels):
+            for k, u in enumerate(labels):
+                if values[index[_label_add(factors, s, u)]][j] != values[i][j] * values[k][j]:
+                    return False
+                if values[i][index[_label_add(factors, t, u)]] != values[i][j] * values[i][k]:
+                    return False
+    return all(c == SC_ONE for c in values[0]) and all(row[0] == SC_ONE for row in values)
+
+
+def bruteforce_alternating_nondegenerate(factors):
+    """Value tables of every alternating nondegenerate bicharacter that an
+    antisymmetric generator exponent matrix gives, first occurrence kept."""
+    r = len(factors)
+    labels = list(product(*[range(f) for f in factors]))
+    upper = [(i, j) for i in range(r) for j in range(i + 1, r)]
+    out = []
+    for combo in product(*[range(gcd(factors[i], factors[j])) for i, j in upper]):
+        exps = {}
+        for (i, j), c in zip(upper, combo):
+            g = gcd(factors[i], factors[j])
+            exps[i, j], exps[j, i] = (g, c), (g, -c)
+        table = []
+        for s in labels:
+            row = []
+            for t in labels:
+                val = SC_ONE
+                for (i, j), (g, c) in exps.items():
+                    val = val * root_of_unity(g, c * s[i] * t[j])
+                row.append(val)
+            table.append(tuple(row))
+        table = tuple(table)
+        if not is_bicharacter_table(factors, table):
+            continue
+        alternating = all(table[i][i] == SC_ONE for i in range(len(labels)))
+        nondegenerate = all(table[i] != table[j] for i in range(len(labels)) for j in range(i))
+        if alternating and nondegenerate and table not in out:
+            out.append(table)
+    return out
+
+
+def bicharacter_twist_double_sum(a, beta):
+    """J = sum over (s, t) of beta(s,t) E_s (x) E_t, every (s, t, p, q) term
+    multiplied out, in parent-group coordinates."""
+    from trihopf.groups import characters
+
+    _, _, idems = characters(a)
+    out = {}
+    for i, es in enumerate(idems):
+        for j, et in enumerate(idems):
+            for p, cp in es.nonzeros():
+                for q, cq in et.nonzeros():
+                    _add(out, (a.elements[p], a.elements[q]), beta.values[i][j] * cp * cq)
+    return _drop_zeros(out)
+
+
+# --- cyclotomic numbers over Fraction --------------------------------------
+#
+# A value is a list of Fractions over the power basis of zeta_n, reduced
+# modulo Phi_n = prod over d | n of (x**d - 1)**mu(n/d).
+
+def _mobius(n):
+    mu, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if n > 1 else mu
+
+
+def _pmul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _pdivmod(a, m):
+    """Quotient and remainder of a by m (leading coefficient nonzero)."""
+    a = [Fraction(x) for x in a]
+    q = [Fraction(0)] * max(len(a) - len(m) + 1, 1)
+    for k in range(len(a) - len(m), -1, -1):
+        c = a[k + len(m) - 1] / m[-1]
+        q[k] = c
+        for j, y in enumerate(m):
+            a[k + j] -= c * y
+    return q, a[: len(m) - 1]
+
+
+@lru_cache(maxsize=None)
+def reference_cyclotomic(n):
+    num, den = [Fraction(1)], [Fraction(1)]
+    for d in range(1, n + 1):
+        if n % d == 0 and _mobius(n // d):
+            factor = [Fraction(-1)] + [Fraction(0)] * (d - 1) + [Fraction(1)]
+            if _mobius(n // d) > 0:
+                num = _pmul(num, factor)
+            else:
+                den = _pmul(den, factor)
+    quot, rem = _pdivmod(num, den)
+    assert not any(rem)
+    while quot[-1] == 0:
+        quot.pop()
+    return tuple(quot)
+
+
+def ref_reduce(poly, n):
+    phi = reference_cyclotomic(n)
+    _, rem = _pdivmod(list(poly) + [Fraction(0)] * len(phi), phi)
+    return rem
+
+
+def ref_lift(order, coeffs, n):
+    """A value given in the power basis of zeta_order, as a value at order n."""
+    step = n // order
+    poly = [Fraction(0)] * (step * len(coeffs))
+    for i, c in enumerate(coeffs):
+        poly[i * step] = Fraction(c)
+    return ref_reduce(poly, n)
+
+
+def ref_of(x, n):
+    """A CycScalar's value at order n (a multiple of its order)."""
+    return ref_lift(x.order, [Fraction(a, b) for a, b in x.coeffs], n)
+
+
+def ref_mul(a, b, n):
+    return ref_reduce(_pmul(a, b), n)
+
+
+def _galois(a, k, n):
+    """The automorphism zeta_n -> zeta_n**k applied to a."""
+    poly = [Fraction(0)] * (k * len(a))
+    for i, c in enumerate(a):
+        poly[i * k] += c
+    return ref_reduce(poly, n)
+
+
+def ref_inv(a, n):
+    """a**-1 = (product of the other conjugates of a) / norm(a)."""
+    others = [Fraction(1)] + [Fraction(0)] * (len(a) - 1)
+    for k in range(2, n):
+        if gcd(k, n) == 1:
+            others = ref_mul(others, _galois(a, k, n), n)
+    norm = ref_mul(a, others, n)
+    assert not any(norm[1:]) and norm[0]
+    return [c / norm[0] for c in others]
+
+
+def ref_smallest_field(a, n):
+    """Smallest m | n with a in Q(zeta_m): a is fixed by every zeta_n -> zeta_n**k
+    with k = 1 mod m."""
+    for m in range(1, n + 1):
+        if n % m == 0 and all(
+            _galois(a, k, n) == a for k in range(1, n) if gcd(k, n) == 1 and k % m == 1 % m
+        ):
+            return m

@@ -124,6 +124,29 @@ def test_verify_rejects_out_of_range_indices(tmp_path, sweedler_input, capsys):
     assert capsys.readouterr().err.count("malformed input: index") == 3
 
 
+def test_verify_rejects_non_integer_indices(tmp_path, capsys):
+    dump = load(GOLDEN / "sweedler.hopf.json")
+    assert dump["comult"][1][0][0] == 1
+    dump["comult"][1][0][0] = True  # loaded as index 1 before
+    assert main(["verify", write(tmp_path / "boolidx.json", dump)]) == 2
+    z2z2 = FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2))
+    host = tmp_path / "z2z2.hopf.json"
+    assert main(["build", write(tmp_path / "z2z2.json", z2z2.to_obj()), "--kind", "group-algebra", "-o", str(host)]) == 0
+    r = load(GOLDEN / "z2z2_twisted.r.json")
+    assert main(["verify", str(host), "--r", write(tmp_path / "r.json", r)]) == 0
+    assert r["entries"][1][1] == 1
+    r["entries"][1][1] = 1.0  # loaded as index 1 before
+    assert main(["verify", str(host), "--r", write(tmp_path / "floatidx.json", r)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("is not an integer") == 2 and "Traceback" not in err
+
+
+def test_scalar_rejects_bool(tmp_path):
+    dump = load(GOLDEN / "sweedler.hopf.json")
+    dump["counit"][0] = True  # was read as the scalar 1
+    assert main(["verify", write(tmp_path / "boolscalar.json", dump)]) == 2
+
+
 def test_verify_rejects_duplicate_tensor_entries(tmp_path, z2_file, capsys):
     out = tmp_path / "z2.hopf.json"
     main(["build", z2_file, "--kind", "group-algebra", "-o", str(out)])

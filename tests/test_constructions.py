@@ -1,5 +1,8 @@
 """Builders: group algebras, smash products, modifications, twists, septuples."""
 
+from itertools import product
+from math import isqrt
+
 import pytest
 
 from trihopf.constructions import (
@@ -42,6 +45,12 @@ from trihopf.hopf import (
 from trihopf.scalars import CycScalar, root_of_unity
 from trihopf.tensor import Mat, Tensor2, Vec, unit_tensor2
 from trihopf.triangular import drinfeld_element, r_matrix_rank, r_u, verify_triangular
+
+from _oracles import (
+    bicharacter_twist_double_sum,
+    bruteforce_alternating_nondegenerate,
+    bruteforce_sign_characters,
+)
 
 ONE = CycScalar.one()
 ZERO = CycScalar.zero()
@@ -317,6 +326,103 @@ def test_bicharacter_rejects_bad_table():
         Bicharacter((2,), ((ONE, ONE), (minus, ONE)))  # not normalized
     with pytest.raises(BicharacterError):
         Bicharacter((2, 2), ((ONE,) * 3,) * 3)  # wrong shape
+
+
+def _z2e4():
+    z2 = FiniteGroup.cyclic(2)
+    return FiniteGroup.direct_product(z2, z2, z2, z2)
+
+
+def _catalog_and_z2e4():
+    from trihopf.atlas import catalog_groups
+
+    return catalog_groups() + [("Z2xZ2xZ2xZ2", _z2e4())]
+
+
+def _square_abelian_factors(g):
+    """Factors of every abelian subgroup of square order."""
+    out = set()
+    for elements in g.all_subgroups():
+        if isqrt(len(elements)) ** 2 == len(elements) and all(
+            g.table[a][b] == g.table[b][a] for a in elements for b in elements
+        ):
+            out.add(tuple(g.abelian_subgroup(elements).factors))
+    return out
+
+
+_GROUPS = _catalog_and_z2e4()
+
+
+@pytest.mark.parametrize("name, g", _GROUPS, ids=[name for name, _ in _GROUPS])
+def test_sign_characters_match_brute_force(name, g):
+    assert sign_characters(g) == bruteforce_sign_characters(g)
+
+
+def test_alternating_bicharacters_match_brute_force():
+    factor_sets = {(2, 2, 2, 2)}
+    for _, g in _GROUPS:
+        factor_sets |= _square_abelian_factors(g)
+    assert (2, 2) in factor_sets and (3, 3) in factor_sets
+    for factors in sorted(factor_sets):
+        tables = [b.values for b in alternating_nondegenerate_bicharacters(factors)]
+        assert tables == bruteforce_alternating_nondegenerate(factors), factors
+
+
+@pytest.mark.parametrize("factors, bump", [((2, 2, 2, 2), 4), ((3, 3), 3)])
+def test_bicharacter_rejects_broken_tables(factors, bump):
+    from trihopf.errors import BicharacterError
+
+    values = alternating_nondegenerate_bicharacters(factors)[0].values
+    labels = list(product(*[range(f) for f in factors]))
+    n = len(labels)
+    bump = root_of_unity(bump, 1)
+    broken = []
+    for i in range(n):
+        for j in range(n):
+            table = [list(row) for row in values]
+            table[i][j] = table[i][j] * bump
+            broken.append(table)
+    # multiplicative along every unit label except the last one
+    broken.append(
+        [[c * bump if s[-1] == 1 == t[-1] else c for t, c in zip(labels, row)] for s, row in zip(labels, values)]
+    )
+    # every column a character, but two labels swapped: not multiplicative in the second slot
+    swapped = [[row[{1: 2, 2: 1}.get(j, j)] for j in range(n)] for row in values]
+    broken += [swapped, [list(col) for col in zip(*swapped)]]
+    for table in broken:
+        with pytest.raises(BicharacterError):
+            Bicharacter(factors, table)
+    Bicharacter(factors, values)
+
+
+def _klein_subgroups_of_order_8_catalog():
+    from trihopf.atlas import catalog_groups
+
+    for name, g in catalog_groups():
+        if g.order != 8:
+            continue
+        for elements in g.all_subgroups():
+            if len(elements) == 4 and all(g.table[a][b] == g.table[b][a] for a in elements for b in elements):
+                sub = g.abelian_subgroup(elements)
+                if tuple(sub.factors) == (2, 2):
+                    yield name, sub
+
+
+def test_bicharacter_twist_matches_double_sum():
+    cases = []
+    for factors in ((2, 2, 2, 2), (3, 3)):
+        g = FiniteGroup.direct_product(*[FiniteGroup.cyclic(f) for f in factors])
+        sub = g.abelian_subgroup(range(g.order))
+        gammas = alternating_nondegenerate_bicharacters(factors)
+        cases += [(sub, half_bicharacter(gamma)) for gamma in (gammas[0], gammas[-1])]
+    klein = list(_klein_subgroups_of_order_8_catalog())
+    assert {name for name, _ in klein} == {"Z2xZ2xZ2", "Z4xZ2", "D4"}
+    for _, sub in klein:
+        for gamma in alternating_nondegenerate_bicharacters((2, 2)):
+            cases.append((sub, half_bicharacter(gamma)))
+    for sub, beta in cases:
+        j = build_bicharacter_twist(sub, beta)
+        assert {(p, q): c for p, q, c in j.nonzeros} == bicharacter_twist_double_sum(sub, beta)
 
 
 def test_counit_normalization_forced_negative(z2):

@@ -1,16 +1,22 @@
 """Exact rational and cyclotomic arithmetic."""
 
+from fractions import Fraction
+from math import gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from trihopf.errors import DivisionByZero, ShapeError
 from trihopf.scalars import (
     CycScalar,
+    _embed,
     cyclotomic_poly,
     euler_phi,
     kernel_name,
     root_of_unity,
 )
+
+from _oracles import ref_inv, ref_lift, ref_mul, ref_of, ref_smallest_field
 
 ORDERS = [1, 2, 3, 4, 5, 6, 8, 12, 16]
 
@@ -110,7 +116,8 @@ def test_wire_roundtrip():
     for v in vals:
         assert CycScalar.from_obj(v.to_obj()) == v
     obj = root_of_unity(6, 1).to_obj()
-    assert obj["n"] == 6
+    assert obj["n"] == 3  # zeta_6 = 1 + zeta_3 lies in Q(zeta_3)
+    assert obj["c"] == [["1", "1"], ["1", "1"]]
     assert all(isinstance(x, str) for pair in obj["c"] for x in pair)
 
 
@@ -143,10 +150,67 @@ def test_embedding_is_ring_homomorphism(data):
     m = data.draw(st.sampled_from([12, 24]))
     a = rand_scalar(data, orders=[n])
     b = rand_scalar(data, orders=[n])
-    emb = lambda x: CycScalar(m, x._embedded(m))
+    emb = lambda x: CycScalar(m, [(k, x.den) for k in _embed(x.nums, x.order, m)])
     assert emb(a) + emb(b) == a + b
     assert emb(a) * emb(b) == a * b
 
 
 def test_kernel_selected():
-    assert kernel_name() in ("compiled", "pure")
+    assert kernel_name() == "pure"
+
+
+def test_serialized_form_is_canonical():
+    z3, i = root_of_unity(3, 1), root_of_unity(4, 1)
+    late, early = (z3 + i) - i, z3 + (i - i)
+    assert (late.order, early.order) == (12, 3)
+    assert late.to_obj() == early.to_obj() == {"n": 3, "c": [["0", "1"], ["1", "1"]]}
+
+
+# --- the arithmetic against an independent Fraction reference ------------
+
+REF_ORDERS = [1, 2, 3, 4, 6, 8, 12]
+AMBIENT = 24  # lcm of REF_ORDERS
+
+
+def assert_canonical(x):
+    assert len(x.nums) == euler_phi(x.order)
+    assert x.den > 0 and gcd(x.den, *x.nums) == 1
+    assert x.order == 1 or any(x.nums[1:])  # rational values sit at order 1
+
+
+@st.composite
+def ref_scalars(draw):
+    """A scalar drawn at one order and stored at a multiple of it, often
+    sparse, so that demotion and mixed-order equality come up."""
+    n = draw(st.sampled_from(REF_ORDERS))
+    small = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 5])
+    coeffs = [Fraction(draw(small), draw(st.sampled_from([1, 1, 2, 3, 4, 9]))) for _ in range(euler_phi(n))]
+    m = draw(st.sampled_from([k for k in REF_ORDERS if k % n == 0]))
+    stored = ref_lift(n, coeffs, m)
+    return CycScalar(m, [(c.numerator, c.denominator) for c in stored])
+
+
+@given(ref_scalars(), ref_scalars())
+@settings(max_examples=150, deadline=None)
+def test_arithmetic_matches_fraction_reference(a, b):
+    ra, rb = ref_of(a, AMBIENT), ref_of(b, AMBIENT)
+    results = {
+        "+": (a + b, [x + y for x, y in zip(ra, rb)]),
+        "-": (a - b, [x - y for x, y in zip(ra, rb)]),
+        "*": (a * b, ref_mul(ra, rb, AMBIENT)),
+    }
+    if any(ra):
+        results["inv"] = (a.inv(), ref_inv(ra, AMBIENT))
+    else:
+        with pytest.raises(DivisionByZero):
+            a.inv()
+    for op, (got, want) in results.items():
+        assert_canonical(got)
+        assert ref_of(got, AMBIENT) == want, op
+    assert_canonical(a)
+    assert (a == b) == (ra == rb)
+    obj = a.to_obj()
+    assert obj["n"] == ref_smallest_field(ra, AMBIENT)
+    pairs = [(int(x), int(y)) for x, y in obj["c"]]
+    assert all(y > 0 and gcd(x, y) == 1 for x, y in pairs)
+    assert ref_lift(obj["n"], [Fraction(x, y) for x, y in pairs], AMBIENT) == ra
