@@ -31,9 +31,7 @@ from .groups import (
 from .hopf import (
     antipode_order,
     is_cocommutative,
-    jacobson_radical,
     subspace_is_hopf_ideal,
-    verify_hopf,
 )
 from .serialize import dumps, hopf_to_obj, tensor2_to_obj
 from .triangular import (
@@ -166,7 +164,7 @@ def analysis_report(h, r=None) -> dict:
     When R is triangular the Chevalley property comes from the theorem
     report, so the radical is tested for being a Hopf ideal only once.
     """
-    rad = jacobson_radical(h)
+    rad = h.radical
     cocommutative = is_cocommutative(h)
     order = antipode_order(h)
     block = theorems = None
@@ -201,7 +199,7 @@ def _build_and_write(args):
     spec_fields, out_dir = args
     spec = InstanceSpec(**spec_fields)
     h, r = build_instance(spec)
-    axioms = verify_hopf(h)
+    axioms = h.axioms
     report = analysis_report(h, r)
     out = Path(out_dir)
     _atomic_write(out / f"{spec.name}.hopf.json", dumps(hopf_to_obj(h)))

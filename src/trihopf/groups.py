@@ -98,18 +98,6 @@ class FiniteGroup:
                     break
         return tuple(inv)
 
-    def element_order(self, a: int) -> int:
-        k, x = 1, a
-        while x != self.identity:
-            x = self.table[x][a]
-            k += 1
-        return k
-
-    @cached_property
-    def is_abelian(self) -> bool:
-        t = self.table
-        return all(t[a][b] == t[b][a] for a in range(self.order) for b in range(self.order))
-
     def is_central(self, a: int) -> bool:
         t = self.table
         return all(t[a][b] == t[b][a] for b in range(self.order))

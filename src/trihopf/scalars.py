@@ -421,7 +421,11 @@ class CycScalar:
 
     @classmethod
     def from_obj(cls, obj) -> "CycScalar":
-        n = int(obj["n"])
+        n = obj["n"]
+        if type(n) is not int or n < 1:  # not bool or float: true or 3.9 would load
+            raise ShapeError(f"scalar order {n!r} is not a positive integer")
+        if any(type(x) not in (int, str) for pair in obj["c"] for x in pair):
+            raise ShapeError("scalar coefficients must be integers or decimal strings")
         pairs = [(int(a), int(b)) for a, b in obj["c"]]
         if any(b == 0 for _, b in pairs):
             raise ShapeError("scalar with zero denominator")

@@ -69,11 +69,18 @@ def hopf_to_obj(h: HopfData):
     }
 
 
+def _int(x, what: str) -> int:
+    """An integer field read from a file: a JSON integer, not a bool,
+    float or string, which int() would quietly convert."""
+    if type(x) is not int:
+        raise ShapeError(f"{what} {x!r} is not an integer")
+    return x
+
+
 def _index(i, dim: int):
-    """Check a basis index read from a file: an int (not a bool, float or
-    string) in 0..dim-1; a negative one would wrap around."""
-    if type(i) is not int:
-        raise ShapeError(f"index {i!r} is not an integer")
+    """Check a basis index read from a file: an integer in 0..dim-1; a
+    negative one would wrap around."""
+    _int(i, "index")
     if not 0 <= i < dim:
         raise ShapeError(f"index {i!r} out of range for dimension {dim}")
     return i
@@ -94,7 +101,11 @@ def _unique_entries(entries, where: str) -> dict:
 
 
 def hopf_from_obj(obj) -> HopfData:
-    dim = int(obj["dim"])
+    dim = _int(obj["dim"], "dim")
+    if any(type(p) is not int or p not in (0, 1) for p in obj["parity"]):
+        raise ShapeError("parity entries must be 0 or 1")
+    if type(obj["super"]) is not bool:
+        raise ShapeError(f"super {obj['super']!r} is not true or false")
     mult = [[[] for _ in range(dim)] for _ in range(dim)]
     entries = _unique_entries(
         (((_index(i, dim), _index(j, dim), _index(k, dim)), c) for i, j, k, c in obj["mult"]),
@@ -115,8 +126,8 @@ def hopf_from_obj(obj) -> HopfData:
         comult=tuple(comult),
         counit=tuple(scalar_from_obj(c) for c in obj["counit"]),
         antipode=mat_from_obj(obj["antipode"]),
-        parity=tuple(int(p) for p in obj["parity"]),
-        super=bool(obj["super"]),
+        parity=tuple(obj["parity"]),
+        super=obj["super"],
     )
 
 
@@ -126,7 +137,7 @@ def tensor2_to_obj(t: Tensor2):
 
 
 def tensor2_from_obj(obj) -> Tensor2:
-    dim = int(obj["host_dim"])
+    dim = _int(obj["host_dim"], "host_dim")
     entries = _unique_entries(
         (((_index(i, dim), _index(j, dim)), c) for i, j, c in obj["entries"]),
         "tensor",

@@ -128,6 +128,7 @@ def expand_product(h, a, b):
     (-1)**(sum over l > m of |x_l||y_m|) when h is super.
     """
     out = {}
+    products = {}  # (i, j) -> nonzeros of e_i e_j
     for ka, ca in a.items():
         for kb, cb in b.items():
             coef = ca * cb
@@ -137,10 +138,11 @@ def expand_product(h, a, b):
                 )
                 if odd % 2:
                     coef = -coef
-            factors = [
-                h.mul_vec(Vec.basis(h.dim, i), Vec.basis(h.dim, j)).nonzeros()
-                for i, j in zip(ka, kb)
-            ]
+            factors = []
+            for i, j in zip(ka, kb):
+                if (i, j) not in products:
+                    products[i, j] = h.mul_vec(Vec.basis(h.dim, i), Vec.basis(h.dim, j)).nonzeros()
+                factors.append(products[i, j])
             for picked in product(*factors):
                 c = coef
                 for _, w in picked:
@@ -177,6 +179,111 @@ def expand_sum(a, b, sign=1):
     for k, c in b.items():
         _add(out, k, c if sign > 0 else -c)
     return _drop_zeros(out)
+
+
+# --- the Hopf axioms and triangularity, on every basis tuple ----------------
+#
+# The exhaustive scans the certificates in verify_hopf and
+# verify_triangular stand in for: every triple, pair and basis element,
+# through the expansions above and h.mul_vec.
+
+def _basis(h, i):
+    return Vec.basis(h.dim, i)
+
+
+def _coproduct(h, i):
+    acc = {}
+    for j, k, c in h.comult[i]:
+        _add(acc, (j, k), c)
+    return _drop_zeros(acc)
+
+
+def _first(keys, fails):
+    return next((list(k) for k in keys if fails(*k)), None)
+
+
+def exhaustive_axioms(h):
+    """The six Hopf axioms on every basis tuple, shaped like AxiomReport.to_obj().
+
+    Each witness is the lexicographically first failing index tuple.
+    """
+    d = h.dim
+    idx1 = [(i,) for i in range(d)]
+    idx2 = list(product(range(d), repeat=2))
+    e = [_basis(h, i) for i in range(d)]
+    mul = h.mul_vec
+    deltas = [_coproduct(h, i) for i in range(d)]
+
+    def counit_of(v):
+        acc = SC_ZERO
+        for i, c in v.nonzeros():
+            acc = acc + c * h.counit[i]
+        return acc
+
+    def coproduct_of(v):
+        acc = {}
+        for i, c in v.nonzeros():
+            for key, w in deltas[i].items():
+                _add(acc, key, c * w)
+        return _drop_zeros(acc)
+
+    def counit_fails(i):
+        left, right = Vec.zero(d), Vec.zero(d)
+        for (j, k), c in deltas[i].items():
+            left = left + e[k].scale(c * h.counit[j])
+            right = right + e[j].scale(c * h.counit[k])
+        return left != e[i] or right != e[i]
+
+    def antipode_fails(i):
+        left, right = Vec.zero(d), Vec.zero(d)
+        for (j, k), c in deltas[i].items():
+            left = left + mul(h.antipode.col(j), e[k]).scale(c)
+            right = right + mul(e[j], h.antipode.col(k)).scale(c)
+        target = h.unit.scale(h.counit[i])
+        return left != target or right != target
+
+    found = {
+        "associativity": _first(
+            product(range(d), repeat=3),
+            lambda i, j, k: mul(mul(e[i], e[j]), e[k]) != mul(e[i], mul(e[j], e[k])),
+        ),
+        "unit": _first(idx1, lambda i: mul(h.unit, e[i]) != e[i] or mul(e[i], h.unit) != e[i]),
+        "coassociativity": _first(
+            idx1,
+            lambda i: expand_embedding(h, deltas[i], "delta_id")
+            != expand_embedding(h, deltas[i], "id_delta"),
+        ),
+        "counit": _first(idx1, counit_fails),
+        "bialgebra": _first(
+            idx2,
+            lambda i, j: counit_of(mul(e[i], e[j])) != h.counit[i] * h.counit[j]
+            or coproduct_of(mul(e[i], e[j])) != expand_product(h, deltas[i], deltas[j]),
+        ),
+        "antipode": _first(idx1, antipode_fails),
+    }
+    obj = {name: w is None for name, w in found.items()}
+    obj["witnesses"] = {name: w for name, w in found.items() if w is not None}
+    return obj
+
+
+def exhaustive_triangular(h, r):
+    """Both unitarity sides, both hexagons and the conjugation identity on
+    every basis element, for r given as a dict (i, j) -> coefficient."""
+    unit = h.unit.nonzeros()
+    unit2 = _drop_zeros({(i, j): a * b for i, a in unit for j, b in unit})
+    r21 = expand_flip(h, r)
+    if expand_product(h, r21, r) != unit2 or expand_product(h, r, r21) != unit2:
+        return False
+    r13, r23, r12 = (expand_embedding(h, r, p) for p in ("13", "23", "12"))
+    if expand_embedding(h, r, "delta_id") != expand_product(h, r13, r23):
+        return False
+    if expand_embedding(h, r, "id_delta") != expand_product(h, r13, r12):
+        return False
+    for i in range(h.dim):
+        delta = _coproduct(h, i)
+        if expand_product(h, r, delta) != expand_product(h, expand_flip(h, delta), r):
+            return False
+    return True
 
 
 # --- groups layer, by brute force -----------------------------------------

@@ -147,6 +147,46 @@ def test_scalar_rejects_bool(tmp_path):
     assert main(["verify", write(tmp_path / "boolscalar.json", dump)]) == 2
 
 
+def _set_unit_product(value):
+    """Replace the coefficient 1 of e_0 e_0 = e_0."""
+
+    def edit(dump):
+        assert dump["mult"][0] == [0, 0, 0, {"n": 1, "c": [["1", "1"]]}]
+        dump["mult"][0][3] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set_unit_product({"n": 3.9, "c": [["1", "1"], ["0", "1"]]}),  # loaded as order 3
+        _set_unit_product({"n": True, "c": [["5", "1"]]}),  # loaded as the rational 5
+        _set_unit_product({"n": 1, "c": [[1.5, "1"]]}),  # loaded as 1
+        lambda dump: dump.update(parity=[0.5, 0.5, 0.5, 0.5]),  # loaded as all-even, verified
+        lambda dump: dump.update(parity=[False] * 4),
+        lambda dump: dump.update(dim=4.0),  # loaded as 4
+        lambda dump: dump.update(super=0),
+    ],
+    ids=["order_float", "order_bool", "coefficient_float", "parity_float", "parity_bool", "dim_float", "super_int"],
+)
+def test_verify_rejects_non_integer_fields(tmp_path, capsys, edit):
+    dump = load(GOLDEN / "sweedler.hopf.json")
+    edit(dump)
+    assert main(["verify", write(tmp_path / "bad.json", dump)]) == 2
+    err = capsys.readouterr().err
+    assert "malformed input" in err and "Traceback" not in err
+
+
+def test_verify_rejects_non_integer_host_dim(tmp_path, capsys):
+    r = load(GOLDEN / "sweedler.r.json")
+    assert r["host_dim"] == 4
+    r["host_dim"] = 4.0
+    hopf = str(GOLDEN / "sweedler.hopf.json")
+    assert main(["verify", hopf, "--r", write(tmp_path / "r.json", r)]) == 2
+    assert "host_dim 4.0 is not an integer" in capsys.readouterr().err
+
+
 def test_verify_rejects_duplicate_tensor_entries(tmp_path, z2_file, capsys):
     out = tmp_path / "z2.hopf.json"
     main(["build", z2_file, "--kind", "group-algebra", "-o", str(out)])

@@ -1,7 +1,9 @@
 """Axiom verification, duality, radical, Chevalley property."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from trihopf import hopf
 from trihopf.constructions import (
     exterior_algebra,
     group_algebra,
@@ -24,7 +26,7 @@ from trihopf.hopf import (
 from trihopf.scalars import CycScalar
 from trihopf.tensor import Mat, Vec
 
-from _oracles import bruteforce_radical, same_span
+from _oracles import bruteforce_radical, exhaustive_axioms, same_span
 
 ONE = CycScalar.one()
 ZERO = CycScalar.zero()
@@ -128,6 +130,164 @@ def test_supergroup_supercocommutative(sg_z2_sign):
 
 def test_modified_supergroup_not_cocommutative(sweedler):
     assert not is_cocommutative(sweedler)
+
+
+# --- generator certificates ---------------------------------------------------
+
+def _z2n(n):
+    return FiniteGroup.direct_product(*[FiniteGroup.cyclic(2)] * n)
+
+
+def _sweedler_host():
+    z2 = FiniteGroup.cyclic(2)
+    return modified_supergroup_algebra(z2, GroupRep.from_sign_characters(z2, [(1, -1)]), u=1)[0]
+
+
+def _supergroup_z2_sign():
+    z2 = FiniteGroup.cyclic(2)
+    return supergroup_algebra(z2, GroupRep.from_sign_characters(z2, [(1, -1)]))
+
+
+# name -> (builder, the greedy generating set)
+SMALL_HOSTS = {
+    "kZ2": (lambda: group_algebra(FiniteGroup.cyclic(2)), (1,)),
+    "kZ3": (lambda: group_algebra(FiniteGroup.cyclic(3)), (1,)),
+    "kZ4": (lambda: group_algebra(FiniteGroup.cyclic(4)), (1,)),
+    "kZ2xZ2": (lambda: group_algebra(_z2n(2)), (1, 2)),
+    "kS3": (lambda: group_algebra(FiniteGroup.symmetric3()), (1, 3)),
+    "sweedler": (_sweedler_host, (1, 2)),
+    "Lambda1": (lambda: exterior_algebra(1), (1,)),
+    "Lambda2": (lambda: exterior_algebra(2), (1, 2)),
+    "Lambda3": (lambda: exterior_algebra(3), (1, 2, 4)),
+    "supergroup_Z2_sign": (_supergroup_z2_sign, (1, 2)),
+}
+_HOSTS = {name: build() for name, (build, _) in SMALL_HOSTS.items()}
+
+
+def _left_closure_rank(h, gens):
+    """Rank of the smallest subspace that contains 1 and is closed under
+    x -> e_s x for s in gens, by closing the span of words in the gens."""
+    from trihopf.tensor import in_span, span_echelon
+
+    span = [h.unit]
+    frontier = [h.unit]
+    while frontier:
+        new = []
+        for v in frontier:
+            for s in gens:
+                w = h.mul_vec(Vec.basis(h.dim, s), v)
+                if not in_span(*span_echelon(span), w):
+                    span.append(w)
+                    new.append(w)
+        frontier = new
+    return len(span_echelon(span)[1])
+
+
+@pytest.mark.parametrize("name", list(SMALL_HOSTS))
+def test_generators_span_and_each_is_needed(name):
+    h = _HOSTS[name]
+    gens = h.generators
+    assert gens == SMALL_HOSTS[name][1]
+    assert _left_closure_rank(h, gens) == h.dim
+    for s in gens:
+        assert _left_closure_rank(h, [t for t in gens if t != s]) < h.dim
+
+
+def test_generators_of_atlas_hosts():
+    # three or four generators at dimension 16, one to three at dimension 8
+    from trihopf.atlas import build_instance, enumerate_instances
+
+    sizes: dict = {}
+    for spec in enumerate_instances(16)[::7]:
+        h, _ = build_instance(spec)
+        assert _left_closure_rank(h, h.generators) == h.dim
+        sizes.setdefault(h.dim, set()).add(len(h.generators))
+    assert sizes[16] <= {3, 4} and sizes[8] <= {1, 2, 3}
+
+
+def test_generators_of_a_loaded_dump():
+    from pathlib import Path
+
+    from trihopf.serialize import hopf_from_obj, load
+
+    h = hopf_from_obj(load(Path(__file__).parent / "golden" / "sweedler.hopf.json"))
+    assert h.generators == (1, 2)
+
+
+def test_generators_none_without_a_unit():
+    # a zero product: span{1} is closed under every e_s, so nothing spans
+    h = group_algebra(FiniteGroup.cyclic(2))
+    broken = h.replace(mult=(((), ()), ((), ())))
+    assert broken.generators is None
+    assert verify_hopf(broken).to_obj() == exhaustive_axioms(broken)
+
+
+def test_verify_hopf_scans_generators_only(monkeypatch):
+    calls = []
+    scan = hopf._axiom_scan
+
+    def recording(h, lead):
+        calls.append(tuple(lead))
+        return scan(h, lead)
+
+    monkeypatch.setattr(hopf, "_axiom_scan", recording)
+    h = group_algebra(_z2n(3))
+    assert verify_hopf(h).ok
+    assert calls == [(1, 2, 4)]
+    calls.clear()
+    broken = h.replace(antipode=Mat.zero(8, 8))
+    assert verify_hopf(broken).witnesses == {"antipode": (0,)}
+    assert calls == [(1, 2, 4), tuple(range(8))]  # the witness comes from the full scan
+
+
+def test_axioms_report_cached(sweedler):
+    h = sweedler.replace()
+    assert h.axioms is h.axioms and h.axioms.ok
+    assert h.radical is h.radical and len(h.radical) == 2
+
+
+_SCALARS = st.sampled_from([ONE, -ONE, ONE + ONE, ZERO])
+
+
+def _corrupt(h, data):
+    """h with one structure constant changed; parities stay homogeneous."""
+    d, par = h.dim, h.parity
+    kind = data.draw(st.sampled_from(["mult", "mult_term", "comult", "none"]))
+    if kind == "none":
+        return h
+    i, j = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
+    if kind in ("mult", "mult_term"):
+        k = data.draw(st.sampled_from([k for k in range(d) if par[k] == (par[i] + par[j]) % 2]))
+        c = data.draw(_SCALARS)
+        mult = [list(row) for row in h.mult]
+        cell = dict(mult[i][j]) if kind == "mult_term" else {}
+        cell[k] = cell.get(k, ZERO) + c
+        mult[i][j] = tuple((k, v) for k, v in cell.items() if not v.is_zero())
+        return h.replace(mult=tuple(tuple(row) for row in mult))
+    a = data.draw(st.sampled_from([a for a in range(d) if par[a] == (par[i] + par[j]) % 2]))
+    comult = list(h.comult)
+    comult[a] = comult[a] + ((i, j, data.draw(_SCALARS.filter(lambda c: not c.is_zero()))),)
+    return h.replace(comult=tuple(comult))
+
+
+@pytest.mark.parametrize("name", list(SMALL_HOSTS))
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_verify_hopf_matches_exhaustive_scan(name, data):
+    h = _corrupt(_HOSTS[name], data)
+    assert verify_hopf(h).to_obj() == exhaustive_axioms(h)
+
+
+def test_verify_hopf_matches_exhaustive_scan_on_fixed_inputs(sweedler, sg_z2_sign):
+    hosts = [sweedler, sg_z2_sign, exterior_algebra(2), dual_hopf(group_algebra(FiniteGroup.cyclic(3)))]
+    z2 = group_algebra(FiniteGroup.cyclic(2))
+    hosts.append(z2.replace(antipode=Mat.zero(2, 2)))
+    mult = [list(row) for row in z2.mult]
+    mult[0][1] = ()
+    hosts.append(z2.replace(mult=tuple(tuple(row) for row in mult)))
+    hosts.append(_with_coproduct(sweedler, 1, sweedler.comult[1] + ((1, 1, ONE),)))
+    for h in hosts:
+        assert verify_hopf(h).to_obj() == exhaustive_axioms(h)
 
 
 # --- duality ----------------------------------------------------------------

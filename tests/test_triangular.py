@@ -3,6 +3,7 @@
 import pytest
 
 from trihopf import triangular
+from trihopf.atlas import build_instance, enumerate_instances
 from trihopf.constructions import (
     apply_twist,
     build_bicharacter_twist,
@@ -10,6 +11,7 @@ from trihopf.constructions import (
     group_algebra,
     modified_supergroup_algebra,
     semisimple_triangular,
+    supergroup_algebra,
 )
 from trihopf.errors import InvalidDrinfeldElement, NotQuasitriangular
 from trihopf.groups import (
@@ -22,7 +24,7 @@ from trihopf.groups import (
 )
 from trihopf.hopf import is_cocommutative, verify_hopf
 from trihopf.scalars import CycScalar, root_of_unity
-from trihopf.tensor import Tensor2, Vec, flip, tensor2_mul, unit_tensor2
+from trihopf.tensor import Mat, Tensor2, Vec, flip, tensor2_mul, unit_tensor2
 from trihopf.triangular import (
     check_structure_theorems,
     drinfeld_element,
@@ -32,6 +34,8 @@ from trihopf.triangular import (
     verify_quasitriangular,
     verify_triangular,
 )
+
+from _oracles import exhaustive_triangular
 
 ONE = CycScalar.one()
 
@@ -224,3 +228,113 @@ def test_drinfeld_element_twist_invariant():
         assert verify_hopf(h2).ok
         u_after = drinfeld_element(h2, r2)
         assert u_before == u_after == Vec.basis(4, u_idx)
+
+
+# --- certificates against the exhaustive checks ------------------------------
+
+def _as_dict(r):
+    return {(i, j): c for i, j, c in r.nonzeros}
+
+
+def _perturbed(r, k):
+    """r with one coefficient moved, the entry picked by k."""
+    i, j, _ = r.nonzeros[k % len(r.nonzeros)]
+    return r + Tensor2.from_dict(r.dim, {(i, j): sc(1, 2), ((i + k) % r.dim, j): ONE})
+
+
+def _agrees(h, r):
+    verdict = verify_triangular(h, r)
+    assert verdict == exhaustive_triangular(h, _as_dict(r))
+    return verdict
+
+
+def test_verify_triangular_matches_exhaustive_on_atlas9():
+    accepted = rejected = 0
+    for k, spec in enumerate(enumerate_instances(9)):
+        h, r = build_instance(spec)
+        assert verify_hopf(h).ok and h.generators is not None
+        for candidate in (r, flip(r, h), unit_tensor2(h), _perturbed(r, k)):
+            if _agrees(h, candidate):
+                accepted += 1
+            else:
+                rejected += 1
+    assert accepted > 2 * 119 and rejected > 119
+
+
+def _exp_bilinear(h, b, gens):
+    """exp(sum b[i][j] x_i (x) x_j) for odd square-zero generators x."""
+    t = Tensor2.from_dict(
+        h.dim,
+        {(gens[i], gens[j]): sc(b[i][j]) for i in range(len(gens)) for j in range(len(gens)) if b[i][j]},
+    )
+    out = power = unit_tensor2(h)
+    for n in range(1, 2 * len(gens) + 1):
+        power = tensor2_mul(power, t, h).scale(sc(1, n))
+        out = out + power
+    return out
+
+
+SUPER_CASES = {
+    "Lambda1": (lambda: exterior_algebra(1), (1,)),
+    "Lambda2": (lambda: exterior_algebra(2), (1, 2)),
+    "Lambda3": (lambda: exterior_algebra(3), (1, 2, 4)),
+    "supergroup_Z2_sign": (
+        lambda: supergroup_algebra(
+            FiniteGroup.cyclic(2), GroupRep.from_sign_characters(FiniteGroup.cyclic(2), [(1, -1)] * 2)
+        ),
+        (1, 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(SUPER_CASES))
+def test_verify_triangular_matches_exhaustive_on_super_hosts(name):
+    # R_B = exp(sum b_ij x_i (x) x_j) is triangular for symmetric b: the
+    # Koszul-signed flip sends it to exp(-sum b_ij x_i (x) x_j) = R_B^-1
+    build, odd = SUPER_CASES[name]
+    h = build()
+    assert h.super and verify_hopf(h).ok
+    n = len(odd)
+    forms = [
+        [[1 if i == j else 0 for j in range(n)] for i in range(n)],
+        [[2 + i + j for j in range(n)] for i in range(n)],
+        [[i - j + (i == j) for j in range(n)] for i in range(n)],  # not symmetric when n > 1
+    ]
+    verdicts = []
+    for b in forms:
+        r = _exp_bilinear(h, b, odd)
+        for candidate in (r, flip(r, h), _perturbed(r, 1)):
+            verdicts.append(_agrees(h, candidate))
+    assert _agrees(h, unit_tensor2(h))
+    assert verdicts[0] and verdicts[3]  # symmetric forms are triangular
+    if n > 1:
+        assert not verdicts[6]
+
+
+def test_verify_triangular_checks_one_hexagon_and_the_generators(monkeypatch, sweedler):
+    h, r = sweedler
+    assert h.axioms.ok
+    counts = {"tensor2_mul": 0, "tensor3_mul": 0}
+    for name in counts:
+        original = getattr(triangular, name)
+
+        def counting(*args, name=name, original=original):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(triangular, name, counting)
+    assert verify_triangular(h, r)
+    # one unitarity side, one hexagon, two products per generator
+    assert counts == {"tensor2_mul": 1 + 2 * len(h.generators), "tensor3_mul": 1}
+
+
+def test_unverified_host_takes_the_exhaustive_path():
+    # a host whose antipode is broken gets no certificate: both sides,
+    # both hexagons and every basis element are checked
+    h = group_algebra(FiniteGroup.cyclic(3))
+    broken = h.replace(antipode=Mat.zero(3, 3))
+    assert not broken.axioms.ok
+    assert verify_triangular(broken, unit_tensor2(broken))
+    assert exhaustive_triangular(broken, _as_dict(unit_tensor2(broken)))
+    with pytest.raises(NotQuasitriangular):
+        drinfeld_element(broken, unit_tensor2(broken))
