@@ -38,10 +38,12 @@ from .errors import (
     ShapeError,
     UnsupportedStratum,
 )
-from .groups import AbelianSubgroup, Bicharacter, FiniteGroup
+from .groups import AbelianSubgroup
 from .serialize import (
+    _int,
     bicharacter_from_file_obj,
     dumps,
+    group_from_file_obj,
     hopf_from_obj,
     hopf_to_obj,
     load,
@@ -85,7 +87,7 @@ def _check_dim(dim: int):
 
 def _load_hopf(path):
     obj = load(path)
-    _check_dim(int(obj["dim"]))
+    _check_dim(_int(obj["dim"], "dim"))
     return hopf_from_obj(obj)
 
 
@@ -122,9 +124,9 @@ def cmd_build(args) -> int:
     base = Path(args.input).parent
     r = None
     if kind == "group-algebra":
-        h = group_algebra(FiniteGroup.from_obj(obj))
+        h = group_algebra(group_from_file_obj(obj))
     elif kind == "exterior":
-        n = int(obj["n"])
+        n = _int(obj["n"], "n")
         # bound dim = 2^n before building; 2^n > n, so n >= max_dim() needs no power
         if n >= max_dim() or (n >= 0 and 1 << n > max_dim()):
             raise ShapeError(f"dimension 2^{n} exceeds HOPF_MAX_DIM={max_dim()}")
@@ -135,13 +137,13 @@ def cmd_build(args) -> int:
     elif kind == "modified-supergroup":
         rep_obj = obj["rep"] if "rep" in obj else load(base / obj["rep_ref"])
         rep = rep_from_file_obj(rep_obj, base)
-        h, r = modified_supergroup_algebra(rep.group, rep, int(obj["u"]))
+        h, r = modified_supergroup_algebra(rep.group, rep, _int(obj["u"], "u"))
     elif kind == "semisimple-triangular":
         group_obj = obj["group"] if "group" in obj else load(base / obj["group_ref"])
-        group = FiniteGroup.from_obj(group_obj)
-        sub = AbelianSubgroup(group, [int(i) for i in obj["subgroup"]])
+        group = group_from_file_obj(group_obj)
+        sub = AbelianSubgroup(group, [_int(i, "subgroup element") for i in obj["subgroup"]])
         gamma = bicharacter_from_file_obj(obj["bicharacter"])
-        h, r = semisimple_triangular(group, sub, gamma, int(obj["u"]))
+        h, r = semisimple_triangular(group, sub, gamma, _int(obj["u"], "u"))
     elif kind == "septuple-pipeline":
         septuple = septuple_from_file_obj(obj, base)
         h, r = septuple_pipeline(septuple)

@@ -30,13 +30,21 @@ from .groups import (
     characters,
     half_bicharacter,
 )
-from .hopf import HopfData, algebra_inverse, make_hopf
+from .hopf import (
+    HopfData,
+    algebra_inverse,
+    antipode_contraction,
+    counit_slants,
+    make_hopf,
+)
 from .scalars import SC_ONE, SC_ZERO, CycScalar
 from .tensor import (
+    Echelon,
     Mat,
     Tensor2,
     Vec,
     flip,
+    mat_rank,
     solve_linear,
     tensor2_inv,
     tensor2_mul,
@@ -403,12 +411,8 @@ def inflate_group_tensor(t: Tensor2, factor: int, dim: int) -> Tensor2:
 
 
 def _twist_identities_hold(h: HopfData, j: Tensor2) -> bool:
-    left = [SC_ZERO] * h.dim
-    right = [SC_ZERO] * h.dim
-    for i, k, c in j.nonzeros:
-        left[k] = left[k] + c * h.counit[i]
-        right[i] = right[i] + c * h.counit[k]
-    if Vec(left) != h.unit or Vec(right) != h.unit:
+    left, right = counit_slants(h, j.nonzeros)
+    if left != h.unit or right != h.unit:
         return False
     lhs = tensor3_mul(
         embed13_23_12(j, "12", h), embed13_23_12(j, "delta_id", h), h
@@ -456,15 +460,7 @@ def apply_twist(
     for i in range(h.dim):
         t = tensor2_mul(tensor2_mul(j_inv, h.comult_tensor(i), h), j, h)
         comult_new.append(tuple((a, b, c) for a, b, c in t.nonzeros))
-    # Q = m(S (x) id)(J)
-    q = [SC_ZERO] * h.dim
-    s_cols = h.s_columns
-    for i, k, c in j.nonzeros:
-        for t_idx, sc in s_cols[i]:
-            csc = c * sc
-            for m_idx, w in h.mult[t_idx][k]:
-                q[m_idx] = q[m_idx] + csc * w
-    q_vec = Vec(q)
+    q_vec = antipode_contraction(h, j.nonzeros)
     q_inv = algebra_inverse(h, q_vec)
     cols = []
     for i in range(h.dim):
@@ -575,13 +571,11 @@ def validate_septuple(s: Septuple) -> SeptupleReport:
     y_ok = True
     y_detail = ""
     if s.y_basis:
-        from .tensor import span_echelon, in_span
-
-        ech, pivots = span_echelon(list(s.y_basis))
+        span = Echelon(yv.nonzeros() for yv in s.y_basis)
         for x in elems:
             for yv in s.y_basis:
                 img = s.w.matrices[x].matvec(yv)
-                if not in_span(ech, pivots, img):
+                if span.reduce(img.nonzeros()):
                     y_ok = False
                     y_detail = f"rho({x}) moves Y out of itself"
                     break
@@ -601,8 +595,6 @@ def validate_septuple(s: Septuple) -> SeptupleReport:
     elif s.b != s.b.transpose():
         b_ok, b_detail = False, "B is not symmetric"
     else:
-        from .tensor import mat_rank
-
         if mat_rank(s.b) != k:
             b_ok, b_detail = False, "B is degenerate"
         elif not y_ok:

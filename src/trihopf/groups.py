@@ -251,16 +251,6 @@ class FiniteGroup:
             obj["iso_map"] = [list(e) for e in self.iso_map]
         return obj
 
-    @classmethod
-    def from_obj(cls, obj) -> "FiniteGroup":
-        return cls(
-            obj["table"],
-            obj["identity"],
-            invariant_factors=obj.get("invariant_factors"),
-            iso_map=obj.get("iso_map"),
-            name=obj.get("name", ""),
-        )
-
     def __repr__(self):
         return f"FiniteGroup({self.name or self.order})"
 
@@ -475,16 +465,6 @@ class GroupRep:
             ],
         }
 
-    @classmethod
-    def from_obj(cls, obj, group: FiniteGroup | None = None) -> "GroupRep":
-        if group is None:
-            group = FiniteGroup.from_obj(obj["group"])
-        mats = [
-            Mat([[CycScalar.from_obj(c) for c in row] for row in m])
-            for m in obj["matrices"]
-        ]
-        return cls(group, obj["degree"], mats)
-
 
 def sign_characters(group: FiniteGroup) -> list[tuple[int, ...]]:
     """All homomorphisms G -> {+1, -1} as value tuples.
@@ -632,19 +612,6 @@ class Bicharacter:
                     raise BicharacterError("value is not a root of unity of the expected order")
             table.append(out_row)
         return {"factors": list(self.factors), "values": table}
-
-    @classmethod
-    def from_obj(cls, obj) -> "Bicharacter":
-        from math import lcm
-
-        factors = tuple(int(f) for f in obj["factors"])
-        n_amb = 1
-        for f in factors:
-            n_amb = lcm(n_amb, f)
-        rows = tuple(
-            tuple(root_of_unity(n_amb, int(k)) for k in row) for row in obj["values"]
-        )
-        return cls(factors, rows)
 
 
 def alternating_nondegenerate_bicharacters(factors) -> list[Bicharacter]:

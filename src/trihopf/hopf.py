@@ -30,15 +30,14 @@ from typing import Optional, Sequence
 from .errors import NotInvertible, OrderNotFound, ShapeError
 from .scalars import SC_ONE, SC_ZERO, CycScalar
 from .tensor import (
+    Echelon,
     Mat,
     Tensor2,
     Vec,
     embed13_23_12,
     flip,
-    in_span,
     mat_kernel,
     solve_linear,
-    span_echelon,
     tensor2_mul,
 )
 
@@ -135,25 +134,21 @@ class HopfData:
         except ShapeError:
             return None
         mult = self.mult
-        rows: list = []  # (pivot, row): row[pivot] = 1, row is 0 at every earlier pivot
+        span = Echelon()  # V
         spanned: list[dict] = []  # vectors spanning V, as index -> coefficient
         gens: list[int] = []
         todo: list = []  # (s, v) with e_s v not yet reduced against V
 
         def push(vec: dict):
-            rest = _reduce(rows, vec)
-            if rest:
-                p = min(rest)
-                inv = rest[p].inv()
-                rows.append((p, {j: c * inv for j, c in rest.items()}))
+            if span.add(vec) is not None:
                 spanned.append(vec)
                 todo.extend((s, vec) for s in gens)
 
         push(dict(self.unit.nonzeros()))
         for i in range(self.dim):
-            if len(rows) == self.dim:
+            if len(span) == self.dim:
                 break
-            if not _reduce(rows, {i: SC_ONE}):
+            if not span.reduce({i: SC_ONE}):
                 continue
             gens.append(i)
             todo.extend((i, v) for v in spanned)
@@ -163,7 +158,7 @@ class HopfData:
                 for j, a in v.items():
                     _sparse_product(mult, s, j, prod, a)
                 push(prod)
-        return tuple(gens) if len(rows) == self.dim else None
+        return tuple(gens) if len(span) == self.dim else None
 
     @cached_property
     def axioms(self) -> "AxiomReport":
@@ -294,16 +289,34 @@ def _clean(acc: dict) -> dict:
     return {k: v for k, v in acc.items() if not v.is_zero()}
 
 
-def _reduce(rows, vec: dict) -> dict:
-    """The nonzeros of vec minus its part in the span of echelon rows."""
-    vec = dict(vec)
-    for p, row in rows:
-        f = vec.get(p)
-        if f is None or f.is_zero():
-            continue
-        for j, c in row.items():
-            vec[j] = vec.get(j, SC_ZERO) - f * c
-    return _clean(vec)
+def antipode_contraction(h: HopfData, terms, leg: int = 0) -> Vec:
+    """m(S (x) id)(t), or m(id (x) S)(t) when leg is 1, for
+    t = sum c e_i (x) e_j over the (i, j, c) in terms."""
+    acc = [SC_ZERO] * h.dim
+    mult, s_cols = h.mult, h.s_columns
+    for i, j, c in terms:
+        if leg:
+            for t, sc in s_cols[j]:
+                csc = c * sc
+                for k, w in mult[i][t]:
+                    acc[k] = acc[k] + csc * w
+        else:
+            for t, sc in s_cols[i]:
+                csc = c * sc
+                for k, w in mult[t][j]:
+                    acc[k] = acc[k] + csc * w
+    return Vec(acc)
+
+
+def counit_slants(h: HopfData, terms) -> tuple[Vec, Vec]:
+    """(eps (x) id)(t) and (id (x) eps)(t) for t = sum c e_i (x) e_j over
+    the (i, j, c) in terms."""
+    left = [SC_ZERO] * h.dim
+    right = [SC_ZERO] * h.dim
+    for i, j, c in terms:
+        left[j] = left[j] + c * h.counit[i]
+        right[i] = right[i] + c * h.counit[j]
+    return Vec(left), Vec(right)
 
 
 def verify_hopf(h: HopfData) -> AxiomReport:
@@ -384,14 +397,9 @@ def _coassociativity_witness(h: HopfData, lead, deltas):
 
 
 def _counit_witness(h: HopfData, basis):
-    d = h.dim
-    for i in range(d):
-        left = [SC_ZERO] * d
-        right = [SC_ZERO] * d
-        for j, k, c in h.comult[i]:
-            left[k] = left[k] + c * h.counit[j]
-            right[j] = right[j] + c * h.counit[k]
-        if Vec(left) != basis[i] or Vec(right) != basis[i]:
+    for i in range(h.dim):
+        left, right = counit_slants(h, h.comult[i])
+        if left != basis[i] or right != basis[i]:
             return (i,)
     return None
 
@@ -413,23 +421,12 @@ def _bialgebra_witness(h: HopfData, lead, basis, deltas):
 
 
 def _antipode_witness(h: HopfData):
-    d = h.dim
-    mult = h.mult
-    s_cols = h.s_columns
-    for i in range(d):
+    for i in range(h.dim):
         target = h.unit.scale(h.counit[i])
-        left_acc = [SC_ZERO] * d
-        right_acc = [SC_ZERO] * d
-        for j, k, c in h.comult[i]:
-            for t, sc in s_cols[j]:
-                csc = c * sc
-                for m, w in mult[t][k]:
-                    left_acc[m] = left_acc[m] + csc * w
-            for t, sc in s_cols[k]:
-                csc = c * sc
-                for m, w in mult[j][t]:
-                    right_acc[m] = right_acc[m] + csc * w
-        if Vec(left_acc) != target or Vec(right_acc) != target:
+        if (
+            antipode_contraction(h, h.comult[i]) != target
+            or antipode_contraction(h, h.comult[i], leg=1) != target
+        ):
             return (i,)
     return None
 
@@ -528,16 +525,14 @@ def subspace_is_hopf_ideal(h: HopfData, basis: Sequence[Vec]) -> bool:
     for r in basis:
         if not h.counit_vec(r).is_zero():
             return False
-    rows, pivots = span_echelon(basis)
+    span = Echelon(r.nonzeros() for r in basis)
     for r in basis:
-        if not in_span(rows, pivots, h.antipode_vec(r)):
+        if span.reduce(h.antipode_vec(r).nonzeros()):
             return False
-    pivot_set = set(pivots)
-    free = [f for f in range(h.dim) if f not in pivot_set]
     # pi(e_f) = e_f; row = e_p + sum_f row[f] e_f lies in I, so pi(e_p) = -sum_f row[f] e_f
-    proj = {f: ((f, SC_ONE),) for f in free}
-    for row, p in zip(rows, pivots):
-        proj[p] = tuple((f, -row[f]) for f in free if not row[f].is_zero())
+    proj = {f: ((f, SC_ONE),) for f in range(h.dim) if f not in span.rows}
+    for p, row in span.rows.items():
+        proj[p] = tuple((f, -c) for f, c in row.items() if f != p)
     for r in basis:
         image = Tensor2(
             h.dim,

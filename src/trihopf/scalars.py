@@ -429,7 +429,9 @@ class CycScalar:
         pairs = [(int(a), int(b)) for a, b in obj["c"]]
         if any(b == 0 for _, b in pairs):
             raise ShapeError("scalar with zero denominator")
-        if len(pairs) != euler_phi(n):
+        # phi(n) >= sqrt(n/2) for every n: a larger n cannot match, and
+        # euler_phi(n) would take O(n) steps to say so
+        if n > 2 * len(pairs) ** 2 or len(pairs) != euler_phi(n):
             raise ShapeError("coefficient count does not match order")
         return cls(n, pairs)
 

@@ -10,13 +10,14 @@ scalar is expected.
 from __future__ import annotations
 
 import json
+from math import lcm
 from pathlib import Path
 
 from .constructions import Septuple
 from .errors import ShapeError
 from .groups import Bicharacter, FiniteGroup, GroupRep
 from .hopf import HopfData, make_hopf
-from .scalars import CycScalar
+from .scalars import CycScalar, root_of_unity
 from .tensor import Mat, Tensor2, Vec
 
 
@@ -160,7 +161,15 @@ def load(path):
 # --- input-file loaders (group, representation, bicharacter, septuple) ----
 
 def group_from_file_obj(obj) -> FiniteGroup:
-    return FiniteGroup.from_obj(obj)
+    """A group from its Cayley table and identity index (FiniteGroup.to_obj)."""
+    factors, iso_map = obj.get("invariant_factors"), obj.get("iso_map")
+    return FiniteGroup(
+        [[_int(x, "group table entry") for x in row] for row in obj["table"]],
+        _int(obj["identity"], "identity"),
+        invariant_factors=factors and [_int(f, "invariant factor") for f in factors],
+        iso_map=iso_map and [[_int(x, "exponent") for x in e] for e in iso_map],
+        name=obj.get("name", ""),
+    )
 
 
 def _resolve_ref(obj, key, base_dir):
@@ -173,24 +182,34 @@ def _resolve_ref(obj, key, base_dir):
     return json.loads(Path(path).read_text()), path.parent
 
 
+def _rep_on(group: FiniteGroup, obj) -> GroupRep:
+    degree = _int(obj["degree"], "degree")
+    return GroupRep(group, degree, [mat_from_obj(m) for m in obj["matrices"]])
+
+
 def rep_from_file_obj(obj, base_dir=None) -> GroupRep:
     group_obj, _ = _resolve_ref(obj, "group", base_dir)
-    group = FiniteGroup.from_obj(group_obj)
-    degree = int(obj["degree"])
-    mats = [mat_from_obj(m) for m in obj["matrices"]]
-    return GroupRep(group, degree, mats)
+    return _rep_on(group_from_file_obj(group_obj), obj)
 
 
 def bicharacter_from_file_obj(obj) -> Bicharacter:
-    return Bicharacter.from_obj(obj)
+    """A bicharacter from its factors and its table of exponents k, each
+    value zeta_N**k for N the lcm of the factors (Bicharacter.to_obj)."""
+    factors = tuple(_int(f, "bicharacter factor") for f in obj["factors"])
+    n_amb = lcm(1, *factors)
+    rows = tuple(
+        tuple(root_of_unity(n_amb, _int(k, "bicharacter exponent")) for k in row)
+        for row in obj["values"]
+    )
+    return Bicharacter(factors, rows)
 
 
 def septuple_from_file_obj(obj, base_dir=None) -> Septuple:
     group_obj, _ = _resolve_ref(obj, "group", base_dir)
-    group = FiniteGroup.from_obj(group_obj)
+    group = group_from_file_obj(group_obj)
     rep_obj, rep_dir = _resolve_ref(obj, "rep", base_dir)
     if "group" not in rep_obj and "group_ref" not in rep_obj:
-        rep = GroupRep(group, int(rep_obj["degree"]), [mat_from_obj(m) for m in rep_obj["matrices"]])
+        rep = _rep_on(group, rep_obj)
     else:
         rep = rep_from_file_obj(rep_obj, rep_dir)
     y_basis = tuple(vec_from_obj(v) for v in obj.get("y_basis", []))
@@ -199,10 +218,10 @@ def septuple_from_file_obj(obj, base_dir=None) -> Septuple:
     return Septuple(
         group=group,
         w=rep,
-        a_elements=tuple(int(i) for i in obj["subgroup"]),
+        a_elements=tuple(_int(i, "subgroup element") for i in obj["subgroup"]),
         y_basis=y_basis,
         b=b,
-        v_beta=Bicharacter.from_obj(obj["bicharacter"]),
-        v_dim=int(obj["v_dim"]),
-        u=int(obj["u"]),
+        v_beta=bicharacter_from_file_obj(obj["bicharacter"]),
+        v_dim=_int(obj["v_dim"], "v_dim"),
+        u=_int(obj["u"], "u"),
     )

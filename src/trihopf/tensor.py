@@ -1,10 +1,11 @@
 """Exact linear algebra over H and sparse tensors in H (x) H and H (x) H (x) H.
 
 Vectors, matrices and tensors hold CycScalar entries and are immutable
-after construction.  Vec and Mat are dense, because elimination walks
-whole rows.  Rank, kernel, solution and span membership are all read
-off one reduced row echelon form, computed by Gauss-Jordan elimination
-with one field inverse per pivot.  Tensor2 and Tensor3 share one sparse
+after construction.  Every elimination goes through one sparse reduced
+row echelon basis, Echelon, with one field inverse per pivot: matrix
+rank, kernel and solution, span membership, the generating set and
+radical of a Hopf algebra, and the minimal polynomial behind an
+inverse in H (x) H.  Tensor2 and Tensor3 share one sparse
 representation, a dict from index tuple to nonzero coefficient, and one
 constructor that sums repeated indices and drops zeros; every product,
 embedding and flip in H (x) H and H (x) H (x) H goes through it.
@@ -17,7 +18,7 @@ polynomial, so it needs no linear system over H (x) H.
 from __future__ import annotations
 
 from itertools import chain, product
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .errors import NotInvertible, ShapeError
 from .scalars import SC_ONE, SC_ZERO, CycScalar
@@ -168,47 +169,58 @@ class Mat:
 # ---------------------------------------------------------------------------
 # elimination
 
-def _rref(rows: Sequence[Sequence[CycScalar]]):
-    """Reduced row echelon form over the field: (nonzero rows, pivot columns).
+class Echelon:
+    """Reduced row echelon basis of a growing span, stored sparsely.
 
-    Gauss-Jordan with one field inverse per pivot: every pivot entry is
-    1 and the rest of its column is 0, so the reduced rows are unique
-    and solutions read off them without back-substitution.
+    A vector is a dict, or (label, coefficient) pairs, from any sortable
+    label (a column index, or an (i, j) pair of H (x) H) to a CycScalar.
+    Each row is 1 at its pivot, its least label, and 0 at every other
+    row's pivot, so the rows are unique for the span and reducing a
+    vector is one pass over the rows in any order.
     """
-    m = [list(r) for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if m else 0
-    pivots: list[int] = []
-    for c in range(nc):
-        r = len(pivots)
-        if r == nr:
-            break
-        p = next((i for i in range(r, nr) if not m[i][c].is_zero()), None)
-        if p is None:
-            continue
-        m[r], m[p] = m[p], m[r]
-        # entries left of c are already 0 in rows r and below
-        inv = m[r][c].inv()
-        tail = [(j, m[r][j] * inv) for j in range(c + 1, nc) if not m[r][j].is_zero()]
-        row = [SC_ZERO] * nc
-        row[c] = SC_ONE
-        for j, e in tail:
-            row[j] = e
-        m[r] = row
-        for i in range(nr):
-            f = m[i][c]
-            if i == r or f.is_zero():
+
+    __slots__ = ("rows",)
+
+    def __init__(self, vectors: Iterable = ()):
+        self.rows: dict = {}  # pivot -> row, nonzeros only
+        for v in vectors:
+            self.add(v)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, vec) -> dict:
+        """The nonzeros of vec minus its part in the span."""
+        out = dict(vec)
+        for p, row in self.rows.items():
+            f = out.get(p)
+            if f is None or f.is_zero():
                 continue
-            other = m[i]
-            for j, e in tail:
-                other[j] = other[j] - f * e
-            other[c] = SC_ZERO
-        pivots.append(c)
-    return m[: len(pivots)], pivots
+            for j, c in row.items():
+                out[j] = out.get(j, SC_ZERO) - f * c
+        return {j: c for j, c in out.items() if not c.is_zero()}
+
+    def add(self, vec):
+        """Extend the span by vec; the new pivot, or None if vec was in the span."""
+        rest = self.reduce(vec)
+        if not rest:
+            return None
+        p = min(rest)
+        inv = rest[p].inv()
+        new = {j: c * inv for j, c in rest.items()}
+        for q, row in self.rows.items():
+            f = row.get(p)
+            if f is None:
+                continue
+            for j, c in new.items():
+                row[j] = row.get(j, SC_ZERO) - f * c
+            self.rows[q] = {j: c for j, c in row.items() if not c.is_zero()}
+        self.rows[p] = new
+        return p
 
 
 def mat_rank(m: Mat) -> int:
-    return len(_rref(m.rows)[1])
+    return len(Echelon(enumerate(row) for row in m.rows))
 
 
 def mat_kernel(m: Mat) -> list[Vec]:
@@ -218,17 +230,16 @@ def mat_kernel(m: Mat) -> list[Vec]:
     free coordinates 0, and x_p = -row[f] for the pivot p of each
     reduced row.  An empty list means the matrix is injective.
     """
-    rows, pivots = _rref(m.rows)
+    rows = Echelon(enumerate(row) for row in m.rows).rows
     nc = m.ncols
-    pivot_set = set(pivots)
     basis = []
     for f in range(nc):
-        if f in pivot_set:
+        if f in rows:
             continue
         x = [SC_ZERO] * nc
         x[f] = SC_ONE
-        for row, p in zip(rows, pivots):
-            x[p] = -row[f]
+        for p, row in rows.items():
+            x[p] = -row.get(f, SC_ZERO)
         basis.append(Vec(x))
     return basis
 
@@ -242,31 +253,15 @@ def solve_linear(m: Mat, rhs: Vec) -> Optional[Vec]:
     if m.nrows != rhs.dim:
         raise ShapeError("matrix/vector shape mismatch")
     nc = m.ncols
-    rows, pivots = _rref([row + (b,) for row, b in zip(m.rows, rhs.entries)])
-    if pivots and pivots[-1] == nc:
+    rows = Echelon(
+        chain(enumerate(row), ((nc, b),)) for row, b in zip(m.rows, rhs.entries)
+    ).rows
+    if nc in rows:
         return None
     x = [SC_ZERO] * nc
-    for row, p in zip(rows, pivots):
-        x[p] = row[nc]
+    for p, row in rows.items():
+        x[p] = row.get(nc, SC_ZERO)
     return Vec(x)
-
-
-def in_span(basis_echelon, pivots, v: Vec) -> bool:
-    """Membership test against reduced rows from span_echelon."""
-    x = list(v.entries)
-    for row, p in zip(basis_echelon, pivots):
-        f = x[p]
-        if f.is_zero():
-            continue
-        for j, e in enumerate(row):
-            if not e.is_zero():
-                x[j] = x[j] - f * e
-    return all(e.is_zero() for e in x)
-
-
-def span_echelon(vectors: Sequence[Vec]):
-    """Reduced row echelon basis of the span: (rows, pivot columns)."""
-    return _rref([v.entries for v in vectors])
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +362,6 @@ class Tensor2(_SparseTensor):
 
     __slots__ = ()
     arity = 2
-
-    def coefficient_matrix(self) -> Mat:
-        rows = [[SC_ZERO] * self.dim for _ in range(self.dim)]
-        for (i, j), c in self._coef.items():
-            rows[i][j] = c
-        return Mat(rows)
 
     def mul(self, other: "Tensor2", mult, parity=None) -> "Tensor2":
         """Product in A (x) A for the algebra A with structure tensor mult.
@@ -490,45 +479,38 @@ def embed13_23_12(a: Tensor2, pattern: str, host: "HopfData") -> Tensor3:
 def tensor2_inv(a: Tensor2, host: "HopfData") -> Tensor2:
     """Two-sided inverse of a in the algebra H (x) H.
 
-    a is a root of its minimal polynomial sum_t c_t a^t, found by
-    reducing the powers 1 (x) 1, a, a^2, ... against each other until
-    one depends on the earlier ones.  c_0 = 0 makes a a zero divisor;
-    otherwise a^-1 = -c_0^-1 sum_{t>=1} c_t a^(t-1).  The candidate is
-    multiplied back on both sides before it is returned.
+    a is a root of its minimal polynomial sum_t c_t a^t.  Each power a^t
+    joins one echelon with the tag (dim, t), which sorts after every
+    index pair, so the first power whose residue is tags only gives the
+    polynomial, scaled to its least nonzero coefficient.  c_0 = 0 makes
+    a a zero divisor; otherwise a^-1 = -c_0^-1 sum_{t>=1} c_t a^(t-1).
+    The candidate is multiplied back on both sides before it is
+    returned.
     """
     if a.dim != host.dim:
         raise ShapeError("tensor/host dimension mismatch")
+    dim = a.dim
     unit2 = unit_tensor2(host)
+    span = Echelon()
     powers = [unit2]
-    # echelon rows (pivot index, row, combination of powers), pivot entry 1
-    echelon: list = []
     while True:
-        vec = powers[-1]
-        combo = [SC_ZERO] * (len(powers) - 1) + [SC_ONE]
-        for key, row, row_combo in echelon:
-            f = vec.get(*key)
-            if f.is_zero():
-                continue
-            vec = vec - row.scale(f)
-            for t, c in enumerate(row_combo):
-                if not c.is_zero():
-                    combo[t] = combo[t] - f * c
-        if not vec.nonzeros:
+        t = len(powers) - 1
+        pivot = span.add(chain(powers[t]._coef.items(), (((dim, t), SC_ONE),)))
+        if pivot[0] == dim:
             break
-        i, j, lead = vec.nonzeros[0]
-        scale = lead.inv()
-        echelon.append(((i, j), vec.scale(scale), [scale * c for c in combo]))
-        powers.append(tensor2_mul(powers[-1], a, host))
-    # combo is the minimal polynomial: sum_t combo[t] a^t = 0
-    if combo[0].is_zero():
+        powers.append(tensor2_mul(powers[t], a, host))
+    if pivot != (dim, 0):
         raise NotInvertible("tensor is a zero divisor in H(x)H")
-    minus_inv_c0 = -combo[0].inv()
-    terms = []
-    for t in range(1, len(combo)):
-        if not combo[t].is_zero():
-            f = minus_inv_c0 * combo[t]
-            terms.extend(((i, j), f * c) for i, j, c in powers[t - 1].nonzeros)
-    inv = Tensor2(a.dim, terms)
+    # span.rows[pivot] is c_0^-1 sum_t c_t (dim, t)
+    inv = Tensor2(
+        dim,
+        (
+            ((i, j), -c * x)
+            for (_, s), c in span.rows[pivot].items()
+            if s
+            for (i, j), x in powers[s - 1]._coef.items()
+        ),
+    )
     # certify two-sidedness
     if tensor2_mul(a, inv, host) != unit2 or tensor2_mul(inv, a, host) != unit2:
         raise NotInvertible("tensor has no two-sided inverse in H(x)H")

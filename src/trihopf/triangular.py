@@ -32,15 +32,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidDrinfeldElement, NotInvertible, NotQuasitriangular
-from .hopf import HopfData, algebra_inverse, is_chevalley, is_semisimple
-from .scalars import SC_HALF, SC_ZERO
+from .hopf import (
+    HopfData,
+    algebra_inverse,
+    antipode_contraction,
+    is_chevalley,
+    is_semisimple,
+)
+from .scalars import SC_HALF
 from .tensor import (
+    Echelon,
     Mat,
     Tensor2,
     Vec,
     embed13_23_12,
     flip,
-    mat_rank,
     tensor2_inv,
     tensor2_mul,
     tensor3_mul,
@@ -120,14 +126,7 @@ def drinfeld_element(h: HopfData, r: Tensor2) -> Vec:
     maps) and on every basis element otherwise; failure raises
     NotQuasitriangular.
     """
-    acc = [SC_ZERO] * h.dim
-    s_cols = h.s_columns
-    for i, j, c in r.nonzeros:
-        for p, sc in s_cols[j]:
-            csc = c * sc
-            for k, w in h.mult[p][i]:
-                acc[k] = acc[k] + csc * w
-    u = Vec(acc)
+    u = antipode_contraction(h, ((j, i, c) for i, j, c in r.nonzeros))
     try:
         u_inv = algebra_inverse(h, u)
     except NotInvertible:
@@ -167,8 +166,12 @@ def modify_r(h: HopfData, r: Tensor2, u: Vec) -> Tensor2:
 
 
 def r_matrix_rank(r: Tensor2) -> int:
-    """Rank of the coefficient matrix in the fixed basis, by exact elimination."""
-    return mat_rank(r.coefficient_matrix())
+    """Rank of the coefficient matrix (c_ij) of R = sum c_ij e_i (x) e_j,
+    by exact elimination of its sparse rows."""
+    rows: dict = {}
+    for i, j, c in r.nonzeros:
+        rows.setdefault(i, {})[j] = c
+    return len(Echelon(rows.values()))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ a sweep of candidate generators: for each candidate x it builds the
 two-sided principal ideal of x by closure under basis multiplication
 and keeps it when the ideal is nilpotent (every nilpotent ideal sits
 inside the radical).  The oracle is the sum of the kept ideals; no
-trace form is involved anywhere.  The tensor oracles expand products,
+trace form is involved anywhere, and spans are compared by the
+oracles' own dense rank.  The tensor oracles expand products,
 embeddings and flips in tensor powers of H one pure tensor at a time.
 The group oracles try every candidate, and the cyclotomic reference
 computes over Fraction modulo the product formula for Phi_n, with
@@ -18,7 +19,35 @@ from itertools import product
 from math import gcd
 
 from trihopf.scalars import SC_ONE, SC_ZERO, root_of_unity
-from trihopf.tensor import Vec, in_span, span_echelon
+from trihopf.tensor import Vec
+
+
+def rank(rows):
+    """Rank of rows of CycScalar entries, by dense Gaussian elimination.
+
+    Kept apart from trihopf.tensor's sparse echelon, which the oracles
+    built on it check.
+    """
+    rows = [list(r) for r in rows]
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        p = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        inv = rows[r][c].inv()
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c] * inv
+            if not f.is_zero():
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+def in_span(vectors, v):
+    """v lies in the span of the Vecs in vectors."""
+    rows = [u.entries for u in vectors]
+    return rank(rows + [v.entries]) == rank(rows)
 
 
 def _mul_basis_vec(h, i, v, side):
@@ -33,11 +62,9 @@ def _mul_basis_vec(h, i, v, side):
 def principal_ideal(h, x):
     """Basis of the two-sided ideal generated by x."""
     basis = []
-    ech, pivots = span_echelon(basis)
     frontier = []
     if not x.is_zero():
         basis.append(x)
-        ech, pivots = span_echelon(basis)
         frontier.append(x)
     while frontier:
         new = []
@@ -45,9 +72,8 @@ def principal_ideal(h, x):
             for i in range(h.dim):
                 for side in ("left", "right"):
                     w = _mul_basis_vec(h, i, v, side)
-                    if not w.is_zero() and not in_span(ech, pivots, w):
+                    if not w.is_zero() and not in_span(basis, w):
                         basis.append(w)
-                        ech, pivots = span_echelon(basis)
                         new.append(w)
         frontier = new
     return basis
@@ -60,13 +86,11 @@ def ideal_is_nilpotent(h, ideal_basis):
         if not current:
             return True
         nxt = []
-        ech, pivots = span_echelon(nxt)
         for a in current:
             for b in ideal_basis:
                 prod = h.mul_vec(a, b)
-                if not prod.is_zero() and not in_span(ech, pivots, prod):
+                if not prod.is_zero() and not in_span(nxt, prod):
                     nxt.append(prod)
-                    ech, pivots = span_echelon(nxt)
         current = nxt
     return not current
 
@@ -84,27 +108,21 @@ def bruteforce_radical(h):
             candidates.append(Vec.basis(h.dim, i) + Vec.basis(h.dim, j))
             candidates.append(Vec.basis(h.dim, i) - Vec.basis(h.dim, j))
     total = []
-    ech, pivots = span_echelon(total)
     for x in candidates:
-        if in_span(ech, pivots, x):
+        if in_span(total, x):
             continue
         ideal = principal_ideal(h, x)
         if ideal_is_nilpotent(h, ideal):
             for v in ideal:
-                if not in_span(ech, pivots, v):
+                if not in_span(total, v):
                     total.append(v)
-                    ech, pivots = span_echelon(total)
     return total
 
 
 def same_span(vectors_a, vectors_b):
-    if not vectors_a and not vectors_b:
-        return True
-    ea, pa = span_echelon(list(vectors_a))
-    eb, pb = span_echelon(list(vectors_b))
-    return all(in_span(ea, pa, v) for v in vectors_b) and all(
-        in_span(eb, pb, v) for v in vectors_a
-    )
+    rows_a = [v.entries for v in vectors_a]
+    rows_b = [v.entries for v in vectors_b]
+    return rank(rows_a) == rank(rows_b) == rank(rows_a + rows_b)
 
 
 # --- tensor powers of H, expanded one pure tensor at a time ---------------

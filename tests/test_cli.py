@@ -1,16 +1,21 @@
 """Command-line surface: exit codes, files, determinism."""
 
+import copy
+import io
 import json
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trihopf import constructions
 from trihopf.cli import main
 from trihopf.groups import FiniteGroup, alternating_nondegenerate_bicharacters, half_bicharacter
-from trihopf.constructions import build_bicharacter_twist
-from trihopf.serialize import dumps, load, tensor2_to_obj
+from trihopf.constructions import build_bicharacter_twist, group_algebra
+from trihopf.serialize import dumps, hopf_to_obj, load, tensor2_to_obj
 from trihopf.tensor import tensor2_inv
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -354,6 +359,134 @@ def test_septuple_validate_command(tmp_path, capsys):
     assert main(["septuple", "validate", bad]) == 1
     rep = json.loads(capsys.readouterr().out)
     assert not rep["valid"]
+
+
+def _z2_septuple(**changes):
+    """The valid Z2 septuple of test_septuple_validate_command, edited."""
+    obj = {
+        "group": FiniteGroup.cyclic(2).to_obj(),
+        "rep": {"degree": 0, "matrices": [[], []]},
+        "subgroup": [0],
+        "bicharacter": {"factors": [1], "values": [[0]]},
+        "v_dim": 1,
+        "u": 1,
+    }
+    obj.update(changes)
+    return obj
+
+
+@pytest.mark.parametrize(
+    "kind, obj",
+    [
+        ("septuple", _z2_septuple(u=1.9)),  # loaded as u = 1, valid
+        ("septuple", _z2_septuple(u=True)),
+        ("septuple", _z2_septuple(v_dim=1.0)),
+        ("septuple", _z2_septuple(subgroup=["0"])),
+        ("septuple", _z2_septuple(rep={"degree": False, "matrices": [[], []]})),
+        ("septuple", _z2_septuple(bicharacter={"factors": [1.0], "values": [[0]]})),
+        ("septuple", _z2_septuple(bicharacter={"factors": [1], "values": [[0.0]]})),
+        ("exterior", {"n": 2.5}),  # loaded as n = 2
+        ("modified-supergroup", {"rep": {"group": FiniteGroup.cyclic(2).to_obj(), "degree": 1, "matrices": [[[1]], [[-1]]]}, "u": 1.0}),
+        ("semisimple-triangular", {"group": FiniteGroup.cyclic(2).to_obj(), "subgroup": [0, True], "bicharacter": {"factors": [2], "values": [[0, 0], [0, 0]]}, "u": 0}),
+        ("semisimple-triangular", {"group": FiniteGroup.cyclic(2).to_obj(), "subgroup": [0, 1], "bicharacter": {"factors": [2], "values": [[0, 0], [0, 0]]}, "u": "0"}),
+        ("group-algebra", {"table": [[False, True], [True, False]], "identity": False}),  # built, unverifiable dump
+        ("group-algebra", {"table": [[0, 1], [1, 0]], "identity": 0.0}),
+    ],
+    ids=["u_float", "u_bool", "v_dim_float", "subgroup_str", "degree_bool", "factor_float",
+         "exponent_float", "exterior_n_float", "modifier_u_float", "subgroup_bool", "u_str",
+         "group_table_bool", "group_identity_float"],
+)
+def test_input_files_reject_non_integer_fields(tmp_path, capsys, kind, obj):
+    inp = write(tmp_path / "in.json", obj)
+    if kind == "septuple":
+        argv = ["septuple", "validate", inp]
+    else:
+        argv = ["build", inp, "--kind", kind, "-o", str(tmp_path / "out.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "is not an integer" in err and "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_verify_bounds_scalar_order_before_euler_phi(tmp_path, capsys, monkeypatch):
+    from trihopf import scalars
+
+    seen = []
+    phi = scalars.euler_phi
+
+    def recording_phi(n):
+        seen.append(n)
+        return phi(n)
+
+    monkeypatch.setattr(scalars, "euler_phi", recording_phi)
+    dump = load(GOLDEN / "sweedler.hopf.json")
+    _set_unit_product({"n": 10**9, "c": [["1", "1"]]})(dump)
+    assert main(["verify", write(tmp_path / "huge_order.json", dump)]) == 2
+    assert "coefficient count does not match order" in capsys.readouterr().err
+    assert 10**9 not in seen
+
+
+def _json_paths(obj, path=()):
+    """(path, value) for every node of a JSON tree, root first."""
+    yield path, obj
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _json_paths(value, path + (key,))
+
+
+def _z2z2_host():
+    z2 = FiniteGroup.cyclic(2)
+    return hopf_to_obj(group_algebra(FiniteGroup.direct_product(z2, z2)))
+
+
+# verify inputs: a golden dump alone, or a host with a golden R
+_FUZZ_CASES = [
+    (load(GOLDEN / "sweedler.hopf.json"), None),
+    (load(GOLDEN / "sweedler.hopf.json"), load(GOLDEN / "sweedler.r.json")),
+    (_z2z2_host(), load(GOLDEN / "z2z2_twisted.r.json")),
+]
+
+
+@st.composite
+def _mutated_verify_input(draw):
+    """One golden verify input with one file mutated: an integer swapped
+    for a float, bool or string, an integer moved out of range, or a
+    key dropped."""
+    hopf, r = copy.deepcopy(draw(st.sampled_from(_FUZZ_CASES)))
+    target = hopf if r is None or draw(st.booleans()) else r
+    kind = draw(st.sampled_from(["type", "range", "drop"]))
+    if kind == "drop":
+        path = draw(st.sampled_from([p for p, v in _json_paths(target) if isinstance(v, dict) and v]))
+        parent = target
+        for key in path:
+            parent = parent[key]
+        del parent[draw(st.sampled_from(sorted(parent)))]
+    else:
+        path = draw(st.sampled_from([p for p, v in _json_paths(target) if type(v) is int]))
+        parent = target
+        for key in path[:-1]:
+            parent = parent[key]
+        x = parent[path[-1]]
+        if kind == "type":
+            parent[path[-1]] = draw(st.sampled_from([float(x), bool(x), str(x)]))
+        else:
+            parent[path[-1]] = draw(st.sampled_from([-1, hopf["dim"], 10**9]))
+    return hopf, r
+
+
+@given(_mutated_verify_input())
+@settings(max_examples=80, deadline=None)
+def test_verify_survives_mutated_golden_files(case):
+    hopf, r = case
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["verify", write(Path(tmp) / "h.json", hopf)]
+        if r is not None:
+            argv += ["--r", write(Path(tmp) / "r.json", r)]
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_max_dim_env(tmp_path, monkeypatch):

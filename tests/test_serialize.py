@@ -9,7 +9,9 @@ from trihopf.errors import ShapeError
 from trihopf.groups import Bicharacter, FiniteGroup, GroupRep
 from trihopf.scalars import CycScalar, root_of_unity
 from trihopf.serialize import (
+    bicharacter_from_file_obj,
     dumps,
+    group_from_file_obj,
     hopf_from_obj,
     hopf_to_obj,
     septuple_from_file_obj,
@@ -77,7 +79,7 @@ def test_z2z2_twisted_golden_r():
 
 def test_group_roundtrip():
     for g in (FiniteGroup.cyclic(6), FiniteGroup.quaternion8()):
-        back = FiniteGroup.from_obj(g.to_obj())
+        back = group_from_file_obj(g.to_obj())
         assert back.table == g.table and back.identity == g.identity
         assert back.invariant_factors == g.invariant_factors
 
@@ -87,7 +89,7 @@ def test_bicharacter_roundtrip():
 
     for factors in ((2, 2), (3, 3)):
         for b in alternating_nondegenerate_bicharacters(factors):
-            back = Bicharacter.from_obj(b.to_obj())
+            back = bicharacter_from_file_obj(b.to_obj())
             assert back.values == b.values and back.factors == b.factors
 
 

@@ -24,6 +24,7 @@ from trihopf.groups import (
 )
 from trihopf.scalars import CycScalar, root_of_unity
 from trihopf.tensor import (
+    Echelon,
     Mat,
     Tensor2,
     Tensor3,
@@ -40,7 +41,7 @@ from trihopf.tensor import (
     unit_tensor3,
 )
 
-from _oracles import expand_embedding, expand_flip, expand_product, expand_sum
+from _oracles import expand_embedding, expand_flip, expand_product, expand_sum, rank
 
 ONE = CycScalar.one()
 ZERO = CycScalar.zero()
@@ -148,6 +149,42 @@ def test_elimination_property(data):
     assert solve_linear(m, m.matvec(y)) is not None
 
 
+@pytest.mark.parametrize(
+    "labels", [list(range(6)), [(i, j) for i in range(2) for j in range(3)]], ids=["int", "pair"]
+)
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_echelon_property(labels, data):
+    # sparse vectors over Q(zeta3), zero entries allowed; the last one is a
+    # combination of the others, so the span is never of full count
+    vector = st.dictionaries(st.sampled_from(labels), _CYC3_SCALARS, max_size=4)
+    vectors = data.draw(st.lists(vector, min_size=1, max_size=4))
+    combo: dict = {}
+    for v in vectors:
+        a = data.draw(_CYC3_SCALARS)
+        for k, c in v.items():
+            combo[k] = combo.get(k, ZERO) + a * c
+    vectors.append(combo)
+
+    def dense(v):
+        return [v.get(k, ZERO) for k in labels]
+
+    span = Echelon()
+    for t, v in enumerate(vectors):
+        grows = rank(map(dense, vectors[: t + 1])) > rank(map(dense, vectors[:t]))
+        assert (span.add(v) is not None) == grows
+    assert len(span) == rank(map(dense, vectors))
+    for p, row in span.rows.items():
+        assert min(row) == p and row[p] == ONE
+        assert all(not c.is_zero() for c in row.values())
+        assert all(q not in row for q in span.rows if q != p)
+    probe = data.draw(st.one_of(vector, st.sampled_from(vectors)))
+    inside = rank(map(dense, vectors + [probe])) == len(span)
+    assert (not span.reduce(probe)) == inside
+    order = data.draw(st.permutations(range(len(vectors))))
+    assert Echelon(vectors[i] for i in order).rows == span.rows
+
+
 # --- tensor squares ---------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -199,7 +236,7 @@ def test_tensor2_inv_singular(kz2):
     # 1 (x) (1 + g) annihilates 1 (x) (1 - g)
     t = Tensor2.from_dict(2, {(0, 0): ONE, (0, 1): ONE})
     for singular in (t, Tensor2.from_dict(2, {})):
-        with pytest.raises(NotInvertible):
+        with pytest.raises(NotInvertible, match="zero divisor"):
             tensor2_inv(singular, kz2)
 
 
@@ -262,8 +299,8 @@ def test_tensor2_inv_solves_nothing(monkeypatch):
     def no_solve(*args):
         raise AssertionError("tensor2_inv set up a linear system")
 
-    monkeypatch.setattr(tensor, "solve_linear", no_solve)
-    monkeypatch.setattr(tensor, "_rref", no_solve)
+    for name in ("solve_linear", "mat_kernel", "mat_rank"):
+        monkeypatch.setattr(tensor, name, no_solve)
     for h, a, expected in cases:
         inv = tensor2_inv(a, h)
         unit2 = unit_tensor2(h)
