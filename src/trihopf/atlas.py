@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .constructions import Septuple, septuple_pipeline
+from .constructions import Septuple, Twist, septuple_twist
 from .groups import (
     AbelianSubgroup,
     FiniteGroup,
@@ -35,6 +35,7 @@ from .hopf import (
 )
 from .serialize import dumps, hopf_to_obj, tensor2_to_obj
 from .triangular import (
+    certify_twisted_triangular,
     check_structure_theorems,
     r_matrix_rank,
     verify_triangular,
@@ -135,8 +136,8 @@ def enumerate_instances(max_order: int) -> list[InstanceSpec]:
     return specs
 
 
-def build_instance(spec: InstanceSpec):
-    """Rebuild (HopfData, R) from an instance spec."""
+def instance_twist(spec: InstanceSpec) -> Twist:
+    """The checked twist (H, J, J^-1, R_u) an instance spec twists."""
     g = catalog_group(spec.group)
     chars = sign_characters(g)
     if spec.v_chars:
@@ -155,21 +156,31 @@ def build_instance(spec: InstanceSpec):
         v_dim=math.isqrt(len(spec.subgroup)),
         u=spec.u,
     )
-    return septuple_pipeline(septuple)
+    return septuple_twist(septuple)
 
 
-def analysis_report(h, r=None) -> dict:
+def build_instance(spec: InstanceSpec):
+    """Rebuild (HopfData, R) from an instance spec."""
+    return instance_twist(spec).apply()
+
+
+def analysis_report(h, r=None, twist: Twist | None = None) -> dict:
     """The flat report the analyze command and atlas both emit.
 
-    When R is triangular the Chevalley property comes from the theorem
-    report, so the radical is tested for being a Hopf ideal only once.
+    When (h, r) came from twist, triangularity is certified by the
+    twisting theorem (certify_twisted_triangular); if a premise fails,
+    and always without a twist, verify_triangular decides.  When R is
+    triangular the Chevalley property comes from the theorem report, so
+    the radical is tested for being a Hopf ideal only once.
     """
     rad = h.radical
     cocommutative = is_cocommutative(h)
     order = antipode_order(h)
     block = theorems = None
     if r is not None:
-        tri = verify_triangular(h, r)
+        tri = (
+            twist is not None and certify_twisted_triangular(h, r, twist)
+        ) or verify_triangular(h, r)
         block = {"triangular": tri, "r_rank": r_matrix_rank(r)}
         if tri:
             theorems = check_structure_theorems(h, r)
@@ -198,9 +209,10 @@ def _atomic_write(path: Path, text: str):
 def _build_and_write(args):
     spec_fields, out_dir = args
     spec = InstanceSpec(**spec_fields)
-    h, r = build_instance(spec)
+    twist = instance_twist(spec)
+    h, r = twist.apply()
     axioms = h.axioms
-    report = analysis_report(h, r)
+    report = analysis_report(h, r, twist)
     out = Path(out_dir)
     _atomic_write(out / f"{spec.name}.hopf.json", dumps(hopf_to_obj(h)))
     _atomic_write(out / f"{spec.name}.r.json", dumps(tensor2_to_obj(r)))

@@ -41,6 +41,7 @@ from .errors import (
 from .groups import AbelianSubgroup
 from .serialize import (
     _int,
+    _resolve_ref,
     bicharacter_from_file_obj,
     dumps,
     group_from_file_obj,
@@ -85,6 +86,17 @@ def _check_dim(dim: int):
         raise ShapeError(f"dimension {dim} exceeds HOPF_MAX_DIM={max_dim()}")
 
 
+def _check_predicted_dim(group_obj, degree=0):
+    """Bound the output dimension |G| * 2^degree, read off the input file
+    (|G| the row count of the group's table, 1 without a group), before
+    any group or algebra is built."""
+    order = 1 if group_obj is None else len(group_obj["table"])
+    degree = _int(degree, "degree")
+    # 2^degree > degree, so degree >= max_dim() needs no power
+    if degree >= max_dim() or (degree >= 0 and order << degree > max_dim()):
+        raise ShapeError(f"dimension {order}*2^{degree} exceeds HOPF_MAX_DIM={max_dim()}")
+
+
 def _load_hopf(path):
     obj = load(path)
     _check_dim(_int(obj["dim"], "dim"))
@@ -124,32 +136,36 @@ def cmd_build(args) -> int:
     base = Path(args.input).parent
     r = None
     if kind == "group-algebra":
+        _check_predicted_dim(obj)
         h = group_algebra(group_from_file_obj(obj))
     elif kind == "exterior":
         n = _int(obj["n"], "n")
-        # bound dim = 2^n before building; 2^n > n, so n >= max_dim() needs no power
-        if n >= max_dim() or (n >= 0 and 1 << n > max_dim()):
-            raise ShapeError(f"dimension 2^{n} exceeds HOPF_MAX_DIM={max_dim()}")
+        _check_predicted_dim(None, n)
         h = exterior_algebra(n)
     elif kind == "supergroup":
+        _check_predicted_dim(_resolve_ref(obj, "group", base)[0], obj["degree"])
         rep = rep_from_file_obj(obj, base)
         h = supergroup_algebra(rep.group, rep)
     elif kind == "modified-supergroup":
         rep_obj = obj["rep"] if "rep" in obj else load(base / obj["rep_ref"])
+        _check_predicted_dim(_resolve_ref(rep_obj, "group", base)[0], rep_obj["degree"])
         rep = rep_from_file_obj(rep_obj, base)
         h, r = modified_supergroup_algebra(rep.group, rep, _int(obj["u"], "u"))
     elif kind == "semisimple-triangular":
         group_obj = obj["group"] if "group" in obj else load(base / obj["group_ref"])
+        _check_predicted_dim(group_obj)
         group = group_from_file_obj(group_obj)
         sub = AbelianSubgroup(group, [_int(i, "subgroup element") for i in obj["subgroup"]])
         gamma = bicharacter_from_file_obj(obj["bicharacter"])
         h, r = semisimple_triangular(group, sub, gamma, _int(obj["u"], "u"))
     elif kind == "septuple-pipeline":
+        _check_predicted_dim(
+            _resolve_ref(obj, "group", base)[0], _resolve_ref(obj, "rep", base)[0]["degree"]
+        )
         septuple = septuple_from_file_obj(obj, base)
         h, r = septuple_pipeline(septuple)
     else:  # argparse choices make this unreachable
         raise ShapeError(f"unknown kind {kind}")
-    _check_dim(h.dim)
     save(args.output, hopf_to_obj(h))
     if r is not None:
         r_path = args.r_out or _derived_r_path(args.output)

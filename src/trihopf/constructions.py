@@ -411,14 +411,20 @@ def inflate_group_tensor(t: Tensor2, factor: int, dim: int) -> Tensor2:
 
 
 def _twist_identities_hold(h: HopfData, j: Tensor2) -> bool:
+    """Counit normalization and (Delta (x) id)(J) J12 = (id (x) Delta)(J) J23.
+
+    This is the cocycle order under which Delta^J = J^-1 Delta J is
+    coassociative; J12 (Delta (x) id)(J) = J23 (id (x) Delta)(J) is the
+    one for J Delta J^-1.
+    """
     left, right = counit_slants(h, j.nonzeros)
     if left != h.unit or right != h.unit:
         return False
     lhs = tensor3_mul(
-        embed13_23_12(j, "12", h), embed13_23_12(j, "delta_id", h), h
+        embed13_23_12(j, "delta_id", h), embed13_23_12(j, "12", h), h
     )
     rhs = tensor3_mul(
-        embed13_23_12(j, "23", h), embed13_23_12(j, "id_delta", h), h
+        embed13_23_12(j, "id_delta", h), embed13_23_12(j, "23", h), h
     )
     return lhs == rhs
 
@@ -426,13 +432,76 @@ def _twist_identities_hold(h: HopfData, j: Tensor2) -> bool:
 def verify_twist(h: HopfData, j: Tensor2) -> bool:
     """Counit normalization and the cocycle identity, checked exhaustively.
 
-    Returns False on identity failures; raises NotInvertible when the
-    identities hold but j is singular in H (x) H.
+    The cocycle identity is (Delta (x) id)(J) J12 = (id (x) Delta)(J) J23,
+    the one apply_twist's Delta^J = J^-1 Delta J needs.  Returns False on
+    identity failures; raises NotInvertible when the identities hold but
+    j is singular in H (x) H.
     """
     if not _twist_identities_hold(h, j):
         return False
     tensor2_inv(j, h)
     return True
+
+
+@dataclass(frozen=True)
+class Twist:
+    """A twist J of an ordinary Hopf algebra H, with J^-1 and an optional R.
+
+    Constructing one checks J: counit normalization, the cocycle identity
+    (Delta (x) id)(J) J12 = (id (x) Delta)(J) J23, and J^-1 two-sided (it
+    is solved for when not given); any failure raises TwistError, or
+    NotInvertible for a singular J.  R, when given, is a triangular
+    structure of H to carry along; it is not checked here.
+    """
+
+    host: HopfData
+    j: Tensor2
+    j_inv: Optional[Tensor2] = None
+    r: Optional[Tensor2] = None
+
+    def __post_init__(self):
+        h, j = self.host, self.j
+        if h.super:
+            raise TwistError("twisting super Hopf algebras is not supported")
+        if not _twist_identities_hold(h, j):
+            raise TwistError("counit or cocycle identity fails")
+        if self.j_inv is None:
+            object.__setattr__(self, "j_inv", tensor2_inv(j, h))
+        else:
+            unit2 = unit_tensor2(h)
+            if tensor2_mul(j, self.j_inv, h) != unit2 or tensor2_mul(self.j_inv, j, h) != unit2:
+                raise TwistError("provided inverse is not a two-sided inverse")
+
+    def apply(self) -> tuple[HopfData, Optional[Tensor2]]:
+        """(H^J, R^J): Delta^J(x) = J^-1 Delta(x) J, the antipode conjugated
+        by Q = m(S (x) id)(J), and R^J = J21^-1 R J when R is given;
+        multiplication, unit and counit are H's."""
+        h, j, j_inv = self.host, self.j, self.j_inv
+        comult_new = []
+        for i in range(h.dim):
+            t = tensor2_mul(tensor2_mul(j_inv, h.comult_tensor(i), h), j, h)
+            comult_new.append(tuple((a, b, c) for a, b, c in t.nonzeros))
+        q_vec = antipode_contraction(h, j.nonzeros)
+        q_inv = algebra_inverse(h, q_vec)
+        cols = []
+        for i in range(h.dim):
+            img = h.mul_vec(h.mul_vec(q_inv, h.antipode.col(i)), q_vec)
+            cols.append(list(img.entries))
+        antipode_new = Mat(tuple(zip(*cols)))
+        out = make_hopf(
+            dim=h.dim,
+            unit=h.unit,
+            mult=h.mult,
+            comult=tuple(comult_new),
+            counit=h.counit,
+            antipode=antipode_new,
+            parity=h.parity,
+            super=h.super,
+        )
+        r_new = None
+        if self.r is not None:
+            r_new = tensor2_mul(tensor2_mul(flip(j_inv), self.r, h), j, h)
+        return out, r_new
 
 
 def apply_twist(
@@ -443,44 +512,13 @@ def apply_twist(
 ) -> tuple[HopfData, Optional[Tensor2]]:
     """Conjugate the comultiplication by a verified twist.
 
-    Multiplication, unit and counit are untouched; Delta^J(x) =
-    J^-1 Delta(x) J, the antipode conjugates by Q = m(S (x) id)(J), and
-    an optional triangular structure transforms as J21^-1 R J.
+    J must satisfy counit normalization and the cocycle identity
+    (Delta (x) id)(J) J12 = (id (x) Delta)(J) J23 (checked, as Twist
+    does); then Delta^J(x) = J^-1 Delta(x) J, the antipode conjugates by
+    Q = m(S (x) id)(J), and an optional triangular structure transforms
+    as J21^-1 R J.  Multiplication, unit and counit are untouched.
     """
-    if h.super:
-        raise TwistError("twisting super Hopf algebras is not supported")
-    if not _twist_identities_hold(h, j):
-        raise TwistError("counit or cocycle identity fails")
-    unit2 = unit_tensor2(h)
-    if j_inv is None:
-        j_inv = tensor2_inv(j, h)
-    elif tensor2_mul(j, j_inv, h) != unit2 or tensor2_mul(j_inv, j, h) != unit2:
-        raise TwistError("provided inverse is not a two-sided inverse")
-    comult_new = []
-    for i in range(h.dim):
-        t = tensor2_mul(tensor2_mul(j_inv, h.comult_tensor(i), h), j, h)
-        comult_new.append(tuple((a, b, c) for a, b, c in t.nonzeros))
-    q_vec = antipode_contraction(h, j.nonzeros)
-    q_inv = algebra_inverse(h, q_vec)
-    cols = []
-    for i in range(h.dim):
-        img = h.mul_vec(h.mul_vec(q_inv, h.antipode.col(i)), q_vec)
-        cols.append(list(img.entries))
-    antipode_new = Mat(tuple(zip(*cols)))
-    out = make_hopf(
-        dim=h.dim,
-        unit=h.unit,
-        mult=h.mult,
-        comult=tuple(comult_new),
-        counit=h.counit,
-        antipode=antipode_new,
-        parity=h.parity,
-        super=h.super,
-    )
-    r_new = None
-    if r is not None:
-        r_new = tensor2_mul(tensor2_mul(flip(j_inv), r, h), j, h)
-    return out, r_new
+    return Twist(h, j, j_inv, r).apply()
 
 
 def semisimple_triangular(
@@ -648,8 +686,9 @@ def validate_septuple(s: Septuple) -> SeptupleReport:
     return SeptupleReport(tuple(checks))
 
 
-def septuple_pipeline(s: Septuple) -> tuple[HopfData, Tensor2]:
-    """Modified supergroup algebra twisted on the abelian subgroup.
+def septuple_twist(s: Septuple) -> Twist:
+    """The checked twist behind septuple_pipeline: the modified supergroup
+    algebra, its R_u, and the bicharacter twist on the abelian subgroup.
 
     Realizes the Y = B = 0 stratum; anything with Y or B nonzero is
     rejected as UnsupportedStratum.
@@ -671,4 +710,10 @@ def septuple_pipeline(s: Septuple) -> tuple[HopfData, Tensor2]:
     factor = h.dim // s.group.order
     j_big = inflate_group_tensor(j, factor, h.dim)
     j_inv_big = inflate_group_tensor(j_inv, factor, h.dim)
-    return apply_twist(h, j_big, r=ru, j_inv=j_inv_big)
+    return Twist(h, j_big, j_inv_big, ru)
+
+
+def septuple_pipeline(s: Septuple) -> tuple[HopfData, Tensor2]:
+    """Modified supergroup algebra twisted on the abelian subgroup:
+    septuple_twist(s).apply()."""
+    return septuple_twist(s).apply()

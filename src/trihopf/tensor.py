@@ -45,6 +45,8 @@ class Vec:
 
     @classmethod
     def basis(cls, dim: int, i: int) -> "Vec":
+        if not 0 <= i < dim:
+            raise ShapeError(f"basis index {i} out of range for dimension {dim}")
         return cls(tuple(SC_ONE if j == i else SC_ZERO for j in range(dim)))
 
     def nonzeros(self):

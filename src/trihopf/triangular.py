@@ -21,15 +21,39 @@ from the fewest exact checks a lemma allows:
   and so is S^2 = Ad(u) for the Drinfeld element, since S^2 and Ad(u)
   are algebra maps.
 On any other host the fallback checks both sides of unitarity, both
-hexagons and every basis element.  The checks bundled in
-check_structure_theorems assert u^2 = 1, u group-like, S^4 = id and the
-odd-dimension degeneration u = 1 with semisimplicity, recording
-failures instead of raising.
+hexagons and every basis element.
+
+A pair built by twisting, (H^J, R^J) with Delta^J = J^-1 Delta J and
+R^J = J21^-1 R J, is certified by Drinfeld's twisting theorem (Kassel,
+Quantum Groups, XV.3, in the convention of Etingof and Gelaki): if
+(H, R) is a triangular bialgebra and J an invertible twist with
+(eps (x) id)(J) = (id (x) eps)(J) = 1 and
+(Delta (x) id)(J) J12 = (id (x) Delta)(J) J23, then (H^J, R^J) is
+triangular.  certify_twisted_triangular checks the premises on the data
+the twist came from, not R^J itself:
+1. the axioms of H^J, which has the multiplication, unit and counit of H;
+2. R triangular on H, by the exhaustive checks above;
+3. J normalized and the cocycle identity in the order above;
+4. J^-1 two-sided;
+5. J Delta^J(e_i) = Delta(e_i) J for every i, and J21 R^J = R J.
+Premises 3 and 4 are checked when the constructions.Twist is made.
+H's own bialgebra identities are not checked: they follow from those of
+H^J.  By 4 and 5, Delta = Ad(J) o Delta^J, so Delta is a unital algebra
+map.  With F = (Delta (x) id)(J) J12 and G = (id (x) Delta)(J) J23,
+(Delta (x) id) Delta = Ad(F) o (Delta^J (x) id) Delta^J and
+(id (x) Delta) Delta = Ad(G) o (id (x) Delta^J) Delta^J, so Delta is
+coassociative because F = G (3) and Delta^J is coassociative.  It is
+counital because eps (x) id is an algebra map sending J to 1 (3).
+
+The checks bundled in check_structure_theorems assert u^2 = 1, u
+group-like, S^4 = id and the odd-dimension degeneration u = 1 with
+semisimplicity, recording failures instead of raising.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import InvalidDrinfeldElement, NotInvertible, NotQuasitriangular
 from .hopf import (
@@ -52,6 +76,9 @@ from .tensor import (
     tensor3_mul,
     unit_tensor2,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .constructions import Twist
 
 
 def _hexagon(h: HopfData, r: Tensor2, coproduct: str, right: str) -> bool:
@@ -95,16 +122,10 @@ def verify_quasitriangular(h: HopfData, r: Tensor2) -> bool:
     )
 
 
-def verify_triangular(h: HopfData, r: Tensor2) -> bool:
-    """Quasitriangular with R21 = R^-1, no inverse solved for.
-
-    On a host whose axioms hold: flip(R) R = 1 (x) 1, the first hexagon
-    and the conjugation identity on the generators; the other side of
-    unitarity and the second hexagon follow (see the module docstring).
-    Otherwise flip(R) R = R flip(R) = 1 (x) 1, both hexagons and the
-    conjugation identity on every basis element.
-    """
-    gens = _certified_generators(h)
+def _triangular(h: HopfData, r: Tensor2, gens) -> bool:
+    """flip(R) R = 1 (x) 1, the first hexagon and the conjugation identity
+    on gens; with gens None also R flip(R) = 1 (x) 1, the second hexagon
+    and conjugation on every basis element."""
     unit2 = unit_tensor2(h)
     r21 = flip(r, h)
     if tensor2_mul(r21, r, h) != unit2:
@@ -116,6 +137,47 @@ def verify_triangular(h: HopfData, r: Tensor2) -> bool:
     if gens is None and not _hexagon(h, r, "id_delta", "12"):
         return False
     return _conjugation(h, r, gens)
+
+
+def verify_triangular(h: HopfData, r: Tensor2) -> bool:
+    """Quasitriangular with R21 = R^-1, no inverse solved for.
+
+    On a host whose axioms hold: flip(R) R = 1 (x) 1, the first hexagon
+    and the conjugation identity on the generators; the other side of
+    unitarity and the second hexagon follow (see the module docstring).
+    Otherwise flip(R) R = R flip(R) = 1 (x) 1, both hexagons and the
+    conjugation identity on every basis element.
+    """
+    return _triangular(h, r, _certified_generators(h))
+
+
+def _algebra_key(h: HopfData):
+    """What H^J shares with H: multiplication, unit, counit and grading."""
+    return h.super, h.parity, h.unit, h.counit, h.mult
+
+
+def certify_twisted_triangular(h: HopfData, r: Tensor2, twist: Twist) -> bool:
+    """True when the twisting theorem proves (h, r) triangular.
+
+    twist is the constructions.Twist (H, J, J^-1, R) that (h, r) claims
+    to come from; constructing it checked that J is a normalized cocycle
+    with a two-sided inverse.  The remaining premises (see the module
+    docstring) are checked here, each exactly:
+    - h.axioms.ok, and h has the multiplication, unit and counit of H;
+    - R is triangular on H, by the exhaustive checks (H's own axioms
+      follow from h's and are not computed);
+    - J Delta_h(e_i) = Delta_H(e_i) J for every i, and J21 r = R J.
+    False means a premise failed, not that r is not triangular.
+    """
+    host, r0, j = twist.host, twist.r, twist.j
+    if r0 is None or not h.axioms.ok or _algebra_key(h) != _algebra_key(host):
+        return False
+    if not _triangular(host, r0, None):
+        return False
+    for i in range(h.dim):
+        if tensor2_mul(j, h.comult_tensor(i), h) != tensor2_mul(host.comult_tensor(i), j, h):
+            return False
+    return tensor2_mul(flip(j, h), r, h) == tensor2_mul(r0, j, h)
 
 
 def drinfeld_element(h: HopfData, r: Tensor2) -> Vec:

@@ -18,8 +18,8 @@ from functools import lru_cache
 from itertools import product
 from math import gcd
 
-from trihopf.scalars import SC_ONE, SC_ZERO, root_of_unity
-from trihopf.tensor import Vec
+from trihopf.scalars import SC_ONE, SC_ZERO, CycScalar, root_of_unity
+from trihopf.tensor import Tensor2, Vec
 
 
 def rank(rows):
@@ -487,3 +487,13 @@ def ref_smallest_field(a, n):
             _galois(a, k, n) == a for k in range(1, n) if gcd(k, n) == 1 and k % m == 1 % m
         ):
             return m
+
+
+def sweedler_r(ru):
+    """A triangular structure of the Sweedler algebra (basis 1, x, g, gx,
+    as modified_supergroup_algebra builds it) other than R_u, written out
+    by hand: R_u + (1/2)(-x (x) x + x (x) gx - gx (x) x - gx (x) gx)."""
+    half = CycScalar.from_rational(1, 2)
+    return ru + Tensor2.from_dict(
+        4, {(1, 1): -half, (1, 3): half, (3, 1): -half, (3, 3): -half}
+    )

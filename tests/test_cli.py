@@ -71,6 +71,42 @@ def test_build_exterior_checks_dim_before_building(tmp_path, capsys):
     assert not (tmp_path / "e.hopf.json").exists()
 
 
+def _oversized_inputs():
+    """One input per group-based kind whose predicted output dimension
+    exceeds 32: a 300-row table, or |G| = 16 with W of dimension 2."""
+    z300 = {"table": [[(a + b) % 300 for b in range(300)] for a in range(300)], "identity": 0}
+    z16 = FiniteGroup.cyclic(16).to_obj()
+    rep = {"group": z16, "degree": 2, "matrices": []}
+    return {
+        "group-algebra": z300,
+        "semisimple-triangular": {"group": z300, "subgroup": [0], "bicharacter": {}, "u": 0},
+        "supergroup": rep,
+        "modified-supergroup": {"rep": rep, "u": 8},
+        "septuple-pipeline": {
+            "group": z16,
+            "rep": {"degree": 2, "matrices": []},
+            "subgroup": [0],
+            "bicharacter": {},
+            "v_dim": 1,
+            "u": 8,
+        },
+    }
+
+
+@pytest.mark.parametrize("kind", list(_oversized_inputs()))
+def test_build_bounds_the_dimension_before_building(tmp_path, monkeypatch, capsys, kind):
+    inp = write(tmp_path / "in.json", _oversized_inputs()[kind])
+
+    def no_group(self):
+        raise AssertionError("group built before the dimension bound")
+
+    monkeypatch.setattr(FiniteGroup, "_validate", no_group)
+    out = tmp_path / "out.hopf.json"
+    assert main(["build", inp, "--kind", kind, "-o", str(out)]) == 2
+    assert "exceeds HOPF_MAX_DIM" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_build_rejects_b_nonzero_septuple(tmp_path):
     z2 = FiniteGroup.cyclic(2).to_obj()
     inp = write(
@@ -328,6 +364,15 @@ def test_modify_command(tmp_path, sweedler_input):
     )
     assert code == 0
     assert load(out)["entries"] == [[0, 0, {"c": [["1", "1"]], "n": 1}]]
+
+
+@pytest.mark.parametrize("u", ["99", "-1", "4"])
+def test_modify_rejects_an_index_out_of_range(tmp_path, capsys, u):
+    out = tmp_path / "rmod.json"
+    argv = ["modify", str(GOLDEN / "sweedler.hopf.json"), "--r", str(GOLDEN / "sweedler.r.json")]
+    assert main(argv + ["--u", u, "-o", str(out)]) == 2
+    assert "out of range" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_septuple_validate_command(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from trihopf.constructions import (
     Septuple,
+    Twist,
     apply_twist,
     build_bicharacter_twist,
     group_algebra,
@@ -24,6 +25,7 @@ from trihopf.errors import (
     NotAbelian,
     NotInvertible,
     SeptupleInvariantViolation,
+    TwistError,
     UnsupportedStratum,
 )
 from trihopf.groups import (
@@ -43,13 +45,23 @@ from trihopf.hopf import (
     verify_hopf,
 )
 from trihopf.scalars import CycScalar, root_of_unity
-from trihopf.tensor import Mat, Tensor2, Vec, unit_tensor2
+from trihopf.tensor import (
+    Mat,
+    Tensor2,
+    Vec,
+    embed13_23_12,
+    flip,
+    tensor2_inv,
+    tensor3_mul,
+    unit_tensor2,
+)
 from trihopf.triangular import drinfeld_element, r_matrix_rank, r_u, verify_triangular
 
 from _oracles import (
     bicharacter_twist_double_sum,
     bruteforce_alternating_nondegenerate,
     bruteforce_sign_characters,
+    sweedler_r,
 )
 
 ONE = CycScalar.one()
@@ -310,6 +322,55 @@ def test_symmetric_z2_bicharacter_twist(z2):
     expected = unit_tensor2(h) - Tensor2.outer(e_minus, e_minus).scale(sc(2))
     assert j == expected
     assert verify_twist(h, j)
+
+
+def _old_cocycle_order(h, j):
+    """J12 (Delta (x) id)(J) = J23 (id (x) Delta)(J), the identity for J Delta J^-1."""
+    return tensor3_mul(
+        embed13_23_12(j, "12", h), embed13_23_12(j, "delta_id", h), h
+    ) == tensor3_mul(embed13_23_12(j, "23", h), embed13_23_12(j, "id_delta", h), h)
+
+
+def test_twist_cocycle_order_matches_delta_j(sweedler):
+    # J = R passes the identity for J Delta J^-1 but twists R into a
+    # non-triangular R^J; apply_twist's J^-1 Delta J needs the other order
+    h, _ = sweedler
+    r = sweedler_r(sweedler[1])
+    assert verify_triangular(h, r)
+    assert _old_cocycle_order(h, r)
+    assert verify_twist(h, r) is False
+    with pytest.raises(TwistError):
+        apply_twist(h, r, r=r)
+
+
+def test_flipped_r_twists_sweedler_to_its_opposite(sweedler):
+    # J = R21 = R^-1 gives J^-1 Delta J = R Delta R^-1 = Delta^op
+    h, _ = sweedler
+    r = sweedler_r(sweedler[1])
+    j = flip(r, h)
+    assert not _old_cocycle_order(h, j)
+    assert verify_twist(h, j)
+    h2, r2 = apply_twist(h, j, r=r)
+    assert verify_hopf(h2).ok
+    assert verify_triangular(h2, r2)
+    for i in range(4):
+        assert h2.comult_tensor(i) == flip(h.comult_tensor(i), h)
+
+
+def test_twist_record_checks_its_premises(z2z2):
+    h = group_algebra(z2z2)
+    a = z2z2.abelian_subgroup(range(4))
+    beta = half_bicharacter(alternating_nondegenerate_bicharacters((2, 2))[0])
+    j = build_bicharacter_twist(a, beta)
+    tw = Twist(h, j)
+    assert tw.j_inv == tensor2_inv(j, h)
+    bad = j + Tensor2.from_dict(4, {(1, 2): sc(1, 3)})
+    with pytest.raises(TwistError):
+        Twist(h, bad, tw.j_inv)
+    with pytest.raises(TwistError):
+        Twist(h, j, unit_tensor2(h))
+    with pytest.raises(TwistError):
+        Twist(exterior_algebra(1), unit_tensor2(exterior_algebra(1)))
 
 
 def test_unit_twist_is_a_no_op(z2z2):

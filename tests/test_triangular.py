@@ -1,10 +1,13 @@
 """Quasitriangularity, the Drinfeld element, structural theorem checks."""
 
+import copy
+
 import pytest
 
 from trihopf import triangular
-from trihopf.atlas import build_instance, enumerate_instances
+from trihopf.atlas import analysis_report, build_instance, enumerate_instances, instance_twist
 from trihopf.constructions import (
+    Twist,
     apply_twist,
     build_bicharacter_twist,
     exterior_algebra,
@@ -13,7 +16,7 @@ from trihopf.constructions import (
     semisimple_triangular,
     supergroup_algebra,
 )
-from trihopf.errors import InvalidDrinfeldElement, NotQuasitriangular
+from trihopf.errors import InvalidDrinfeldElement, NotQuasitriangular, TwistError
 from trihopf.groups import (
     Bicharacter,
     FiniteGroup,
@@ -26,6 +29,7 @@ from trihopf.hopf import is_cocommutative, verify_hopf
 from trihopf.scalars import CycScalar, root_of_unity
 from trihopf.tensor import Mat, Tensor2, Vec, flip, tensor2_mul, unit_tensor2
 from trihopf.triangular import (
+    certify_twisted_triangular,
     check_structure_theorems,
     drinfeld_element,
     modify_r,
@@ -35,7 +39,7 @@ from trihopf.triangular import (
     verify_triangular,
 )
 
-from _oracles import exhaustive_triangular
+from _oracles import exhaustive_triangular, sweedler_r
 
 ONE = CycScalar.one()
 
@@ -338,3 +342,103 @@ def test_unverified_host_takes_the_exhaustive_path():
     assert exhaustive_triangular(broken, _as_dict(unit_tensor2(broken)))
     with pytest.raises(NotQuasitriangular):
         drinfeld_element(broken, unit_tensor2(broken))
+
+
+# --- the twisting-theorem certificate ------------------------------------------
+
+
+def _forged(twist, **fields):
+    """A copy of a Twist with fields swapped in after its checks ran."""
+    out = copy.copy(twist)
+    for name, value in fields.items():
+        object.__setattr__(out, name, value)
+    return out
+
+
+def test_certificate_matches_verify_triangular_on_atlas9():
+    specs = enumerate_instances(9)
+    for spec in specs:
+        tw = instance_twist(spec)
+        h, r = tw.apply()
+        assert certify_twisted_triangular(h, r, tw) == verify_triangular(h, r) is True
+    assert len(specs) == 119
+
+
+def test_certificate_mutants_fail_on_atlas9():
+    twisted = noncommuting = 0
+    for k, spec in enumerate(enumerate_instances(9)):
+        tw = instance_twist(spec)
+        h, r = tw.apply()
+        cocommutative = is_cocommutative(h)
+        noncommuting += not cocommutative
+        # one R^J entry perturbed
+        assert not certify_twisted_triangular(h, _perturbed(r, k), tw)
+        # one J entry perturbed: the Twist refuses it, and on a
+        # non-cocommutative host a record forged past that check fails the
+        # multiply-back
+        bad_j = _perturbed(tw.j, k)
+        with pytest.raises(TwistError):
+            Twist(tw.host, bad_j, tw.j_inv, tw.r)
+        if not cocommutative:
+            assert not certify_twisted_triangular(h, r, _forged(tw, j=bad_j))
+        # J21 replaced by J: J^-1 R J in place of J21^-1 R J
+        wrong = tensor2_mul(tensor2_mul(tw.j_inv, tw.r, h), tw.j, h)
+        if wrong != r:
+            twisted += 1
+            assert not certify_twisted_triangular(h, wrong, tw)
+        # the record names another R of the host
+        assert not certify_twisted_triangular(h, r, _forged(tw, r=_perturbed(tw.r, k)))
+        # R = 1 (x) 1 is not triangular on a non-cocommutative host, and
+        # neither is its twist
+        if not is_cocommutative(tw.host):
+            plain = Twist(tw.host, tw.j, tw.j_inv, unit_tensor2(tw.host))
+            assert not certify_twisted_triangular(*plain.apply(), plain)
+    assert twisted > 50 and noncommuting > 10
+
+
+def test_certificate_refuses_sweedler_twisted_by_r(sweedler):
+    # J = R satisfies the cocycle identity of J Delta J^-1, the order the
+    # twist check once used, and R^J is then not triangular; in the order
+    # of J^-1 Delta J no Twist, hence no certificate, exists for it
+    h, ru = sweedler
+    r = sweedler_r(ru)
+    with pytest.raises(TwistError):
+        Twist(h, r, flip(r), r)
+    tw = Twist(h, flip(r), r, r)
+    h2, r2 = tw.apply()
+    assert certify_twisted_triangular(h2, r2, tw) and verify_triangular(h2, r2)
+
+
+def test_certificate_needs_the_twisted_algebra():
+    spec = next(s for s in enumerate_instances(8) if s.name == "Z2xZ2_u1_V2_A0-1-2-3_g0")
+    tw = instance_twist(spec)
+    h, r = tw.apply()
+    assert certify_twisted_triangular(h, r, tw)
+    broken = h.replace(antipode=Mat.zero(h.dim, h.dim))
+    assert not broken.axioms.ok
+    assert not certify_twisted_triangular(broken, r, tw)
+    # the untwisted host does not have the twisted coproduct
+    assert not certify_twisted_triangular(tw.host, r, tw)
+    # k[Z6] has the coproduct, unit and counit of k[S3] but another
+    # multiplication, so it is no twist of k[S3]
+    s3 = group_algebra(FiniteGroup.symmetric3())
+    one = unit_tensor2(s3)
+    trivial = Twist(s3, one, one, one)
+    assert certify_twisted_triangular(*trivial.apply(), trivial)
+    z6 = group_algebra(FiniteGroup.cyclic(6))
+    assert z6.axioms.ok and z6.comult == s3.comult
+    assert not certify_twisted_triangular(z6, unit_tensor2(z6), trivial)
+
+
+@pytest.mark.parametrize("certified", [True, False])
+def test_atlas_report_falls_back_when_a_premise_fails(monkeypatch, certified):
+    calls = []
+    monkeypatch.setattr("trihopf.atlas.certify_twisted_triangular", lambda h, r, tw: certified)
+    monkeypatch.setattr("trihopf.atlas.verify_triangular", lambda h, r: calls.append(1) or True)
+    tw = instance_twist(enumerate_instances(8)[5])
+    h, r = tw.apply()
+    assert analysis_report(h, r, tw)["triangular"]["triangular"]
+    assert len(calls) == (0 if certified else 1)
+    # without a twist the exhaustive check decides
+    assert analysis_report(h, r)["triangular"]["triangular"]
+    assert len(calls) == (1 if certified else 2)
