@@ -5,12 +5,20 @@ integer strings; sparse tensors as index/scalar lists with 0-based
 indices sorted lexicographically, so dumps are byte-stable.  For
 hand-written input files a plain integer is also accepted wherever a
 scalar is expected.
+
+A dump is the text json.dumps(obj, sort_keys=True, indent=2) plus a
+newline (ASCII escapes, two-space indent), written by dumps() below
+rather than by the json module, whose indenting encoder runs in pure
+Python.  Every file is read through load(), which refuses a key
+repeated within one JSON object (ShapeError, exit 2) instead of keeping
+its last value.
 """
 
 from __future__ import annotations
 
 import json
-from math import lcm
+from json.encoder import encode_basestring_ascii as _quote
+from math import lcm, prod
 from pathlib import Path
 
 from .constructions import Septuple
@@ -146,16 +154,115 @@ def tensor2_from_obj(obj) -> Tensor2:
     return Tensor2.from_dict(dim, {key: scalar_from_obj(c) for key, c in entries.items()})
 
 
+def _scalar_key(obj: dict, depth: int):
+    """The memo key (depth, n, num, den, ...) of a scalar encoding
+    {"n": int, "c": [[str, str], ...]}, or None for any other dict."""
+    n, c = obj.get("n"), obj.get("c")
+    if type(n) is not int or type(c) is not list:
+        return None
+    key = [depth, n]
+    for pair in c:
+        if type(pair) is not list or len(pair) != 2:
+            return None
+        if type(pair[0]) is not str or type(pair[1]) is not str:
+            return None
+        key += pair
+    return tuple(key)
+
+
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """The text json.dumps(obj, sort_keys=True, indent=2) + "\n".
+
+    obj is a tree of dicts with str keys, lists, tuples, str, int, bool
+    and None; any other type, a float included, raises TypeError.  The
+    tree is walked once into one list of fragments.  A dump repeats a few
+    scalars (1, -1, 1/2, powers of zeta) thousands of times, so the text
+    of each scalar encoding is made once per depth and content and then
+    looked up.
+    """
+    out: list[str] = []
+    append = out.append
+    breaks = ["\n"]  # breaks[d]: a newline and the indent of depth d
+    scalars: dict = {}
+
+    def write(o, depth):
+        t = type(o)
+        if t is str:
+            append(_quote(o))
+        elif t is int:
+            append(repr(o))
+        elif o is None:
+            append("null")
+        elif t is bool:
+            append("true" if o else "false")
+        elif t is list or t is tuple:
+            if not o:
+                append("[]")
+                return
+            if len(breaks) <= depth + 1:
+                breaks.append(breaks[-1] + "  ")
+            inner = breaks[depth + 1]
+            append("[")
+            for x in o:
+                append(inner)
+                write(x, depth + 1)
+                append(",")
+            out[-1] = breaks[depth] + "]"  # the last item's comma
+        elif t is dict:
+            if not o:
+                append("{}")
+                return
+            key = _scalar_key(o, depth) if len(o) == 2 else None
+            if key is not None:
+                text = scalars.get(key)
+                if text is not None:
+                    append(text)
+                    return
+                start = len(out)
+            if len(breaks) <= depth + 1:
+                breaks.append(breaks[-1] + "  ")
+            inner = breaks[depth + 1]
+            append("{")
+            for k in sorted(o):
+                if type(k) is not str:
+                    raise TypeError(f"keys must be str, not {type(k).__name__}")
+                append(inner)
+                append(_quote(k))
+                append(": ")
+                write(o[k], depth + 1)
+                append(",")
+            out[-1] = breaks[depth] + "}"
+            if key is not None:
+                text = scalars[key] = "".join(out[start:])
+                del out[start:]
+                append(text)
+        else:
+            raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+    write(obj, 0)
+    append("\n")
+    return "".join(out)
 
 
 def save(path, obj):
     Path(path).write_text(dumps(obj))
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object from its (key, value) pairs, refusing a repeated key,
+    of which json.loads would keep the last value."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ShapeError(f"repeated key {key!r} in a JSON object")
+            seen.add(key)
+    return obj
+
+
 def load(path):
-    return json.loads(Path(path).read_text())
+    return json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
 
 
 # --- input-file loaders (group, representation, bicharacter, septuple) ----
@@ -179,7 +286,7 @@ def _resolve_ref(obj, key, base_dir):
     if ref is None:
         raise ShapeError(f"missing {key!r} or {key}_ref")
     path = Path(base_dir) / ref if base_dir is not None else Path(ref)
-    return json.loads(Path(path).read_text()), path.parent
+    return load(path), path.parent
 
 
 def _rep_on(group: FiniteGroup, obj) -> GroupRep:
@@ -194,12 +301,22 @@ def rep_from_file_obj(obj, base_dir=None) -> GroupRep:
 
 def bicharacter_from_file_obj(obj) -> Bicharacter:
     """A bicharacter from its factors and its table of exponents k, each
-    value zeta_N**k for N the lcm of the factors (Bicharacter.to_obj)."""
+    value zeta_N**k for N the lcm of the factors (Bicharacter.to_obj).
+
+    The table must be n x n for n the product of the factors, which is
+    checked before any root of unity is made: N is then bounded by the
+    size of the file, where a lone factor of 10**9 would start a
+    cyclotomic reduction of that order.
+    """
     factors = tuple(_int(f, "bicharacter factor") for f in obj["factors"])
+    n = prod(factors)
+    values = obj["values"]
+    if any(f < 1 for f in factors) or len(values) != n or any(len(row) != n for row in values):
+        raise ShapeError(f"bicharacter factors {list(factors)} need a {n} x {n} value table")
     n_amb = lcm(1, *factors)
     rows = tuple(
         tuple(root_of_unity(n_amb, _int(k, "bicharacter exponent")) for k in row)
-        for row in obj["values"]
+        for row in values
     )
     return Bicharacter(factors, rows)
 

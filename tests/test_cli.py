@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, files, determinism."""
 
 import copy
+import hashlib
 import io
 import json
 import tempfile
@@ -31,13 +32,14 @@ def z2_file(tmp_path):
     return write(tmp_path / "z2.json", FiniteGroup.cyclic(2).to_obj())
 
 
+def _sweedler_input():
+    z2 = FiniteGroup.cyclic(2).to_obj()
+    return {"rep": {"group": z2, "degree": 1, "matrices": [[[1]], [[-1]]]}, "u": 1}
+
+
 @pytest.fixture()
 def sweedler_input(tmp_path):
-    z2 = FiniteGroup.cyclic(2).to_obj()
-    return write(
-        tmp_path / "sweedler.json",
-        {"rep": {"group": z2, "degree": 1, "matrices": [[[1]], [[-1]]]}, "u": 1},
-    )
+    return write(tmp_path / "sweedler.json", _sweedler_input())
 
 
 def test_build_group_algebra(tmp_path, z2_file):
@@ -534,6 +536,96 @@ def test_verify_survives_mutated_golden_files(case):
     assert "Traceback" not in err.getvalue()
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ('  "mult": [', '  "mult": [],\n  "mult": ['),
+        ('  "super": false', '  "super": true,\n  "super": false'),
+    ],
+    ids=["mult", "super"],
+)
+def test_verify_rejects_a_repeated_key(tmp_path, capsys, old, new):
+    text = (GOLDEN / "sweedler.hopf.json").read_text()
+    assert text.count(old) == 1
+    dump = tmp_path / "h.json"
+    dump.write_text(text.replace(old, new))
+    assert main(["verify", str(dump)]) == 2
+    assert "repeated key" in capsys.readouterr().err
+
+
+def test_referenced_files_reject_a_repeated_key(tmp_path, capsys):
+    group = json.dumps(FiniteGroup.cyclic(2).to_obj())
+    (tmp_path / "z2.json").write_text(group.replace('"identity": 0', '"identity": 1, "identity": 0'))
+    obj = _z2_septuple(group_ref="z2.json")
+    del obj["group"]
+    assert main(["septuple", "validate", write(tmp_path / "s.json", obj)]) == 2
+    assert "repeated key" in capsys.readouterr().err
+
+
+def _semisimple_input():
+    z2z2 = FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2))
+    gamma = alternating_nondegenerate_bicharacters((2, 2))[0]
+    return {"group": z2z2.to_obj(), "subgroup": [0, 1, 2, 3], "bicharacter": gamma.to_obj(), "u": 0}
+
+
+# input files other than dumps, with the command that reads each: a
+# group, a representation, a bicharacter and a septuple
+_INPUT_FUZZ_CASES = [
+    (FiniteGroup.cyclic(2).to_obj(), ["build", "{in}", "--kind", "group-algebra", "-o", "{out}"]),
+    (_sweedler_input(), ["build", "{in}", "--kind", "modified-supergroup", "-o", "{out}"]),
+    (_semisimple_input(), ["build", "{in}", "--kind", "semisimple-triangular", "-o", "{out}"]),
+    (_z2_septuple(), ["septuple", "validate", "{in}"]),
+]
+
+_DUPLICATE = "\0duplicate"  # a key no input has; replaced in the text
+
+
+@st.composite
+def _mutated_input_file(draw):
+    """One input file other than a dump, as text, with one mutation: an
+    integer swapped for a float, bool or string, an integer moved out of
+    range, a key dropped or a key repeated.  Returns (text, argv, kind)."""
+    obj, argv = copy.deepcopy(draw(st.sampled_from(_INPUT_FUZZ_CASES)))
+    kind = draw(st.sampled_from(["type", "range", "drop", "duplicate"]))
+    if kind in ("drop", "duplicate"):
+        path = draw(st.sampled_from([p for p, v in _json_paths(obj) if isinstance(v, dict) and v]))
+        parent = obj
+        for key in path:
+            parent = parent[key]
+        key = draw(st.sampled_from(sorted(parent)))
+        if kind == "drop":
+            del parent[key]
+        else:
+            parent[_DUPLICATE] = parent[key]
+            return json.dumps(obj).replace(json.dumps(_DUPLICATE), json.dumps(key)), argv, kind
+    else:
+        path = draw(st.sampled_from([p for p, v in _json_paths(obj) if type(v) is int]))
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        x = parent[path[-1]]
+        if kind == "type":
+            parent[path[-1]] = draw(st.sampled_from([float(x), bool(x), str(x)]))
+        else:
+            parent[path[-1]] = draw(st.sampled_from([-1, 5, 10**9]))
+    return json.dumps(obj), argv, kind
+
+
+@given(_mutated_input_file())
+@settings(max_examples=80, deadline=None)
+def test_input_files_survive_mutation(case):
+    text, argv, kind = case
+    with tempfile.TemporaryDirectory() as tmp:
+        inp = Path(tmp) / "in.json"
+        inp.write_text(text)
+        argv = [a.format(**{"in": str(inp), "out": str(Path(tmp) / "out.json")}) for a in argv]
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv)
+    assert code in ((2,) if kind == "duplicate" else (0, 1, 2, 3))
+    assert "Traceback" not in err.getvalue()
+
+
 def test_max_dim_env(tmp_path, monkeypatch):
     monkeypatch.setenv("HOPF_MAX_DIM", "4")
     g = write(tmp_path / "s3.json", FiniteGroup.symmetric3().to_obj())
@@ -542,17 +634,7 @@ def test_max_dim_env(tmp_path, monkeypatch):
 
 
 def test_semisimple_triangular_build(tmp_path, capsys):
-    z2z2 = FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2))
-    gamma = alternating_nondegenerate_bicharacters((2, 2))[0]
-    inp = write(
-        tmp_path / "st.json",
-        {
-            "group": z2z2.to_obj(),
-            "subgroup": [0, 1, 2, 3],
-            "bicharacter": gamma.to_obj(),
-            "u": 0,
-        },
-    )
+    inp = write(tmp_path / "st.json", _semisimple_input())
     dump = tmp_path / "st.hopf.json"
     assert main(["build", inp, "--kind", "semisimple-triangular", "-o", str(dump)]) == 0
     assert main(["analyze", str(dump), "--r", str(tmp_path / "st.hopf.r.json")]) == 0
@@ -569,6 +651,17 @@ def test_atlas_determinism_across_worker_counts(tmp_path):
     assert files1 == files2 and files1
     for name in files1:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_atlas_8_bytes_match_the_committed_digests(tmp_path):
+    # golden/atlas8.sha256 is `sha256sum *` run in the tree this command wrote
+    out = tmp_path / "a"
+    assert main(["atlas", "--max-order", "8", "-o", str(out)]) == 0
+    lines = (GOLDEN / "atlas8.sha256").read_text().splitlines()
+    expected = {name: digest for digest, name in (line.split("  ", 1) for line in lines)}
+    actual = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert len(expected) == 346
+    assert actual == expected
 
 
 def test_atlas_max_order_1(tmp_path):

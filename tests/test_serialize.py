@@ -1,12 +1,22 @@
 """Wire formats: round trips and byte-stable dumps."""
 
+import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from trihopf.constructions import group_algebra, modified_supergroup_algebra, supergroup_algebra
+from trihopf.atlas import analysis_report, enumerate_instances, instance_twist
+from trihopf.constructions import (
+    Septuple,
+    group_algebra,
+    modified_supergroup_algebra,
+    supergroup_algebra,
+    validate_septuple,
+)
 from trihopf.errors import ShapeError
 from trihopf.groups import Bicharacter, FiniteGroup, GroupRep
+from trihopf.hopf import verify_hopf
 from trihopf.scalars import CycScalar, root_of_unity
 from trihopf.serialize import (
     bicharacter_from_file_obj,
@@ -18,7 +28,7 @@ from trihopf.serialize import (
     tensor2_from_obj,
     tensor2_to_obj,
 )
-from trihopf.tensor import Tensor2
+from trihopf.tensor import Mat, Tensor2
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -138,3 +148,119 @@ def test_bad_scalar_encoding_rejected():
                 "antipode": [[1]],
             }
         )
+
+
+def _stdlib_dump(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+_text = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\n\t\u2028⊗ζü'), st.characters()), max_size=6)
+_decimal = st.integers(-10, 10**20).map(str)
+# near misses of a scalar encoding, which dumps memoizes: a bool order,
+# integer or bool coefficients, a tuple pair, a pair of the wrong length
+_scalar_like = st.fixed_dictionaries(
+    {
+        "n": st.one_of(st.integers(1, 12), st.booleans()),
+        "c": st.lists(
+            st.one_of(
+                st.lists(st.one_of(_decimal, st.integers(-2, 2), st.booleans()), min_size=1, max_size=3),
+                st.tuples(_decimal, _decimal),
+            ),
+            max_size=3,
+        ),
+    }
+)
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200),
+    st.integers(max_value=-(2**64)),
+    _text,
+    _scalar_like,
+)
+_trees = st.recursive(
+    _leaves,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(_text, kids, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@given(_trees)
+@settings(max_examples=300, deadline=None)
+def test_dumps_matches_the_stdlib_writer(tree):
+    # the tree repeated at its own depth and one deeper, so memoized
+    # scalar texts are looked up again
+    obj = [tree, {"again": tree}, tree]
+    assert dumps(obj) == _stdlib_dump(obj)
+
+
+def test_dumps_keeps_near_miss_scalars_apart():
+    obj = [
+        {"n": 1, "c": [["1", "1"]]},
+        {"n": True, "c": [["1", "1"]]},
+        {"n": 1, "c": [[1, 1]]},
+        {"n": 1, "c": [[True, "1"]]},
+        {"n": 1, "c": [("1", "1")]},
+        {"n": 1, "c": [["1", "1"]], "x": None},
+        [{"n": 1, "c": [["1", "1"]]}],
+    ]
+    assert dumps(obj) == _stdlib_dump(obj)
+
+
+def test_dumps_matches_the_stdlib_writer_on_atlas_9():
+    for spec in enumerate_instances(9):
+        twist = instance_twist(spec)
+        h, r = twist.apply()
+        for obj in (hopf_to_obj(h), tensor2_to_obj(r), analysis_report(h, r, twist)):
+            assert dumps(obj) == _stdlib_dump(obj), spec.name
+
+
+def test_dumps_matches_the_stdlib_writer_on_reports():
+    h = group_algebra(FiniteGroup.cyclic(2))
+    axioms = verify_hopf(h.replace(antipode=Mat.zero(2, 2))).to_obj()
+    assert axioms["witnesses"] == {"antipode": [0]}
+    z2 = FiniteGroup.cyclic(2)
+    sign = GroupRep.from_sign_characters(z2, [(1, -1)])
+    reports = [
+        validate_septuple(
+            Septuple(
+                group=z2, w=sign, a_elements=(0,), y_basis=(), b=None,
+                v_beta=Bicharacter.trivial((1,)), v_dim=1, u=u,
+            )
+        ).to_obj()
+        for u in (0, 1)  # u = 0 acts by +1 on W: a failed check
+    ]
+    assert [r["valid"] for r in reports] == [False, True]
+    for obj in [axioms, *reports]:
+        assert dumps(obj) == _stdlib_dump(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [1.5, [float("nan")], {1: 2}, {"a": {None: 0}}, CycScalar.one(), {"c": [[1.0, "1"]], "n": 1}],
+    ids=["float", "nan", "int_key", "none_key", "raw_scalar", "float_in_scalar"],
+)
+def test_dumps_refuses_other_types(obj):
+    with pytest.raises(TypeError):
+        dumps(obj)
+
+
+def test_bicharacter_table_shape_is_checked_before_any_root(monkeypatch):
+    from trihopf import serialize
+
+    def no_root(n, k):
+        raise AssertionError(f"root of unity of order {n} made before the shape check")
+
+    monkeypatch.setattr(serialize, "root_of_unity", no_root)
+    for obj in (
+        {"factors": [10**9], "values": [[0]]},  # a root of order 10**9 would follow
+        {"factors": [2], "values": [[0, 0], [0]]},
+        {"factors": [0], "values": []},
+    ):
+        with pytest.raises(ShapeError, match="value table"):
+            bicharacter_from_file_obj(obj)
