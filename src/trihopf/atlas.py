@@ -18,6 +18,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from pathlib import Path
 
 from .constructions import Septuple, Twist, septuple_twist
@@ -71,6 +72,32 @@ def catalog_group(name: str) -> FiniteGroup:
     return build()
 
 
+# Per-process tables, built once per catalog group, representation or
+# factor tuple instead of once per instance; the keys range over the
+# finite catalog.
+
+@lru_cache(maxsize=None)
+def _group_tables(name: str) -> tuple[FiniteGroup, tuple]:
+    """A catalog group and its sign characters."""
+    g = catalog_group(name)
+    return g, tuple(sign_characters(g))
+
+
+@lru_cache(maxsize=None)
+def _sign_rep(name: str, v_chars: tuple[int, ...]) -> GroupRep:
+    """W on a catalog group, from indices into its sign characters."""
+    g, chars = _group_tables(name)
+    if not v_chars:
+        return GroupRep.zero(g)
+    return GroupRep.from_sign_characters(g, [chars[i] for i in v_chars])
+
+
+@lru_cache(maxsize=None)
+def _bicharacters(factors: tuple[int, ...]) -> tuple:
+    """alternating_nondegenerate_bicharacters(factors), in its order."""
+    return tuple(alternating_nondegenerate_bicharacters(factors))
+
+
 @dataclass(frozen=True)
 class InstanceSpec:
     """Rebuildable parameters of one atlas instance."""
@@ -96,7 +123,7 @@ def _square_subgroup_strata(g: FiniteGroup):
         if any(g.table[a][b] != g.table[b][a] for a in elem_set for b in elem_set):
             continue
         sub = AbelianSubgroup(g, elements)
-        gammas = alternating_nondegenerate_bicharacters(sub.factors)
+        gammas = _bicharacters(sub.factors)
         if gammas:
             strata.append((elements, gammas))
     return strata
@@ -104,8 +131,8 @@ def _square_subgroup_strata(g: FiniteGroup):
 
 def enumerate_instances(max_order: int) -> list[InstanceSpec]:
     specs = []
-    for gname, g in catalog_groups():
-        chars = sign_characters(g)
+    for gname in CATALOG:
+        g, chars = _group_tables(gname)
         strata = _square_subgroup_strata(g)
         for u in g.central_involutions():
             v_options: list[tuple[int, ...]] = [()]
@@ -138,17 +165,12 @@ def enumerate_instances(max_order: int) -> list[InstanceSpec]:
 
 def instance_twist(spec: InstanceSpec) -> Twist:
     """The checked twist (H, J, J^-1, R_u) an instance spec twists."""
-    g = catalog_group(spec.group)
-    chars = sign_characters(g)
-    if spec.v_chars:
-        w = GroupRep.from_sign_characters(g, [chars[i] for i in spec.v_chars])
-    else:
-        w = GroupRep.zero(g)
+    g, _ = _group_tables(spec.group)
     sub = AbelianSubgroup(g, spec.subgroup)
-    gamma = alternating_nondegenerate_bicharacters(sub.factors)[spec.gamma_index]
+    gamma = _bicharacters(sub.factors)[spec.gamma_index]
     septuple = Septuple(
         group=g,
-        w=w,
+        w=_sign_rep(spec.group, tuple(spec.v_chars)),
         a_elements=spec.subgroup,
         y_basis=(),
         b=None,

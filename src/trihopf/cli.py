@@ -147,9 +147,10 @@ def cmd_build(args) -> int:
         rep = rep_from_file_obj(obj, base)
         h = supergroup_algebra(rep.group, rep)
     elif kind == "modified-supergroup":
-        rep_obj = obj["rep"] if "rep" in obj else load(base / obj["rep_ref"])
-        _check_predicted_dim(_resolve_ref(rep_obj, "group", base)[0], rep_obj["degree"])
-        rep = rep_from_file_obj(rep_obj, base)
+        # a rep file names its group relative to its own directory
+        rep_obj, rep_dir = _resolve_ref(obj, "rep", base)
+        _check_predicted_dim(_resolve_ref(rep_obj, "group", rep_dir)[0], rep_obj["degree"])
+        rep = rep_from_file_obj(rep_obj, rep_dir)
         h, r = modified_supergroup_algebra(rep.group, rep, _int(obj["u"], "u"))
     elif kind == "semisimple-triangular":
         group_obj = obj["group"] if "group" in obj else load(base / obj["group_ref"])

@@ -32,8 +32,8 @@ from .groups import (
 )
 from .hopf import (
     HopfData,
-    algebra_inverse,
     antipode_contraction,
+    certified_inverse,
     counit_slants,
     make_hopf,
 )
@@ -475,19 +475,23 @@ class Twist:
     def apply(self) -> tuple[HopfData, Optional[Tensor2]]:
         """(H^J, R^J): Delta^J(x) = J^-1 Delta(x) J, the antipode conjugated
         by Q = m(S (x) id)(J), and R^J = J21^-1 R J when R is given;
-        multiplication, unit and counit are H's."""
+        multiplication, unit and counit are H's.
+
+        Q^-1 is the closed form m(id (x) S)(J^-1) with the certified
+        J^-1, multiplied back on both sides (certified_inverse); if that
+        fails it is solved for, as a singular Q would raise."""
         h, j, j_inv = self.host, self.j, self.j_inv
         comult_new = []
         for i in range(h.dim):
             t = tensor2_mul(tensor2_mul(j_inv, h.comult_tensor(i), h), j, h)
             comult_new.append(tuple((a, b, c) for a, b, c in t.nonzeros))
         q_vec = antipode_contraction(h, j.nonzeros)
-        q_inv = algebra_inverse(h, q_vec)
-        cols = []
-        for i in range(h.dim):
-            img = h.mul_vec(h.mul_vec(q_inv, h.antipode.col(i)), q_vec)
-            cols.append(list(img.entries))
-        antipode_new = Mat(tuple(zip(*cols)))
+        # Q^-1 = m(id (x) S)(J^-1)
+        q_inv = certified_inverse(h, q_vec, antipode_contraction(h, j_inv.nonzeros, leg=1))
+        q, q_inv = q_vec.nonzeros(), q_inv.nonzeros()
+        # column i is S^J(e_i) = Q^-1 S(e_i) Q, from S's sparse columns
+        cols = [h.mul_sparse(h.mul_sparse(q_inv, s_col).items(), q) for s_col in h.s_columns]
+        antipode_new = Mat(tuple(col.get(k, SC_ZERO) for col in cols) for k in range(h.dim))
         out = make_hopf(
             dim=h.dim,
             unit=h.unit,

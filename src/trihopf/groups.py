@@ -98,6 +98,18 @@ class FiniteGroup:
                     break
         return tuple(inv)
 
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """A generating set, greedily: each element not yet reached joins,
+        in index order."""
+        gens: list[int] = []
+        reached: tuple[int, ...] = (self.identity,)
+        for g in range(self.order):
+            if g not in reached:
+                gens.append(g)
+                reached = self.subgroup_closure(gens)
+        return tuple(gens)
+
     def is_central(self, a: int) -> bool:
         t = self.table
         return all(t[a][b] == t[b][a] for b in range(self.order))
@@ -403,8 +415,28 @@ def characters(a: AbelianSubgroup | FiniteGroup):
     return labels, chars, idems
 
 
+def _product_is(a: Mat, b: Mat, c: Mat) -> bool:
+    """a b = c, summed over the nonzeros of a, with no product matrix."""
+    n = b.ncols
+    for row, target in zip(a.rows, c.rows):
+        acc = [SC_ZERO] * n
+        for j, x in enumerate(row):
+            if not x.is_zero():
+                for k, y in enumerate(b.rows[j]):
+                    acc[k] = acc[k] + x * y
+        if tuple(acc) != target:
+            return False
+    return True
+
+
 class GroupRep:
-    """A matrix representation of a finite group over CycScalar."""
+    """A matrix representation of a finite group over CycScalar.
+
+    Construction checks rho(e) = 1 and rho(a) rho(s) = rho(as) for every
+    a and every s in FiniteGroup.generators; by induction on the length
+    of b as a word in the generators this gives rho(a) rho(b) = rho(ab)
+    for all a and b.
+    """
 
     def __init__(self, group: FiniteGroup, degree: int, matrices):
         self.group = group
@@ -418,10 +450,11 @@ class GroupRep:
         if degree > 0:
             if self.matrices[group.identity] != Mat.identity(degree):
                 raise ShapeError("identity must map to the identity matrix")
+            mats = self.matrices
             for a in range(group.order):
-                for b in range(group.order):
-                    if self.matrices[a] @ self.matrices[b] != self.matrices[group.mul(a, b)]:
-                        raise ShapeError(f"not a homomorphism at ({a},{b})")
+                for s in group.generators:
+                    if not _product_is(mats[a], mats[s], mats[group.mul(a, s)]):
+                        raise ShapeError(f"not a homomorphism at ({a},{s})")
 
     @classmethod
     def zero(cls, group: FiniteGroup) -> "GroupRep":
@@ -475,12 +508,7 @@ def sign_characters(group: FiniteGroup) -> list[tuple[int, ...]]:
     length).  The result is listed in the order of product((1, -1)).
     """
     n, e = group.order, group.identity
-    gens: list[int] = []
-    reached: tuple[int, ...] = (e,)
-    for g in range(n):
-        if g not in reached:
-            gens.append(g)
-            reached = group.subgroup_closure(gens)
+    gens = group.generators
     out = []
     for signs in product((1, -1), repeat=len(gens)):
         f = [0] * n

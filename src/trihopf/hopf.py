@@ -3,11 +3,17 @@
 HopfData records a finite-dimensional algebra-and-coalgebra by exact
 structure constants: sparse multiplication tensor, per-basis-element
 comultiplication, counit covector, antipode matrix, and a Z2 parity
-grading for the super case.  verify_hopf proves each axiom by exact
-finite checks and reports the first failing witness per axiom instead
-of raising.  HopfData.generators finds a generating set S greedily and
-certifies that the only subspace containing 1 and closed under
-x -> e_s x (s in S) is H itself.  Once the checks on S pass, the
+grading for the super case.  The antipode matrix is what a dump writes;
+every computation reads S as sparse columns (HopfData.s_columns), and
+S^2 is composed once per object (HopfData.s2_columns).  Powers of S,
+S^4 = id and S^2 = Ad(u) compose sparse columns; no dense matrix
+product runs.
+
+verify_hopf proves each axiom by exact finite checks and reports the
+first failing witness per axiom instead of raising.
+HopfData.generators finds a generating set S greedily and certifies
+that the only subspace containing 1 and closed under x -> e_s x
+(s in S) is H itself.  Once the checks on S pass, the
 elements where associativity, the bialgebra identity or
 coassociativity holds form such a subspace, so those three run their
 left factor over S only (the lemmas are in verify_hopf).  Unit, counit
@@ -19,6 +25,15 @@ The radical is computed from the kernel of the regular trace form
 I is a Hopf ideal; the coproduct condition Delta(I) in I (x) H + H (x) I
 is (pi (x) pi)(Delta(I)) = 0 for the projection pi along I, read off
 I's reduced row echelon basis.
+
+Inverses in H: algebra_inverse solves x y = 1 on the sparse rows of
+left multiplication by x.  Where a theorem gives the inverse in closed
+form, certified_inverse takes it after multiplying it back on both
+sides and solves only if that fails, so a wrong closed form changes
+neither a value nor an exception.  The two closed forms are
+Q^-1 = m(id (x) S)(J^-1) for a twist's Q = m(S (x) id)(J)
+(constructions.Twist.apply) and u^-1 = sum b_i S^2(a_i) for the
+Drinfeld element of R = sum a_i (x) b_i (triangular.drinfeld_element).
 """
 
 from __future__ import annotations
@@ -36,8 +51,6 @@ from .tensor import (
     Vec,
     embed13_23_12,
     flip,
-    mat_kernel,
-    solve_linear,
     tensor2_mul,
 )
 
@@ -104,16 +117,18 @@ class HopfData:
 
     @cached_property
     def s_columns(self) -> tuple[SparseRow, ...]:
-        cols = []
-        for i in range(self.dim):
-            cols.append(
-                tuple(
-                    (j, self.antipode.rows[j][i])
-                    for j in range(self.dim)
-                    if not self.antipode.rows[j][i].is_zero()
-                )
-            )
-        return tuple(cols)
+        """S as sparse columns: s_columns[i] lists the nonzero (j, c) with
+        S(e_i) = sum c e_j, in increasing j."""
+        rows = self.antipode.rows
+        return tuple(
+            tuple((j, rows[j][i]) for j in range(self.dim) if not rows[j][i].is_zero())
+            for i in range(self.dim)
+        )
+
+    @cached_property
+    def s2_columns(self) -> tuple[SparseRow, ...]:
+        """S^2 as sparse columns, composed once per object."""
+        return compose_columns(self.s_columns, self.s_columns)
 
     @cached_property
     def generators(self) -> Optional[tuple[int, ...]]:
@@ -170,13 +185,23 @@ class HopfData:
         """jacobson_radical(self), computed once per object."""
         return tuple(jacobson_radical(self))
 
+    def mul_sparse(self, x, y) -> dict:
+        """The nonzeros of xy, for x and y given as (index, coefficient)
+        pairs, as a dict from index to coefficient."""
+        acc: dict = {}
+        y = tuple(y)
+        mult = self.mult
+        for i, a in x:
+            row = mult[i]
+            for j, b in y:
+                if row[j]:
+                    _sparse_product(mult, i, j, acc, a * b)
+        return _clean(acc)
+
     def mul_vec(self, x: Vec, y: Vec) -> Vec:
         out = [SC_ZERO] * self.dim
-        for i, a in x.nonzeros():
-            for j, b in y.nonzeros():
-                ab = a * b
-                for k, c in self.mult[i][j]:
-                    out[k] = out[k] + ab * c
+        for k, c in self.mul_sparse(x.nonzeros(), y.nonzeros()).items():
+            out[k] = c
         return Vec(out)
 
     def counit_vec(self, x: Vec) -> CycScalar:
@@ -186,7 +211,11 @@ class HopfData:
         return acc
 
     def antipode_vec(self, x: Vec) -> Vec:
-        return self.antipode.matvec(x)
+        out = [SC_ZERO] * self.dim
+        for i, a in x.nonzeros():
+            for j, c in self.s_columns[i]:
+                out[j] = out[j] + a * c
+        return Vec(out)
 
     def comult_tensor(self, i: int) -> Tensor2:
         return Tensor2(self.dim, (((j, k), c) for j, k, c in self.comult[i]))
@@ -289,11 +318,34 @@ def _clean(acc: dict) -> dict:
     return {k: v for k, v in acc.items() if not v.is_zero()}
 
 
-def antipode_contraction(h: HopfData, terms, leg: int = 0) -> Vec:
+def compose_columns(outer, inner) -> tuple[SparseRow, ...]:
+    """Sparse columns of the linear map outer o inner, each map given by
+    its sparse columns (as HopfData.s_columns)."""
+    out = []
+    for col in inner:
+        acc: dict = {}
+        for t, c in col:
+            for k, w in outer[t]:
+                v = c * w
+                cur = acc.get(k)
+                acc[k] = v if cur is None else cur + v
+        out.append(tuple(sorted(_clean(acc).items())))
+    return tuple(out)
+
+
+def is_identity_columns(cols) -> bool:
+    """True when the sparse columns are those of the identity map."""
+    return all(
+        len(col) == 1 and col[0][0] == i and col[0][1] == SC_ONE for i, col in enumerate(cols)
+    )
+
+
+def antipode_contraction(h: HopfData, terms, leg: int = 0, square: bool = False) -> Vec:
     """m(S (x) id)(t), or m(id (x) S)(t) when leg is 1, for
-    t = sum c e_i (x) e_j over the (i, j, c) in terms."""
+    t = sum c e_i (x) e_j over the (i, j, c) in terms; S^2 in place of S
+    when square is set."""
     acc = [SC_ZERO] * h.dim
-    mult, s_cols = h.mult, h.s_columns
+    mult, s_cols = h.mult, h.s2_columns if square else h.s_columns
     for i, j, c in terms:
         if leg:
             for t, sc in s_cols[j]:
@@ -355,7 +407,7 @@ def _axiom_scan(h: HopfData, lead: Sequence[int]) -> AxiomReport:
         "unit": _unit_witness(h, basis),
         "coassociativity": _coassociativity_witness(h, lead, deltas),
         "counit": _counit_witness(h, basis),
-        "bialgebra": _bialgebra_witness(h, lead, basis, deltas),
+        "bialgebra": _bialgebra_witness(h, lead, deltas),
         "antipode": _antipode_witness(h),
     }
     return AxiomReport(
@@ -404,7 +456,7 @@ def _counit_witness(h: HopfData, basis):
     return None
 
 
-def _bialgebra_witness(h: HopfData, lead, basis, deltas):
+def _bialgebra_witness(h: HopfData, lead, deltas):
     for i in lead:
         for j in range(h.dim):
             # counit multiplicativity
@@ -414,8 +466,11 @@ def _bialgebra_witness(h: HopfData, lead, basis, deltas):
             if eps != h.counit[i] * h.counit[j]:
                 return (i, j)
             # Delta(e_i e_j) = Delta(e_i) * Delta(e_j), Koszul-signed
-            product = h.mul_vec(basis[i], basis[j])
-            if h.comult_vec(product) != tensor2_mul(deltas[i], deltas[j], h):
+            product = Tensor2(
+                h.dim,
+                (((p, q), a * w) for k, a in h.mult[i][j] for p, q, w in h.comult[k]),
+            )
+            if product != tensor2_mul(deltas[i], deltas[j], h):
                 return (i, j)
     return None
 
@@ -479,8 +534,9 @@ def dual_hopf(h: HopfData) -> HopfData:
 # ---------------------------------------------------------------------------
 # radical, semisimplicity, Chevalley property
 
-def trace_form(h: HopfData) -> Mat:
-    """T[i][j] = trace of left multiplication by e_i * e_j."""
+def trace_form(h: HopfData) -> list[dict]:
+    """Sparse rows of T[i][j] = trace of left multiplication by e_i * e_j:
+    row i maps each j with T[i][j] != 0 to T[i][j]."""
     d = h.dim
     tr = [SC_ZERO] * d  # tr[k] = trace(L_{e_k})
     for k in range(d):
@@ -492,19 +548,20 @@ def trace_form(h: HopfData) -> Mat:
         tr[k] = acc
     rows = []
     for i in range(d):
-        row = []
+        row = {}
         for j in range(d):
             acc = SC_ZERO
             for k, c in h.mult[i][j]:
                 acc = acc + c * tr[k]
-            row.append(acc)
-        rows.append(tuple(row))
-    return Mat(rows)
+            if not acc.is_zero():
+                row[j] = acc
+        rows.append(row)
+    return rows
 
 
 def jacobson_radical(h: HopfData) -> list[Vec]:
     """Exact radical basis: kernel of the regular trace form (char 0)."""
-    return mat_kernel(trace_form(h))
+    return Echelon(trace_form(h)).kernel(h.dim)
 
 
 def is_semisimple(h: HopfData) -> bool:
@@ -554,27 +611,50 @@ def is_chevalley(h: HopfData) -> bool:
 
 
 def antipode_order(h: HopfData, bound: int = 16) -> int:
-    """Least k >= 1 with S**k = id; OrderNotFound past the bound."""
-    ident = Mat.identity(h.dim)
-    power = h.antipode
+    """Least k >= 1 with S**k = id; OrderNotFound past the bound.
+
+    The powers compose sparse columns; S^2 is the cached
+    HopfData.s2_columns."""
+    power = h.s_columns
     for k in range(1, bound + 1):
-        if power == ident:
+        if is_identity_columns(power):
             return k
-        power = power @ h.antipode
+        power = h.s2_columns if k == 1 else compose_columns(h.s_columns, power)
     raise OrderNotFound(f"antipode order exceeds bound {bound}")
 
 
 def algebra_inverse(h: HopfData, x: Vec) -> Vec:
-    """Two-sided inverse of an element of H, by exact linear solve."""
+    """Two-sided inverse of an element of H, by exact linear solve.
+
+    The sparse rows of x y = 1 in the unknown y, with the unit as an
+    extra column d, go to one Echelon; the solution sets every free
+    unknown to 0 and is multiplied back on both sides.
+    """
     d = h.dim
-    rows = [[SC_ZERO] * d for _ in range(d)]
+    rows: list[dict] = [{} for _ in range(d)]  # rows[k][t]: e_k-coefficient of x e_t
     for s, a in x.nonzeros():
         for t in range(d):
             for k, c in h.mult[s][t]:
-                rows[k][t] = rows[k][t] + a * c
-    sol = solve_linear(Mat(rows), h.unit)
-    if sol is None:
+                row = rows[k]
+                row[t] = row.get(t, SC_ZERO) + a * c
+    for k, b in h.unit.nonzeros():
+        rows[k][d] = b
+    reduced = Echelon(rows).rows
+    if d in reduced:
         raise NotInvertible("element has no inverse")
+    sol = [SC_ZERO] * d
+    for p, row in reduced.items():
+        sol[p] = row.get(d, SC_ZERO)
+    sol = Vec(sol)
     if h.mul_vec(sol, x) != h.unit or h.mul_vec(x, sol) != h.unit:
         raise NotInvertible("element has no two-sided inverse")
     return sol
+
+
+def certified_inverse(h: HopfData, x: Vec, candidate: Vec) -> Vec:
+    """x^-1 from a closed-form candidate: the candidate when it multiplies
+    back to 1 on both sides, else algebra_inverse(h, x), so a wrong
+    candidate changes neither the value nor the exception."""
+    if h.mul_vec(candidate, x) == h.unit and h.mul_vec(x, candidate) == h.unit:
+        return candidate
+    return algebra_inverse(h, x)

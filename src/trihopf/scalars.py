@@ -219,6 +219,20 @@ def _pairs(nums, den: int):
     return tuple(out)
 
 
+@lru_cache(maxsize=4096)
+def _wire_form(n: int, nums: tuple[int, ...], den: int):
+    """(order, decimal (num, den) string pairs) of the value in its smallest
+    field, memoized per canonical scalar: a dump repeats few values."""
+    # smallest field first; Q(zeta_m) = Q(zeta_2m) for odd m, so skip m = 2 mod 4
+    for m in range(3, n):
+        if n % m == 0 and m % 4 != 2:
+            sub = _descend(nums, den, m, n)
+            if sub is not None:
+                n, (nums, den) = m, sub
+                break
+    return n, tuple((str(a), str(b)) for a, b in _pairs(nums, den))
+
+
 # ---------------------------------------------------------------------------
 # cyclotomic scalars
 
@@ -409,15 +423,8 @@ class CycScalar:
     # serialization -------------------------------------------------------
 
     def to_obj(self):
-        n, nums, den = self.order, self.nums, self.den
-        # smallest field first; Q(zeta_m) = Q(zeta_2m) for odd m, so skip m = 2 mod 4
-        for m in range(3, n):
-            if n % m == 0 and m % 4 != 2:
-                sub = _descend(nums, den, m, n)
-                if sub is not None:
-                    n, (nums, den) = m, sub
-                    break
-        return {"n": n, "c": [[str(a), str(b)] for a, b in _pairs(nums, den)]}
+        n, pairs = _wire_form(self.order, self.nums, self.den)
+        return {"n": n, "c": [list(p) for p in pairs]}
 
     @classmethod
     def from_obj(cls, obj) -> "CycScalar":

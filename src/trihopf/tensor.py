@@ -7,12 +7,16 @@ rank, kernel and solution, span membership, the generating set and
 radical of a Hopf algebra, and the minimal polynomial behind an
 inverse in H (x) H.  Tensor2 and Tensor3 share one sparse
 representation, a dict from index tuple to nonzero coefficient, and one
-constructor that sums repeated indices and drops zeros; every product,
+constructor that sums repeated indices and drops zeros; every sum,
 embedding and flip in H (x) H and H (x) H (x) H goes through it.
 Products iterate the nonzeros through the host's sparse structure
-tensor, with Koszul signs when the host is a superalgebra.  An inverse
-in H (x) H is a polynomial in the element, read off its minimal
-polynomial, so it needs no linear system over H (x) H.
+tensor, with Koszul signs when the host is a superalgebra, and
+accumulate their terms in place in one dict; scalars are canonical, so
+the order of summation changes no coefficient and no dumped byte.  An
+inverse in H (x) H is a polynomial in the element, read off its
+minimal polynomial, so it needs no linear system over H (x) H.  Mat is
+a dense matrix for input, output and the septuple checks; the Hopf
+layer reads the antipode as sparse columns instead.
 """
 
 from __future__ import annotations
@@ -142,21 +146,6 @@ class Mat:
                     out[i] = out[i] + e * c
         return Vec(out)
 
-    def col(self, j: int) -> Vec:
-        return Vec(r[j] for r in self.rows)
-
-    def __pow__(self, k: int) -> "Mat":
-        if self.nrows != self.ncols:
-            raise ShapeError("power of non-square matrix")
-        result = Mat.identity(self.nrows)
-        base = self
-        while k:
-            if k & 1:
-                result = result @ base
-            base = base @ base
-            k >>= 1
-        return result
-
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
@@ -220,30 +209,33 @@ class Echelon:
         self.rows[p] = new
         return p
 
+    def kernel(self, ncols: int) -> list[Vec]:
+        """Null-space basis of the rows, over column labels 0..ncols-1.
+
+        One basis vector per free (non-pivot) column f: x_f = 1, the
+        other free coordinates 0, and x_p = -row[f] for the pivot p of
+        each row.  An empty list means the rows have full column rank.
+        """
+        basis = []
+        for f in range(ncols):
+            if f in self.rows:
+                continue
+            x = [SC_ZERO] * ncols
+            x[f] = SC_ONE
+            for p, row in self.rows.items():
+                x[p] = -row.get(f, SC_ZERO)
+            basis.append(Vec(x))
+        return basis
+
 
 def mat_rank(m: Mat) -> int:
     return len(Echelon(enumerate(row) for row in m.rows))
 
 
 def mat_kernel(m: Mat) -> list[Vec]:
-    """Exact null-space basis, read off the reduced row echelon form.
-
-    One basis vector per free (non-pivot) column f: x_f = 1, the other
-    free coordinates 0, and x_p = -row[f] for the pivot p of each
-    reduced row.  An empty list means the matrix is injective.
-    """
-    rows = Echelon(enumerate(row) for row in m.rows).rows
-    nc = m.ncols
-    basis = []
-    for f in range(nc):
-        if f in rows:
-            continue
-        x = [SC_ZERO] * nc
-        x[f] = SC_ONE
-        for p, row in rows.items():
-            x[p] = -row.get(f, SC_ZERO)
-        basis.append(Vec(x))
-    return basis
+    """Exact null-space basis, read off the reduced row echelon form
+    (Echelon.kernel); an empty list means the matrix is injective."""
+    return Echelon(enumerate(row) for row in m.rows).kernel(m.ncols)
 
 
 def solve_linear(m: Mat, rhs: Vec) -> Optional[Vec]:
@@ -290,6 +282,16 @@ class _SparseTensor:
         self.dim = dim
         self._coef = {k: c for k, c in coef.items() if not c.is_zero()}
         self._nz = None
+
+    @classmethod
+    def _from_sums(cls, dim: int, coef: dict):
+        """A tensor from coefficients already summed per index, as the
+        in-place products accumulate them; only the zeros are dropped."""
+        self = object.__new__(cls)
+        self.dim = dim
+        self._coef = {k: c for k, c in coef.items() if not c.is_zero()}
+        self._nz = None
+        return self
 
     @property
     def nonzeros(self):
@@ -370,22 +372,31 @@ class Tensor2(_SparseTensor):
 
         mult is laid out as HopfData.mult; a parity grading applies the
         Koszul sign (-1)**(|a2||b1|) per term.  tensor2_mul is the form
-        that checks the factors against a host.
+        that checks the factors against a host.  Terms accumulate into
+        one dict in place; scalars are canonical, so the order of the
+        sum cannot change a coefficient.
         """
-
-        def terms():
-            for i, j, ca in self.nonzeros:
-                odd_j = parity is not None and parity[j]
-                for p, q, cb in other.nonzeros:
-                    coef = ca * cb
-                    if odd_j and parity[p]:
-                        coef = -coef
-                    for k, c1 in mult[i][p]:
-                        left = coef * c1
-                        for l, c2 in mult[j][q]:
-                            yield (k, l), left * c2
-
-        return Tensor2(self.dim, terms())
+        coef: dict = {}
+        get = coef.get
+        right = other.nonzeros
+        for i, j, ca in self.nonzeros:
+            odd_j = parity is not None and parity[j]
+            row_i, row_j = mult[i], mult[j]
+            for p, q, cb in right:
+                m_ip, m_jq = row_i[p], row_j[q]
+                if not m_ip or not m_jq:
+                    continue
+                c = ca * cb
+                if odd_j and parity[p]:
+                    c = -c
+                for k, c1 in m_ip:
+                    left = c * c1
+                    for l, c2 in m_jq:
+                        key = (k, l)
+                        v = left * c2
+                        cur = get(key)
+                        coef[key] = v if cur is None else cur + v
+        return Tensor2._from_sums(self.dim, coef)
 
 
 class Tensor3(_SparseTensor):
@@ -412,24 +423,31 @@ def tensor3_mul(a: Tensor3, b: Tensor3, host: "HopfData") -> Tensor3:
     mult = host.mult
     parity = host.parity
     signed = host.super
-
-    def terms():
-        for i1, i2, i3, ca in a.nonzeros:
-            p2, p3 = parity[i2], parity[i3]
-            for j1, j2, j3, cb in b.nonzeros:
-                coef = ca * cb
-                if signed:
-                    q1, q2 = parity[j1], parity[j2]
-                    if (p2 * q1 + p3 * (q1 + q2)) % 2:
-                        coef = -coef
-                for k1, c1 in mult[i1][j1]:
-                    left1 = coef * c1
-                    for k2, c2 in mult[i2][j2]:
-                        left2 = left1 * c2
-                        for k3, c3 in mult[i3][j3]:
-                            yield (k1, k2, k3), left2 * c3
-
-    return Tensor3(a.dim, terms())
+    coef: dict = {}
+    get = coef.get
+    right = b.nonzeros
+    for i1, i2, i3, ca in a.nonzeros:
+        p2, p3 = parity[i2], parity[i3]
+        row1, row2, row3 = mult[i1], mult[i2], mult[i3]
+        for j1, j2, j3, cb in right:
+            m1, m2, m3 = row1[j1], row2[j2], row3[j3]
+            if not m1 or not m2 or not m3:
+                continue
+            c = ca * cb
+            if signed:
+                q1, q2 = parity[j1], parity[j2]
+                if (p2 * q1 + p3 * (q1 + q2)) % 2:
+                    c = -c
+            for k1, c1 in m1:
+                left1 = c * c1
+                for k2, c2 in m2:
+                    left2 = left1 * c2
+                    for k3, c3 in m3:
+                        key = (k1, k2, k3)
+                        v = left2 * c3
+                        cur = get(key)
+                        coef[key] = v if cur is None else cur + v
+    return Tensor3._from_sums(a.dim, coef)
 
 
 def flip(a: Tensor2, host: Optional["HopfData"] = None) -> Tensor2:

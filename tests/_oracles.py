@@ -8,7 +8,8 @@ inside the radical).  The oracle is the sum of the kept ideals; no
 trace form is involved anywhere, and spans are compared by the
 oracles' own dense rank.  The tensor oracles expand products,
 embeddings and flips in tensor powers of H one pure tensor at a time.
-The group oracles try every candidate, and the cyclotomic reference
+The antipode oracle multiplies dense matrices of lists.  The group
+oracles try every candidate, and the cyclotomic reference
 computes over Fraction modulo the product formula for Phi_n, with
 inverses from the Galois norm.
 """
@@ -252,11 +253,13 @@ def exhaustive_axioms(h):
             right = right + e[j].scale(c * h.counit[k])
         return left != e[i] or right != e[i]
 
+    s_cols = [Vec(row[j] for row in h.antipode.rows) for j in range(d)]
+
     def antipode_fails(i):
         left, right = Vec.zero(d), Vec.zero(d)
         for (j, k), c in deltas[i].items():
-            left = left + mul(h.antipode.col(j), e[k]).scale(c)
-            right = right + mul(e[j], h.antipode.col(k)).scale(c)
+            left = left + mul(s_cols[j], e[k]).scale(c)
+            right = right + mul(e[j], s_cols[k]).scale(c)
         target = h.unit.scale(h.counit[i])
         return left != target or right != target
 
@@ -302,6 +305,37 @@ def exhaustive_triangular(h, r):
         if expand_product(h, r, delta) != expand_product(h, expand_flip(h, delta), r):
             return False
     return True
+
+
+# --- antipode powers, by dense matrix products -------------------------------
+
+def dense_antipode_powers(h, kmax):
+    """Rows of S**0, S**1, ..., S**kmax, by schoolbook products of the
+    dense antipode matrix over lists; no Mat product, no sparse column."""
+    d = h.dim
+    s = [list(row) for row in h.antipode.rows]
+    power = [[SC_ONE if i == j else SC_ZERO for j in range(d)] for i in range(d)]
+    powers = [power]
+    for _ in range(kmax):
+        power = [
+            [sum((power[i][t] * s[t][j] for t in range(d)), SC_ZERO) for j in range(d)]
+            for i in range(d)
+        ]
+        powers.append(power)
+    return powers
+
+
+def dense_columns(rows):
+    """The nonzero (row, entry) pairs of each column, as HopfData.s_columns."""
+    d = len(rows)
+    return tuple(
+        tuple((i, rows[i][j]) for i in range(d) if not rows[i][j].is_zero()) for j in range(d)
+    )
+
+
+def dense_antipode_order(powers):
+    """Least k >= 1 with powers[k] == powers[0] (the identity), or None."""
+    return next((k for k in range(1, len(powers)) if powers[k] == powers[0]), None)
 
 
 # --- groups layer, by brute force -----------------------------------------

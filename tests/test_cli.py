@@ -56,6 +56,23 @@ def test_build_sweedler_matches_golden(tmp_path, sweedler_input):
     assert r_path.read_text() == (GOLDEN / "sweedler.r.json").read_text()
 
 
+@pytest.mark.parametrize("stray", [False, True], ids=["plain", "stray_group_beside_input"])
+def test_build_modified_supergroup_resolves_the_rep_files_group_ref(tmp_path, stray):
+    # in.json -> sub/rep.json -> sub/z2.json: a rep file names its group
+    # relative to its own directory, as the septuple reader resolves it
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    write(sub / "z2.json", FiniteGroup.cyclic(2).to_obj())
+    write(sub / "rep.json", {"group_ref": "z2.json", "degree": 1, "matrices": [[[1]], [[-1]]]})
+    if stray:
+        # never read: loading it would exit 2
+        (tmp_path / "z2.json").write_text("{not json")
+    inp = write(tmp_path / "in.json", {"rep_ref": "sub/rep.json", "u": 1})
+    out = tmp_path / "sw.hopf.json"
+    assert main(["build", inp, "--kind", "modified-supergroup", "-o", str(out)]) == 0
+    assert out.read_text() == (GOLDEN / "sweedler.hopf.json").read_text()
+
+
 def test_build_exterior(tmp_path):
     inp = write(tmp_path / "e.json", {"n": 2})
     out = tmp_path / "e.hopf.json"

@@ -25,6 +25,7 @@ from trihopf.errors import (
     NotAbelian,
     NotInvertible,
     SeptupleInvariantViolation,
+    ShapeError,
     TwistError,
     UnsupportedStratum,
 )
@@ -417,6 +418,41 @@ _GROUPS = _catalog_and_z2e4()
 @pytest.mark.parametrize("name, g", _GROUPS, ids=[name for name, _ in _GROUPS])
 def test_sign_characters_match_brute_force(name, g):
     assert sign_characters(g) == bruteforce_sign_characters(g)
+
+
+def _regular_rep(g):
+    """rho(a) e_b = e_(ab): the permutation matrices of left multiplication."""
+    return [
+        [[ONE if g.table[a][b] == i else ZERO for b in range(g.order)] for i in range(g.order)]
+        for a in range(g.order)
+    ]
+
+
+@pytest.mark.parametrize("name, g", _GROUPS, ids=[name for name, _ in _GROUPS])
+def test_group_rep_checks_every_generator(name, g):
+    assert GroupRep(g, g.order, _regular_rep(g)).degree == g.order
+    # per generator s outside the subgroup H the others generate:
+    # rho(x) = 1 on H and 2 off H is multiplicative along every other
+    # generator (right multiplication by it keeps the coset xH) and fails
+    # only at (s, s), so each generator's own check must run
+    closure = g.subgroup_closure
+    mutants = 0
+    for s in g.generators:
+        rest = closure([t for t in g.generators if t != s])
+        if s in rest:
+            continue
+        values = [[[ONE if x in rest else ONE + ONE]] for x in range(g.order)]
+        with pytest.raises(ShapeError, match="not a homomorphism"):
+            GroupRep(g, 1, values)
+        mutants += 1
+    assert mutants >= 1 or g.order == 1
+    # one matrix of the regular representation doubled
+    for x in range(g.order):
+        if x != g.identity:
+            mats = _regular_rep(g)
+            mats[x] = [[c + c for c in row] for row in mats[x]]
+            with pytest.raises(ShapeError, match="not a homomorphism"):
+                GroupRep(g, g.order, mats)
 
 
 def test_alternating_bicharacters_match_brute_force():

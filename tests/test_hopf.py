@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trihopf import hopf
+from trihopf.atlas import enumerate_instances, instance_twist
 from trihopf.constructions import (
     exterior_algebra,
     group_algebra,
@@ -15,9 +16,11 @@ from trihopf.groups import FiniteGroup, GroupRep
 from trihopf.hopf import (
     algebra_inverse,
     antipode_order,
+    compose_columns,
     dual_hopf,
     is_chevalley,
     is_cocommutative,
+    is_identity_columns,
     is_semisimple,
     jacobson_radical,
     make_hopf,
@@ -25,8 +28,18 @@ from trihopf.hopf import (
 )
 from trihopf.scalars import CycScalar
 from trihopf.tensor import Mat, Vec
+from trihopf.triangular import check_structure_theorems
 
-from _oracles import bruteforce_radical, exhaustive_axioms, in_span, rank, same_span
+from _oracles import (
+    bruteforce_radical,
+    dense_antipode_order,
+    dense_antipode_powers,
+    dense_columns,
+    exhaustive_axioms,
+    in_span,
+    rank,
+    same_span,
+)
 
 ONE = CycScalar.one()
 ZERO = CycScalar.zero()
@@ -440,6 +453,26 @@ def test_antipode_order_bound():
     twisted = h.replace(antipode=Mat([[c + c for c in row] for row in h.antipode.rows]))
     with pytest.raises(OrderNotFound):
         antipode_order(twisted, bound=8)
+
+
+def test_sparse_antipode_powers_match_the_dense_oracle_on_atlas9():
+    # every atlas-9 instance: the twisted host and the host it twists
+    orders = []
+    for spec in enumerate_instances(9):
+        tw = instance_twist(spec)
+        h, r = tw.apply()
+        for host in (h, tw.host):
+            powers = dense_antipode_powers(host, 4)
+            order = dense_antipode_order(powers)
+            assert order is not None and antipode_order(host) == order
+            orders.append(order)
+            assert host.s_columns == dense_columns(powers[1])
+            assert host.s2_columns == dense_columns(powers[2])
+            assert compose_columns(host.s2_columns, host.s2_columns) == dense_columns(powers[4])
+            assert is_identity_columns(dense_columns(powers[order]))
+            assert not any(is_identity_columns(dense_columns(p)) for p in powers[1:order])
+        assert check_structure_theorems(h, r).s4_is_id
+    assert len(orders) == 2 * 119 and set(orders) == {1, 2, 4}
 
 
 def test_algebra_inverse(sweedler):

@@ -166,6 +166,17 @@ def test_serialized_form_is_canonical():
     assert late.to_obj() == early.to_obj() == {"n": 3, "c": [["0", "1"], ["1", "1"]]}
 
 
+def test_memoized_wire_form_is_fresh_per_call():
+    # the field descent is memoized; each call still returns its own dict
+    z3, i = root_of_unity(3, 1), root_of_unity(4, 1)
+    value = (z3 + i) - i
+    first = value.to_obj()
+    first["n"] = 99
+    first["c"][0][0] = "tampered"
+    first["c"].append(["1", "1"])
+    assert value.to_obj() == {"n": 3, "c": [["0", "1"], ["1", "1"]]}
+
+
 # --- the arithmetic against an independent Fraction reference ------------
 
 REF_ORDERS = [1, 2, 3, 4, 6, 8, 12]

@@ -1,11 +1,18 @@
 """Quasitriangularity, the Drinfeld element, structural theorem checks."""
 
 import copy
+from dataclasses import asdict
 
 import pytest
 
-from trihopf import triangular
-from trihopf.atlas import analysis_report, build_instance, enumerate_instances, instance_twist
+from trihopf import constructions, hopf, tensor, triangular
+from trihopf.atlas import (
+    _build_and_write,
+    analysis_report,
+    build_instance,
+    enumerate_instances,
+    instance_twist,
+)
 from trihopf.constructions import (
     Twist,
     apply_twist,
@@ -442,3 +449,50 @@ def test_atlas_report_falls_back_when_a_premise_fails(monkeypatch, certified):
     # without a twist the exhaustive check decides
     assert analysis_report(h, r)["triangular"]["triangular"]
     assert len(calls) == (1 if certified else 2)
+
+
+def _atlas_files(specs, out):
+    out.mkdir()
+    for spec in specs:
+        _build_and_write((asdict(spec), str(out)))
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def test_atlas_job_runs_no_dense_matrix_product(monkeypatch, tmp_path):
+    products = []
+    dense = tensor.Mat.__matmul__
+    monkeypatch.setattr(tensor.Mat, "__matmul__", lambda a, b: products.append(1) or dense(a, b))
+    files = _atlas_files(enumerate_instances(9), tmp_path / "atlas")
+    assert len(files) == 3 * 119
+    assert products == []
+
+
+def test_wrong_closed_form_inverses_fall_back_to_the_solve(monkeypatch, tmp_path):
+    # the closed forms Q^-1 = m(id (x) S)(J^-1) and u^-1 = sum b_i S^2(a_i)
+    # replaced by twice themselves: each fails the multiply-back, the
+    # solve answers, and every dumped byte stays the same
+    specs = enumerate_instances(8)
+    expected = _atlas_files(specs, tmp_path / "closed_form")
+    solved = []
+    solve = hopf.algebra_inverse
+    certify = hopf.certified_inverse
+
+    def doubled(h, x, candidate):
+        return certify(h, x, candidate.scale(CycScalar.from_rational(2)))
+
+    monkeypatch.setattr(hopf, "algebra_inverse", lambda h, x: solved.append(1) or solve(h, x))
+    monkeypatch.setattr(constructions, "certified_inverse", doubled)
+    monkeypatch.setattr(triangular, "certified_inverse", doubled)
+    assert _atlas_files(specs, tmp_path / "solved") == expected
+    assert len(solved) == 2 * len(specs)
+
+
+def test_closed_form_inverses_need_no_solve(monkeypatch):
+    def no_solve(h, x):
+        raise AssertionError("closed-form inverse failed its multiply-back")
+
+    monkeypatch.setattr(hopf, "algebra_inverse", no_solve)
+    for spec in enumerate_instances(9):
+        tw = instance_twist(spec)
+        h, r = tw.apply()
+        assert check_structure_theorems(h, r).ok
