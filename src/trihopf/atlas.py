@@ -222,6 +222,23 @@ def analysis_report(h, r=None, twist: Twist | None = None) -> dict:
     return obj
 
 
+_THEOREM_KEYS = (
+    "u_squared_is_one",
+    "u_grouplike",
+    "s4_is_id",
+    "s2_is_ad_u",
+    "odd_dim_forces_u1_semisimple",
+)
+
+
+def theorems_hold(report: dict) -> bool:
+    """R is triangular and its structure theorems hold, read off an
+    analysis_report made with an R.  The Chevalley property is left to
+    the caller: the atlas requires it, analyze does not."""
+    tri = report["triangular"]
+    return tri["triangular"] and all(tri.get(k, False) for k in _THEOREM_KEYS)
+
+
 def _atomic_write(path: Path, text: str):
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
     tmp.write_text(text)
@@ -239,22 +256,7 @@ def _build_and_write(args):
     _atomic_write(out / f"{spec.name}.hopf.json", dumps(hopf_to_obj(h)))
     _atomic_write(out / f"{spec.name}.r.json", dumps(tensor2_to_obj(r)))
     _atomic_write(out / f"{spec.name}.report.json", dumps(report))
-    ok = (
-        axioms.ok
-        and report["triangular"]["triangular"]
-        and report["chevalley"]
-        and all(
-            report["triangular"][k]
-            for k in (
-                "u_squared_is_one",
-                "u_grouplike",
-                "s4_is_id",
-                "s2_is_ad_u",
-                "odd_dim_forces_u1_semisimple",
-            )
-        )
-    )
-    return spec.name, ok
+    return spec.name, axioms.ok and report["chevalley"] and theorems_hold(report)
 
 
 def run_atlas(max_order: int, out_dir, workers: int = 1):

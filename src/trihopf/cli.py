@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from .atlas import analysis_report, run_atlas
+from .atlas import analysis_report, run_atlas, theorems_hold
 from .constructions import (
     group_algebra,
     exterior_algebra,
@@ -207,18 +207,8 @@ def cmd_analyze(args) -> int:
     r = tensor2_from_obj(load(args.r)) if args.r else None
     report = analysis_report(h, r)
     _print_report(report, args.format)
-    if r is not None:
-        tri = report["triangular"]
-        theorem_keys = (
-            "triangular",
-            "u_squared_is_one",
-            "u_grouplike",
-            "s4_is_id",
-            "s2_is_ad_u",
-            "odd_dim_forces_u1_semisimple",
-        )
-        if not all(tri.get(k, False) for k in theorem_keys):
-            return EXIT_VERIFY_FAIL
+    if r is not None and not theorems_hold(report):
+        return EXIT_VERIFY_FAIL
     return EXIT_OK
 
 

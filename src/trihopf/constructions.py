@@ -1,10 +1,19 @@
 """Builders for the catalog of (super) Hopf algebras.
 
-Group algebras, exterior algebras, smash products k[G] x Lambda(V),
-their triangular modifications via a central involution, bicharacter
-twists supported on abelian subgroups, and the septuple pipeline that
-composes them.  Every builder returns validated HopfData whose axioms
-the verifiers re-check exhaustively in the test suite.
+Group algebras, smash products k[G] x Lambda(V), bicharacter twists
+supported on abelian subgroups, and the septuple pipeline that composes
+them.  Every builder returns validated HopfData whose axioms the
+verifiers re-check exhaustively in the test suite.
+
+The smash product is built once, as the super Hopf algebra
+supergroup_algebra returns; the other two derive from it.  The exterior
+algebra Lambda(V) is the supergroup algebra of the trivial group, and
+the modified supergroup algebra is the ordinary Hopf algebra on the
+same algebra obtained with a central involution u acting by -1 on V:
+Delta'(x) = sum x_1 u^|x_2| (x) x_2 and S'(x) = u^|x| S(x).  Since u
+moves a basis element g v_T to the basis element (ug) v_T, up to sign,
+the modification is one pass over the super tables' nonzeros.  k[G]
+keeps its own direct tables.
 
 Basis order of the smash product is group-major, subset-minor with
 subsets in bitmask order: index = g * 2**w + mask.
@@ -154,72 +163,27 @@ def _exterior_image(m: Mat, mask: int, degree: int):
     return tuple(out)
 
 
-def exterior_algebra(n: int) -> HopfData:
-    """Lambda(V) on n odd primitive generators, as a super Hopf algebra."""
-    if n < 0:
-        raise ShapeError("negative exterior dimension")
-    d = 1 << n
-    mult = []
-    for s in range(d):
-        row = []
-        for t in range(d):
-            w = _wedge(s, t)
-            if w is None:
-                row.append(())
-            else:
-                sign, mask = w
-                row.append(((mask, SC_ONE if sign > 0 else -SC_ONE),))
-        mult.append(tuple(row))
-    comult = []
-    for s in range(d):
-        entry = []
-        for t in _subsets(s):
-            c = s & ~t
-            sign = _split_sign(t, c)
-            entry.append((t, c, SC_ONE if sign > 0 else -SC_ONE))
-        comult.append(tuple(entry))
-    counit = tuple(SC_ONE if s == 0 else SC_ZERO for s in range(d))
-    antipode = Mat(
-        tuple(
-            tuple(
-                (SC_ONE if bin(j).count("1") % 2 == 0 else -SC_ONE) if i == j else SC_ZERO
-                for j in range(d)
-            )
-            for i in range(d)
-        )
-    )
-    parity = tuple(bin(s).count("1") % 2 for s in range(d))
-    return make_hopf(
-        dim=d,
-        unit=Vec.basis(d, 0),
-        mult=mult,
-        comult=comult,
-        counit=counit,
-        antipode=antipode,
-        parity=parity,
-        super=True,
-    )
-
-
 # ---------------------------------------------------------------------------
 # smash products k[G] x Lambda(V)
 
-def _smash_mult(g: FiniteGroup, v: GroupRep):
-    """Sparse structure tensor of the smash product.
+def _smash_product(g: FiniteGroup, v: GroupRep):
+    """The super Hopf tables of k[G] x Lambda(V), shared by both smash builders.
 
-    (g, S)(h, T) = (gh, rho(h^-1)(v_S) ^ v_T); moving v_S across h uses
-    the action, so g v = rho(g)(v) g holds in the result.
+    Returns (mult, comult, counit, antipode columns, parity, size) with
+    size = 2**degree; the antipode columns are sparse, as
+    HopfData.s_columns.  With rho(h) v_S expanded by minors once per h:
+      (g, S)(h, T) = (gh, rho(h^-1)(v_S) ^ v_T), so g v = rho(g)(v) g;
+      Delta(g v_S) = sum over T in S of the Koszul sign of the shuffle
+        times g v_T (x) g v_{S-T};
+      S(g v_S) = (-1)^|S| (g^-1, rho(g) v_S).
     """
     w = v.degree
     size = 1 << w
     dim = g.order * size
-    # image table under rho(h^-1) per h and source mask
-    images = []
-    for h in range(g.order):
-        m = v.matrices[g.inverse[h]] if w else None
-        images.append(
-            tuple(_exterior_image(m, mask, w) if w else ((0, SC_ONE),) for mask in range(size))
-        )
+    images = [
+        tuple(_exterior_image(v.matrices[h], mask, w) for mask in range(size))
+        for h in range(g.order)
+    ]
     mult = []
     for i in range(dim):
         gi, si = divmod(i, size)
@@ -228,7 +192,7 @@ def _smash_mult(g: FiniteGroup, v: GroupRep):
             hj, tj = divmod(j, size)
             gh = g.table[gi][hj]
             acc = {}
-            for u_mask, coeff in images[hj][si]:
+            for u_mask, coeff in images[g.inverse[hj]][si]:
                 wedge = _wedge(u_mask, tj)
                 if wedge is None:
                     continue
@@ -239,55 +203,65 @@ def _smash_mult(g: FiniteGroup, v: GroupRep):
                 acc[k] = c if cur is None else cur + c
             row.append(tuple((k, c) for k, c in sorted(acc.items()) if not c.is_zero()))
         mult.append(tuple(row))
-    return tuple(mult), size, dim
+    splits = [
+        tuple(
+            (t, s & ~t, SC_ONE if _split_sign(t, s & ~t) > 0 else -SC_ONE)
+            for t in _subsets(s)
+        )
+        for s in range(size)
+    ]
+    parity = tuple(bin(i % size).count("1") % 2 for i in range(dim))
+    comult = []
+    s_cols = []
+    for i in range(dim):
+        gi, si = divmod(i, size)
+        base = gi * size
+        comult.append(tuple((base + t, base + c, sign) for t, c, sign in splits[si]))
+        ginv = g.inverse[gi] * size
+        s_cols.append(
+            tuple((ginv + mask, -c if parity[i] else c) for mask, c in images[gi][si])
+        )
+    counit = tuple(SC_ONE if i % size == 0 else SC_ZERO for i in range(dim))
+    return tuple(mult), comult, counit, s_cols, parity, size
 
 
-def _same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
-    return a is b or (a.table == b.table and a.identity == b.identity)
+def _mat_from_columns(cols) -> Mat:
+    dim = len(cols)
+    rows = [[SC_ZERO] * dim for _ in range(dim)]
+    for i, col in enumerate(cols):
+        for k, c in col:
+            rows[k][i] = c
+    return Mat(rows)
+
+
+def _check_rep(g: FiniteGroup, v: GroupRep):
+    if not (v.group is g or (v.group.table == g.table and v.group.identity == g.identity)):
+        raise ShapeError("representation must act on the given group")
 
 
 def supergroup_algebra(g: FiniteGroup, v: GroupRep) -> HopfData:
     """k[G] x Lambda(V): group-likes even, generators odd and primitive."""
-    if not _same_group(v.group, g):
-        raise ShapeError("representation must act on the given group")
-    mult, size, dim = _smash_mult(g, v)
-    comult = []
-    for i in range(dim):
-        gi, si = divmod(i, size)
-        entry = []
-        for t in _subsets(si):
-            c = si & ~t
-            sign = _split_sign(t, c)
-            entry.append(
-                (gi * size + t, gi * size + c, SC_ONE if sign > 0 else -SC_ONE)
-            )
-        comult.append(tuple(entry))
-    counit = tuple(
-        SC_ONE if i % size == 0 else SC_ZERO for i in range(dim)
-    )
-    # S(g v_S) = (-1)^|S| (g^-1, rho(g) v_S)
-    cols = []
-    for i in range(dim):
-        gi, si = divmod(i, size)
-        col = [SC_ZERO] * dim
-        ginv = g.inverse[gi]
-        img = _exterior_image(v.matrices[gi], si, v.degree) if v.degree else ((0, SC_ONE),)
-        neg = bin(si).count("1") % 2 == 1
-        for mask, coeff in img:
-            col[ginv * size + mask] = -coeff if neg else coeff
-        cols.append(col)
-    antipode = Mat(tuple(zip(*cols)))
-    parity = tuple(bin(i % size).count("1") % 2 for i in range(dim))
+    _check_rep(g, v)
+    mult, comult, counit, s_cols, parity, size = _smash_product(g, v)
     return make_hopf(
-        dim=dim,
-        unit=Vec.basis(dim, g.identity * size),
+        dim=len(mult),
+        unit=Vec.basis(len(mult), g.identity * size),
         mult=mult,
         comult=comult,
         counit=counit,
-        antipode=antipode,
+        antipode=_mat_from_columns(s_cols),
         parity=parity,
         super=True,
     )
+
+
+def exterior_algebra(n: int) -> HopfData:
+    """Lambda(V) on n odd primitive generators, as a super Hopf algebra:
+    the supergroup algebra of the trivial group on V = k^n."""
+    if n < 0:
+        raise ShapeError("negative exterior dimension")
+    triv = FiniteGroup.trivial()
+    return supergroup_algebra(triv, GroupRep(triv, n, [Mat.identity(n)]))
 
 
 def _check_modifier(g: FiniteGroup, v: GroupRep, u: int):
@@ -306,65 +280,40 @@ def modified_supergroup_algebra(
 ) -> tuple[HopfData, Tensor2]:
     """Ordinary triangular Hopf algebra on the smash-product algebra.
 
-    Group elements stay group-like while Delta(v) = v (x) 1 + u (x) v
-    and S(v) = -u v; returns the rank <= 2 triangular structure
-    R_u = (1/2)(1 (x) 1 + 1 (x) u + u (x) 1 - u (x) u) alongside.
+    The supergroup algebra modified by the central involution u, which
+    acts by -1 on V: Delta'(x) = sum x_1 u^|x_2| (x) x_2 and
+    S'(x) = u^|x| S(x), so group elements stay group-like while
+    Delta'(v) = v (x) 1 + u (x) v and S'(v) = -u v.  Returns the rank
+    <= 2 triangular structure R_u = (1/2)(1 (x) 1 + 1 (x) u + u (x) 1
+    - u (x) u) alongside.
     """
-    if not _same_group(v.group, g):
-        raise ShapeError("representation must act on the given group")
+    _check_rep(g, v)
     _check_modifier(g, v, u)
-    mult, size, dim = _smash_mult(g, v)
-    w = v.degree
-    unit_idx = g.identity * size
-    u_idx = u * size
-
-    comult = []
-    for i in range(dim):
-        gi, si = divmod(i, size)
-        delta = Tensor2(dim, [((gi * size, gi * size), SC_ONE)])
-        for bit in range(w):
-            if si >> bit & 1:
-                vi = unit_idx + (1 << bit)
-                primitive = Tensor2(dim, [((vi, unit_idx), SC_ONE), ((u_idx, vi), SC_ONE)])
-                delta = delta.mul(primitive, mult)
-        comult.append(delta.nonzeros)
-    counit = tuple(SC_ONE if i % size == 0 else SC_ZERO for i in range(dim))
-
-    def vec_dict_mul(acc: dict, factor: dict) -> dict:
-        out: dict = {}
-        for a, c1 in acc.items():
-            for p, c2 in factor.items():
-                c = c1 * c2
-                for k, w1 in mult[a][p]:
-                    val = c * w1
-                    cur = out.get(k)
-                    out[k] = val if cur is None else cur + val
-        return {k: c for k, c in out.items() if not c.is_zero()}
-
-    cols = []
-    for i in range(dim):
-        gi, si = divmod(i, size)
-        acc = {unit_idx: SC_ONE}
-        for bit in range(w - 1, -1, -1):  # S reverses the factor order
-            if si >> bit & 1:
-                uv = u_idx + (1 << bit)  # u * v_bit lands on one basis element
-                acc = vec_dict_mul(acc, {uv: -SC_ONE})
-        acc = vec_dict_mul(acc, {g.inverse[gi] * size: SC_ONE})
-        col = [SC_ZERO] * dim
-        for k, c in acc.items():
-            col[k] = c
-        cols.append(col)
-    antipode = Mat(tuple(zip(*cols)))
-
+    mult, comult, counit, s_cols, parity, size = _smash_product(g, v)
+    dim = len(mult)
+    # u (g v_T) = (ug) v_T and (g v_T) u = (-1)^|T| (gu) v_T: one signed
+    # basis element each, at index shifted[i]
+    shifted = [g.table[i // size][u] * size + i % size for i in range(dim)]
+    comult = [
+        tuple(
+            (shifted[j], k, -c if parity[j] else c) if parity[k] else (j, k, c)
+            for j, k, c in entry
+        )
+        for entry in comult
+    ]
+    s_cols = [
+        tuple((shifted[k], c) for k, c in col) if parity[i] else col
+        for i, col in enumerate(s_cols)
+    ]
     h = make_hopf(
         dim=dim,
-        unit=Vec.basis(dim, unit_idx),
+        unit=Vec.basis(dim, g.identity * size),
         mult=mult,
         comult=comult,
         counit=counit,
-        antipode=antipode,
+        antipode=_mat_from_columns(s_cols),
     )
-    return h, r_u(h, Vec.basis(dim, u_idx))
+    return h, r_u(h, Vec.basis(dim, u * size))
 
 
 # ---------------------------------------------------------------------------

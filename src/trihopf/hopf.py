@@ -78,37 +78,45 @@ class HopfData:
 
     def validate(self) -> "HopfData":
         """Structural well-formedness; axiom checking lives in verify_hopf."""
+        if self._malformation is not None:
+            raise ShapeError(self._malformation)
+        return self
+
+    @cached_property
+    def _malformation(self) -> Optional[str]:
+        """Why the structure is not well formed, or None; checked once per
+        object, so validate() and generators share one pass."""
         d = self.dim
         if d < 1:
-            raise ShapeError("dimension must be positive")
+            return "dimension must be positive"
         if self.unit.dim != d or len(self.counit) != d or len(self.parity) != d:
-            raise ShapeError("unit/counit/parity length mismatch")
+            return "unit/counit/parity length mismatch"
         if len(self.mult) != d or any(len(row) != d for row in self.mult):
-            raise ShapeError("multiplication tensor shape mismatch")
+            return "multiplication tensor shape mismatch"
         if len(self.comult) != d:
-            raise ShapeError("comultiplication shape mismatch")
+            return "comultiplication shape mismatch"
         if self.antipode.nrows != d or self.antipode.ncols != d:
-            raise ShapeError("antipode shape mismatch")
+            return "antipode shape mismatch"
         if not self.super and any(self.parity):
-            raise ShapeError("nonzero parity on a non-super algebra")
+            return "nonzero parity on a non-super algebra"
         if any(p not in (0, 1) for p in self.parity):
-            raise ShapeError("parity entries must be 0 or 1")
+            return "parity entries must be 0 or 1"
         par = self.parity
         for i in range(d):
             for j in range(d):
                 for k, c in self.mult[i][j]:
                     if not c.is_zero() and (par[i] + par[j]) % 2 != par[k]:
-                        raise ShapeError(f"product parity violation at ({i},{j},{k})")
+                        return f"product parity violation at ({i},{j},{k})"
             for j, k, c in self.comult[i]:
                 if not c.is_zero() and (par[j] + par[k]) % 2 != par[i]:
-                    raise ShapeError(f"coproduct parity violation at ({i},{j},{k})")
+                    return f"coproduct parity violation at ({i},{j},{k})"
             if par[i] and not self.unit.entries[i].is_zero():
-                raise ShapeError("unit supported on odd basis elements")
+                return "unit supported on odd basis elements"
         if self.counit_vec(self.unit) != SC_ONE:
-            raise ShapeError("counit(unit) != 1")
+            return "counit(unit) != 1"
         if self.comult_vec(self.unit) != Tensor2.outer(self.unit, self.unit):
-            raise ShapeError("Delta(unit) != unit (x) unit")
-        return self
+            return "Delta(unit) != unit (x) unit"
+        return None
 
     def replace(self, **changes) -> "HopfData":
         return replace(self, **changes)
@@ -144,9 +152,7 @@ class HopfData:
         coproduct with Delta(1) = 1 (x) 1, or when V stops short of H,
         which happens only if 1 is no unit.
         """
-        try:
-            self.validate()
-        except ShapeError:
+        if self._malformation is not None:
             return None
         mult = self.mult
         span = Echelon()  # V

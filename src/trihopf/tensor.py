@@ -9,7 +9,8 @@ inverse in H (x) H.  Tensor2 and Tensor3 share one sparse
 representation, a dict from index tuple to nonzero coefficient, and one
 constructor that sums repeated indices and drops zeros; every sum,
 embedding and flip in H (x) H and H (x) H (x) H goes through it.
-Products iterate the nonzeros through the host's sparse structure
+The two products, tensor2_mul and tensor3_mul, check their factors
+against a host and iterate the nonzeros through its sparse structure
 tensor, with Koszul signs when the host is a superalgebra, and
 accumulate their terms in place in one dict; scalars are canonical, so
 the order of summation changes no coefficient and no dumped byte.  An
@@ -367,37 +368,6 @@ class Tensor2(_SparseTensor):
     __slots__ = ()
     arity = 2
 
-    def mul(self, other: "Tensor2", mult, parity=None) -> "Tensor2":
-        """Product in A (x) A for the algebra A with structure tensor mult.
-
-        mult is laid out as HopfData.mult; a parity grading applies the
-        Koszul sign (-1)**(|a2||b1|) per term.  tensor2_mul is the form
-        that checks the factors against a host.  Terms accumulate into
-        one dict in place; scalars are canonical, so the order of the
-        sum cannot change a coefficient.
-        """
-        coef: dict = {}
-        get = coef.get
-        right = other.nonzeros
-        for i, j, ca in self.nonzeros:
-            odd_j = parity is not None and parity[j]
-            row_i, row_j = mult[i], mult[j]
-            for p, q, cb in right:
-                m_ip, m_jq = row_i[p], row_j[q]
-                if not m_ip or not m_jq:
-                    continue
-                c = ca * cb
-                if odd_j and parity[p]:
-                    c = -c
-                for k, c1 in m_ip:
-                    left = c * c1
-                    for l, c2 in m_jq:
-                        key = (k, l)
-                        v = left * c2
-                        cur = get(key)
-                        coef[key] = v if cur is None else cur + v
-        return Tensor2._from_sums(self.dim, coef)
-
 
 class Tensor3(_SparseTensor):
     """Element of H (x) H (x) H; verification workspace only."""
@@ -414,7 +384,29 @@ def tensor2_mul(a: Tensor2, b: Tensor2, host: "HopfData") -> Tensor2:
     """
     if a.dim != b.dim or a.dim != host.dim:
         raise ShapeError("tensor/host dimension mismatch")
-    return a.mul(b, host.mult, host.parity if host.super else None)
+    mult = host.mult
+    parity = host.parity if host.super else None
+    coef: dict = {}
+    get = coef.get
+    right = b.nonzeros
+    for i, j, ca in a.nonzeros:
+        odd_j = parity is not None and parity[j]
+        row_i, row_j = mult[i], mult[j]
+        for p, q, cb in right:
+            m_ip, m_jq = row_i[p], row_j[q]
+            if not m_ip or not m_jq:
+                continue
+            c = ca * cb
+            if odd_j and parity[p]:
+                c = -c
+            for k, c1 in m_ip:
+                left = c * c1
+                for l, c2 in m_jq:
+                    key = (k, l)
+                    v = left * c2
+                    cur = get(key)
+                    coef[key] = v if cur is None else cur + v
+    return Tensor2._from_sums(a.dim, coef)
 
 
 def tensor3_mul(a: Tensor3, b: Tensor3, host: "HopfData") -> Tensor3:

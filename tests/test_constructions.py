@@ -2,6 +2,7 @@
 
 from itertools import product
 from math import isqrt
+from pathlib import Path
 
 import pytest
 
@@ -56,17 +57,27 @@ from trihopf.tensor import (
     tensor3_mul,
     unit_tensor2,
 )
-from trihopf.triangular import drinfeld_element, r_matrix_rank, r_u, verify_triangular
+from trihopf.triangular import (
+    check_structure_theorems,
+    drinfeld_element,
+    r_matrix_rank,
+    r_u,
+    verify_triangular,
+)
 
+from _golden import NON_DIAGONAL, builder_digests, z4_quarter_turn
 from _oracles import (
     bicharacter_twist_double_sum,
     bruteforce_alternating_nondegenerate,
     bruteforce_sign_characters,
+    exhaustive_axioms,
+    exhaustive_triangular,
     sweedler_r,
 )
 
 ONE = CycScalar.one()
 ZERO = CycScalar.zero()
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def sc(n, d=1):
@@ -189,11 +200,19 @@ def test_exterior_coproduct_koszul_sign():
 
 # --- supergroup algebras --------------------------------------------------------
 
-def test_supergroup_trivial_group_is_exterior():
+def test_supergroup_trivial_group_is_exterior(z2):
     triv = FiniteGroup.trivial()
     v = GroupRep.from_sign_characters(triv, [(1,)])
     sg = supergroup_algebra(triv, v)
     assert sg.same_structure(exterior_algebra(1))
+    # the identity coset of k[Z2] x Lambda(W) is a sub-Hopf algebra
+    # Lambda(W), entry for entry
+    big = supergroup_algebra(z2, GroupRep.from_sign_characters(z2, [(1, -1), (1, -1)]))
+    ext = exterior_algebra(2)
+    assert all(big.mult[i][j] == ext.mult[i][j] for i in range(4) for j in range(4))
+    assert all(sorted(big.comult[i]) == sorted(ext.comult[i]) for i in range(4))
+    assert all(big.s_columns[i] == ext.s_columns[i] for i in range(4))
+    assert big.counit[:4] == ext.counit and big.parity[:4] == ext.parity
 
 
 def test_supergroup_z2_sign_relations(z2, sign_line):
@@ -300,6 +319,50 @@ def test_modified_radical_formula_and_rank():
         FiniteGroup.cyclic(3), GroupRep.zero(FiniteGroup.cyclic(3)), u=0
     )
     assert r_matrix_rank(ru) == 1
+
+
+def test_builder_bytes_match_the_committed_digests():
+    # golden/builders.sha256 is what `python tests/_golden.py` prints
+    lines = (GOLDEN / "builders.sha256").read_text().splitlines()
+    expected = {name: digest for digest, name in (line.split("  ", 1) for line in lines)}
+    assert len(expected) == 440
+    assert builder_digests() == expected
+
+
+# --- smash products on a W that is not diagonal ------------------------------------
+
+@pytest.mark.parametrize("build", list(NON_DIAGONAL.values()), ids=list(NON_DIAGONAL))
+def test_non_diagonal_smash_products_verify(build):
+    g, w, u = build()
+    sg = supergroup_algebra(g, w)
+    assert verify_hopf(sg).ok
+    h, ru = modified_supergroup_algebra(g, w, u)
+    assert h.dim == sg.dim == g.order * 4
+    assert verify_hopf(h).ok
+    assert verify_triangular(h, ru)
+    assert check_structure_theorems(h, ru).ok
+
+
+def test_non_diagonal_smash_products_match_the_exhaustive_oracles():
+    g, w, u = z4_quarter_turn()
+    sg = supergroup_algebra(g, w)
+    h, ru = modified_supergroup_algebra(g, w, u)
+    assert h.dim == 16
+    for host in (sg, h):
+        report = exhaustive_axioms(host)
+        assert report["witnesses"] == {} and verify_hopf(host).to_obj() == report
+    assert exhaustive_triangular(h, {(i, j): c for i, j, c in ru.nonzeros})
+
+
+def test_quarter_turn_modification_mixes_the_generators():
+    # x = v_1 and y = v_2 with t x = y t; Delta'(x) = x (x) 1 + u (x) x
+    # and S'(x) = -u x, with u = t^2 at index 8
+    g, w, u = z4_quarter_turn()
+    h, _ = modified_supergroup_algebra(g, w, u)
+    assert {(j, k): c for j, k, c in h.comult[1]} == {(1, 0): ONE, (8, 1): ONE}
+    assert h.s_columns[1] == ((9, -ONE),)
+    t, x = Vec.basis(16, 4), Vec.basis(16, 1)
+    assert h.mul_vec(t, x) == h.mul_vec(Vec.basis(16, 2), t)
 
 
 # --- bicharacter twists -----------------------------------------------------------
