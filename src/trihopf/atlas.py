@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
 
-from .constructions import Septuple, Twist, septuple_twist
+from .constructions import Septuple, Twist, modified_supergroup_algebra, septuple_twist
 from .groups import (
     AbelianSubgroup,
     FiniteGroup,
@@ -30,11 +30,13 @@ from .groups import (
     sign_characters,
 )
 from .hopf import (
+    HopfData,
     antipode_order,
     is_cocommutative,
     subspace_is_hopf_ideal,
 )
 from .serialize import dumps, hopf_to_obj, tensor2_to_obj
+from .tensor import Tensor2
 from .triangular import (
     certify_twisted_triangular,
     check_structure_theorems,
@@ -72,9 +74,10 @@ def catalog_group(name: str) -> FiniteGroup:
     return build()
 
 
-# Per-process tables, built once per catalog group, representation or
-# factor tuple instead of once per instance; the keys range over the
-# finite catalog.
+# Per-process tables, built once per catalog group, representation,
+# host or factor tuple instead of once per instance; the keys range over
+# the finite catalog.  Nothing built for one instance (H^J, J, R^J, a
+# report) is kept.
 
 @lru_cache(maxsize=None)
 def _group_tables(name: str) -> tuple[FiniteGroup, tuple]:
@@ -90,6 +93,16 @@ def _sign_rep(name: str, v_chars: tuple[int, ...]) -> GroupRep:
     if not v_chars:
         return GroupRep.zero(g)
     return GroupRep.from_sign_characters(g, [chars[i] for i in v_chars])
+
+
+@lru_cache(maxsize=None)
+def _host(name: str, v_chars: tuple[int, ...], u: int) -> tuple[HopfData, Tensor2]:
+    """The untwisted host (H, R_u) = modified_supergroup_algebra(G, W, u)
+    of a catalog (group, W, u).  H keeps its own facts: its generators,
+    radical and algebra witnesses, and the exhaustive proof that R_u is
+    triangular on it, so every instance twisting it reuses them."""
+    g, _ = _group_tables(name)
+    return modified_supergroup_algebra(g, _sign_rep(name, v_chars), u)
 
 
 @lru_cache(maxsize=None)
@@ -164,7 +177,9 @@ def enumerate_instances(max_order: int) -> list[InstanceSpec]:
 
 
 def instance_twist(spec: InstanceSpec) -> Twist:
-    """The checked twist (H, J, J^-1, R_u) an instance spec twists."""
+    """The checked twist (H, J, J^-1, R_u) an instance spec twists, on the
+    per-process host of its (group, W, u); the septuple is validated
+    for every instance."""
     g, _ = _group_tables(spec.group)
     sub = AbelianSubgroup(g, spec.subgroup)
     gamma = _bicharacters(sub.factors)[spec.gamma_index]
@@ -178,7 +193,7 @@ def instance_twist(spec: InstanceSpec) -> Twist:
         v_dim=math.isqrt(len(spec.subgroup)),
         u=spec.u,
     )
-    return septuple_twist(septuple)
+    return septuple_twist(septuple, _host(spec.group, tuple(spec.v_chars), spec.u))
 
 
 def build_instance(spec: InstanceSpec):

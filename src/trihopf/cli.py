@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .atlas import analysis_report, run_atlas, theorems_hold
 from .constructions import (
+    check_tensor_dims,
     group_algebra,
     exterior_algebra,
     modified_supergroup_algebra,
@@ -228,6 +229,7 @@ def cmd_twist(args) -> int:
 def cmd_modify(args) -> int:
     h = _load_hopf(args.dump)
     r = tensor2_from_obj(load(args.r))
+    check_tensor_dims(h, r)
     u = Vec.basis(h.dim, int(args.u))
     r2 = modify_r(h, r, u)
     save(args.output, tensor2_to_obj(r2))

@@ -147,11 +147,38 @@ def _det(rows, row_idx, col_idx) -> CycScalar:
     return acc
 
 
-def _exterior_image(m: Mat, mask: int, degree: int):
-    """Expansion of rho(v_mask) under a linear map, via minors."""
+def _monomial_columns(m: Mat, degree: int):
+    """(row, coefficient) of the one nonzero of each column of m, or None
+    when some column has none or more than one."""
+    out = []
+    for b in range(degree):
+        nonzeros = [(a, m.rows[a][b]) for a in range(degree) if not m.rows[a][b].is_zero()]
+        if len(nonzeros) != 1:
+            return None
+        out.append(nonzeros[0])
+    return out
+
+
+def _exterior_image(m: Mat, mask: int, degree: int, monomial=None):
+    """Expansion of rho(v_mask) under a linear map, via minors.
+
+    monomial is _monomial_columns(m, degree); when it is not None, v_b
+    maps to c_b v_row(b), so v_mask maps to one signed term (or to 0
+    when two of its factors land on one row) and no minor is expanded.
+    """
     cols = [b for b in range(degree) if mask >> b & 1]
     if not cols:
         return ((0, SC_ONE),)
+    if monomial is not None:
+        out_mask, coeff, inversions = 0, SC_ONE, 0
+        for b in cols:
+            row, c = monomial[b]
+            if out_mask >> row & 1:
+                return ()
+            inversions += bin(out_mask >> (row + 1)).count("1")
+            out_mask |= 1 << row
+            coeff = coeff * c
+        return ((out_mask, -coeff if inversions % 2 else coeff),)
     out = []
     for rows_subset in combinations(range(degree), len(cols)):
         det = _det(m.rows, rows_subset, tuple(cols))
@@ -171,7 +198,8 @@ def _smash_product(g: FiniteGroup, v: GroupRep):
 
     Returns (mult, comult, counit, antipode columns, parity, size) with
     size = 2**degree; the antipode columns are sparse, as
-    HopfData.s_columns.  With rho(h) v_S expanded by minors once per h:
+    HopfData.s_columns.  With rho(h) v_S expanded once per h (by minors,
+    or as one signed term when rho(h) is monomial):
       (g, S)(h, T) = (gh, rho(h^-1)(v_S) ^ v_T), so g v = rho(g)(v) g;
       Delta(g v_S) = sum over T in S of the Koszul sign of the shuffle
         times g v_T (x) g v_{S-T};
@@ -180,10 +208,10 @@ def _smash_product(g: FiniteGroup, v: GroupRep):
     w = v.degree
     size = 1 << w
     dim = g.order * size
-    images = [
-        tuple(_exterior_image(v.matrices[h], mask, w) for mask in range(size))
-        for h in range(g.order)
-    ]
+    images = []
+    for m in v.matrices:
+        monomial = _monomial_columns(m, w)
+        images.append(tuple(_exterior_image(m, mask, w, monomial) for mask in range(size)))
     mult = []
     for i in range(dim):
         gi, si = divmod(i, size)
@@ -359,13 +387,21 @@ def inflate_group_tensor(t: Tensor2, factor: int, dim: int) -> Tensor2:
     )
 
 
+def check_tensor_dims(h: HopfData, *tensors: Optional[Tensor2]):
+    """ShapeError unless every given tensor lies in H (x) H for this H."""
+    for t in tensors:
+        if t is not None and t.dim != h.dim:
+            raise ShapeError(f"tensor over dimension {t.dim} given for dimension {h.dim}")
+
+
 def _twist_identities_hold(h: HopfData, j: Tensor2) -> bool:
     """Counit normalization and (Delta (x) id)(J) J12 = (id (x) Delta)(J) J23.
 
     This is the cocycle order under which Delta^J = J^-1 Delta J is
     coassociative; J12 (Delta (x) id)(J) = J23 (id (x) Delta)(J) is the
-    one for J Delta J^-1.
+    one for J Delta J^-1.  A J of another dimension raises ShapeError.
     """
+    check_tensor_dims(h, j)
     left, right = counit_slants(h, j.nonzeros)
     if left != h.unit or right != h.unit:
         return False
@@ -400,7 +436,8 @@ class Twist:
     (Delta (x) id)(J) J12 = (id (x) Delta)(J) J23, and J^-1 two-sided (it
     is solved for when not given); any failure raises TwistError, or
     NotInvertible for a singular J.  R, when given, is a triangular
-    structure of H to carry along; it is not checked here.
+    structure of H to carry along; it is not checked here.  A J, J^-1 or
+    R of another dimension than H raises ShapeError first.
     """
 
     host: HopfData
@@ -410,6 +447,7 @@ class Twist:
 
     def __post_init__(self):
         h, j = self.host, self.j
+        check_tensor_dims(h, j, self.j_inv, self.r)
         if h.super:
             raise TwistError("twisting super Hopf algebras is not supported")
         if not _twist_identities_hold(h, j):
@@ -424,7 +462,10 @@ class Twist:
     def apply(self) -> tuple[HopfData, Optional[Tensor2]]:
         """(H^J, R^J): Delta^J(x) = J^-1 Delta(x) J, the antipode conjugated
         by Q = m(S (x) id)(J), and R^J = J21^-1 R J when R is given;
-        multiplication, unit and counit are H's.
+        multiplication, unit, counit and grading are H's very objects,
+        and H^J reads H's algebra facts (generators, radical, the
+        associativity and unit witnesses) from H when first asked.  The
+        structural check runs on H^J.
 
         Q^-1 is the closed form m(id (x) S)(J^-1) with the certified
         J^-1, multiplied back on both sides (certified_inverse); if that
@@ -441,16 +482,7 @@ class Twist:
         # column i is S^J(e_i) = Q^-1 S(e_i) Q, from S's sparse columns
         cols = [h.mul_sparse(h.mul_sparse(q_inv, s_col).items(), q) for s_col in h.s_columns]
         antipode_new = Mat(tuple(col.get(k, SC_ZERO) for col in cols) for k in range(h.dim))
-        out = make_hopf(
-            dim=h.dim,
-            unit=h.unit,
-            mult=h.mult,
-            comult=tuple(comult_new),
-            counit=h.counit,
-            antipode=antipode_new,
-            parity=h.parity,
-            super=h.super,
-        )
+        out = h.replace(comult=tuple(comult_new), antipode=antipode_new, algebra_host=h).validate()
         r_new = None
         if self.r is not None:
             r_new = tensor2_mul(tensor2_mul(flip(j_inv), self.r, h), j, h)
@@ -639,12 +671,15 @@ def validate_septuple(s: Septuple) -> SeptupleReport:
     return SeptupleReport(tuple(checks))
 
 
-def septuple_twist(s: Septuple) -> Twist:
+def septuple_twist(s: Septuple, host: Optional[tuple[HopfData, Tensor2]] = None) -> Twist:
     """The checked twist behind septuple_pipeline: the modified supergroup
     algebra, its R_u, and the bicharacter twist on the abelian subgroup.
 
     Realizes the Y = B = 0 stratum; anything with Y or B nonzero is
-    rejected as UnsupportedStratum.
+    rejected as UnsupportedStratum.  The septuple is checked first.
+    host is (H, R_u) = modified_supergroup_algebra(s.group, s.w, s.u)
+    when the caller has built it already (the atlas keeps one per
+    catalog host); it is built here otherwise.
     """
     report = validate_septuple(s)
     if not report.valid:
@@ -655,7 +690,7 @@ def septuple_twist(s: Septuple) -> Twist:
         raise UnsupportedStratum(
             "only the Y = B = 0 stratum is implemented; nonzero Y or B is out of range"
         )
-    h, ru = modified_supergroup_algebra(s.group, s.w, s.u)
+    h, ru = modified_supergroup_algebra(s.group, s.w, s.u) if host is None else host
     sub = AbelianSubgroup(s.group, s.a_elements)
     beta = half_bicharacter(s.v_beta)
     j = build_bicharacter_twist(sub, beta)

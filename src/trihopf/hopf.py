@@ -20,6 +20,16 @@ left factor over S only (the lemmas are in verify_hopf).  Unit, counit
 and antipode are checked on every basis element.  If any check fails,
 the exhaustive scan over all basis tuples runs and names the witness.
 
+Which facts belong to what.  A twist H^J changes only the coproduct
+and the antipode, so facts of the algebra (generators, radical, the
+associativity and unit witnesses in HopfData.algebra_witnesses) are
+computed once per algebra: H^J keeps its H as algebra_host, holds H's
+very mult and unit objects, and reads those facts from H when first
+asked.  Everything that reads the coproduct or the antipode (the
+structural check, the coalgebra, bialgebra and antipode axioms, S and
+S^2 as sparse columns) is computed once per object, so once per
+instance.  Facts of a pair (H, R) live in triangular.py.
+
 The radical is computed from the kernel of the regular trace form
 (valid in characteristic 0).  The Chevalley check tests that the radical
 I is a Hopf ideal; the coproduct condition Delta(I) in I (x) H + H (x) I
@@ -38,7 +48,7 @@ Drinfeld element of R = sum a_i (x) b_i (triangular.drinfeld_element).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -75,6 +85,8 @@ class HopfData:
     antipode: Mat
     parity: tuple[int, ...]
     super: bool = False
+    # the algebra this one shares its algebra facts with (see _algebra_source)
+    algebra_host: Optional["HopfData"] = field(default=None, repr=False)
 
     def validate(self) -> "HopfData":
         """Structural well-formedness; axiom checking lives in verify_hopf."""
@@ -138,6 +150,21 @@ class HopfData:
         """S^2 as sparse columns, composed once per object."""
         return compose_columns(self.s_columns, self.s_columns)
 
+    @property
+    def _algebra_source(self) -> "HopfData":
+        """The object that owns this one's algebra facts: that of
+        algebra_host when the host has this object's dim and its very mult
+        and unit objects, else self.
+
+        generators, radical and algebra_witnesses depend on nothing else,
+        so a twist H^J (constructions.Twist.apply) reads them from its H,
+        and a copy with another product or unit computes its own.
+        """
+        host = self.algebra_host
+        if host is None or host.mult is not self.mult or host.unit is not self.unit:
+            return self
+        return host._algebra_source if host.dim == self.dim else self
+
     @cached_property
     def generators(self) -> Optional[tuple[int, ...]]:
         """Basis indices S that generate H from the unit, or None.
@@ -154,6 +181,12 @@ class HopfData:
         """
         if self._malformation is not None:
             return None
+        return self._algebra_source._spanning_generators
+
+    @cached_property
+    def _spanning_generators(self) -> Optional[tuple[int, ...]]:
+        """The greedy S of generators from mult and unit alone, on a well
+        formed structure."""
         mult = self.mult
         span = Echelon()  # V
         spanned: list[dict] = []  # vectors spanning V, as index -> coefficient
@@ -182,13 +215,37 @@ class HopfData:
         return tuple(gens) if len(span) == self.dim else None
 
     @cached_property
+    def algebra_witnesses(self) -> tuple[Optional[tuple], Optional[tuple]]:
+        """(associativity witness, unit witness) of the algebra, each the
+        lowest-index failure of the exhaustive scan or None.
+
+        (None, None) without the exhaustive scan when the generators are
+        certified, the unit holds on every basis element and
+        associativity holds with its left factor in the generators: the
+        lemma in verify_hopf then gives associativity everywhere.
+        Shared with a twist through _algebra_source.
+        """
+        source = self._algebra_source
+        if source is not self:
+            return source.algebra_witnesses
+        unit = _unit_witness(self, [self.basis_vec(i) for i in range(self.dim)])
+        gens = self.generators
+        if unit is None and gens is not None and _associativity_witness(self, gens) is None:
+            return None, None
+        return _associativity_witness(self, range(self.dim)), unit
+
+    @cached_property
     def axioms(self) -> "AxiomReport":
         """verify_hopf(self), computed once per object."""
         return verify_hopf(self)
 
     @cached_property
     def radical(self) -> tuple[Vec, ...]:
-        """jacobson_radical(self), computed once per object."""
+        """jacobson_radical(self), computed once per algebra: a twist
+        reads its host's (see _algebra_source)."""
+        source = self._algebra_source
+        if source is not self:
+            return source.radical
         return tuple(jacobson_radical(self))
 
     def mul_sparse(self, x, y) -> dict:
@@ -393,7 +450,9 @@ def verify_hopf(h: HopfData) -> AxiomReport:
     certified generating set, the exhaustive scan runs instead: d**3
     triples, d**2 pairs (with the Koszul sign when super) and d
     indices, which name the witnesses.  Failures are reported, never
-    raised.
+    raised.  Associativity and the unit are facts of the algebra alone
+    and come from HopfData.algebra_witnesses, which applies the first
+    lemma itself and is shared by a twist with the algebra it twists.
     """
     gens = h.generators
     if gens is not None:
@@ -405,12 +464,15 @@ def verify_hopf(h: HopfData) -> AxiomReport:
 
 def _axiom_scan(h: HopfData, lead: Sequence[int]) -> AxiomReport:
     """One check per axiom; lead is the index set of the left factor of
-    associativity, coassociativity and the bialgebra identity."""
+    coassociativity and the bialgebra identity.  The associativity and
+    unit witnesses are the algebra's (HopfData.algebra_witnesses), which
+    equal the exhaustive scan's."""
     basis = [h.basis_vec(i) for i in range(h.dim)]
     deltas = [h.comult_tensor(i) for i in range(h.dim)]
+    associativity, unit = h.algebra_witnesses
     found = {
-        "associativity": _associativity_witness(h, lead),
-        "unit": _unit_witness(h, basis),
+        "associativity": associativity,
+        "unit": unit,
         "coassociativity": _coassociativity_witness(h, lead, deltas),
         "counit": _counit_witness(h, basis),
         "bialgebra": _bialgebra_witness(h, lead, deltas),

@@ -45,6 +45,13 @@ map.  With F = (Delta (x) id)(J) J12 and G = (id (x) Delta)(J) J23,
 coassociative because F = G (3) and Delta^J is coassociative.  It is
 counital because eps (x) id is an algebra map sending J to 1 (3).
 
+Which facts belong to what.  Premise 1 is per instance, except that the
+associativity and unit witnesses and the generators of H^J are H's
+(hopf.HopfData.algebra_witnesses); premise 2 is a fact of the pair
+(H, R), proved once and kept on H beside the R object it was proved
+for, so every twist of one host with the same R reuses it and any other
+R is proved afresh; premises 3 to 5 are per twist.
+
 The Drinfeld element u = sum S(b_i) a_i of R = sum a_i (x) b_i has the
 inverse u^-1 = sum b_i S^2(a_i) when R is quasitriangular;
 drinfeld_element takes it once it multiplies back to 1 on both sides
@@ -159,6 +166,20 @@ def verify_triangular(h: HopfData, r: Tensor2) -> bool:
     return _triangular(h, r, _certified_generators(h))
 
 
+def _host_triangular(host: HopfData, r: Tensor2) -> bool:
+    """_triangular(host, r, None), proved once per (host, R) pair.
+
+    The verdict is kept on the host together with the very R object it
+    was proved for; any other R is proved afresh and takes its place, so
+    a host holds one R and one verdict at most.
+    """
+    proof = getattr(host, "_triangular_proof", None)
+    if proof is None or proof[0] is not r:
+        proof = (r, _triangular(host, r, None))
+        object.__setattr__(host, "_triangular_proof", proof)
+    return proof[1]
+
+
 def _algebra_key(h: HopfData):
     """What H^J shares with H: multiplication, unit, counit and grading."""
     return h.super, h.parity, h.unit, h.counit, h.mult
@@ -173,14 +194,15 @@ def certify_twisted_triangular(h: HopfData, r: Tensor2, twist: Twist) -> bool:
     docstring) are checked here, each exactly:
     - h.axioms.ok, and h has the multiplication, unit and counit of H;
     - R is triangular on H, by the exhaustive checks (H's own axioms
-      follow from h's and are not computed);
+      follow from h's and are not computed), proved once per (H, R)
+      pair and kept on H;
     - J Delta_h(e_i) = Delta_H(e_i) J for every i, and J21 r = R J.
     False means a premise failed, not that r is not triangular.
     """
     host, r0, j = twist.host, twist.r, twist.j
     if r0 is None or not h.axioms.ok or _algebra_key(h) != _algebra_key(host):
         return False
-    if not _triangular(host, r0, None):
+    if not _host_triangular(host, r0):
         return False
     for i in range(h.dim):
         if tensor2_mul(j, h.comult_tensor(i), h) != tensor2_mul(host.comult_tensor(i), j, h):

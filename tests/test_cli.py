@@ -394,6 +394,31 @@ def test_modify_rejects_an_index_out_of_range(tmp_path, capsys, u):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("host_dim", [2, 8], ids=["smaller", "larger"])
+@pytest.mark.parametrize("command", ["verify", "twist"])
+def test_twist_of_another_dimension_is_malformed(tmp_path, capsys, command, host_dim):
+    # a tensor over another dimension than the 4-dimensional Sweedler dump
+    # is refused before any twist identity runs (1 (x) e_1 would fail the
+    # counit normalization and exit 1)
+    jfile = write(tmp_path / "j.json", {"host_dim": host_dim, "entries": [[0, 1, 1]]})
+    out = tmp_path / "o.json"
+    argv = [command, str(GOLDEN / "sweedler.hopf.json"), "--twist", jfile]
+    assert main(argv + (["-o", str(out)] if command == "twist" else [])) == 2
+    assert "dimension" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("host_dim", [2, 8], ids=["smaller", "larger"])
+@pytest.mark.parametrize("u", ["1", "2"], ids=["u2_not_1", "involution"])
+def test_modify_rejects_an_r_of_another_dimension(tmp_path, capsys, host_dim, u):
+    rfile = write(tmp_path / "r.json", {"host_dim": host_dim, "entries": [[0, 0, 1]]})
+    out = tmp_path / "rmod.json"
+    argv = ["modify", str(GOLDEN / "sweedler.hopf.json"), "--r", rfile, "--u", u]
+    assert main(argv + ["-o", str(out)]) == 2
+    assert "dimension" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_septuple_validate_command(tmp_path, capsys):
     z2 = FiniteGroup.cyclic(2).to_obj()
     good = write(

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trihopf import hopf
-from trihopf.atlas import enumerate_instances, instance_twist
+from trihopf.atlas import _host, enumerate_instances, instance_twist
 from trihopf.constructions import (
+    Twist,
+    apply_twist,
     exterior_algebra,
     group_algebra,
     modified_supergroup_algebra,
@@ -27,7 +29,7 @@ from trihopf.hopf import (
     verify_hopf,
 )
 from trihopf.scalars import CycScalar
-from trihopf.tensor import Mat, Vec
+from trihopf.tensor import Mat, Vec, unit_tensor2
 from trihopf.triangular import check_structure_theorems
 
 from _oracles import (
@@ -249,6 +251,84 @@ def test_verify_hopf_scans_generators_only(monkeypatch):
     broken = h.replace(antipode=Mat.zero(8, 8))
     assert verify_hopf(broken).witnesses == {"antipode": (0,)}
     assert calls == [(1, 2, 4), tuple(range(8))]  # the witness comes from the full scan
+
+
+def _exhaustive_algebra_witnesses(h):
+    basis = [h.basis_vec(i) for i in range(h.dim)]
+    return hopf._associativity_witness(h, range(h.dim)), hopf._unit_witness(h, basis)
+
+
+def _atlas9_hosts():
+    keys = {(s.group, s.v_chars, s.u) for s in enumerate_instances(9)}
+    return [_host(*key)[0] for key in sorted(keys)]
+
+
+def _product_mutant(h):
+    """h with one product entry changed so that associativity fails: the
+    first cell (i, j) that breaks it when its product gains e_0."""
+    for i in range(h.dim):
+        for j in range(h.dim):
+            mult = [list(row) for row in h.mult]
+            cell = dict(mult[i][j])
+            cell[0] = cell.get(0, ZERO) + ONE
+            mult[i][j] = tuple((k, c) for k, c in sorted(cell.items()) if not c.is_zero())
+            mutant = h.replace(mult=tuple(tuple(row) for row in mult))
+            if _exhaustive_algebra_witnesses(mutant)[0] is not None:
+                return mutant
+    raise AssertionError("no associativity-breaking entry found")
+
+
+def test_algebra_witnesses_match_the_exhaustive_scan_on_atlas9_hosts():
+    hosts = _atlas9_hosts()
+    assert len(hosts) == 43
+    failing = {"associativity": 0, "unit": 0}
+    for h in hosts:
+        assert h.algebra_witnesses == _exhaustive_algebra_witnesses(h) == (None, None)
+        if h.dim == 1:
+            continue  # k: every product c e_0 is associative, and 1 = e_0
+        moved = h.replace(unit=Vec.basis(h.dim, h.dim - 1))
+        broken = _product_mutant(h)
+        # a twist's copy with another product computes its own facts
+        twisted = h.replace(comult=h.comult, algebra_host=h)
+        assert twisted.algebra_witnesses == (None, None)
+        for mutant in (moved, broken, twisted.replace(mult=broken.mult)):
+            expected = _exhaustive_algebra_witnesses(mutant)
+            assert mutant.algebra_witnesses == expected
+            failing["associativity"] += expected[0] is not None
+            failing["unit"] += expected[1] is not None
+            assert verify_hopf(mutant).to_obj() == exhaustive_axioms(mutant)
+    # the unit moved keeps the product; the other two break associativity
+    assert failing["associativity"] == 2 * 42 and failing["unit"] >= 42
+
+
+def test_a_twist_shares_the_algebra_of_its_host():
+    host = _sweedler_host()
+    h2, _ = Twist(host, unit_tensor2(host)).apply()
+    assert h2.mult is host.mult and h2.unit is host.unit and h2.counit is host.counit
+    assert h2.parity is host.parity and h2.algebra_host is host
+    assert h2.generators is host.generators
+    assert h2.radical is host.radical
+    assert h2.algebra_witnesses is host.algebra_witnesses
+    # a twist of a twist reads the first host's facts too
+    h3, _ = Twist(h2, unit_tensor2(h2)).apply()
+    assert h3.radical is host.radical
+
+
+def test_apply_twist_on_a_loaded_dump_computes_no_algebra_fact(monkeypatch):
+    from pathlib import Path
+
+    from trihopf.serialize import hopf_from_obj, load
+
+    h = hopf_from_obj(load(Path(__file__).parent / "golden" / "sweedler.hopf.json"))
+
+    def refused(*args):
+        raise AssertionError("algebra fact computed")
+
+    for name in ("_associativity_witness", "_unit_witness", "jacobson_radical"):
+        monkeypatch.setattr(hopf, name, refused)
+    h2, _ = apply_twist(h, unit_tensor2(h))
+    facts = {"generators", "_spanning_generators", "radical", "algebra_witnesses", "axioms"}
+    assert not facts & (set(vars(h)) | set(vars(h2)))
 
 
 def test_axioms_report_cached(sweedler):

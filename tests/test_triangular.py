@@ -5,7 +5,7 @@ from dataclasses import asdict
 
 import pytest
 
-from trihopf import constructions, hopf, tensor, triangular
+from trihopf import atlas, constructions, hopf, tensor, triangular
 from trihopf.atlas import (
     _build_and_write,
     analysis_report,
@@ -496,3 +496,72 @@ def test_closed_form_inverses_need_no_solve(monkeypatch):
         tw = instance_twist(spec)
         h, r = tw.apply()
         assert check_structure_theorems(h, r).ok
+
+
+# --- one host, proved once ------------------------------------------------------
+
+
+def test_instances_share_their_cached_host():
+    specs = [s for s in enumerate_instances(8) if (s.group, s.v_chars, s.u) == ("Z2xZ2", (2,), 1)]
+    twists = [instance_twist(s) for s in specs]
+    assert len(twists) > 1
+    assert all(tw.host is twists[0].host and tw.r is twists[0].r for tw in twists)
+    host = twists[0].host
+    for tw in twists:
+        h, r = tw.apply()
+        assert h.algebra_host is host and h.mult is host.mult
+        assert certify_twisted_triangular(h, r, tw)
+    # the host keeps its R_u and facts of its own, nothing of an instance
+    assert host.algebra_host is None and host._triangular_proof == (twists[0].r, True)
+    for value in vars(host).values():
+        assert not isinstance(value, (hopf.HopfData, Twist, Tensor2))
+
+
+def test_host_proof_is_kept_per_r_not_per_host():
+    # R_u is proved triangular on the cached host once; 1 (x) 1 on the same
+    # host is proved afresh and refused, and R_u is then proved again
+    spec = next(s for s in enumerate_instances(8) if s.name == "Z2xZ2_u1_V2_A0-1-2-3_g0")
+    tw = instance_twist(spec)
+    assert not is_cocommutative(tw.host)
+    h, r = tw.apply()
+    assert certify_twisted_triangular(h, r, tw)
+    assert tw.host._triangular_proof[0] is tw.r
+    plain = Twist(tw.host, tw.j, tw.j_inv, unit_tensor2(tw.host))
+    assert plain.host is tw.host
+    assert not certify_twisted_triangular(*plain.apply(), plain)
+    assert tw.host._triangular_proof[0] is plain.r
+    again = instance_twist(spec)
+    assert again.host is tw.host
+    assert certify_twisted_triangular(*again.apply(), again)
+
+
+def test_atlas9_job_proves_each_host_once(monkeypatch, tmp_path):
+    # every host fact runs once per distinct (group, W, u), not per instance
+    specs = enumerate_instances(9)
+    hosts = {(s.group, s.v_chars, s.u) for s in specs}
+    assert (len(specs), len(hosts)) == (119, 43)
+    calls = {}
+    for module, name in (
+        (constructions, "_smash_product"),
+        (hopf, "_associativity_witness"),
+        (hopf, "jacobson_radical"),
+        (triangular, "_triangular"),
+    ):
+        original = getattr(module, name)
+
+        def counting(*args, name=name, original=original):
+            calls.setdefault(name, []).append(args)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    atlas._host.cache_clear()
+    files = _atlas_files(specs, tmp_path / "atlas")
+    assert len(files) == 3 * 119
+    assert {name: len(args) for name, args in calls.items()} == {
+        "_smash_product": 43,
+        "_associativity_witness": 43,
+        "jacobson_radical": 43,
+        "_triangular": 43,
+    }
+    # the triangular proofs are the exhaustive ones, on the untwisted hosts
+    assert all(gens is None and h.algebra_host is None for h, _, gens in calls["_triangular"])
