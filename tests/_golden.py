@@ -3,21 +3,31 @@
 Every (group, W, u) host of the atlas up to order 32 gives the
 supergroup algebra k[G] x Lambda(W) (one per (group, W)) and the
 modified supergroup algebra with its R_u; exterior_algebra(0..5) and
-two smash products whose W is not diagonal complete the set.  Running
-this file prints the digests in `sha256sum` format:
+three smash products whose W is not diagonal complete the set.  Two of
+those W are signed permutations; the Z6 rotation is not, so rho(g) v_S
+has more than one term there.
+
+tests/golden/semisimple.sha256 pins semisimple_triangular: the twisted
+group algebra and its R for every semisimple (W = 0) instance of the
+atlas up to order 16, one (group, A, gamma, u) each.
+
+Running this file prints the digests in `sha256sum` format:
 
     PYTHONPATH=src python tests/_golden.py > tests/golden/builders.sha256
+    PYTHONPATH=src python tests/_golden.py semisimple > tests/golden/semisimple.sha256
 """
 
 import hashlib
+import sys
 
-from trihopf.atlas import _group_tables, _sign_rep, enumerate_instances
+from trihopf.atlas import _bicharacters, _group_tables, _sign_rep, enumerate_instances
 from trihopf.constructions import (
     exterior_algebra,
     modified_supergroup_algebra,
+    semisimple_triangular,
     supergroup_algebra,
 )
-from trihopf.groups import FiniteGroup, GroupRep
+from trihopf.groups import AbelianSubgroup, FiniteGroup, GroupRep
 from trihopf.scalars import CycScalar
 from trihopf.serialize import dumps, hopf_to_obj, tensor2_to_obj
 from trihopf.tensor import Mat
@@ -25,6 +35,7 @@ from trihopf.tensor import Mat
 ONE, ZERO = CycScalar.one(), CycScalar.zero()
 QUARTER_TURN = Mat([[ZERO, -ONE], [ONE, ZERO]])
 REFLECTION = Mat([[ONE, ZERO], [ZERO, -ONE]])
+SIXTH_TURN = Mat([[ONE, -ONE], [ONE, ZERO]])
 
 
 def _power(m: Mat, k: int) -> Mat:
@@ -48,7 +59,14 @@ def d4_plane() -> tuple[FiniteGroup, GroupRep, int]:
     return d4, GroupRep(d4, 2, mats), 2
 
 
-NON_DIAGONAL = {"Z4rot": z4_quarter_turn, "D4plane": d4_plane}
+def z6_sixth_turn() -> tuple[FiniteGroup, GroupRep, int]:
+    """Z6 turning the plane by 60 degrees, rho(1) = [[1, -1], [1, 0]];
+    u = 3 acts by -1 (dim 24).  rho(g) is not monomial for g != 0, 3."""
+    z6 = FiniteGroup.cyclic(6)
+    return z6, GroupRep(z6, 2, [_power(SIXTH_TURN, k) for k in range(6)]), 3
+
+
+NON_DIAGONAL = {"Z4rot": z4_quarter_turn, "D4plane": d4_plane, "Z6rot": z6_sixth_turn}
 
 
 def atlas_hosts(max_order: int = 32):
@@ -80,10 +98,34 @@ def builder_dumps():
         yield f"exterior{n}.hopf.json", dumps(hopf_to_obj(exterior_algebra(n)))
 
 
+def semisimple_dumps(max_order: int = 16):
+    """(file name, dumped text) of semisimple_triangular's (H, R) for every
+    W = 0 instance of the atlas up to max_order."""
+    for spec in enumerate_instances(max_order):
+        if spec.v_chars:
+            continue
+        g, _ = _group_tables(spec.group)
+        sub = AbelianSubgroup(g, spec.subgroup)
+        gamma = _bicharacters(sub.factors)[spec.gamma_index]
+        h, r = semisimple_triangular(g, sub, gamma, spec.u)
+        yield f"{spec.name}.hopf.json", dumps(hopf_to_obj(h))
+        yield f"{spec.name}.r.json", dumps(tensor2_to_obj(r))
+
+
+def _digests(dumps_) -> dict:
+    return {name: hashlib.sha256(text.encode()).hexdigest() for name, text in dumps_}
+
+
 def builder_digests() -> dict:
-    return {name: hashlib.sha256(text.encode()).hexdigest() for name, text in builder_dumps()}
+    return _digests(builder_dumps())
+
+
+def semisimple_digests() -> dict:
+    return _digests(semisimple_dumps())
 
 
 if __name__ == "__main__":
-    for name, digest in sorted(builder_digests().items()):
+    which = sys.argv[1] if len(sys.argv) > 1 else "builders"
+    digests = {"builders": builder_digests, "semisimple": semisimple_digests}[which]()
+    for name, digest in sorted(digests.items()):
         print(f"{digest}  {name}")

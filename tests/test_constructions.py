@@ -65,7 +65,13 @@ from trihopf.triangular import (
     verify_triangular,
 )
 
-from _golden import NON_DIAGONAL, builder_digests, z4_quarter_turn
+from _golden import (
+    NON_DIAGONAL,
+    builder_digests,
+    semisimple_digests,
+    z4_quarter_turn,
+    z6_sixth_turn,
+)
 from _oracles import (
     bicharacter_twist_double_sum,
     bruteforce_alternating_nondegenerate,
@@ -321,12 +327,24 @@ def test_modified_radical_formula_and_rank():
     assert r_matrix_rank(ru) == 1
 
 
+def _committed_digests(name: str) -> dict:
+    lines = (GOLDEN / name).read_text().splitlines()
+    return {name: digest for digest, name in (line.split("  ", 1) for line in lines)}
+
+
 def test_builder_bytes_match_the_committed_digests():
     # golden/builders.sha256 is what `python tests/_golden.py` prints
-    lines = (GOLDEN / "builders.sha256").read_text().splitlines()
-    expected = {name: digest for digest, name in (line.split("  ", 1) for line in lines)}
-    assert len(expected) == 440
+    expected = _committed_digests("builders.sha256")
+    assert len(expected) == 443
     assert builder_digests() == expected
+
+
+def test_semisimple_triangular_bytes_match_the_committed_digests():
+    # golden/semisimple.sha256 is what `python tests/_golden.py semisimple`
+    # prints: (H, R) for the 116 semisimple atlas instances up to order 16
+    expected = _committed_digests("semisimple.sha256")
+    assert len(expected) == 2 * 116
+    assert semisimple_digests() == expected
 
 
 # --- smash products on a W that is not diagonal ------------------------------------
@@ -344,14 +362,17 @@ def test_non_diagonal_smash_products_verify(build):
 
 
 def test_non_diagonal_smash_products_match_the_exhaustive_oracles():
-    g, w, u = z4_quarter_turn()
-    sg = supergroup_algebra(g, w)
-    h, ru = modified_supergroup_algebra(g, w, u)
-    assert h.dim == 16
-    for host in (sg, h):
-        report = exhaustive_axioms(host)
-        assert report["witnesses"] == {} and verify_hopf(host).to_obj() == report
-    assert exhaustive_triangular(h, {(i, j): c for i, j, c in ru.nonzeros})
+    # Z4rot is a signed permutation; Z6rot is not, so rho(g) v_S there
+    # expands into several terms
+    for build in (z4_quarter_turn, z6_sixth_turn):
+        g, w, u = build()
+        sg = supergroup_algebra(g, w)
+        h, ru = modified_supergroup_algebra(g, w, u)
+        assert h.dim == 4 * g.order
+        for host in (sg, h):
+            report = exhaustive_axioms(host)
+            assert report["witnesses"] == {} and verify_hopf(host).to_obj() == report
+        assert exhaustive_triangular(h, {(i, j): c for i, j, c in ru.nonzeros})
 
 
 def test_quarter_turn_modification_mixes_the_generators():
