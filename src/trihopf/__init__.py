@@ -60,7 +60,7 @@ from .constructions import (
     exterior_algebra,
     modified_supergroup_algebra,
     semisimple_triangular,
-    septuple_pipeline,
+    septuple_twist,
     supergroup_algebra,
     validate_septuple,
     verify_twist,

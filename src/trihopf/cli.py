@@ -23,7 +23,7 @@ from .constructions import (
     modified_supergroup_algebra,
     Septuple,
     semisimple_triangular,
-    septuple_pipeline,
+    septuple_twist,
     supergroup_algebra,
     validate_septuple,
     verify_twist,
@@ -165,7 +165,7 @@ def cmd_build(args) -> int:
             _resolve_ref(obj, "group", base)[0], _resolve_ref(obj, "rep", base)[0]["degree"]
         )
         septuple = septuple_from_file_obj(obj, base)
-        h, r = septuple_pipeline(septuple)
+        h, r = septuple_twist(septuple).apply()
     else:  # argparse choices make this unreachable
         raise ShapeError(f"unknown kind {kind}")
     save(args.output, hopf_to_obj(h))

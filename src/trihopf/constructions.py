@@ -1,19 +1,28 @@
 """Builders for the catalog of (super) Hopf algebras.
 
 Group algebras, smash products k[G] x Lambda(V), bicharacter twists
-supported on abelian subgroups, and the septuple pipeline that composes
+supported on abelian subgroups, and the septuple twist that composes
 them.  Every builder returns validated HopfData whose axioms the
 verifiers re-check exhaustively in the test suite.
 
-The smash product is built once, as the super Hopf algebra
-supergroup_algebra returns; the other two derive from it.  The exterior
-algebra Lambda(V) is the supergroup algebra of the trivial group, and
-the modified supergroup algebra is the ordinary Hopf algebra on the
-same algebra obtained with a central involution u acting by -1 on V:
+Each step of the construction chain has one implementation.  The smash
+product is built once, as the super Hopf algebra supergroup_algebra
+returns; the other two derive from it.  The exterior algebra
+Lambda(V) is the supergroup algebra of the trivial group, and the
+modified supergroup algebra is the ordinary Hopf algebra on the same
+algebra obtained with a central involution u acting by -1 on V:
 Delta'(x) = sum x_1 u^|x_2| (x) x_2 and S'(x) = u^|x| S(x).  Since u
 moves a basis element g v_T to the basis element (ug) v_T, up to sign,
 the modification is one pass over the super tables' nonzeros.  k[G]
 keeps its own direct tables.
+
+One sign rule: _wedge gives the sign of v_A ^ v_B, and the coproduct
+split Delta(v_S) = sum eps v_T (x) v_{S-T} takes eps from
+v_T ^ v_{S-T} = eps v_S.  One exterior expansion: rho(h) v_S wedges
+the columns rho(h) v_b together one at a time, which is one term for
+a monomial rho(h) and the minors otherwise.  One twist step:
+_bicharacter_twist twists (H, R_u) on an abelian subgroup, for a
+septuple and for semisimple_triangular, which is the W = 0 case.
 
 Basis order of the smash product is group-major, subset-minor with
 subsets in bitmask order: index = g * 2**w + mask.
@@ -22,7 +31,6 @@ subsets in bitmask order: index = g * 2**w + mask.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 from .errors import (
@@ -46,7 +54,7 @@ from .hopf import (
     counit_slants,
     make_hopf,
 )
-from .scalars import SC_ONE, SC_ZERO, CycScalar
+from .scalars import SC_ONE, SC_ZERO
 from .tensor import (
     Echelon,
     Mat,
@@ -111,17 +119,6 @@ def _wedge(a_mask: int, b_mask: int):
     return (-1) ** inv, a_mask | b_mask
 
 
-def _split_sign(t_mask: int, c_mask: int) -> int:
-    """Koszul sign of the shuffle splitting v_S into v_T (x) v_C."""
-    inv = 0
-    m = c_mask
-    while m:
-        bit = (m & -m).bit_length() - 1
-        inv += bin(t_mask >> (bit + 1)).count("1")
-        m &= m - 1
-    return (-1) ** inv
-
-
 def _subsets(mask: int):
     sub = mask
     while True:
@@ -131,63 +128,29 @@ def _subsets(mask: int):
         sub = (sub - 1) & mask
 
 
-def _det(rows, row_idx, col_idx) -> CycScalar:
-    if not row_idx:
-        return SC_ONE
-    if len(row_idx) == 1:
-        return rows[row_idx[0]][col_idx[0]]
-    acc = SC_ZERO
-    for t, r in enumerate(row_idx):
-        c = rows[r][col_idx[0]]
-        if c.is_zero():
-            continue
-        sub = _det(rows, row_idx[:t] + row_idx[t + 1 :], col_idx[1:])
-        term = c * sub
-        acc = acc + term if t % 2 == 0 else acc - term
-    return acc
+def _exterior_image(m: Mat, mask: int):
+    """rho(v_mask) = rho(v_b1) ^ rho(v_b2) ^ ... for b1 < b2 < ... in mask,
+    with rho(v_b) the column b of m: sparse (mask, coefficient) pairs.
 
-
-def _monomial_columns(m: Mat, degree: int):
-    """(row, coefficient) of the one nonzero of each column of m, or None
-    when some column has none or more than one."""
-    out = []
-    for b in range(degree):
-        nonzeros = [(a, m.rows[a][b]) for a in range(degree) if not m.rows[a][b].is_zero()]
-        if len(nonzeros) != 1:
-            return None
-        out.append(nonzeros[0])
-    return out
-
-
-def _exterior_image(m: Mat, mask: int, degree: int, monomial=None):
-    """Expansion of rho(v_mask) under a linear map, via minors.
-
-    monomial is _monomial_columns(m, degree); when it is not None, v_b
-    maps to c_b v_row(b), so v_mask maps to one signed term (or to 0
-    when two of its factors land on one row) and no minor is expanded.
+    A monomial m keeps one term at every step; any other m gives the
+    minors of m on the columns in mask.
     """
-    cols = [b for b in range(degree) if mask >> b & 1]
-    if not cols:
-        return ((0, SC_ONE),)
-    if monomial is not None:
-        out_mask, coeff, inversions = 0, SC_ONE, 0
-        for b in cols:
-            row, c = monomial[b]
-            if out_mask >> row & 1:
-                return ()
-            inversions += bin(out_mask >> (row + 1)).count("1")
-            out_mask |= 1 << row
-            coeff = coeff * c
-        return ((out_mask, -coeff if inversions % 2 else coeff),)
-    out = []
-    for rows_subset in combinations(range(degree), len(cols)):
-        det = _det(m.rows, rows_subset, tuple(cols))
-        if not det.is_zero():
-            out_mask = 0
-            for b in rows_subset:
-                out_mask |= 1 << b
-            out.append((out_mask, det))
-    return tuple(out)
+    image = {0: SC_ONE}
+    for b in range(mask.bit_length()):
+        if not mask >> b & 1:
+            continue
+        column = [(a, c) for a, row in enumerate(m.rows) if not (c := row[b]).is_zero()]
+        acc: dict = {}
+        for out_mask, coeff in image.items():
+            for a, c in column:
+                wedge = _wedge(out_mask, 1 << a)
+                if wedge is None:
+                    continue
+                sign, k = wedge
+                term = coeff * c if sign > 0 else -(coeff * c)
+                acc[k] = acc[k] + term if k in acc else term
+        image = {k: c for k, c in acc.items() if not c.is_zero()}
+    return tuple(sorted(image.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -198,20 +161,17 @@ def _smash_product(g: FiniteGroup, v: GroupRep):
 
     Returns (mult, comult, counit, antipode columns, parity, size) with
     size = 2**degree; the antipode columns are sparse, as
-    HopfData.s_columns.  With rho(h) v_S expanded once per h (by minors,
-    or as one signed term when rho(h) is monomial):
+    HopfData.s_columns.  With rho(h) v_S expanded once per h
+    (_exterior_image) and every sign read off _wedge:
       (g, S)(h, T) = (gh, rho(h^-1)(v_S) ^ v_T), so g v = rho(g)(v) g;
-      Delta(g v_S) = sum over T in S of the Koszul sign of the shuffle
-        times g v_T (x) g v_{S-T};
+      Delta(g v_S) = sum over T in S of eps g v_T (x) g v_{S-T}, where
+        v_T ^ v_{S-T} = eps v_S;
       S(g v_S) = (-1)^|S| (g^-1, rho(g) v_S).
     """
     w = v.degree
     size = 1 << w
     dim = g.order * size
-    images = []
-    for m in v.matrices:
-        monomial = _monomial_columns(m, w)
-        images.append(tuple(_exterior_image(m, mask, w, monomial) for mask in range(size)))
+    images = [tuple(_exterior_image(m, mask) for mask in range(size)) for m in v.matrices]
     mult = []
     for i in range(dim):
         gi, si = divmod(i, size)
@@ -233,7 +193,7 @@ def _smash_product(g: FiniteGroup, v: GroupRep):
         mult.append(tuple(row))
     splits = [
         tuple(
-            (t, s & ~t, SC_ONE if _split_sign(t, s & ~t) > 0 else -SC_ONE)
+            (t, s & ~t, SC_ONE if _wedge(t, s & ~t)[0] > 0 else -SC_ONE)
             for t in _subsets(s)
         )
         for s in range(size)
@@ -506,27 +466,41 @@ def apply_twist(
     return Twist(h, j, j_inv, r).apply()
 
 
-def semisimple_triangular(
-    g: FiniteGroup, a: AbelianSubgroup, gamma: Bicharacter, u: int
-) -> tuple[HopfData, Tensor2]:
-    """Twisted group algebra (k[G]^J, J21^-1 R_u J).
-
-    gamma is the alternating classification datum on A; the twist is
-    built from its canonical bimultiplicative half.
-    """
-    h = group_algebra(g)
-    if not g.is_central(u) or g.table[u][u] != g.identity:
-        raise SeptupleInvariantViolation("u must be central of order <= 2")
-    ru = r_u(h, Vec.basis(h.dim, u))
-    beta = half_bicharacter(gamma)
-    j = build_bicharacter_twist(a, beta)
-    j_inv = build_bicharacter_twist(a, _inverse_bicharacter(beta))
-    return apply_twist(h, j, r=ru, j_inv=j_inv)
-
-
 def _inverse_bicharacter(beta: Bicharacter) -> Bicharacter:
     rows = tuple(tuple(v.inv() for v in row) for row in beta.values)
     return Bicharacter(beta.factors, rows)
+
+
+def _bicharacter_twist(
+    h: HopfData, r: Tensor2, sub: AbelianSubgroup, gamma: Bicharacter
+) -> Twist:
+    """The checked twist of (H, R) by the bicharacter twist on sub.
+
+    H is a modified supergroup algebra of sub's parent G.  J is built
+    from beta = half_bicharacter(gamma), J^-1 in closed form from the
+    inverse bicharacter, and both are inflated to H's basis.
+    """
+    beta = half_bicharacter(gamma)
+    factor = h.dim // sub.parent.order
+    j, j_inv = (
+        inflate_group_tensor(build_bicharacter_twist(sub, b), factor, h.dim)
+        for b in (beta, _inverse_bicharacter(beta))
+    )
+    return Twist(h, j, j_inv, r)
+
+
+def semisimple_triangular(
+    g: FiniteGroup, a: AbelianSubgroup, gamma: Bicharacter, u: int
+) -> tuple[HopfData, Tensor2]:
+    """Twisted group algebra (k[G]^J, J21^-1 R_u J): the W = 0 septuple.
+
+    k[G] with R_u is the modified supergroup algebra on W = 0, which
+    refuses a u that is not a central involution; W lives on A's
+    parent, so an A inside another group is refused as well.  gamma is
+    the alternating classification datum on A.
+    """
+    host = modified_supergroup_algebra(g, GroupRep.zero(a.parent), u)
+    return _bicharacter_twist(*host, a, gamma).apply()
 
 
 # ---------------------------------------------------------------------------
@@ -576,11 +550,13 @@ def validate_septuple(s: Septuple) -> SeptupleReport:
     checks: list[tuple[str, bool, str]] = []
     g = s.group
     elems = tuple(sorted(set(s.a_elements)))
+    distinct = len(elems) == len(s.a_elements)
 
-    closed = bool(elems) and g.identity in elems and all(
+    closed = distinct and bool(elems) and g.identity in elems and all(
         g.table[x][y] in set(elems) for x in elems for y in elems
     )
-    checks.append(("a_closed_contains_identity", closed, f"A = {list(elems)}"))
+    a_detail = f"A = {list(elems)}" if distinct else "repeated subgroup element"
+    checks.append(("a_closed_contains_identity", closed, a_detail))
     abelian = closed and all(
         g.table[x][y] == g.table[y][x] for x in elems for y in elems
     )
@@ -672,8 +648,9 @@ def validate_septuple(s: Septuple) -> SeptupleReport:
 
 
 def septuple_twist(s: Septuple, host: Optional[tuple[HopfData, Tensor2]] = None) -> Twist:
-    """The checked twist behind septuple_pipeline: the modified supergroup
-    algebra, its R_u, and the bicharacter twist on the abelian subgroup.
+    """The checked twist of a septuple: the modified supergroup algebra,
+    its R_u, and the bicharacter twist on the abelian subgroup;
+    septuple_twist(s).apply() is the twisted pair (H^J, R^J).
 
     Realizes the Y = B = 0 stratum; anything with Y or B nonzero is
     rejected as UnsupportedStratum.  The septuple is checked first.
@@ -690,18 +667,6 @@ def septuple_twist(s: Septuple, host: Optional[tuple[HopfData, Tensor2]] = None)
         raise UnsupportedStratum(
             "only the Y = B = 0 stratum is implemented; nonzero Y or B is out of range"
         )
-    h, ru = modified_supergroup_algebra(s.group, s.w, s.u) if host is None else host
-    sub = AbelianSubgroup(s.group, s.a_elements)
-    beta = half_bicharacter(s.v_beta)
-    j = build_bicharacter_twist(sub, beta)
-    j_inv = build_bicharacter_twist(sub, _inverse_bicharacter(beta))
-    factor = h.dim // s.group.order
-    j_big = inflate_group_tensor(j, factor, h.dim)
-    j_inv_big = inflate_group_tensor(j_inv, factor, h.dim)
-    return Twist(h, j_big, j_inv_big, ru)
-
-
-def septuple_pipeline(s: Septuple) -> tuple[HopfData, Tensor2]:
-    """Modified supergroup algebra twisted on the abelian subgroup:
-    septuple_twist(s).apply()."""
-    return septuple_twist(s).apply()
+    if host is None:
+        host = modified_supergroup_algebra(s.group, s.w, s.u)
+    return _bicharacter_twist(*host, AbelianSubgroup(s.group, s.a_elements), s.v_beta)

@@ -335,6 +335,8 @@ class AbelianSubgroup:
         self.elements = tuple(sorted(elements))
         if not self.elements:
             raise GroupError("subgroup must be nonempty")
+        if len(set(self.elements)) != len(self.elements):
+            raise GroupError("repeated subgroup element")
         if parent.identity not in self.elements:
             raise GroupError("subgroup must contain the identity")
         elem_set = set(self.elements)

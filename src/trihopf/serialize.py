@@ -332,10 +332,13 @@ def septuple_from_file_obj(obj, base_dir=None) -> Septuple:
     y_basis = tuple(vec_from_obj(v) for v in obj.get("y_basis", []))
     b_rows = obj.get("b", [])
     b = mat_from_obj(b_rows) if b_rows else None
+    a_elements = tuple(_int(i, "subgroup element") for i in obj["subgroup"])
+    if len(set(a_elements)) != len(a_elements):
+        raise ShapeError("repeated subgroup element")
     return Septuple(
         group=group,
         w=rep,
-        a_elements=tuple(_int(i, "subgroup element") for i in obj["subgroup"]),
+        a_elements=a_elements,
         y_basis=y_basis,
         b=b,
         v_beta=bicharacter_from_file_obj(obj["bicharacter"]),

@@ -684,6 +684,45 @@ def test_semisimple_triangular_build(tmp_path, capsys):
     assert rep["semisimple"] and rep["triangular"]["r_rank"] == 4
 
 
+def _z2z2_septuple_with_repeat():
+    # the full Z2 x Z2 with W = 0, its element 3 listed twice
+    obj = _semisimple_input()
+    obj.update(rep={"degree": 0, "matrices": [[]] * 4}, subgroup=[0, 1, 2, 3, 3], v_dim=2)
+    return obj
+
+
+@pytest.mark.parametrize(
+    "obj, argv",
+    [
+        (_z2z2_septuple_with_repeat(), ["septuple", "validate", "{in}"]),
+        (_z2z2_septuple_with_repeat(), ["build", "{in}", "--kind", "septuple-pipeline", "-o", "{out}"]),
+        ({**_semisimple_input(), "subgroup": [0, 1, 2, 3, 3]},
+         ["build", "{in}", "--kind", "semisimple-triangular", "-o", "{out}"]),
+    ],
+    ids=["septuple_validate", "septuple_pipeline", "semisimple_triangular"],
+)
+def test_a_repeated_subgroup_element_is_malformed(tmp_path, capsys, obj, argv):
+    inp, out = write(tmp_path / "in.json", obj), tmp_path / "out.json"
+    assert main([a.format(**{"in": inp, "out": out}) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert "repeated subgroup element" in captured.err and not captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("u", [7, -1])
+def test_semisimple_triangular_rejects_a_modifier_out_of_range(tmp_path, capsys, u):
+    obj = {
+        "group": FiniteGroup.cyclic(2).to_obj(),
+        "subgroup": [0],
+        "bicharacter": {"factors": [1], "values": [[0]]},
+        "u": u,
+    }
+    out = tmp_path / "out.json"
+    assert main(["build", write(tmp_path / "in.json", obj), "--kind", "semisimple-triangular", "-o", str(out)]) == 2
+    assert "modifier index out of range" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_atlas_determinism_across_worker_counts(tmp_path):
     out1, out2 = tmp_path / "a1", tmp_path / "a2"
     assert main(["atlas", "--max-order", "4", "-o", str(out1), "--workers", "1"]) == 0

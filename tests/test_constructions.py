@@ -16,7 +16,7 @@ from trihopf.constructions import (
     inflate_group_tensor,
     modified_supergroup_algebra,
     semisimple_triangular,
-    septuple_pipeline,
+    septuple_twist,
     supergroup_algebra,
     validate_septuple,
     verify_twist,
@@ -751,6 +751,17 @@ def test_validate_subgroup_closure(z2z2, sign_line, z2):
     assert "a_closed_contains_identity" in report.failures()
 
 
+def test_validate_refuses_a_repeated_subgroup_element(z2z2):
+    gamma = alternating_nondegenerate_bicharacters((2, 2))[0]
+    s = Septuple(group=z2z2, w=GroupRep.zero(z2z2), a_elements=(0, 1, 2, 3, 3), y_basis=(),
+                 b=None, v_beta=gamma, v_dim=2, u=0)
+    report = validate_septuple(s)
+    assert report.failures()[0] == "a_closed_contains_identity"
+    assert ("a_closed_contains_identity", False, "repeated subgroup element") in report.checks
+    with pytest.raises(SeptupleInvariantViolation):
+        septuple_twist(s)
+
+
 def test_validate_y_and_b(z2):
     # W = sign + sign, Y = first coordinate line, B = identity on Y
     v2 = GroupRep.from_sign_characters(z2, [(1, -1), (1, -1)])
@@ -773,19 +784,19 @@ def test_pipeline_rejects_nonzero_b(z2):
     s = Septuple(group=z2, w=v2, a_elements=(0,), y_basis=(Vec([ONE, ZERO]),),
                  b=Mat([[ONE]]), v_beta=Bicharacter.trivial((1,)), v_dim=1, u=1)
     with pytest.raises(UnsupportedStratum):
-        septuple_pipeline(s)
+        septuple_twist(s).apply()
 
 
 def test_pipeline_rejects_invalid(z2, sign_line):
     s = _septuple_z2(z2, sign_line, a_elements=(0, 1), v_dim=1,
                      v_beta=Bicharacter.trivial((2,)))
     with pytest.raises(SeptupleInvariantViolation):
-        septuple_pipeline(s)
+        septuple_twist(s).apply()
 
 
 def test_pipeline_sweedler_stratum(z2, sign_line, sweedler):
     s = _septuple_z2(z2, sign_line, w=sign_line, u=1)
-    h, r = septuple_pipeline(s)
+    h, r = septuple_twist(s).apply()
     assert h.same_structure(sweedler[0])
     assert r == sweedler[1]
 
@@ -796,7 +807,7 @@ def test_pipeline_dim8_twisted(z2z2):
     gamma = alternating_nondegenerate_bicharacters((2, 2))[0]
     s = Septuple(group=z2z2, w=w, a_elements=(0, 1, 2, 3), y_basis=(), b=None,
                  v_beta=gamma, v_dim=2, u=1)
-    h, r = septuple_pipeline(s)
+    h, r = septuple_twist(s).apply()
     assert h.dim == 8
     assert verify_hopf(h).ok
     assert verify_triangular(h, r)
