@@ -275,11 +275,15 @@ def _build_and_write(args):
 
 
 def run_atlas(max_order: int, out_dir, workers: int = 1):
-    """Build, verify and dump every catalog instance; returns (ok, manifest)."""
+    """Build, verify and dump every catalog instance; returns (ok, manifest).
+
+    The jobs run in a process pool of min(workers, jobs) processes when
+    that is above 1, else in this process; the files are the same."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     specs = enumerate_instances(max_order)
     jobs = [(asdict(s), str(out)) for s in specs]
+    workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_build_and_write, jobs))

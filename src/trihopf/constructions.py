@@ -82,20 +82,13 @@ def group_algebra(g: FiniteGroup) -> HopfData:
         tuple(((g.table[i][j], SC_ONE),) for j in range(d)) for i in range(d)
     )
     comult = tuple(((i, i, SC_ONE),) for i in range(d))
-    counit = (SC_ONE,) * d
-    antipode = Mat(
-        tuple(
-            tuple(SC_ONE if i == g.inverse[j] else SC_ZERO for j in range(d))
-            for i in range(d)
-        )
-    )
     return make_hopf(
         dim=d,
         unit=Vec.basis(d, g.identity),
         mult=mult,
         comult=comult,
-        counit=counit,
-        antipode=antipode,
+        counit=(SC_ONE,) * d,
+        antipode=tuple(((g.inverse[i], SC_ONE),) for i in range(d)),
     )
 
 
@@ -159,9 +152,9 @@ def _exterior_image(m: Mat, mask: int):
 def _smash_product(g: FiniteGroup, v: GroupRep):
     """The super Hopf tables of k[G] x Lambda(V), shared by both smash builders.
 
-    Returns (mult, comult, counit, antipode columns, parity, size) with
-    size = 2**degree; the antipode columns are sparse, as
-    HopfData.s_columns.  With rho(h) v_S expanded once per h
+    Returns (mult, comult, counit, antipode, parity, size) with
+    size = 2**degree, the antipode as sparse columns (HopfData.antipode).
+    With rho(h) v_S expanded once per h
     (_exterior_image) and every sign read off _wedge:
       (g, S)(h, T) = (gh, rho(h^-1)(v_S) ^ v_T), so g v = rho(g)(v) g;
       Delta(g v_S) = sum over T in S of eps g v_T (x) g v_{S-T}, where
@@ -213,15 +206,6 @@ def _smash_product(g: FiniteGroup, v: GroupRep):
     return tuple(mult), comult, counit, s_cols, parity, size
 
 
-def _mat_from_columns(cols) -> Mat:
-    dim = len(cols)
-    rows = [[SC_ZERO] * dim for _ in range(dim)]
-    for i, col in enumerate(cols):
-        for k, c in col:
-            rows[k][i] = c
-    return Mat(rows)
-
-
 def _check_rep(g: FiniteGroup, v: GroupRep):
     if not (v.group is g or (v.group.table == g.table and v.group.identity == g.identity)):
         raise ShapeError("representation must act on the given group")
@@ -237,7 +221,7 @@ def supergroup_algebra(g: FiniteGroup, v: GroupRep) -> HopfData:
         mult=mult,
         comult=comult,
         counit=counit,
-        antipode=_mat_from_columns(s_cols),
+        antipode=s_cols,
         parity=parity,
         super=True,
     )
@@ -299,7 +283,7 @@ def modified_supergroup_algebra(
         mult=mult,
         comult=comult,
         counit=counit,
-        antipode=_mat_from_columns(s_cols),
+        antipode=s_cols,
     )
     return h, r_u(h, Vec.basis(dim, u * size))
 
@@ -439,9 +423,11 @@ class Twist:
         # Q^-1 = m(id (x) S)(J^-1)
         q_inv = certified_inverse(h, q_vec, antipode_contraction(h, j_inv.nonzeros, leg=1))
         q, q_inv = q_vec.nonzeros(), q_inv.nonzeros()
-        # column i is S^J(e_i) = Q^-1 S(e_i) Q, from S's sparse columns
-        cols = [h.mul_sparse(h.mul_sparse(q_inv, s_col).items(), q) for s_col in h.s_columns]
-        antipode_new = Mat(tuple(col.get(k, SC_ZERO) for col in cols) for k in range(h.dim))
+        # column i is S^J(e_i) = Q^-1 S(e_i) Q
+        antipode_new = tuple(
+            tuple(sorted(h.mul_sparse(h.mul_sparse(q_inv, col).items(), q).items()))
+            for col in h.antipode
+        )
         out = h.replace(comult=tuple(comult_new), antipode=antipode_new, algebra_host=h).validate()
         r_new = None
         if self.r is not None:

@@ -2,12 +2,12 @@
 
 HopfData records a finite-dimensional algebra-and-coalgebra by exact
 structure constants: sparse multiplication tensor, per-basis-element
-comultiplication, counit covector, antipode matrix, and a Z2 parity
-grading for the super case.  The antipode matrix is what a dump writes;
-every computation reads S as sparse columns (HopfData.s_columns), and
-S^2 is composed once per object (HopfData.s2_columns).  Powers of S,
-S^4 = id and S^2 = Ad(u) compose sparse columns; no dense matrix
-product runs.
+comultiplication, counit covector, antipode, and a Z2 parity grading
+for the super case.  The antipode is held as sparse columns, the layout
+of mult and comult; S^2 is composed once per object
+(HopfData.s2_columns).  Powers of S, S^4 = id and S^2 = Ad(u) compose
+sparse columns; no dense matrix exists outside the dump format
+(serialize.py).
 
 verify_hopf proves each axiom by exact finite checks and reports the
 first failing witness per axiom instead of raising.
@@ -26,9 +26,9 @@ associativity and unit witnesses in HopfData.algebra_witnesses) are
 computed once per algebra: H^J keeps its H as algebra_host, holds H's
 very mult and unit objects, and reads those facts from H when first
 asked.  Everything that reads the coproduct or the antipode (the
-structural check, the coalgebra, bialgebra and antipode axioms, S and
-S^2 as sparse columns) is computed once per object, so once per
-instance.  Facts of a pair (H, R) live in triangular.py.
+structural check, the coalgebra, bialgebra and antipode axioms, S^2)
+is computed once per object, so once per instance.  Facts of a pair
+(H, R) live in triangular.py.
 
 The radical is computed from the kernel of the regular trace form
 (valid in characteristic 0).  The Chevalley check tests that the radical
@@ -56,7 +56,6 @@ from .errors import NotInvertible, OrderNotFound, ShapeError
 from .scalars import SC_ONE, SC_ZERO, CycScalar
 from .tensor import (
     Echelon,
-    Mat,
     Tensor2,
     Vec,
     embed13_23_12,
@@ -73,8 +72,8 @@ class HopfData:
 
     mult[i][j] lists the nonzero (k, c) with e_i * e_j = sum c * e_k;
     comult[i] lists the nonzero (j, k, c) with Delta(e_i) = sum c *
-    e_j (x) e_k; the antipode matrix acts on coordinate columns,
-    S(e_i) = column i.
+    e_j (x) e_k; antipode[i] lists the nonzero (j, c) with S(e_i) =
+    sum c * e_j, in increasing j.
     """
 
     dim: int
@@ -82,7 +81,7 @@ class HopfData:
     mult: tuple[tuple[SparseRow, ...], ...]
     comult: tuple[tuple[tuple[int, int, CycScalar], ...], ...]
     counit: tuple[CycScalar, ...]
-    antipode: Mat
+    antipode: tuple[SparseRow, ...]
     parity: tuple[int, ...]
     super: bool = False
     # the algebra this one shares its algebra facts with (see _algebra_source)
@@ -107,7 +106,9 @@ class HopfData:
             return "multiplication tensor shape mismatch"
         if len(self.comult) != d:
             return "comultiplication shape mismatch"
-        if self.antipode.nrows != d or self.antipode.ncols != d:
+        if len(self.antipode) != d or any(
+            not 0 <= j < d for col in self.antipode for j, _ in col
+        ):
             return "antipode shape mismatch"
         if not self.super and any(self.parity):
             return "nonzero parity on a non-super algebra"
@@ -136,19 +137,9 @@ class HopfData:
     # --- basic linear maps -------------------------------------------------
 
     @cached_property
-    def s_columns(self) -> tuple[SparseRow, ...]:
-        """S as sparse columns: s_columns[i] lists the nonzero (j, c) with
-        S(e_i) = sum c e_j, in increasing j."""
-        rows = self.antipode.rows
-        return tuple(
-            tuple((j, rows[j][i]) for j in range(self.dim) if not rows[j][i].is_zero())
-            for i in range(self.dim)
-        )
-
-    @cached_property
     def s2_columns(self) -> tuple[SparseRow, ...]:
         """S^2 as sparse columns, composed once per object."""
-        return compose_columns(self.s_columns, self.s_columns)
+        return compose_columns(self.antipode, self.antipode)
 
     @property
     def _algebra_source(self) -> "HopfData":
@@ -276,7 +267,7 @@ class HopfData:
     def antipode_vec(self, x: Vec) -> Vec:
         out = [SC_ZERO] * self.dim
         for i, a in x.nonzeros():
-            for j, c in self.s_columns[i]:
+            for j, c in self.antipode[i]:
                 out[j] = out[j] + a * c
         return Vec(out)
 
@@ -296,9 +287,7 @@ class HopfData:
         """Exact structure-constant equality in the shared fixed basis."""
         if (self.dim, self.super, self.parity) != (other.dim, other.super, other.parity):
             return False
-        if self.unit != other.unit or self.antipode != other.antipode:
-            return False
-        if list(self.counit) != list(other.counit):
+        if self.unit != other.unit or list(self.counit) != list(other.counit):
             return False
         for i in range(self.dim):
             for j in range(self.dim):
@@ -307,6 +296,8 @@ class HopfData:
             if {(j, k): c for j, k, c in self.comult[i]} != {
                 (j, k): c for j, k, c in other.comult[i]
             }:
+                return False
+            if dict(self.antipode[i]) != dict(other.antipode[i]):
                 return False
         return True
 
@@ -321,13 +312,17 @@ def make_hopf(dim, unit, mult, comult, counit, antipode, parity=None, super=Fals
     comult_norm = tuple(
         tuple((j, k, c) for j, k, c in entry if not c.is_zero()) for entry in comult
     )
+    antipode_norm = tuple(
+        tuple(sorted(((j, c) for j, c in col if not c.is_zero()), key=lambda e: e[0]))
+        for col in antipode
+    )
     h = HopfData(
         dim=dim,
         unit=unit if isinstance(unit, Vec) else Vec(unit),
         mult=mult_norm,
         comult=comult_norm,
         counit=tuple(counit),
-        antipode=antipode if isinstance(antipode, Mat) else Mat(antipode),
+        antipode=antipode_norm,
         parity=parity,
         super=super,
     )
@@ -383,7 +378,7 @@ def _clean(acc: dict) -> dict:
 
 def compose_columns(outer, inner) -> tuple[SparseRow, ...]:
     """Sparse columns of the linear map outer o inner, each map given by
-    its sparse columns (as HopfData.s_columns)."""
+    its sparse columns (as HopfData.antipode)."""
     out = []
     for col in inner:
         acc: dict = {}
@@ -408,7 +403,7 @@ def antipode_contraction(h: HopfData, terms, leg: int = 0, square: bool = False)
     t = sum c e_i (x) e_j over the (i, j, c) in terms; S^2 in place of S
     when square is set."""
     acc = [SC_ZERO] * h.dim
-    mult, s_cols = h.mult, h.s2_columns if square else h.s_columns
+    mult, s_cols = h.mult, h.s2_columns if square else h.antipode
     for i, j, c in terms:
         if leg:
             for t, sc in s_cols[j]:
@@ -587,13 +582,17 @@ def dual_hopf(h: HopfData) -> HopfData:
             for t, c in h.mult[i][j]:
                 coef = -c if (h.super and par[i] and par[j]) else c
                 comult_d[t].append((i, j, coef))
+    antipode_d = [[] for _ in range(d)]
+    for i, col in enumerate(h.antipode):
+        for j, c in col:
+            antipode_d[j].append((i, c))
     return make_hopf(
         dim=d,
         unit=Vec(h.counit),
         mult=tuple(tuple(tuple(cell) for cell in row) for row in mult_d),
         comult=tuple(tuple(entry) for entry in comult_d),
         counit=h.unit.entries,
-        antipode=h.antipode.transpose(),
+        antipode=antipode_d,
         parity=par,
         super=h.super,
     )
@@ -683,11 +682,11 @@ def antipode_order(h: HopfData, bound: int = 16) -> int:
 
     The powers compose sparse columns; S^2 is the cached
     HopfData.s2_columns."""
-    power = h.s_columns
+    power = h.antipode
     for k in range(1, bound + 1):
         if is_identity_columns(power):
             return k
-        power = h.s2_columns if k == 1 else compose_columns(h.s_columns, power)
+        power = h.s2_columns if k == 1 else compose_columns(h.antipode, power)
     raise OrderNotFound(f"antipode order exceeds bound {bound}")
 
 
@@ -695,8 +694,8 @@ def algebra_inverse(h: HopfData, x: Vec) -> Vec:
     """Two-sided inverse of an element of H, by exact linear solve.
 
     The sparse rows of x y = 1 in the unknown y, with the unit as an
-    extra column d, go to one Echelon; the solution sets every free
-    unknown to 0 and is multiplied back on both sides.
+    extra column d, go to one Echelon (Echelon.solution); the solution
+    sets every free unknown to 0 and is multiplied back on both sides.
     """
     d = h.dim
     rows: list[dict] = [{} for _ in range(d)]  # rows[k][t]: e_k-coefficient of x e_t
@@ -707,13 +706,9 @@ def algebra_inverse(h: HopfData, x: Vec) -> Vec:
                 row[t] = row.get(t, SC_ZERO) + a * c
     for k, b in h.unit.nonzeros():
         rows[k][d] = b
-    reduced = Echelon(rows).rows
-    if d in reduced:
+    sol = Echelon(rows).solution(d)
+    if sol is None:
         raise NotInvertible("element has no inverse")
-    sol = [SC_ZERO] * d
-    for p, row in reduced.items():
-        sol[p] = row.get(d, SC_ZERO)
-    sol = Vec(sol)
     if h.mul_vec(sol, x) != h.unit or h.mul_vec(x, sol) != h.unit:
         raise NotInvertible("element has no two-sided inverse")
     return sol

@@ -25,7 +25,7 @@ from .constructions import Septuple
 from .errors import ShapeError
 from .groups import Bicharacter, FiniteGroup, GroupRep
 from .hopf import HopfData, make_hopf
-from .scalars import CycScalar, root_of_unity
+from .scalars import SC_ZERO, CycScalar, root_of_unity
 from .tensor import Mat, Tensor2, Vec
 
 
@@ -49,10 +49,6 @@ def vec_from_obj(obj) -> Vec:
     return Vec(scalar_from_obj(c) for c in obj)
 
 
-def mat_to_obj(m: Mat):
-    return [[scalar_to_obj(c) for c in row] for row in m.rows]
-
-
 def mat_from_obj(obj) -> Mat:
     return Mat([[scalar_from_obj(c) for c in row] for row in obj])
 
@@ -66,6 +62,8 @@ def hopf_to_obj(h: HopfData):
     comult = []
     for i in range(h.dim):
         comult.append([[j, k, scalar_to_obj(c)] for j, k, c in sorted(h.comult[i], key=lambda e: (e[0], e[1]))])
+    cols = [dict(col) for col in h.antipode]
+    antipode = [[scalar_to_obj(col.get(j, SC_ZERO)) for col in cols] for j in range(h.dim)]
     return {
         "dim": h.dim,
         "super": h.super,
@@ -74,7 +72,7 @@ def hopf_to_obj(h: HopfData):
         "mult": mult,
         "comult": comult,
         "counit": [scalar_to_obj(c) for c in h.counit],
-        "antipode": mat_to_obj(h.antipode),
+        "antipode": antipode,
     }
 
 
@@ -128,13 +126,16 @@ def hopf_from_obj(obj) -> HopfData:
             (((_index(j, dim), _index(k, dim)), c) for j, k, c in entry), "comult"
         )
         comult.append(tuple((j, k, scalar_from_obj(c)) for (j, k), c in terms.items()))
+    antipode = mat_from_obj(obj["antipode"])
+    if antipode.nrows != dim or antipode.ncols != dim:
+        raise ShapeError("antipode shape mismatch")
     return make_hopf(
         dim=dim,
         unit=vec_from_obj(obj["unit"]),
         mult=tuple(tuple(tuple(cell) for cell in row) for row in mult),
         comult=tuple(comult),
         counit=tuple(scalar_from_obj(c) for c in obj["counit"]),
-        antipode=mat_from_obj(obj["antipode"]),
+        antipode=tuple(enumerate(col) for col in zip(*antipode.rows)),
         parity=tuple(obj["parity"]),
         super=obj["super"],
     )

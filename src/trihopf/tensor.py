@@ -16,8 +16,8 @@ accumulate their terms in place in one dict; scalars are canonical, so
 the order of summation changes no coefficient and no dumped byte.  An
 inverse in H (x) H is a polynomial in the element, read off its
 minimal polynomial, so it needs no linear system over H (x) H.  Mat is
-a dense matrix for input, output and the septuple checks; the Hopf
-layer reads the antipode as sparse columns instead.
+a dense matrix for input files, representations and the septuple
+checks; HopfData holds no Mat.
 """
 
 from __future__ import annotations
@@ -228,6 +228,19 @@ class Echelon:
             basis.append(Vec(x))
         return basis
 
+    def solution(self, n: int) -> Optional[Vec]:
+        """The solution of the reduced system in the unknowns 0..n-1 whose
+        right-hand side is the label n, with every free unknown 0, or None.
+
+        None means the system is inconsistent: a row has its pivot at n.
+        """
+        if n in self.rows:
+            return None
+        x = [SC_ZERO] * n
+        for p, row in self.rows.items():
+            x[p] = row.get(n, SC_ZERO)
+        return Vec(x)
+
 
 def mat_rank(m: Mat) -> int:
     return len(Echelon(enumerate(row) for row in m.rows))
@@ -240,23 +253,14 @@ def mat_kernel(m: Mat) -> list[Vec]:
 
 
 def solve_linear(m: Mat, rhs: Vec) -> Optional[Vec]:
-    """The solution of m @ x = rhs with every free unknown 0, or None.
-
-    None means the system is inconsistent: the reduced augmented matrix
-    has a pivot in the rhs column.
-    """
+    """The solution of m @ x = rhs with every free unknown 0, or None
+    when the system is inconsistent (Echelon.solution)."""
     if m.nrows != rhs.dim:
         raise ShapeError("matrix/vector shape mismatch")
     nc = m.ncols
-    rows = Echelon(
+    return Echelon(
         chain(enumerate(row), ((nc, b),)) for row, b in zip(m.rows, rhs.entries)
-    ).rows
-    if nc in rows:
-        return None
-    x = [SC_ZERO] * nc
-    for p, row in rows.items():
-        x[p] = row.get(nc, SC_ZERO)
-    return Vec(x)
+    ).solution(nc)
 
 
 # ---------------------------------------------------------------------------

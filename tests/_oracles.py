@@ -5,10 +5,11 @@ a sweep of candidate generators: for each candidate x it builds the
 two-sided principal ideal of x by closure under basis multiplication
 and keeps it when the ideal is nilpotent (every nilpotent ideal sits
 inside the radical).  The oracle is the sum of the kept ideals; no
-trace form is involved anywhere, and spans are compared by the
-oracles' own dense rank.  The tensor oracles expand products,
-embeddings and flips in tensor powers of H one pure tensor at a time.
-The antipode oracle multiplies dense matrices of lists.  The group
+trace form is involved anywhere, spans grow in the oracles' own dense
+echelon (_DenseSpan) and are compared by their own dense rank.  The
+tensor oracles expand products, embeddings and flips in tensor powers
+of H one pure tensor at a time.  The antipode oracle writes S out as a
+dense matrix of lists and multiplies those.  The group
 oracles try every candidate, and the cyclotomic reference
 computes over Fraction modulo the product formula for Phi_n, with
 inverses from the Galois norm.
@@ -51,6 +52,37 @@ def in_span(vectors, v):
     return rank(rows + [v.entries]) == rank(rows)
 
 
+class _DenseSpan:
+    """A growing span of Vecs, as dense rows in echelon form: each row is
+    1 at its pivot and 0 at the pivots of the rows before it, so one pass
+    over the rows in order reduces a vector.  Kept apart from
+    trihopf.tensor.Echelon, like rank."""
+
+    def __init__(self):
+        self.rows = []  # (pivot, row as a list)
+
+    def _reduce(self, v):
+        x = list(v.entries)
+        for p, row in self.rows:
+            f = x[p]
+            if not f.is_zero():
+                x = [a - f * b for a, b in zip(x, row)]
+        return x
+
+    def contains(self, v):
+        return all(c.is_zero() for c in self._reduce(v))
+
+    def add(self, v):
+        """Extend the span by v; False when v was in it already."""
+        x = self._reduce(v)
+        p = next((i for i, c in enumerate(x) if not c.is_zero()), None)
+        if p is None:
+            return False
+        inv = x[p].inv()
+        self.rows.append((p, [c * inv for c in x]))
+        return True
+
+
 def _mul_basis_vec(h, i, v, side):
     out = [SC_ZERO] * h.dim
     for j, c in v.nonzeros():
@@ -62,18 +94,16 @@ def _mul_basis_vec(h, i, v, side):
 
 def principal_ideal(h, x):
     """Basis of the two-sided ideal generated by x."""
-    basis = []
-    frontier = []
-    if not x.is_zero():
-        basis.append(x)
-        frontier.append(x)
+    span = _DenseSpan()
+    basis = [x] if span.add(x) else []
+    frontier = list(basis)
     while frontier:
         new = []
         for v in frontier:
             for i in range(h.dim):
                 for side in ("left", "right"):
                     w = _mul_basis_vec(h, i, v, side)
-                    if not w.is_zero() and not in_span(basis, w):
+                    if span.add(w):
                         basis.append(w)
                         new.append(w)
         frontier = new
@@ -86,11 +116,11 @@ def ideal_is_nilpotent(h, ideal_basis):
     for _ in range(h.dim + 1):
         if not current:
             return True
-        nxt = []
+        nxt, span = [], _DenseSpan()
         for a in current:
             for b in ideal_basis:
                 prod = h.mul_vec(a, b)
-                if not prod.is_zero() and not in_span(nxt, prod):
+                if span.add(prod):
                     nxt.append(prod)
         current = nxt
     return not current
@@ -108,15 +138,13 @@ def bruteforce_radical(h):
         for j in range(i + 1, h.dim):
             candidates.append(Vec.basis(h.dim, i) + Vec.basis(h.dim, j))
             candidates.append(Vec.basis(h.dim, i) - Vec.basis(h.dim, j))
-    total = []
+    total, span = [], _DenseSpan()
     for x in candidates:
-        if in_span(total, x):
+        if span.contains(x):
             continue
         ideal = principal_ideal(h, x)
         if ideal_is_nilpotent(h, ideal):
-            for v in ideal:
-                if not in_span(total, v):
-                    total.append(v)
+            total.extend(v for v in ideal if span.add(v))
     return total
 
 
@@ -253,7 +281,7 @@ def exhaustive_axioms(h):
             right = right + e[j].scale(c * h.counit[k])
         return left != e[i] or right != e[i]
 
-    s_cols = [Vec(row[j] for row in h.antipode.rows) for j in range(d)]
+    s_cols = [Vec(row) for row in zip(*dense_antipode(h))]
 
     def antipode_fails(i):
         left, right = Vec.zero(d), Vec.zero(d)
@@ -309,11 +337,22 @@ def exhaustive_triangular(h, r):
 
 # --- antipode powers, by dense matrix products -------------------------------
 
+def dense_antipode(h):
+    """Rows of the antipode matrix as lists, S(e_i) = column i, written
+    out from the sparse columns of HopfData.antipode."""
+    s = [[SC_ZERO] * h.dim for _ in range(h.dim)]
+    for i, col in enumerate(h.antipode):
+        for j, c in col:
+            s[j][i] = c
+    return s
+
+
 def dense_antipode_powers(h, kmax):
     """Rows of S**0, S**1, ..., S**kmax, by schoolbook products of the
-    dense antipode matrix over lists; no Mat product, no sparse column."""
+    dense antipode matrix over lists; no Mat product and no composition
+    of sparse columns."""
     d = h.dim
-    s = [list(row) for row in h.antipode.rows]
+    s = dense_antipode(h)
     power = [[SC_ONE if i == j else SC_ZERO for j in range(d)] for i in range(d)]
     powers = [power]
     for _ in range(kmax):
@@ -326,7 +365,7 @@ def dense_antipode_powers(h, kmax):
 
 
 def dense_columns(rows):
-    """The nonzero (row, entry) pairs of each column, as HopfData.s_columns."""
+    """The nonzero (row, entry) pairs of each column, as HopfData.antipode."""
     d = len(rows)
     return tuple(
         tuple((i, rows[i][j]) for i in range(d) if not rows[i][j].is_zero()) for j in range(d)

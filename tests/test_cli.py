@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trihopf import constructions
+from trihopf import atlas, constructions
 from trihopf.cli import main
 from trihopf.groups import FiniteGroup, alternating_nondegenerate_bicharacters, half_bicharacter
 from trihopf.constructions import build_bicharacter_twist, group_algebra
@@ -233,6 +233,26 @@ def _set_unit_product(value):
 def test_verify_rejects_non_integer_fields(tmp_path, capsys, edit):
     dump = load(GOLDEN / "sweedler.hopf.json")
     edit(dump)
+    assert main(["verify", write(tmp_path / "bad.json", dump)]) == 2
+    err = capsys.readouterr().err
+    assert "malformed input" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "resize",
+    [
+        lambda s: s[:-1],
+        lambda s: s + [s[0]],
+        lambda s: [row[:-1] for row in s],
+        lambda s: [row + [row[0]] for row in s],
+        lambda s: s[:-1] + [s[-1][:-1]],
+        lambda s: 5,
+    ],
+    ids=["row_short", "row_long", "column_short", "column_long", "ragged_row", "int"],
+)
+def test_verify_rejects_a_malformed_antipode(tmp_path, capsys, resize):
+    dump = load(GOLDEN / "sweedler.hopf.json")
+    dump["antipode"] = resize(dump["antipode"])
     assert main(["verify", write(tmp_path / "bad.json", dump)]) == 2
     err = capsys.readouterr().err
     assert "malformed input" in err and "Traceback" not in err
@@ -732,6 +752,33 @@ def test_atlas_determinism_across_worker_counts(tmp_path):
     assert files1 == files2 and files1
     for name in files1:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_atlas_pool_has_no_more_workers_than_jobs(tmp_path, monkeypatch):
+    # an in-process stand-in for the pool: no process is started
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(atlas, "ProcessPoolExecutor", InProcessPool)
+    many, one = tmp_path / "many", tmp_path / "one"
+    atlas.run_atlas(4, many, workers=10**6)
+    atlas.run_atlas(4, one, workers=1)
+    assert sizes == [15]
+    files = sorted(p.name for p in one.iterdir())
+    assert files == sorted(p.name for p in many.iterdir())
+    assert all((one / name).read_bytes() == (many / name).read_bytes() for name in files)
 
 
 def test_atlas_8_bytes_match_the_committed_digests(tmp_path):
