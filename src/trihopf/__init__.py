@@ -17,14 +17,11 @@ from .errors import (
 )
 from .scalars import CycScalar, kernel_name, root_of_unity
 from .tensor import (
-    Mat,
     Tensor2,
     Tensor3,
     Vec,
     embed13_23_12,
     flip,
-    mat_kernel,
-    mat_rank,
     tensor2_inv,
     tensor2_mul,
     tensor3_mul,

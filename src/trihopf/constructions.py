@@ -54,15 +54,13 @@ from .hopf import (
     counit_slants,
     make_hopf,
 )
-from .scalars import SC_ONE, SC_ZERO
+from .scalars import SC_ONE, SC_ZERO, CycScalar
 from .tensor import (
     Echelon,
-    Mat,
     Tensor2,
     Vec,
+    compose_columns,
     flip,
-    mat_rank,
-    solve_linear,
     tensor2_inv,
     tensor2_mul,
     tensor3_mul,
@@ -121,21 +119,21 @@ def _subsets(mask: int):
         sub = (sub - 1) & mask
 
 
-def _exterior_image(m: Mat, mask: int):
+def _exterior_image(cols, mask: int):
     """rho(v_mask) = rho(v_b1) ^ rho(v_b2) ^ ... for b1 < b2 < ... in mask,
-    with rho(v_b) the column b of m: sparse (mask, coefficient) pairs.
+    with rho(v_b) the sparse column cols[b] (GroupRep.matrices):
+    sparse (mask, coefficient) pairs.
 
-    A monomial m keeps one term at every step; any other m gives the
-    minors of m on the columns in mask.
+    A monomial rho keeps one term at every step; any other rho gives the
+    minors of rho on the columns in mask.
     """
     image = {0: SC_ONE}
     for b in range(mask.bit_length()):
         if not mask >> b & 1:
             continue
-        column = [(a, c) for a, row in enumerate(m.rows) if not (c := row[b]).is_zero()]
         acc: dict = {}
         for out_mask, coeff in image.items():
-            for a, c in column:
+            for a, c in cols[b]:
                 wedge = _wedge(out_mask, 1 << a)
                 if wedge is None:
                     continue
@@ -164,7 +162,7 @@ def _smash_product(g: FiniteGroup, v: GroupRep):
     w = v.degree
     size = 1 << w
     dim = g.order * size
-    images = [tuple(_exterior_image(m, mask) for mask in range(size)) for m in v.matrices]
+    images = [tuple(_exterior_image(cols, mask) for mask in range(size)) for cols in v.matrices]
     mult = []
     for i in range(dim):
         gi, si = divmod(i, size)
@@ -233,7 +231,8 @@ def exterior_algebra(n: int) -> HopfData:
     if n < 0:
         raise ShapeError("negative exterior dimension")
     triv = FiniteGroup.trivial()
-    return supergroup_algebra(triv, GroupRep(triv, n, [Mat.identity(n)]))
+    identity = [[SC_ONE if a == b else SC_ZERO for b in range(n)] for a in range(n)]
+    return supergroup_algebra(triv, GroupRep(triv, n, [identity]))
 
 
 def _check_modifier(g: FiniteGroup, v: GroupRep, u: int):
@@ -497,15 +496,17 @@ class Septuple:
     """Classification datum (G, W, A, Y, B, V, u).
 
     The projective-representation datum V is carried as an alternating
-    bicharacter on A plus its declared dimension; Y is a tuple of
-    vectors in W's space and B a symmetric matrix in Y coordinates.
+    bicharacter on A plus its declared dimension.  Y is a tuple of
+    vectors in W's space.  B is an element of S^2 Y, given as a tuple of
+    rows in Y coordinates; if R is the restriction of rho(a) to Y in
+    those coordinates, a transforms B as R B R^T.
     """
 
     group: FiniteGroup
     w: GroupRep
     a_elements: tuple[int, ...]
     y_basis: tuple[Vec, ...]
-    b: Optional[Mat]
+    b: Optional[tuple[tuple[CycScalar, ...], ...]]
     v_beta: Bicharacter
     v_dim: int
     u: int
@@ -531,6 +532,10 @@ class SeptupleReport:
         }
 
 
+def _dot(u, v) -> CycScalar:
+    return sum((p * q for p, q in zip(u, v)), SC_ZERO)
+
+
 def validate_septuple(s: Septuple) -> SeptupleReport:
     """Check every septuple invariant; failures are report entries."""
     checks: list[tuple[str, bool, str]] = []
@@ -553,18 +558,16 @@ def validate_septuple(s: Septuple) -> SeptupleReport:
         sub = AbelianSubgroup(g, elems)
 
     # Y invariance under A
+    if any(yv.dim != s.w.degree for yv in s.y_basis):
+        raise ShapeError("matrix/vector shape mismatch")
+    y_cols = tuple(yv.nonzeros() for yv in s.y_basis)
     y_ok = True
     y_detail = ""
-    if s.y_basis:
-        span = Echelon(yv.nonzeros() for yv in s.y_basis)
+    if y_cols:
+        span = Echelon(y_cols)
         for x in elems:
-            for yv in s.y_basis:
-                img = s.w.matrices[x].matvec(yv)
-                if span.reduce(img.nonzeros()):
-                    y_ok = False
-                    y_detail = f"rho({x}) moves Y out of itself"
-                    break
-            if not y_ok:
+            if any(span.reduce(img) for img in compose_columns(s.w.matrices[x], y_cols)):
+                y_ok, y_detail = False, f"rho({x}) moves Y out of itself"
                 break
     checks.append(("y_a_invariant", y_ok, y_detail))
 
@@ -572,36 +575,37 @@ def validate_septuple(s: Septuple) -> SeptupleReport:
     b_ok = True
     b_detail = ""
     k = len(s.y_basis)
+    b = s.b
     if k == 0:
-        if s.b is not None and s.b.nrows:
+        if b:
             b_ok, b_detail = False, "B given without Y"
-    elif s.b is None or s.b.nrows != k or s.b.ncols != k:
+    elif b is None or len(b) != k or any(len(row) != k for row in b):
         b_ok, b_detail = False, "B shape does not match Y"
-    elif s.b != s.b.transpose():
+    elif any(b[i][j] != b[j][i] for i in range(k) for j in range(i)):
         b_ok, b_detail = False, "B is not symmetric"
     else:
-        if mat_rank(s.b) != k:
+        if len(Echelon(enumerate(row) for row in b)) != k:
             b_ok, b_detail = False, "B is degenerate"
         elif not y_ok:
             b_ok, b_detail = False, "Y not A-invariant, restriction undefined"
         else:
-            # restriction matrices of rho(a) to Y, in Y coordinates
-            y_mat_t = Mat([yv.entries for yv in s.y_basis]).transpose()
+            # column j of the restriction R of rho(x) to Y solves
+            # sum_i R[i][j] y_i = rho(x) y_j, whose row a is
+            # (y_0[a], ..., y_(k-1)[a] | (rho(x) y_j)[a])
+            y_rows = tuple(tuple(enumerate(row)) for row in zip(*(yv.entries for yv in s.y_basis)))
             for x in elems:
-                cols = []
-                solvable = True
-                for yv in s.y_basis:
-                    img = s.w.matrices[x].matvec(yv)
-                    sol = solve_linear(y_mat_t, img)
-                    if sol is None:
-                        solvable = False
-                        break
-                    cols.append(list(sol.entries))
-                if not solvable:
+                sols = [
+                    Echelon(
+                        row + ((k, img.get(a, SC_ZERO)),) for a, row in enumerate(y_rows)
+                    ).solution(k)
+                    for img in map(dict, compose_columns(s.w.matrices[x], y_cols))
+                ]
+                if any(sol is None for sol in sols):
                     b_ok, b_detail = False, f"could not restrict rho({x}) to Y"
                     break
-                r_a = Mat(tuple(zip(*cols)))
-                if r_a @ s.b @ r_a.transpose() != s.b:
+                r = tuple(zip(*(sol.entries for sol in sols)))  # the rows of R
+                rb = [[_dot(row, col) for col in zip(*b)] for row in r]
+                if any(_dot(rb[i], r[j]) != b[i][j] for i in range(k) for j in range(k)):
                     b_ok, b_detail = False, f"B not invariant under rho({x})"
                     break
     checks.append(("b_symmetric_invariant_nondegenerate", b_ok, b_detail))
@@ -649,7 +653,7 @@ def septuple_twist(s: Septuple, host: Optional[tuple[HopfData, Tensor2]] = None)
         raise SeptupleInvariantViolation(
             "septuple invariants fail: " + ", ".join(report.failures())
         )
-    if s.y_basis or (s.b is not None and s.b.nrows):
+    if s.y_basis or s.b:
         raise UnsupportedStratum(
             "only the Y = B = 0 stratum is implemented; nonzero Y or B is out of range"
         )

@@ -14,7 +14,13 @@ from itertools import product
 
 from .errors import BicharacterError, GroupError, NotAbelian, ShapeError
 from .scalars import SC_ONE, SC_ZERO, CycScalar, root_of_unity
-from .tensor import Mat, Vec
+from .tensor import (
+    Vec,
+    columns_from_rows,
+    compose_columns,
+    is_identity_columns,
+    rows_from_columns,
+)
 
 
 class FiniteGroup:
@@ -417,22 +423,14 @@ def characters(a: AbelianSubgroup | FiniteGroup):
     return labels, chars, idems
 
 
-def _product_is(a: Mat, b: Mat, c: Mat) -> bool:
-    """a b = c, summed over the nonzeros of a, with no product matrix."""
-    n = b.ncols
-    for row, target in zip(a.rows, c.rows):
-        acc = [SC_ZERO] * n
-        for j, x in enumerate(row):
-            if not x.is_zero():
-                for k, y in enumerate(b.rows[j]):
-                    acc[k] = acc[k] + x * y
-        if tuple(acc) != target:
-            return False
-    return True
-
-
 class GroupRep:
     """A matrix representation of a finite group over CycScalar.
+
+    matrices[g] holds rho(g) as sparse columns, the layout of
+    HopfData.antipode: column b lists the nonzero (a, c) with
+    rho(g) e_b = sum c e_a, in increasing a.  The constructor takes each
+    rho(g) as a list of rows, the layout of a rep file, and to_obj writes
+    the same rows back.
 
     Construction checks rho(e) = 1 and rho(a) rho(s) = rho(as) for every
     a and every s in FiniteGroup.generators; by induction on the length
@@ -443,24 +441,22 @@ class GroupRep:
     def __init__(self, group: FiniteGroup, degree: int, matrices):
         self.group = group
         self.degree = degree
-        self.matrices = tuple(m if isinstance(m, Mat) else Mat(m) for m in matrices)
-        if len(self.matrices) != group.order:
+        rows = tuple(tuple(tuple(r) for r in m) for m in matrices)
+        if len(rows) != group.order:
             raise ShapeError("one matrix per group element required")
-        for m in self.matrices:
-            if m.nrows != degree or m.ncols != degree:
-                raise ShapeError("representation matrix of wrong shape")
-        if degree > 0:
-            if self.matrices[group.identity] != Mat.identity(degree):
-                raise ShapeError("identity must map to the identity matrix")
-            mats = self.matrices
-            for a in range(group.order):
-                for s in group.generators:
-                    if not _product_is(mats[a], mats[s], mats[group.mul(a, s)]):
-                        raise ShapeError(f"not a homomorphism at ({a},{s})")
+        if any(len(m) != degree or any(len(r) != degree for r in m) for m in rows):
+            raise ShapeError("representation matrix of wrong shape")
+        self.matrices = mats = tuple(columns_from_rows(m) for m in rows)
+        if not is_identity_columns(mats[group.identity]):
+            raise ShapeError("identity must map to the identity matrix")
+        for a in range(group.order):
+            for s in group.generators:
+                if compose_columns(mats[a], mats[s]) != mats[group.mul(a, s)]:
+                    raise ShapeError(f"not a homomorphism at ({a},{s})")
 
     @classmethod
     def zero(cls, group: FiniteGroup) -> "GroupRep":
-        return cls(group, 0, tuple(Mat(()) for _ in range(group.order)))
+        return cls(group, 0, ((),) * group.order)
 
     @classmethod
     def from_sign_characters(cls, group: FiniteGroup, characters_pm) -> "GroupRep":
@@ -468,35 +464,22 @@ class GroupRep:
         degree = len(characters_pm)
         mats = []
         for g in range(group.order):
-            rows = []
-            for i in range(degree):
-                val = characters_pm[i][g]
-                rows.append(
-                    tuple(
-                        (SC_ONE if val == 1 else -SC_ONE) if i == j else SC_ZERO
-                        for j in range(degree)
-                    )
-                )
-            mats.append(Mat(rows))
+            signs = [SC_ONE if chi[g] == 1 else -SC_ONE for chi in characters_pm]
+            mats.append(
+                [[signs[i] if i == j else SC_ZERO for j in range(degree)] for i in range(degree)]
+            )
         return cls(group, degree, mats)
 
     def acts_by_minus_one(self, u: int) -> bool:
-        if self.degree == 0:
-            return True
-        minus = Mat(
-            tuple(
-                tuple(-SC_ONE if i == j else SC_ZERO for j in range(self.degree))
-                for i in range(self.degree)
-            )
-        )
-        return self.matrices[u] == minus
+        return self.matrices[u] == tuple(((i, -SC_ONE),) for i in range(self.degree))
 
     def to_obj(self):
         return {
             "group": self.group.to_obj(),
             "degree": self.degree,
             "matrices": [
-                [[c.to_obj() for c in row] for row in m.rows] for m in self.matrices
+                [[c.to_obj() for c in row] for row in rows_from_columns(m)]
+                for m in self.matrices
             ],
         }
 

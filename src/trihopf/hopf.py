@@ -56,14 +56,15 @@ from .errors import NotInvertible, OrderNotFound, ShapeError
 from .scalars import SC_ONE, SC_ZERO, CycScalar
 from .tensor import (
     Echelon,
+    SparseRow,
     Tensor2,
     Vec,
+    compose_columns,
     embed13_23_12,
     flip,
+    is_identity_columns,
     tensor2_mul,
 )
-
-SparseRow = tuple[tuple[int, CycScalar], ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -374,28 +375,6 @@ def _sparse_product(mult, i: int, j: int, acc: dict, scale: CycScalar):
 
 def _clean(acc: dict) -> dict:
     return {k: v for k, v in acc.items() if not v.is_zero()}
-
-
-def compose_columns(outer, inner) -> tuple[SparseRow, ...]:
-    """Sparse columns of the linear map outer o inner, each map given by
-    its sparse columns (as HopfData.antipode)."""
-    out = []
-    for col in inner:
-        acc: dict = {}
-        for t, c in col:
-            for k, w in outer[t]:
-                v = c * w
-                cur = acc.get(k)
-                acc[k] = v if cur is None else cur + v
-        out.append(tuple(sorted(_clean(acc).items())))
-    return tuple(out)
-
-
-def is_identity_columns(cols) -> bool:
-    """True when the sparse columns are those of the identity map."""
-    return all(
-        len(col) == 1 and col[0][0] == i and col[0][1] == SC_ONE for i, col in enumerate(cols)
-    )
 
 
 def antipode_contraction(h: HopfData, terms, leg: int = 0, square: bool = False) -> Vec:

@@ -25,8 +25,8 @@ from .constructions import Septuple
 from .errors import ShapeError
 from .groups import Bicharacter, FiniteGroup, GroupRep
 from .hopf import HopfData, make_hopf
-from .scalars import SC_ZERO, CycScalar, root_of_unity
-from .tensor import Mat, Tensor2, Vec
+from .scalars import CycScalar, root_of_unity
+from .tensor import Tensor2, Vec, columns_from_rows, rows_from_columns
 
 
 def scalar_to_obj(c: CycScalar):
@@ -49,8 +49,12 @@ def vec_from_obj(obj) -> Vec:
     return Vec(scalar_from_obj(c) for c in obj)
 
 
-def mat_from_obj(obj) -> Mat:
-    return Mat([[scalar_from_obj(c) for c in row] for row in obj])
+def mat_from_obj(obj) -> tuple[tuple[CycScalar, ...], ...]:
+    """The rows of a dense matrix in a file, a list of equally long rows."""
+    rows = tuple(tuple(scalar_from_obj(c) for c in row) for row in obj)
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ShapeError("ragged matrix rows")
+    return rows
 
 
 def hopf_to_obj(h: HopfData):
@@ -62,8 +66,7 @@ def hopf_to_obj(h: HopfData):
     comult = []
     for i in range(h.dim):
         comult.append([[j, k, scalar_to_obj(c)] for j, k, c in sorted(h.comult[i], key=lambda e: (e[0], e[1]))])
-    cols = [dict(col) for col in h.antipode]
-    antipode = [[scalar_to_obj(col.get(j, SC_ZERO)) for col in cols] for j in range(h.dim)]
+    antipode = [[scalar_to_obj(c) for c in row] for row in rows_from_columns(h.antipode)]
     return {
         "dim": h.dim,
         "super": h.super,
@@ -127,7 +130,7 @@ def hopf_from_obj(obj) -> HopfData:
         )
         comult.append(tuple((j, k, scalar_from_obj(c)) for (j, k), c in terms.items()))
     antipode = mat_from_obj(obj["antipode"])
-    if antipode.nrows != dim or antipode.ncols != dim:
+    if len(antipode) != dim or any(len(row) != dim for row in antipode):
         raise ShapeError("antipode shape mismatch")
     return make_hopf(
         dim=dim,
@@ -135,7 +138,7 @@ def hopf_from_obj(obj) -> HopfData:
         mult=tuple(tuple(tuple(cell) for cell in row) for row in mult),
         comult=tuple(comult),
         counit=tuple(scalar_from_obj(c) for c in obj["counit"]),
-        antipode=tuple(enumerate(col) for col in zip(*antipode.rows)),
+        antipode=columns_from_rows(antipode),
         parity=tuple(obj["parity"]),
         super=obj["super"],
     )

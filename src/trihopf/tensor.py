@@ -1,23 +1,27 @@
 """Exact linear algebra over H and sparse tensors in H (x) H and H (x) H (x) H.
 
-Vectors, matrices and tensors hold CycScalar entries and are immutable
-after construction.  Every elimination goes through one sparse reduced
-row echelon basis, Echelon, with one field inverse per pivot: matrix
-rank, kernel and solution, span membership, the generating set and
-radical of a Hopf algebra, and the minimal polynomial behind an
-inverse in H (x) H.  Tensor2 and Tensor3 share one sparse
-representation, a dict from index tuple to nonzero coefficient, and one
-constructor that sums repeated indices and drops zeros; every sum,
-embedding and flip in H (x) H and H (x) H (x) H goes through it.
-The two products, tensor2_mul and tensor3_mul, check their factors
-against a host and iterate the nonzeros through its sparse structure
-tensor, with Koszul signs when the host is a superalgebra, and
-accumulate their terms in place in one dict; scalars are canonical, so
-the order of summation changes no coefficient and no dumped byte.  An
-inverse in H (x) H is a polynomial in the element, read off its
-minimal polynomial, so it needs no linear system over H (x) H.  Mat is
-a dense matrix for input files, representations and the septuple
-checks; HopfData holds no Mat.
+Vectors and tensors hold CycScalar entries and are immutable after
+construction.  A linear map (the antipode of a HopfData, the matrix
+rho(g) of a representation) is held as its sparse columns: column b
+lists the nonzero (a, c) of the image of basis vector b, in increasing
+a.  compose_columns and is_identity_columns act on that layout;
+columns_from_rows and rows_from_columns convert to and from the dense
+rows of the dump format, the only place a dense matrix exists.  Every
+elimination goes through one sparse reduced row echelon basis,
+Echelon, with one field inverse per pivot: rank, kernel and solution of a linear system,
+span membership, the generating set and radical of a Hopf algebra, and
+the minimal polynomial behind an inverse in H (x) H.  Tensor2 and
+Tensor3 share one sparse representation, a dict from index tuple to
+nonzero coefficient, and one constructor that sums repeated indices
+and drops zeros; every sum, embedding and flip in H (x) H and
+H (x) H (x) H goes through it.  The two products, tensor2_mul and
+tensor3_mul, check their factors against a host and iterate the
+nonzeros through its sparse structure tensor, with Koszul signs when
+the host is a superalgebra, and accumulate their terms in place in one
+dict; scalars are canonical, so the order of summation changes no
+coefficient and no dumped byte.  An inverse in H (x) H is a polynomial
+in the element, read off its minimal polynomial, so it needs no linear
+system over H (x) H.
 """
 
 from __future__ import annotations
@@ -87,75 +91,46 @@ class Vec:
         return f"Vec({list(self.entries)!r})"
 
 
-class Mat:
-    """Dense matrix over CycScalar; rows are tuples."""
+# ---------------------------------------------------------------------------
+# linear maps as sparse columns
 
-    __slots__ = ("rows",)
+SparseRow = tuple[tuple[int, CycScalar], ...]
 
-    def __init__(self, rows: Iterable[Iterable[CycScalar]]):
-        self.rows = tuple(tuple(r) for r in rows)
-        if self.rows:
-            w = len(self.rows[0])
-            if any(len(r) != w for r in self.rows):
-                raise ShapeError("ragged matrix rows")
 
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
+def compose_columns(outer, inner) -> tuple[SparseRow, ...]:
+    """Sparse columns of the linear map outer o inner, each map given by
+    its sparse columns (as HopfData.antipode)."""
+    out = []
+    for col in inner:
+        acc: dict = {}
+        for t, c in col:
+            for k, w in outer[t]:
+                v = c * w
+                cur = acc.get(k)
+                acc[k] = v if cur is None else cur + v
+        out.append(tuple(sorted((k, v) for k, v in acc.items() if not v.is_zero())))
+    return tuple(out)
 
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
 
-    @classmethod
-    def identity(cls, n: int) -> "Mat":
-        return cls(
-            tuple(tuple(SC_ONE if i == j else SC_ZERO for j in range(n)) for i in range(n))
-        )
+def columns_from_rows(rows) -> tuple[SparseRow, ...]:
+    """Sparse columns of the square matrix given by its rows."""
+    return tuple(
+        tuple((a, c) for a, row in enumerate(rows) if not (c := row[b]).is_zero())
+        for b in range(len(rows))
+    )
 
-    @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "Mat":
-        return cls(((SC_ZERO,) * ncols,) * nrows)
 
-    def transpose(self) -> "Mat":
-        return Mat(zip(*self.rows)) if self.rows else Mat(())
+def rows_from_columns(cols) -> list[list[CycScalar]]:
+    """Rows of the square matrix given by its sparse columns, zeros filled in."""
+    dicts = [dict(col) for col in cols]
+    return [[col.get(a, SC_ZERO) for col in dicts] for a in range(len(cols))]
 
-    def __matmul__(self, other: "Mat") -> "Mat":
-        if self.ncols != other.nrows:
-            raise ShapeError("matrix shape mismatch")
-        cols = other.transpose().rows
-        out = []
-        for row in self.rows:
-            nz = [(j, c) for j, c in enumerate(row) if not c.is_zero()]
-            out_row = []
-            for col in cols:
-                acc = SC_ZERO
-                for j, c in nz:
-                    acc = acc + c * col[j]
-                out_row.append(acc)
-            out.append(tuple(out_row))
-        return Mat(out)
 
-    def matvec(self, v: Vec) -> Vec:
-        if self.ncols != v.dim:
-            raise ShapeError("matrix/vector shape mismatch")
-        out = [SC_ZERO] * self.nrows
-        for j, c in v.nonzeros():
-            for i in range(self.nrows):
-                e = self.rows[i][j]
-                if not e.is_zero():
-                    out[i] = out[i] + e * c
-        return Vec(out)
-
-    def __eq__(self, other):
-        if not isinstance(other, Mat):
-            return NotImplemented
-        return self.rows == other.rows
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"Mat({[list(r) for r in self.rows]!r})"
+def is_identity_columns(cols) -> bool:
+    """True when the sparse columns are those of the identity map."""
+    return all(
+        len(col) == 1 and col[0][0] == i and col[0][1] == SC_ONE for i, col in enumerate(cols)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -240,27 +215,6 @@ class Echelon:
         for p, row in self.rows.items():
             x[p] = row.get(n, SC_ZERO)
         return Vec(x)
-
-
-def mat_rank(m: Mat) -> int:
-    return len(Echelon(enumerate(row) for row in m.rows))
-
-
-def mat_kernel(m: Mat) -> list[Vec]:
-    """Exact null-space basis, read off the reduced row echelon form
-    (Echelon.kernel); an empty list means the matrix is injective."""
-    return Echelon(enumerate(row) for row in m.rows).kernel(m.ncols)
-
-
-def solve_linear(m: Mat, rhs: Vec) -> Optional[Vec]:
-    """The solution of m @ x = rhs with every free unknown 0, or None
-    when the system is inconsistent (Echelon.solution)."""
-    if m.nrows != rhs.dim:
-        raise ShapeError("matrix/vector shape mismatch")
-    nc = m.ncols
-    return Echelon(
-        chain(enumerate(row), ((nc, b),)) for row, b in zip(m.rows, rhs.entries)
-    ).solution(nc)
 
 
 # ---------------------------------------------------------------------------
@@ -460,10 +414,6 @@ def flip(a: Tensor2, host: Optional["HopfData"] = None) -> Tensor2:
 
 def unit_tensor2(host: "HopfData") -> Tensor2:
     return Tensor2.outer(host.unit, host.unit)
-
-
-def unit_tensor3(host: "HopfData") -> Tensor3:
-    return Tensor3.outer(host.unit, host.unit, host.unit)
 
 
 def embed13_23_12(a: Tensor2, pattern: str, host: "HopfData") -> Tensor3:

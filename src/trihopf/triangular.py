@@ -74,9 +74,7 @@ from .hopf import (
     HopfData,
     antipode_contraction,
     certified_inverse,
-    compose_columns,
     is_chevalley,
-    is_identity_columns,
     is_semisimple,
 )
 from .scalars import SC_HALF, SC_ONE
@@ -84,8 +82,10 @@ from .tensor import (
     Echelon,
     Tensor2,
     Vec,
+    compose_columns,
     embed13_23_12,
     flip,
+    is_identity_columns,
     tensor2_inv,
     tensor2_mul,
     tensor3_mul,

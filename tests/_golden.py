@@ -30,18 +30,26 @@ from trihopf.constructions import (
 from trihopf.groups import AbelianSubgroup, FiniteGroup, GroupRep
 from trihopf.scalars import CycScalar
 from trihopf.serialize import dumps, hopf_to_obj, tensor2_to_obj
-from trihopf.tensor import Mat
 
 ONE, ZERO = CycScalar.one(), CycScalar.zero()
-QUARTER_TURN = Mat([[ZERO, -ONE], [ONE, ZERO]])
-REFLECTION = Mat([[ONE, ZERO], [ZERO, -ONE]])
-SIXTH_TURN = Mat([[ONE, -ONE], [ONE, ZERO]])
+IDENTITY = ((ONE, ZERO), (ZERO, ONE))
+QUARTER_TURN = ((ZERO, -ONE), (ONE, ZERO))
+REFLECTION = ((ONE, ZERO), (ZERO, -ONE))
+SIXTH_TURN = ((ONE, -ONE), (ONE, ZERO))
 
 
-def _power(m: Mat, k: int) -> Mat:
-    out = Mat.identity(m.nrows)
+def _product(a, b):
+    """The product of two 2 x 2 matrices given by their rows."""
+    return tuple(
+        tuple(sum((x * b[j][col] for j, x in enumerate(row)), ZERO) for col in range(2))
+        for row in a
+    )
+
+
+def _power(m, k: int):
+    out = IDENTITY
     for _ in range(k):
-        out = out @ m
+        out = _product(out, m)
     return out
 
 
@@ -55,7 +63,7 @@ def d4_plane() -> tuple[FiniteGroup, GroupRep, int]:
     """D4 on the plane, r a quarter turn and s a reflection; u = r^2
     acts by -1 (dim 32).  Element r^i s^j has index i + 4j."""
     d4 = FiniteGroup.dihedral4()
-    mats = [_power(QUARTER_TURN, x % 4) @ _power(REFLECTION, x // 4) for x in range(8)]
+    mats = [_product(_power(QUARTER_TURN, x % 4), _power(REFLECTION, x // 4)) for x in range(8)]
     return d4, GroupRep(d4, 2, mats), 2
 
 

@@ -349,8 +349,7 @@ def dense_antipode(h):
 
 def dense_antipode_powers(h, kmax):
     """Rows of S**0, S**1, ..., S**kmax, by schoolbook products of the
-    dense antipode matrix over lists; no Mat product and no composition
-    of sparse columns."""
+    dense antipode matrix over lists; no composition of sparse columns."""
     d = h.dim
     s = dense_antipode(h)
     power = [[SC_ONE if i == j else SC_ZERO for j in range(d)] for i in range(d)]

@@ -152,6 +152,32 @@ def test_build_malformed_input(tmp_path):
     assert main(["build", not_group, "--kind", "group-algebra", "-o", str(tmp_path / "o.json")]) == 2
 
 
+_SIGN2 = [[[1, 0], [0, 1]], [[-1, 0], [0, -1]]]  # Z2 acting by -1 on the plane
+
+
+@pytest.mark.parametrize(
+    "matrices, code",
+    [
+        (_SIGN2, 0),
+        ([[[1, 0], [0]], _SIGN2[1]], 2),
+        ([[[1, 0]], _SIGN2[1]], 2),
+        ([[[1], [0]], _SIGN2[1]], 2),
+        ([[[1, 0], [0, 2]], _SIGN2[1]], 2),
+        ([_SIGN2[0], [[1, 1], [0, 1]]], 2),
+        ([5, _SIGN2[1]], 2),
+        (_SIGN2[:1], 2),
+    ],
+    ids=["valid", "ragged", "row_short", "column_short", "identity_not_one",
+         "not_a_homomorphism", "int", "one_matrix_short"],
+)
+def test_build_rejects_a_malformed_representation(tmp_path, capsys, matrices, code):
+    rep = {"group": FiniteGroup.cyclic(2).to_obj(), "degree": 2, "matrices": matrices}
+    inp, out = write(tmp_path / "rep.json", rep), tmp_path / "o.json"
+    assert main(["build", inp, "--kind", "supergroup", "-o", str(out)]) == code
+    assert "Traceback" not in capsys.readouterr().err
+    assert out.exists() == (code == 0)
+
+
 def test_verify_ok_and_corrupted(tmp_path, sweedler_input, capsys):
     out = tmp_path / "sw.hopf.json"
     main(["build", sweedler_input, "--kind", "modified-supergroup", "-o", str(out)])

@@ -48,7 +48,6 @@ from trihopf.hopf import (
 )
 from trihopf.scalars import CycScalar, root_of_unity
 from trihopf.tensor import (
-    Mat,
     Tensor2,
     Vec,
     embed13_23_12,
@@ -759,7 +758,7 @@ def test_validate_y_and_b(z2):
     # W = sign + sign, Y = first coordinate line, B = identity on Y
     v2 = GroupRep.from_sign_characters(z2, [(1, -1), (1, -1)])
     y = (Vec([ONE, ZERO]),)
-    b = Mat([[ONE]])
+    b = ((ONE,),)
     s = Septuple(group=z2, w=v2, a_elements=(0, 1), y_basis=y, b=b,
                  v_beta=Bicharacter.trivial((2,)), v_dim=1, u=1)
     report = validate_septuple(s)
@@ -767,15 +766,58 @@ def test_validate_y_and_b(z2):
     assert checks["y_a_invariant"]
     assert checks["b_symmetric_invariant_nondegenerate"]
     # degenerate B fails
-    s2 = Septuple(group=z2, w=v2, a_elements=(0, 1), y_basis=y, b=Mat([[ZERO]]),
+    s2 = Septuple(group=z2, w=v2, a_elements=(0, 1), y_basis=y, b=((ZERO,),),
                   v_beta=Bicharacter.trivial((2,)), v_dim=1, u=1)
     assert "b_symmetric_invariant_nondegenerate" in validate_septuple(s2).failures()
+
+
+def _b(rows):
+    return tuple(tuple(CycScalar.from_int(x) for x in row) for row in rows)
+
+
+@pytest.mark.parametrize(
+    "y, b, check, detail",
+    [
+        ((0, 1), [[2, 1], [1, 2]], "b_symmetric_invariant_nondegenerate", ""),
+        ((0, 1), [[2, -1], [-1, 2]], "b_symmetric_invariant_nondegenerate",
+         "B not invariant under rho(1)"),
+        ((0, 1), [[1, 0], [0, 1]], "b_symmetric_invariant_nondegenerate",
+         "B not invariant under rho(1)"),
+        ((0, 1), [[0, 1], [1, 0]], "b_symmetric_invariant_nondegenerate",
+         "B not invariant under rho(1)"),
+        ((0, 1), [[2, 1], [0, 2]], "b_symmetric_invariant_nondegenerate", "B is not symmetric"),
+        ((0, 1), [[2, 1, 0], [1, 2, 0]], "b_symmetric_invariant_nondegenerate",
+         "B shape does not match Y"),
+        ((0, 1), [[1, 1], [1, 1]], "b_symmetric_invariant_nondegenerate", "B is degenerate"),
+        ((0,), [[1]], "y_a_invariant", "rho(1) moves Y out of itself"),
+        ((), [[1]], "b_symmetric_invariant_nondegenerate", "B given without Y"),
+    ],
+    ids=["invariant", "conjugate_form", "identity", "swap", "not_symmetric", "shape",
+         "degenerate", "y_not_invariant", "b_without_y"],
+)
+def test_validate_y_and_b_on_the_sixth_turn(y, b, check, detail):
+    # rho(1) = [[1, -1], [1, 0]] is not orthogonal: B transforms as R B R^T,
+    # and R^T B R would keep [[2, -1], [-1, 2]] in place of [[2, 1], [1, 2]]
+    g, w, u = z6_sixth_turn()
+    basis = (Vec([ONE, ZERO]), Vec([ZERO, ONE]))
+    s = Septuple(group=g, w=w, a_elements=tuple(range(6)), y_basis=tuple(basis[i] for i in y),
+                 b=_b(b), v_beta=Bicharacter.trivial((1,)), v_dim=1, u=u)
+    results = {name: (ok, d) for name, ok, d in validate_septuple(s).checks}
+    assert results[check] == (not detail, detail)
+
+
+def test_validate_refuses_a_y_vector_of_another_dimension():
+    g, w, u = z6_sixth_turn()
+    s = Septuple(group=g, w=w, a_elements=tuple(range(6)), y_basis=(Vec([ONE]),),
+                 b=_b([[1]]), v_beta=Bicharacter.trivial((1,)), v_dim=1, u=u)
+    with pytest.raises(ShapeError, match="shape mismatch"):
+        validate_septuple(s)
 
 
 def test_pipeline_rejects_nonzero_b(z2):
     v2 = GroupRep.from_sign_characters(z2, [(1, -1), (1, -1)])
     s = Septuple(group=z2, w=v2, a_elements=(0,), y_basis=(Vec([ONE, ZERO]),),
-                 b=Mat([[ONE]]), v_beta=Bicharacter.trivial((1,)), v_dim=1, u=1)
+                 b=((ONE,),), v_beta=Bicharacter.trivial((1,)), v_dim=1, u=1)
     with pytest.raises(UnsupportedStratum):
         septuple_twist(s).apply()
 

@@ -2,11 +2,11 @@
 
 import functools
 import random
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trihopf import tensor
 from trihopf.constructions import (
     build_bicharacter_twist,
     group_algebra,
@@ -25,20 +25,15 @@ from trihopf.groups import (
 from trihopf.scalars import CycScalar, root_of_unity
 from trihopf.tensor import (
     Echelon,
-    Mat,
     Tensor2,
     Tensor3,
     Vec,
     embed13_23_12,
     flip,
-    mat_kernel,
-    mat_rank,
-    solve_linear,
     tensor2_inv,
     tensor2_mul,
     tensor3_mul,
     unit_tensor2,
-    unit_tensor3,
 )
 
 from _oracles import expand_embedding, expand_flip, expand_product, expand_sum, rank
@@ -51,24 +46,42 @@ def sc(n, d=1):
     return CycScalar.from_rational(n, d)
 
 
-def mat_of_ints(rows):
-    return Mat([[sc(x) for x in row] for row in rows])
+def ints(rows):
+    return [[sc(x) for x in row] for row in rows]
+
+
+def echelon_of(rows):
+    """The reduced row echelon basis of a matrix given by its rows."""
+    return Echelon(enumerate(row) for row in rows)
+
+
+def apply(rows, v):
+    """The image of v under the matrix given by its rows."""
+    return Vec(sum((x * y for x, y in zip(row, v.entries)), ZERO) for row in rows)
+
+
+def solve(rows, rhs):
+    """The solution of rows @ x = rhs read off the augmented echelon, whose
+    right-hand side is the label one past the last column."""
+    n = len(rows[0])
+    augmented = (chain(enumerate(row), ((n, b),)) for row, b in zip(rows, rhs.entries))
+    return Echelon(augmented).solution(n)
 
 
 # --- kernels and ranks ------------------------------------------------------
 
 def test_kernel_identity_is_injective():
-    assert mat_kernel(Mat.identity(3)) == []
+    assert echelon_of(ints([[1, 0, 0], [0, 1, 0], [0, 0, 1]])).kernel(3) == []
 
 
 def test_kernel_zero_matrix():
-    basis = mat_kernel(Mat.zero(2, 2))
+    basis = echelon_of(ints([[0, 0], [0, 0]])).kernel(2)
     assert len(basis) == 2
     assert basis[0] == Vec.basis(2, 0) and basis[1] == Vec.basis(2, 1)
 
 
 def test_kernel_rank_one_symmetric():
-    basis = mat_kernel(mat_of_ints([[1, 1], [1, 1]]))
+    basis = echelon_of(ints([[1, 1], [1, 1]])).kernel(2)
     assert len(basis) == 1
     v = basis[0]
     # spanned by (1, -1)
@@ -79,27 +92,28 @@ def test_kernel_vectors_are_annihilated_and_rank_nullity():
     rng = random.Random(7)
     for _ in range(25):
         rows = [[sc(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(4)] for _ in range(3)]
-        m = Mat(rows)
-        basis = mat_kernel(m)
+        span = echelon_of(rows)
+        basis = span.kernel(4)
         for v in basis:
-            assert m.matvec(v).is_zero()
-        assert mat_rank(m) + len(basis) == m.ncols
+            assert apply(rows, v).is_zero()
+        assert len(span) == rank(rows)
+        assert rank(rows) + len(basis) == 4
 
 
 def test_kernel_with_cyclotomic_entries():
     z = root_of_unity(4, 1)
-    m = Mat([[ONE, z], [z, -ONE]])  # second row = z * first row
-    basis = mat_kernel(m)
+    rows = [[ONE, z], [z, -ONE]]  # second row = z * first row
+    basis = echelon_of(rows).kernel(2)
     assert len(basis) == 1
-    assert m.matvec(basis[0]).is_zero()
+    assert apply(rows, basis[0]).is_zero()
 
 
 def test_solve_linear():
-    m = mat_of_ints([[2, 1], [1, 1]])
+    rows = ints([[2, 1], [1, 1]])
     rhs = Vec([sc(3), sc(2)])
-    x = solve_linear(m, rhs)
-    assert m.matvec(x) == rhs
-    assert solve_linear(mat_of_ints([[1, 0], [1, 0]]), Vec([sc(0), sc(1)])) is None
+    x = solve(rows, rhs)
+    assert apply(rows, x) == rhs
+    assert solve(ints([[1, 0], [1, 0]]), Vec([sc(0), sc(1)])) is None
 
 
 # rationals times powers of zeta_3, zero included
@@ -113,7 +127,7 @@ _CYC3_SCALARS = st.builds(
 
 def _leading_rank(rows, k):
     """Rank of the first k columns."""
-    return mat_rank(Mat([r[:k] for r in rows]))
+    return rank([r[:k] for r in rows])
 
 
 @given(st.data())
@@ -125,28 +139,29 @@ def test_elimination_property(data):
     rows = [[data.draw(_CYC3_SCALARS) for _ in range(ncols)] for _ in range(nrows)]
     a, b = data.draw(_CYC3_SCALARS), data.draw(_CYC3_SCALARS)
     rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
-    m = Mat(rows)
-    basis = mat_kernel(m)
-    assert mat_rank(m) + len(basis) == ncols
+    span = echelon_of(rows)
+    basis = span.kernel(ncols)
+    assert len(span) == rank(rows)
+    assert rank(rows) + len(basis) == ncols
     # column f is free when it depends on the columns left of it
     free = [f for f in range(ncols) if _leading_rank(rows, f + 1) == _leading_rank(rows, f)]
     assert len(basis) == len(free)
     for v, f in zip(basis, free):
-        assert m.matvec(v).is_zero()
+        assert apply(rows, v).is_zero()
         assert [v.entries[g] for g in free] == [ONE if g == f else ZERO for g in free]
     # the solution sets every free unknown to 0; None exactly off the column space
     rhs = Vec(data.draw(_CYC3_SCALARS) for _ in range(nrows))
-    x = solve_linear(m, rhs)
-    solvable = mat_rank(Mat(list(r) + [c] for r, c in zip(rows, rhs.entries))) == mat_rank(m)
+    x = solve(rows, rhs)
+    solvable = rank([list(r) + [c] for r, c in zip(rows, rhs.entries)]) == rank(rows)
     if x is None:
         assert not solvable
     else:
         assert solvable
-        assert m.matvec(x) == rhs
+        assert apply(rows, x) == rhs
         assert all(x.entries[f].is_zero() for f in free)
     # an rhs built from the columns is always solvable
     y = Vec(data.draw(_CYC3_SCALARS) for _ in range(ncols))
-    assert solve_linear(m, m.matvec(y)) is not None
+    assert solve(rows, apply(rows, y)) is not None
 
 
 @pytest.mark.parametrize(
@@ -299,8 +314,8 @@ def test_tensor2_inv_solves_nothing(monkeypatch):
     def no_solve(*args):
         raise AssertionError("tensor2_inv set up a linear system")
 
-    for name in ("solve_linear", "mat_kernel", "mat_rank"):
-        monkeypatch.setattr(tensor, name, no_solve)
+    for name in ("solution", "kernel"):
+        monkeypatch.setattr(Echelon, name, no_solve)
     for h, a, expected in cases:
         inv = tensor2_inv(a, h)
         unit2 = unit_tensor2(h)
@@ -323,11 +338,11 @@ _SUPER_SWEEDLER = supergroup_algebra(
 )
 
 
-def _left_mult_matrix(a, h):
-    """Matrix of x -> a x on H (x) H, columns indexed by basis pairs."""
+def _left_mult_rows(a, h):
+    """Rows of the matrix of x -> a x on H (x) H, columns indexed by basis pairs."""
     pairs = [(p, q) for p in range(h.dim) for q in range(h.dim)]
     cols = [tensor2_mul(a, basis2(h, p, q), h) for p, q in pairs]
-    return Mat([[col.get(k, l) for col in cols] for k, l in pairs])
+    return [[col.get(k, l) for col in cols] for k, l in pairs]
 
 
 @pytest.mark.parametrize("host", [_Z3, _SUPER_SWEEDLER], ids=["kZ3", "super_sweedler"])
@@ -347,7 +362,7 @@ def test_tensor2_inv_property(host, data):
         inv = tensor2_inv(a, host)
     except NotInvertible:
         # independent witness: left multiplication by a has a kernel
-        assert mat_kernel(_left_mult_matrix(a, host))
+        assert rank(_left_mult_rows(a, host)) < d * d
     else:
         unit2 = unit_tensor2(host)
         assert tensor2_mul(a, inv, host) == unit2
@@ -437,15 +452,16 @@ def test_flip_antihomomorphism(kz2):
 
 def test_embeddings(kz2):
     one = unit_tensor2(kz2)
-    assert embed13_23_12(one, "13", kz2) == unit_tensor3(kz2)
+    one3 = Tensor3.outer(kz2.unit, kz2.unit, kz2.unit)
+    assert embed13_23_12(one, "13", kz2) == one3
     gg = basis2(kz2, 1, 1)
     t = embed13_23_12(gg, "13", kz2)
     assert t == _t3(kz2, {(1, 0, 1): ONE})
     assert embed13_23_12(gg, "12", kz2) == _t3(kz2, {(1, 1, 0): ONE})
     assert embed13_23_12(gg, "23", kz2) == _t3(kz2, {(0, 1, 1): ONE})
     # (Delta (x) id)(1 (x) 1) = 1 (x) 1 (x) 1
-    assert embed13_23_12(one, "delta_id", kz2) == unit_tensor3(kz2)
-    assert embed13_23_12(one, "id_delta", kz2) == unit_tensor3(kz2)
+    assert embed13_23_12(one, "delta_id", kz2) == one3
+    assert embed13_23_12(one, "id_delta", kz2) == one3
     with pytest.raises(ShapeError):
         embed13_23_12(one, "31", kz2)
 

@@ -5,7 +5,7 @@ from dataclasses import asdict
 
 import pytest
 
-from trihopf import atlas, constructions, hopf, tensor, triangular
+from trihopf import atlas, constructions, hopf, triangular
 from trihopf.atlas import (
     _build_and_write,
     analysis_report,
@@ -456,15 +456,6 @@ def _atlas_files(specs, out):
     for spec in specs:
         _build_and_write((asdict(spec), str(out)))
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-
-
-def test_atlas_job_runs_no_dense_matrix_product(monkeypatch, tmp_path):
-    products = []
-    dense = tensor.Mat.__matmul__
-    monkeypatch.setattr(tensor.Mat, "__matmul__", lambda a, b: products.append(1) or dense(a, b))
-    files = _atlas_files(enumerate_instances(9), tmp_path / "atlas")
-    assert len(files) == 3 * 119
-    assert products == []
 
 
 def test_wrong_closed_form_inverses_fall_back_to_the_solve(monkeypatch, tmp_path):
