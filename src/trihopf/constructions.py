@@ -451,11 +451,6 @@ def apply_twist(
     return Twist(h, j, j_inv, r).apply()
 
 
-def _inverse_bicharacter(beta: Bicharacter) -> Bicharacter:
-    rows = tuple(tuple(v.inv() for v in row) for row in beta.values)
-    return Bicharacter(beta.factors, rows)
-
-
 def _bicharacter_twist(
     h: HopfData, r: Tensor2, sub: AbelianSubgroup, gamma: Bicharacter
 ) -> Twist:
@@ -469,7 +464,7 @@ def _bicharacter_twist(
     factor = h.dim // sub.parent.order
     j, j_inv = (
         inflate_group_tensor(build_bicharacter_twist(sub, b), factor, h.dim)
-        for b in (beta, _inverse_bicharacter(beta))
+        for b in (beta, beta.inverse())
     )
     return Twist(h, j, j_inv, r)
 
@@ -557,7 +552,7 @@ def validate_septuple(s: Septuple) -> SeptupleReport:
     if abelian:
         sub = AbelianSubgroup(g, elems)
 
-    # Y invariance under A
+    # Y: a basis, invariant under A
     if any(yv.dim != s.w.degree for yv in s.y_basis):
         raise ShapeError("matrix/vector shape mismatch")
     y_cols = tuple(yv.nonzeros() for yv in s.y_basis)
@@ -565,10 +560,13 @@ def validate_septuple(s: Septuple) -> SeptupleReport:
     y_detail = ""
     if y_cols:
         span = Echelon(y_cols)
-        for x in elems:
-            if any(span.reduce(img) for img in compose_columns(s.w.matrices[x], y_cols)):
-                y_ok, y_detail = False, f"rho({x}) moves Y out of itself"
-                break
+        if len(span) < len(y_cols):
+            y_ok, y_detail = False, "Y is not linearly independent"
+        else:
+            for x in elems:
+                if any(span.reduce(img) for img in compose_columns(s.w.matrices[x], y_cols)):
+                    y_ok, y_detail = False, f"rho({x}) moves Y out of itself"
+                    break
     checks.append(("y_a_invariant", y_ok, y_detail))
 
     # B: symmetric, invertible (nondegenerate on Y), A-invariant in Y coords
@@ -587,7 +585,7 @@ def validate_septuple(s: Septuple) -> SeptupleReport:
         if len(Echelon(enumerate(row) for row in b)) != k:
             b_ok, b_detail = False, "B is degenerate"
         elif not y_ok:
-            b_ok, b_detail = False, "Y not A-invariant, restriction undefined"
+            b_ok, b_detail = False, "Y is not an A-invariant basis, restriction undefined"
         else:
             # column j of the restriction R of rho(x) to Y solves
             # sum_i R[i][j] y_i = rho(x) y_j, whose row a is

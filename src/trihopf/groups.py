@@ -4,13 +4,18 @@ Groups are small (catalog order <= 16) and fully validated at
 construction: permutation rows/columns, associativity on all triples,
 identity behavior.  Abelian structure is carried explicitly as a list
 of cyclic factor orders plus an exponent map, which feeds the character
-and idempotent machinery.
+and idempotent machinery.  A bicharacter on such a group is its table
+of exponents k mod N, N the lcm of the factors, for the values
+zeta_N**k: it is checked, skewed, inverted and halved on those
+integers, and the roots of unity are made only when a twist is built
+from it.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from itertools import product
+from math import gcd, lcm, prod
 
 from .errors import BicharacterError, GroupError, NotAbelian, ShapeError
 from .scalars import SC_ONE, SC_ZERO, CycScalar, root_of_unity
@@ -364,22 +369,6 @@ class AbelianSubgroup:
         """Dual-group labels: exponent tuples in mixed-radix order."""
         return [tuple(t) for t in product(*[range(f) for f in self.factors])]
 
-    def as_group(self) -> FiniteGroup:
-        """The subgroup as a standalone FiniteGroup on local indices."""
-        pos = {g: i for i, g in enumerate(self.elements)}
-        table = tuple(
-            tuple(pos[self.parent.table[a][b]] for b in self.elements)
-            for a in self.elements
-        )
-        iso = tuple(self.exponents[g] for g in self.elements)
-        return FiniteGroup(
-            table,
-            pos[self.parent.identity],
-            invariant_factors=self.factors,
-            iso_map=iso,
-            name=f"sub{self.order}of{self.parent.name}",
-        )
-
     def __repr__(self):
         return f"AbelianSubgroup(order={self.order}, factors={self.factors})"
 
@@ -513,20 +502,28 @@ def sign_characters(group: FiniteGroup) -> list[tuple[int, ...]]:
 
 
 class Bicharacter:
-    """A bimultiplicative pairing on the dual labels of an abelian group.
+    """A bimultiplicative pairing on the dual labels of an abelian group,
+    held as its table of exponents.
 
-    values[s][t] is a root of unity indexed by the mixed-radix label
-    order of the factors; bimultiplicativity and normalization are
-    enforced at construction.
+    Every value is an N-th root of unity for N = root_order, the lcm of
+    the factors, so exponents[s][t] = k in 0..N-1 stands for
+    beta(s, t) = zeta_N**k; s and t run over the labels in mixed-radix
+    order.  The same table is the wire form (to_obj).  The constructor
+    reduces each integer mod N and checks bimultiplicativity as sums
+    mod N; the CycScalar table `values` is made only when first read.
     """
 
-    def __init__(self, factors, values):
+    def __init__(self, factors, exponents):
         self.factors = tuple(factors)
-        self.values = tuple(tuple(row) for row in values)
+        self.root_order = big_n = lcm(1, *self.factors)
         self.labels = [tuple(t) for t in product(*[range(f) for f in self.factors])]
+        rows = tuple(tuple(row) for row in exponents)
         n = len(self.labels)
-        if len(self.values) != n or any(len(r) != n for r in self.values):
+        if len(rows) != n or any(len(r) != n for r in rows):
             raise BicharacterError("value table has wrong shape")
+        if any(type(k) is not int for row in rows for k in row):
+            raise BicharacterError("exponents must be integers")
+        self.exponents = e = tuple(tuple(k % big_n for k in row) for row in rows)
         index = {lab: i for i, lab in enumerate(self.labels)}
         zero_label = tuple(0 for _ in self.factors)
         gens = [i for i, f in enumerate(self.factors) if f > 1]
@@ -534,104 +531,74 @@ class Bicharacter:
         def plus_unit(lab, i):
             return index[lab[:i] + ((lab[i] + 1) % self.factors[i],) + lab[i + 1 :]]
 
-        # multiplicative along each unit label g; with the normalization
-        # below this makes each slot a homomorphism (induction on the label)
+        # additive mod N along each unit label g: each slot is then a
+        # homomorphism (induction on the label).  The step 0 -> g reads
+        # e[g][t] = e[0][t] + e[g][t], so every table that passes is
+        # normalized, e[0][t] = e[s][0] = 0, without a check of its own
         units = [plus_unit(zero_label, i) for i in gens]
         shift = [[plus_unit(lab, i) for i in gens] for lab in self.labels]
-        v = self.values
         for i in range(n):
             for j in range(n):
                 for g, i_g, j_g in zip(units, shift[i], shift[j]):
-                    if v[i_g][j] != v[i][j] * v[g][j]:
+                    if e[i_g][j] != (e[i][j] + e[g][j]) % big_n:
                         raise BicharacterError("table not multiplicative in the first slot")
-                    if v[i][j_g] != v[i][j] * v[i][g]:
+                    if e[i][j_g] != (e[i][j] + e[i][g]) % big_n:
                         raise BicharacterError("table not multiplicative in the second slot")
-        zero = index[zero_label]
-        for i in range(n):
-            if self.values[zero][i] != SC_ONE or self.values[i][zero] != SC_ONE:
-                raise BicharacterError("table not normalized at the trivial label")
+
+    @cached_property
+    def values(self) -> tuple[tuple[CycScalar, ...], ...]:
+        """values[s][t] = beta(s, t) = zeta_N**exponents[s][t]."""
+        return tuple(
+            tuple(root_of_unity(self.root_order, k) for k in row) for row in self.exponents
+        )
 
     @classmethod
     def from_exponent_matrix(cls, factors, gen_exponents) -> "Bicharacter":
-        """beta(s, t) = prod over generator pairs of zeta(gcd(ni,nj))**(c_ij s_i t_j)."""
+        """beta(s, t) = prod over generator pairs of zeta(gcd(ni,nj))**(c_ij s_i t_j),
+        where zeta(gcd(ni,nj)) = zeta_N**(N / gcd(ni,nj))."""
         factors = tuple(factors)
-        r = len(factors)
-        labels = [tuple(t) for t in product(*[range(f) for f in factors])]
-        from math import gcd
-
-        rows = []
-        for s in labels:
-            row = []
-            for t in labels:
-                val = SC_ONE
-                for i in range(r):
-                    for j in range(r):
-                        c = gen_exponents[i][j]
-                        if c:
-                            g = gcd(factors[i], factors[j])
-                            if g > 1:
-                                val = val * root_of_unity(g, c * s[i] * t[j])
-                row.append(val)
-            rows.append(tuple(row))
-        return cls(factors, rows)
+        big_n = lcm(1, *factors)
+        terms = [
+            (i, j, c * (big_n // gcd(factors[i], factors[j])))
+            for i, row in enumerate(gen_exponents)
+            for j, c in enumerate(row)
+            if c
+        ]
+        labels = list(product(*[range(f) for f in factors]))
+        return cls(
+            factors,
+            [[sum(c * s[i] * t[j] for i, j, c in terms) for t in labels] for s in labels],
+        )
 
     @classmethod
     def trivial(cls, factors) -> "Bicharacter":
-        n = 1
-        for f in factors:
-            n *= f
-        return cls(factors, ((SC_ONE,) * n,) * n)
-
-    def value(self, s, t) -> CycScalar:
-        i = self.labels.index(tuple(s))
-        j = self.labels.index(tuple(t))
-        return self.values[i][j]
+        n = prod(factors)
+        return cls(factors, ((0,) * n,) * n)
 
     def is_alternating(self) -> bool:
-        for i, s in enumerate(self.labels):
-            if self.values[i][i] != SC_ONE:
-                return False
-        return True
+        return all(row[i] == 0 for i, row in enumerate(self.exponents))
 
     def is_nondegenerate(self) -> bool:
-        rows = {tuple((c.order, c.nums, c.den) for c in row) for row in self.values}
-        return len(rows) == len(self.labels)
+        return len(set(self.exponents)) == len(self.labels)
 
     def skew(self) -> "Bicharacter":
         """gamma(s,t) = beta(s,t) * beta(t,s)**-1, always alternating."""
-        n = len(self.labels)
-        rows = tuple(
-            tuple(self.values[i][j] * self.values[j][i].inv() for j in range(n))
-            for i in range(n)
+        e = self.exponents
+        return Bicharacter(
+            self.factors, [[k - e[j][i] for j, k in enumerate(row)] for i, row in enumerate(e)]
         )
-        return Bicharacter(self.factors, rows)
+
+    def inverse(self) -> "Bicharacter":
+        """beta**-1, pointwise."""
+        return Bicharacter(self.factors, [[-k for k in row] for row in self.exponents])
 
     def to_obj(self):
-        # encode each value as an exponent of zeta_N, N = lcm of factors
-        from math import lcm
-
-        n_amb = 1
-        for f in self.factors:
-            n_amb = lcm(n_amb, f)
-        table = []
-        for row in self.values:
-            out_row = []
-            for v in row:
-                for k in range(n_amb):
-                    if v == root_of_unity(n_amb, k):
-                        out_row.append(k)
-                        break
-                else:
-                    raise BicharacterError("value is not a root of unity of the expected order")
-            table.append(out_row)
-        return {"factors": list(self.factors), "values": table}
+        return {"factors": list(self.factors), "values": [list(row) for row in self.exponents]}
 
 
 def alternating_nondegenerate_bicharacters(factors) -> list[Bicharacter]:
     """All nondegenerate alternating bicharacters, via antisymmetric
-    generator exponent matrices (deduplicated by value table)."""
-    from math import gcd
-
+    generator exponent matrices (deduplicated by exponent table)."""
     factors = tuple(factors)
     r = len(factors)
     if r == 0 or all(f == 1 for f in factors):
@@ -651,9 +618,8 @@ def alternating_nondegenerate_bicharacters(factors) -> list[Bicharacter]:
         b = Bicharacter.from_exponent_matrix(factors, gen)
         if not (b.is_alternating() and b.is_nondegenerate()):
             continue
-        key = tuple(tuple((c.order, c.nums, c.den) for c in row) for row in b.values)
-        if key not in seen:
-            seen.add(key)
+        if b.exponents not in seen:
+            seen.add(b.exponents)
             out.append(b)
     return out
 
@@ -661,34 +627,24 @@ def alternating_nondegenerate_bicharacters(factors) -> list[Bicharacter]:
 def half_bicharacter(gamma: Bicharacter) -> Bicharacter:
     """A bimultiplicative beta with skew(beta) = gamma, for alternating gamma.
 
-    Built from the upper-triangular part of gamma's generator values:
-    beta(g_i, g_j) = gamma(g_i, g_j) for i < j and 1 otherwise.
+    Built from the upper triangle of gamma on the unit labels g_i: the
+    exponent of gamma(g_i, g_j) is a multiple of N / gcd(n_i, n_j), and
+    the quotient c_ij sets beta(g_i, g_j) = zeta(gcd(n_i, n_j))**c_ij for
+    i < j and 1 otherwise (from_exponent_matrix).  The skew of beta is
+    compared with gamma before beta is returned.
     """
     if not gamma.is_alternating():
         raise BicharacterError("half of a non-alternating bicharacter")
-    factors = gamma.factors
+    factors, big_n = gamma.factors, gamma.root_order
     r = len(factors)
-    from math import gcd
-
+    # mixed-radix index of the unit label g_i (0 if the factor is 1)
+    units = [prod(factors[i + 1 :]) if factors[i] > 1 else 0 for i in range(r)]
     gen = [[0] * r for _ in range(r)]
-    unit_labels = []
-    for i in range(r):
-        lab = [0] * r
-        lab[i] = 1 if factors[i] > 1 else 0
-        unit_labels.append(tuple(lab))
     for i in range(r):
         for j in range(i + 1, r):
-            g = gcd(factors[i], factors[j])
-            if g <= 1:
-                continue
-            v = gamma.value(unit_labels[i], unit_labels[j])
-            for k in range(g):
-                if v == root_of_unity(g, k):
-                    gen[i][j] = k
-                    break
-            else:
-                raise BicharacterError("generator value outside expected roots of unity")
+            k = gamma.exponents[units[i]][units[j]]
+            gen[i][j] = k // (big_n // gcd(factors[i], factors[j]))
     beta = Bicharacter.from_exponent_matrix(factors, gen)
-    if beta.skew().values != gamma.values:
+    if beta.skew().exponents != gamma.exponents:
         raise BicharacterError("half-cocycle construction failed to reproduce the skew")
     return beta

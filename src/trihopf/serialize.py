@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii as _quote
-from math import lcm, prod
+from math import prod
 from pathlib import Path
 
 from .constructions import Septuple
 from .errors import ShapeError
 from .groups import Bicharacter, FiniteGroup, GroupRep
 from .hopf import HopfData, make_hopf
-from .scalars import CycScalar, root_of_unity
+from .scalars import CycScalar
 from .tensor import Tensor2, Vec, columns_from_rows, rows_from_columns
 
 
@@ -305,24 +305,21 @@ def rep_from_file_obj(obj, base_dir=None) -> GroupRep:
 
 def bicharacter_from_file_obj(obj) -> Bicharacter:
     """A bicharacter from its factors and its table of exponents k, each
-    value zeta_N**k for N the lcm of the factors (Bicharacter.to_obj).
+    value zeta_N**k for N the lcm of the factors: the table that
+    Bicharacter holds and to_obj writes.
 
     The table must be n x n for n the product of the factors, which is
-    checked before any root of unity is made: N is then bounded by the
-    size of the file, where a lone factor of 10**9 would start a
-    cyclotomic reduction of that order.
+    checked first: N <= n is then bounded by the size of the file, where
+    a lone factor of 10**9 would ask for roots of unity of that order
+    once J is built.  Every entry must be an integer; no root of unity
+    is made here (Bicharacter.values makes them when J is built).
     """
     factors = tuple(_int(f, "bicharacter factor") for f in obj["factors"])
     n = prod(factors)
     values = obj["values"]
     if any(f < 1 for f in factors) or len(values) != n or any(len(row) != n for row in values):
         raise ShapeError(f"bicharacter factors {list(factors)} need a {n} x {n} value table")
-    n_amb = lcm(1, *factors)
-    rows = tuple(
-        tuple(root_of_unity(n_amb, _int(k, "bicharacter exponent")) for k in row)
-        for row in values
-    )
-    return Bicharacter(factors, rows)
+    return Bicharacter(factors, [[_int(k, "bicharacter exponent") for k in row] for row in values])
 
 
 def septuple_from_file_obj(obj, base_dir=None) -> Septuple:

@@ -454,6 +454,17 @@ def bicharacter_twist_double_sum(a, beta):
     return _drop_zeros(out)
 
 
+def subgroup_as_group(sub):
+    """An abelian subgroup as a standalone FiniteGroup on local indices,
+    with its own cyclic factors: the group of k[A] apart from its parent."""
+    from trihopf.groups import FiniteGroup
+
+    pos = {g: i for i, g in enumerate(sub.elements)}
+    table = [[pos[sub.parent.table[a][b]] for b in sub.elements] for a in sub.elements]
+    iso = [sub.exponents[g] for g in sub.elements]
+    return FiniteGroup(table, pos[sub.parent.identity], invariant_factors=sub.factors, iso_map=iso)
+
+
 # --- cyclotomic numbers over Fraction --------------------------------------
 #
 # A value is a list of Fractions over the power basis of zeta_n, reduced

@@ -730,6 +730,39 @@ def test_semisimple_triangular_build(tmp_path, capsys):
     assert rep["semisimple"] and rep["triangular"]["r_rank"] == 4
 
 
+def _with_gamma_entries(swap):
+    """_semisimple_input with each exponent k of gamma replaced by swap(i, j, k)."""
+    obj = _semisimple_input()
+    values = obj["bicharacter"]["values"]
+    obj["bicharacter"]["values"] = [[swap(i, j, k) for j, k in enumerate(row)] for i, row in enumerate(values)]
+    return obj
+
+
+@pytest.mark.parametrize(
+    "obj, code, message",
+    [
+        (_semisimple_input(), 0, None),
+        # exponents are read mod N = 2: the same gamma, the same bytes
+        (_with_gamma_entries(lambda i, j, k: 3 if k == 1 else k), 0, None),
+        (_with_gamma_entries(lambda i, j, k: 0 if (i, j) == (1, 2) else k), 2, "not multiplicative"),
+        (_with_gamma_entries(lambda i, j, k: True if k == 1 else k), 2, "is not an integer"),
+        (_with_gamma_entries(lambda i, j, k: 1.0 if k == 1 else k), 2, "is not an integer"),
+    ],
+    ids=["valid", "exponent_3_for_1", "not_multiplicative", "true_entry", "float_entry"],
+)
+def test_semisimple_triangular_reads_gamma_as_exponents(tmp_path, capsys, obj, code, message):
+    out = tmp_path / "out.json"
+    assert main(["build", write(tmp_path / "in.json", obj), "--kind", "semisimple-triangular", "-o", str(out)]) == code
+    if code:
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        valid = tmp_path / "valid.json"
+        assert main(["build", write(tmp_path / "v.json", _semisimple_input()), "--kind", "semisimple-triangular", "-o", str(valid)]) == 0
+        assert out.read_bytes() == valid.read_bytes()
+        assert (tmp_path / "out.r.json").read_bytes() == (tmp_path / "valid.r.json").read_bytes()
+
+
 def _z2z2_septuple_with_repeat():
     # the full Z2 x Z2 with W = 0, its element 3 listed twice
     obj = _semisimple_input()

@@ -1,7 +1,7 @@
 """Builders: group algebras, smash products, modifications, twists, septuples."""
 
 from itertools import product
-from math import isqrt
+from math import gcd, isqrt
 from pathlib import Path
 
 import pytest
@@ -77,6 +77,7 @@ from _oracles import (
     bruteforce_sign_characters,
     exhaustive_axioms,
     exhaustive_triangular,
+    is_bicharacter_table,
     sweedler_r,
 )
 
@@ -391,8 +392,7 @@ def test_trivial_bicharacter_gives_unit_twist(z2):
 def test_symmetric_z2_bicharacter_twist(z2):
     # beta(1,1) = -1 on the nontrivial character: J = 1 (x) 1 - 2 E- (x) E-
     a = z2.abelian_subgroup(range(2))
-    minus = CycScalar.from_int(-1)
-    beta = Bicharacter((2,), ((ONE, ONE), (ONE, minus)))
+    beta = Bicharacter((2,), ((0, 0), (0, 1)))
     j = build_bicharacter_twist(a, beta)
     h = group_algebra(z2)
     e_minus = Vec([sc(1, 2), sc(-1, 2)])
@@ -459,11 +459,15 @@ def test_unit_twist_is_a_no_op(z2z2):
 def test_bicharacter_rejects_bad_table():
     from trihopf.errors import BicharacterError
 
-    minus = CycScalar.from_int(-1)
-    with pytest.raises(BicharacterError):
-        Bicharacter((2,), ((ONE, ONE), (minus, ONE)))  # not normalized
-    with pytest.raises(BicharacterError):
-        Bicharacter((2, 2), ((ONE,) * 3,) * 3)  # wrong shape
+    # not normalized, beta(g, 0) = -1: multiplicativity in the second slot
+    # refuses it, as beta(g, g) = beta(g, 0 + g) = beta(g, 0) beta(g, g)
+    with pytest.raises(BicharacterError, match="not multiplicative in the second slot"):
+        Bicharacter((2,), ((0, 0), (1, 0)))
+    with pytest.raises(BicharacterError, match="value table has wrong shape"):
+        Bicharacter((2, 2), ((0,) * 3,) * 3)
+    for entry in (True, 1.0, ONE):
+        with pytest.raises(BicharacterError, match="exponents must be integers"):
+            Bicharacter((2,), ((0, 0), (0, entry)))
 
 
 def _z2e4():
@@ -541,31 +545,49 @@ def test_alternating_bicharacters_match_brute_force():
         assert tables == bruteforce_alternating_nondegenerate(factors), factors
 
 
-@pytest.mark.parametrize("factors, bump", [((2, 2, 2, 2), 4), ((3, 3), 3)])
-def test_bicharacter_rejects_broken_tables(factors, bump):
+@pytest.mark.parametrize("factors", [(2, 4), (4, 2), (2, 6), (3, 3)])
+def test_half_bicharacter_on_every_alternating_gamma(factors):
+    # degenerate gammas included: on unequal factors gamma(g_1, g_2) is a
+    # gcd(n_1, n_2)-th root, whose zeta_N exponent is a multiple of N / gcd
+    g = gcd(*factors)
+    for c in range(g):
+        gamma = Bicharacter.from_exponent_matrix(factors, [[0, c], [-c % g, 0]])
+        assert gamma.is_alternating()
+        beta = half_bicharacter(gamma)
+        assert is_bicharacter_table(factors, beta.values)
+        n = len(beta.labels)
+        assert all(
+            beta.values[s][t] * beta.values[t][s].inv() == gamma.values[s][t]
+            for s in range(n) for t in range(n)
+        )
+
+
+@pytest.mark.parametrize("factors", [(2, 2, 2, 2), (3, 3), (4, 4)])
+def test_bicharacter_rejects_broken_tables(factors):
     from trihopf.errors import BicharacterError
 
-    values = alternating_nondegenerate_bicharacters(factors)[0].values
+    exponents = alternating_nondegenerate_bicharacters(factors)[0].exponents
     labels = list(product(*[range(f) for f in factors]))
     n = len(labels)
-    bump = root_of_unity(bump, 1)
     broken = []
     for i in range(n):
         for j in range(n):
-            table = [list(row) for row in values]
-            table[i][j] = table[i][j] * bump
+            table = [list(row) for row in exponents]
+            table[i][j] += 1
             broken.append(table)
-    # multiplicative along every unit label except the last one
-    broken.append(
-        [[c * bump if s[-1] == 1 == t[-1] else c for t, c in zip(labels, row)] for s, row in zip(labels, values)]
-    )
+    if factors[-1] > 2:
+        # multiplicative along every unit label except the last one; on a
+        # last factor of 2 this bump is (-1)**(s_last t_last), a bicharacter
+        broken.append(
+            [[k + 1 if s[-1] == 1 == t[-1] else k for t, k in zip(labels, row)] for s, row in zip(labels, exponents)]
+        )
     # every column a character, but two labels swapped: not multiplicative in the second slot
-    swapped = [[row[{1: 2, 2: 1}.get(j, j)] for j in range(n)] for row in values]
+    swapped = [[row[{1: 2, 2: 1}.get(j, j)] for j in range(n)] for row in exponents]
     broken += [swapped, [list(col) for col in zip(*swapped)]]
     for table in broken:
-        with pytest.raises(BicharacterError):
+        with pytest.raises(BicharacterError, match="not multiplicative in the (first|second) slot"):
             Bicharacter(factors, table)
-    Bicharacter(factors, values)
+    Bicharacter(factors, exponents)
 
 
 def _klein_subgroups_of_order_8_catalog():
@@ -636,13 +658,11 @@ def test_z2z2_twist_matches_hand_formula(z2z2):
 
 
 def test_twist_roundtrip_restores_structure(z2z2):
-    from trihopf.constructions import _inverse_bicharacter
-
     h = group_algebra(z2z2)
     a = z2z2.abelian_subgroup(range(4))
     beta = half_bicharacter(alternating_nondegenerate_bicharacters((2, 2))[0])
     j = build_bicharacter_twist(a, beta)
-    j_inv = build_bicharacter_twist(a, _inverse_bicharacter(beta))
+    j_inv = build_bicharacter_twist(a, beta.inverse())
     h2, _ = apply_twist(h, j)
     h3, _ = apply_twist(h2, j_inv)
     assert h3.same_structure(h)
@@ -804,6 +824,25 @@ def test_validate_y_and_b_on_the_sixth_turn(y, b, check, detail):
                  b=_b(b), v_beta=Bicharacter.trivial((1,)), v_dim=1, u=u)
     results = {name: (ok, d) for name, ok, d in validate_septuple(s).checks}
     assert results[check] == (not detail, detail)
+
+
+@pytest.mark.parametrize(
+    "a_elements, y, b",
+    [((0, 1), (0, 0), [[1, 0], [0, 1]]), ((0, 1), (0, 0), [[1, 1], [1, 0]]), ((0,), (0, None), [[1, 0], [0, 1]])],
+    ids=["repeated_vector_identity_b", "repeated_vector_other_b", "zero_vector"],
+)
+def test_validate_names_a_y_that_is_not_a_basis(z2, a_elements, y, b):
+    # Z2 acts by -1 on the plane, so every line is invariant: the fault is
+    # Y itself, not the invariance of B under rho(0) = 1
+    v2 = GroupRep.from_sign_characters(z2, [(1, -1), (1, -1)])
+    vectors = {0: Vec([ONE, ZERO]), None: Vec([ZERO, ZERO])}
+    s = Septuple(group=z2, w=v2, a_elements=a_elements, y_basis=tuple(vectors[i] for i in y),
+                 b=_b(b), v_beta=Bicharacter.trivial((len(a_elements),)), v_dim=1, u=1)
+    results = {name: (ok, d) for name, ok, d in validate_septuple(s).checks}
+    assert results["y_a_invariant"] == (False, "Y is not linearly independent")
+    assert results["b_symmetric_invariant_nondegenerate"] == (
+        False, "Y is not an A-invariant basis, restriction undefined"
+    )
 
 
 def test_validate_refuses_a_y_vector_of_another_dimension():

@@ -1,5 +1,6 @@
 """Wire formats: round trips and byte-stable dumps."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -101,6 +102,24 @@ def test_bicharacter_roundtrip():
         for b in alternating_nondegenerate_bicharacters(factors):
             back = bicharacter_from_file_obj(b.to_obj())
             assert back.values == b.values and back.factors == b.factors
+
+
+@pytest.mark.parametrize(
+    "factors, count, digest",
+    [
+        ((2, 2), 1, "f2c7658db9857229734b0c9e8352c7eb8f3a10c874c8bc2095b863bc83a43255"),
+        ((3, 3), 2, "e31ef806aa3e030554d9ebbdfb7e12e716b69a69383c9f6e3d368e8a13376d50"),
+        ((2, 2, 2, 2), 28, "8411472a3bde261f693222d9f7d0e2434901e0530b5d8e0a3ff26435d33bc314"),
+        ((4, 4), 2, "bd2d4624040137eaadc22c85f467b8a6f12b9c6eec29a3528c9cc6f8a62d4087"),
+    ],
+)
+def test_bicharacter_wire_form_is_pinned(factors, count, digest):
+    # the exponent tables an atlas or bicharacter file carries, byte for byte
+    from trihopf.groups import alternating_nondegenerate_bicharacters
+
+    objs = [b.to_obj() for b in alternating_nondegenerate_bicharacters(factors)]
+    assert len(objs) == count
+    assert hashlib.sha256(dumps(objs).encode()).hexdigest() == digest
 
 
 def test_scalar_shortcut_accepts_ints():
@@ -251,12 +270,14 @@ def test_dumps_refuses_other_types(obj):
 
 
 def test_bicharacter_table_shape_is_checked_before_any_root(monkeypatch):
-    from trihopf import serialize
+    from trihopf import groups
+    from trihopf.groups import alternating_nondegenerate_bicharacters
 
     def no_root(n, k):
-        raise AssertionError(f"root of unity of order {n} made before the shape check")
+        raise AssertionError(f"root of unity of order {n} made while loading a bicharacter")
 
-    monkeypatch.setattr(serialize, "root_of_unity", no_root)
+    valid = alternating_nondegenerate_bicharacters((3, 3))[1].to_obj()
+    monkeypatch.setattr(groups, "root_of_unity", no_root)
     for obj in (
         {"factors": [10**9], "values": [[0]]},  # a root of order 10**9 would follow
         {"factors": [2], "values": [[0, 0], [0]]},
@@ -264,3 +285,6 @@ def test_bicharacter_table_shape_is_checked_before_any_root(monkeypatch):
     ):
         with pytest.raises(ShapeError, match="value table"):
             bicharacter_from_file_obj(obj)
+    # a valid file is checked on its exponents: the values wait for a reader
+    gamma = bicharacter_from_file_obj(valid)
+    assert gamma.to_obj() == valid and "values" not in vars(gamma)

@@ -283,7 +283,7 @@ def _z2e4_twist(nonzeros):
 
 
 def _inverse_bicharacter(beta):
-    return Bicharacter(beta.factors, [[v.inv() for v in row] for row in beta.values])
+    return Bicharacter(beta.factors, [[-k for k in row] for row in beta.exponents])
 
 
 TWISTS = {
