@@ -69,7 +69,6 @@ from .triangular import (
     modify_r,
     r_matrix_rank,
     r_u,
-    verify_quasitriangular,
     verify_triangular,
 )
 

@@ -304,7 +304,7 @@ def build_bicharacter_twist(a: AbelianSubgroup, beta: Bicharacter) -> Tensor2:
     parent_dim = a.parent.order
     _, _, idems = characters(a)
     # inflate idempotents from subgroup coordinates to parent coordinates
-    inflated = [tuple((a.elements[local], c) for local, c in e.nonzeros()) for e in idems]
+    inflated = [tuple((a.elements[local], c) for local, c in e.nonzeros) for e in idems]
 
     def terms():
         # J = sum_s E_s (x) w_s with w_s = sum_t beta(s,t) E_t, summed once per s
@@ -418,14 +418,12 @@ class Twist:
         for i in range(h.dim):
             t = tensor2_mul(tensor2_mul(j_inv, h.comult_tensor(i), h), j, h)
             comult_new.append(tuple((a, b, c) for a, b, c in t.nonzeros))
-        q_vec = antipode_contraction(h, j.nonzeros)
+        q = antipode_contraction(h, j.nonzeros)
         # Q^-1 = m(id (x) S)(J^-1)
-        q_inv = certified_inverse(h, q_vec, antipode_contraction(h, j_inv.nonzeros, leg=1))
-        q, q_inv = q_vec.nonzeros(), q_inv.nonzeros()
+        q_inv = certified_inverse(h, q, antipode_contraction(h, j_inv.nonzeros, leg=1))
         # column i is S^J(e_i) = Q^-1 S(e_i) Q
         antipode_new = tuple(
-            tuple(sorted(h.mul_sparse(h.mul_sparse(q_inv, col).items(), q).items()))
-            for col in h.antipode
+            h.mul_vec(h.mul_vec(q_inv, Vec(h.dim, col)), q).nonzeros for col in h.antipode
         )
         out = h.replace(comult=tuple(comult_new), antipode=antipode_new, algebra_host=h).validate()
         r_new = None
@@ -527,8 +525,9 @@ class SeptupleReport:
         }
 
 
-def _dot(u, v) -> CycScalar:
-    return sum((p * q for p, q in zip(u, v)), SC_ZERO)
+def _dot(sparse, dense) -> CycScalar:
+    """sum c * dense[m] over the (m, c) of sparse."""
+    return sum((c * dense[m] for m, c in sparse), SC_ZERO)
 
 
 def validate_septuple(s: Septuple) -> SeptupleReport:
@@ -555,7 +554,7 @@ def validate_septuple(s: Septuple) -> SeptupleReport:
     # Y: a basis, invariant under A
     if any(yv.dim != s.w.degree for yv in s.y_basis):
         raise ShapeError("matrix/vector shape mismatch")
-    y_cols = tuple(yv.nonzeros() for yv in s.y_basis)
+    y_cols = tuple(yv.nonzeros for yv in s.y_basis)
     y_ok = True
     y_detail = ""
     if y_cols:
@@ -589,21 +588,28 @@ def validate_septuple(s: Septuple) -> SeptupleReport:
         else:
             # column j of the restriction R of rho(x) to Y solves
             # sum_i R[i][j] y_i = rho(x) y_j, whose row a is
-            # (y_0[a], ..., y_(k-1)[a] | (rho(x) y_j)[a])
-            y_rows = tuple(tuple(enumerate(row)) for row in zip(*(yv.entries for yv in s.y_basis)))
+            # (y_0[a], ..., y_(k-1)[a] | (rho(x) y_j)[a]), read off the
+            # nonzeros of the y_i and of rho(x) y_j
+            y_rows: list[dict] = [{} for _ in range(s.w.degree)]
+            for i, col in enumerate(y_cols):
+                for a, c in col:
+                    y_rows[a][i] = c
             for x in elems:
                 sols = [
                     Echelon(
-                        row + ((k, img.get(a, SC_ZERO)),) for a, row in enumerate(y_rows)
+                        {**row, k: img.get(a, SC_ZERO)} for a, row in enumerate(y_rows)
                     ).solution(k)
                     for img in map(dict, compose_columns(s.w.matrices[x], y_cols))
                 ]
                 if any(sol is None for sol in sols):
                     b_ok, b_detail = False, f"could not restrict rho({x}) to Y"
                     break
-                r = tuple(zip(*(sol.entries for sol in sols)))  # the rows of R
+                r: list[list] = [[] for _ in range(k)]  # the rows of R, sparse
+                for j, sol in enumerate(sols):
+                    for i, c in sol.nonzeros:
+                        r[i].append((j, c))
                 rb = [[_dot(row, col) for col in zip(*b)] for row in r]
-                if any(_dot(rb[i], r[j]) != b[i][j] for i in range(k) for j in range(k)):
+                if any(_dot(r[j], rb[i]) != b[i][j] for i in range(k) for j in range(k)):
                     b_ok, b_detail = False, f"B not invariant under rho({x})"
                     break
     checks.append(("b_symmetric_invariant_nondegenerate", b_ok, b_detail))

@@ -401,14 +401,14 @@ def characters(a: AbelianSubgroup | FiniteGroup):
             values.append(val)
         chars.append(tuple(values))
         idem = []
-        for g in a.elements:
+        for k, g in enumerate(a.elements):
             e = a.exponents[g]
             val = SC_ONE
             for f, si, ei in zip(factors, s, e):
                 if f > 1 and si and ei:
                     val = val * root_of_unity(f, -si * ei)
-            idem.append(inv_n * val)
-        idems.append(Vec(idem))
+            idem.append((k, inv_n * val))
+        idems.append(Vec(n, idem))
     return labels, chars, idems
 
 

@@ -7,7 +7,11 @@ for the super case.  The antipode is held as sparse columns, the layout
 of mult and comult; S^2 is composed once per object
 (HopfData.s2_columns).  Powers of S, S^4 = id and S^2 = Ad(u) compose
 sparse columns; no dense matrix exists outside the dump format
-(serialize.py).
+(serialize.py).  An element of H is a tensor.Vec, the arity-1 sparse
+tensor, whose nonzeros have the layout of one such column; the product
+of two elements is HopfData.mul_vec, and the maps on elements
+(antipode_vec, antipode_contraction, counit_slants) build their result
+sparsely.
 
 verify_hopf proves each axiom by exact finite checks and reports the
 first failing witness per axiom instead of raising.
@@ -124,7 +128,7 @@ class HopfData:
             for j, k, c in self.comult[i]:
                 if not c.is_zero() and (par[j] + par[k]) % 2 != par[i]:
                     return f"coproduct parity violation at ({i},{j},{k})"
-            if par[i] and not self.unit.entries[i].is_zero():
+            if par[i] and not self.unit.get(i).is_zero():
                 return "unit supported on odd basis elements"
         if self.counit_vec(self.unit) != SC_ONE:
             return "counit(unit) != 1"
@@ -190,7 +194,7 @@ class HopfData:
                 spanned.append(vec)
                 todo.extend((s, vec) for s in gens)
 
-        push(dict(self.unit.nonzeros()))
+        push(dict(self.unit.nonzeros))
         for i in range(self.dim):
             if len(span) == self.dim:
                 break
@@ -220,7 +224,7 @@ class HopfData:
         source = self._algebra_source
         if source is not self:
             return source.algebra_witnesses
-        unit = _unit_witness(self, [self.basis_vec(i) for i in range(self.dim)])
+        unit = _unit_witness(self, [Vec.basis(self.dim, i) for i in range(self.dim)])
         gens = self.generators
         if unit is None and gens is not None and _associativity_witness(self, gens) is None:
             return None, None
@@ -240,37 +244,26 @@ class HopfData:
             return source.radical
         return tuple(jacobson_radical(self))
 
-    def mul_sparse(self, x, y) -> dict:
-        """The nonzeros of xy, for x and y given as (index, coefficient)
-        pairs, as a dict from index to coefficient."""
+    def mul_vec(self, x: Vec, y: Vec) -> Vec:
+        """The product xy in H, term by term through mult."""
         acc: dict = {}
-        y = tuple(y)
         mult = self.mult
-        for i, a in x:
+        right = y.nonzeros
+        for i, a in x.nonzeros:
             row = mult[i]
-            for j, b in y:
+            for j, b in right:
                 if row[j]:
                     _sparse_product(mult, i, j, acc, a * b)
-        return _clean(acc)
-
-    def mul_vec(self, x: Vec, y: Vec) -> Vec:
-        out = [SC_ZERO] * self.dim
-        for k, c in self.mul_sparse(x.nonzeros(), y.nonzeros()).items():
-            out[k] = c
-        return Vec(out)
+        return Vec._from_sums(self.dim, acc)
 
     def counit_vec(self, x: Vec) -> CycScalar:
         acc = SC_ZERO
-        for i, a in x.nonzeros():
+        for i, a in x.nonzeros:
             acc = acc + a * self.counit[i]
         return acc
 
     def antipode_vec(self, x: Vec) -> Vec:
-        out = [SC_ZERO] * self.dim
-        for i, a in x.nonzeros():
-            for j, c in self.antipode[i]:
-                out[j] = out[j] + a * c
-        return Vec(out)
+        return Vec(self.dim, ((j, a * c) for i, a in x.nonzeros for j, c in self.antipode[i]))
 
     def comult_tensor(self, i: int) -> Tensor2:
         return Tensor2(self.dim, (((j, k), c) for j, k, c in self.comult[i]))
@@ -278,11 +271,8 @@ class HopfData:
     def comult_vec(self, x: Vec) -> Tensor2:
         return Tensor2(
             self.dim,
-            (((j, k), a * c) for i, a in x.nonzeros() for j, k, c in self.comult[i]),
+            (((j, k), a * c) for i, a in x.nonzeros for j, k, c in self.comult[i]),
         )
-
-    def basis_vec(self, i: int) -> Vec:
-        return Vec.basis(self.dim, i)
 
     def same_structure(self, other: "HopfData") -> bool:
         """Exact structure-constant equality in the shared fixed basis."""
@@ -319,7 +309,7 @@ def make_hopf(dim, unit, mult, comult, counit, antipode, parity=None, super=Fals
     )
     h = HopfData(
         dim=dim,
-        unit=unit if isinstance(unit, Vec) else Vec(unit),
+        unit=unit if isinstance(unit, Vec) else Vec.from_entries(unit),
         mult=mult_norm,
         comult=comult_norm,
         counit=tuple(counit),
@@ -381,31 +371,26 @@ def antipode_contraction(h: HopfData, terms, leg: int = 0, square: bool = False)
     """m(S (x) id)(t), or m(id (x) S)(t) when leg is 1, for
     t = sum c e_i (x) e_j over the (i, j, c) in terms; S^2 in place of S
     when square is set."""
-    acc = [SC_ZERO] * h.dim
+    acc: dict = {}
     mult, s_cols = h.mult, h.s2_columns if square else h.antipode
     for i, j, c in terms:
         if leg:
             for t, sc in s_cols[j]:
-                csc = c * sc
-                for k, w in mult[i][t]:
-                    acc[k] = acc[k] + csc * w
+                _sparse_product(mult, i, t, acc, c * sc)
         else:
             for t, sc in s_cols[i]:
-                csc = c * sc
-                for k, w in mult[t][j]:
-                    acc[k] = acc[k] + csc * w
-    return Vec(acc)
+                _sparse_product(mult, t, j, acc, c * sc)
+    return Vec._from_sums(h.dim, acc)
 
 
 def counit_slants(h: HopfData, terms) -> tuple[Vec, Vec]:
     """(eps (x) id)(t) and (id (x) eps)(t) for t = sum c e_i (x) e_j over
-    the (i, j, c) in terms."""
-    left = [SC_ZERO] * h.dim
-    right = [SC_ZERO] * h.dim
-    for i, j, c in terms:
-        left[j] = left[j] + c * h.counit[i]
-        right[i] = right[i] + c * h.counit[j]
-    return Vec(left), Vec(right)
+    the (i, j, c) in terms, a sequence."""
+    counit = h.counit
+    return (
+        Vec(h.dim, ((j, c * counit[i]) for i, j, c in terms)),
+        Vec(h.dim, ((i, c * counit[j]) for i, j, c in terms)),
+    )
 
 
 def verify_hopf(h: HopfData) -> AxiomReport:
@@ -441,7 +426,7 @@ def _axiom_scan(h: HopfData, lead: Sequence[int]) -> AxiomReport:
     coassociativity and the bialgebra identity.  The associativity and
     unit witnesses are the algebra's (HopfData.algebra_witnesses), which
     equal the exhaustive scan's."""
-    basis = [h.basis_vec(i) for i in range(h.dim)]
+    basis = [Vec.basis(h.dim, i) for i in range(h.dim)]
     deltas = [h.comult_tensor(i) for i in range(h.dim)]
     associativity, unit = h.algebra_witnesses
     found = {
@@ -567,7 +552,7 @@ def dual_hopf(h: HopfData) -> HopfData:
             antipode_d[j].append((i, c))
     return make_hopf(
         dim=d,
-        unit=Vec(h.counit),
+        unit=Vec.from_entries(h.counit),
         mult=tuple(tuple(tuple(cell) for cell in row) for row in mult_d),
         comult=tuple(tuple(entry) for entry in comult_d),
         counit=h.unit.entries,
@@ -628,9 +613,9 @@ def subspace_is_hopf_ideal(h: HopfData, basis: Sequence[Vec]) -> bool:
     for r in basis:
         if not h.counit_vec(r).is_zero():
             return False
-    span = Echelon(r.nonzeros() for r in basis)
+    span = Echelon(r.nonzeros for r in basis)
     for r in basis:
-        if span.reduce(h.antipode_vec(r).nonzeros()):
+        if span.reduce(h.antipode_vec(r).nonzeros):
             return False
     # pi(e_f) = e_f; row = e_p + sum_f row[f] e_f lies in I, so pi(e_p) = -sum_f row[f] e_f
     proj = {f: ((f, SC_ONE),) for f in range(h.dim) if f not in span.rows}
@@ -678,12 +663,12 @@ def algebra_inverse(h: HopfData, x: Vec) -> Vec:
     """
     d = h.dim
     rows: list[dict] = [{} for _ in range(d)]  # rows[k][t]: e_k-coefficient of x e_t
-    for s, a in x.nonzeros():
+    for s, a in x.nonzeros:
         for t in range(d):
             for k, c in h.mult[s][t]:
                 row = rows[k]
                 row[t] = row.get(t, SC_ZERO) + a * c
-    for k, b in h.unit.nonzeros():
+    for k, b in h.unit.nonzeros:
         rows[k][d] = b
     sol = Echelon(rows).solution(d)
     if sol is None:

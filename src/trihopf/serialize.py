@@ -46,7 +46,7 @@ def vec_to_obj(v: Vec):
 
 
 def vec_from_obj(obj) -> Vec:
-    return Vec(scalar_from_obj(c) for c in obj)
+    return Vec.from_entries(scalar_from_obj(c) for c in obj)
 
 
 def mat_from_obj(obj) -> tuple[tuple[CycScalar, ...], ...]:

@@ -1,27 +1,31 @@
-"""Exact linear algebra over H and sparse tensors in H (x) H and H (x) H (x) H.
+"""Exact linear algebra over H and sparse tensors in H, H (x) H and H (x) H (x) H.
 
-Vectors and tensors hold CycScalar entries and are immutable after
-construction.  A linear map (the antipode of a HopfData, the matrix
-rho(g) of a representation) is held as its sparse columns: column b
-lists the nonzero (a, c) of the image of basis vector b, in increasing
-a.  compose_columns and is_identity_columns act on that layout;
-columns_from_rows and rows_from_columns convert to and from the dense
-rows of the dump format, the only place a dense matrix exists.  Every
-elimination goes through one sparse reduced row echelon basis,
-Echelon, with one field inverse per pivot: rank, kernel and solution of a linear system,
-span membership, the generating set and radical of a Hopf algebra, and
-the minimal polynomial behind an inverse in H (x) H.  Tensor2 and
-Tensor3 share one sparse representation, a dict from index tuple to
-nonzero coefficient, and one constructor that sums repeated indices
-and drops zeros; every sum, embedding and flip in H (x) H and
-H (x) H (x) H goes through it.  The two products, tensor2_mul and
-tensor3_mul, check their factors against a host and iterate the
-nonzeros through its sparse structure tensor, with Koszul signs when
-the host is a superalgebra, and accumulate their terms in place in one
-dict; scalars are canonical, so the order of summation changes no
-coefficient and no dumped byte.  An inverse in H (x) H is a polynomial
-in the element, read off its minimal polynomial, so it needs no linear
-system over H (x) H.
+Elements and tensors hold CycScalar entries and are immutable after
+construction.  Vec (an element of H), Tensor2 and Tensor3 are one
+sparse tensor type at arities 1, 2 and 3: a dict from key to nonzero
+coefficient, one constructor that sums repeated keys and drops zeros,
+and one sum, difference, negation, scaling and equality.  The key of a
+Vec is its plain basis index, so Vec.nonzeros is a SparseRow, the
+layout of a column of a linear map: (a, c) pairs in increasing a.  A
+linear map (the antipode of a HopfData, the matrix rho(g) of a
+representation) is held as those sparse columns; compose_columns and
+is_identity_columns act on them, and columns_from_rows and
+rows_from_columns convert to and from the dense rows of the dump
+format.  Dense forms exist only there: a matrix as rows, a vector as
+Vec.from_entries and Vec.entries.  Every elimination goes through one
+sparse reduced row echelon basis, Echelon, with one field inverse per
+pivot: rank, kernel and solution of a linear system, span membership,
+the generating set and radical of a Hopf algebra, and the minimal
+polynomial behind an inverse in H (x) H.  Every sum, embedding and flip
+in H (x) H and H (x) H (x) H goes through the one constructor.  The two
+products, tensor2_mul and tensor3_mul, check their factors against a
+host and iterate the nonzeros through its sparse structure tensor, with
+Koszul signs when the host is a superalgebra, and accumulate their
+terms in place in one dict; scalars are canonical, so the order of
+summation changes no coefficient and no dumped byte.  The product of
+two elements of H is HopfData.mul_vec.  An inverse in H (x) H is a
+polynomial in the element, read off its minimal polynomial, so it needs
+no linear system over H (x) H.
 """
 
 from __future__ import annotations
@@ -34,61 +38,6 @@ from .scalars import SC_ONE, SC_ZERO, CycScalar
 
 if TYPE_CHECKING:  # pragma: no cover
     from .hopf import HopfData
-
-
-class Vec:
-    """Element of the host algebra in its fixed basis."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: Iterable[CycScalar]):
-        self.entries = tuple(entries)
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    @classmethod
-    def zero(cls, dim: int) -> "Vec":
-        return cls((SC_ZERO,) * dim)
-
-    @classmethod
-    def basis(cls, dim: int, i: int) -> "Vec":
-        if not 0 <= i < dim:
-            raise ShapeError(f"basis index {i} out of range for dimension {dim}")
-        return cls(tuple(SC_ONE if j == i else SC_ZERO for j in range(dim)))
-
-    def nonzeros(self):
-        return tuple((i, c) for i, c in enumerate(self.entries) if not c.is_zero())
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.entries)
-
-    def __add__(self, other: "Vec") -> "Vec":
-        if self.dim != other.dim:
-            raise ShapeError("vector dimension mismatch")
-        return Vec(a + b for a, b in zip(self.entries, other.entries))
-
-    def __sub__(self, other: "Vec") -> "Vec":
-        if self.dim != other.dim:
-            raise ShapeError("vector dimension mismatch")
-        return Vec(a - b for a, b in zip(self.entries, other.entries))
-
-    def __neg__(self) -> "Vec":
-        return Vec(-a for a in self.entries)
-
-    def scale(self, c: CycScalar) -> "Vec":
-        return Vec(c * a for a in self.entries)
-
-    def __eq__(self, other):
-        if not isinstance(other, Vec):
-            return NotImplemented
-        return self.entries == other.entries
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"Vec({list(self.entries)!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -194,13 +143,10 @@ class Echelon:
         """
         basis = []
         for f in range(ncols):
-            if f in self.rows:
-                continue
-            x = [SC_ZERO] * ncols
-            x[f] = SC_ONE
-            for p, row in self.rows.items():
-                x[p] = -row.get(f, SC_ZERO)
-            basis.append(Vec(x))
+            if f not in self.rows:
+                x = {p: -row[f] for p, row in self.rows.items() if f in row}
+                x[f] = SC_ONE
+                basis.append(Vec._from_sums(ncols, x))
         return basis
 
     def solution(self, n: int) -> Optional[Vec]:
@@ -211,23 +157,22 @@ class Echelon:
         """
         if n in self.rows:
             return None
-        x = [SC_ZERO] * n
-        for p, row in self.rows.items():
-            x[p] = row.get(n, SC_ZERO)
-        return Vec(x)
+        return Vec._from_sums(n, {p: row[n] for p, row in self.rows.items() if n in row})
 
 
 # ---------------------------------------------------------------------------
-# tensor square / cube
+# H and its tensor square and cube
 
 class _SparseTensor:
     """Element of a tensor power of H, stored by its nonzero coefficients.
 
-    The coefficients sit in a dict from index tuple (one basis index per
-    tensor factor) to a nonzero CycScalar; zeros are never stored.  The
-    constructor takes (index tuple, coefficient) terms, sums repeated
-    indices and drops what cancels; it trusts its indices, so input from
-    outside the program goes through from_dict, which checks them.
+    The coefficients sit in a dict from key to a nonzero CycScalar; zeros
+    are never stored.  The key is the index tuple (one basis index per
+    tensor factor), or the plain basis index for Vec.  The constructor
+    takes (key, coefficient) terms, sums repeated keys and drops what
+    cancels; it trusts its indices, so input from outside the program
+    goes through from_dict, which checks them, or for a Vec through
+    from_entries, whose indices are the positions of a dense list.
     """
 
     __slots__ = ("dim", "_coef", "_nz")
@@ -279,7 +224,7 @@ class _SparseTensor:
         if len(vecs) != cls.arity or any(v.dim != vecs[0].dim for v in vecs):
             raise ShapeError("outer product of mismatched vectors")
         terms = []
-        for factors in product(*(v.nonzeros() for v in vecs)):
+        for factors in product(*(v.nonzeros for v in vecs)):
             c = factors[0][1]
             for _, b in factors[1:]:
                 c = c * b
@@ -318,6 +263,42 @@ class _SparseTensor:
 
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim}, nnz={len(self._coef)})"
+
+
+class Vec(_SparseTensor):
+    """Element of H in its fixed basis: the arity-1 sparse tensor, keyed
+    by the plain basis index, so that nonzeros is a SparseRow and
+    Vec(dim, column) takes a column of a linear map as it is."""
+
+    __slots__ = ()
+    arity = 1
+
+    @classmethod
+    def basis(cls, dim: int, i: int) -> "Vec":
+        if not 0 <= i < dim:
+            raise ShapeError(f"basis index {i} out of range for dimension {dim}")
+        return cls._from_sums(dim, {i: SC_ONE})
+
+    @classmethod
+    def from_entries(cls, entries: Iterable[CycScalar]) -> "Vec":
+        """The element with the given dense coefficients (the wire form)."""
+        entries = tuple(entries)
+        return cls._from_sums(len(entries), dict(enumerate(entries)))
+
+    @property
+    def entries(self) -> tuple[CycScalar, ...]:
+        """The dense coefficients, zeros filled in."""
+        return tuple(self.get(i) for i in range(self.dim))
+
+    @property
+    def nonzeros(self) -> SparseRow:
+        """(index, coefficient) pairs in increasing index order."""
+        if self._nz is None:
+            self._nz = tuple(sorted(self._coef.items()))
+        return self._nz
+
+    def get(self, i: int) -> CycScalar:
+        return self._coef.get(i, SC_ZERO)
 
 
 class Tensor2(_SparseTensor):
@@ -425,7 +406,7 @@ def embed13_23_12(a: Tensor2, pattern: str, host: "HopfData") -> Tensor3:
     """
     if a.dim != host.dim:
         raise ShapeError("tensor/host dimension mismatch")
-    unit_nz = host.unit.nonzeros()
+    unit_nz = host.unit.nonzeros
     comult = host.comult
     if pattern == "12":
         terms = (((i, j, k), c * u) for i, j, c in a.nonzeros for k, u in unit_nz)

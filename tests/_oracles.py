@@ -1,15 +1,19 @@
 """Independent oracles, kept apart from the library code paths.
 
-The radical oracle computes the maximal nilpotent ideal reachable from
-a sweep of candidate generators: for each candidate x it builds the
-two-sided principal ideal of x by closure under basis multiplication
-and keeps it when the ideal is nilpotent (every nilpotent ideal sits
-inside the radical).  The oracle is the sum of the kept ideals; no
-trace form is involved anywhere, spans grow in the oracles' own dense
-echelon (_DenseSpan) and are compared by their own dense rank.  The
-tensor oracles expand products, embeddings and flips in tensor powers
-of H one pure tensor at a time.  The antipode oracle writes S out as a
-dense matrix of lists and multiplies those.  The group
+Elements of H are dense lists of coefficients here, and every product
+e_i e_j is read from h.mult into such a list (_basis_product,
+dense_product); the oracles call no product of the library and do no
+arithmetic on its vector type, whose values they read only as dense
+coefficients (_entries).  The radical oracle computes the maximal nilpotent ideal
+reachable from a sweep of candidate generators: for each candidate x it
+builds the two-sided principal ideal of x by closure under basis
+multiplication and keeps it when the ideal is nilpotent (every
+nilpotent ideal sits inside the radical).  The oracle is the sum of the
+kept ideals; no trace form is involved anywhere, spans grow in the
+oracles' own dense echelon (_DenseSpan) and are compared by their own
+dense rank.  The tensor oracles expand products, embeddings and flips in
+tensor powers of H one pure tensor at a time.  The antipode oracle
+writes S out as a dense matrix of lists and multiplies those.  The group
 oracles try every candidate, and the cyclotomic reference
 computes over Fraction modulo the product formula for Phi_n, with
 inverses from the Galois norm.
@@ -21,7 +25,7 @@ from itertools import product
 from math import gcd
 
 from trihopf.scalars import SC_ONE, SC_ZERO, CycScalar, root_of_unity
-from trihopf.tensor import Tensor2, Vec
+from trihopf.tensor import Tensor2
 
 
 def rank(rows):
@@ -46,15 +50,20 @@ def rank(rows):
     return r
 
 
+def _entries(v):
+    """The dense coefficients of a library vector, or of a dense list."""
+    return list(getattr(v, "entries", v))
+
+
 def in_span(vectors, v):
-    """v lies in the span of the Vecs in vectors."""
-    rows = [u.entries for u in vectors]
-    return rank(rows + [v.entries]) == rank(rows)
+    """v lies in the span of vectors (library vectors or dense lists)."""
+    rows = [_entries(u) for u in vectors]
+    return rank(rows + [_entries(v)]) == rank(rows)
 
 
 class _DenseSpan:
-    """A growing span of Vecs, as dense rows in echelon form: each row is
-    1 at its pivot and 0 at the pivots of the rows before it, so one pass
+    """A growing span of dense lists in echelon form: each row is 1 at
+    its pivot and 0 at the pivots of the rows before it, so one pass
     over the rows in order reduces a vector.  Kept apart from
     trihopf.tensor.Echelon, like rank."""
 
@@ -62,7 +71,7 @@ class _DenseSpan:
         self.rows = []  # (pivot, row as a list)
 
     def _reduce(self, v):
-        x = list(v.entries)
+        x = list(v)
         for p, row in self.rows:
             f = x[p]
             if not f.is_zero():
@@ -83,17 +92,44 @@ class _DenseSpan:
         return True
 
 
+def _unit_vector(d, i):
+    return [SC_ONE if j == i else SC_ZERO for j in range(d)]
+
+
+def _nonzeros(x):
+    return [(i, c) for i, c in enumerate(x) if not c.is_zero()]
+
+
+def _basis_product(h, i, j):
+    """The nonzero (k, c) of e_i e_j, summed from h.mult."""
+    acc = {}
+    for k, w in h.mult[i][j]:
+        _add(acc, k, w)
+    return list(_drop_zeros(acc).items())
+
+
+def dense_product(h, x, y):
+    """x y for dense lists x and y, term by term through h.mult."""
+    out = [SC_ZERO] * h.dim
+    right = _nonzeros(y)
+    for i, a in _nonzeros(x):
+        for j, b in right:
+            for k, w in h.mult[i][j]:
+                out[k] = out[k] + a * b * w
+    return out
+
+
 def _mul_basis_vec(h, i, v, side):
     out = [SC_ZERO] * h.dim
-    for j, c in v.nonzeros():
+    for j, c in _nonzeros(v):
         pairs = h.mult[i][j] if side == "left" else h.mult[j][i]
         for k, w in pairs:
             out[k] = out[k] + c * w
-    return Vec(out)
+    return out
 
 
 def principal_ideal(h, x):
-    """Basis of the two-sided ideal generated by x."""
+    """Basis of the two-sided ideal generated by the dense list x."""
     span = _DenseSpan()
     basis = [x] if span.add(x) else []
     frontier = list(basis)
@@ -119,7 +155,7 @@ def ideal_is_nilpotent(h, ideal_basis):
         nxt, span = [], _DenseSpan()
         for a in current:
             for b in ideal_basis:
-                prod = h.mul_vec(a, b)
+                prod = dense_product(h, a, b)
                 if span.add(prod):
                     nxt.append(prod)
         current = nxt
@@ -127,17 +163,19 @@ def ideal_is_nilpotent(h, ideal_basis):
 
 
 def bruteforce_radical(h):
-    """Maximal nilpotent ideal from a generator sweep (no trace form).
+    """Maximal nilpotent ideal from a generator sweep (no trace form), as
+    dense lists.
 
     Sound from below for any algebra; spans the full radical on the
     catalog instances, whose radicals are generated by combinations of
     at most two basis vectors.
     """
-    candidates = [Vec.basis(h.dim, i) for i in range(h.dim)]
+    e = [_unit_vector(h.dim, i) for i in range(h.dim)]
+    candidates = list(e)
     for i in range(h.dim):
         for j in range(i + 1, h.dim):
-            candidates.append(Vec.basis(h.dim, i) + Vec.basis(h.dim, j))
-            candidates.append(Vec.basis(h.dim, i) - Vec.basis(h.dim, j))
+            candidates.append([a + b for a, b in zip(e[i], e[j])])
+            candidates.append([a - b for a, b in zip(e[i], e[j])])
     total, span = [], _DenseSpan()
     for x in candidates:
         if span.contains(x):
@@ -149,16 +187,16 @@ def bruteforce_radical(h):
 
 
 def same_span(vectors_a, vectors_b):
-    rows_a = [v.entries for v in vectors_a]
-    rows_b = [v.entries for v in vectors_b]
+    rows_a = [_entries(v) for v in vectors_a]
+    rows_b = [_entries(v) for v in vectors_b]
     return rank(rows_a) == rank(rows_b) == rank(rows_a + rows_b)
 
 
 # --- tensor powers of H, expanded one pure tensor at a time ---------------
 #
-# Tensors are dicts from index tuples to coefficients.  Products go
-# through h.mul_vec on basis vectors and coproducts read h.comult
-# directly, so none of this shares code with trihopf.tensor.
+# Tensors are dicts from index tuples to coefficients.  Products of basis
+# elements are read from h.mult (_basis_product) and coproducts from
+# h.comult, so none of this shares code with trihopf.tensor.
 
 def _drop_zeros(acc):
     return {k: c for k, c in acc.items() if not c.is_zero()}
@@ -188,7 +226,7 @@ def expand_product(h, a, b):
             factors = []
             for i, j in zip(ka, kb):
                 if (i, j) not in products:
-                    products[i, j] = h.mul_vec(Vec.basis(h.dim, i), Vec.basis(h.dim, j)).nonzeros()
+                    products[i, j] = _basis_product(h, i, j)
                 factors.append(products[i, j])
             for picked in product(*factors):
                 c = coef
@@ -203,7 +241,7 @@ def expand_embedding(h, a, pattern):
     out = {}
     for (i, j), c in a.items():
         if pattern in ("12", "13", "23"):
-            for k, u in h.unit.nonzeros():
+            for k, u in _nonzeros(_entries(h.unit)):
                 key = {"12": (i, j, k), "13": (i, k, j), "23": (k, i, j)}[pattern]
                 _add(out, key, c * u)
         elif pattern == "delta_id":
@@ -232,11 +270,7 @@ def expand_sum(a, b, sign=1):
 #
 # The exhaustive scans the certificates in verify_hopf and
 # verify_triangular stand in for: every triple, pair and basis element,
-# through the expansions above and h.mul_vec.
-
-def _basis(h, i):
-    return Vec.basis(h.dim, i)
-
+# through the expansions above and dense_product.
 
 def _coproduct(h, i):
     acc = {}
@@ -249,6 +283,11 @@ def _first(keys, fails):
     return next((list(k) for k in keys if fails(*k)), None)
 
 
+def _add_scaled(acc, c, v):
+    """acc + c v, for dense lists."""
+    return [a + c * b for a, b in zip(acc, v)]
+
+
 def exhaustive_axioms(h):
     """The six Hopf axioms on every basis tuple, shaped like AxiomReport.to_obj().
 
@@ -257,38 +296,42 @@ def exhaustive_axioms(h):
     d = h.dim
     idx1 = [(i,) for i in range(d)]
     idx2 = list(product(range(d), repeat=2))
-    e = [_basis(h, i) for i in range(d)]
-    mul = h.mul_vec
+    e = [_unit_vector(d, i) for i in range(d)]
+    unit = _entries(h.unit)
+
+    def mul(x, y):
+        return dense_product(h, x, y)
+
     deltas = [_coproduct(h, i) for i in range(d)]
 
     def counit_of(v):
         acc = SC_ZERO
-        for i, c in v.nonzeros():
+        for i, c in _nonzeros(v):
             acc = acc + c * h.counit[i]
         return acc
 
     def coproduct_of(v):
         acc = {}
-        for i, c in v.nonzeros():
+        for i, c in _nonzeros(v):
             for key, w in deltas[i].items():
                 _add(acc, key, c * w)
         return _drop_zeros(acc)
 
     def counit_fails(i):
-        left, right = Vec.zero(d), Vec.zero(d)
+        left, right = [SC_ZERO] * d, [SC_ZERO] * d
         for (j, k), c in deltas[i].items():
-            left = left + e[k].scale(c * h.counit[j])
-            right = right + e[j].scale(c * h.counit[k])
+            left = _add_scaled(left, c * h.counit[j], e[k])
+            right = _add_scaled(right, c * h.counit[k], e[j])
         return left != e[i] or right != e[i]
 
-    s_cols = [Vec(row) for row in zip(*dense_antipode(h))]
+    s_cols = [list(row) for row in zip(*dense_antipode(h))]
 
     def antipode_fails(i):
-        left, right = Vec.zero(d), Vec.zero(d)
+        left, right = [SC_ZERO] * d, [SC_ZERO] * d
         for (j, k), c in deltas[i].items():
-            left = left + mul(s_cols[j], e[k]).scale(c)
-            right = right + mul(e[j], s_cols[k]).scale(c)
-        target = h.unit.scale(h.counit[i])
+            left = _add_scaled(left, c, mul(s_cols[j], e[k]))
+            right = _add_scaled(right, c, mul(e[j], s_cols[k]))
+        target = [h.counit[i] * u for u in unit]
         return left != target or right != target
 
     found = {
@@ -296,7 +339,7 @@ def exhaustive_axioms(h):
             product(range(d), repeat=3),
             lambda i, j, k: mul(mul(e[i], e[j]), e[k]) != mul(e[i], mul(e[j], e[k])),
         ),
-        "unit": _first(idx1, lambda i: mul(h.unit, e[i]) != e[i] or mul(e[i], h.unit) != e[i]),
+        "unit": _first(idx1, lambda i: mul(unit, e[i]) != e[i] or mul(e[i], unit) != e[i]),
         "coassociativity": _first(
             idx1,
             lambda i: expand_embedding(h, deltas[i], "delta_id")
@@ -318,7 +361,7 @@ def exhaustive_axioms(h):
 def exhaustive_triangular(h, r):
     """Both unitarity sides, both hexagons and the conjugation identity on
     every basis element, for r given as a dict (i, j) -> coefficient."""
-    unit = h.unit.nonzeros()
+    unit = _nonzeros(_entries(h.unit))
     unit2 = _drop_zeros({(i, j): a * b for i, a in unit for j, b in unit})
     r21 = expand_flip(h, r)
     if expand_product(h, r21, r) != unit2 or expand_product(h, r, r21) != unit2:
@@ -448,8 +491,8 @@ def bicharacter_twist_double_sum(a, beta):
     out = {}
     for i, es in enumerate(idems):
         for j, et in enumerate(idems):
-            for p, cp in es.nonzeros():
-                for q, cq in et.nonzeros():
+            for p, cp in _nonzeros(_entries(es)):
+                for q, cq in _nonzeros(_entries(et)):
                     _add(out, (a.elements[p], a.elements[q]), beta.values[i][j] * cp * cq)
     return _drop_zeros(out)
 

@@ -143,8 +143,8 @@ def test_malformed_cayley_table():
 def test_characters_z2(z2):
     labels, chars, idems = characters(z2)
     assert [list(c) for c in chars] == [[ONE, ONE], [ONE, -ONE]]
-    assert idems[0] == Vec([sc(1, 2), sc(1, 2)])
-    assert idems[1] == Vec([sc(1, 2), sc(-1, 2)])
+    assert idems[0] == Vec.from_entries([sc(1, 2), sc(1, 2)])
+    assert idems[1] == Vec.from_entries([sc(1, 2), sc(-1, 2)])
 
 
 def test_characters_z3_idempotent_relations():
@@ -153,12 +153,12 @@ def test_characters_z3_idempotent_relations():
     labels, chars, idems = characters(z3)
     z = root_of_unity(3, 1)
     assert any(z in row for row in chars)
-    total = Vec.zero(3)
+    total = Vec(3, ())
     for a, ea in enumerate(idems):
         total = total + ea
         for b, eb in enumerate(idems):
             prod = h.mul_vec(ea, eb)
-            assert prod == (ea if a == b else Vec.zero(3))
+            assert prod == (ea if a == b else Vec(3, ()))
     assert total == h.unit
 
 
@@ -228,8 +228,8 @@ def test_supergroup_z2_sign_relations(z2, sign_line):
     assert is_cocommutative(sg)
     # g v = -v g: basis order 1, v, g, gv
     g, v = Vec.basis(4, 2), Vec.basis(4, 1)
-    assert sg.mul_vec(g, v) == Vec([ZERO, ZERO, ZERO, ONE])
-    assert sg.mul_vec(v, g) == Vec([ZERO, ZERO, ZERO, -ONE])
+    assert sg.mul_vec(g, v) == Vec.from_entries([ZERO, ZERO, ZERO, ONE])
+    assert sg.mul_vec(v, g) == Vec.from_entries([ZERO, ZERO, ZERO, -ONE])
 
 
 def test_supergroup_radical_dim(z2):
@@ -395,7 +395,7 @@ def test_symmetric_z2_bicharacter_twist(z2):
     beta = Bicharacter((2,), ((0, 0), (0, 1)))
     j = build_bicharacter_twist(a, beta)
     h = group_algebra(z2)
-    e_minus = Vec([sc(1, 2), sc(-1, 2)])
+    e_minus = Vec.from_entries([sc(1, 2), sc(-1, 2)])
     expected = unit_tensor2(h) - Tensor2.outer(e_minus, e_minus).scale(sc(2))
     assert j == expected
     assert verify_twist(h, j)
@@ -628,7 +628,7 @@ def test_counit_normalization_forced_negative(z2):
 
 def test_singular_tensor_surfaces_not_invertible(z2):
     h = group_algebra(z2)
-    e_minus = Vec([sc(1, 2), sc(-1, 2)])
+    e_minus = Vec.from_entries([sc(1, 2), sc(-1, 2)])
     singular = Tensor2.outer(h.unit, e_minus)  # annihilated by 1 (x) E+
     from trihopf.tensor import tensor2_inv
 
@@ -777,7 +777,7 @@ def test_validate_refuses_a_repeated_subgroup_element(z2z2):
 def test_validate_y_and_b(z2):
     # W = sign + sign, Y = first coordinate line, B = identity on Y
     v2 = GroupRep.from_sign_characters(z2, [(1, -1), (1, -1)])
-    y = (Vec([ONE, ZERO]),)
+    y = (Vec.from_entries([ONE, ZERO]),)
     b = ((ONE,),)
     s = Septuple(group=z2, w=v2, a_elements=(0, 1), y_basis=y, b=b,
                  v_beta=Bicharacter.trivial((2,)), v_dim=1, u=1)
@@ -819,7 +819,7 @@ def test_validate_y_and_b_on_the_sixth_turn(y, b, check, detail):
     # rho(1) = [[1, -1], [1, 0]] is not orthogonal: B transforms as R B R^T,
     # and R^T B R would keep [[2, -1], [-1, 2]] in place of [[2, 1], [1, 2]]
     g, w, u = z6_sixth_turn()
-    basis = (Vec([ONE, ZERO]), Vec([ZERO, ONE]))
+    basis = (Vec.from_entries([ONE, ZERO]), Vec.from_entries([ZERO, ONE]))
     s = Septuple(group=g, w=w, a_elements=tuple(range(6)), y_basis=tuple(basis[i] for i in y),
                  b=_b(b), v_beta=Bicharacter.trivial((1,)), v_dim=1, u=u)
     results = {name: (ok, d) for name, ok, d in validate_septuple(s).checks}
@@ -835,7 +835,7 @@ def test_validate_names_a_y_that_is_not_a_basis(z2, a_elements, y, b):
     # Z2 acts by -1 on the plane, so every line is invariant: the fault is
     # Y itself, not the invariance of B under rho(0) = 1
     v2 = GroupRep.from_sign_characters(z2, [(1, -1), (1, -1)])
-    vectors = {0: Vec([ONE, ZERO]), None: Vec([ZERO, ZERO])}
+    vectors = {0: Vec.from_entries([ONE, ZERO]), None: Vec.from_entries([ZERO, ZERO])}
     s = Septuple(group=z2, w=v2, a_elements=a_elements, y_basis=tuple(vectors[i] for i in y),
                  b=_b(b), v_beta=Bicharacter.trivial((len(a_elements),)), v_dim=1, u=1)
     results = {name: (ok, d) for name, ok, d in validate_septuple(s).checks}
@@ -847,7 +847,7 @@ def test_validate_names_a_y_that_is_not_a_basis(z2, a_elements, y, b):
 
 def test_validate_refuses_a_y_vector_of_another_dimension():
     g, w, u = z6_sixth_turn()
-    s = Septuple(group=g, w=w, a_elements=tuple(range(6)), y_basis=(Vec([ONE]),),
+    s = Septuple(group=g, w=w, a_elements=tuple(range(6)), y_basis=(Vec.from_entries([ONE]),),
                  b=_b([[1]]), v_beta=Bicharacter.trivial((1,)), v_dim=1, u=u)
     with pytest.raises(ShapeError, match="shape mismatch"):
         validate_septuple(s)
@@ -855,7 +855,7 @@ def test_validate_refuses_a_y_vector_of_another_dimension():
 
 def test_pipeline_rejects_nonzero_b(z2):
     v2 = GroupRep.from_sign_characters(z2, [(1, -1), (1, -1)])
-    s = Septuple(group=z2, w=v2, a_elements=(0,), y_basis=(Vec([ONE, ZERO]),),
+    s = Septuple(group=z2, w=v2, a_elements=(0,), y_basis=(Vec.from_entries([ONE, ZERO]),),
                  b=((ONE,),), v_beta=Bicharacter.trivial((1,)), v_dim=1, u=1)
     with pytest.raises(UnsupportedStratum):
         septuple_twist(s).apply()

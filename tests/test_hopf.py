@@ -1,5 +1,7 @@
 """Axiom verification, duality, radical, Chevalley property."""
 
+import functools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -28,7 +30,7 @@ from trihopf.hopf import (
     make_hopf,
     verify_hopf,
 )
-from trihopf.scalars import CycScalar
+from trihopf.scalars import CycScalar, root_of_unity
 from trihopf.tensor import Vec, unit_tensor2
 from trihopf.triangular import check_structure_theorems
 
@@ -37,6 +39,7 @@ from _oracles import (
     dense_antipode_order,
     dense_antipode_powers,
     dense_columns,
+    dense_product,
     exhaustive_axioms,
     in_span,
     rank,
@@ -255,7 +258,7 @@ def test_verify_hopf_scans_generators_only(monkeypatch):
 
 
 def _exhaustive_algebra_witnesses(h):
-    basis = [h.basis_vec(i) for i in range(h.dim)]
+    basis = [Vec.basis(h.dim, i) for i in range(h.dim)]
     return hopf._associativity_witness(h, range(h.dim)), hopf._unit_witness(h, basis)
 
 
@@ -392,7 +395,7 @@ def test_dual_of_kz2_is_idempotent_basis_table():
     # diagonal, Delta(f+) = f+ (x) f+ + f- (x) f-, Delta(f-) mixes.
     expected = make_hopf(
         dim=2,
-        unit=Vec([ONE, ONE]),
+        unit=Vec.from_entries([ONE, ONE]),
         mult=(
             (((0, ONE),), ()),
             ((), ((1, ONE),)),
@@ -472,7 +475,7 @@ def test_radical_is_nilpotent_ideal(sweedler):
     for a in rad:
         for b in rad:
             for c in rad:
-                assert sweedler.mul_vec(sweedler.mul_vec(a, b), c).is_zero()
+                assert not sweedler.mul_vec(sweedler.mul_vec(a, b), c).nonzeros
 
 
 def test_bruteforce_radical_agrees(sweedler, sg_z2_sign):
@@ -554,6 +557,51 @@ def test_sparse_antipode_powers_match_the_dense_oracle_on_atlas9():
             assert not any(is_identity_columns(dense_columns(p)) for p in powers[1:order])
         assert check_structure_theorems(h, r).s4_is_id
     assert len(orders) == 2 * 119 and set(orders) == {1, 2, 4}
+
+
+# --- the one product in H -------------------------------------------------------
+
+@functools.cache
+def _product_host(name):
+    if name == "kZ3":
+        return group_algebra(FiniteGroup.cyclic(3))
+    if name == "sweedler":
+        z2 = FiniteGroup.cyclic(2)
+        return modified_supergroup_algebra(z2, GroupRep.from_sign_characters(z2, [(1, -1)]), 1)[0]
+    if name == "Lambda2":
+        return exterior_algebra(2)
+    # the first atlas-9 instance twisted on a subgroup of order 4, dim 8
+    spec = next(s for s in enumerate_instances(9) if len(s.subgroup) == 4 and s.v_chars)
+    return instance_twist(spec).apply()[0]
+
+
+_PRODUCT_HOSTS = ["kZ3", "sweedler", "Lambda2", "atlas9"]
+
+# rationals times powers of zeta_3, zero included
+_CYC3_SCALARS = st.builds(
+    lambda n, den, k: CycScalar.from_rational(n, den) * root_of_unity(3, k),
+    st.integers(-3, 3),
+    st.integers(1, 3),
+    st.integers(0, 2),
+)
+
+
+@pytest.mark.parametrize("name", _PRODUCT_HOSTS)
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_mul_vec_matches_the_dense_oracle(name, data):
+    h = _product_host(name)
+    terms = st.lists(st.tuples(st.integers(0, h.dim - 1), _CYC3_SCALARS), max_size=5)
+    x, y = Vec(h.dim, data.draw(terms)), Vec(h.dim, data.draw(terms))
+    assert list(h.mul_vec(x, y).entries) == dense_product(h, list(x.entries), list(y.entries))
+
+
+@pytest.mark.parametrize("name", _PRODUCT_HOSTS)
+def test_an_antipode_column_is_the_image_of_a_basis_vector(name):
+    h = _product_host(name)
+    for i in range(h.dim):
+        assert Vec(h.dim, h.antipode[i]) == h.antipode_vec(Vec.basis(h.dim, i))
+        assert h.antipode_vec(Vec.basis(h.dim, i)).nonzeros == h.antipode[i]
 
 
 def test_algebra_inverse(sweedler):

@@ -57,7 +57,7 @@ def echelon_of(rows):
 
 def apply(rows, v):
     """The image of v under the matrix given by its rows."""
-    return Vec(sum((x * y for x, y in zip(row, v.entries)), ZERO) for row in rows)
+    return Vec.from_entries(sum((x * y for x, y in zip(row, v.entries)), ZERO) for row in rows)
 
 
 def solve(rows, rhs):
@@ -95,7 +95,7 @@ def test_kernel_vectors_are_annihilated_and_rank_nullity():
         span = echelon_of(rows)
         basis = span.kernel(4)
         for v in basis:
-            assert apply(rows, v).is_zero()
+            assert not apply(rows, v).nonzeros
         assert len(span) == rank(rows)
         assert rank(rows) + len(basis) == 4
 
@@ -105,15 +105,15 @@ def test_kernel_with_cyclotomic_entries():
     rows = [[ONE, z], [z, -ONE]]  # second row = z * first row
     basis = echelon_of(rows).kernel(2)
     assert len(basis) == 1
-    assert apply(rows, basis[0]).is_zero()
+    assert not apply(rows, basis[0]).nonzeros
 
 
 def test_solve_linear():
     rows = ints([[2, 1], [1, 1]])
-    rhs = Vec([sc(3), sc(2)])
+    rhs = Vec.from_entries([sc(3), sc(2)])
     x = solve(rows, rhs)
     assert apply(rows, x) == rhs
-    assert solve(ints([[1, 0], [1, 0]]), Vec([sc(0), sc(1)])) is None
+    assert solve(ints([[1, 0], [1, 0]]), Vec.from_entries([sc(0), sc(1)])) is None
 
 
 # rationals times powers of zeta_3, zero included
@@ -123,6 +123,45 @@ _CYC3_SCALARS = st.builds(
     st.integers(1, 3),
     st.integers(0, 2),
 )
+
+
+# --- elements of H: the arity-1 sparse tensor ---------------------------------
+
+@given(st.lists(_CYC3_SCALARS, min_size=1, max_size=6).map(tuple))
+@settings(max_examples=40, deadline=None)
+def test_vec_entries_round_trip(e):
+    v = Vec.from_entries(e)
+    assert v.entries == e
+    # nonzeros is a sparse column, which the constructor takes as it is
+    assert v.nonzeros == tuple((i, c) for i, c in enumerate(e) if not c.is_zero())
+    assert Vec(len(e), v.nonzeros) == v
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_vec_equality_ignores_summation_order_and_zeros(data):
+    d = data.draw(st.integers(1, 5))
+    terms = data.draw(st.lists(st.tuples(st.integers(0, d - 1), _CYC3_SCALARS), max_size=8))
+    v = Vec(d, terms)
+    shuffled = data.draw(st.permutations(terms))
+    assert Vec(d, shuffled + [(i, ZERO) for i in range(d)]) == v
+    # the same element summed one term at a time, in the reverse order
+    total = Vec(d, ())
+    for i, c in reversed(terms):
+        total = total + Vec(d, ((i, c),))
+    assert total == v
+    assert v - v == Vec(d, ()) and -(-v) == v and v.scale(ONE) == v
+    assert Vec.from_entries(v.entries) == v
+    assert Vec(d + 1, terms) != v
+
+
+def test_vec_refuses_a_sum_of_another_shape():
+    with pytest.raises(ShapeError):
+        Vec.basis(2, 0) + Vec.basis(3, 0)
+    with pytest.raises(ShapeError):
+        Vec.basis(2, 0) + Tensor2.outer(Vec.basis(2, 0), Vec.basis(2, 0))
+    with pytest.raises(ShapeError):
+        Vec.basis(2, 2)
 
 
 def _leading_rank(rows, k):
@@ -147,10 +186,10 @@ def test_elimination_property(data):
     free = [f for f in range(ncols) if _leading_rank(rows, f + 1) == _leading_rank(rows, f)]
     assert len(basis) == len(free)
     for v, f in zip(basis, free):
-        assert apply(rows, v).is_zero()
+        assert not apply(rows, v).nonzeros
         assert [v.entries[g] for g in free] == [ONE if g == f else ZERO for g in free]
     # the solution sets every free unknown to 0; None exactly off the column space
-    rhs = Vec(data.draw(_CYC3_SCALARS) for _ in range(nrows))
+    rhs = Vec.from_entries(data.draw(_CYC3_SCALARS) for _ in range(nrows))
     x = solve(rows, rhs)
     solvable = rank([list(r) + [c] for r, c in zip(rows, rhs.entries)]) == rank(rows)
     if x is None:
@@ -160,7 +199,7 @@ def test_elimination_property(data):
         assert apply(rows, x) == rhs
         assert all(x.entries[f].is_zero() for f in free)
     # an rhs built from the columns is always solvable
-    y = Vec(data.draw(_CYC3_SCALARS) for _ in range(ncols))
+    y = Vec.from_entries(data.draw(_CYC3_SCALARS) for _ in range(ncols))
     assert solve(rows, apply(rows, y)) is not None
 
 
