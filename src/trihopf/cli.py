@@ -154,7 +154,7 @@ def cmd_build(args) -> int:
         rep = rep_from_file_obj(rep_obj, rep_dir)
         h, r = modified_supergroup_algebra(rep.group, rep, _int(obj["u"], "u"))
     elif kind == "semisimple-triangular":
-        group_obj = obj["group"] if "group" in obj else load(base / obj["group_ref"])
+        group_obj, _ = _resolve_ref(obj, "group", base)
         _check_predicted_dim(group_obj)
         group = group_from_file_obj(group_obj)
         sub = AbelianSubgroup(group, [_int(i, "subgroup element") for i in obj["subgroup"]])

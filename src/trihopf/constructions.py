@@ -345,7 +345,7 @@ def _twist_identities_hold(h: HopfData, j: Tensor2) -> bool:
     one for J Delta J^-1.  A J of another dimension raises ShapeError.
     """
     check_tensor_dims(h, j)
-    left, right = counit_slants(h, j.nonzeros)
+    left, right = counit_slants(h, j)
     if left != h.unit or right != h.unit:
         return False
     lhs = tensor3_mul(
@@ -414,18 +414,15 @@ class Twist:
         J^-1, multiplied back on both sides (certified_inverse); if that
         fails it is solved for, as a singular Q would raise."""
         h, j, j_inv = self.host, self.j, self.j_inv
-        comult_new = []
-        for i in range(h.dim):
-            t = tensor2_mul(tensor2_mul(j_inv, h.comult_tensor(i), h), j, h)
-            comult_new.append(tuple((a, b, c) for a, b, c in t.nonzeros))
-        q = antipode_contraction(h, j.nonzeros)
+        comult_new = tuple(tensor2_mul(tensor2_mul(j_inv, d, h), j, h) for d in h.comult)
+        q = antipode_contraction(h, j)
         # Q^-1 = m(id (x) S)(J^-1)
-        q_inv = certified_inverse(h, q, antipode_contraction(h, j_inv.nonzeros, leg=1))
+        q_inv = certified_inverse(h, q, antipode_contraction(h, j_inv, leg=1))
         # column i is S^J(e_i) = Q^-1 S(e_i) Q
         antipode_new = tuple(
             h.mul_vec(h.mul_vec(q_inv, Vec(h.dim, col)), q).nonzeros for col in h.antipode
         )
-        out = h.replace(comult=tuple(comult_new), antipode=antipode_new, algebra_host=h).validate()
+        out = h.replace(comult=comult_new, antipode=antipode_new, algebra_host=h).validate()
         r_new = None
         if self.r is not None:
             r_new = tensor2_mul(tensor2_mul(flip(j_inv), self.r, h), j, h)
@@ -525,11 +522,6 @@ class SeptupleReport:
         }
 
 
-def _dot(sparse, dense) -> CycScalar:
-    """sum c * dense[m] over the (m, c) of sparse."""
-    return sum((c * dense[m] for m, c in sparse), SC_ZERO)
-
-
 def validate_septuple(s: Septuple) -> SeptupleReport:
     """Check every septuple invariant; failures are report entries."""
     checks: list[tuple[str, bool, str]] = []
@@ -586,30 +578,31 @@ def validate_septuple(s: Septuple) -> SeptupleReport:
         elif not y_ok:
             b_ok, b_detail = False, "Y is not an A-invariant basis, restriction undefined"
         else:
-            # column j of the restriction R of rho(x) to Y solves
-            # sum_i R[i][j] y_i = rho(x) y_j, whose row a is
-            # (y_0[a], ..., y_(k-1)[a] | (rho(x) y_j)[a]), read off the
-            # nonzeros of the y_i and of rho(x) y_j
-            y_rows: list[dict] = [{} for _ in range(s.w.degree)]
-            for i, col in enumerate(y_cols):
-                for a, c in col:
-                    y_rows[a][i] = c
+            # with Y independent and A-invariant, (rho(x) (x) rho(x)) B~ = B~
+            # for B~ = sum b_ij y_i (x) y_j in W (x) W is R B R^T = B for the
+            # restriction R of rho(x) to Y, since the y_i (x) y_j are independent
+            b_tilde = Tensor2(
+                s.w.degree,
+                (
+                    ((p, q), b[i][j] * cp * cq)
+                    for i, yi in enumerate(y_cols)
+                    for j, yj in enumerate(y_cols)
+                    for p, cp in yi
+                    for q, cq in yj
+                ),
+            )
             for x in elems:
-                sols = [
-                    Echelon(
-                        {**row, k: img.get(a, SC_ZERO)} for a, row in enumerate(y_rows)
-                    ).solution(k)
-                    for img in map(dict, compose_columns(s.w.matrices[x], y_cols))
-                ]
-                if any(sol is None for sol in sols):
-                    b_ok, b_detail = False, f"could not restrict rho({x}) to Y"
-                    break
-                r: list[list] = [[] for _ in range(k)]  # the rows of R, sparse
-                for j, sol in enumerate(sols):
-                    for i, c in sol.nonzeros:
-                        r[i].append((j, c))
-                rb = [[_dot(row, col) for col in zip(*b)] for row in r]
-                if any(_dot(r[j], rb[i]) != b[i][j] for i in range(k) for j in range(k)):
+                rho = s.w.matrices[x]
+                moved = Tensor2(
+                    s.w.degree,
+                    (
+                        ((p, q), c * cp * cq)
+                        for i, j, c in b_tilde.nonzeros
+                        for p, cp in rho[i]
+                        for q, cq in rho[j]
+                    ),
+                )
+                if moved != b_tilde:
                     b_ok, b_detail = False, f"B not invariant under rho({x})"
                     break
     checks.append(("b_symmetric_invariant_nondegenerate", b_ok, b_detail))

@@ -3,8 +3,10 @@
 HopfData records a finite-dimensional algebra-and-coalgebra by exact
 structure constants: sparse multiplication tensor, per-basis-element
 comultiplication, counit covector, antipode, and a Z2 parity grading
-for the super case.  The antipode is held as sparse columns, the layout
-of mult and comult; S^2 is composed once per object
+for the super case.  Delta(e_i) is held as the tensor.Tensor2 it is,
+an element of H (x) H, and the antipode as sparse columns, the layout
+of mult; make_hopf normalizes raw structure constants into these forms
+through the one sparse constructor.  S^2 is composed once per object
 (HopfData.s2_columns).  Powers of S, S^4 = id and S^2 = Ad(u) compose
 sparse columns; no dense matrix exists outside the dump format
 (serialize.py).  An element of H is a tensor.Vec, the arity-1 sparse
@@ -75,16 +77,15 @@ from .tensor import (
 class HopfData:
     """A (super) Hopf algebra given by structure constants.
 
-    mult[i][j] lists the nonzero (k, c) with e_i * e_j = sum c * e_k;
-    comult[i] lists the nonzero (j, k, c) with Delta(e_i) = sum c *
-    e_j (x) e_k; antipode[i] lists the nonzero (j, c) with S(e_i) =
-    sum c * e_j, in increasing j.
+    mult[i][j] lists the nonzero (k, c) with e_i * e_j = sum c * e_k,
+    and antipode[i] the nonzero (j, c) with S(e_i) = sum c * e_j, each
+    in increasing index; comult[i] is the Tensor2 Delta(e_i).
     """
 
     dim: int
     unit: Vec
     mult: tuple[tuple[SparseRow, ...], ...]
-    comult: tuple[tuple[tuple[int, int, CycScalar], ...], ...]
+    comult: tuple[Tensor2, ...]
     counit: tuple[CycScalar, ...]
     antipode: tuple[SparseRow, ...]
     parity: tuple[int, ...]
@@ -109,7 +110,9 @@ class HopfData:
             return "unit/counit/parity length mismatch"
         if len(self.mult) != d or any(len(row) != d for row in self.mult):
             return "multiplication tensor shape mismatch"
-        if len(self.comult) != d:
+        if len(self.comult) != d or any(
+            not isinstance(t, Tensor2) or t.dim != d for t in self.comult
+        ):
             return "comultiplication shape mismatch"
         if len(self.antipode) != d or any(
             not 0 <= j < d for col in self.antipode for j, _ in col
@@ -125,8 +128,8 @@ class HopfData:
                 for k, c in self.mult[i][j]:
                     if not c.is_zero() and (par[i] + par[j]) % 2 != par[k]:
                         return f"product parity violation at ({i},{j},{k})"
-            for j, k, c in self.comult[i]:
-                if not c.is_zero() and (par[j] + par[k]) % 2 != par[i]:
+            for j, k, _ in self.comult[i].nonzeros:
+                if (par[j] + par[k]) % 2 != par[i]:
                     return f"coproduct parity violation at ({i},{j},{k})"
             if par[i] and not self.unit.get(i).is_zero():
                 return "unit supported on odd basis elements"
@@ -265,13 +268,10 @@ class HopfData:
     def antipode_vec(self, x: Vec) -> Vec:
         return Vec(self.dim, ((j, a * c) for i, a in x.nonzeros for j, c in self.antipode[i]))
 
-    def comult_tensor(self, i: int) -> Tensor2:
-        return Tensor2(self.dim, (((j, k), c) for j, k, c in self.comult[i]))
-
     def comult_vec(self, x: Vec) -> Tensor2:
         return Tensor2(
             self.dim,
-            (((j, k), a * c) for i, a in x.nonzeros for j, k, c in self.comult[i]),
+            (((j, k), a * c) for i, a in x.nonzeros for j, k, c in self.comult[i].nonzeros),
         )
 
     def same_structure(self, other: "HopfData") -> bool:
@@ -284,37 +284,28 @@ class HopfData:
             for j in range(self.dim):
                 if dict(self.mult[i][j]) != dict(other.mult[i][j]):
                     return False
-            if {(j, k): c for j, k, c in self.comult[i]} != {
-                (j, k): c for j, k, c in other.comult[i]
-            }:
-                return False
             if dict(self.antipode[i]) != dict(other.antipode[i]):
                 return False
-        return True
+        return self.comult == other.comult
 
 
 def make_hopf(dim, unit, mult, comult, counit, antipode, parity=None, super=False) -> HopfData:
-    """Normalize raw structure constants into a validated HopfData."""
-    parity = tuple(parity) if parity is not None else (0,) * dim
-    mult_norm = tuple(
-        tuple(tuple((k, c) for k, c in row if not c.is_zero()) for row in plane)
-        for plane in mult
-    )
-    comult_norm = tuple(
-        tuple((j, k, c) for j, k, c in entry if not c.is_zero()) for entry in comult
-    )
-    antipode_norm = tuple(
-        tuple(sorted(((j, c) for j, c in col if not c.is_zero()), key=lambda e: e[0]))
-        for col in antipode
-    )
+    """Normalize raw structure constants into a validated HopfData.
+
+    mult[i][j] and antipode[i] are (k, c) pairs and comult[i] is
+    (j, k, c) triples, in any order; every one goes through the sparse
+    constructor, which sums a repeated index and drops zeros, so each
+    cell and column is stored in increasing index and Delta(e_i) as its
+    Tensor2.
+    """
     h = HopfData(
         dim=dim,
         unit=unit if isinstance(unit, Vec) else Vec.from_entries(unit),
-        mult=mult_norm,
-        comult=comult_norm,
+        mult=tuple(tuple(Vec(dim, cell).nonzeros for cell in row) for row in mult),
+        comult=tuple(Tensor2(dim, (((j, k), c) for j, k, c in entry)) for entry in comult),
         counit=tuple(counit),
-        antipode=antipode_norm,
-        parity=parity,
+        antipode=tuple(Vec(dim, col).nonzeros for col in antipode),
+        parity=tuple(parity) if parity is not None else (0,) * dim,
         super=super,
     )
     return h.validate()
@@ -367,26 +358,24 @@ def _clean(acc: dict) -> dict:
     return {k: v for k, v in acc.items() if not v.is_zero()}
 
 
-def antipode_contraction(h: HopfData, terms, leg: int = 0, square: bool = False) -> Vec:
-    """m(S (x) id)(t), or m(id (x) S)(t) when leg is 1, for
-    t = sum c e_i (x) e_j over the (i, j, c) in terms; S^2 in place of S
+def antipode_contraction(h: HopfData, t: Tensor2, leg: int = 0, square: bool = False) -> Vec:
+    """m(S (x) id)(t), or m(id (x) S)(t) when leg is 1; S^2 in place of S
     when square is set."""
     acc: dict = {}
     mult, s_cols = h.mult, h.s2_columns if square else h.antipode
-    for i, j, c in terms:
+    for i, j, c in t.nonzeros:
         if leg:
-            for t, sc in s_cols[j]:
-                _sparse_product(mult, i, t, acc, c * sc)
+            for s, sc in s_cols[j]:
+                _sparse_product(mult, i, s, acc, c * sc)
         else:
-            for t, sc in s_cols[i]:
-                _sparse_product(mult, t, j, acc, c * sc)
+            for s, sc in s_cols[i]:
+                _sparse_product(mult, s, j, acc, c * sc)
     return Vec._from_sums(h.dim, acc)
 
 
-def counit_slants(h: HopfData, terms) -> tuple[Vec, Vec]:
-    """(eps (x) id)(t) and (id (x) eps)(t) for t = sum c e_i (x) e_j over
-    the (i, j, c) in terms, a sequence."""
-    counit = h.counit
+def counit_slants(h: HopfData, t: Tensor2) -> tuple[Vec, Vec]:
+    """(eps (x) id)(t) and (id (x) eps)(t)."""
+    counit, terms = h.counit, t.nonzeros
     return (
         Vec(h.dim, ((j, c * counit[i]) for i, j, c in terms)),
         Vec(h.dim, ((i, c * counit[j]) for i, j, c in terms)),
@@ -427,14 +416,13 @@ def _axiom_scan(h: HopfData, lead: Sequence[int]) -> AxiomReport:
     unit witnesses are the algebra's (HopfData.algebra_witnesses), which
     equal the exhaustive scan's."""
     basis = [Vec.basis(h.dim, i) for i in range(h.dim)]
-    deltas = [h.comult_tensor(i) for i in range(h.dim)]
     associativity, unit = h.algebra_witnesses
     found = {
         "associativity": associativity,
         "unit": unit,
-        "coassociativity": _coassociativity_witness(h, lead, deltas),
+        "coassociativity": _coassociativity_witness(h, lead),
         "counit": _counit_witness(h, basis),
-        "bialgebra": _bialgebra_witness(h, lead, deltas),
+        "bialgebra": _bialgebra_witness(h, lead),
         "antipode": _antipode_witness(h),
     }
     return AxiomReport(
@@ -468,9 +456,10 @@ def _unit_witness(h: HopfData, basis):
     return None
 
 
-def _coassociativity_witness(h: HopfData, lead, deltas):
+def _coassociativity_witness(h: HopfData, lead):
     for i in lead:
-        if embed13_23_12(deltas[i], "delta_id", h) != embed13_23_12(deltas[i], "id_delta", h):
+        delta = h.comult[i]
+        if embed13_23_12(delta, "delta_id", h) != embed13_23_12(delta, "id_delta", h):
             return (i,)
     return None
 
@@ -483,21 +472,15 @@ def _counit_witness(h: HopfData, basis):
     return None
 
 
-def _bialgebra_witness(h: HopfData, lead, deltas):
+def _bialgebra_witness(h: HopfData, lead):
+    """Counit multiplicativity and Delta(e_i e_j) = Delta(e_i) Delta(e_j),
+    Koszul-signed, on (i, j) for i in lead."""
     for i in lead:
         for j in range(h.dim):
-            # counit multiplicativity
-            eps = SC_ZERO
-            for k, c in h.mult[i][j]:
-                eps = eps + c * h.counit[k]
-            if eps != h.counit[i] * h.counit[j]:
+            product = Vec(h.dim, h.mult[i][j])
+            if h.counit_vec(product) != h.counit[i] * h.counit[j]:
                 return (i, j)
-            # Delta(e_i e_j) = Delta(e_i) * Delta(e_j), Koszul-signed
-            product = Tensor2(
-                h.dim,
-                (((p, q), a * w) for k, a in h.mult[i][j] for p, q, w in h.comult[k]),
-            )
-            if product != tensor2_mul(deltas[i], deltas[j], h):
+            if h.comult_vec(product) != tensor2_mul(h.comult[i], h.comult[j], h):
                 return (i, j)
     return None
 
@@ -515,11 +498,7 @@ def _antipode_witness(h: HopfData):
 
 def is_cocommutative(h: HopfData) -> bool:
     """flip(Delta) == Delta on every basis element (signed flip if super)."""
-    for i in range(h.dim):
-        t = h.comult_tensor(i)
-        if flip(t, h) != t:
-            return False
-    return True
+    return all(flip(t, h) == t for t in h.comult)
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +516,7 @@ def dual_hopf(h: HopfData) -> HopfData:
     par = h.parity
     mult_d = [[[] for _ in range(d)] for _ in range(d)]
     for t in range(d):
-        for a, b, c in h.comult[t]:
+        for a, b, c in h.comult[t].nonzeros:
             coef = -c if (h.super and par[a] and par[b]) else c
             mult_d[a][b].append((t, coef))
     comult_d = [[] for _ in range(d)]

@@ -65,7 +65,7 @@ def hopf_to_obj(h: HopfData):
                 mult.append([i, j, k, scalar_to_obj(c)])
     comult = []
     for i in range(h.dim):
-        comult.append([[j, k, scalar_to_obj(c)] for j, k, c in sorted(h.comult[i], key=lambda e: (e[0], e[1]))])
+        comult.append([[j, k, scalar_to_obj(c)] for j, k, c in h.comult[i].nonzeros])
     antipode = [[scalar_to_obj(c) for c in row] for row in rows_from_columns(h.antipode)]
     return {
         "dim": h.dim,

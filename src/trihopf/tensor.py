@@ -16,8 +16,10 @@ Vec.from_entries and Vec.entries.  Every elimination goes through one
 sparse reduced row echelon basis, Echelon, with one field inverse per
 pivot: rank, kernel and solution of a linear system, span membership,
 the generating set and radical of a Hopf algebra, and the minimal
-polynomial behind an inverse in H (x) H.  Every sum, embedding and flip
-in H (x) H and H (x) H (x) H goes through the one constructor.  The two
+polynomial behind an inverse in H (x) H.  An element of H (x) H is a
+Tensor2 at every interface, the coproduct Delta(e_i) = HopfData.comult[i]
+included.  Every sum, embedding and flip in H (x) H and H (x) H (x) H
+goes through the one constructor.  The two
 products, tensor2_mul and tensor3_mul, check their factors against a
 host and iterate the nonzeros through its sparse structure tensor, with
 Koszul signs when the host is a superalgebra, and accumulate their
@@ -415,9 +417,9 @@ def embed13_23_12(a: Tensor2, pattern: str, host: "HopfData") -> Tensor3:
     elif pattern == "23":
         terms = (((k, i, j), c * u) for i, j, c in a.nonzeros for k, u in unit_nz)
     elif pattern == "delta_id":
-        terms = (((p, q, j), c * w) for i, j, c in a.nonzeros for p, q, w in comult[i])
+        terms = (((p, q, j), c * w) for i, j, c in a.nonzeros for p, q, w in comult[i].nonzeros)
     elif pattern == "id_delta":
-        terms = (((i, p, q), c * w) for i, j, c in a.nonzeros for p, q, w in comult[j])
+        terms = (((i, p, q), c * w) for i, j, c in a.nonzeros for p, q, w in comult[j].nonzeros)
     else:
         raise ShapeError(f"unknown slot pattern {pattern!r}")
     return Tensor3(a.dim, terms)

@@ -111,7 +111,7 @@ def _conjugation(h: HopfData, r: Tensor2, gens) -> bool:
     """R Delta(x) = flip(Delta(x)) R on gens, or on every basis element
     when gens is None."""
     for i in range(h.dim) if gens is None else gens:
-        delta = h.comult_tensor(i)
+        delta = h.comult[i]
         if tensor2_mul(r, delta, h) != tensor2_mul(flip(delta, h), r, h):
             return False
     return True
@@ -185,7 +185,7 @@ def certify_twisted_triangular(h: HopfData, r: Tensor2, twist: Twist) -> bool:
     if not _host_triangular(host, r0):
         return False
     for i in range(h.dim):
-        if tensor2_mul(j, h.comult_tensor(i), h) != tensor2_mul(host.comult_tensor(i), j, h):
+        if tensor2_mul(j, h.comult[i], h) != tensor2_mul(host.comult[i], j, h):
             return False
     return tensor2_mul(flip(j, h), r, h) == tensor2_mul(r0, j, h)
 
@@ -201,7 +201,7 @@ def drinfeld_element(h: HopfData, r: Tensor2) -> Vec:
     otherwise, against the cached sparse columns of S^2; failure raises
     NotQuasitriangular.
     """
-    r21 = [(j, i, c) for i, j, c in r.nonzeros]
+    r21 = flip(r)
     u = antipode_contraction(h, r21)
     try:
         # u^-1 = m(id (x) S^2)(R21) = sum b_i S^2(a_i)

@@ -245,10 +245,10 @@ def expand_embedding(h, a, pattern):
                 key = {"12": (i, j, k), "13": (i, k, j), "23": (k, i, j)}[pattern]
                 _add(out, key, c * u)
         elif pattern == "delta_id":
-            for p, q, w in h.comult[i]:
+            for p, q, w in h.comult[i].nonzeros:
                 _add(out, (p, q, j), c * w)
         else:
-            for p, q, w in h.comult[j]:
+            for p, q, w in h.comult[j].nonzeros:
                 _add(out, (i, p, q), c * w)
     return _drop_zeros(out)
 
@@ -274,7 +274,7 @@ def expand_sum(a, b, sign=1):
 
 def _coproduct(h, i):
     acc = {}
-    for j, k, c in h.comult[i]:
+    for j, k, c in h.comult[i].nonzeros:
         _add(acc, (j, k), c)
     return _drop_zeros(acc)
 

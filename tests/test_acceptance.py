@@ -38,7 +38,7 @@ from trihopf.hopf import (
 )
 from trihopf.scalars import CycScalar
 from trihopf.serialize import dumps, hopf_to_obj
-from trihopf.tensor import Vec
+from trihopf.tensor import Tensor2, Vec
 from trihopf.triangular import check_structure_theorems, r_matrix_rank, verify_triangular
 
 from _oracles import bruteforce_radical, same_span, subgroup_as_group
@@ -130,7 +130,7 @@ def test_acceptance_2_sweedler_equivalence():
         if dict(h.mult[i][j]) != cell:
             failures.append(f"mult[{i}][{j}]")
     for i, cell in enumerate(comult):
-        if {(j, k): c for j, k, c in h.comult[i]} != cell:
+        if h.comult[i] != Tensor2.from_dict(4, cell):
             failures.append(f"comult[{i}]")
     if list(h.counit) != counit:
         failures.append("counit")

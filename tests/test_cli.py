@@ -763,6 +763,22 @@ def test_semisimple_triangular_reads_gamma_as_exponents(tmp_path, capsys, obj, c
         assert (tmp_path / "out.r.json").read_bytes() == (tmp_path / "valid.r.json").read_bytes()
 
 
+def test_semisimple_triangular_reads_its_group_through_a_ref(tmp_path, capsys):
+    obj = _semisimple_input()
+    write(tmp_path / "g.json", obj.pop("group"))
+
+    def build(name, inp):
+        return main(["build", write(tmp_path / f"{name}.json", inp), "--kind", "semisimple-triangular", "-o", str(tmp_path / f"{name}.out.json")])
+
+    assert build("valid", _semisimple_input()) == 0
+    assert build("ref", {**obj, "group_ref": "g.json"}) == 0
+    assert (tmp_path / "ref.out.json").read_bytes() == (tmp_path / "valid.out.json").read_bytes()
+    capsys.readouterr()
+    assert build("none", obj) == 2
+    assert "missing 'group' or group_ref" in capsys.readouterr().err
+    assert not (tmp_path / "none.out.json").exists()
+
+
 def _z2z2_septuple_with_repeat():
     # the full Z2 x Z2 with W = 0, its element 3 listed twice
     obj = _semisimple_input()

@@ -15,7 +15,7 @@ from trihopf.constructions import (
     modified_supergroup_algebra,
     supergroup_algebra,
 )
-from trihopf.errors import NotInvertible, OrderNotFound
+from trihopf.errors import NotInvertible, OrderNotFound, ShapeError
 from trihopf.groups import FiniteGroup, GroupRep
 from trihopf.hopf import (
     algebra_inverse,
@@ -31,7 +31,7 @@ from trihopf.hopf import (
     verify_hopf,
 )
 from trihopf.scalars import CycScalar, root_of_unity
-from trihopf.tensor import Vec, unit_tensor2
+from trihopf.tensor import Tensor2, Vec, unit_tensor2
 from trihopf.triangular import check_structure_theorems
 
 from _oracles import (
@@ -106,17 +106,24 @@ def test_broken_associativity_reports_witness():
     assert report.witnesses["associativity"] == (0, 1, 1)
 
 
-def _with_coproduct(h, i, entries):
+def _with_coproduct(h, i, delta):
     comult = list(h.comult)
-    comult[i] = tuple(entries)
+    comult[i] = delta
     return h.replace(comult=tuple(comult))
+
+
+def test_a_coproduct_entry_that_is_no_tensor_of_h_is_malformed(sweedler):
+    # the (j, k, c) triples are only the raw input of make_hopf
+    for delta in (sweedler.comult[1].nonzeros, Tensor2(3, ())):
+        with pytest.raises(ShapeError, match="comultiplication shape mismatch"):
+            _with_coproduct(sweedler, 1, delta).validate()
 
 
 def test_corrupt_coproduct_witnesses_sweedler(sweedler):
     # basis 1, v, g, gv; a stray v (x) v in Delta(v) breaks
     # coassociativity at v, and the bialgebra identity first at (v, g):
     # Delta(v) Delta(g) gains gv (x) gv, while (v, v) still gives 0 = 0
-    broken = _with_coproduct(sweedler, 1, sweedler.comult[1] + ((1, 1, ONE),))
+    broken = _with_coproduct(sweedler, 1, sweedler.comult[1] + Tensor2.from_dict(4, {(1, 1): ONE}))
     report = verify_hopf(broken)
     assert report.associativity and report.unit and report.counit
     assert report.witnesses["coassociativity"] == (1,)
@@ -129,7 +136,7 @@ def test_corrupt_coproduct_witnesses_klein():
     # Delta(e_j) differs is (1, 2): (0, 3) multiplies by the unit
     h = group_algebra(FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2)))
     assert h.mult[1][2] == ((3, ONE),)
-    broken = _with_coproduct(h, 3, ((1, 2, ONE),))
+    broken = _with_coproduct(h, 3, Tensor2.from_dict(h.dim, {(1, 2): ONE}))
     report = verify_hopf(broken)
     assert report.associativity and report.unit
     assert report.witnesses["coassociativity"] == (3,)
@@ -360,9 +367,8 @@ def _corrupt(h, data):
         mult[i][j] = tuple((k, v) for k, v in cell.items() if not v.is_zero())
         return h.replace(mult=tuple(tuple(row) for row in mult))
     a = data.draw(st.sampled_from([a for a in range(d) if par[a] == (par[i] + par[j]) % 2]))
-    comult = list(h.comult)
-    comult[a] = comult[a] + ((i, j, data.draw(_SCALARS.filter(lambda c: not c.is_zero()))),)
-    return h.replace(comult=tuple(comult))
+    c = data.draw(_SCALARS.filter(lambda c: not c.is_zero()))
+    return _with_coproduct(h, a, h.comult[a] + Tensor2.from_dict(d, {(i, j): c}))
 
 
 @pytest.mark.parametrize("name", list(SMALL_HOSTS))
@@ -380,7 +386,7 @@ def test_verify_hopf_matches_exhaustive_scan_on_fixed_inputs(sweedler, sg_z2_sig
     mult = [list(row) for row in z2.mult]
     mult[0][1] = ()
     hosts.append(z2.replace(mult=tuple(tuple(row) for row in mult)))
-    hosts.append(_with_coproduct(sweedler, 1, sweedler.comult[1] + ((1, 1, ONE),)))
+    hosts.append(_with_coproduct(sweedler, 1, sweedler.comult[1] + Tensor2.from_dict(4, {(1, 1): ONE})))
     for h in hosts:
         assert verify_hopf(h).to_obj() == exhaustive_axioms(h)
 

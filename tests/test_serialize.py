@@ -17,8 +17,8 @@ from trihopf.constructions import (
 )
 from trihopf.errors import ShapeError
 from trihopf.groups import Bicharacter, FiniteGroup, GroupRep
-from trihopf.hopf import verify_hopf
-from trihopf.scalars import CycScalar, root_of_unity
+from trihopf.hopf import make_hopf, verify_hopf
+from trihopf.scalars import SC_HALF, SC_ONE, CycScalar, root_of_unity
 from trihopf.serialize import (
     bicharacter_from_file_obj,
     dumps,
@@ -44,6 +44,31 @@ def sweedler():
 def test_hopf_roundtrip(sweedler):
     h, _ = sweedler
     assert hopf_from_obj(hopf_to_obj(h)).same_structure(h)
+
+
+_HALVES = ((0, SC_HALF), (0, SC_HALF))
+
+
+@pytest.mark.parametrize(
+    "split",
+    [
+        {"comult": (((0, 0, SC_HALF), (0, 0, SC_HALF)),)},
+        {"mult": ((_HALVES,),)},
+        {"antipode": (_HALVES,)},
+    ],
+    ids=["comult", "mult", "antipode"],
+)
+def test_repeated_index_is_summed_before_the_round_trip(split):
+    # the ground field k, with one structure constant 1 given as 1/2 + 1/2
+    raw = {
+        "mult": ((((0, SC_ONE),),),),
+        "comult": (((0, 0, SC_ONE),),),
+        "antipode": (((0, SC_ONE),),),
+    }
+    h = make_hopf(dim=1, unit=[SC_ONE], counit=(SC_ONE,), **{**raw, **split})
+    again = hopf_from_obj(hopf_to_obj(h))
+    assert h.axioms.ok and again.axioms.ok
+    assert again.same_structure(h)
 
 
 def test_hopf_roundtrip_super():
