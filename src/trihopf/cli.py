@@ -161,9 +161,11 @@ def cmd_build(args) -> int:
         gamma = bicharacter_from_file_obj(obj["bicharacter"])
         h, r = semisimple_triangular(group, sub, gamma, _int(obj["u"], "u"))
     elif kind == "septuple-pipeline":
-        _check_predicted_dim(
-            _resolve_ref(obj, "group", base)[0], _resolve_ref(obj, "rep", base)[0]["degree"]
-        )
+        rep_obj, rep_dir = _resolve_ref(obj, "rep", base)
+        _check_predicted_dim(_resolve_ref(obj, "group", base)[0], rep_obj["degree"])
+        # a rep that names its own group is built on that group
+        if "group" in rep_obj or "group_ref" in rep_obj:
+            _check_predicted_dim(_resolve_ref(rep_obj, "group", rep_dir)[0], rep_obj["degree"])
         septuple = septuple_from_file_obj(obj, base)
         h, r = septuple_twist(septuple).apply()
     else:  # argparse choices make this unreachable

@@ -124,24 +124,25 @@ def _exterior_image(cols, mask: int):
     with rho(v_b) the sparse column cols[b] (GroupRep.matrices):
     sparse (mask, coefficient) pairs.
 
-    A monomial rho keeps one term at every step; any other rho gives the
-    minors of rho on the columns in mask.
+    The running image is a Vec over Lambda(V), keyed by mask.  A monomial
+    rho keeps one term at every step; any other rho gives the minors of
+    rho on the columns in mask.
     """
-    image = {0: SC_ONE}
+    size = 1 << len(cols)
+    image = Vec.basis(size, 0)
     for b in range(mask.bit_length()):
         if not mask >> b & 1:
             continue
-        acc: dict = {}
-        for out_mask, coeff in image.items():
+        terms = []
+        for out_mask, coeff in image.nonzeros:
             for a, c in cols[b]:
                 wedge = _wedge(out_mask, 1 << a)
-                if wedge is None:
-                    continue
-                sign, k = wedge
-                term = coeff * c if sign > 0 else -(coeff * c)
-                acc[k] = acc[k] + term if k in acc else term
-        image = {k: c for k, c in acc.items() if not c.is_zero()}
-    return tuple(sorted(image.items()))
+                if wedge is not None:
+                    sign, k = wedge
+                    term = coeff * c
+                    terms.append((k, term if sign > 0 else -term))
+        image = Vec(size, terms)
+    return image.nonzeros
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +152,8 @@ def _smash_product(g: FiniteGroup, v: GroupRep):
     """The super Hopf tables of k[G] x Lambda(V), shared by both smash builders.
 
     Returns (mult, comult, counit, antipode, parity, size) with
-    size = 2**degree, the antipode as sparse columns (HopfData.antipode).
+    size = 2**degree, each mult cell as its raw signed terms (make_hopf
+    sums them) and the antipode as sparse columns (HopfData.antipode).
     With rho(h) v_S expanded once per h
     (_exterior_image) and every sign read off _wedge:
       (g, S)(h, T) = (gh, rho(h^-1)(v_S) ^ v_T), so g v = rho(g)(v) g;
@@ -169,19 +171,15 @@ def _smash_product(g: FiniteGroup, v: GroupRep):
         row = []
         for j in range(dim):
             hj, tj = divmod(j, size)
-            gh = g.table[gi][hj]
-            acc = {}
+            base = g.table[gi][hj] * size
+            cell = []
             for u_mask, coeff in images[g.inverse[hj]][si]:
                 wedge = _wedge(u_mask, tj)
-                if wedge is None:
-                    continue
-                sign, mask = wedge
-                k = gh * size + mask
-                c = coeff if sign > 0 else -coeff
-                cur = acc.get(k)
-                acc[k] = c if cur is None else cur + c
-            row.append(tuple((k, c) for k, c in sorted(acc.items()) if not c.is_zero()))
-        mult.append(tuple(row))
+                if wedge is not None:
+                    sign, mask = wedge
+                    cell.append((base + mask, coeff if sign > 0 else -coeff))
+            row.append(cell)
+        mult.append(row)
     splits = [
         tuple(
             (t, s & ~t, SC_ONE if _wedge(t, s & ~t)[0] > 0 else -SC_ONE)
@@ -309,13 +307,9 @@ def build_bicharacter_twist(a: AbelianSubgroup, beta: Bicharacter) -> Tensor2:
     def terms():
         # J = sum_s E_s (x) w_s with w_s = sum_t beta(s,t) E_t, summed once per s
         for es, row in zip(inflated, beta.values):
-            w: dict = {}
-            for et, b in zip(inflated, row):
-                for q, cq in et:
-                    c = b * cq
-                    w[q] = w[q] + c if q in w else c
+            w = Vec(parent_dim, ((q, b * cq) for et, b in zip(inflated, row) for q, cq in et))
             for p, cp in es:
-                for q, c in w.items():
+                for q, c in w.nonzeros:
                     yield (p, q), cp * c
 
     return Tensor2(parent_dim, terms())

@@ -13,7 +13,8 @@ sparse columns; no dense matrix exists outside the dump format
 tensor, whose nonzeros have the layout of one such column; the product
 of two elements is HopfData.mul_vec, and the maps on elements
 (antipode_vec, antipode_contraction, counit_slants) build their result
-sparsely.
+sparsely.  Every product in H here is raw terms summed by the tensor
+constructor, which trusts its indices: validate() refuses any outside.
 
 verify_hopf proves each axiom by exact finite checks and reports the
 first failing witness per axiom instead of raising.
@@ -126,9 +127,13 @@ class HopfData:
         for i in range(d):
             for j in range(d):
                 for k, c in self.mult[i][j]:
+                    if not 0 <= k < d:
+                        return f"product index {k} out of range at ({i},{j})"
                     if not c.is_zero() and (par[i] + par[j]) % 2 != par[k]:
                         return f"product parity violation at ({i},{j},{k})"
             for j, k, _ in self.comult[i].nonzeros:
+                if not (0 <= j < d and 0 <= k < d):
+                    return f"coproduct index ({j},{k}) out of range at {i}"
                 if (par[j] + par[k]) % 2 != par[i]:
                     return f"coproduct parity violation at ({i},{j},{k})"
             if par[i] and not self.unit.get(i).is_zero():
@@ -188,16 +193,16 @@ class HopfData:
         formed structure."""
         mult = self.mult
         span = Echelon()  # V
-        spanned: list[dict] = []  # vectors spanning V, as index -> coefficient
+        spanned: list[SparseRow] = []  # vectors spanning V
         gens: list[int] = []
         todo: list = []  # (s, v) with e_s v not yet reduced against V
 
-        def push(vec: dict):
+        def push(vec: SparseRow):
             if span.add(vec) is not None:
                 spanned.append(vec)
                 todo.extend((s, vec) for s in gens)
 
-        push(dict(self.unit.nonzeros))
+        push(self.unit.nonzeros)
         for i in range(self.dim):
             if len(span) == self.dim:
                 break
@@ -207,10 +212,7 @@ class HopfData:
             todo.extend((i, v) for v in spanned)
             while todo:
                 s, v = todo.pop()
-                prod: dict = {}
-                for j, a in v.items():
-                    _sparse_product(mult, s, j, prod, a)
-                push(prod)
+                push(Vec(self.dim, ((k, a * c) for j, a in v for k, c in mult[s][j])).nonzeros)
         return tuple(gens) if len(span) == self.dim else None
 
     @cached_property
@@ -248,16 +250,20 @@ class HopfData:
         return tuple(jacobson_radical(self))
 
     def mul_vec(self, x: Vec, y: Vec) -> Vec:
-        """The product xy in H, term by term through mult."""
-        acc: dict = {}
-        mult = self.mult
-        right = y.nonzeros
-        for i, a in x.nonzeros:
-            row = mult[i]
-            for j, b in right:
-                if row[j]:
-                    _sparse_product(mult, i, j, acc, a * b)
-        return Vec._from_sums(self.dim, acc)
+        """The product xy in H: its terms through mult, summed by Vec."""
+        mult, right = self.mult, y.nonzeros
+
+        def terms():
+            for i, a in x.nonzeros:
+                row = mult[i]
+                for j, b in right:
+                    cell = row[j]
+                    if cell:
+                        ab = a * b
+                        for k, c in cell:
+                            yield k, ab * c
+
+        return Vec(self.dim, terms())
 
     def counit_vec(self, x: Vec) -> CycScalar:
         acc = SC_ZERO
@@ -347,30 +353,21 @@ class AxiomReport:
         }
 
 
-def _sparse_product(mult, i: int, j: int, acc: dict, scale: CycScalar):
-    for k, c in mult[i][j]:
-        cur = acc.get(k)
-        v = scale * c
-        acc[k] = v if cur is None else cur + v
-
-
-def _clean(acc: dict) -> dict:
-    return {k: v for k, v in acc.items() if not v.is_zero()}
-
-
 def antipode_contraction(h: HopfData, t: Tensor2, leg: int = 0, square: bool = False) -> Vec:
     """m(S (x) id)(t), or m(id (x) S)(t) when leg is 1; S^2 in place of S
     when square is set."""
-    acc: dict = {}
     mult, s_cols = h.mult, h.s2_columns if square else h.antipode
-    for i, j, c in t.nonzeros:
-        if leg:
-            for s, sc in s_cols[j]:
-                _sparse_product(mult, i, s, acc, c * sc)
-        else:
-            for s, sc in s_cols[i]:
-                _sparse_product(mult, s, j, acc, c * sc)
-    return Vec._from_sums(h.dim, acc)
+
+    def terms():
+        for i, j, c in t.nonzeros:
+            for s, sc in s_cols[j] if leg else s_cols[i]:
+                cell = mult[i][s] if leg else mult[s][j]
+                if cell:
+                    f = c * sc
+                    for k, m in cell:
+                        yield k, f * m
+
+    return Vec(h.dim, terms())
 
 
 def counit_slants(h: HopfData, t: Tensor2) -> tuple[Vec, Vec]:
@@ -432,20 +429,18 @@ def _axiom_scan(h: HopfData, lead: Sequence[int]) -> AxiomReport:
 
 
 def _associativity_witness(h: HopfData, lead):
-    d = h.dim
-    mult = h.mult
+    """The least (i, j, k), i in lead, with (e_i e_j) e_k != e_i (e_j e_k), or
+    None; both sides for every k of one (i, j) are one Tensor2 keyed (k, q)."""
+    d, mult = h.dim, h.mult
     for i in lead:
+        row_i = mult[i]
         for j in range(d):
-            row_ij = mult[i][j]
-            for k in range(d):
-                lhs: dict = {}
-                for p, c in row_ij:
-                    _sparse_product(mult, p, k, lhs, c)
-                rhs: dict = {}
-                for q, c in mult[j][k]:
-                    _sparse_product(mult, i, q, rhs, c)
-                if _clean(lhs) != _clean(rhs):
-                    return (i, j, k)
+            lhs = Tensor2(d, (((k, q), c * c2) for p, c in row_i[j]
+                              for k, cell in enumerate(mult[p]) for q, c2 in cell))
+            rhs = Tensor2(d, (((k, q), c * c2) for k, cell in enumerate(mult[j])
+                              for p, c in cell for q, c2 in row_i[p]))
+            if lhs != rhs:
+                return (i, j, (lhs - rhs).nonzeros[0][0])
     return None
 
 

@@ -4,7 +4,10 @@ Elements and tensors hold CycScalar entries and are immutable after
 construction.  Vec (an element of H), Tensor2 and Tensor3 are one
 sparse tensor type at arities 1, 2 and 3: a dict from key to nonzero
 coefficient, one constructor that sums repeated keys and drops zeros,
-and one sum, difference, negation, scaling and equality.  The key of a
+and one sum, difference, negation, scaling and equality.  That
+constructor is the one sparse sum of the package: a product in H, an
+exterior expansion in Lambda(V), a composed column and a twist's partial
+sum are handed to it as raw (key, coefficient) terms.  The key of a
 Vec is its plain basis index, so Vec.nonzeros is a SparseRow, the
 layout of a column of a linear map: (a, c) pairs in increasing a.  A
 linear map (the antipode of a HopfData, the matrix rho(g) of a
@@ -19,11 +22,11 @@ the generating set and radical of a Hopf algebra, and the minimal
 polynomial behind an inverse in H (x) H.  An element of H (x) H is a
 Tensor2 at every interface, the coproduct Delta(e_i) = HopfData.comult[i]
 included.  Every sum, embedding and flip in H (x) H and H (x) H (x) H
-goes through the one constructor.  The two
-products, tensor2_mul and tensor3_mul, check their factors against a
-host and iterate the nonzeros through its sparse structure tensor, with
-Koszul signs when the host is a superalgebra, and accumulate their
-terms in place in one dict; scalars are canonical, so the order of
+goes through the one constructor, except the two products, the hot
+path: tensor2_mul and tensor3_mul check their factors against a host,
+iterate the nonzeros through its sparse structure tensor, with Koszul
+signs when the host is a superalgebra, and accumulate their terms in
+place in one dict; scalars are canonical, so the order of
 summation changes no coefficient and no dumped byte.  The product of
 two elements of H is HopfData.mul_vec.  An inverse in H (x) H is a
 polynomial in the element, read off its minimal polynomial, so it needs
@@ -50,17 +53,12 @@ SparseRow = tuple[tuple[int, CycScalar], ...]
 
 def compose_columns(outer, inner) -> tuple[SparseRow, ...]:
     """Sparse columns of the linear map outer o inner, each map given by
-    its sparse columns (as HopfData.antipode)."""
-    out = []
-    for col in inner:
-        acc: dict = {}
-        for t, c in col:
-            for k, w in outer[t]:
-                v = c * w
-                cur = acc.get(k)
-                acc[k] = v if cur is None else cur + v
-        out.append(tuple(sorted((k, v) for k, v in acc.items() if not v.is_zero())))
-    return tuple(out)
+    its sparse columns (as HopfData.antipode); outer is square, as S and
+    rho(g) are, while inner may map from another dimension."""
+    return tuple(
+        Vec(len(outer), ((k, c * w) for t, c in col for k, w in outer[t])).nonzeros
+        for col in inner
+    )
 
 
 def columns_from_rows(rows) -> tuple[SparseRow, ...]:
@@ -182,8 +180,9 @@ class _SparseTensor:
 
     def __init__(self, dim: int, terms: Iterable):
         coef: dict = {}
+        get = coef.get
         for key, c in terms:
-            cur = coef.get(key)
+            cur = get(key)
             coef[key] = c if cur is None else cur + c
         self.dim = dim
         self._coef = {k: c for k, c in coef.items() if not c.is_zero()}

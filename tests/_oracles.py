@@ -407,10 +407,11 @@ def dense_antipode_powers(h, kmax):
 
 
 def dense_columns(rows):
-    """The nonzero (row, entry) pairs of each column, as HopfData.antipode."""
-    d = len(rows)
+    """The nonzero (row, entry) pairs of each column, as HopfData.antipode;
+    the matrix may be n x m."""
     return tuple(
-        tuple((i, rows[i][j]) for i in range(d) if not rows[i][j].is_zero()) for j in range(d)
+        tuple((i, row[j]) for i, row in enumerate(rows) if not row[j].is_zero())
+        for j in range(len(rows[0]))
     )
 
 

@@ -91,30 +91,40 @@ def test_build_exterior_checks_dim_before_building(tmp_path, capsys):
 
 
 def _oversized_inputs():
-    """One input per group-based kind whose predicted output dimension
-    exceeds 32: a 300-row table, or |G| = 16 with W of dimension 2."""
+    """Inputs, by case name, of group-based kinds whose predicted output
+    dimension exceeds 32: a 300-row table, or |G| = 16 with W of
+    dimension 2; each maps to (kind, input).  A septuple whose rep names
+    its own group is built on that group, so a small septuple group does
+    not bound it."""
     z300 = {"table": [[(a + b) % 300 for b in range(300)] for a in range(300)], "identity": 0}
     z16 = FiniteGroup.cyclic(16).to_obj()
     rep = {"group": z16, "degree": 2, "matrices": []}
+
+    def septuple(group, rep):
+        return {"group": group, "rep": rep, "subgroup": [0], "bicharacter": {}, "v_dim": 1, "u": 8}
+
     return {
-        "group-algebra": z300,
-        "semisimple-triangular": {"group": z300, "subgroup": [0], "bicharacter": {}, "u": 0},
-        "supergroup": rep,
-        "modified-supergroup": {"rep": rep, "u": 8},
-        "septuple-pipeline": {
-            "group": z16,
-            "rep": {"degree": 2, "matrices": []},
-            "subgroup": [0],
-            "bicharacter": {},
-            "v_dim": 1,
-            "u": 8,
-        },
+        "group-algebra": ("group-algebra", z300),
+        "semisimple-triangular": (
+            "semisimple-triangular",
+            {"group": z300, "subgroup": [0], "bicharacter": {}, "u": 0},
+        ),
+        "supergroup": ("supergroup", rep),
+        "modified-supergroup": ("modified-supergroup", {"rep": rep, "u": 8}),
+        "septuple-pipeline": (
+            "septuple-pipeline", septuple(z16, {"degree": 2, "matrices": []})
+        ),
+        "septuple-pipeline-rep-group": (
+            "septuple-pipeline",
+            septuple(FiniteGroup.cyclic(2).to_obj(), {"group": z300, "degree": 1, "matrices": []}),
+        ),
     }
 
 
-@pytest.mark.parametrize("kind", list(_oversized_inputs()))
-def test_build_bounds_the_dimension_before_building(tmp_path, monkeypatch, capsys, kind):
-    inp = write(tmp_path / "in.json", _oversized_inputs()[kind])
+@pytest.mark.parametrize("case", list(_oversized_inputs()))
+def test_build_bounds_the_dimension_before_building(tmp_path, monkeypatch, capsys, case):
+    kind, obj = _oversized_inputs()[case]
+    inp = write(tmp_path / "in.json", obj)
 
     def no_group(self):
         raise AssertionError("group built before the dimension bound")

@@ -3,7 +3,7 @@
 import functools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from trihopf import hopf
 from trihopf.atlas import _host, enumerate_instances, instance_twist
@@ -19,6 +19,7 @@ from trihopf.errors import NotInvertible, OrderNotFound, ShapeError
 from trihopf.groups import FiniteGroup, GroupRep
 from trihopf.hopf import (
     algebra_inverse,
+    antipode_contraction,
     antipode_order,
     compose_columns,
     dual_hopf,
@@ -36,6 +37,7 @@ from trihopf.triangular import check_structure_theorems
 
 from _oracles import (
     bruteforce_radical,
+    dense_antipode,
     dense_antipode_order,
     dense_antipode_powers,
     dense_columns,
@@ -117,6 +119,27 @@ def test_a_coproduct_entry_that_is_no_tensor_of_h_is_malformed(sweedler):
     for delta in (sweedler.comult[1].nonzeros, Tensor2(3, ())):
         with pytest.raises(ShapeError, match="comultiplication shape mismatch"):
             _with_coproduct(sweedler, 1, delta).validate()
+
+
+@pytest.mark.parametrize(
+    "part, table",
+    [
+        ("mult", ((((0, ONE), (1, ONE)),),)),
+        ("mult", ((((0, ONE), (-1, ONE)),),)),
+        ("comult", (((0, 0, ONE), (0, 1, ONE)),)),
+        ("comult", (((0, 0, ONE), (0, -1, ONE)),)),
+        ("comult", (((0, 0, ONE), (-1, 0, ONE)),)),
+    ],
+    ids=["mult_past_the_end", "mult_negative", "comult_past_the_end",
+         "comult_negative_right", "comult_negative_left"],
+)
+def test_an_out_of_range_structure_index_is_malformed(part, table):
+    # the field k (dim 1) with one stray index; make_hopf sums raw terms
+    # with a constructor that trusts its indices, so the structural check
+    # refuses each index outside 0..dim-1
+    tables = {"mult": ((((0, ONE),),),), "comult": (((0, 0, ONE),),), part: table}
+    with pytest.raises(ShapeError, match="out of range"):
+        make_hopf(dim=1, unit=[ONE], counit=[ONE], antipode=(((0, ONE),),), **tables)
 
 
 def test_corrupt_coproduct_witnesses_sweedler(sweedler):
@@ -600,6 +623,61 @@ def test_mul_vec_matches_the_dense_oracle(name, data):
     terms = st.lists(st.tuples(st.integers(0, h.dim - 1), _CYC3_SCALARS), max_size=5)
     x, y = Vec(h.dim, data.draw(terms)), Vec(h.dim, data.draw(terms))
     assert list(h.mul_vec(x, y).entries) == dense_product(h, list(x.entries), list(y.entries))
+
+
+@pytest.mark.parametrize("name", _PRODUCT_HOSTS)
+@given(st.data())
+@settings(max_examples=15, deadline=None)
+def test_antipode_contraction_matches_the_dense_oracle(name, data):
+    # t is drawn as raw terms, some repeated and some cancelled, which the
+    # oracle contracts one by one: c S(e_i) e_j, or c e_i S(e_j) on leg 1
+    h = _product_host(name)
+    leg, square = data.draw(st.sampled_from([0, 1])), data.draw(st.booleans())
+    index = st.integers(0, h.dim - 1)
+    terms = data.draw(st.lists(st.tuples(st.tuples(index, index), _CYC3_SCALARS), max_size=4))
+    if terms:
+        repeat = data.draw(st.lists(st.sampled_from(terms), max_size=2))
+        cancel = data.draw(st.lists(st.sampled_from(terms), max_size=2))
+        terms += repeat + [(key, -c) for key, c in cancel]
+    s = dense_antipode(h) if not square else dense_antipode_powers(h, 2)[2]
+    image = [[s[a][i] for a in range(h.dim)] for i in range(h.dim)]  # S(e_i), densely
+    basis = [[ONE if a == i else ZERO for a in range(h.dim)] for i in range(h.dim)]
+    expected = [ZERO] * h.dim
+    for (i, j), c in terms:
+        x, y = (basis[i], image[j]) if leg else (image[i], basis[j])
+        expected = [e + c * p for e, p in zip(expected, dense_product(h, x, y))]
+    t = Tensor2(h.dim, terms)
+    assert list(antipode_contraction(h, t, leg=leg, square=square).entries) == expected
+
+
+_ZETA3 = root_of_unity(3, 1)
+# 1, zeta_3, zeta_3^2 with both signs, and zero: entries whose sums cancel
+_CANCELLING = st.sampled_from([ZERO] + [e * _ZETA3**k for e in (ONE, -ONE) for k in range(3)])
+
+
+@st.composite
+def _outer_inner(draw):
+    """A square outer map (as rho(x) or S) and an n x m inner map (as the
+    Y columns of a septuple), as dense rows."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entry = st.one_of(_CANCELLING, _CYC3_SCALARS)
+    return tuple([[draw(entry) for _ in range(cols)] for _ in range(n)] for cols in (n, m))
+
+
+@given(_outer_inner())
+@example(  # 1 + zeta_3 + zeta_3^2 = 0 in the first entry
+    ([[ONE, _ZETA3, _ZETA3**2], [ONE, ONE, ONE], [ZERO, ZERO, ONE]],
+     [[ONE, ZERO], [ONE, ONE + ONE], [ONE, ZERO]])
+)
+@settings(max_examples=60, deadline=None)
+def test_compose_columns_matches_the_dense_product(maps):
+    outer, inner = maps
+    n, m = len(inner), len(inner[0])
+    product = [
+        [sum((outer[a][t] * inner[t][b] for t in range(n)), ZERO) for b in range(m)]
+        for a in range(n)
+    ]
+    assert compose_columns(dense_columns(outer), dense_columns(inner)) == dense_columns(product)
 
 
 @pytest.mark.parametrize("name", _PRODUCT_HOSTS)
