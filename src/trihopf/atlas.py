@@ -21,7 +21,13 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
 
-from .constructions import Septuple, Twist, modified_supergroup_algebra, septuple_twist
+from .constructions import (
+    Septuple,
+    Twist,
+    bicharacter_twist_pair,
+    modified_supergroup_algebra,
+    septuple_twist,
+)
 from .groups import (
     AbelianSubgroup,
     FiniteGroup,
@@ -35,7 +41,7 @@ from .hopf import (
     is_cocommutative,
     subspace_is_hopf_ideal,
 )
-from .serialize import dumps, hopf_to_obj, tensor2_to_obj
+from .serialize import dumps, hopf_dumps, tensor2_to_obj
 from .tensor import Tensor2
 from .triangular import (
     certify_twisted_triangular,
@@ -75,9 +81,11 @@ def catalog_group(name: str) -> FiniteGroup:
 
 
 # Per-process tables, built once per catalog group, representation,
-# host or factor tuple instead of once per instance; the keys range over
-# the finite catalog.  Nothing built for one instance (H^J, J, R^J, a
-# report) is kept.
+# host, twist (J, J^-1) or factor tuple instead of once per instance;
+# the keys range over the finite catalog.  A host keeps its own proofs
+# (its axioms, R_u triangular) and the text of its multiplication table
+# (serialize.hopf_dumps).  Nothing built for one instance alone (H^J,
+# R^J, a report) is kept.
 
 @lru_cache(maxsize=None)
 def _group_tables(name: str) -> tuple[FiniteGroup, tuple]:
@@ -109,6 +117,19 @@ def _host(name: str, v_chars: tuple[int, ...], u: int) -> tuple[HopfData, Tensor
 def _bicharacters(factors: tuple[int, ...]) -> tuple:
     """alternating_nondegenerate_bicharacters(factors), in its order."""
     return tuple(alternating_nondegenerate_bicharacters(factors))
+
+
+def _gamma(name: str, subgroup: tuple[int, ...], gamma_index: int):
+    """A catalog subgroup A and the datum gamma at gamma_index on it."""
+    sub = AbelianSubgroup(_group_tables(name)[0], subgroup)
+    return sub, _bicharacters(sub.factors)[gamma_index]
+
+
+@lru_cache(maxsize=None)
+def _twist_pair(name: str, subgroup: tuple[int, ...], gamma_index: int, dim: int):
+    """bicharacter_twist_pair(A, gamma, dim) of a catalog (group, A,
+    gamma), dim = |G| 2^|W|; each Twist made from it checks it again."""
+    return bicharacter_twist_pair(*_gamma(name, subgroup, gamma_index), dim)
 
 
 @dataclass(frozen=True)
@@ -181,8 +202,7 @@ def instance_twist(spec: InstanceSpec) -> Twist:
     per-process host of its (group, W, u); the septuple is validated
     for every instance."""
     g, _ = _group_tables(spec.group)
-    sub = AbelianSubgroup(g, spec.subgroup)
-    gamma = _bicharacters(sub.factors)[spec.gamma_index]
+    _, gamma = _gamma(spec.group, spec.subgroup, spec.gamma_index)
     septuple = Septuple(
         group=g,
         w=_sign_rep(spec.group, tuple(spec.v_chars)),
@@ -193,7 +213,9 @@ def instance_twist(spec: InstanceSpec) -> Twist:
         v_dim=math.isqrt(len(spec.subgroup)),
         u=spec.u,
     )
-    return septuple_twist(septuple, _host(spec.group, tuple(spec.v_chars), spec.u))
+    host = _host(spec.group, tuple(spec.v_chars), spec.u)
+    pair = _twist_pair(spec.group, tuple(spec.subgroup), spec.gamma_index, spec.dim)
+    return septuple_twist(septuple, host, pair)
 
 
 def build_instance(spec: InstanceSpec):
@@ -255,9 +277,15 @@ def theorems_hold(report: dict) -> bool:
 
 
 def _atomic_write(path: Path, text: str):
+    """Write text to path through a temporary file, which is removed if
+    the write or the rename fails, so none joins the output tree."""
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _build_and_write(args):
@@ -268,7 +296,7 @@ def _build_and_write(args):
     axioms = h.axioms
     report = analysis_report(h, r, twist)
     out = Path(out_dir)
-    _atomic_write(out / f"{spec.name}.hopf.json", dumps(hopf_to_obj(h)))
+    _atomic_write(out / f"{spec.name}.hopf.json", hopf_dumps(h))
     _atomic_write(out / f"{spec.name}.r.json", dumps(tensor2_to_obj(r)))
     _atomic_write(out / f"{spec.name}.report.json", dumps(report))
     return spec.name, axioms.ok and report["chevalley"] and theorems_hold(report)

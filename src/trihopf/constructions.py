@@ -20,8 +20,8 @@ One sign rule: _wedge gives the sign of v_A ^ v_B, and the coproduct
 split Delta(v_S) = sum eps v_T (x) v_{S-T} takes eps from
 v_T ^ v_{S-T} = eps v_S.  One exterior expansion: rho(h) v_S wedges
 the columns rho(h) v_b together one at a time, which is one term for
-a monomial rho(h) and the minors otherwise.  One twist step:
-_bicharacter_twist twists (H, R_u) on an abelian subgroup, for a
+a monomial rho(h) and the minors otherwise.  One twist datum:
+bicharacter_twist_pair builds (J, J^-1) on an abelian subgroup, for a
 septuple and for semisimple_triangular, which is the W = 0 case.
 
 Basis order of the smash product is group-major, subset-minor with
@@ -67,7 +67,7 @@ from .tensor import (
     embed13_23_12,
     unit_tensor2,
 )
-from .triangular import r_u
+from .triangular import _algebra_key, r_u
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +402,8 @@ class Twist:
         multiplication, unit, counit and grading are H's very objects,
         and H^J reads H's algebra facts (generators, radical, the
         associativity and unit witnesses) from H when first asked.  The
-        structural check runs on H^J.
+        structural check runs on H^J; H^J keeps this twist, and its
+        axioms are proved from H's when first asked (proves_hopf).
 
         Q^-1 is the closed form m(id (x) S)(J^-1) with the certified
         J^-1, multiplied back on both sides (certified_inverse); if that
@@ -416,11 +417,48 @@ class Twist:
         antipode_new = tuple(
             h.mul_vec(h.mul_vec(q_inv, Vec(h.dim, col)), q).nonzeros for col in h.antipode
         )
-        out = h.replace(comult=comult_new, antipode=antipode_new, algebra_host=h).validate()
+        out = h.replace(
+            comult=comult_new, antipode=antipode_new, algebra_host=h, twist=self
+        ).validate()
         r_new = None
         if self.r is not None:
             r_new = tensor2_mul(tensor2_mul(flip(j_inv), self.r, h), j, h)
         return out, r_new
+
+    def intertwines(self, h: HopfData) -> bool:
+        """J Delta_h(e_i) = Delta(e_i) J for every i, on an h with H's
+        algebra; kept on the H^J this twist made, whose axioms
+        (proves_hopf) and triangularity certificate share it."""
+        mine = h.twist is self
+        if mine and "_intertwined" in h.__dict__:
+            return h.__dict__["_intertwined"]
+        host, j = self.host, self.j
+        ok = all(
+            tensor2_mul(j, h.comult[i], h) == tensor2_mul(host.comult[i], j, h)
+            for i in range(h.dim)
+        )
+        if mine:
+            object.__setattr__(h, "_intertwined", ok)
+        return ok
+
+    def proves_hopf(self, h: HopfData) -> bool:
+        """True when Drinfeld's twisting theorem proves h = H^J a Hopf
+        algebra (Kassel, Quantum Groups, XV.3): J was checked when this
+        twist was made; H's axioms hold (proved once per host); h is well
+        formed with H's algebra (triangular._algebra_key); and, since J
+        and Q = m(S (x) id)(J) are invertible, Delta_h = J^-1 Delta J
+        (intertwines) and S_h = Q^-1 S Q, checked as Q S_h(e_i) = S(e_i) Q.
+        False means a premise failed, not that h is no Hopf algebra."""
+        host = self.host
+        if not host.axioms.ok or h._malformation is not None:
+            return False
+        if _algebra_key(h) != _algebra_key(host) or not self.intertwines(h):
+            return False
+        q = antipode_contraction(host, self.j)
+        return all(
+            host.mul_vec(q, Vec(h.dim, h.antipode[i])) == host.mul_vec(Vec(h.dim, col), q)
+            for i, col in enumerate(host.antipode)
+        )
 
 
 def apply_twist(
@@ -440,22 +478,19 @@ def apply_twist(
     return Twist(h, j, j_inv, r).apply()
 
 
-def _bicharacter_twist(
-    h: HopfData, r: Tensor2, sub: AbelianSubgroup, gamma: Bicharacter
-) -> Twist:
-    """The checked twist of (H, R) by the bicharacter twist on sub.
-
-    H is a modified supergroup algebra of sub's parent G.  J is built
-    from beta = half_bicharacter(gamma), J^-1 in closed form from the
-    inverse bicharacter, and both are inflated to H's basis.
-    """
+def bicharacter_twist_pair(
+    sub: AbelianSubgroup, gamma: Bicharacter, dim: int
+) -> tuple[Tensor2, Tensor2]:
+    """(J, J^-1) of the bicharacter twist on sub for the datum gamma,
+    inflated from sub's parent G to dimension dim: J is built from
+    beta = half_bicharacter(gamma), J^-1 in closed form from the
+    inverse bicharacter; Twist checks both."""
     beta = half_bicharacter(gamma)
-    factor = h.dim // sub.parent.order
-    j, j_inv = (
-        inflate_group_tensor(build_bicharacter_twist(sub, b), factor, h.dim)
+    factor = dim // sub.parent.order
+    return tuple(
+        inflate_group_tensor(build_bicharacter_twist(sub, b), factor, dim)
         for b in (beta, beta.inverse())
     )
-    return Twist(h, j, j_inv, r)
 
 
 def semisimple_triangular(
@@ -468,8 +503,8 @@ def semisimple_triangular(
     parent, so an A inside another group is refused as well.  gamma is
     the alternating classification datum on A.
     """
-    host = modified_supergroup_algebra(g, GroupRep.zero(a.parent), u)
-    return _bicharacter_twist(*host, a, gamma).apply()
+    h, r = modified_supergroup_algebra(g, GroupRep.zero(a.parent), u)
+    return Twist(h, *bicharacter_twist_pair(a, gamma, h.dim), r).apply()
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +663,11 @@ def validate_septuple(s: Septuple) -> SeptupleReport:
     return SeptupleReport(tuple(checks))
 
 
-def septuple_twist(s: Septuple, host: Optional[tuple[HopfData, Tensor2]] = None) -> Twist:
+def septuple_twist(
+    s: Septuple,
+    host: Optional[tuple[HopfData, Tensor2]] = None,
+    pair: Optional[tuple[Tensor2, Tensor2]] = None,
+) -> Twist:
     """The checked twist of a septuple: the modified supergroup algebra,
     its R_u, and the bicharacter twist on the abelian subgroup;
     septuple_twist(s).apply() is the twisted pair (H^J, R^J).
@@ -636,8 +675,10 @@ def septuple_twist(s: Septuple, host: Optional[tuple[HopfData, Tensor2]] = None)
     Realizes the Y = B = 0 stratum; anything with Y or B nonzero is
     rejected as UnsupportedStratum.  The septuple is checked first.
     host is (H, R_u) = modified_supergroup_algebra(s.group, s.w, s.u)
-    when the caller has built it already (the atlas keeps one per
-    catalog host); it is built here otherwise.
+    and pair is (J, J^-1) = bicharacter_twist_pair(A, s.v_beta, dim H)
+    when the caller has built them already (the atlas keeps one per
+    catalog host and one per (G, A, gamma, dim H)); each is built here
+    otherwise.  The Twist checks J and J^-1 either way.
     """
     report = validate_septuple(s)
     if not report.valid:
@@ -648,6 +689,7 @@ def septuple_twist(s: Septuple, host: Optional[tuple[HopfData, Tensor2]] = None)
         raise UnsupportedStratum(
             "only the Y = B = 0 stratum is implemented; nonzero Y or B is out of range"
         )
-    if host is None:
-        host = modified_supergroup_algebra(s.group, s.w, s.u)
-    return _bicharacter_twist(*host, AbelianSubgroup(s.group, s.a_elements), s.v_beta)
+    h, r = host or modified_supergroup_algebra(s.group, s.w, s.u)
+    if pair is None:
+        pair = bicharacter_twist_pair(AbelianSubgroup(s.group, s.a_elements), s.v_beta, h.dim)
+    return Twist(h, *pair, r)

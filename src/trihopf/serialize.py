@@ -57,12 +57,21 @@ def mat_from_obj(obj) -> tuple[tuple[CycScalar, ...], ...]:
     return rows
 
 
+def _mult_obj(h: HopfData) -> list:
+    """The "mult" entries [i, j, k, c] of a Hopf dump."""
+    return [
+        [i, j, k, scalar_to_obj(c)]
+        for i, row in enumerate(h.mult)
+        for j, cell in enumerate(row)
+        for k, c in cell
+    ]
+
+
 def hopf_to_obj(h: HopfData):
-    mult = []
-    for i in range(h.dim):
-        for j in range(h.dim):
-            for k, c in h.mult[i][j]:
-                mult.append([i, j, k, scalar_to_obj(c)])
+    return _hopf_obj(h, _mult_obj(h))
+
+
+def _hopf_obj(h: HopfData, mult):
     comult = []
     for i in range(h.dim):
         comult.append([[j, k, scalar_to_obj(c)] for j, k, c in h.comult[i].nonzeros])
@@ -174,19 +183,43 @@ def _scalar_key(obj: dict, depth: int):
     return tuple(key)
 
 
+class _Text(str):
+    """JSON text rendered for the depth _render inserts it at."""
+
+
 def dumps(obj) -> str:
     """The text json.dumps(obj, sort_keys=True, indent=2) + "\n".
 
     obj is a tree of dicts with str keys, lists, tuples, str, int, bool
-    and None; any other type, a float included, raises TypeError.  The
-    tree is walked once into one list of fragments.  A dump repeats a few
-    scalars (1, -1, 1/2, powers of zeta) thousands of times, so the text
-    of each scalar encoding is made once per depth and content and then
-    looked up.
+    and None; any other type, a float included, raises TypeError.
+    """
+    return _render(obj, 0) + "\n"
+
+
+def hopf_dumps(h: HopfData) -> str:
+    """dumps(hopf_to_obj(h)), with the text of h's mult made once and
+    kept on the object that owns it (HopfData._algebra_source): twists
+    of one host share the host's, a copy with another mult makes its own."""
+    owner = h._algebra_source
+    text = owner.__dict__.get("_mult_text")
+    if text is None:
+        text = _Text(_render(_mult_obj(owner), 1))
+        object.__setattr__(owner, "_mult_text", text)
+    return dumps(_hopf_obj(h, text))
+
+
+def _render(obj, depth: int) -> str:
+    """The json.dumps text of obj written at the given indent depth.
+
+    The tree is walked once into one list of fragments.  A dump repeats a
+    few scalars (1, -1, 1/2, powers of zeta) thousands of times, so the
+    text of each scalar encoding is made once per depth and content and
+    then looked up.
     """
     out: list[str] = []
     append = out.append
-    breaks = ["\n"]  # breaks[d]: a newline and the indent of depth d
+    # breaks[d]: a newline and the indent of depth d
+    breaks = ["\n" + "  " * d for d in range(depth + 1)]
     scalars: dict = {}
 
     def write(o, depth):
@@ -199,6 +232,8 @@ def dumps(obj) -> str:
             append("null")
         elif t is bool:
             append("true" if o else "false")
+        elif t is _Text:
+            append(o)
         elif t is list or t is tuple:
             if not o:
                 append("[]")
@@ -243,8 +278,7 @@ def dumps(obj) -> str:
         else:
             raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
-    write(obj, 0)
-    append("\n")
+    write(obj, depth)
     return "".join(out)
 
 

@@ -31,26 +31,29 @@ Quantum Groups, XV.3, in the convention of Etingof and Gelaki): if
 (Delta (x) id)(J) J12 = (id (x) Delta)(J) J23, then (H^J, R^J) is
 triangular.  certify_twisted_triangular checks the premises on the data
 the twist came from, not R^J itself:
-1. the axioms of H^J, which has the multiplication, unit and counit of H;
+1. the axioms of H, and those of H^J, which has the multiplication,
+   unit and counit of H;
 2. R triangular on H, by the exhaustive checks above;
 3. J normalized and the cocycle identity in the order above;
 4. J^-1 two-sided;
 5. J Delta^J(e_i) = Delta(e_i) J for every i, and J21 R^J = R J.
 Premises 3 and 4 are checked when the constructions.Twist is made.
-H's own bialgebra identities are not checked: they follow from those of
-H^J.  By 4 and 5, Delta = Ad(J) o Delta^J, so Delta is a unital algebra
-map.  With F = (Delta (x) id)(J) J12 and G = (id (x) Delta)(J) J23,
-(Delta (x) id) Delta = Ad(F) o (Delta^J (x) id) Delta^J and
-(id (x) Delta) Delta = Ad(G) o (id (x) Delta^J) Delta^J, so Delta is
-coassociative because F = G (3) and Delta^J is coassociative.  It is
-counital because eps (x) id is an algebra map sending J to 1 (3).
+H's axioms are proved, and H^J's follow from them by the same theorem:
+by 4 and 5, Delta^J = J^-1 Delta J, which with 3 makes H^J a Hopf
+algebra with the antipode Q^-1 S Q, Q = m(S (x) id)(J).  So the axioms
+of an H^J made by the twist are H's proof plus the check that its
+stored antipode is Q^-1 S Q (constructions.Twist.proves_hopf); if a
+premise fails they are verified on H^J itself (hopf.verify_hopf).
 
-Which facts belong to what.  Premise 1 is per instance, except that the
-associativity and unit witnesses and the generators of H^J are H's
+Which facts belong to what.  H's axioms are a fact of H, proved once
+and kept on it (HopfData.axioms), and so are the associativity and
+unit witnesses and the generators that H^J reads from H
 (hopf.HopfData.algebra_witnesses); premise 2 is a fact of the pair
 (H, R), proved once and kept on H beside the R object it was proved
 for, so every twist of one host with the same R reuses it and any other
-R is proved afresh; premises 3 to 5 are per twist.
+R is proved afresh; premises 3 to 5 and the antipode check are per
+twist, and the products of premise 5's first half are computed once
+per H^J for its axioms and the certificate together.
 
 The Drinfeld element u = sum S(b_i) a_i of R = sum a_i (x) b_i has the
 inverse u^-1 = sum b_i S^2(a_i) when R is quasitriangular;
@@ -161,8 +164,9 @@ def _host_triangular(host: HopfData, r: Tensor2) -> bool:
 
 
 def _algebra_key(h: HopfData):
-    """What H^J shares with H: multiplication, unit, counit and grading."""
-    return h.super, h.parity, h.unit, h.counit, h.mult
+    """What H^J shares with H: dimension, multiplication, unit, counit
+    and grading."""
+    return h.dim, h.super, h.parity, h.unit, h.counit, h.mult
 
 
 def certify_twisted_triangular(h: HopfData, r: Tensor2, twist: Twist) -> bool:
@@ -172,21 +176,21 @@ def certify_twisted_triangular(h: HopfData, r: Tensor2, twist: Twist) -> bool:
     to come from; constructing it checked that J is a normalized cocycle
     with a two-sided inverse.  The remaining premises (see the module
     docstring) are checked here, each exactly:
-    - h.axioms.ok, and h has the multiplication, unit and counit of H;
-    - R is triangular on H, by the exhaustive checks (H's own axioms
-      follow from h's and are not computed), proved once per (H, R)
-      pair and kept on H;
-    - J Delta_h(e_i) = Delta_H(e_i) J for every i, and J21 r = R J.
+    - H.axioms.ok and h.axioms.ok, and h has the multiplication, unit
+      and counit of H;
+    - R is triangular on H, by the exhaustive checks, proved once per
+      (H, R) pair and kept on H;
+    - J Delta_h(e_i) = Delta_H(e_i) J for every i (Twist.intertwines,
+      shared with h's axioms when the twist made h), and J21 r = R J.
     False means a premise failed, not that r is not triangular.
     """
     host, r0, j = twist.host, twist.r, twist.j
-    if r0 is None or not h.axioms.ok or _algebra_key(h) != _algebra_key(host):
+    if r0 is None or not host.axioms.ok or not h.axioms.ok:
         return False
-    if not _host_triangular(host, r0):
+    if _algebra_key(h) != _algebra_key(host) or not _host_triangular(host, r0):
         return False
-    for i in range(h.dim):
-        if tensor2_mul(j, h.comult[i], h) != tensor2_mul(host.comult[i], j, h):
-            return False
+    if not twist.intertwines(h):
+        return False
     return tensor2_mul(flip(j, h), r, h) == tensor2_mul(r0, j, h)
 
 

@@ -877,6 +877,22 @@ def test_atlas_8_bytes_match_the_committed_digests(tmp_path):
     assert actual == expected
 
 
+@pytest.mark.parametrize("fail_in", ["write_text", "replace"])
+def test_a_failed_atlas_write_leaves_no_temporary_file(tmp_path, monkeypatch, fail_in):
+    # a write that stops after one character, or a rename that fails
+    write = Path.write_text
+
+    def refuse(path, *args):
+        if fail_in == "write_text":
+            write(path, args[0][:1])
+        raise OSError("refused")
+
+    monkeypatch.setattr(*((atlas.os, "replace") if fail_in == "replace" else (Path, "write_text")), refuse)
+    with pytest.raises(OSError, match="refused"):
+        atlas._atomic_write(tmp_path / "x.json", "{}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_atlas_max_order_1(tmp_path):
     out = tmp_path / "a"
     assert main(["atlas", "--max-order", "1", "-o", str(out)]) == 0

@@ -23,6 +23,7 @@ from trihopf.serialize import (
     bicharacter_from_file_obj,
     dumps,
     group_from_file_obj,
+    hopf_dumps,
     hopf_from_obj,
     hopf_to_obj,
     septuple_from_file_obj,
@@ -262,6 +263,28 @@ def test_dumps_matches_the_stdlib_writer_on_atlas_9():
         h, r = twist.apply()
         for obj in (hopf_to_obj(h), tensor2_to_obj(r), analysis_report(h, r, twist)):
             assert dumps(obj) == _stdlib_dump(obj), spec.name
+        # the Hopf dump the atlas writes, with the host's mult text
+        assert hopf_dumps(h) == _stdlib_dump(hopf_to_obj(h)), spec.name
+
+
+def test_hopf_dumps_keeps_one_mult_text_per_multiplication():
+    h = group_algebra(FiniteGroup.cyclic(3))
+    z3 = group_algebra(FiniteGroup.cyclic(3))
+    assert hopf_dumps(h) == _stdlib_dump(hopf_to_obj(h))
+    # a twist holds h's mult and reads h's text; a copy with another mult
+    # (the opposite product, equal here) or another unit writes its own
+    twisted = h.replace(comult=h.comult, algebra_host=h)
+    opposite = h.replace(mult=tuple(zip(*h.mult)), algebra_host=h)
+    assert opposite.mult == h.mult and opposite.mult is not h.mult
+    assert hopf_dumps(twisted) == hopf_dumps(h)
+    assert "_mult_text" not in vars(twisted)
+    s3 = group_algebra(FiniteGroup.symmetric3())
+    z6 = group_algebra(FiniteGroup.cyclic(6))
+    other = z6.replace(mult=s3.mult, algebra_host=z6)
+    for copy_ in (opposite, other, z3):
+        assert hopf_dumps(copy_) == _stdlib_dump(hopf_to_obj(copy_))
+        assert vars(copy_)["_mult_text"] is not vars(h)["_mult_text"]
+    assert hopf_dumps(other) != hopf_dumps(z6)
 
 
 def test_dumps_matches_the_stdlib_writer_on_reports():

@@ -1,11 +1,12 @@
 """Quasitriangularity, the Drinfeld element, structural theorem checks."""
 
 import copy
+import sys
 from dataclasses import asdict
 
 import pytest
 
-from trihopf import atlas, constructions, hopf, tensor, triangular
+from trihopf import atlas, constructions, hopf, serialize, tensor, triangular
 from trihopf.atlas import (
     _build_and_write,
     analysis_report,
@@ -25,6 +26,7 @@ from trihopf.constructions import (
 )
 from trihopf.errors import InvalidDrinfeldElement, NotQuasitriangular, TwistError
 from trihopf.groups import (
+    AbelianSubgroup,
     Bicharacter,
     FiniteGroup,
     GroupRep,
@@ -549,13 +551,17 @@ def test_atlas9_job_proves_each_host_once(monkeypatch, tmp_path):
     # every host fact runs once per distinct (group, W, u), not per instance
     specs = enumerate_instances(9)
     hosts = {(s.group, s.v_chars, s.u) for s in specs}
-    assert (len(specs), len(hosts)) == (119, 43)
+    twists = {(s.group, s.subgroup, s.gamma_index, s.dim) for s in specs}
+    assert (len(specs), len(hosts), len(twists)) == (119, 43, 33)
     calls = {}
     for module, name in (
         (constructions, "_smash_product"),
         (hopf, "_associativity_witness"),
         (hopf, "jacobson_radical"),
         (triangular, "_triangular"),
+        (hopf, "_bialgebra_witness"),
+        (constructions, "build_bicharacter_twist"),
+        (serialize, "_mult_obj"),
     ):
         original = getattr(module, name)
 
@@ -565,6 +571,7 @@ def test_atlas9_job_proves_each_host_once(monkeypatch, tmp_path):
 
         monkeypatch.setattr(module, name, counting)
     atlas._host.cache_clear()
+    atlas._twist_pair.cache_clear()
     files = _atlas_files(specs, tmp_path / "atlas")
     assert len(files) == 3 * 119
     assert {name: len(args) for name, args in calls.items()} == {
@@ -572,6 +579,93 @@ def test_atlas9_job_proves_each_host_once(monkeypatch, tmp_path):
         "_associativity_witness": 43,
         "jacobson_radical": 43,
         "_triangular": 43,
+        # the axioms of H, once per host; every H^J's follow from them
+        "_bialgebra_witness": 43,
+        # J and J^-1, once per (group, A, gamma, dim)
+        "build_bicharacter_twist": 2 * len(twists),
+        # the text of each host's mult, once per host
+        "_mult_obj": 43,
     }
     # the triangular proofs are the exhaustive ones, on the untwisted hosts
     assert all(gens is None and h.algebra_host is None for h, _, gens in calls["_triangular"])
+
+
+# --- the axioms of H^J from the twisting theorem ---------------------------------
+
+
+def _counting_verify_hopf(monkeypatch):
+    """The algebras verify_hopf runs on from HopfData.axioms, in order."""
+    checked = []
+    verify = hopf.verify_hopf
+    monkeypatch.setattr(hopf, "verify_hopf", lambda h: checked.append(h) or verify(h))
+    return checked
+
+
+def test_theorem_path_matches_verify_hopf_on_atlas9(monkeypatch):
+    checked = _counting_verify_hopf(monkeypatch)
+    specs = enumerate_instances(9)
+    for spec in specs:
+        tw = instance_twist(spec)
+        h, _ = tw.apply()
+        assert h.twist is tw and tw.proves_hopf(h)
+        assert h.axioms.to_obj() == verify_hopf(h).to_obj()
+    assert len(specs) == 119
+    # verify_hopf ran from .axioms on untwisted hosts only
+    assert all(h.twist is None for h in checked)
+
+
+def test_axiom_mutants_take_the_fallback_on_atlas9(monkeypatch):
+    checked = _counting_verify_hopf(monkeypatch)
+    mutants = 0
+    for k, spec in enumerate(enumerate_instances(9)):
+        tw = instance_twist(spec)
+        h, _ = tw.apply()
+        d, i = h.dim, k % h.dim
+        # S^J(e_i) plus a basis vector; Delta^J(e_i) plus e_0 (x) e_0, with
+        # eps(e_0) = 1, so the counit identity fails at i
+        column = (Vec(d, h.antipode[i]) + Vec.basis(d, (i + k) % d)).nonzeros
+        delta = h.comult[i] + Tensor2.from_dict(d, {(0, 0): ONE})
+        for bad in (
+            h.replace(antipode=h.antipode[:i] + (column,) + h.antipode[i + 1:]),
+            h.replace(comult=h.comult[:i] + (delta,) + h.comult[i + 1:]),
+        ):
+            assert bad.twist is tw and not tw.proves_hopf(bad)
+            report = bad.axioms
+            assert checked[-1] is bad and not report.ok and report.witnesses
+            assert report.to_obj() == verify_hopf(bad).to_obj()
+            mutants += 1
+    assert mutants == 2 * 119
+
+
+def _calls(fn, *functions):
+    """How often each function was entered while fn() ran, however it was
+    imported by its callers."""
+    counts = {f.__code__: 0 for f in functions}
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in counts:
+            counts[frame.f_code] += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return tuple(counts.values())
+
+
+@pytest.mark.parametrize("orders, products", [((3, 3), (25, 20)), ((2, 2, 2, 2), (38, 34))])
+def test_applying_a_twist_checks_no_axiom(orders, products):
+    # the premises of Twist.proves_hopf run when the axioms are asked for,
+    # not in apply_twist: these are the products that check J and build
+    # Delta^J, S^J and R^J
+    g = FiniteGroup.direct_product(*(FiniteGroup.cyclic(n) for n in orders))
+    h = group_algebra(g)
+    sub = AbelianSubgroup(g, range(g.order))
+    j = build_bicharacter_twist(sub, half_bicharacter(alternating_nondegenerate_bicharacters(sub.factors)[0]))
+    r = r_u(h, Vec.basis(h.dim, g.identity))
+    out = []
+    assert _calls(lambda: out.extend(apply_twist(h, j, r=r)), tensor2_mul, hopf.HopfData.mul_vec) == products
+    h2 = out[0]
+    assert "axioms" not in vars(h2) and "_intertwined" not in vars(h2)
+    assert h2.axioms.ok and vars(h2)["_intertwined"]
