@@ -407,23 +407,38 @@ class Twist:
 
         Q^-1 is the closed form m(id (x) S)(J^-1) with the certified
         J^-1, multiplied back on both sides (certified_inverse); if that
-        fails it is solved for, as a singular Q would raise."""
+        fails it is solved for, as a singular Q would raise.  Column i of
+        the antipode is S^J(e_i) = Q^-1 P_i with P_i = S(e_i) Q, and Q
+        and the P_i are kept on H^J for its antipode premise
+        (proves_hopf)."""
         h, j, j_inv = self.host, self.j, self.j_inv
         comult_new = tuple(tensor2_mul(tensor2_mul(j_inv, d, h), j, h) for d in h.comult)
-        q = antipode_contraction(h, j)
+        q, products = self._antipode_products(h)
         # Q^-1 = m(id (x) S)(J^-1)
         q_inv = certified_inverse(h, q, antipode_contraction(h, j_inv, leg=1))
-        # column i is S^J(e_i) = Q^-1 S(e_i) Q
-        antipode_new = tuple(
-            h.mul_vec(h.mul_vec(q_inv, Vec(h.dim, col)), q).nonzeros for col in h.antipode
-        )
+        columns = tuple(h.mul_vec(q_inv, p) for p in products)
         out = h.replace(
-            comult=comult_new, antipode=antipode_new, algebra_host=h, twist=self
+            comult=comult_new,
+            antipode=tuple(v.nonzeros for v in columns),
+            algebra_host=h,
+            twist=self,
         ).validate()
+        object.__setattr__(out, "antipode_vecs", columns)
+        object.__setattr__(out, "_antipode_products", (q, products))
         r_new = None
         if self.r is not None:
             r_new = tensor2_mul(tensor2_mul(flip(j_inv), self.r, h), j, h)
         return out, r_new
+
+    def _antipode_products(self, h: HopfData) -> tuple[Vec, tuple[Vec, ...]]:
+        """(Q, (S(e_i) Q for every i)) with Q = m(S (x) id)(J) and S the
+        antipode of H; kept on the H^J apply made, so that a copy of it
+        (HopfData.replace) computes them afresh."""
+        if h.twist is self and "_antipode_products" in h.__dict__:
+            return h.__dict__["_antipode_products"]
+        host = self.host
+        q = antipode_contraction(host, self.j)
+        return q, tuple(host.mul_vec(s, q) for s in host.antipode_vecs)
 
     def intertwines(self, h: HopfData) -> bool:
         """J Delta_h(e_i) = Delta(e_i) J for every i, on an h with H's
@@ -447,18 +462,16 @@ class Twist:
         twist was made; H's axioms hold (proved once per host); h is well
         formed with H's algebra (triangular._algebra_key); and, since J
         and Q = m(S (x) id)(J) are invertible, Delta_h = J^-1 Delta J
-        (intertwines) and S_h = Q^-1 S Q, checked as Q S_h(e_i) = S(e_i) Q.
+        (intertwines) and S_h = Q^-1 S Q, checked as Q S_h(e_i) = P_i
+        with P_i = S(e_i) Q (_antipode_products).
         False means a premise failed, not that h is no Hopf algebra."""
         host = self.host
         if not host.axioms.ok or h._malformation is not None:
             return False
         if _algebra_key(h) != _algebra_key(host) or not self.intertwines(h):
             return False
-        q = antipode_contraction(host, self.j)
-        return all(
-            host.mul_vec(q, Vec(h.dim, h.antipode[i])) == host.mul_vec(Vec(h.dim, col), q)
-            for i, col in enumerate(host.antipode)
-        )
+        q, products = self._antipode_products(h)
+        return all(host.mul_vec(q, s) == p for s, p in zip(h.antipode_vecs, products))
 
 
 def apply_twist(

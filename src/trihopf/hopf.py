@@ -7,13 +7,16 @@ for the super case.  Delta(e_i) is held as the tensor.Tensor2 it is,
 an element of H (x) H, and the antipode as sparse columns, the layout
 of mult; make_hopf normalizes raw structure constants into these forms
 through the one sparse constructor.  S^2 is composed once per object
-(HopfData.s2_columns).  Powers of S, S^4 = id and S^2 = Ad(u) compose
-sparse columns; no dense matrix exists outside the dump format
-(serialize.py).  An element of H is a tensor.Vec, the arity-1 sparse
-tensor, whose nonzeros have the layout of one such column; the product
-of two elements is HopfData.mul_vec, and the maps on elements
-(antipode_vec, antipode_contraction, counit_slants) build their result
-sparsely.  Every product in H here is raw terms summed by the tensor
+(HopfData.s2_columns), and so is S(e_i) as a Vec (antipode_vecs); mult
+in the integer form that the products read (HopfData.mult_ints, a
+tensor.IntCells) is made once per multiplication object.  Powers of S,
+S^4 = id and S^2 = Ad(u) compose sparse columns; no dense matrix exists
+outside the dump format (serialize.py).  An element of H is a
+tensor.Vec, the arity-1 sparse tensor, whose nonzeros have the layout
+of one such column; the product of two elements is HopfData.mul_vec,
+on integer numerators, and the maps on elements (antipode_vec,
+antipode_contraction, counit_slants) build their result sparsely.
+Every other product in H here is raw terms summed by the tensor
 constructor, which trusts its indices: validate() refuses any outside.
 
 verify_hopf proves each axiom by exact finite checks and reports the
@@ -65,8 +68,12 @@ from .errors import NotInvertible, OrderNotFound, ShapeError
 from .scalars import SC_ONE, SC_ZERO, CycScalar
 from .tensor import (
     Echelon,
+    _kernel1,
+    _product,
+    IntCells,
     SparseRow,
     Tensor2,
+    Tensor3,
     Vec,
     compose_columns,
     embed13_23_12,
@@ -154,9 +161,25 @@ class HopfData:
     # --- basic linear maps -------------------------------------------------
 
     @cached_property
+    def antipode_vecs(self) -> tuple[Vec, ...]:
+        """S(e_i) for every i, as the Vec the products in H read; made once
+        per object."""
+        return tuple(Vec(self.dim, col) for col in self.antipode)
+
+    @cached_property
     def s2_columns(self) -> tuple[SparseRow, ...]:
         """S^2 as sparse columns, composed once per object."""
         return compose_columns(self.antipode, self.antipode)
+
+    @cached_property
+    def mult_ints(self) -> IntCells:
+        """mult in the integer form of a sparse tensor, which every product
+        in H, H (x) H and H (x) H (x) H reads; made once per multiplication
+        object, so a twist reads its host's (see _algebra_source)."""
+        source = self._algebra_source
+        if source is not self:
+            return source.mult_ints
+        return IntCells(_table(self.dim, self.mult), self.mult)
 
     @property
     def _algebra_source(self) -> "HopfData":
@@ -263,20 +286,9 @@ class HopfData:
         return tuple(jacobson_radical(self))
 
     def mul_vec(self, x: Vec, y: Vec) -> Vec:
-        """The product xy in H: its terms through mult, summed by Vec."""
-        mult, right = self.mult, y.nonzeros
-
-        def terms():
-            for i, a in x.nonzeros:
-                row = mult[i]
-                for j, b in right:
-                    cell = row[j]
-                    if cell:
-                        ab = a * b
-                        for k, c in cell:
-                            yield k, ab * c
-
-        return Vec(self.dim, terms())
+        """The product xy in H, on the integer numerators of x, y and
+        mult_ints."""
+        return _product(_kernel1, x, y, self)
 
     def counit_vec(self, x: Vec) -> CycScalar:
         acc = SC_ZERO
@@ -317,17 +329,38 @@ def make_hopf(dim, unit, mult, comult, counit, antipode, parity=None, super=Fals
     cell and column is stored in increasing index and Delta(e_i) as its
     Tensor2.
     """
+    mult, antipode = [tuple(row) for row in mult], (tuple(antipode),)
+    table = _table(dim, mult)
     h = HopfData(
         dim=dim,
         unit=unit if isinstance(unit, Vec) else Vec.from_entries(unit),
-        mult=tuple(tuple(Vec(dim, cell).nonzeros for cell in row) for row in mult),
+        mult=_summed_cells(table, mult),
         comult=tuple(Tensor2(dim, (((j, k), c) for j, k, c in entry)) for entry in comult),
         counit=tuple(counit),
-        antipode=tuple(Vec(dim, col).nonzeros for col in antipode),
+        antipode=_summed_cells(_table(dim, antipode), antipode)[0],
         parity=tuple(parity) if parity is not None else (0,) * dim,
         super=super,
     )
+    # mult_ints, read off the same sum
+    object.__setattr__(h, "mult_ints", IntCells(table, mult))
     return h.validate()
+
+
+def _table(dim: int, rows) -> Tensor3:
+    """The cells rows[i][j], each a list of (k, c) terms, as one Tensor3
+    keyed (i, j, k): one sparse sum over the whole table."""
+    return Tensor3(
+        dim,
+        [((i, j, k), c) for i, row in enumerate(rows) for j, cell in enumerate(row) for k, c in cell],
+    )
+
+
+def _summed_cells(table: Tensor3, rows) -> tuple[tuple[SparseRow, ...], ...]:
+    """The cells of table in the shape of rows, each in increasing k."""
+    cells: list = [[[] for _ in row] for row in rows]
+    for i, j, k, c in table.nonzeros:
+        cells[i][j].append((k, c))
+    return tuple(tuple(tuple(cell) for cell in row) for row in cells)
 
 
 # ---------------------------------------------------------------------------

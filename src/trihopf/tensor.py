@@ -1,45 +1,71 @@
 """Exact linear algebra over H and sparse tensors in H, H (x) H and H (x) H (x) H.
 
-Elements and tensors hold CycScalar entries and are immutable after
-construction.  Vec (an element of H), Tensor2 and Tensor3 are one
-sparse tensor type at arities 1, 2 and 3: a dict from key to nonzero
-coefficient, one constructor that sums repeated keys and drops zeros,
-and one sum, difference, negation, scaling and equality.  That
-constructor is the one sparse sum of the package: a product in H, an
-exterior expansion in Lambda(V), a composed column and a twist's partial
-sum are handed to it as raw (key, coefficient) terms.  The key of a
-Vec is its plain basis index, so Vec.nonzeros is a SparseRow, the
-layout of a column of a linear map: (a, c) pairs in increasing a.  A
-linear map (the antipode of a HopfData, the matrix rho(g) of a
-representation) is held as those sparse columns; compose_columns and
-is_identity_columns act on them, and columns_from_rows and
-rows_from_columns convert to and from the dense rows of the dump
-format.  Dense forms exist only there: a matrix as rows, a vector as
-Vec.from_entries and Vec.entries.  Every elimination goes through one
-sparse reduced row echelon basis, Echelon, with one field inverse per
-pivot: rank, kernel and solution of a linear system, span membership,
-the generating set and radical of a Hopf algebra, and the minimal
-polynomial behind an inverse in H (x) H.  An element of H (x) H is a
-Tensor2 at every interface, the coproduct Delta(e_i) = HopfData.comult[i]
-included.  Every sum, embedding and flip in H (x) H and H (x) H (x) H
-goes through the one constructor, except the two products, the hot
-path: tensor2_mul and tensor3_mul check their factors against a host,
-iterate the nonzeros through its sparse structure tensor, with Koszul
-signs when the host is a superalgebra, and accumulate their terms in
-place in one dict; scalars are canonical, so the order of
-summation changes no coefficient and no dumped byte.  The product of
-two elements of H is HopfData.mul_vec.  An inverse in H (x) H is a
+Vec (an element of H), Tensor2 and Tensor3 are one sparse tensor type
+at arities 1, 2 and 3, immutable after construction.  A tensor holds
+its coefficients the way a CycScalar holds one value: one field order
+N, one positive denominator, and per key an integer numerator (an int
+at N = 1, else a tuple over the power basis of Q(zeta_N)), canonical
+after every construction: zeros dropped, N demoted to 1 when every
+numerator's tail vanishes, and the gcd of the denominator and every
+numerator divided out.  So equality and the dumped bytes do not depend
+on the path that made a tensor.  There is one sparse sum (_sum_ints):
+the constructor hands it (key, CycScalar) terms converted to integers
+over their common order and denominator, and sum, difference,
+negation, scaling, flip and the embeddings into H (x) H (x) H hand it
+integer terms.  A product in H, an exterior expansion in Lambda(V), a
+composed column and a twist's partial sum are given to the constructor
+as raw (key, coefficient) terms.
+
+The three products, HopfData.mul_vec, tensor2_mul and tensor3_mul,
+run one integer kernel each on the numerators and on the host's mult
+in the same integer form (IntCells, made once per multiplication object
+as HopfData.mult_ints), with Koszul signs when the host is a
+superalgebra.  At N = 1 that is one kernel call.  At N > 1 the
+operands and the table are split by powers of zeta_N, and the kernel's
+results are shifted by their power and reduced mod Phi_N with the
+scalar kernel's own root_of_unity and _embed.  A coefficient becomes a
+CycScalar only when nonzeros or get reads it, so CycScalar is the one
+scalar type at every interface (Echelon, serialize, the
+builders).
+
+The key of a Vec is its plain basis index, so Vec.nonzeros is a
+SparseRow, the layout of a column of a linear map: (a, c) pairs in
+increasing a.  A linear map (the antipode of a HopfData, the matrix
+rho(g) of a representation) is held as those sparse columns;
+compose_columns and is_identity_columns act on them, and
+columns_from_rows and rows_from_columns convert to and from the dense
+rows of the dump format.  Dense forms exist only there: a matrix as
+rows, a vector as Vec.from_entries and Vec.entries.  Every elimination
+goes through one sparse reduced row echelon basis, Echelon, with one
+field inverse per pivot: rank, kernel and solution of a linear system,
+span membership, the generating set and radical of a Hopf algebra, and
+the minimal polynomial behind an inverse in H (x) H.  An element of
+H (x) H is a Tensor2 at every interface, the coproduct
+Delta(e_i) = HopfData.comult[i] included.  An inverse in H (x) H is a
 polynomial in the element, read off its minimal polynomial, so it needs
 no linear system over H (x) H.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain, product
+from math import gcd, lcm
+from operator import mul
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from .errors import NotInvertible, ShapeError
-from .scalars import SC_ONE, SC_ZERO, CycScalar
+from .scalars import (
+    SC_ONE,
+    SC_ZERO,
+    CycScalar,
+    _embed,
+    _make,
+    _mul_nums,
+    _scalar,
+    euler_phi,
+    root_of_unity,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .hopf import HopfData
@@ -146,7 +172,7 @@ class Echelon:
             if f not in self.rows:
                 x = {p: -row[f] for p, row in self.rows.items() if f in row}
                 x[f] = SC_ONE
-                basis.append(Vec._from_sums(ncols, x))
+                basis.append(Vec(ncols, tuple(x.items())))
         return basis
 
     def solution(self, n: int) -> Optional[Vec]:
@@ -157,52 +183,192 @@ class Echelon:
         """
         if n in self.rows:
             return None
-        return Vec._from_sums(n, {p: row[n] for p, row in self.rows.items() if n in row})
+        return Vec(n, tuple((p, row[n]) for p, row in self.rows.items() if n in row))
+
+
+# ---------------------------------------------------------------------------
+# the integer form of sparse coefficients
+
+def _canonical(order: int, den: int, num: dict):
+    """(order, den, num) with the zeros dropped, the order demoted to 1 when
+    every numerator's tail vanishes, and the gcd of den and every numerator
+    divided out, so that equal tensors at one order have equal fields."""
+    if order != 1:
+        num = {k: v for k, v in num.items() if any(v)}
+        if any(any(v[1:]) for v in num.values()):
+            g = gcd(den, *chain.from_iterable(num.values()))
+            return order, den // g, {k: tuple(x // g for x in v) for k, v in num.items()}
+        order, num = 1, {k: v[0] for k, v in num.items()}
+    elif 0 in num.values():
+        num = {k: v for k, v in num.items() if v}
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            return 1, den // g, {k: v // g for k, v in num.items()}
+    return 1, den, num
+
+
+def _sum_ints(order: int, den: int, terms: Iterable):
+    """The one sparse sum: (key, numerator) terms over den at order, a
+    repeated key summed, made canonical."""
+    num: dict = {}
+    get = num.get
+    if order == 1:
+        for key, v in terms:
+            num[key] = get(key, 0) + v
+    else:
+        for key, v in terms:
+            cur = get(key)
+            num[key] = v if cur is None else [x + y for x, y in zip(cur, v)]
+    return _canonical(order, den, num)
+
+
+def _lift(t, order: int, factor: int = 1) -> dict:
+    """The numerators of t at order, a multiple of t.order, times factor:
+    ints at order 1, else tuples."""
+    n, num = t.order, t._num
+    if order == 1:
+        return num if factor == 1 else {k: factor * v for k, v in num.items()}
+    if n == 1:
+        pad = (0,) * (euler_phi(order) - 1)
+        return {k: (factor * v,) + pad for k, v in num.items()}
+    if n == order and factor == 1:
+        return num
+    return {k: tuple(factor * x for x in _embed(v, n, order)) for k, v in num.items()}
+
+
+def _components(t, order: int) -> list:
+    """[(s, the integer coefficients of zeta**s)] of t at order, a multiple
+    of t.order, the empty ones left out."""
+    if t.order == 1:
+        return [(0, t._num)] if t._num else []
+    parts: list[dict] = [{} for _ in range(euler_phi(order))]
+    for k, v in _lift(t, order).items():
+        for s, x in enumerate(v):
+            if x:
+                parts[s][k] = x
+    return [(s, p) for s, p in enumerate(parts) if p]
+
+
+@lru_cache(maxsize=None)
+def _power(order: int, e: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero (s, x) of zeta_order**e over the power basis."""
+    z = root_of_unity(order, e)
+    return tuple((s, x) for s, x in enumerate(_embed(z.nums, z.order, order)) if x)
+
+
+class IntCells:
+    """A structure table (HopfData.mult) in the integer form of a sparse
+    tensor: one order, one positive denominator, and rows[i][j] the
+    (k, numerator) of cell (i, j), read off the table summed as one
+    Tensor3 keyed (i, j, k) and laid out in the shape of rows.
+    HopfData.mult_ints makes it once per multiplication object."""
+
+    __slots__ = ("order", "den", "rows", "_parts")
+
+    def __init__(self, table: "Tensor3", rows):
+        self.order, self.den = table.order, table.den
+        cells: list = [[[] for _ in row] for row in rows]
+        for (i, j, k), v in table._num.items():
+            cells[i][j].append((k, v))
+        shared: dict = {}  # one object per distinct cell
+        self.rows = tuple(tuple(shared.setdefault(c, c) for c in map(tuple, row)) for row in cells)
+        self._parts: dict = {}
+
+    def components(self, order: int) -> list:
+        """[(r, rows_r)]: the table at order, a multiple of self.order,
+        split by the power r of zeta_order; rows_r holds integers, and an
+        empty rows_r is left out."""
+        parts = self._parts.get(order)
+        if parts is None:
+            if self.order == 1:
+                parts = [(0, self.rows)]
+            else:
+                split = [
+                    [[[] for _ in row] for row in self.rows] for _ in range(euler_phi(order))
+                ]
+                for i, row in enumerate(self.rows):
+                    for j, cell in enumerate(row):
+                        for k, v in cell:
+                            for r, x in enumerate(_embed(v, self.order, order)):
+                                if x:
+                                    split[r][i][j].append((k, x))
+                parts = [
+                    (r, tuple(tuple(tuple(cell) for cell in row) for row in rows))
+                    for r, rows in enumerate(split)
+                    if any(cell for row in rows for cell in row)
+                ]
+            self._parts[order] = parts
+        return parts
+
+
+@lru_cache(maxsize=4096)
+def _rational(num: int, den: int) -> CycScalar:
+    """The CycScalar num/den, den > 0, one object per value: the few
+    values of a structure table are shared by its cells."""
+    g = gcd(num, den)
+    return _scalar(1, (num // g,), den // g)
 
 
 # ---------------------------------------------------------------------------
 # H and its tensor square and cube
 
+_new = object.__new__
+
+
 class _SparseTensor:
     """Element of a tensor power of H, stored by its nonzero coefficients.
 
-    The coefficients sit in a dict from key to a nonzero CycScalar; zeros
-    are never stored.  The key is the index tuple (one basis index per
+    The coefficients are held the way a CycScalar holds one value: one
+    field order, one positive denominator, and per key an integer
+    numerator (an int at order 1, else a tuple over the power basis of
+    Q(zeta_order)); zeros are never stored, and the fields are canonical
+    (see _canonical).  The key is the index tuple (one basis index per
     tensor factor), or the plain basis index for Vec.  The constructor
-    takes (key, coefficient) terms, sums repeated keys and drops what
+    takes (key, CycScalar) terms, sums repeated keys and drops what
     cancels; it trusts its indices, so input from outside the program
     goes through from_dict, which checks them, or for a Vec through
-    from_entries, whose indices are the positions of a dense list.
+    from_entries, whose indices are the positions of a dense list.  A
+    coefficient becomes a CycScalar only when nonzeros or get reads it.
     """
 
-    __slots__ = ("dim", "_coef", "_nz")
+    __slots__ = ("dim", "order", "den", "_num", "_nz")
     arity = 0
 
     def __init__(self, dim: int, terms: Iterable):
-        coef: dict = {}
-        get = coef.get
-        for key, c in terms:
-            cur = get(key)
-            coef[key] = c if cur is None else cur + c
+        terms = terms if isinstance(terms, (list, tuple)) else list(terms)
+        order = lcm(1, *{c.order for _, c in terms})
+        den = lcm(1, *{c.den for _, c in terms})
+        if order == 1:
+            ints = ((k, c.nums[0] * (den // c.den)) for k, c in terms)
+        else:
+            ints = (
+                (k, tuple(x * (den // c.den) for x in _embed(c.nums, c.order, order)))
+                for k, c in terms
+            )
         self.dim = dim
-        self._coef = {k: c for k, c in coef.items() if not c.is_zero()}
+        self.order, self.den, self._num = _sum_ints(order, den, ints)
         self._nz = None
 
     @classmethod
-    def _from_sums(cls, dim: int, coef: dict):
-        """A tensor from coefficients already summed per index, as the
-        in-place products accumulate them; only the zeros are dropped."""
-        self = object.__new__(cls)
-        self.dim = dim
-        self._coef = {k: c for k, c in coef.items() if not c.is_zero()}
-        self._nz = None
+    def _of(cls, dim: int, order: int, den: int, num: dict):
+        """A tensor from fields that are canonical already."""
+        self = _new(cls)
+        self.dim, self.order, self.den, self._num, self._nz = dim, order, den, num, None
         return self
+
+    def _value(self, v) -> CycScalar:
+        """The CycScalar of the numerator v."""
+        if self.order == 1:
+            return _rational(v, self.den)
+        return _make(self.order, v, self.den)
 
     @property
     def nonzeros(self):
         """(index..., coefficient) tuples in increasing index order."""
         if self._nz is None:
-            self._nz = tuple(key + (c,) for key, c in sorted(self._coef.items()))
+            s = self._value
+            self._nz = tuple(key + (s(v),) for key, v in sorted(self._num.items()))
         return self._nz
 
     @classmethod
@@ -233,37 +399,55 @@ class _SparseTensor:
         return cls(vecs[0].dim, terms)
 
     def get(self, *index: int) -> CycScalar:
-        return self._coef.get(index, SC_ZERO)
+        v = self._num.get(index)
+        return SC_ZERO if v is None else self._value(v)
 
     def _check_same_shape(self, other):
         if type(other) is not type(self) or self.dim != other.dim:
             raise ShapeError("tensor dimension mismatch")
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int):
         self._check_same_shape(other)
-        return type(self)(self.dim, chain(self._coef.items(), other._coef.items()))
+        order, den = lcm(self.order, other.order), lcm(self.den, other.den)
+        left = _lift(self, order, den // self.den)
+        right = _lift(other, order, sign * (den // other.den))
+        return self._of(self.dim, *_sum_ints(order, den, chain(left.items(), right.items())))
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        self._check_same_shape(other)
-        return type(self)(
-            self.dim, chain(self._coef.items(), ((k, -c) for k, c in other._coef.items()))
-        )
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return type(self)(self.dim, ((k, -c) for k, c in self._coef.items()))
+        return self._of(self.dim, self.order, self.den, _lift(self, self.order, -1))
 
     def scale(self, c: CycScalar):
-        return type(self)(self.dim, ((k, c * a) for k, a in self._coef.items()))
+        order = lcm(self.order, c.order)
+        if order == 1:
+            x = c.nums[0]
+            num = {k: x * v for k, v in self._num.items()}
+        else:
+            x = _embed(c.nums, c.order, order)
+            num = {k: _mul_nums(v, x, order) for k, v in _lift(self, order).items()}
+        return self._of(self.dim, *_canonical(order, self.den * c.den, num))
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self.dim == other.dim and self._coef == other._coef
+        if self.dim != other.dim:
+            return False
+        if self.order == other.order:
+            return self.den == other.den and self._num == other._num
+        if self.order == 1 or other.order == 1:
+            return False  # canonical: only one side has an irrational coefficient
+        k = lcm(self.order, other.order)
+        return _lift(self, k, other.den) == _lift(other, k, self.den)
 
     __hash__ = None
 
     def __repr__(self):
-        return f"{type(self).__name__}(dim={self.dim}, nnz={len(self._coef)})"
+        return f"{type(self).__name__}(dim={self.dim}, nnz={len(self._num)})"
 
 
 class Vec(_SparseTensor):
@@ -278,13 +462,13 @@ class Vec(_SparseTensor):
     def basis(cls, dim: int, i: int) -> "Vec":
         if not 0 <= i < dim:
             raise ShapeError(f"basis index {i} out of range for dimension {dim}")
-        return cls._from_sums(dim, {i: SC_ONE})
+        return cls._of(dim, 1, 1, {i: 1})
 
     @classmethod
     def from_entries(cls, entries: Iterable[CycScalar]) -> "Vec":
         """The element with the given dense coefficients (the wire form)."""
         entries = tuple(entries)
-        return cls._from_sums(len(entries), dict(enumerate(entries)))
+        return cls(len(entries), tuple(enumerate(entries)))
 
     @property
     def entries(self) -> tuple[CycScalar, ...]:
@@ -295,11 +479,13 @@ class Vec(_SparseTensor):
     def nonzeros(self) -> SparseRow:
         """(index, coefficient) pairs in increasing index order."""
         if self._nz is None:
-            self._nz = tuple(sorted(self._coef.items()))
+            s = self._value
+            self._nz = tuple((i, s(v)) for i, v in sorted(self._num.items()))
         return self._nz
 
     def get(self, i: int) -> CycScalar:
-        return self._coef.get(i, SC_ZERO)
+        v = self._num.get(i)
+        return SC_ZERO if v is None else self._value(v)
 
 
 class Tensor2(_SparseTensor):
@@ -316,23 +502,70 @@ class Tensor3(_SparseTensor):
     arity = 3
 
 
-def tensor2_mul(a: Tensor2, b: Tensor2, host: "HopfData") -> Tensor2:
-    """Product in the algebra H (x) H.
+# ---------------------------------------------------------------------------
+# products through the host's structure table, on integers
 
-    Componentwise through the host structure tensor; when the host is
-    super the Koszul sign (-1)**(|a2||b1|) applies per term.
+def _product(kernel, a, b, host: "HopfData"):
+    """a b in the tensor power of H that a lies in, by an integer
+    kernel(numerators of a, of b, one table per tensor leg, parity).
+
+    At order 1 that is one kernel call.  At an order N > 1, a, b and the
+    host's table are split by powers of zeta_N (_components), the kernel
+    runs once per choice of a nonempty component of a, of b and of the
+    table on each leg, and each result joins the sum shifted by its power
+    of zeta_N, reduced mod Phi_N (_power).
     """
     if a.dim != b.dim or a.dim != host.dim:
         raise ShapeError("tensor/host dimension mismatch")
-    mult = host.mult
+    cls, cells = type(a), host.mult_ints
     parity = host.parity if host.super else None
+    den = a.den * b.den * cells.den ** cls.arity
+    order = lcm(a.order, b.order, cells.order)
+    if order == 1:
+        tables = (cells.rows,) * cls.arity
+        return cls._of(a.dim, *_canonical(1, den, kernel(a._num, b._num, tables, parity)))
+    phi = euler_phi(order)
+    right = _components(b, order)
+    legs = list(product(cells.components(order), repeat=cls.arity))
+    out: dict = {}
+    for s, x in _components(a, order):
+        for t, y in right:
+            for leg in legs:
+                power = _power(order, s + t + sum(r for r, _ in leg))
+                for key, v in kernel(x, y, tuple(rows for _, rows in leg), parity).items():
+                    acc = out.get(key)
+                    if acc is None:
+                        acc = out[key] = [0] * phi
+                    for e, w in power:
+                        acc[e] += v * w
+    return cls._of(a.dim, *_canonical(order, den, out))
+
+
+def _kernel1(x: dict, y: dict, tables, parity) -> dict:
+    (rows,) = tables
     coef: dict = {}
     get = coef.get
-    right = b.nonzeros
-    for i, j, ca in a.nonzeros:
+    right = y.items()
+    for i, a in x.items():
+        row = rows[i]
+        for j, b in right:
+            cell = row[j]
+            if cell:
+                ab = a * b
+                for k, c in cell:
+                    coef[k] = get(k, 0) + ab * c
+    return coef
+
+
+def _kernel2(x: dict, y: dict, tables, parity) -> dict:
+    rows1, rows2 = tables
+    coef: dict = {}
+    get = coef.get
+    right = y.items()
+    for (i, j), ca in x.items():
         odd_j = parity is not None and parity[j]
-        row_i, row_j = mult[i], mult[j]
-        for p, q, cb in right:
+        row_i, row_j = rows1[i], rows2[j]
+        for (p, q), cb in right:
             m_ip, m_jq = row_i[p], row_j[q]
             if not m_ip or not m_jq:
                 continue
@@ -343,32 +576,25 @@ def tensor2_mul(a: Tensor2, b: Tensor2, host: "HopfData") -> Tensor2:
                 left = c * c1
                 for l, c2 in m_jq:
                     key = (k, l)
-                    v = left * c2
-                    cur = get(key)
-                    coef[key] = v if cur is None else cur + v
-    return Tensor2._from_sums(a.dim, coef)
+                    coef[key] = get(key, 0) + left * c2
+    return coef
 
 
-def tensor3_mul(a: Tensor3, b: Tensor3, host: "HopfData") -> Tensor3:
-    if a.dim != b.dim or a.dim != host.dim:
-        raise ShapeError("tensor/host dimension mismatch")
-    mult = host.mult
-    parity = host.parity
-    signed = host.super
+def _kernel3(x: dict, y: dict, tables, parity) -> dict:
+    rows1, rows2, rows3 = tables
     coef: dict = {}
     get = coef.get
-    right = b.nonzeros
-    for i1, i2, i3, ca in a.nonzeros:
-        p2, p3 = parity[i2], parity[i3]
-        row1, row2, row3 = mult[i1], mult[i2], mult[i3]
-        for j1, j2, j3, cb in right:
+    right = y.items()
+    for (i1, i2, i3), ca in x.items():
+        row1, row2, row3 = rows1[i1], rows2[i2], rows3[i3]
+        for (j1, j2, j3), cb in right:
             m1, m2, m3 = row1[j1], row2[j2], row3[j3]
             if not m1 or not m2 or not m3:
                 continue
             c = ca * cb
-            if signed:
-                q1, q2 = parity[j1], parity[j2]
-                if (p2 * q1 + p3 * (q1 + q2)) % 2:
+            if parity is not None:
+                q1 = parity[j1]
+                if (parity[i2] * q1 + parity[i3] * (q1 + parity[j2])) % 2:
                     c = -c
             for k1, c1 in m1:
                 left1 = c * c1
@@ -376,26 +602,47 @@ def tensor3_mul(a: Tensor3, b: Tensor3, host: "HopfData") -> Tensor3:
                     left2 = left1 * c2
                     for k3, c3 in m3:
                         key = (k1, k2, k3)
-                        v = left2 * c3
-                        cur = get(key)
-                        coef[key] = v if cur is None else cur + v
-    return Tensor3._from_sums(a.dim, coef)
+                        coef[key] = get(key, 0) + left2 * c3
+    return coef
+
+
+def tensor2_mul(a: Tensor2, b: Tensor2, host: "HopfData") -> Tensor2:
+    """Product in the algebra H (x) H.
+
+    Componentwise through the host structure tensor; when the host is
+    super the Koszul sign (-1)**(|a2||b1|) applies per term.
+    """
+    return _product(_kernel2, a, b, host)
+
+
+def tensor3_mul(a: Tensor3, b: Tensor3, host: "HopfData") -> Tensor3:
+    return _product(_kernel3, a, b, host)
 
 
 def flip(a: Tensor2, host: Optional["HopfData"] = None) -> Tensor2:
     """Swap the tensor factors; Koszul sign when the host is super."""
     parity = host.parity if host is not None and host.super else None
-    return Tensor2(
-        a.dim,
-        (
-            ((j, i), -c if parity is not None and parity[i] and parity[j] else c)
-            for i, j, c in a.nonzeros
-        ),
-    )
+    num = a._num
+    if parity is None:
+        out = {(j, i): v for (i, j), v in num.items()}
+    else:
+        neg = _lift(a, a.order, -1)
+        out = {(j, i): neg[i, j] if parity[i] and parity[j] else v for (i, j), v in num.items()}
+    return Tensor2._of(a.dim, a.order, a.den, out)
 
 
 def unit_tensor2(host: "HopfData") -> Tensor2:
     return Tensor2.outer(host.unit, host.unit)
+
+
+# pattern -> the Tensor3 key of a's key (i, j) and the inserted key s
+_PLACE = {
+    "12": lambda i, j, s: (i, j, s),
+    "13": lambda i, j, s: (i, s, j),
+    "23": lambda i, j, s: (s, i, j),
+    "delta_id": lambda i, j, s: s + (j,),
+    "id_delta": lambda i, j, s: (i,) + s,
+}
 
 
 def embed13_23_12(a: Tensor2, pattern: str, host: "HopfData") -> Tensor3:
@@ -407,21 +654,26 @@ def embed13_23_12(a: Tensor2, pattern: str, host: "HopfData") -> Tensor3:
     """
     if a.dim != host.dim:
         raise ShapeError("tensor/host dimension mismatch")
-    unit_nz = host.unit.nonzeros
-    comult = host.comult
-    if pattern == "12":
-        terms = (((i, j, k), c * u) for i, j, c in a.nonzeros for k, u in unit_nz)
-    elif pattern == "13":
-        terms = (((i, k, j), c * u) for i, j, c in a.nonzeros for k, u in unit_nz)
-    elif pattern == "23":
-        terms = (((k, i, j), c * u) for i, j, c in a.nonzeros for k, u in unit_nz)
-    elif pattern == "delta_id":
-        terms = (((p, q, j), c * w) for i, j, c in a.nonzeros for p, q, w in comult[i].nonzeros)
-    elif pattern == "id_delta":
-        terms = (((i, p, q), c * w) for i, j, c in a.nonzeros for p, q, w in comult[j].nonzeros)
-    else:
+    place = _PLACE.get(pattern)
+    if place is None:
         raise ShapeError(f"unknown slot pattern {pattern!r}")
-    return Tensor3(a.dim, terms)
+    if pattern == "delta_id":
+        inserted = {key: host.comult[key[0]] for key in a._num}
+    elif pattern == "id_delta":
+        inserted = {key: host.comult[key[1]] for key in a._num}
+    else:
+        inserted = dict.fromkeys(a._num, host.unit)
+    parts = {id(t): t for t in inserted.values()}
+    order = lcm(a.order, *(t.order for t in parts.values()))
+    den = lcm(1, *(t.den for t in parts.values()))
+    lifted = {i: _lift(t, order, den // t.den).items() for i, t in parts.items()}
+    times = mul if order == 1 else (lambda u, v: _mul_nums(u, v, order))
+    terms = (
+        (place(i, j, s), times(c, w))
+        for (i, j), c in _lift(a, order).items()
+        for s, w in lifted[id(inserted[i, j])]
+    )
+    return Tensor3._of(a.dim, *_sum_ints(order, a.den * den, terms))
 
 
 def tensor2_inv(a: Tensor2, host: "HopfData") -> Tensor2:
@@ -443,7 +695,8 @@ def tensor2_inv(a: Tensor2, host: "HopfData") -> Tensor2:
     powers = [unit2]
     while True:
         t = len(powers) - 1
-        pivot = span.add(chain(powers[t]._coef.items(), (((dim, t), SC_ONE),)))
+        terms = ((e[:-1], e[-1]) for e in powers[t].nonzeros)
+        pivot = span.add(chain(terms, (((dim, t), SC_ONE),)))
         if pivot[0] == dim:
             break
         powers.append(tensor2_mul(powers[t], a, host))
@@ -452,12 +705,12 @@ def tensor2_inv(a: Tensor2, host: "HopfData") -> Tensor2:
     # span.rows[pivot] is c_0^-1 sum_t c_t (dim, t)
     inv = Tensor2(
         dim,
-        (
+        [
             ((i, j), -c * x)
             for (_, s), c in span.rows[pivot].items()
             if s
-            for (i, j), x in powers[s - 1]._coef.items()
-        ),
+            for i, j, x in powers[s - 1].nonzeros
+        ],
     )
     # certify two-sidedness
     if tensor2_mul(a, inv, host) != unit2 or tensor2_mul(inv, a, host) != unit2:

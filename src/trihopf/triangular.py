@@ -33,7 +33,8 @@ triangular.  certify_twisted_triangular checks the premises on the data
 the twist came from, not R^J itself:
 1. the axioms of H, and those of H^J, which has the multiplication,
    unit and counit of H;
-2. R triangular on H, by the exhaustive checks above;
+2. R triangular on H, by verify_triangular on the generators of H,
+   whose axioms are proved;
 3. J normalized and the cocycle identity in the order above;
 4. J^-1 two-sided;
 5. J Delta^J(e_i) = Delta(e_i) J for every i, and J21 R^J = R J.
@@ -150,7 +151,8 @@ def verify_triangular(h: HopfData, r: Tensor2) -> bool:
 
 
 def _host_triangular(host: HopfData, r: Tensor2) -> bool:
-    """_triangular(host, r, None), proved once per (host, R) pair.
+    """verify_triangular(host, r), proved once per (host, R) pair: on the
+    generator path, since the host's axioms are proved.
 
     The verdict is kept on the host together with the very R object it
     was proved for; any other R is proved afresh and takes its place, so
@@ -158,7 +160,7 @@ def _host_triangular(host: HopfData, r: Tensor2) -> bool:
     """
     proof = getattr(host, "_triangular_proof", None)
     if proof is None or proof[0] is not r:
-        proof = (r, _triangular(host, r, None))
+        proof = (r, verify_triangular(host, r))
         object.__setattr__(host, "_triangular_proof", proof)
     return proof[1]
 
@@ -178,7 +180,7 @@ def certify_twisted_triangular(h: HopfData, r: Tensor2, twist: Twist) -> bool:
     docstring) are checked here, each exactly:
     - H.axioms.ok and h.axioms.ok, and h has the multiplication, unit
       and counit of H;
-    - R is triangular on H, by the exhaustive checks, proved once per
+    - R is triangular on H, by verify_triangular, proved once per
       (H, R) pair and kept on H;
     - J Delta_h(e_i) = Delta_H(e_i) J for every i (Twist.intertwines,
       shared with h's axioms when the twist made h), and J21 r = R J.

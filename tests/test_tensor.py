@@ -1,6 +1,7 @@
 """Exact linear algebra and tensor-square arithmetic."""
 
 import functools
+import json
 import random
 from itertools import chain
 
@@ -14,6 +15,7 @@ from trihopf.constructions import (
     supergroup_algebra,
 )
 from trihopf.errors import NotInvertible, ShapeError
+from trihopf.hopf import make_hopf
 from trihopf.groups import (
     Bicharacter,
     FiniteGroup,
@@ -36,7 +38,14 @@ from trihopf.tensor import (
     unit_tensor2,
 )
 
-from _oracles import expand_embedding, expand_flip, expand_product, expand_sum, rank
+from _oracles import (
+    dense_product,
+    expand_embedding,
+    expand_flip,
+    expand_product,
+    expand_sum,
+    rank,
+)
 
 ONE = CycScalar.one()
 ZERO = CycScalar.zero()
@@ -440,6 +449,114 @@ def test_sparse_tensor_operations_property(host, data):
     assert _coefficients(x + y) == expand_sum(a2, b2)
     assert _coefficients(x - y) == expand_sum(a2, b2, sign=-1)
     assert _coefficients(u - u) == {}
+
+
+# --- the integer form: one order, one denominator, integer numerators --------
+
+# rationals, and rationals times powers of zeta_3 or zeta_8, zero included
+_MIXED_SCALARS = st.builds(
+    lambda n, den, order, k: CycScalar.from_rational(n, den) * root_of_unity(order, k),
+    st.integers(-3, 3),
+    st.integers(1, 4),
+    st.sampled_from((1, 3, 8)),
+    st.integers(0, 7),
+)
+
+
+def _scaled_group_algebra(g, scales):
+    """k[G] in the basis b_x = scales[x] x, scales[identity] = 1: its
+    structure constants are cyclotomic where the scales are."""
+    d, t = g.order, g.table
+    inv = [next(y for y in range(d) if t[x][y] == g.identity) for x in range(d)]
+    return make_hopf(
+        dim=d,
+        unit=[ONE if x == g.identity else ZERO for x in range(d)],
+        mult=[[[(t[x][y], scales[x] * scales[y] / scales[t[x][y]])] for y in range(d)]
+              for x in range(d)],
+        comult=[[(x, x, scales[x].inv())] for x in range(d)],
+        counit=list(scales),
+        antipode=[[(inv[x], scales[x] / scales[inv[x]])] for x in range(d)],
+    )
+
+
+# mult has entries in Q(zeta_8) and Q(zeta_3) at once
+_SCALED_Z3 = _scaled_group_algebra(
+    FiniteGroup.cyclic(3), (ONE, root_of_unity(8, 1), sc(2) * root_of_unity(3, 1))
+)
+
+
+def _summed(terms):
+    """The coefficients of a list of (key, scalar) terms, summed per key by
+    CycScalar arithmetic."""
+    acc = {}
+    for key, c in terms:
+        acc[key] = acc.get(key, ZERO) + c
+    return {key: c for key, c in acc.items() if not c.is_zero()}
+
+
+def _assert_exact(t, expected):
+    """t holds exactly the scalars of expected: by nonzeros, by equality
+    with the tensor of those scalars, and by the bytes of their wire form."""
+    assert _coefficients(t) == expected
+    assert t == type(t).from_dict(t.dim, expected)
+    wire = [[*entry[:-1], entry[-1].to_obj()] for entry in t.nonzeros]
+    assert json.dumps(wire) == json.dumps([[*k, c.to_obj()] for k, c in sorted(expected.items())])
+
+
+@pytest.mark.parametrize(
+    "host", [_Z3, _SUPER_SWEEDLER, _SCALED_Z3], ids=["kZ3", "super_sweedler", "scaled_kZ3"]
+)
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_integer_kernel_matches_scalar_oracles(host, data):
+    d = host.dim
+
+    def draw(arity):
+        """Terms with repeated keys and mixed orders, and their sum; half
+        the time every term is followed by its negative, so the sum cancels."""
+        keys = st.tuples(*[st.integers(0, d - 1)] * arity)
+        terms = data.draw(st.lists(st.tuples(keys, _MIXED_SCALARS), max_size=5))
+        if data.draw(st.booleans()):
+            terms = [t for k, c in terms for t in ((k, c), (k, -c))]
+        return terms, _summed(terms)
+
+    (ta2, a2), (tb2, b2), (ta3, a3), (tb3, b3) = draw(2), draw(2), draw(3), draw(3)
+    (tx, x1), (ty, y1) = draw(1), draw(1)
+    x, y = Tensor2(d, ta2), Tensor2(d, tb2)
+    u, v = Tensor3(d, ta3), Tensor3(d, tb3)
+    _assert_exact(x, a2)
+    _assert_exact(u, a3)
+    _assert_exact(tensor2_mul(x, y, host), expand_product(host, a2, b2))
+    _assert_exact(tensor3_mul(u, v, host), expand_product(host, a3, b3))
+    for pattern in ("12", "13", "23", "delta_id", "id_delta"):
+        _assert_exact(embed13_23_12(x, pattern, host), expand_embedding(host, a2, pattern))
+    _assert_exact(flip(x, host), expand_flip(host, a2))
+    _assert_exact(x + y, expand_sum(a2, b2))
+    _assert_exact(x - y, expand_sum(a2, b2, sign=-1))
+    _assert_exact(-x, expand_sum({}, a2, sign=-1))
+    c = data.draw(_MIXED_SCALARS)
+    _assert_exact(x.scale(c), _summed([(k, c * w) for k, w in a2.items()]))
+    dense = [[x1.get((i,), ZERO) for i in range(d)], [y1.get((i,), ZERO) for i in range(d)]]
+    product = host.mul_vec(Vec(d, [(k[0], c) for k, c in tx]), Vec(d, [(k[0], c) for k, c in ty]))
+    assert list(product.entries) == dense_product(host, *dense)
+    assert x - x == Tensor2(d, []) and not (x - x).nonzeros
+
+
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_zeta3_products_that_come_out_rational(data):
+    # r zeta^e times s zeta^-e is rational: the product is demoted to order 1
+    d = _Z3.dim
+    e = data.draw(st.integers(1, 2))
+    keys = st.tuples(st.integers(0, d - 1), st.integers(0, d - 1))
+    rationals = st.builds(sc, st.integers(-3, 3).filter(bool), st.integers(1, 4))
+    a = {k: r * root_of_unity(3, e) for k, r in data.draw(st.dictionaries(keys, rationals)).items()}
+    b = {k: r * root_of_unity(3, -e) for k, r in data.draw(st.dictionaries(keys, rationals)).items()}
+    x, y = Tensor2.from_dict(d, a), Tensor2.from_dict(d, b)
+    assert x.order == (3 if a else 1)
+    product = tensor2_mul(x, y, _Z3)
+    assert product.order == 1
+    _assert_exact(product, expand_product(_Z3, a, b))
 
 
 @pytest.mark.parametrize("cls, key", [

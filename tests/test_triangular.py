@@ -586,8 +586,11 @@ def test_atlas9_job_proves_each_host_once(monkeypatch, tmp_path):
         # the text of each host's mult, once per host
         "_mult_obj": 43,
     }
-    # the triangular proofs are the exhaustive ones, on the untwisted hosts
-    assert all(gens is None and h.algebra_host is None for h, _, gens in calls["_triangular"])
+    # the triangular proofs take the generator path, on the untwisted hosts
+    assert all(
+        gens is not None and gens == h.generators and h.algebra_host is None
+        for h, _, gens in calls["_triangular"]
+    )
 
 
 # --- the axioms of H^J from the twisting theorem ---------------------------------
@@ -654,18 +657,27 @@ def _calls(fn, *functions):
     return tuple(counts.values())
 
 
-@pytest.mark.parametrize("orders, products", [((3, 3), (25, 20)), ((2, 2, 2, 2), (38, 34))])
+@pytest.mark.parametrize(
+    "orders, products", [((3, 3), (25, 20, 113)), ((2, 2, 2, 2), (38, 34, 145))]
+)
 def test_applying_a_twist_checks_no_axiom(orders, products):
     # the premises of Twist.proves_hopf run when the axioms are asked for,
-    # not in apply_twist: these are the products that check J and build
-    # Delta^J, S^J and R^J
+    # not in apply_twist: products holds the tensor2_mul and mul_vec calls
+    # that check J and build Delta^J, S^J and R^J, which multiply integer
+    # numerators, and the CycScalar products left: those of the
+    # elimination behind J^-1, the contractions m(S (x) id)(J) and
+    # m(id (x) S)(J^-1), the counit slants of J and the structural check
     g = FiniteGroup.direct_product(*(FiniteGroup.cyclic(n) for n in orders))
     h = group_algebra(g)
     sub = AbelianSubgroup(g, range(g.order))
     j = build_bicharacter_twist(sub, half_bicharacter(alternating_nondegenerate_bicharacters(sub.factors)[0]))
     r = r_u(h, Vec.basis(h.dim, g.identity))
     out = []
-    assert _calls(lambda: out.extend(apply_twist(h, j, r=r)), tensor2_mul, hopf.HopfData.mul_vec) == products
+    counts = _calls(
+        lambda: out.extend(apply_twist(h, j, r=r)),
+        tensor2_mul, hopf.HopfData.mul_vec, CycScalar.__mul__,
+    )
+    assert counts == products
     h2 = out[0]
     assert "axioms" not in vars(h2) and "_intertwined" not in vars(h2)
     assert h2.axioms.ok and vars(h2)["_intertwined"]
