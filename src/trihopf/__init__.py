@@ -20,6 +20,7 @@ from .tensor import (
     Tensor2,
     Tensor3,
     Vec,
+    apply_map,
     embed13_23_12,
     flip,
     tensor2_inv,

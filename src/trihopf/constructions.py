@@ -59,7 +59,7 @@ from .tensor import (
     Echelon,
     Tensor2,
     Vec,
-    compose_columns,
+    apply_map,
     flip,
     tensor2_inv,
     tensor2_mul,
@@ -121,7 +121,7 @@ def _subsets(mask: int):
 
 def _exterior_image(cols, mask: int):
     """rho(v_mask) = rho(v_b1) ^ rho(v_b2) ^ ... for b1 < b2 < ... in mask,
-    with rho(v_b) the sparse column cols[b] (GroupRep.matrices):
+    with rho(v_b) the column cols[b], a Vec (GroupRep.matrices):
     sparse (mask, coefficient) pairs.
 
     The running image is a Vec over Lambda(V), keyed by mask.  A monomial
@@ -135,7 +135,7 @@ def _exterior_image(cols, mask: int):
             continue
         terms = []
         for out_mask, coeff in image.nonzeros:
-            for a, c in cols[b]:
+            for a, c in cols[b].nonzeros:
                 wedge = _wedge(out_mask, 1 << a)
                 if wedge is not None:
                     sign, k = wedge
@@ -416,14 +416,12 @@ class Twist:
         q, products = self._antipode_products(h)
         # Q^-1 = m(id (x) S)(J^-1)
         q_inv = certified_inverse(h, q, antipode_contraction(h, j_inv, leg=1))
-        columns = tuple(h.mul_vec(q_inv, p) for p in products)
         out = h.replace(
             comult=comult_new,
-            antipode=tuple(v.nonzeros for v in columns),
+            antipode=tuple(h.mul_vec(q_inv, p) for p in products),
             algebra_host=h,
             twist=self,
         ).validate()
-        object.__setattr__(out, "antipode_vecs", columns)
         object.__setattr__(out, "_antipode_products", (q, products))
         r_new = None
         if self.r is not None:
@@ -438,7 +436,7 @@ class Twist:
             return h.__dict__["_antipode_products"]
         host = self.host
         q = antipode_contraction(host, self.j)
-        return q, tuple(host.mul_vec(s, q) for s in host.antipode_vecs)
+        return q, tuple(host.mul_vec(s, q) for s in host.antipode)
 
     def intertwines(self, h: HopfData) -> bool:
         """J Delta_h(e_i) = Delta(e_i) J for every i, on an h with H's
@@ -471,7 +469,7 @@ class Twist:
         if _algebra_key(h) != _algebra_key(host) or not self.intertwines(h):
             return False
         q, products = self._antipode_products(h)
-        return all(host.mul_vec(q, s) == p for s, p in zip(h.antipode_vecs, products))
+        return all(host.mul_vec(q, s) == p for s, p in zip(h.antipode, products))
 
 
 def apply_twist(
@@ -588,16 +586,17 @@ def validate_septuple(s: Septuple) -> SeptupleReport:
     # Y: a basis, invariant under A
     if any(yv.dim != s.w.degree for yv in s.y_basis):
         raise ShapeError("matrix/vector shape mismatch")
-    y_cols = tuple(yv.nonzeros for yv in s.y_basis)
+    y_cols = s.y_basis
     y_ok = True
     y_detail = ""
     if y_cols:
-        span = Echelon(y_cols)
+        span = Echelon(yv.nonzeros for yv in y_cols)
         if len(span) < len(y_cols):
             y_ok, y_detail = False, "Y is not linearly independent"
         else:
+            rhos = s.w.matrices
             for x in elems:
-                if any(span.reduce(img) for img in compose_columns(s.w.matrices[x], y_cols)):
+                if any(span.reduce(apply_map(rhos[x], yv).nonzeros) for yv in y_cols):
                     y_ok, y_detail = False, f"rho({x}) moves Y out of itself"
                     break
     checks.append(("y_a_invariant", y_ok, y_detail))
@@ -622,29 +621,13 @@ def validate_septuple(s: Septuple) -> SeptupleReport:
         else:
             # with Y independent and A-invariant, (rho(x) (x) rho(x)) B~ = B~
             # for B~ = sum b_ij y_i (x) y_j in W (x) W is R B R^T = B for the
-            # restriction R of rho(x) to Y, since the y_i (x) y_j are independent
-            b_tilde = Tensor2(
-                s.w.degree,
-                (
-                    ((p, q), b[i][j] * cp * cq)
-                    for i, yi in enumerate(y_cols)
-                    for j, yj in enumerate(y_cols)
-                    for p, cp in yi
-                    for q, cq in yj
-                ),
-            )
+            # restriction R of rho(x) to Y, since the y_i (x) y_j are
+            # independent; B~ is (Y (x) Y)(B) for Y: k^k -> W
+            b_rows = Tensor2(k, [((i, j), c) for i, row in enumerate(b) for j, c in enumerate(row)])
+            b_tilde = apply_map(y_cols, apply_map(y_cols, b_rows, 0), 1)
             for x in elems:
                 rho = s.w.matrices[x]
-                moved = Tensor2(
-                    s.w.degree,
-                    (
-                        ((p, q), c * cp * cq)
-                        for i, j, c in b_tilde.nonzeros
-                        for p, cp in rho[i]
-                        for q, cq in rho[j]
-                    ),
-                )
-                if moved != b_tilde:
+                if apply_map(rho, apply_map(rho, b_tilde, 0), 1) != b_tilde:
                     b_ok, b_detail = False, f"B not invariant under rho({x})"
                     break
     checks.append(("b_symmetric_invariant_nondegenerate", b_ok, b_detail))

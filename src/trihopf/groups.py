@@ -19,13 +19,7 @@ from math import gcd, lcm, prod
 
 from .errors import BicharacterError, GroupError, NotAbelian, ShapeError
 from .scalars import SC_ONE, SC_ZERO, CycScalar, root_of_unity
-from .tensor import (
-    Vec,
-    columns_from_rows,
-    compose_columns,
-    is_identity_columns,
-    rows_from_columns,
-)
+from .tensor import Vec, apply_map
 
 
 class FiniteGroup:
@@ -415,16 +409,16 @@ def characters(a: AbelianSubgroup | FiniteGroup):
 class GroupRep:
     """A matrix representation of a finite group over CycScalar.
 
-    matrices[g] holds rho(g) as sparse columns, the layout of
-    HopfData.antipode: column b lists the nonzero (a, c) with
-    rho(g) e_b = sum c e_a, in increasing a.  The constructor takes each
-    rho(g) as a list of rows, the layout of a rep file, and to_obj writes
-    the same rows back.
+    matrices[g] holds rho(g) as a tuple of columns, the layout of
+    HopfData.antipode: column b is the Vec rho(g) e_b, which
+    tensor.apply_map applies.  The constructor takes each rho(g) as a
+    list of rows, the layout of a rep file, and to_obj writes the same
+    rows back.
 
     Construction checks rho(e) = 1 and rho(a) rho(s) = rho(as) for every
-    a and every s in FiniteGroup.generators; by induction on the length
-    of b as a word in the generators this gives rho(a) rho(b) = rho(ab)
-    for all a and b.
+    a and every s in FiniteGroup.generators, composing columns by
+    apply_map; by induction on the length of b as a word in the
+    generators this gives rho(a) rho(b) = rho(ab) for all a and b.
     """
 
     def __init__(self, group: FiniteGroup, degree: int, matrices):
@@ -435,12 +429,14 @@ class GroupRep:
             raise ShapeError("one matrix per group element required")
         if any(len(m) != degree or any(len(r) != degree for r in m) for m in rows):
             raise ShapeError("representation matrix of wrong shape")
-        self.matrices = mats = tuple(columns_from_rows(m) for m in rows)
-        if not is_identity_columns(mats[group.identity]):
+        self.matrices = mats = tuple(
+            tuple(Vec.from_entries(row[b] for row in m) for b in range(degree)) for m in rows
+        )
+        if mats[group.identity] != tuple(Vec.basis(degree, b) for b in range(degree)):
             raise ShapeError("identity must map to the identity matrix")
         for a in range(group.order):
             for s in group.generators:
-                if compose_columns(mats[a], mats[s]) != mats[group.mul(a, s)]:
+                if tuple(apply_map(mats[a], col) for col in mats[s]) != mats[group.mul(a, s)]:
                     raise ShapeError(f"not a homomorphism at ({a},{s})")
 
     @classmethod
@@ -460,14 +456,14 @@ class GroupRep:
         return cls(group, degree, mats)
 
     def acts_by_minus_one(self, u: int) -> bool:
-        return self.matrices[u] == tuple(((i, -SC_ONE),) for i in range(self.degree))
+        return self.matrices[u] == tuple(-Vec.basis(self.degree, b) for b in range(self.degree))
 
     def to_obj(self):
         return {
             "group": self.group.to_obj(),
             "degree": self.degree,
             "matrices": [
-                [[c.to_obj() for c in row] for row in rows_from_columns(m)]
+                [[c.to_obj() for c in row] for row in zip(*(col.entries for col in m))]
                 for m in self.matrices
             ],
         }

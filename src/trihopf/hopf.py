@@ -3,21 +3,20 @@
 HopfData records a finite-dimensional algebra-and-coalgebra by exact
 structure constants: sparse multiplication tensor, per-basis-element
 comultiplication, counit covector, antipode, and a Z2 parity grading
-for the super case.  Delta(e_i) is held as the tensor.Tensor2 it is,
-an element of H (x) H, and the antipode as sparse columns, the layout
-of mult; make_hopf normalizes raw structure constants into these forms
-through the one sparse constructor.  S^2 is composed once per object
-(HopfData.s2_columns), and so is S(e_i) as a Vec (antipode_vecs); mult
-in the integer form that the products read (HopfData.mult_ints, a
-tensor.IntCells) is made once per multiplication object.  Powers of S,
-S^4 = id and S^2 = Ad(u) compose sparse columns; no dense matrix exists
-outside the dump format (serialize.py).  An element of H is a
-tensor.Vec, the arity-1 sparse tensor, whose nonzeros have the layout
-of one such column; the product of two elements is HopfData.mul_vec,
-on integer numerators, and the maps on elements (antipode_vec,
-antipode_contraction, counit_slants) build their result sparsely.
-Every other product in H here is raw terms summed by the tensor
-constructor, which trusts its indices: validate() refuses any outside.
+for the super case.  S and Delta are linear maps held as tuples of
+columns: antipode[i] is the tensor.Vec S(e_i) and comult[i] the
+tensor.Tensor2 Delta(e_i), and make_hopf normalizes raw structure
+constants into these forms through the one sparse constructor, which
+trusts its indices: validate() refuses any outside.  Every map on
+elements applies such columns with tensor.apply_map on integer
+numerators: S(x) and Delta(x), the powers of S (S^2 once per object,
+HopfData.s2_columns), S^4 = id, S^2 = Ad(u), the contractions
+m(S (x) id)(t) (with m = HopfData.mul_legs), the associativity rows
+and the Hopf-ideal projection.  The product of two elements is
+HopfData.mul_vec, and mult in the integer form that the products read
+(HopfData.mult_ints, a tensor.IntCells) is made once per
+multiplication object.  No dense matrix exists outside the dump format
+(serialize.py).
 
 verify_hopf proves each axiom by exact finite checks and reports the
 first failing witness per axiom instead of raising.
@@ -69,16 +68,17 @@ from .scalars import SC_ONE, SC_ZERO, CycScalar
 from .tensor import (
     Echelon,
     _kernel1,
+    _kernel_legs,
     _product,
+    _unit_legs,
     IntCells,
     SparseRow,
     Tensor2,
     Tensor3,
     Vec,
-    compose_columns,
+    apply_map,
     embed13_23_12,
     flip,
-    is_identity_columns,
     tensor2_mul,
 )
 
@@ -88,8 +88,9 @@ class HopfData:
     """A (super) Hopf algebra given by structure constants.
 
     mult[i][j] lists the nonzero (k, c) with e_i * e_j = sum c * e_k,
-    and antipode[i] the nonzero (j, c) with S(e_i) = sum c * e_j, each
-    in increasing index; comult[i] is the Tensor2 Delta(e_i).
+    in increasing k; antipode[i] is the Vec S(e_i) and comult[i] the
+    Tensor2 Delta(e_i), so S and Delta are tuples of sparse columns,
+    which tensor.apply_map applies.
     """
 
     dim: int
@@ -97,7 +98,7 @@ class HopfData:
     mult: tuple[tuple[SparseRow, ...], ...]
     comult: tuple[Tensor2, ...]
     counit: tuple[CycScalar, ...]
-    antipode: tuple[SparseRow, ...]
+    antipode: tuple[Vec, ...]
     parity: tuple[int, ...]
     super: bool = False
     # the algebra this one shares its algebra facts with (see _algebra_source)
@@ -127,7 +128,7 @@ class HopfData:
         ):
             return "comultiplication shape mismatch"
         if len(self.antipode) != d or any(
-            not 0 <= j < d for col in self.antipode for j, _ in col
+            not isinstance(v, Vec) or v.dim != d for v in self.antipode
         ):
             return "antipode shape mismatch"
         if not self.super and any(self.parity):
@@ -147,6 +148,9 @@ class HopfData:
                     return f"coproduct index ({j},{k}) out of range at {i}"
                 if (par[j] + par[k]) % 2 != par[i]:
                     return f"coproduct parity violation at ({i},{j},{k})"
+            for j, _ in self.antipode[i].nonzeros:
+                if not 0 <= j < d:
+                    return f"antipode index {j} out of range at {i}"
             if par[i] and not self.unit.get(i).is_zero():
                 return "unit supported on odd basis elements"
         if self.counit_vec(self.unit) != SC_ONE:
@@ -161,15 +165,17 @@ class HopfData:
     # --- basic linear maps -------------------------------------------------
 
     @cached_property
-    def antipode_vecs(self) -> tuple[Vec, ...]:
-        """S(e_i) for every i, as the Vec the products in H read; made once
-        per object."""
-        return tuple(Vec(self.dim, col) for col in self.antipode)
+    def s2_columns(self) -> tuple[Vec, ...]:
+        """S^2 as its columns S^2(e_i), composed once per object."""
+        return tuple(apply_map(self.antipode, col) for col in self.antipode)
 
     @cached_property
-    def s2_columns(self) -> tuple[SparseRow, ...]:
-        """S^2 as sparse columns, composed once per object."""
-        return compose_columns(self.antipode, self.antipode)
+    def unit_legs(self) -> tuple[tuple[Tensor2, ...], tuple[Tensor2, ...]]:
+        """The columns of x -> x (x) 1 and of x -> 1 (x) x, which
+        embed13_23_12 applies to insert the unit; made once per algebra
+        (see _algebra_source)."""
+        source = self._algebra_source
+        return _unit_legs(self.unit) if source is self else source.unit_legs
 
     @cached_property
     def mult_ints(self) -> IntCells:
@@ -218,18 +224,17 @@ class HopfData:
     def _spanning_generators(self) -> Optional[tuple[int, ...]]:
         """The greedy S of generators from mult and unit alone, on a well
         formed structure."""
-        mult = self.mult
         span = Echelon()  # V
-        spanned: list[SparseRow] = []  # vectors spanning V
+        spanned: list[Vec] = []  # vectors spanning V
         gens: list[int] = []
         todo: list = []  # (s, v) with e_s v not yet reduced against V
 
-        def push(vec: SparseRow):
-            if span.add(vec) is not None:
+        def push(vec: Vec):
+            if span.add(vec.nonzeros) is not None:
                 spanned.append(vec)
                 todo.extend((s, vec) for s in gens)
 
-        push(self.unit.nonzeros)
+        push(self.unit)
         for i in range(self.dim):
             if len(span) == self.dim:
                 break
@@ -239,7 +244,7 @@ class HopfData:
             todo.extend((i, v) for v in spanned)
             while todo:
                 s, v = todo.pop()
-                push(Vec(self.dim, ((k, a * c) for j, a in v for k, c in mult[s][j])).nonzeros)
+                push(self.mul_vec(Vec.basis(self.dim, s), v))
         return tuple(gens) if len(span) == self.dim else None
 
     @cached_property
@@ -288,7 +293,12 @@ class HopfData:
     def mul_vec(self, x: Vec, y: Vec) -> Vec:
         """The product xy in H, on the integer numerators of x, y and
         mult_ints."""
-        return _product(_kernel1, x, y, self)
+        return _product(_kernel1, (x, y), Vec, self)
+
+    def mul_legs(self, t: Tensor2) -> Vec:
+        """m(t) = sum c e_i e_j for t = sum c e_i (x) e_j, on the integer
+        numerators of t and mult_ints."""
+        return _product(_kernel_legs, (t,), Vec, self)
 
     def counit_vec(self, x: Vec) -> CycScalar:
         acc = SC_ZERO
@@ -297,13 +307,10 @@ class HopfData:
         return acc
 
     def antipode_vec(self, x: Vec) -> Vec:
-        return Vec(self.dim, ((j, a * c) for i, a in x.nonzeros for j, c in self.antipode[i]))
+        return apply_map(self.antipode, x)
 
     def comult_vec(self, x: Vec) -> Tensor2:
-        return Tensor2(
-            self.dim,
-            (((j, k), a * c) for i, a in x.nonzeros for j, k, c in self.comult[i].nonzeros),
-        )
+        return apply_map(self.comult, x)
 
     def same_structure(self, other: "HopfData") -> bool:
         """Exact structure-constant equality in the shared fixed basis."""
@@ -315,9 +322,7 @@ class HopfData:
             for j in range(self.dim):
                 if dict(self.mult[i][j]) != dict(other.mult[i][j]):
                     return False
-            if dict(self.antipode[i]) != dict(other.antipode[i]):
-                return False
-        return self.comult == other.comult
+        return self.antipode == other.antipode and self.comult == other.comult
 
 
 def make_hopf(dim, unit, mult, comult, counit, antipode, parity=None, super=False) -> HopfData:
@@ -326,10 +331,10 @@ def make_hopf(dim, unit, mult, comult, counit, antipode, parity=None, super=Fals
     mult[i][j] and antipode[i] are (k, c) pairs and comult[i] is
     (j, k, c) triples, in any order; every one goes through the sparse
     constructor, which sums a repeated index and drops zeros, so each
-    cell and column is stored in increasing index and Delta(e_i) as its
-    Tensor2.
+    cell is stored in increasing index, S(e_i) as its Vec and Delta(e_i)
+    as its Tensor2.
     """
-    mult, antipode = [tuple(row) for row in mult], (tuple(antipode),)
+    mult = [tuple(row) for row in mult]
     table = _table(dim, mult)
     h = HopfData(
         dim=dim,
@@ -337,7 +342,7 @@ def make_hopf(dim, unit, mult, comult, counit, antipode, parity=None, super=Fals
         mult=_summed_cells(table, mult),
         comult=tuple(Tensor2(dim, (((j, k), c) for j, k, c in entry)) for entry in comult),
         counit=tuple(counit),
-        antipode=_summed_cells(_table(dim, antipode), antipode)[0],
+        antipode=tuple(Vec(dim, col) for col in antipode),
         parity=tuple(parity) if parity is not None else (0,) * dim,
         super=super,
     )
@@ -402,18 +407,7 @@ class AxiomReport:
 def antipode_contraction(h: HopfData, t: Tensor2, leg: int = 0, square: bool = False) -> Vec:
     """m(S (x) id)(t), or m(id (x) S)(t) when leg is 1; S^2 in place of S
     when square is set."""
-    mult, s_cols = h.mult, h.s2_columns if square else h.antipode
-
-    def terms():
-        for i, j, c in t.nonzeros:
-            for s, sc in s_cols[j] if leg else s_cols[i]:
-                cell = mult[i][s] if leg else mult[s][j]
-                if cell:
-                    f = c * sc
-                    for k, m in cell:
-                        yield k, f * m
-
-    return Vec(h.dim, terms())
+    return h.mul_legs(apply_map(h.s2_columns if square else h.antipode, t, leg))
 
 
 def counit_slants(h: HopfData, t: Tensor2) -> tuple[Vec, Vec]:
@@ -476,15 +470,15 @@ def _axiom_scan(h: HopfData, lead: Sequence[int]) -> AxiomReport:
 
 def _associativity_witness(h: HopfData, lead):
     """The least (i, j, k), i in lead, with (e_i e_j) e_k != e_i (e_j e_k), or
-    None; both sides for every k of one (i, j) are one Tensor2 keyed (k, q)."""
-    d, mult = h.dim, h.mult
+    None.  Both sides for every k of one (i, j) are one Tensor2 keyed
+    (k, q), a left multiplication: L_{e_i e_j}, the map L applied to the
+    product e_i e_j, and L_{e_i} o L_{e_j}, x -> e_i x applied to the
+    second leg of L_{e_j} (IntCells.left_multiplication)."""
+    products, left = h.mult_ints.left_multiplication(h.dim)
     for i in lead:
-        row_i = mult[i]
-        for j in range(d):
-            lhs = Tensor2(d, (((k, q), c * c2) for p, c in row_i[j]
-                              for k, cell in enumerate(mult[p]) for q, c2 in cell))
-            rhs = Tensor2(d, (((k, q), c * c2) for k, cell in enumerate(mult[j])
-                              for p, c in cell for q, c2 in row_i[p]))
+        for j in range(h.dim):
+            lhs = apply_map(left, products[i][j])
+            rhs = apply_map(products[i], left[j], 1)
             if lhs != rhs:
                 return (i, j, (lhs - rhs).nonzeros[0][0])
     return None
@@ -566,17 +560,13 @@ def dual_hopf(h: HopfData) -> HopfData:
             for t, c in h.mult[i][j]:
                 coef = -c if (h.super and par[i] and par[j]) else c
                 comult_d[t].append((i, j, coef))
-    antipode_d = [[] for _ in range(d)]
-    for i, col in enumerate(h.antipode):
-        for j, c in col:
-            antipode_d[j].append((i, c))
     return make_hopf(
         dim=d,
         unit=Vec.from_entries(h.counit),
         mult=tuple(tuple(tuple(cell) for cell in row) for row in mult_d),
         comult=tuple(tuple(entry) for entry in comult_d),
         counit=h.unit.entries,
-        antipode=antipode_d,
+        antipode=[[(i, col.get(j)) for i, col in enumerate(h.antipode)] for j in range(d)],
         parity=par,
         super=h.super,
     )
@@ -638,20 +628,14 @@ def subspace_is_hopf_ideal(h: HopfData, basis: Sequence[Vec]) -> bool:
         if span.reduce(h.antipode_vec(r).nonzeros):
             return False
     # pi(e_f) = e_f; row = e_p + sum_f row[f] e_f lies in I, so pi(e_p) = -sum_f row[f] e_f
-    proj = {f: ((f, SC_ONE),) for f in range(h.dim) if f not in span.rows}
-    for p, row in span.rows.items():
-        proj[p] = tuple((f, -c) for f, c in row.items() if f != p)
+    proj = tuple(
+        Vec(h.dim, ((f, -c) for f, c in span.rows[a].items() if f != a))
+        if a in span.rows
+        else Vec.basis(h.dim, a)
+        for a in range(h.dim)
+    )
     for r in basis:
-        image = Tensor2(
-            h.dim,
-            (
-                ((a, b), c * x * y)
-                for j, k, c in h.comult_vec(r).nonzeros
-                for a, x in proj[j]
-                for b, y in proj[k]
-            ),
-        )
-        if image.nonzeros:
+        if apply_map(proj, apply_map(proj, h.comult_vec(r), 0), 1).nonzeros:
             return False
     return True
 
@@ -664,13 +648,14 @@ def is_chevalley(h: HopfData) -> bool:
 def antipode_order(h: HopfData, bound: int = 16) -> int:
     """Least k >= 1 with S**k = id; OrderNotFound past the bound.
 
-    The powers compose sparse columns; S^2 is the cached
-    HopfData.s2_columns."""
+    The powers are tuples of columns, S^(k+1)(e_i) = S(S^k(e_i)) by
+    apply_map; S^2 is the cached HopfData.s2_columns."""
+    identity = tuple(Vec.basis(h.dim, i) for i in range(h.dim))
     power = h.antipode
     for k in range(1, bound + 1):
-        if is_identity_columns(power):
+        if power == identity:
             return k
-        power = h.s2_columns if k == 1 else compose_columns(h.antipode, power)
+        power = h.s2_columns if k == 1 else tuple(apply_map(h.antipode, col) for col in power)
     raise OrderNotFound(f"antipode order exceeds bound {bound}")
 
 

@@ -26,7 +26,7 @@ from .errors import ShapeError
 from .groups import Bicharacter, FiniteGroup, GroupRep
 from .hopf import HopfData, make_hopf
 from .scalars import CycScalar
-from .tensor import Tensor2, Vec, columns_from_rows, rows_from_columns
+from .tensor import Tensor2, Vec
 
 
 def scalar_to_obj(c: CycScalar):
@@ -75,7 +75,7 @@ def _hopf_obj(h: HopfData, mult):
     comult = []
     for i in range(h.dim):
         comult.append([[j, k, scalar_to_obj(c)] for j, k, c in h.comult[i].nonzeros])
-    antipode = [[scalar_to_obj(c) for c in row] for row in rows_from_columns(h.antipode)]
+    antipode = [[scalar_to_obj(c) for c in row] for row in zip(*(v.entries for v in h.antipode))]
     return {
         "dim": h.dim,
         "super": h.super,
@@ -147,7 +147,7 @@ def hopf_from_obj(obj) -> HopfData:
         mult=tuple(tuple(tuple(cell) for cell in row) for row in mult),
         comult=tuple(comult),
         counit=tuple(scalar_from_obj(c) for c in obj["counit"]),
-        antipode=columns_from_rows(antipode),
+        antipode=[tuple(enumerate(col)) for col in zip(*antipode)],
         parity=tuple(obj["parity"]),
         super=obj["super"],
     )

@@ -11,12 +11,16 @@ numerator divided out.  So equality and the dumped bytes do not depend
 on the path that made a tensor.  There is one sparse sum (_sum_ints):
 the constructor hands it (key, CycScalar) terms converted to integers
 over their common order and denominator, and sum, difference,
-negation, scaling, flip and the embeddings into H (x) H (x) H hand it
-integer terms.  A product in H, an exterior expansion in Lambda(V), a
-composed column and a twist's partial sum are given to the constructor
-as raw (key, coefficient) terms.
+negation, scaling, flip and every linear map hand it integer terms.
 
-The three products, HopfData.mul_vec, tensor2_mul and tensor3_mul,
+A linear map is a tuple of columns, cols[k] the image of e_k: Vecs for
+a map into H (the antipode S, S^2, rho(g) of a representation, the
+vectors Y of a septuple), Tensor2s for a map into H (x) H (the
+coproduct Delta, x -> x (x) 1).  apply_map applies one to one leg of a
+Vec, Tensor2 or Tensor3 on integer numerators, so composing maps,
+Delta(x), (S (x) id)(t) and the embeddings into H (x) H (x) H
+(embed13_23_12) are one function.  The products HopfData.mul_vec,
+HopfData.mul_legs (m(t) for t in H (x) H), tensor2_mul and tensor3_mul
 run one integer kernel each on the numerators and on the host's mult
 in the same integer form (IntCells, made once per multiplication object
 as HopfData.mult_ints), with Koszul signs when the host is a
@@ -25,25 +29,17 @@ operands and the table are split by powers of zeta_N, and the kernel's
 results are shifted by their power and reduced mod Phi_N with the
 scalar kernel's own root_of_unity and _embed.  A coefficient becomes a
 CycScalar only when nonzeros or get reads it, so CycScalar is the one
-scalar type at every interface (Echelon, serialize, the
-builders).
+scalar type at every interface (Echelon, serialize, the builders).
 
 The key of a Vec is its plain basis index, so Vec.nonzeros is a
-SparseRow, the layout of a column of a linear map: (a, c) pairs in
-increasing a.  A linear map (the antipode of a HopfData, the matrix
-rho(g) of a representation) is held as those sparse columns;
-compose_columns and is_identity_columns act on them, and
-columns_from_rows and rows_from_columns convert to and from the dense
-rows of the dump format.  Dense forms exist only there: a matrix as
-rows, a vector as Vec.from_entries and Vec.entries.  Every elimination
-goes through one sparse reduced row echelon basis, Echelon, with one
-field inverse per pivot: rank, kernel and solution of a linear system,
-span membership, the generating set and radical of a Hopf algebra, and
-the minimal polynomial behind an inverse in H (x) H.  An element of
-H (x) H is a Tensor2 at every interface, the coproduct
-Delta(e_i) = HopfData.comult[i] included.  An inverse in H (x) H is a
-polynomial in the element, read off its minimal polynomial, so it needs
-no linear system over H (x) H.
+SparseRow: (a, c) pairs in increasing a.  Dense forms exist only in the
+dump format, a vector or a column as Vec.from_entries and Vec.entries.
+Every elimination goes through one sparse reduced row echelon basis,
+Echelon, with one field inverse per pivot: rank, kernel and solution of
+a linear system, span membership, the generating set and radical of a
+Hopf algebra, and the minimal polynomial behind an inverse in
+H (x) H, which is a polynomial in the element, so it needs no linear
+system over H (x) H.
 """
 
 from __future__ import annotations
@@ -70,42 +66,9 @@ from .scalars import (
 if TYPE_CHECKING:  # pragma: no cover
     from .hopf import HopfData
 
-
-# ---------------------------------------------------------------------------
-# linear maps as sparse columns
-
+# the nonzeros of a Vec, and a cell of HopfData.mult: (index, coefficient)
+# pairs in increasing index
 SparseRow = tuple[tuple[int, CycScalar], ...]
-
-
-def compose_columns(outer, inner) -> tuple[SparseRow, ...]:
-    """Sparse columns of the linear map outer o inner, each map given by
-    its sparse columns (as HopfData.antipode); outer is square, as S and
-    rho(g) are, while inner may map from another dimension."""
-    return tuple(
-        Vec(len(outer), ((k, c * w) for t, c in col for k, w in outer[t])).nonzeros
-        for col in inner
-    )
-
-
-def columns_from_rows(rows) -> tuple[SparseRow, ...]:
-    """Sparse columns of the square matrix given by its rows."""
-    return tuple(
-        tuple((a, c) for a, row in enumerate(rows) if not (c := row[b]).is_zero())
-        for b in range(len(rows))
-    )
-
-
-def rows_from_columns(cols) -> list[list[CycScalar]]:
-    """Rows of the square matrix given by its sparse columns, zeros filled in."""
-    dicts = [dict(col) for col in cols]
-    return [[col.get(a, SC_ZERO) for col in dicts] for a in range(len(cols))]
-
-
-def is_identity_columns(cols) -> bool:
-    """True when the sparse columns are those of the identity map."""
-    return all(
-        len(col) == 1 and col[0][0] == i and col[0][1] == SC_ONE for i, col in enumerate(cols)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +237,24 @@ class IntCells:
         shared: dict = {}  # one object per distinct cell
         self.rows = tuple(tuple(shared.setdefault(c, c) for c in map(tuple, row)) for row in cells)
         self._parts: dict = {}
+
+    def left_multiplication(self, dim: int) -> tuple[tuple["Vec", ...], tuple["Tensor2", ...]]:
+        """(P, L) for the table of an algebra of dimension dim: P[i][j] the
+        Vec e_i e_j, so P[i] holds the columns of x -> e_i x, and L[i] that
+        map as a Tensor2 keyed (j, k), so L holds the columns of the map
+        x -> (left multiplication by x) from H to H (x) H."""
+        order, den = self.order, self.den
+        products = tuple(
+            tuple(Vec._of(dim, *_canonical(order, den, dict(cell))) for cell in row)
+            for row in self.rows
+        )
+        left = tuple(
+            Tensor2._of(dim, *_canonical(
+                order, den, {(j, k): v for j, cell in enumerate(row) for k, v in cell}
+            ))
+            for row in self.rows
+        )
+        return products, left
 
     def components(self, order: int) -> list:
         """[(r, rows_r)]: the table at order, a multiple of self.order,
@@ -473,7 +454,10 @@ class Vec(_SparseTensor):
     @property
     def entries(self) -> tuple[CycScalar, ...]:
         """The dense coefficients, zeros filled in."""
-        return tuple(self.get(i) for i in range(self.dim))
+        out = [SC_ZERO] * self.dim
+        for i, c in self.nonzeros:
+            out[i] = c
+        return tuple(out)
 
     @property
     def nonzeros(self) -> SparseRow:
@@ -502,43 +486,57 @@ class Tensor3(_SparseTensor):
     arity = 3
 
 
+_ARITY = {1: Vec, 2: Tensor2, 3: Tensor3}
+
+
 # ---------------------------------------------------------------------------
 # products through the host's structure table, on integers
 
-def _product(kernel, a, b, host: "HopfData"):
-    """a b in the tensor power of H that a lies in, by an integer
-    kernel(numerators of a, of b, one table per tensor leg, parity).
+def _product(kernel, operands, cls, host: "HopfData"):
+    """The element of cls that an integer kernel(numerators of each
+    operand, one table per leg of cls, parity) computes from the
+    operands, each over the host's dimension, and the host's table.
 
-    At order 1 that is one kernel call.  At an order N > 1, a, b and the
-    host's table are split by powers of zeta_N (_components), the kernel
-    runs once per choice of a nonempty component of a, of b and of the
-    table on each leg, and each result joins the sum shifted by its power
-    of zeta_N, reduced mod Phi_N (_power).
+    At order 1 that is one kernel call.  At an order N > 1, the operands
+    and the table are split by powers of zeta_N (_components), the kernel
+    runs once per choice of a nonempty component of each operand and of
+    the table on each leg, and each result joins the sum shifted by its
+    power of zeta_N, reduced mod Phi_N (_power).
     """
-    if a.dim != b.dim or a.dim != host.dim:
-        raise ShapeError("tensor/host dimension mismatch")
-    cls, cells = type(a), host.mult_ints
+    cells, dim, n = host.mult_ints, host.dim, len(operands)
+    order, den, nums = cells.order, cells.den ** cls.arity, []
+    for t in operands:
+        if t.dim != dim:
+            raise ShapeError("tensor/host dimension mismatch")
+        order, den = lcm(order, t.order), den * t.den
+        nums.append(t._num)
     parity = host.parity if host.super else None
-    den = a.den * b.den * cells.den ** cls.arity
-    order = lcm(a.order, b.order, cells.order)
     if order == 1:
-        tables = (cells.rows,) * cls.arity
-        return cls._of(a.dim, *_canonical(1, den, kernel(a._num, b._num, tables, parity)))
+        return cls._of(dim, *_canonical(1, den, kernel(*nums, (cells.rows,) * cls.arity, parity)))
     phi = euler_phi(order)
-    right = _components(b, order)
-    legs = list(product(cells.components(order), repeat=cls.arity))
+    parts = [_components(t, order) for t in operands] + [cells.components(order)] * cls.arity
     out: dict = {}
-    for s, x in _components(a, order):
-        for t, y in right:
-            for leg in legs:
-                power = _power(order, s + t + sum(r for r, _ in leg))
-                for key, v in kernel(x, y, tuple(rows for _, rows in leg), parity).items():
-                    acc = out.get(key)
-                    if acc is None:
-                        acc = out[key] = [0] * phi
-                    for e, w in power:
-                        acc[e] += v * w
-    return cls._of(a.dim, *_canonical(order, den, out))
+    for choice in product(*parts):
+        power = _power(order, sum(s for s, _ in choice))
+        picked = [x for _, x in choice]
+        for key, v in kernel(*picked[:n], tuple(picked[n:]), parity).items():
+            acc = out.get(key)
+            if acc is None:
+                acc = out[key] = [0] * phi
+            for e, w in power:
+                acc[e] += v * w
+    return cls._of(dim, *_canonical(order, den, out))
+
+
+def _kernel_legs(x: dict, tables, parity) -> dict:
+    """m(t): the legs of each term of t multiplied, sum c e_i e_j."""
+    (rows,) = tables
+    coef: dict = {}
+    get = coef.get
+    for (i, j), a in x.items():
+        for k, c in rows[i][j]:
+            coef[k] = get(k, 0) + a * c
+    return coef
 
 
 def _kernel1(x: dict, y: dict, tables, parity) -> dict:
@@ -612,11 +610,11 @@ def tensor2_mul(a: Tensor2, b: Tensor2, host: "HopfData") -> Tensor2:
     Componentwise through the host structure tensor; when the host is
     super the Koszul sign (-1)**(|a2||b1|) applies per term.
     """
-    return _product(_kernel2, a, b, host)
+    return _product(_kernel2, (a, b), Tensor2, host)
 
 
 def tensor3_mul(a: Tensor3, b: Tensor3, host: "HopfData") -> Tensor3:
-    return _product(_kernel3, a, b, host)
+    return _product(_kernel3, (a, b), Tensor3, host)
 
 
 def flip(a: Tensor2, host: Optional["HopfData"] = None) -> Tensor2:
@@ -635,45 +633,79 @@ def unit_tensor2(host: "HopfData") -> Tensor2:
     return Tensor2.outer(host.unit, host.unit)
 
 
-# pattern -> the Tensor3 key of a's key (i, j) and the inserted key s
-_PLACE = {
-    "12": lambda i, j, s: (i, j, s),
-    "13": lambda i, j, s: (i, s, j),
-    "23": lambda i, j, s: (s, i, j),
-    "delta_id": lambda i, j, s: s + (j,),
-    "id_delta": lambda i, j, s: (i,) + s,
-}
+# ---------------------------------------------------------------------------
+# linear maps as tuples of sparse columns
+
+def apply_map(cols, t, leg: int = 0):
+    """The linear map with columns cols applied to leg `leg` of t.
+
+    cols[k] is the image of e_k, all of one arity and dimension: Vecs for
+    a map into H (S, S^2, rho(g), Y: k^m -> W), Tensor2s for a map into
+    H (x) H (Delta, x -> x (x) 1).  Each key of t has its index k on that
+    leg replaced by the keys of cols[k], so the result has arity
+    t.arity - 1 + cols[0].arity and lies over the columns' dimension.
+    The columns that t reads are lifted to one order and one denominator
+    with t, and their numerators multiplied with t's in one sparse sum.
+    """
+    arity = t.arity
+    if not 0 <= leg < arity:
+        raise ShapeError(f"no leg {leg} in a tensor of arity {arity}")
+    used = {k: cols[k] for k in (t._num if arity == 1 else {key[leg] for key in t._num})}
+    order, den = t.order, 1
+    for c in used.values():
+        order, den = lcm(order, c.order), lcm(den, c.den)
+    lifted = {k: _lift(c, order, den // c.den).items() for k, c in used.items()}
+    times = mul if order == 1 else (lambda u, v: _mul_nums(u, v, order))
+    num = _lift(t, order).items()
+    if arity == 1:
+        terms = ((s, times(c, w)) for k, c in num for s, w in lifted[k])
+    elif cols[0].arity == 1:
+        terms = (
+            (key[:leg] + (s,) + key[leg + 1:], times(c, w))
+            for key, c in num
+            for s, w in lifted[key[leg]]
+        )
+    else:
+        terms = (
+            (key[:leg] + s + key[leg + 1:], times(c, w))
+            for key, c in num
+            for s, w in lifted[key[leg]]
+        )
+    cls = _ARITY[arity - 1 + cols[0].arity]
+    return cls._of(cols[0].dim, *_sum_ints(order, t.den * den, terms))
+
+
+def _unit_legs(unit: Vec) -> tuple[tuple[Tensor2, ...], tuple[Tensor2, ...]]:
+    """The columns e_i (x) 1 of x -> x (x) 1 and 1 (x) e_i of x -> 1 (x) x,
+    each with the unit's own canonical fields."""
+    d, order, den, num = unit.dim, unit.order, unit.den, unit._num
+    right = tuple(Tensor2._of(d, order, den, {(i, k): v for k, v in num.items()}) for i in range(d))
+    left = tuple(Tensor2._of(d, order, den, {(k, i): v for k, v in num.items()}) for i in range(d))
+    return right, left
 
 
 def embed13_23_12(a: Tensor2, pattern: str, host: "HopfData") -> Tensor3:
     """Canonical image of a tensor square inside H (x) H (x) H.
 
-    Patterns: "12", "13", "23" insert the unit into the remaining slot;
-    "delta_id" applies comultiplication to the first factor, "id_delta"
-    to the second.
+    Patterns: "12", "13", "23" insert the unit into the remaining slot,
+    by x -> x (x) 1 on the second or first leg or x -> 1 (x) x on the
+    first; "delta_id" applies comultiplication to the first factor,
+    "id_delta" to the second.
     """
     if a.dim != host.dim:
         raise ShapeError("tensor/host dimension mismatch")
-    place = _PLACE.get(pattern)
-    if place is None:
+    right, left = host.unit_legs
+    maps = {
+        "12": (right, 1),
+        "13": (right, 0),
+        "23": (left, 0),
+        "delta_id": (host.comult, 0),
+        "id_delta": (host.comult, 1),
+    }
+    if pattern not in maps:
         raise ShapeError(f"unknown slot pattern {pattern!r}")
-    if pattern == "delta_id":
-        inserted = {key: host.comult[key[0]] for key in a._num}
-    elif pattern == "id_delta":
-        inserted = {key: host.comult[key[1]] for key in a._num}
-    else:
-        inserted = dict.fromkeys(a._num, host.unit)
-    parts = {id(t): t for t in inserted.values()}
-    order = lcm(a.order, *(t.order for t in parts.values()))
-    den = lcm(1, *(t.den for t in parts.values()))
-    lifted = {i: _lift(t, order, den // t.den).items() for i, t in parts.items()}
-    times = mul if order == 1 else (lambda u, v: _mul_nums(u, v, order))
-    terms = (
-        (place(i, j, s), times(c, w))
-        for (i, j), c in _lift(a, order).items()
-        for s, w in lifted[id(inserted[i, j])]
-    )
-    return Tensor3._of(a.dim, *_sum_ints(order, a.den * den, terms))
+    cols, leg = maps[pattern]
+    return apply_map(cols, a, leg)
 
 
 def tensor2_inv(a: Tensor2, host: "HopfData") -> Tensor2:

@@ -4,7 +4,8 @@ Elements of H are dense lists of coefficients here, and every product
 e_i e_j is read from h.mult into such a list (_basis_product,
 dense_product); the oracles call no product of the library and do no
 arithmetic on its vector type, whose values they read only as dense
-coefficients (_entries).  The radical oracle computes the maximal nilpotent ideal
+coefficients (_entries) or, for the columns of a linear map, as
+nonzeros (expand_map).  The radical oracle computes the maximal nilpotent ideal
 reachable from a sweep of candidate generators: for each candidate x it
 builds the two-sided principal ideal of x by closure under basis
 multiplication and keeps it when the ideal is nilpotent (every
@@ -253,6 +254,27 @@ def expand_embedding(h, a, pattern):
     return _drop_zeros(out)
 
 
+def expand_map(cols, a, leg):
+    """A linear map applied to one leg of the tensor whose coefficients are
+    a (keys are index tuples, (i,) for an element of H): cols[k] is the
+    image of e_k, read through its nonzeros, whose indices replace k on
+    that leg, one term at a time."""
+    out = {}
+    for key, c in a.items():
+        for entry in cols[key[leg]].nonzeros:
+            _add(out, key[:leg] + tuple(entry[:-1]) + key[leg + 1:], c * entry[-1])
+    return _drop_zeros(out)
+
+
+def expand_legs(h, a):
+    """m(t) = sum c e_i e_j for the tensor square with coefficients a, keyed (k,)."""
+    out = {}
+    for (i, j), c in a.items():
+        for k, w in _basis_product(h, i, j):
+            _add(out, (k,), c * w)
+    return _drop_zeros(out)
+
+
 def expand_flip(h, a):
     """The factors of a tensor square swapped, Koszul-signed when h is super."""
     odd = h.parity if h.super else [0] * h.dim
@@ -385,7 +407,7 @@ def dense_antipode(h):
     out from the sparse columns of HopfData.antipode."""
     s = [[SC_ZERO] * h.dim for _ in range(h.dim)]
     for i, col in enumerate(h.antipode):
-        for j, c in col:
+        for j, c in col.nonzeros:
             s[j][i] = c
     return s
 

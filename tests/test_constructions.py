@@ -120,7 +120,7 @@ def test_group_algebra_trivial():
 def test_group_algebra_z2(z2):
     h = group_algebra(z2)
     assert h.dim == 2
-    assert h.antipode == (((0, ONE),), ((1, ONE),))
+    assert tuple(v.nonzeros for v in h.antipode) == (((0, ONE),), ((1, ONE),))
 
 
 def test_group_algebra_s3():
@@ -217,7 +217,7 @@ def test_supergroup_trivial_group_is_exterior(z2):
     ext = exterior_algebra(2)
     assert all(big.mult[i][j] == ext.mult[i][j] for i in range(4) for j in range(4))
     assert all(big.comult[i].nonzeros == ext.comult[i].nonzeros for i in range(4))
-    assert all(big.antipode[i] == ext.antipode[i] for i in range(4))
+    assert all(big.antipode[i].nonzeros == ext.antipode[i].nonzeros for i in range(4))
     assert big.counit[:4] == ext.counit and big.parity[:4] == ext.parity
 
 
@@ -264,7 +264,7 @@ def test_sweedler_hand_table(sweedler):
         assert h.comult[i] == Tensor2.from_dict(4, cell), i
     assert list(h.counit) == [one, ZERO, one, ZERO]
     # S(1) = 1, S(x) = -gx, S(g) = g, S(gx) = x
-    assert h.antipode == (((0, one),), ((3, -one),), ((2, one),), ((1, one),))
+    assert tuple(v.nonzeros for v in h.antipode) == (((0, one),), ((3, -one),), ((2, one),), ((1, one),))
     assert h.unit == Vec.basis(4, 0)
     assert not h.super and h.parity == (0, 0, 0, 0)
 
@@ -374,7 +374,7 @@ def test_quarter_turn_modification_mixes_the_generators():
     g, w, u = z4_quarter_turn()
     h, _ = modified_supergroup_algebra(g, w, u)
     assert h.comult[1] == Tensor2.from_dict(16, {(1, 0): ONE, (8, 1): ONE})
-    assert h.antipode[1] == ((9, -ONE),)
+    assert h.antipode[1].nonzeros == ((9, -ONE),)
     t, x = Vec.basis(16, 4), Vec.basis(16, 1)
     assert h.mul_vec(t, x) == h.mul_vec(Vec.basis(16, 2), t)
 

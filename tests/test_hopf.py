@@ -21,18 +21,16 @@ from trihopf.hopf import (
     algebra_inverse,
     antipode_contraction,
     antipode_order,
-    compose_columns,
     dual_hopf,
     is_chevalley,
     is_cocommutative,
-    is_identity_columns,
     is_semisimple,
     jacobson_radical,
     make_hopf,
     verify_hopf,
 )
 from trihopf.scalars import CycScalar, root_of_unity
-from trihopf.tensor import Tensor2, Vec, unit_tensor2
+from trihopf.tensor import Tensor2, Vec, apply_map, unit_tensor2
 from trihopf.triangular import check_structure_theorems
 
 from _oracles import (
@@ -86,7 +84,7 @@ def test_sweedler_verifies(sweedler):
 
 def test_broken_antipode_reports_witness():
     h = group_algebra(FiniteGroup.cyclic(2))
-    broken = h.replace(antipode=((),) * 2)
+    broken = h.replace(antipode=(Vec(2, ()),) * 2)
     report = verify_hopf(broken)
     assert not report.antipode
     assert report.associativity and report.coassociativity
@@ -129,17 +127,33 @@ def test_a_coproduct_entry_that_is_no_tensor_of_h_is_malformed(sweedler):
         ("comult", (((0, 0, ONE), (0, 1, ONE)),)),
         ("comult", (((0, 0, ONE), (0, -1, ONE)),)),
         ("comult", (((0, 0, ONE), (-1, 0, ONE)),)),
+        ("antipode", (((0, ONE), (1, ONE)),)),
+        ("antipode", (((0, ONE), (-1, ONE)),)),
     ],
     ids=["mult_past_the_end", "mult_negative", "comult_past_the_end",
-         "comult_negative_right", "comult_negative_left"],
+         "comult_negative_right", "comult_negative_left", "antipode_past_the_end",
+         "antipode_negative"],
 )
 def test_an_out_of_range_structure_index_is_malformed(part, table):
     # the field k (dim 1) with one stray index; make_hopf sums raw terms
     # with a constructor that trusts its indices, so the structural check
-    # refuses each index outside 0..dim-1
-    tables = {"mult": ((((0, ONE),),),), "comult": (((0, 0, ONE),),), part: table}
-    with pytest.raises(ShapeError, match="out of range"):
-        make_hopf(dim=1, unit=[ONE], counit=[ONE], antipode=(((0, ONE),),), **tables)
+    # refuses each index outside 0..dim-1 and names it
+    tables = {
+        "mult": ((((0, ONE),),),),
+        "comult": (((0, 0, ONE),),),
+        "antipode": (((0, ONE),),),
+        part: table,
+    }
+    named = {"mult": "product", "comult": "coproduct", "antipode": "antipode"}[part]
+    with pytest.raises(ShapeError, match=f"^{named} index .* out of range at"):
+        make_hopf(dim=1, unit=[ONE], counit=[ONE], **tables)
+
+
+def test_an_antipode_column_over_another_dimension_is_malformed(sweedler):
+    columns = sweedler.antipode[:1] + (Vec.basis(5, 1),) + sweedler.antipode[2:]
+    for antipode in (columns, sweedler.antipode[:3], tuple(v.nonzeros for v in sweedler.antipode)):
+        with pytest.raises(ShapeError, match="antipode shape mismatch"):
+            sweedler.replace(antipode=antipode).validate()
 
 
 def test_corrupt_coproduct_witnesses_sweedler(sweedler):
@@ -282,7 +296,7 @@ def test_verify_hopf_scans_generators_only(monkeypatch):
     assert verify_hopf(h).ok
     assert calls == [(1, 2, 4)]
     calls.clear()
-    broken = h.replace(antipode=((),) * 8)
+    broken = h.replace(antipode=(Vec(8, ()),) * 8)
     assert verify_hopf(broken).witnesses == {"antipode": (0,)}
     assert calls == [(1, 2, 4), tuple(range(8))]  # the witness comes from the full scan
 
@@ -405,7 +419,7 @@ def test_verify_hopf_matches_exhaustive_scan(name, data):
 def test_verify_hopf_matches_exhaustive_scan_on_fixed_inputs(sweedler, sg_z2_sign):
     hosts = [sweedler, sg_z2_sign, exterior_algebra(2), dual_hopf(group_algebra(FiniteGroup.cyclic(3)))]
     z2 = group_algebra(FiniteGroup.cyclic(2))
-    hosts.append(z2.replace(antipode=((),) * 2))
+    hosts.append(z2.replace(antipode=(Vec(2, ()),) * 2))
     mult = [list(row) for row in z2.mult]
     mult[0][1] = ()
     hosts.append(z2.replace(mult=tuple(tuple(row) for row in mult)))
@@ -563,9 +577,19 @@ def test_antipode_orders(sweedler):
 def test_antipode_order_bound():
     h = group_algebra(FiniteGroup.cyclic(3))
     # scaled antipode never returns to the identity
-    twisted = h.replace(antipode=tuple(tuple((j, c + c) for j, c in col) for col in h.antipode))
+    twisted = h.replace(antipode=tuple(col + col for col in h.antipode))
     with pytest.raises(OrderNotFound):
         antipode_order(twisted, bound=8)
+
+
+def _nonzeros(cols):
+    """The nonzeros of each column of a linear map, to compare with dense_columns."""
+    return tuple(v.nonzeros for v in cols)
+
+
+def _vec_columns(rows):
+    """The columns of the n x m matrix given by its rows, as Vecs over n."""
+    return tuple(Vec(len(rows), col) for col in dense_columns(rows))
 
 
 def test_sparse_antipode_powers_match_the_dense_oracle_on_atlas9():
@@ -579,11 +603,13 @@ def test_sparse_antipode_powers_match_the_dense_oracle_on_atlas9():
             order = dense_antipode_order(powers)
             assert order is not None and antipode_order(host) == order
             orders.append(order)
-            assert host.antipode == dense_columns(powers[1])
-            assert host.s2_columns == dense_columns(powers[2])
-            assert compose_columns(host.s2_columns, host.s2_columns) == dense_columns(powers[4])
-            assert is_identity_columns(dense_columns(powers[order]))
-            assert not any(is_identity_columns(dense_columns(p)) for p in powers[1:order])
+            assert _nonzeros(host.antipode) == dense_columns(powers[1])
+            assert _nonzeros(host.s2_columns) == dense_columns(powers[2])
+            s4 = tuple(apply_map(host.s2_columns, col) for col in host.s2_columns)
+            assert _nonzeros(s4) == dense_columns(powers[4])
+            identity = _vec_columns(powers[0])
+            assert _vec_columns(powers[order]) == identity
+            assert not any(_vec_columns(p) == identity for p in powers[1:order])
         assert check_structure_theorems(h, r).s4_is_id
     assert len(orders) == 2 * 119 and set(orders) == {1, 2, 4}
 
@@ -655,13 +681,25 @@ _ZETA3 = root_of_unity(3, 1)
 _CANCELLING = st.sampled_from([ZERO] + [e * _ZETA3**k for e in (ONE, -ONE) for k in range(3)])
 
 
+_ZETA8 = root_of_unity(8, 1)
+# rationals times powers of zeta_8
+_CYC8_SCALARS = st.builds(
+    lambda n, den, k: CycScalar.from_rational(n, den) * _ZETA8**k,
+    st.integers(-3, 3),
+    st.integers(1, 3),
+    st.integers(0, 7),
+)
+
+
 @st.composite
 def _outer_inner(draw):
-    """A square outer map (as rho(x) or S) and an n x m inner map (as the
-    Y columns of a septuple), as dense rows."""
-    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    entry = st.one_of(_CANCELLING, _CYC3_SCALARS)
-    return tuple([[draw(entry) for _ in range(cols)] for _ in range(n)] for cols in (n, m))
+    """An outer map k^n -> k^p (as rho(x), S, or the Y columns of a
+    septuple) and an n x m inner map, as dense rows; the entries are
+    rational, in Q(zeta_3) or in Q(zeta_8), and some sums cancel."""
+    p, n, m = (draw(st.integers(1, 4)) for _ in range(3))
+    entry = st.one_of(_CANCELLING, _CYC3_SCALARS, _CYC8_SCALARS)
+    return tuple([[draw(entry) for _ in range(cols)] for _ in range(rows)]
+                 for rows, cols in ((p, n), (n, m)))
 
 
 @given(_outer_inner())
@@ -671,21 +709,30 @@ def _outer_inner(draw):
 )
 @settings(max_examples=60, deadline=None)
 def test_compose_columns_matches_the_dense_product(maps):
+    # outer o inner column by column, and outer applied to either leg of
+    # inner read as a tensor: keyed (t, b) on leg 0, transposed on leg 1
     outer, inner = maps
-    n, m = len(inner), len(inner[0])
+    p, n, m = len(outer), len(inner), len(inner[0])
     product = [
         [sum((outer[a][t] * inner[t][b] for t in range(n)), ZERO) for b in range(m)]
-        for a in range(n)
+        for a in range(p)
     ]
-    assert compose_columns(dense_columns(outer), dense_columns(inner)) == dense_columns(product)
+    cols = _vec_columns(outer)
+    assert tuple(apply_map(cols, col) for col in _vec_columns(inner)) == _vec_columns(product)
+    dim = max(n, m)
+    entries = [(t, b, inner[t][b]) for t in range(n) for b in range(m)]
+    on_left = apply_map(cols, Tensor2(dim, [((t, b), c) for t, b, c in entries]), 0)
+    on_right = apply_map(cols, Tensor2(dim, [((b, t), c) for t, b, c in entries]), 1)
+    assert on_left == Tensor2(p, [((a, b), product[a][b]) for a in range(p) for b in range(m)])
+    assert on_right == Tensor2(p, [((b, a), product[a][b]) for a in range(p) for b in range(m)])
 
 
 @pytest.mark.parametrize("name", _PRODUCT_HOSTS)
 def test_an_antipode_column_is_the_image_of_a_basis_vector(name):
     h = _product_host(name)
     for i in range(h.dim):
-        assert Vec(h.dim, h.antipode[i]) == h.antipode_vec(Vec.basis(h.dim, i))
-        assert h.antipode_vec(Vec.basis(h.dim, i)).nonzeros == h.antipode[i]
+        assert h.antipode[i] == h.antipode_vec(Vec.basis(h.dim, i))
+        assert h.antipode_vec(Vec.basis(h.dim, i)).nonzeros == h.antipode[i].nonzeros
 
 
 def test_algebra_inverse(sweedler):

@@ -30,7 +30,7 @@ from trihopf.serialize import (
     tensor2_from_obj,
     tensor2_to_obj,
 )
-from trihopf.tensor import Tensor2
+from trihopf.tensor import Tensor2, Vec
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -289,7 +289,7 @@ def test_hopf_dumps_keeps_one_mult_text_per_multiplication():
 
 def test_dumps_matches_the_stdlib_writer_on_reports():
     h = group_algebra(FiniteGroup.cyclic(2))
-    axioms = verify_hopf(h.replace(antipode=((),) * 2)).to_obj()
+    axioms = verify_hopf(h.replace(antipode=(Vec(2, ()),) * 2)).to_obj()
     assert axioms["witnesses"] == {"antipode": [0]}
     z2 = FiniteGroup.cyclic(2)
     sign = GroupRep.from_sign_characters(z2, [(1, -1)])

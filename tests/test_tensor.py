@@ -3,20 +3,26 @@
 import functools
 import json
 import random
+import sys
 from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trihopf import hopf
 from trihopf.constructions import (
+    Septuple,
+    apply_twist,
     build_bicharacter_twist,
     group_algebra,
     modified_supergroup_algebra,
     supergroup_algebra,
+    validate_septuple,
 )
 from trihopf.errors import NotInvertible, ShapeError
-from trihopf.hopf import make_hopf
+from trihopf.hopf import antipode_contraction, antipode_order, make_hopf
 from trihopf.groups import (
+    AbelianSubgroup,
     Bicharacter,
     FiniteGroup,
     GroupRep,
@@ -30,6 +36,7 @@ from trihopf.tensor import (
     Tensor2,
     Tensor3,
     Vec,
+    apply_map,
     embed13_23_12,
     flip,
     tensor2_inv,
@@ -42,6 +49,8 @@ from _oracles import (
     dense_product,
     expand_embedding,
     expand_flip,
+    expand_legs,
+    expand_map,
     expand_product,
     expand_sum,
     rank,
@@ -498,7 +507,7 @@ def _assert_exact(t, expected):
     """t holds exactly the scalars of expected: by nonzeros, by equality
     with the tensor of those scalars, and by the bytes of their wire form."""
     assert _coefficients(t) == expected
-    assert t == type(t).from_dict(t.dim, expected)
+    assert t == type(t)(t.dim, [(k[0] if t.arity == 1 else k, c) for k, c in expected.items()])
     wire = [[*entry[:-1], entry[-1].to_obj()] for entry in t.nonzeros]
     assert json.dumps(wire) == json.dumps([[*k, c.to_obj()] for k, c in sorted(expected.items())])
 
@@ -540,6 +549,27 @@ def test_integer_kernel_matches_scalar_oracles(host, data):
     product = host.mul_vec(Vec(d, [(k[0], c) for k, c in tx]), Vec(d, [(k[0], c) for k, c in ty]))
     assert list(product.entries) == dense_product(host, *dense)
     assert x - x == Tensor2(d, []) and not (x - x).nonzeros
+    _assert_exact(host.mul_legs(x), expand_legs(host, a2))
+
+    def columns(cls, dim):
+        """d columns of a map into the tensors cls over dim, raw mixed terms."""
+        keys = st.tuples(*[st.integers(0, dim - 1)] * cls.arity)
+        drawn = [data.draw(st.lists(st.tuples(keys, _MIXED_SCALARS), max_size=3)) for _ in range(d)]
+        return tuple(cls(dim, [(k[0] if cls is Vec else k, c) for k, c in terms]) for terms in drawn)
+
+    # maps into H, into k^m (between two dimensions) and into H (x) H, on
+    # every leg of every arity they apply to
+    vec = Vec(d, [(k[0], c) for k, c in tx])
+    into_h2 = columns(Tensor2, d)
+    for cols in (columns(Vec, d), columns(Vec, data.draw(st.integers(1, 4)))):
+        _assert_exact(apply_map(cols, vec), expand_map(cols, x1, 0))
+        for leg in (0, 1):
+            _assert_exact(apply_map(cols, x, leg), expand_map(cols, a2, leg))
+        for leg in (0, 1, 2):
+            _assert_exact(apply_map(cols, u, leg), expand_map(cols, a3, leg))
+    _assert_exact(apply_map(into_h2, vec), expand_map(into_h2, x1, 0))
+    for leg in (0, 1):
+        _assert_exact(apply_map(into_h2, x, leg), expand_map(into_h2, a2, leg))
 
 
 @given(st.data())
@@ -557,6 +587,69 @@ def test_zeta3_products_that_come_out_rational(data):
     product = tensor2_mul(x, y, _Z3)
     assert product.order == 1
     _assert_exact(product, expand_product(_Z3, a, b))
+
+
+def _z3z3_twist():
+    """k[Z3 x Z3] twisted by a bicharacter with values in Q(zeta_3)."""
+    g = FiniteGroup.direct_product(FiniteGroup.cyclic(3), FiniteGroup.cyclic(3))
+    sub = AbelianSubgroup(g, range(g.order))
+    gamma = alternating_nondegenerate_bicharacters(sub.factors)[0]
+    return apply_twist(group_algebra(g), build_bicharacter_twist(sub, half_bicharacter(gamma)))[0]
+
+
+def _forbid_scalar_products(monkeypatch):
+    """Make every CycScalar product raise, except in Echelon, whose
+    elimination multiplies field elements by design."""
+    original = CycScalar.__mul__
+    echelon = {f.__code__ for f in vars(Echelon).values() if hasattr(f, "__code__")}
+
+    def guarded(self, other):
+        caller = sys._getframe(1)  # a method of Echelon, or a comprehension in one
+        if caller.f_code not in echelon and caller.f_back.f_code not in echelon:
+            raise AssertionError("a CycScalar product outside Echelon")
+        return original(self, other)
+
+    monkeypatch.setattr(CycScalar, "__mul__", guarded)
+    monkeypatch.setattr(CycScalar, "__rmul__", guarded)
+
+
+def test_linear_maps_multiply_no_scalar(monkeypatch):
+    # S, S^2, Delta, rho(g) and Y applied, composed and contracted on integer
+    # numerators; each result is compared with the one computed before the
+    # products were forbidden, on a fresh copy of the host
+    i = root_of_unity(4, 1)
+    chi, conj = (ONE, i, -ONE, -i), (ONE, -i, -ONE, i)
+    z4 = FiniteGroup.cyclic(4)
+    hosts = [_SUPER_SWEEDLER, _z3z3_twist(), _SCALED_Z3]
+    expected = []
+    for h in hosts:
+        d = h.dim
+        t = Tensor2(d, [((k % d, (3 * k + 1) % d), c) for k, c in enumerate((sc(1, 2), i, -ONE))])
+        v = Vec(d, [(0, sc(2, 3)), (d - 1, root_of_unity(3, 1))])
+        expected.append((
+            t, v, h.antipode_vec(v), h.comult_vec(v), h.s2_columns, antipode_order(h),
+            [antipode_contraction(h, t, leg, square) for leg in (0, 1) for square in (False, True)],
+        ))
+    _forbid_scalar_products(monkeypatch)
+    for h, (t, v, s_v, delta_v, s2, order, contractions) in zip(hosts, expected):
+        fresh = h.replace()
+        assert fresh.antipode_vec(v) == s_v and fresh.comult_vec(v) == delta_v
+        assert fresh.s2_columns == s2 and antipode_order(fresh) == order
+        assert [
+            antipode_contraction(fresh, t, leg, square) for leg in (0, 1) for square in (False, True)
+        ] == contractions
+        assert hopf._associativity_witness(fresh, range(fresh.dim)) is None
+    # rho(g) of Z4 on one line, chi = (1, i, -1, -i), and on chi + its
+    # conjugate with Y = (e_0 + e_1, e_0 - e_1), on which rho(1) swaps
+    # the y up to i, so B = diag(1, -1) is invariant
+    line = GroupRep(z4, 1, [[[c]] for c in chi])
+    assert line.acts_by_minus_one(2)
+    w = GroupRep(z4, 2, [[[c, ZERO], [ZERO, b]] for c, b in zip(chi, conj)])
+    y = (Vec.from_entries([ONE, ONE]), Vec.from_entries([ONE, -ONE]))
+    s = Septuple(z4, w, (0,), y, ((ONE, ZERO), (ZERO, -ONE)), Bicharacter.trivial((1,)), 1, 2)
+    assert validate_septuple(s).valid
+    bad = Septuple(z4, w, (0, 1, 2, 3), y, ((ONE, ZERO), (ZERO, ONE)), Bicharacter.trivial((4,)), 1, 2)
+    assert "b_symmetric_invariant_nondegenerate" in validate_septuple(bad).failures()
 
 
 @pytest.mark.parametrize("cls, key", [
