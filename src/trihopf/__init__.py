@@ -28,6 +28,7 @@ from .tensor import (
     tensor3_mul,
 )
 from .hopf import (
+    Algebra,
     AxiomReport,
     HopfData,
     antipode_order,

@@ -232,7 +232,7 @@ def analysis_report(h, r=None, twist: Twist | None = None) -> dict:
     triangular the Chevalley property comes from the theorem report, so
     the radical is tested for being a Hopf ideal only once.
     """
-    rad = h.radical
+    rad = h.algebra.radical
     cocommutative = is_cocommutative(h)
     order = antipode_order(h)
     block = theorems = None

@@ -67,7 +67,7 @@ from .tensor import (
     embed13_23_12,
     unit_tensor2,
 )
-from .triangular import _algebra_key, r_u
+from .triangular import r_u
 
 
 # ---------------------------------------------------------------------------
@@ -398,12 +398,13 @@ class Twist:
 
     def apply(self) -> tuple[HopfData, Optional[Tensor2]]:
         """(H^J, R^J): Delta^J(x) = J^-1 Delta(x) J, the antipode conjugated
-        by Q = m(S (x) id)(J), and R^J = J21^-1 R J when R is given;
-        multiplication, unit, counit and grading are H's very objects,
-        and H^J reads H's algebra facts (generators, radical, the
-        associativity and unit witnesses) from H when first asked.  The
-        structural check runs on H^J; H^J keeps this twist, and its
-        axioms are proved from H's when first asked (proves_hopf).
+        by Q = m(S (x) id)(J), and R^J = J21^-1 R J when R is given.
+        H^J holds H's very Algebra (hopf.Algebra: multiplication, unit
+        and grading, with every fact computed of them, such as the
+        generators, the radical and the associativity and unit
+        witnesses) and H's counit.  The coalgebra half of the structural
+        check runs on H^J; H^J keeps this twist, and its axioms are
+        proved from H's when first asked (proves_hopf).
 
         Q^-1 is the closed form m(id (x) S)(J^-1) with the certified
         J^-1, multiplied back on both sides (certified_inverse); if that
@@ -419,7 +420,6 @@ class Twist:
         out = h.replace(
             comult=comult_new,
             antipode=tuple(h.mul_vec(q_inv, p) for p in products),
-            algebra_host=h,
             twist=self,
         ).validate()
         object.__setattr__(out, "_antipode_products", (q, products))
@@ -458,7 +458,8 @@ class Twist:
         """True when Drinfeld's twisting theorem proves h = H^J a Hopf
         algebra (Kassel, Quantum Groups, XV.3): J was checked when this
         twist was made; H's axioms hold (proved once per host); h is well
-        formed with H's algebra (triangular._algebra_key); and, since J
+        formed and has H's algebra and counit (HopfData.keeps_algebra_of:
+        H's very Algebra, as apply hands it, or an equal one); and, since J
         and Q = m(S (x) id)(J) are invertible, Delta_h = J^-1 Delta J
         (intertwines) and S_h = Q^-1 S Q, checked as Q S_h(e_i) = P_i
         with P_i = S(e_i) Q (_antipode_products).
@@ -466,7 +467,7 @@ class Twist:
         host = self.host
         if not host.axioms.ok or h._malformation is not None:
             return False
-        if _algebra_key(h) != _algebra_key(host) or not self.intertwines(h):
+        if not h.keeps_algebra_of(host) or not self.intertwines(h):
             return False
         q, products = self._antipode_products(h)
         return all(host.mul_vec(q, s) == p for s, p in zip(h.antipode, products))

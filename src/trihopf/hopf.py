@@ -1,26 +1,24 @@
 """The central (super) Hopf algebra datatype and its verifiers.
 
 HopfData records a finite-dimensional algebra-and-coalgebra by exact
-structure constants: sparse multiplication tensor, per-basis-element
-comultiplication, counit covector, antipode, and a Z2 parity grading
-for the super case.  S and Delta are linear maps held as tuples of
-columns: antipode[i] is the tensor.Vec S(e_i) and comult[i] the
-tensor.Tensor2 Delta(e_i), and make_hopf normalizes raw structure
-constants into these forms through the one sparse constructor, which
-trusts its indices: validate() refuses any outside.  Every map on
-elements applies such columns with tensor.apply_map on integer
-numerators: S(x) and Delta(x), the powers of S (S^2 once per object,
-HopfData.s2_columns), S^4 = id, S^2 = Ad(u), the contractions
-m(S (x) id)(t) (with m = HopfData.mul_legs), the associativity rows
-and the Hopf-ideal projection.  The product of two elements is
-HopfData.mul_vec, and mult in the integer form that the products read
-(HopfData.mult_ints, a tensor.IntCells) is made once per
-multiplication object.  No dense matrix exists outside the dump format
+structure constants: an Algebra (sparse multiplication tensor, unit
+and a Z2 parity grading for the super case), per-basis-element
+comultiplication, counit covector and antipode.  S and Delta are
+linear maps held as tuples of columns: antipode[i] is the tensor.Vec
+S(e_i) and comult[i] the tensor.Tensor2 Delta(e_i), and make_hopf
+normalizes raw structure constants into these forms through the one
+sparse constructor, which trusts its indices: validate() refuses any
+outside.  Every map on elements applies such columns with
+tensor.apply_map on integer numerators: S(x), Delta(x), S^2 and S^4
+(HopfData.s2_columns, s4_columns), S^2 = Ad(u), m(S (x) id)(t) (with
+m = HopfData.mul_legs), the associativity rows and the Hopf-ideal
+projection.  Products read mult in integer form (Algebra.mult_ints, a
+tensor.IntCells).  No dense matrix exists outside the dump format
 (serialize.py).
 
 verify_hopf proves each axiom by exact finite checks and reports the
 first failing witness per axiom instead of raising.
-HopfData.generators finds a generating set S greedily and certifies
+Algebra.generators finds a generating set S greedily and certifies
 that the only subspace containing 1 and closed under x -> e_s x
 (s in S) is H itself.  Once the checks on S pass, the
 elements where associativity, the bialgebra identity or
@@ -30,16 +28,18 @@ and antipode are checked on every basis element.  If any check fails,
 the exhaustive scan over all basis tuples runs and names the witness.
 
 Which facts belong to what.  A twist H^J changes only the coproduct
-and the antipode, so facts of the algebra (generators, radical, the
-associativity and unit witnesses in HopfData.algebra_witnesses) are
-computed once per algebra: H^J keeps its H as algebra_host, holds H's
-very mult and unit objects, and reads those facts from H when first
-asked.  The Hopf axioms are proved once per host: H^J keeps the Twist
-that made it, and its axioms follow from H's by the twisting theorem
-(HopfData.axioms) once per instance checks tie its stored coproduct
-and antipode to J.  Everything else that reads the coproduct or the
-antipode (the structural check, S^2) is computed once per object, so
-once per instance.  Facts of a pair (H, R) live in triangular.py.
+and the antipode, so every fact of the algebra (mult_ints, unit_legs,
+the generators, the radical, the associativity and unit witnesses and
+the algebra half of the structural check) lives on the Algebra object
+and is computed once per Algebra: H^J holds H's very Algebra, so it
+computes none of them, and HopfData.replace with another product,
+unit or grading makes a fresh one.  The Hopf axioms are proved once
+per host: H^J keeps the Twist that made it, and its axioms follow from
+H's by the twisting theorem (HopfData.axioms) once per instance checks
+tie its stored coproduct and antipode to J.  Everything else that
+reads the coproduct or the antipode (the coalgebra half of the
+structural check, S^2, S^4) is computed once per object, so once per
+instance.  Facts of a pair (H, R) live in triangular.py.
 
 The radical is computed from the kernel of the regular trace form
 (valid in characteristic 0).  The Chevalley check tests that the radical
@@ -61,6 +61,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from operator import attrgetter
 from typing import Any, Optional, Sequence
 
 from .errors import NotInvertible, OrderNotFound, ShapeError
@@ -83,54 +84,34 @@ from .tensor import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class HopfData:
-    """A (super) Hopf algebra given by structure constants.
-
-    mult[i][j] lists the nonzero (k, c) with e_i * e_j = sum c * e_k,
-    in increasing k; antipode[i] is the Vec S(e_i) and comult[i] the
-    Tensor2 Delta(e_i), so S and Delta are tuples of sparse columns,
-    which tensor.apply_map applies.
+@dataclass(frozen=True)
+class Algebra:
+    """The product, unit and grading of a (super) Hopf algebra, and every
+    fact of them, each computed once per object (see the module
+    docstring).  mult[i][j] lists the nonzero (k, c) with
+    e_i * e_j = sum c * e_k, in increasing k.  Equality compares the
+    five fields.
     """
 
     dim: int
     unit: Vec
     mult: tuple[tuple[SparseRow, ...], ...]
-    comult: tuple[Tensor2, ...]
-    counit: tuple[CycScalar, ...]
-    antipode: tuple[Vec, ...]
     parity: tuple[int, ...]
     super: bool = False
-    # the algebra this one shares its algebra facts with (see _algebra_source)
-    algebra_host: Optional["HopfData"] = field(default=None, repr=False)
-    # the constructions.Twist whose apply() made this object (see axioms)
-    twist: Optional[Any] = field(default=None, repr=False)
-
-    def validate(self) -> "HopfData":
-        """Structural well-formedness; axiom checking lives in verify_hopf."""
-        if self._malformation is not None:
-            raise ShapeError(self._malformation)
-        return self
+    # the dump text of mult, written once by serialize.hopf_dumps
+    mult_text: Optional[str] = field(default=None, init=False, compare=False, repr=False)
 
     @cached_property
-    def _malformation(self) -> Optional[str]:
-        """Why the structure is not well formed, or None; checked once per
-        object, so validate() and generators share one pass."""
+    def malformation(self) -> Optional[str]:
+        """Why the algebra is not well formed, or None: shapes, the index
+        range and parity of each product, and the parity of the unit."""
         d = self.dim
         if d < 1:
             return "dimension must be positive"
-        if self.unit.dim != d or len(self.counit) != d or len(self.parity) != d:
+        if self.unit.dim != d or len(self.parity) != d:
             return "unit/counit/parity length mismatch"
         if len(self.mult) != d or any(len(row) != d for row in self.mult):
             return "multiplication tensor shape mismatch"
-        if len(self.comult) != d or any(
-            not isinstance(t, Tensor2) or t.dim != d for t in self.comult
-        ):
-            return "comultiplication shape mismatch"
-        if len(self.antipode) != d or any(
-            not isinstance(v, Vec) or v.dim != d for v in self.antipode
-        ):
-            return "antipode shape mismatch"
         if not self.super and any(self.parity):
             return "nonzero parity on a non-super algebra"
         if any(p not in (0, 1) for p in self.parity):
@@ -143,87 +124,40 @@ class HopfData:
                         return f"product index {k} out of range at ({i},{j})"
                     if not c.is_zero() and (par[i] + par[j]) % 2 != par[k]:
                         return f"product parity violation at ({i},{j},{k})"
-            for j, k, _ in self.comult[i].nonzeros:
-                if not (0 <= j < d and 0 <= k < d):
-                    return f"coproduct index ({j},{k}) out of range at {i}"
-                if (par[j] + par[k]) % 2 != par[i]:
-                    return f"coproduct parity violation at ({i},{j},{k})"
-            for j, _ in self.antipode[i].nonzeros:
-                if not 0 <= j < d:
-                    return f"antipode index {j} out of range at {i}"
             if par[i] and not self.unit.get(i).is_zero():
                 return "unit supported on odd basis elements"
-        if self.counit_vec(self.unit) != SC_ONE:
-            return "counit(unit) != 1"
-        if self.comult_vec(self.unit) != Tensor2.outer(self.unit, self.unit):
-            return "Delta(unit) != unit (x) unit"
         return None
-
-    def replace(self, **changes) -> "HopfData":
-        return replace(self, **changes)
-
-    # --- basic linear maps -------------------------------------------------
-
-    @cached_property
-    def s2_columns(self) -> tuple[Vec, ...]:
-        """S^2 as its columns S^2(e_i), composed once per object."""
-        return tuple(apply_map(self.antipode, col) for col in self.antipode)
-
-    @cached_property
-    def unit_legs(self) -> tuple[tuple[Tensor2, ...], tuple[Tensor2, ...]]:
-        """The columns of x -> x (x) 1 and of x -> 1 (x) x, which
-        embed13_23_12 applies to insert the unit; made once per algebra
-        (see _algebra_source)."""
-        source = self._algebra_source
-        return _unit_legs(self.unit) if source is self else source.unit_legs
 
     @cached_property
     def mult_ints(self) -> IntCells:
         """mult in the integer form of a sparse tensor, which every product
-        in H, H (x) H and H (x) H (x) H reads; made once per multiplication
-        object, so a twist reads its host's (see _algebra_source)."""
-        source = self._algebra_source
-        if source is not self:
-            return source.mult_ints
+        in H, H (x) H and H (x) H (x) H reads."""
         return IntCells(_table(self.dim, self.mult), self.mult)
 
-    @property
-    def _algebra_source(self) -> "HopfData":
-        """The object that owns this one's algebra facts: that of
-        algebra_host when the host has this object's dim and its very mult
-        and unit objects, else self.
+    @cached_property
+    def unit_legs(self) -> tuple[tuple[Tensor2, ...], tuple[Tensor2, ...]]:
+        """The columns of x -> x (x) 1 and of x -> 1 (x) x, which
+        embed13_23_12 applies to insert the unit."""
+        return _unit_legs(self.unit)
 
-        generators, radical and algebra_witnesses depend on nothing else,
-        so a twist H^J (constructions.Twist.apply) reads them from its H,
-        and a copy with another product or unit computes its own.
-        """
-        host = self.algebra_host
-        if host is None or host.mult is not self.mult or host.unit is not self.unit:
-            return self
-        return host._algebra_source if host.dim == self.dim else self
+    def mul_vec(self, x: Vec, y: Vec) -> Vec:
+        """The product xy, on the integer numerators of x, y and mult_ints."""
+        return _product(_kernel1, (x, y), Vec, self)
 
     @cached_property
     def generators(self) -> Optional[tuple[int, ...]]:
-        """Basis indices S that generate H from the unit, or None.
+        """Basis indices S that generate the algebra from the unit, or None.
 
         Greedy and hint-free, so loaded dumps get one too: V starts as
         span{1} and is closed under v -> e_s v for s in S; while V is
         not all of H, the lowest-index basis element outside V joins S.
         The rank of V reaching dim certifies that every subspace which
         contains 1 and is closed under x -> e_s x is H.  None when the
-        structure is not well formed (validate() fails), since the
-        generator lemmas of verify_hopf need a homogeneous product and
-        coproduct with Delta(1) = 1 (x) 1, or when V stops short of H,
-        which happens only if 1 is no unit.
+        algebra is malformed, or when V stops short of H, which happens
+        only if 1 is no unit.
         """
-        if self._malformation is not None:
+        if self.malformation is not None:
             return None
-        return self._algebra_source._spanning_generators
-
-    @cached_property
-    def _spanning_generators(self) -> Optional[tuple[int, ...]]:
-        """The greedy S of generators from mult and unit alone, on a well
-        formed structure."""
         span = Echelon()  # V
         spanned: list[Vec] = []  # vectors spanning V
         gens: list[int] = []
@@ -248,24 +182,124 @@ class HopfData:
         return tuple(gens) if len(span) == self.dim else None
 
     @cached_property
-    def algebra_witnesses(self) -> tuple[Optional[tuple], Optional[tuple]]:
-        """(associativity witness, unit witness) of the algebra, each the
-        lowest-index failure of the exhaustive scan or None.
+    def witnesses(self) -> tuple[Optional[tuple], Optional[tuple]]:
+        """(associativity witness, unit witness), each the lowest-index
+        failure of the exhaustive scan or None.
 
         (None, None) without the exhaustive scan when the generators are
         certified, the unit holds on every basis element and
         associativity holds with its left factor in the generators: the
         lemma in verify_hopf then gives associativity everywhere.
-        Shared with a twist through _algebra_source.
         """
-        source = self._algebra_source
-        if source is not self:
-            return source.algebra_witnesses
         unit = _unit_witness(self, [Vec.basis(self.dim, i) for i in range(self.dim)])
         gens = self.generators
         if unit is None and gens is not None and _associativity_witness(self, gens) is None:
             return None, None
         return _associativity_witness(self, range(self.dim)), unit
+
+    @cached_property
+    def radical(self) -> tuple[Vec, ...]:
+        """jacobson_radical(self)."""
+        return tuple(jacobson_radical(self))
+
+
+@dataclass(frozen=True, eq=False)
+class HopfData:
+    """A (super) Hopf algebra given by structure constants.
+
+    algebra holds the product, unit and grading and every fact of them
+    (Algebra); antipode[i] is the Vec S(e_i) and comult[i] the Tensor2
+    Delta(e_i), so S and Delta are tuples of sparse columns, which
+    tensor.apply_map applies.  dim, unit, mult, parity and super read
+    through to the algebra.
+    """
+
+    algebra: Algebra
+    comult: tuple[Tensor2, ...]
+    counit: tuple[CycScalar, ...]
+    antipode: tuple[Vec, ...]
+    # the constructions.Twist whose apply() made this object (see axioms)
+    twist: Optional[Any] = field(default=None, repr=False)
+
+    dim = property(attrgetter("algebra.dim"))
+    unit = property(attrgetter("algebra.unit"))
+    mult = property(attrgetter("algebra.mult"))
+    parity = property(attrgetter("algebra.parity"))
+    super = property(attrgetter("algebra.super"))
+
+    def validate(self) -> "HopfData":
+        """Structural well-formedness; axiom checking lives in verify_hopf."""
+        if self._malformation is not None:
+            raise ShapeError(self._malformation)
+        return self
+
+    @cached_property
+    def _malformation(self) -> Optional[str]:
+        """Why the structure is not well formed, or None: Algebra.malformation,
+        then the coalgebra's half, checked once per object."""
+        problem = self.algebra.malformation
+        if problem is not None:
+            return problem
+        d, par = self.dim, self.parity
+        if len(self.counit) != d:
+            return "unit/counit/parity length mismatch"
+        if len(self.comult) != d or any(
+            not isinstance(t, Tensor2) or t.dim != d for t in self.comult
+        ):
+            return "comultiplication shape mismatch"
+        if len(self.antipode) != d or any(
+            not isinstance(v, Vec) or v.dim != d for v in self.antipode
+        ):
+            return "antipode shape mismatch"
+        for i in range(d):
+            for j, k, _ in self.comult[i].nonzeros:
+                if not (0 <= j < d and 0 <= k < d):
+                    return f"coproduct index ({j},{k}) out of range at {i}"
+                if (par[j] + par[k]) % 2 != par[i]:
+                    return f"coproduct parity violation at ({i},{j},{k})"
+            for j, _ in self.antipode[i].nonzeros:
+                if not 0 <= j < d:
+                    return f"antipode index {j} out of range at {i}"
+        if self.counit_vec(self.unit) != SC_ONE:
+            return "counit(unit) != 1"
+        if self.comult_vec(self.unit) != Tensor2.outer(self.unit, self.unit):
+            return "Delta(unit) != unit (x) unit"
+        return None
+
+    def replace(self, **changes) -> "HopfData":
+        """A copy with the given fields changed.  A change to dim, unit,
+        mult, parity or super makes a fresh Algebra, so a product mutant
+        shares no fact with this object; any other copy keeps it."""
+        algebra = {name: changes.pop(name) for name in _ALGEBRA_FIELDS if name in changes}
+        if algebra:
+            changes["algebra"] = replace(self.algebra, **algebra)
+        return replace(self, **changes)
+
+    def keeps_algebra_of(self, host: "HopfData") -> bool:
+        """True when this object has host's algebra, the very Algebra or an
+        equal one, and host's counit: all that a twist leaves unchanged."""
+        same = self.algebra is host.algebra or self.algebra == host.algebra
+        return same and self.counit == host.counit
+
+    # --- basic linear maps -------------------------------------------------
+
+    @cached_property
+    def s2_columns(self) -> tuple[Vec, ...]:
+        """S^2 as its columns S^2(e_i), composed once per object."""
+        return tuple(apply_map(self.antipode, col) for col in self.antipode)
+
+    @cached_property
+    def s4_columns(self) -> tuple[Vec, ...]:
+        """S^4 = S^2 o S^2 as its columns, composed once per object."""
+        return tuple(apply_map(self.s2_columns, col) for col in self.s2_columns)
+
+    @property
+    def generators(self) -> Optional[tuple[int, ...]]:
+        """Algebra.generators, or None unless validate() passes: the lemmas
+        of verify_hopf need a homogeneous product and coproduct."""
+        if self._malformation is not None:
+            return None
+        return self.algebra.generators
 
     @cached_property
     def axioms(self) -> "AxiomReport":
@@ -281,30 +315,17 @@ class HopfData:
             return AxiomReport(True, True, True, True, True, True, witnesses={})
         return verify_hopf(self)
 
-    @cached_property
-    def radical(self) -> tuple[Vec, ...]:
-        """jacobson_radical(self), computed once per algebra: a twist
-        reads its host's (see _algebra_source)."""
-        source = self._algebra_source
-        if source is not self:
-            return source.radical
-        return tuple(jacobson_radical(self))
-
     def mul_vec(self, x: Vec, y: Vec) -> Vec:
-        """The product xy in H, on the integer numerators of x, y and
-        mult_ints."""
-        return _product(_kernel1, (x, y), Vec, self)
+        """The product xy in H, as Algebra.mul_vec computes it."""
+        return _product(_kernel1, (x, y), Vec, self.algebra)
 
     def mul_legs(self, t: Tensor2) -> Vec:
         """m(t) = sum c e_i e_j for t = sum c e_i (x) e_j, on the integer
-        numerators of t and mult_ints."""
-        return _product(_kernel_legs, (t,), Vec, self)
+        numerators of t and the algebra's mult_ints."""
+        return _product(_kernel_legs, (t,), Vec, self.algebra)
 
     def counit_vec(self, x: Vec) -> CycScalar:
-        acc = SC_ZERO
-        for i, a in x.nonzeros:
-            acc = acc + a * self.counit[i]
-        return acc
+        return sum((a * self.counit[i] for i, a in x.nonzeros), SC_ZERO)
 
     def antipode_vec(self, x: Vec) -> Vec:
         return apply_map(self.antipode, x)
@@ -314,15 +335,8 @@ class HopfData:
 
     def same_structure(self, other: "HopfData") -> bool:
         """Exact structure-constant equality in the shared fixed basis."""
-        if (self.dim, self.super, self.parity) != (other.dim, other.super, other.parity):
-            return False
-        if self.unit != other.unit or list(self.counit) != list(other.counit):
-            return False
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if dict(self.mult[i][j]) != dict(other.mult[i][j]):
-                    return False
-        return self.antipode == other.antipode and self.comult == other.comult
+        same_maps = self.antipode == other.antipode and self.comult == other.comult
+        return same_maps and self.keeps_algebra_of(other)
 
 
 def make_hopf(dim, unit, mult, comult, counit, antipode, parity=None, super=False) -> HopfData:
@@ -336,19 +350,24 @@ def make_hopf(dim, unit, mult, comult, counit, antipode, parity=None, super=Fals
     """
     mult = [tuple(row) for row in mult]
     table = _table(dim, mult)
-    h = HopfData(
+    algebra = Algebra(
         dim=dim,
         unit=unit if isinstance(unit, Vec) else Vec.from_entries(unit),
         mult=_summed_cells(table, mult),
-        comult=tuple(Tensor2(dim, (((j, k), c) for j, k, c in entry)) for entry in comult),
-        counit=tuple(counit),
-        antipode=tuple(Vec(dim, col) for col in antipode),
         parity=tuple(parity) if parity is not None else (0,) * dim,
         super=super,
     )
     # mult_ints, read off the same sum
-    object.__setattr__(h, "mult_ints", IntCells(table, mult))
-    return h.validate()
+    object.__setattr__(algebra, "mult_ints", IntCells(table, mult))
+    return HopfData(
+        algebra=algebra,
+        comult=tuple(Tensor2(dim, (((j, k), c) for j, k, c in entry)) for entry in comult),
+        counit=tuple(counit),
+        antipode=tuple(Vec(dim, col) for col in antipode),
+    ).validate()
+
+
+_ALGEBRA_FIELDS = ("dim", "unit", "mult", "parity", "super")
 
 
 def _table(dim: int, rows) -> Tensor3:
@@ -371,6 +390,9 @@ def _summed_cells(table: Tensor3, rows) -> tuple[tuple[SparseRow, ...], ...]:
 # ---------------------------------------------------------------------------
 # axiom verification
 
+_AXIOMS = ("associativity", "unit", "coassociativity", "counit", "bialgebra", "antipode")
+
+
 @dataclass(frozen=True)
 class AxiomReport:
     associativity: bool
@@ -383,25 +405,12 @@ class AxiomReport:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.associativity
-            and self.unit
-            and self.coassociativity
-            and self.counit
-            and self.bialgebra
-            and self.antipode
-        )
+        return all(getattr(self, name) for name in _AXIOMS)
 
     def to_obj(self):
-        return {
-            "associativity": self.associativity,
-            "unit": self.unit,
-            "coassociativity": self.coassociativity,
-            "counit": self.counit,
-            "bialgebra": self.bialgebra,
-            "antipode": self.antipode,
-            "witnesses": {k: list(v) for k, v in self.witnesses.items()},
-        }
+        obj = {name: getattr(self, name) for name in _AXIOMS}
+        obj["witnesses"] = {k: list(v) for k, v in self.witnesses.items()}
+        return obj
 
 
 def antipode_contraction(h: HopfData, t: Tensor2, leg: int = 0, square: bool = False) -> Vec:
@@ -436,8 +445,8 @@ def verify_hopf(h: HopfData) -> AxiomReport:
     triples, d**2 pairs (with the Koszul sign when super) and d
     indices, which name the witnesses.  Failures are reported, never
     raised.  Associativity and the unit are facts of the algebra alone
-    and come from HopfData.algebra_witnesses, which applies the first
-    lemma itself and is shared by a twist with the algebra it twists.
+    and come from Algebra.witnesses, which applies the first lemma
+    itself and is shared by a twist with the algebra it twists.
     """
     gens = h.generators
     if gens is not None:
@@ -450,10 +459,10 @@ def verify_hopf(h: HopfData) -> AxiomReport:
 def _axiom_scan(h: HopfData, lead: Sequence[int]) -> AxiomReport:
     """One check per axiom; lead is the index set of the left factor of
     coassociativity and the bialgebra identity.  The associativity and
-    unit witnesses are the algebra's (HopfData.algebra_witnesses), which
-    equal the exhaustive scan's."""
+    unit witnesses are the algebra's (Algebra.witnesses), which equal
+    the exhaustive scan's."""
     basis = [Vec.basis(h.dim, i) for i in range(h.dim)]
-    associativity, unit = h.algebra_witnesses
+    associativity, unit = h.algebra.witnesses
     found = {
         "associativity": associativity,
         "unit": unit,
@@ -468,7 +477,7 @@ def _axiom_scan(h: HopfData, lead: Sequence[int]) -> AxiomReport:
     )
 
 
-def _associativity_witness(h: HopfData, lead):
+def _associativity_witness(h: Algebra, lead):
     """The least (i, j, k), i in lead, with (e_i e_j) e_k != e_i (e_j e_k), or
     None.  Both sides for every k of one (i, j) are one Tensor2 keyed
     (k, q), a left multiplication: L_{e_i e_j}, the map L applied to the
@@ -484,7 +493,7 @@ def _associativity_witness(h: HopfData, lead):
     return None
 
 
-def _unit_witness(h: HopfData, basis):
+def _unit_witness(h: Algebra, basis):
     for i, e in enumerate(basis):
         if h.mul_vec(h.unit, e) != e or h.mul_vec(e, h.unit) != e:
             return (i,)
@@ -547,8 +556,7 @@ def dual_hopf(h: HopfData) -> HopfData:
     pairing <f (x) g, x (x) y> = (-1)**(|g||x|) f(x) g(y) inserts the
     sign (-1)**(|i||j|) on both transposed structures.
     """
-    d = h.dim
-    par = h.parity
+    d, par = h.dim, h.parity
     mult_d = [[[] for _ in range(d)] for _ in range(d)]
     for t in range(d):
         for a, b, c in h.comult[t].nonzeros:
@@ -575,18 +583,12 @@ def dual_hopf(h: HopfData) -> HopfData:
 # ---------------------------------------------------------------------------
 # radical, semisimplicity, Chevalley property
 
-def trace_form(h: HopfData) -> list[dict]:
+def trace_form(h: Algebra | HopfData) -> list[dict]:
     """Sparse rows of T[i][j] = trace of left multiplication by e_i * e_j:
     row i maps each j with T[i][j] != 0 to T[i][j]."""
     d = h.dim
-    tr = [SC_ZERO] * d  # tr[k] = trace(L_{e_k})
-    for k in range(d):
-        acc = SC_ZERO
-        for j in range(d):
-            for t, c in h.mult[k][j]:
-                if t == j:
-                    acc = acc + c
-        tr[k] = acc
+    # tr[k] = trace(L_{e_k})
+    tr = [sum((c for j in range(d) for t, c in h.mult[k][j] if t == j), SC_ZERO) for k in range(d)]
     rows = []
     for i in range(d):
         row = {}
@@ -600,13 +602,13 @@ def trace_form(h: HopfData) -> list[dict]:
     return rows
 
 
-def jacobson_radical(h: HopfData) -> list[Vec]:
+def jacobson_radical(h: Algebra | HopfData) -> list[Vec]:
     """Exact radical basis: kernel of the regular trace form (char 0)."""
     return Echelon(trace_form(h)).kernel(h.dim)
 
 
 def is_semisimple(h: HopfData) -> bool:
-    return not h.radical
+    return not h.algebra.radical
 
 
 def subspace_is_hopf_ideal(h: HopfData, basis: Sequence[Vec]) -> bool:
@@ -642,20 +644,24 @@ def subspace_is_hopf_ideal(h: HopfData, basis: Sequence[Vec]) -> bool:
 
 def is_chevalley(h: HopfData) -> bool:
     """True iff the radical is a Hopf ideal."""
-    return subspace_is_hopf_ideal(h, h.radical)
+    return subspace_is_hopf_ideal(h, h.algebra.radical)
 
 
 def antipode_order(h: HopfData, bound: int = 16) -> int:
     """Least k >= 1 with S**k = id; OrderNotFound past the bound.
 
     The powers are tuples of columns, S^(k+1)(e_i) = S(S^k(e_i)) by
-    apply_map; S^2 is the cached HopfData.s2_columns."""
+    apply_map; S^2 and S^4 are the cached HopfData.s2_columns and
+    s4_columns."""
     identity = tuple(Vec.basis(h.dim, i) for i in range(h.dim))
     power = h.antipode
     for k in range(1, bound + 1):
         if power == identity:
             return k
-        power = h.s2_columns if k == 1 else tuple(apply_map(h.antipode, col) for col in power)
+        if k in (1, 3):
+            power = h.s2_columns if k == 1 else h.s4_columns
+        else:
+            power = tuple(apply_map(h.antipode, col) for col in power)
     raise OrderNotFound(f"antipode order exceeds bound {bound}")
 
 

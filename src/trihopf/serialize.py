@@ -24,7 +24,7 @@ from pathlib import Path
 from .constructions import Septuple
 from .errors import ShapeError
 from .groups import Bicharacter, FiniteGroup, GroupRep
-from .hopf import HopfData, make_hopf
+from .hopf import Algebra, HopfData, make_hopf
 from .scalars import CycScalar
 from .tensor import Tensor2, Vec
 
@@ -57,7 +57,7 @@ def mat_from_obj(obj) -> tuple[tuple[CycScalar, ...], ...]:
     return rows
 
 
-def _mult_obj(h: HopfData) -> list:
+def _mult_obj(h: Algebra) -> list:
     """The "mult" entries [i, j, k, c] of a Hopf dump."""
     return [
         [i, j, k, scalar_to_obj(c)]
@@ -68,7 +68,7 @@ def _mult_obj(h: HopfData) -> list:
 
 
 def hopf_to_obj(h: HopfData):
-    return _hopf_obj(h, _mult_obj(h))
+    return _hopf_obj(h, _mult_obj(h.algebra))
 
 
 def _hopf_obj(h: HopfData, mult):
@@ -197,15 +197,14 @@ def dumps(obj) -> str:
 
 
 def hopf_dumps(h: HopfData) -> str:
-    """dumps(hopf_to_obj(h)), with the text of h's mult made once and
-    kept on the object that owns it (HopfData._algebra_source): twists
-    of one host share the host's, a copy with another mult makes its own."""
-    owner = h._algebra_source
-    text = owner.__dict__.get("_mult_text")
-    if text is None:
-        text = _Text(_render(_mult_obj(owner), 1))
-        object.__setattr__(owner, "_mult_text", text)
-    return dumps(_hopf_obj(h, text))
+    """dumps(hopf_to_obj(h)), with the text of mult made once per
+    hopf.Algebra and kept in its mult_text: the twists of one host hold
+    the host's very Algebra and share its text, and a copy with another
+    product, unit or grading has an Algebra, and a text, of its own."""
+    algebra = h.algebra
+    if algebra.mult_text is None:
+        object.__setattr__(algebra, "mult_text", _Text(_render(_mult_obj(algebra), 1)))
+    return dumps(_hopf_obj(h, algebra.mult_text))
 
 
 def _render(obj, depth: int) -> str:

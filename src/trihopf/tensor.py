@@ -19,11 +19,11 @@ vectors Y of a septuple), Tensor2s for a map into H (x) H (the
 coproduct Delta, x -> x (x) 1).  apply_map applies one to one leg of a
 Vec, Tensor2 or Tensor3 on integer numerators, so composing maps,
 Delta(x), (S (x) id)(t) and the embeddings into H (x) H (x) H
-(embed13_23_12) are one function.  The products HopfData.mul_vec,
+(embed13_23_12) are one function.  The products Algebra.mul_vec,
 HopfData.mul_legs (m(t) for t in H (x) H), tensor2_mul and tensor3_mul
 run one integer kernel each on the numerators and on the host's mult
-in the same integer form (IntCells, made once per multiplication object
-as HopfData.mult_ints), with Koszul signs when the host is a
+in the same integer form (IntCells, made once per hopf.Algebra as
+Algebra.mult_ints), with Koszul signs when the host is a
 superalgebra.  At N = 1 that is one kernel call.  At N > 1 the
 operands and the table are split by powers of zeta_N, and the kernel's
 results are shifted by their power and reduced mod Phi_N with the
@@ -64,7 +64,7 @@ from .scalars import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .hopf import HopfData
+    from .hopf import Algebra, HopfData
 
 # the nonzeros of a Vec, and a cell of HopfData.mult: (index, coefficient)
 # pairs in increasing index
@@ -225,7 +225,7 @@ class IntCells:
     tensor: one order, one positive denominator, and rows[i][j] the
     (k, numerator) of cell (i, j), read off the table summed as one
     Tensor3 keyed (i, j, k) and laid out in the shape of rows.
-    HopfData.mult_ints makes it once per multiplication object."""
+    hopf.Algebra.mult_ints makes it once per algebra."""
 
     __slots__ = ("order", "den", "rows", "_parts")
 
@@ -364,6 +364,8 @@ class _SparseTensor:
                 raise ShapeError(
                     f"index {key!r} out of range for {cls.__name__} of dimension {dim}"
                 )
+        if cls.arity == 1:  # a Vec is keyed by the plain index
+            entries = {i: c for (i,), c in entries.items()}
         return cls(dim, entries.items())
 
     @classmethod
@@ -492,10 +494,10 @@ _ARITY = {1: Vec, 2: Tensor2, 3: Tensor3}
 # ---------------------------------------------------------------------------
 # products through the host's structure table, on integers
 
-def _product(kernel, operands, cls, host: "HopfData"):
+def _product(kernel, operands, cls, algebra: "Algebra"):
     """The element of cls that an integer kernel(numerators of each
     operand, one table per leg of cls, parity) computes from the
-    operands, each over the host's dimension, and the host's table.
+    operands, each over the algebra's dimension, and its mult_ints.
 
     At order 1 that is one kernel call.  At an order N > 1, the operands
     and the table are split by powers of zeta_N (_components), the kernel
@@ -503,14 +505,14 @@ def _product(kernel, operands, cls, host: "HopfData"):
     the table on each leg, and each result joins the sum shifted by its
     power of zeta_N, reduced mod Phi_N (_power).
     """
-    cells, dim, n = host.mult_ints, host.dim, len(operands)
+    cells, dim, n = algebra.mult_ints, algebra.dim, len(operands)
     order, den, nums = cells.order, cells.den ** cls.arity, []
     for t in operands:
         if t.dim != dim:
             raise ShapeError("tensor/host dimension mismatch")
         order, den = lcm(order, t.order), den * t.den
         nums.append(t._num)
-    parity = host.parity if host.super else None
+    parity = algebra.parity if algebra.super else None
     if order == 1:
         return cls._of(dim, *_canonical(1, den, kernel(*nums, (cells.rows,) * cls.arity, parity)))
     phi = euler_phi(order)
@@ -610,11 +612,11 @@ def tensor2_mul(a: Tensor2, b: Tensor2, host: "HopfData") -> Tensor2:
     Componentwise through the host structure tensor; when the host is
     super the Koszul sign (-1)**(|a2||b1|) applies per term.
     """
-    return _product(_kernel2, (a, b), Tensor2, host)
+    return _product(_kernel2, (a, b), Tensor2, host.algebra)
 
 
 def tensor3_mul(a: Tensor3, b: Tensor3, host: "HopfData") -> Tensor3:
-    return _product(_kernel3, (a, b), Tensor3, host)
+    return _product(_kernel3, (a, b), Tensor3, host.algebra)
 
 
 def flip(a: Tensor2, host: Optional["HopfData"] = None) -> Tensor2:
@@ -694,7 +696,7 @@ def embed13_23_12(a: Tensor2, pattern: str, host: "HopfData") -> Tensor3:
     """
     if a.dim != host.dim:
         raise ShapeError("tensor/host dimension mismatch")
-    right, left = host.unit_legs
+    right, left = host.algebra.unit_legs
     maps = {
         "12": (right, 1),
         "13": (right, 0),

@@ -47,9 +47,9 @@ stored antipode is Q^-1 S Q (constructions.Twist.proves_hopf); if a
 premise fails they are verified on H^J itself (hopf.verify_hopf).
 
 Which facts belong to what.  H's axioms are a fact of H, proved once
-and kept on it (HopfData.axioms), and so are the associativity and
-unit witnesses and the generators that H^J reads from H
-(hopf.HopfData.algebra_witnesses); premise 2 is a fact of the pair
+and kept on it (HopfData.axioms); the associativity and unit witnesses
+and the generators are facts of H's algebra (hopf.Algebra), which H^J
+holds as it is; premise 2 is a fact of the pair
 (H, R), proved once and kept on H beside the R object it was proved
 for, so every twist of one host with the same R reuses it and any other
 R is proved afresh; premises 3 to 5 and the antipode check are per
@@ -63,7 +63,8 @@ drinfeld_element takes it once it multiplies back to 1 on both sides
 compared with the cached sparse columns of S^2.
 
 The checks bundled in check_structure_theorems assert u^2 = 1, u
-group-like, S^4 = id (S^2 composed with itself, sparsely) and the
+group-like, S^4 = id (HopfData.s4_columns, S^2 composed with itself
+once per object) and the
 odd-dimension degeneration u = 1 with semisimplicity, recording
 failures instead of raising.
 """
@@ -86,7 +87,6 @@ from .tensor import (
     Echelon,
     Tensor2,
     Vec,
-    apply_map,
     embed13_23_12,
     flip,
     tensor2_mul,
@@ -164,12 +164,6 @@ def _host_triangular(host: HopfData, r: Tensor2) -> bool:
     return proof[1]
 
 
-def _algebra_key(h: HopfData):
-    """What H^J shares with H: dimension, multiplication, unit, counit
-    and grading."""
-    return h.dim, h.super, h.parity, h.unit, h.counit, h.mult
-
-
 def certify_twisted_triangular(h: HopfData, r: Tensor2, twist: Twist) -> bool:
     """True when the twisting theorem proves (h, r) triangular.
 
@@ -177,8 +171,9 @@ def certify_twisted_triangular(h: HopfData, r: Tensor2, twist: Twist) -> bool:
     to come from; constructing it checked that J is a normalized cocycle
     with a two-sided inverse.  The remaining premises (see the module
     docstring) are checked here, each exactly:
-    - H.axioms.ok and h.axioms.ok, and h has the multiplication, unit
-      and counit of H;
+    - H.axioms.ok and h.axioms.ok, and h has H's algebra and counit
+      (HopfData.keeps_algebra_of): the very hopf.Algebra of H, which
+      Twist.apply hands to H^J, or an equal one;
     - R is triangular on H, by verify_triangular, proved once per
       (H, R) pair and kept on H;
     - J Delta_h(e_i) = Delta_H(e_i) J for every i (Twist.intertwines,
@@ -188,7 +183,7 @@ def certify_twisted_triangular(h: HopfData, r: Tensor2, twist: Twist) -> bool:
     host, r0, j = twist.host, twist.r, twist.j
     if r0 is None or not host.axioms.ok or not h.axioms.ok:
         return False
-    if _algebra_key(h) != _algebra_key(host) or not _host_triangular(host, r0):
+    if not h.keeps_algebra_of(host) or not _host_triangular(host, r0):
         return False
     if not twist.intertwines(h):
         return False
@@ -269,25 +264,22 @@ class TheoremReport:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.u_squared_is_one
-            and self.u_grouplike
-            and self.s4_is_id
-            and self.s2_is_ad_u
-            and self.odd_dim_forces_u1_semisimple
-            and self.chevalley
-        )
+        return all(getattr(self, name) for name in _THEOREMS)
 
     def to_obj(self):
-        return {
-            "u_support": [i for i, _ in self.u.nonzeros],
-            "u_squared_is_one": self.u_squared_is_one,
-            "u_grouplike": self.u_grouplike,
-            "s4_is_id": self.s4_is_id,
-            "s2_is_ad_u": self.s2_is_ad_u,
-            "odd_dim_forces_u1_semisimple": self.odd_dim_forces_u1_semisimple,
-            "chevalley": self.chevalley,
-        }
+        obj = {"u_support": [i for i, _ in self.u.nonzeros]}
+        obj.update((name, getattr(self, name)) for name in _THEOREMS)
+        return obj
+
+
+_THEOREMS = (
+    "u_squared_is_one",
+    "u_grouplike",
+    "s4_is_id",
+    "s2_is_ad_u",
+    "odd_dim_forces_u1_semisimple",
+    "chevalley",
+)
 
 
 def check_structure_theorems(h: HopfData, r: Tensor2) -> TheoremReport:
@@ -300,8 +292,7 @@ def check_structure_theorems(h: HopfData, r: Tensor2) -> TheoremReport:
     u = drinfeld_element(h, r)
     u_sq = h.mul_vec(u, u) == h.unit
     u_gl = h.comult_vec(u) == Tensor2.outer(u, u)
-    s4 = tuple(apply_map(h.s2_columns, col) for col in h.s2_columns)
-    s4_ok = s4 == tuple(Vec.basis(h.dim, i) for i in range(h.dim))
+    s4_ok = h.s4_columns == tuple(Vec.basis(h.dim, i) for i in range(h.dim))
     if h.dim % 2 == 1:
         odd_ok = u == h.unit and is_semisimple(h)
     else:

@@ -303,7 +303,8 @@ def test_verify_hopf_scans_generators_only(monkeypatch):
 
 def _exhaustive_algebra_witnesses(h):
     basis = [Vec.basis(h.dim, i) for i in range(h.dim)]
-    return hopf._associativity_witness(h, range(h.dim)), hopf._unit_witness(h, basis)
+    a = h.algebra
+    return hopf._associativity_witness(a, range(h.dim)), hopf._unit_witness(a, basis)
 
 
 def _atlas9_hosts():
@@ -331,17 +332,18 @@ def test_algebra_witnesses_match_the_exhaustive_scan_on_atlas9_hosts():
     assert len(hosts) == 43
     failing = {"associativity": 0, "unit": 0}
     for h in hosts:
-        assert h.algebra_witnesses == _exhaustive_algebra_witnesses(h) == (None, None)
+        assert h.algebra.witnesses == _exhaustive_algebra_witnesses(h) == (None, None)
         if h.dim == 1:
             continue  # k: every product c e_0 is associative, and 1 = e_0
         moved = h.replace(unit=Vec.basis(h.dim, h.dim - 1))
         broken = _product_mutant(h)
         # a twist's copy with another product computes its own facts
-        twisted = h.replace(comult=h.comult, algebra_host=h)
-        assert twisted.algebra_witnesses == (None, None)
+        twisted = h.replace(comult=h.comult)
+        assert twisted.algebra is h.algebra and twisted.algebra.witnesses == (None, None)
         for mutant in (moved, broken, twisted.replace(mult=broken.mult)):
+            assert mutant.algebra is not h.algebra
             expected = _exhaustive_algebra_witnesses(mutant)
-            assert mutant.algebra_witnesses == expected
+            assert mutant.algebra.witnesses == expected
             failing["associativity"] += expected[0] is not None
             failing["unit"] += expected[1] is not None
             assert verify_hopf(mutant).to_obj() == exhaustive_axioms(mutant)
@@ -352,14 +354,12 @@ def test_algebra_witnesses_match_the_exhaustive_scan_on_atlas9_hosts():
 def test_a_twist_shares_the_algebra_of_its_host():
     host = _sweedler_host()
     h2, _ = Twist(host, unit_tensor2(host)).apply()
-    assert h2.mult is host.mult and h2.unit is host.unit and h2.counit is host.counit
-    assert h2.parity is host.parity and h2.algebra_host is host
+    assert h2.algebra is host.algebra and h2.counit is host.counit
+    assert h2.mult is host.mult and h2.unit is host.unit and h2.parity is host.parity
     assert h2.generators is host.generators
-    assert h2.radical is host.radical
-    assert h2.algebra_witnesses is host.algebra_witnesses
-    # a twist of a twist reads the first host's facts too
+    # a twist of a twist holds the first host's Algebra too
     h3, _ = Twist(h2, unit_tensor2(h2)).apply()
-    assert h3.radical is host.radical
+    assert h3.algebra is host.algebra
 
 
 def test_apply_twist_on_a_loaded_dump_computes_no_algebra_fact(monkeypatch):
@@ -375,14 +375,16 @@ def test_apply_twist_on_a_loaded_dump_computes_no_algebra_fact(monkeypatch):
     for name in ("_associativity_witness", "_unit_witness", "jacobson_radical"):
         monkeypatch.setattr(hopf, name, refused)
     h2, _ = apply_twist(h, unit_tensor2(h))
-    facts = {"generators", "_spanning_generators", "radical", "algebra_witnesses", "axioms"}
-    assert not facts & (set(vars(h)) | set(vars(h2)))
+    assert h2.algebra is h.algebra
+    assert not {"generators", "radical", "witnesses"} & set(vars(h.algebra))
+    assert "axioms" not in set(vars(h)) | set(vars(h2))
 
 
 def test_axioms_report_cached(sweedler):
     h = sweedler.replace()
     assert h.axioms is h.axioms and h.axioms.ok
-    assert h.radical is h.radical and len(h.radical) == 2
+    assert h.algebra is sweedler.algebra
+    assert h.algebra.radical is sweedler.algebra.radical and len(h.algebra.radical) == 2
 
 
 _SCALARS = st.sampled_from([ONE, -ONE, ONE + ONE, ZERO])
@@ -605,8 +607,8 @@ def test_sparse_antipode_powers_match_the_dense_oracle_on_atlas9():
             orders.append(order)
             assert _nonzeros(host.antipode) == dense_columns(powers[1])
             assert _nonzeros(host.s2_columns) == dense_columns(powers[2])
-            s4 = tuple(apply_map(host.s2_columns, col) for col in host.s2_columns)
-            assert _nonzeros(s4) == dense_columns(powers[4])
+            assert _nonzeros(host.s4_columns) == dense_columns(powers[4])
+            assert host.s4_columns is host.s4_columns
             identity = _vec_columns(powers[0])
             assert _vec_columns(powers[order]) == identity
             assert not any(_vec_columns(p) == identity for p in powers[1:order])

@@ -271,19 +271,21 @@ def test_hopf_dumps_keeps_one_mult_text_per_multiplication():
     h = group_algebra(FiniteGroup.cyclic(3))
     z3 = group_algebra(FiniteGroup.cyclic(3))
     assert hopf_dumps(h) == _stdlib_dump(hopf_to_obj(h))
-    # a twist holds h's mult and reads h's text; a copy with another mult
-    # (the opposite product, equal here) or another unit writes its own
-    twisted = h.replace(comult=h.comult, algebra_host=h)
-    opposite = h.replace(mult=tuple(zip(*h.mult)), algebra_host=h)
-    assert opposite.mult == h.mult and opposite.mult is not h.mult
+    # a twist holds h's Algebra and reads h's text; a copy with another
+    # mult (the opposite product, equal here) has an Algebra of its own
+    twisted = h.replace(comult=h.comult)
+    opposite = h.replace(mult=tuple(zip(*h.mult)))
+    assert opposite.algebra == h.algebra and opposite.algebra is not h.algebra
     assert hopf_dumps(twisted) == hopf_dumps(h)
-    assert "_mult_text" not in vars(twisted)
+    assert twisted.algebra is h.algebra and h.algebra.mult_text is not None
     s3 = group_algebra(FiniteGroup.symmetric3())
     z6 = group_algebra(FiniteGroup.cyclic(6))
-    other = z6.replace(mult=s3.mult, algebra_host=z6)
+    other = z6.replace(mult=s3.mult)
     for copy_ in (opposite, other, z3):
+        assert copy_.algebra.mult_text is None
         assert hopf_dumps(copy_) == _stdlib_dump(hopf_to_obj(copy_))
-        assert vars(copy_)["_mult_text"] is not vars(h)["_mult_text"]
+        text = copy_.algebra.mult_text
+        assert text is not None and text is not h.algebra.mult_text
     assert hopf_dumps(other) != hopf_dumps(z6)
 
 

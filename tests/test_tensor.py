@@ -616,7 +616,7 @@ def _forbid_scalar_products(monkeypatch):
 def test_linear_maps_multiply_no_scalar(monkeypatch):
     # S, S^2, Delta, rho(g) and Y applied, composed and contracted on integer
     # numerators; each result is compared with the one computed before the
-    # products were forbidden, on a fresh copy of the host
+    # products were forbidden, on a fresh copy of the host and its Algebra
     i = root_of_unity(4, 1)
     chi, conj = (ONE, i, -ONE, -i), (ONE, -i, -ONE, i)
     z4 = FiniteGroup.cyclic(4)
@@ -632,13 +632,13 @@ def test_linear_maps_multiply_no_scalar(monkeypatch):
         ))
     _forbid_scalar_products(monkeypatch)
     for h, (t, v, s_v, delta_v, s2, order, contractions) in zip(hosts, expected):
-        fresh = h.replace()
+        fresh = h.replace(mult=h.mult)
         assert fresh.antipode_vec(v) == s_v and fresh.comult_vec(v) == delta_v
         assert fresh.s2_columns == s2 and antipode_order(fresh) == order
         assert [
             antipode_contraction(fresh, t, leg, square) for leg in (0, 1) for square in (False, True)
         ] == contractions
-        assert hopf._associativity_witness(fresh, range(fresh.dim)) is None
+        assert hopf._associativity_witness(fresh.algebra, range(fresh.dim)) is None
     # rho(g) of Z4 on one line, chi = (1, i, -1, -i), and on chi + its
     # conjugate with Y = (e_0 + e_1, e_0 - e_1), on which rho(1) swaps
     # the y up to i, so B = diag(1, -1) is invariant
@@ -664,6 +664,16 @@ def test_linear_maps_multiply_no_scalar(monkeypatch):
 def test_from_dict_rejects_bad_indices(cls, key):
     with pytest.raises(ShapeError):
         cls.from_dict(2, {key: ONE})
+
+
+def test_vec_from_dict_takes_one_index_keys():
+    # a Vec is keyed by the plain index once the 1-tuple key is checked
+    v = Vec.from_dict(2, {(0,): ONE})
+    assert v == Vec.basis(2, 0) and v.get(0) == ONE and v.nonzeros == ((0, ONE),)
+    assert Vec.from_dict(3, {(2,): sc(1, 2), (0,): ZERO}) == Vec(3, ((2, sc(1, 2)),))
+    for key in ((2,), (-1,), (0, 0), 0):
+        with pytest.raises(ShapeError):
+            Vec.from_dict(2, {key: ONE})
 
 
 def test_flip():

@@ -57,7 +57,7 @@ from trihopf.triangular import (
 
 from _oracles import exhaustive_triangular, sweedler_r
 
-ONE = CycScalar.one()
+ONE, ZERO = CycScalar.one(), CycScalar.zero()
 
 
 def sc(n, d=1):
@@ -521,11 +521,12 @@ def test_instances_share_their_cached_host():
     host = twists[0].host
     for tw in twists:
         h, r = tw.apply()
-        assert h.algebra_host is host and h.mult is host.mult
+        assert h.algebra is host.algebra and h.mult is host.mult
         assert certify_twisted_triangular(h, r, tw)
-    # the host keeps its R_u and facts of its own, nothing of an instance
-    assert host.algebra_host is None and host._triangular_proof == (twists[0].r, True)
-    for value in vars(host).values():
+    # the host and its Algebra keep R_u and facts of their own, nothing of
+    # an instance
+    assert host.twist is None and host._triangular_proof == (twists[0].r, True)
+    for value in [*vars(host).values(), *vars(host.algebra).values()]:
         assert not isinstance(value, (hopf.HopfData, Twist, Tensor2))
 
 
@@ -573,14 +574,21 @@ def test_atlas9_job_proves_each_host_once(monkeypatch, tmp_path):
     atlas._host.cache_clear()
     atlas._twist_pair.cache_clear()
     files: dict = {}
-    muls = _calls(lambda: files.update(_atlas_files(specs, tmp_path / "atlas")), CycScalar.__mul__)
+    muls, algebra_scans = _calls(
+        lambda: files.update(_atlas_files(specs, tmp_path / "atlas")),
+        CycScalar.__mul__,
+        hopf.Algebra.malformation.func,
+    )
     assert len(files) == 3 * 119
     # S, S^2, rho(g), Delta, the contractions by S and the associativity
     # rows multiply integer numerators (tensor.apply_map); the CycScalar
     # products left are those of Echelon, the trace form, the counit, the
     # bicharacter twists and the exterior expansion.  45,548 while those
     # maps multiplied CycScalars.
-    assert muls == (19372,)
+    assert muls == 19372
+    # the algebra half of the structural check, once per host: every H^J
+    # holds its host's very Algebra
+    assert algebra_scans == 43
     assert {name: len(args) for name, args in calls.items()} == {
         "_smash_product": 43,
         "_associativity_witness": 43,
@@ -595,7 +603,7 @@ def test_atlas9_job_proves_each_host_once(monkeypatch, tmp_path):
     }
     # the triangular proofs take the generator path, on the untwisted hosts
     assert all(
-        gens is not None and gens == h.generators and h.algebra_host is None
+        gens is not None and gens == h.generators and h.twist is None
         for h, _, gens in calls["_triangular"]
     )
 
@@ -644,7 +652,22 @@ def test_axiom_mutants_take_the_fallback_on_atlas9(monkeypatch):
             assert checked[-1] is bad and not report.ok and report.witnesses
             assert report.to_obj() == verify_hopf(bad).to_obj()
             mutants += 1
-    assert mutants == 2 * 119
+        # e_i e_0 plus e_0: another Algebra, so the premise of H's algebra
+        # fails and verify_hopf decides
+        cell = dict(h.mult[i][0])
+        cell[0] = cell.get(0, ZERO) + ONE
+        row = h.mult[i][:0] + (tuple(sorted(cell.items())),) + h.mult[i][1:]
+        bad = h.replace(mult=h.mult[:i] + (row,) + h.mult[i + 1:])
+        assert bad.algebra is not h.algebra and bad.algebra != h.algebra
+        assert bad.twist is tw and not tw.proves_hopf(bad)
+        report = bad.axioms
+        assert checked[-1] is bad and report.to_obj() == verify_hopf(bad).to_obj()
+        mutants += 1
+        # an equal product in a fresh Algebra still meets the premise
+        same = h.replace(mult=tuple(map(tuple, h.mult)))
+        assert same.algebra is not h.algebra and same.algebra == h.algebra
+        assert tw.proves_hopf(same) and same.axioms.ok and checked[-1] is not same
+    assert mutants == 3 * 119
 
 
 def _calls(fn, *functions):
