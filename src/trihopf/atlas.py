@@ -39,7 +39,6 @@ from .hopf import (
     HopfData,
     antipode_order,
     is_cocommutative,
-    subspace_is_hopf_ideal,
 )
 from .serialize import dumps, hopf_dumps, tensor2_to_obj
 from .tensor import Tensor2
@@ -228,30 +227,28 @@ def analysis_report(h, r=None, twist: Twist | None = None) -> dict:
 
     When (h, r) came from twist, triangularity is certified by the
     twisting theorem (certify_twisted_triangular); if a premise fails,
-    and always without a twist, verify_triangular decides.  When R is
-    triangular the Chevalley property comes from the theorem report, so
-    the radical is tested for being a Hopf ideal only once.
+    and always without a twist, verify_triangular decides.  The Chevalley
+    property is HopfData.chevalley, once per object, which an H^J whose
+    axioms the twisting theorem proves reads off its host.
     """
     rad = h.algebra.radical
     cocommutative = is_cocommutative(h)
     order = antipode_order(h)
-    block = theorems = None
+    block = None
     if r is not None:
         tri = (
             twist is not None and certify_twisted_triangular(h, r, twist)
         ) or verify_triangular(h, r)
         block = {"triangular": tri, "r_rank": r_matrix_rank(r)}
         if tri:
-            theorems = check_structure_theorems(h, r)
-            block.update(theorems.to_obj())
-    chevalley = theorems.chevalley if theorems is not None else subspace_is_hopf_ideal(h, rad)
+            block.update(check_structure_theorems(h, r).to_obj())
     obj = {
         "dim": h.dim,
         "super": h.super,
         "cocommutative": cocommutative,
         "semisimple": not rad,
         "radical_dim": len(rad),
-        "chevalley": chevalley,
+        "chevalley": h.chevalley,
         "antipode_order": order,
     }
     if block is not None:

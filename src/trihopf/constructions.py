@@ -31,6 +31,7 @@ subsets in bitmask order: index = g * 2**w + mask.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .errors import (
@@ -374,7 +375,9 @@ class Twist:
     is solved for when not given); any failure raises TwistError, or
     NotInvertible for a singular J.  R, when given, is a triangular
     structure of H to carry along; it is not checked here.  A J, J^-1 or
-    R of another dimension than H raises ShapeError first.
+    R of another dimension than H raises ShapeError first.  The twisted
+    coproduct, antipode and R (comult, antipode, r_twisted) are computed
+    once per twist, and are what apply hands to H^J.
     """
 
     host: HopfData
@@ -396,81 +399,59 @@ class Twist:
             if tensor2_mul(j, self.j_inv, h) != unit2 or tensor2_mul(self.j_inv, j, h) != unit2:
                 raise TwistError("provided inverse is not a two-sided inverse")
 
-    def apply(self) -> tuple[HopfData, Optional[Tensor2]]:
-        """(H^J, R^J): Delta^J(x) = J^-1 Delta(x) J, the antipode conjugated
-        by Q = m(S (x) id)(J), and R^J = J21^-1 R J when R is given.
-        H^J holds H's very Algebra (hopf.Algebra: multiplication, unit
-        and grading, with every fact computed of them, such as the
-        generators, the radical and the associativity and unit
-        witnesses) and H's counit.  The coalgebra half of the structural
-        check runs on H^J; H^J keeps this twist, and its axioms are
-        proved from H's when first asked (proves_hopf).
+    @cached_property
+    def comult(self) -> tuple[Tensor2, ...]:
+        """Delta^J as its columns Delta^J(e_i) = J^-1 Delta(e_i) J,
+        computed once per twist."""
+        h, j, j_inv = self.host, self.j, self.j_inv
+        return tuple(tensor2_mul(tensor2_mul(j_inv, d, h), j, h) for d in h.comult)
+
+    @cached_property
+    def antipode(self) -> tuple[Vec, ...]:
+        """S^J as its columns S^J(e_i) = Q^-1 S(e_i) Q, Q = m(S (x) id)(J),
+        computed once per twist.
 
         Q^-1 is the closed form m(id (x) S)(J^-1) with the certified
         J^-1, multiplied back on both sides (certified_inverse); if that
-        fails it is solved for, as a singular Q would raise.  Column i of
-        the antipode is S^J(e_i) = Q^-1 P_i with P_i = S(e_i) Q, and Q
-        and the P_i are kept on H^J for its antipode premise
-        (proves_hopf)."""
-        h, j, j_inv = self.host, self.j, self.j_inv
-        comult_new = tuple(tensor2_mul(tensor2_mul(j_inv, d, h), j, h) for d in h.comult)
-        q, products = self._antipode_products(h)
-        # Q^-1 = m(id (x) S)(J^-1)
-        q_inv = certified_inverse(h, q, antipode_contraction(h, j_inv, leg=1))
-        out = h.replace(
-            comult=comult_new,
-            antipode=tuple(h.mul_vec(q_inv, p) for p in products),
-            twist=self,
-        ).validate()
-        object.__setattr__(out, "_antipode_products", (q, products))
-        r_new = None
-        if self.r is not None:
-            r_new = tensor2_mul(tensor2_mul(flip(j_inv), self.r, h), j, h)
-        return out, r_new
+        fails it is solved for, as a singular Q would raise."""
+        h = self.host
+        q = antipode_contraction(h, self.j)
+        q_inv = certified_inverse(h, q, antipode_contraction(h, self.j_inv, leg=1))
+        return tuple(h.mul_vec(q_inv, h.mul_vec(s, q)) for s in h.antipode)
 
-    def _antipode_products(self, h: HopfData) -> tuple[Vec, tuple[Vec, ...]]:
-        """(Q, (S(e_i) Q for every i)) with Q = m(S (x) id)(J) and S the
-        antipode of H; kept on the H^J apply made, so that a copy of it
-        (HopfData.replace) computes them afresh."""
-        if h.twist is self and "_antipode_products" in h.__dict__:
-            return h.__dict__["_antipode_products"]
-        host = self.host
-        q = antipode_contraction(host, self.j)
-        return q, tuple(host.mul_vec(s, q) for s in host.antipode)
+    @cached_property
+    def r_twisted(self) -> Optional[Tensor2]:
+        """R^J = J21^-1 R J, with J21^-1 = flip(J^-1) since flip is an
+        algebra automorphism of H (x) H for an ordinary H; None without R."""
+        if self.r is None:
+            return None
+        h = self.host
+        return tensor2_mul(tensor2_mul(flip(self.j_inv), self.r, h), self.j, h)
 
-    def intertwines(self, h: HopfData) -> bool:
-        """J Delta_h(e_i) = Delta(e_i) J for every i, on an h with H's
-        algebra; kept on the H^J this twist made, whose axioms
-        (proves_hopf) and triangularity certificate share it."""
-        mine = h.twist is self
-        if mine and "_intertwined" in h.__dict__:
-            return h.__dict__["_intertwined"]
-        host, j = self.host, self.j
-        ok = all(
-            tensor2_mul(j, h.comult[i], h) == tensor2_mul(host.comult[i], j, h)
-            for i in range(h.dim)
-        )
-        if mine:
-            object.__setattr__(h, "_intertwined", ok)
-        return ok
+    def apply(self) -> tuple[HopfData, Optional[Tensor2]]:
+        """(H^J, R^J): H with this twist's comult and antipode, and
+        r_twisted.  H^J keeps this twist and holds H's very Algebra
+        (hopf.Algebra: multiplication, unit and grading, with every fact
+        computed of them, such as the generators, the radical and the
+        associativity and unit witnesses) and H's counit.  The coalgebra
+        half of the structural check runs on H^J; its axioms are proved
+        from H's when first asked (proves_hopf)."""
+        out = self.host.replace(comult=self.comult, antipode=self.antipode, twist=self)
+        return out.validate(), self.r_twisted
 
     def proves_hopf(self, h: HopfData) -> bool:
         """True when Drinfeld's twisting theorem proves h = H^J a Hopf
         algebra (Kassel, Quantum Groups, XV.3): J was checked when this
         twist was made; H's axioms hold (proved once per host); h is well
         formed and has H's algebra and counit (HopfData.keeps_algebra_of:
-        H's very Algebra, as apply hands it, or an equal one); and, since J
-        and Q = m(S (x) id)(J) are invertible, Delta_h = J^-1 Delta J
-        (intertwines) and S_h = Q^-1 S Q, checked as Q S_h(e_i) = P_i
-        with P_i = S(e_i) Q (_antipode_products).
+        H's very Algebra, as apply hands it, or an equal one); and
+        Delta_h and S_h equal this twist's J^-1 Delta J and Q^-1 S Q
+        (comult, antipode), with J^-1 and Q^-1 certified two-sided.
         False means a premise failed, not that h is no Hopf algebra."""
         host = self.host
-        if not host.axioms.ok or h._malformation is not None:
+        if not host.axioms.ok or h._malformation is not None or not h.keeps_algebra_of(host):
             return False
-        if not h.keeps_algebra_of(host) or not self.intertwines(h):
-            return False
-        q, products = self._antipode_products(h)
-        return all(host.mul_vec(q, s) == p for s, p in zip(h.antipode, products))
+        return h.comult == self.comult and h.antipode == self.antipode
 
 
 def apply_twist(

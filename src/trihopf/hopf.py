@@ -35,8 +35,9 @@ and is computed once per Algebra: H^J holds H's very Algebra, so it
 computes none of them, and HopfData.replace with another product,
 unit or grading makes a fresh one.  The Hopf axioms are proved once
 per host: H^J keeps the Twist that made it, and its axioms follow from
-H's by the twisting theorem (HopfData.axioms) once per instance checks
-tie its stored coproduct and antipode to J.  Everything else that
+H's by the twisting theorem (HopfData.axioms) once its stored
+coproduct and antipode equal the twist's J^-1 Delta J and Q^-1 S Q, as
+does the Chevalley property (HopfData.chevalley).  Everything else that
 reads the coproduct or the antipode (the coalgebra half of the
 structural check, S^2, S^4) is computed once per object, so once per
 instance.  Facts of a pair (H, R) live in triangular.py.
@@ -53,7 +54,7 @@ form, certified_inverse takes it after multiplying it back on both
 sides and solves only if that fails, so a wrong closed form changes
 neither a value nor an exception.  The two closed forms are
 Q^-1 = m(id (x) S)(J^-1) for a twist's Q = m(S (x) id)(J)
-(constructions.Twist.apply) and u^-1 = sum b_i S^2(a_i) for the
+(constructions.Twist.antipode) and u^-1 = sum b_i S^2(a_i) for the
 Drinfeld element of R = sum a_i (x) b_i (triangular.drinfeld_element).
 """
 
@@ -90,8 +91,10 @@ class Algebra:
     fact of them, each computed once per object (see the module
     docstring).  mult[i][j] lists the nonzero (k, c) with
     e_i * e_j = sum c * e_k, in increasing k.  Equality compares the
-    five fields.
+    five fields, so an Algebra is unhashable (its unit is a Vec).
     """
+
+    __hash__ = None
 
     dim: int
     unit: Vec
@@ -314,6 +317,17 @@ class HopfData:
         if self.twist is not None and self.twist.proves_hopf(self):
             return AxiomReport(True, True, True, True, True, True, witnesses={})
         return verify_hopf(self)
+
+    @cached_property
+    def chevalley(self) -> bool:
+        """Whether the radical I is a Hopf ideal, once per object.  For an
+        H^J that Twist.proves_hopf holds on, H's verdict: H^J has H's I
+        and counit, and as I (x) H + H (x) I and I are two-sided ideals,
+        J^-1 Delta(I) J and Q^-1 S(I) Q lie in them exactly when Delta(I)
+        and S(I) do.  Otherwise subspace_is_hopf_ideal decides."""
+        if self.twist is not None and self.twist.proves_hopf(self):
+            return self.twist.host.chevalley
+        return subspace_is_hopf_ideal(self, self.algebra.radical)
 
     def mul_vec(self, x: Vec, y: Vec) -> Vec:
         """The product xy in H, as Algebra.mul_vec computes it."""
@@ -643,8 +657,8 @@ def subspace_is_hopf_ideal(h: HopfData, basis: Sequence[Vec]) -> bool:
 
 
 def is_chevalley(h: HopfData) -> bool:
-    """True iff the radical is a Hopf ideal."""
-    return subspace_is_hopf_ideal(h, h.algebra.radical)
+    """True iff the radical is a Hopf ideal (HopfData.chevalley)."""
+    return h.chevalley
 
 
 def antipode_order(h: HopfData, bound: int = 16) -> int:

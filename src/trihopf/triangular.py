@@ -37,14 +37,16 @@ the twist came from, not R^J itself:
    whose axioms are proved;
 3. J normalized and the cocycle identity in the order above;
 4. J^-1 two-sided;
-5. J Delta^J(e_i) = Delta(e_i) J for every i, and J21 R^J = R J.
-Premises 3 and 4 are checked when the constructions.Twist is made.
-H's axioms are proved, and H^J's follow from them by the same theorem:
-by 4 and 5, Delta^J = J^-1 Delta J, which with 3 makes H^J a Hopf
-algebra with the antipode Q^-1 S Q, Q = m(S (x) id)(J).  So the axioms
-of an H^J made by the twist are H's proof plus the check that its
-stored antipode is Q^-1 S Q (constructions.Twist.proves_hopf); if a
-premise fails they are verified on H^J itself (hopf.verify_hopf).
+5. Delta^J = J^-1 Delta J and R^J = J21^-1 R J, as equalities with the
+   twist's own maps (constructions.Twist.comult and r_twisted).
+Premises 3 and 4 are checked when the constructions.Twist is made; 5
+needs no product, as J21^-1 = flip(J^-1) for an ordinary H.  H's axioms
+are proved, and H^J's follow from them by the same theorem: 5 and 3
+make H^J a Hopf algebra with the antipode Q^-1 S Q, Q = m(S (x) id)(J).
+So the axioms of an H^J made by the twist are H's proof plus the
+equality of its stored antipode with the twist's Q^-1 S Q
+(constructions.Twist.proves_hopf); if a premise fails they are
+verified on H^J itself (hopf.verify_hopf).
 
 Which facts belong to what.  H's axioms are a fact of H, proved once
 and kept on it (HopfData.axioms); the associativity and unit witnesses
@@ -53,8 +55,7 @@ holds as it is; premise 2 is a fact of the pair
 (H, R), proved once and kept on H beside the R object it was proved
 for, so every twist of one host with the same R reuses it and any other
 R is proved afresh; premises 3 to 5 and the antipode check are per
-twist, and the products of premise 5's first half are computed once
-per H^J for its axioms and the certificate together.
+twist, and Delta^J, S^J and R^J are computed once per twist.
 
 The Drinfeld element u = sum S(b_i) a_i of R = sum a_i (x) b_i has the
 inverse u^-1 = sum b_i S^2(a_i) when R is quasitriangular;
@@ -176,18 +177,16 @@ def certify_twisted_triangular(h: HopfData, r: Tensor2, twist: Twist) -> bool:
       Twist.apply hands to H^J, or an equal one;
     - R is triangular on H, by verify_triangular, proved once per
       (H, R) pair and kept on H;
-    - J Delta_h(e_i) = Delta_H(e_i) J for every i (Twist.intertwines,
-      shared with h's axioms when the twist made h), and J21 r = R J.
+    - Delta_h and r equal the twist's own J^-1 Delta_H J and J21^-1 R J
+      (Twist.comult, Twist.r_twisted), computed once per twist.
     False means a premise failed, not that r is not triangular.
     """
-    host, r0, j = twist.host, twist.r, twist.j
+    host, r0 = twist.host, twist.r
     if r0 is None or not host.axioms.ok or not h.axioms.ok:
         return False
     if not h.keeps_algebra_of(host) or not _host_triangular(host, r0):
         return False
-    if not twist.intertwines(h):
-        return False
-    return tensor2_mul(flip(j, h), r, h) == tensor2_mul(r0, j, h)
+    return h.comult == twist.comult and r == twist.r_twisted
 
 
 def drinfeld_element(h: HopfData, r: Tensor2) -> Vec:

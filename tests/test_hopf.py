@@ -380,6 +380,13 @@ def test_apply_twist_on_a_loaded_dump_computes_no_algebra_fact(monkeypatch):
     assert "axioms" not in set(vars(h)) | set(vars(h2))
 
 
+def test_an_algebra_is_unhashable(sweedler):
+    # equality compares the fields, so identity hashing would break the
+    # hash contract; the error names the Algebra, not its unit Vec
+    with pytest.raises(TypeError, match="Algebra"):
+        hash(sweedler.algebra)
+
+
 def test_axioms_report_cached(sweedler):
     h = sweedler.replace()
     assert h.axioms is h.axioms and h.axioms.ok

@@ -376,8 +376,11 @@ def test_unverified_host_takes_the_exhaustive_path():
 
 
 def _forged(twist, **fields):
-    """A copy of a Twist with fields swapped in after its checks ran."""
+    """A copy of a Twist with fields swapped in after its checks ran; the
+    copy computes its maps from its own fields, not the checked J's."""
     out = copy.copy(twist)
+    for name in ("comult", "antipode", "r_twisted"):
+        vars(out).pop(name, None)
     for name, value in fields.items():
         object.__setattr__(out, name, value)
     return out
@@ -402,8 +405,8 @@ def test_certificate_mutants_fail_on_atlas9():
         # one R^J entry perturbed
         assert not certify_twisted_triangular(h, _perturbed(r, k), tw)
         # one J entry perturbed: the Twist refuses it, and on a
-        # non-cocommutative host a record forged past that check fails the
-        # multiply-back
+        # non-cocommutative host a record forged past that check has
+        # another J^-1 Delta J
         bad_j = _perturbed(tw.j, k)
         with pytest.raises(TwistError):
             Twist(tw.host, bad_j, tw.j_inv, tw.r)
@@ -563,6 +566,7 @@ def test_atlas9_job_proves_each_host_once(monkeypatch, tmp_path):
         (hopf, "_bialgebra_witness"),
         (constructions, "build_bicharacter_twist"),
         (serialize, "_mult_obj"),
+        (hopf, "subspace_is_hopf_ideal"),
     ):
         original = getattr(module, name)
 
@@ -574,10 +578,11 @@ def test_atlas9_job_proves_each_host_once(monkeypatch, tmp_path):
     atlas._host.cache_clear()
     atlas._twist_pair.cache_clear()
     files: dict = {}
-    muls, algebra_scans = _calls(
+    muls, algebra_scans, products = _calls(
         lambda: files.update(_atlas_files(specs, tmp_path / "atlas")),
         CycScalar.__mul__,
         hopf.Algebra.malformation.func,
+        tensor2_mul,
     )
     assert len(files) == 3 * 119
     # S, S^2, rho(g), Delta, the contractions by S and the associativity
@@ -585,7 +590,11 @@ def test_atlas9_job_proves_each_host_once(monkeypatch, tmp_path):
     # products left are those of Echelon, the trace form, the counit, the
     # bicharacter twists and the exterior expansion.  45,548 while those
     # maps multiplied CycScalars.
-    assert muls == 19372
+    assert muls == 19300
+    # products in H (x) H: the twists' J^-1 Delta J and J21^-1 R J and their
+    # checks of J, and the hosts' proofs; the premises of every H^J compare
+    # maps and multiply none.  5,085 while the premises multiplied back.
+    assert products == 3091
     # the algebra half of the structural check, once per host: every H^J
     # holds its host's very Algebra
     assert algebra_scans == 43
@@ -600,6 +609,8 @@ def test_atlas9_job_proves_each_host_once(monkeypatch, tmp_path):
         "build_bicharacter_twist": 2 * len(twists),
         # the text of each host's mult, once per host
         "_mult_obj": 43,
+        # the Chevalley property, once per host; every H^J reads its host's
+        "subspace_is_hopf_ideal": 43,
     }
     # the triangular proofs take the generator path, on the untwisted hosts
     assert all(
@@ -670,6 +681,28 @@ def test_axiom_mutants_take_the_fallback_on_atlas9(monkeypatch):
     assert mutants == 3 * 119
 
 
+def test_chevalley_of_a_twist_is_its_hosts_on_atlas9(monkeypatch):
+    direct = hopf.subspace_is_hopf_ideal
+    checked = []
+    monkeypatch.setattr(hopf, "subspace_is_hopf_ideal", lambda h, b: checked.append(h) or direct(h, b))
+    specs = enumerate_instances(9)
+    for k, spec in enumerate(specs):
+        tw = instance_twist(spec)
+        h, _ = tw.apply()
+        before = len(checked)
+        assert hopf.is_chevalley(h) == direct(h, h.algebra.radical)
+        # the radical of H^J is never tested itself, only its host's
+        assert all(g is tw.host for g in checked[before:])
+        # Delta^J(e_i) plus e_0 (x) e_0 fails the premise, so the radical of
+        # the mutant is tested itself
+        d, i = h.dim, k % h.dim
+        delta = h.comult[i] + Tensor2.from_dict(d, {(0, 0): ONE})
+        bad = h.replace(comult=h.comult[:i] + (delta,) + h.comult[i + 1:])
+        assert bad.twist is tw and not tw.proves_hopf(bad)
+        assert bad.chevalley == direct(bad, bad.algebra.radical) and checked[-1] is bad
+    assert len(specs) == 119
+
+
 def _calls(fn, *functions):
     """How often each function was entered while fn() ran, however it was
     imported by its callers."""
@@ -710,6 +743,9 @@ def test_applying_a_twist_checks_no_axiom(orders, products):
         tensor2_mul, hopf.HopfData.mul_vec, CycScalar.__mul__,
     )
     assert counts == products
+    # with H's axioms proved, those of H^J compare its maps with the
+    # twist's and multiply nothing
     h2 = out[0]
-    assert "axioms" not in vars(h2) and "_intertwined" not in vars(h2)
-    assert h2.axioms.ok and vars(h2)["_intertwined"]
+    assert "axioms" not in vars(h2) and h.axioms.ok
+    assert _calls(lambda: h2.axioms, tensor2_mul, hopf.HopfData.mul_vec) == (0, 0)
+    assert h2.axioms.ok
