@@ -1,20 +1,22 @@
 """The central (super) Hopf algebra datatype and its verifiers.
 
 HopfData records a finite-dimensional algebra-and-coalgebra by exact
-structure constants: an Algebra (sparse multiplication tensor, unit
-and a Z2 parity grading for the super case), per-basis-element
-comultiplication, counit covector and antipode.  S and Delta are
-linear maps held as tuples of columns: antipode[i] is the tensor.Vec
-S(e_i) and comult[i] the tensor.Tensor2 Delta(e_i), and make_hopf
-normalizes raw structure constants into these forms through the one
-sparse constructor, which trusts its indices: validate() refuses any
-outside.  Every map on elements applies such columns with
-tensor.apply_map on integer numerators: S(x), Delta(x), S^2 and S^4
-(HopfData.s2_columns, s4_columns), S^2 = Ad(u), m(S (x) id)(t) (with
-m = HopfData.mul_legs), the associativity rows and the Hopf-ideal
-projection.  Products read mult in integer form (Algebra.mult_ints, a
+structure constants, each a sparse tensor: an Algebra (mult, one
+tensor.Tensor3 keyed (i, j, k), the unit and a Z2 parity grading for
+the super case), the counit as the tensor.Vec of eps(e_i), and S and
+Delta as tuples of columns: antipode[i] is the Vec S(e_i) and
+comult[i] the tensor.Tensor2 Delta(e_i).  make_hopf normalizes raw
+structure constants into these forms through the one sparse
+constructor, which trusts its indices: validate() refuses any outside.
+Every map on elements applies such columns with tensor.apply_map on
+integer numerators (S(x), Delta(x), S^2 and S^4, S^2 = Ad(u),
+m(S (x) id)(t) with m = HopfData.mul_legs, the associativity rows, L_x
+in algebra_inverse, the Hopf-ideal projection), and every covector
+with tensor.contract (eps(x), the counit slants, eps o m, the trace
+form).  Products read mult in integer form (Algebra.mult_ints, a
 tensor.IntCells).  No dense matrix exists outside the dump format
-(serialize.py).
+(serialize.py), and no check here multiplies CycScalars outside
+tensor.Echelon.
 
 verify_hopf proves each axiom by exact finite checks and reports the
 first failing witness per axiom instead of raising.
@@ -66,7 +68,7 @@ from operator import attrgetter
 from typing import Any, Optional, Sequence
 
 from .errors import NotInvertible, OrderNotFound, ShapeError
-from .scalars import SC_ONE, SC_ZERO, CycScalar
+from .scalars import SC_ONE, CycScalar
 from .tensor import (
     Echelon,
     _kernel1,
@@ -74,11 +76,11 @@ from .tensor import (
     _product,
     _unit_legs,
     IntCells,
-    SparseRow,
     Tensor2,
     Tensor3,
     Vec,
     apply_map,
+    contract,
     embed13_23_12,
     flip,
     tensor2_mul,
@@ -89,16 +91,16 @@ from .tensor import (
 class Algebra:
     """The product, unit and grading of a (super) Hopf algebra, and every
     fact of them, each computed once per object (see the module
-    docstring).  mult[i][j] lists the nonzero (k, c) with
-    e_i * e_j = sum c * e_k, in increasing k.  Equality compares the
-    five fields, so an Algebra is unhashable (its unit is a Vec).
+    docstring).  mult is the Tensor3 of structure constants keyed
+    (i, j, k): e_i * e_j = sum_k mult[i, j, k] e_k.  Equality compares
+    the five fields, so an Algebra is unhashable (its unit is a Vec).
     """
 
     __hash__ = None
 
     dim: int
     unit: Vec
-    mult: tuple[tuple[SparseRow, ...], ...]
+    mult: Tensor3
     parity: tuple[int, ...]
     super: bool = False
     # the dump text of mult, written once by serialize.hopf_dumps
@@ -113,29 +115,27 @@ class Algebra:
             return "dimension must be positive"
         if self.unit.dim != d or len(self.parity) != d:
             return "unit/counit/parity length mismatch"
-        if len(self.mult) != d or any(len(row) != d for row in self.mult):
+        if not isinstance(self.mult, Tensor3) or self.mult.dim != d:
             return "multiplication tensor shape mismatch"
         if not self.super and any(self.parity):
             return "nonzero parity on a non-super algebra"
         if any(p not in (0, 1) for p in self.parity):
             return "parity entries must be 0 or 1"
         par = self.parity
-        for i in range(d):
-            for j in range(d):
-                for k, c in self.mult[i][j]:
-                    if not 0 <= k < d:
-                        return f"product index {k} out of range at ({i},{j})"
-                    if not c.is_zero() and (par[i] + par[j]) % 2 != par[k]:
-                        return f"product parity violation at ({i},{j},{k})"
-            if par[i] and not self.unit.get(i).is_zero():
-                return "unit supported on odd basis elements"
+        for i, j, k, _ in self.mult.nonzeros:
+            if not (0 <= i < d and 0 <= j < d and 0 <= k < d):
+                return f"product index ({i},{j},{k}) out of range at e_{i} e_{j}"
+            if (par[i] + par[j]) % 2 != par[k]:
+                return f"product parity violation at ({i},{j},{k})"
+        if any(par[i] for i, _ in self.unit.nonzeros):
+            return "unit supported on odd basis elements"
         return None
 
     @cached_property
     def mult_ints(self) -> IntCells:
         """mult in the integer form of a sparse tensor, which every product
         in H, H (x) H and H (x) H (x) H reads."""
-        return IntCells(_table(self.dim, self.mult), self.mult)
+        return IntCells(self.mult)
 
     @cached_property
     def unit_legs(self) -> tuple[tuple[Tensor2, ...], tuple[Tensor2, ...]]:
@@ -213,13 +213,14 @@ class HopfData:
     algebra holds the product, unit and grading and every fact of them
     (Algebra); antipode[i] is the Vec S(e_i) and comult[i] the Tensor2
     Delta(e_i), so S and Delta are tuples of sparse columns, which
-    tensor.apply_map applies.  dim, unit, mult, parity and super read
-    through to the algebra.
+    tensor.apply_map applies, and counit is the Vec of eps(e_i), a
+    covector that tensor.contract applies.  dim, unit, mult, parity and
+    super read through to the algebra.
     """
 
     algebra: Algebra
     comult: tuple[Tensor2, ...]
-    counit: tuple[CycScalar, ...]
+    counit: Vec
     antipode: tuple[Vec, ...]
     # the constructions.Twist whose apply() made this object (see axioms)
     twist: Optional[Any] = field(default=None, repr=False)
@@ -244,7 +245,7 @@ class HopfData:
         if problem is not None:
             return problem
         d, par = self.dim, self.parity
-        if len(self.counit) != d:
+        if not isinstance(self.counit, Vec) or self.counit.dim != d:
             return "unit/counit/parity length mismatch"
         if len(self.comult) != d or any(
             not isinstance(t, Tensor2) or t.dim != d for t in self.comult
@@ -339,7 +340,7 @@ class HopfData:
         return _product(_kernel_legs, (t,), Vec, self.algebra)
 
     def counit_vec(self, x: Vec) -> CycScalar:
-        return sum((a * self.counit[i] for i, a in x.nonzeros), SC_ZERO)
+        return contract(self.counit, x)
 
     def antipode_vec(self, x: Vec) -> Vec:
         return apply_map(self.antipode, x)
@@ -358,25 +359,26 @@ def make_hopf(dim, unit, mult, comult, counit, antipode, parity=None, super=Fals
 
     mult[i][j] and antipode[i] are (k, c) pairs and comult[i] is
     (j, k, c) triples, in any order; every one goes through the sparse
-    constructor, which sums a repeated index and drops zeros, so each
-    cell is stored in increasing index, S(e_i) as its Vec and Delta(e_i)
-    as its Tensor2.
+    constructor, which sums a repeated index and drops zeros, so mult is
+    stored as one Tensor3 keyed (i, j, k), S(e_i) as its Vec and
+    Delta(e_i) as its Tensor2.  unit and counit are Vecs or dense lists.
     """
-    mult = [tuple(row) for row in mult]
-    table = _table(dim, mult)
+    if len(mult) != dim or any(len(row) != dim for row in mult):
+        raise ShapeError("multiplication tensor shape mismatch")
     algebra = Algebra(
         dim=dim,
-        unit=unit if isinstance(unit, Vec) else Vec.from_entries(unit),
-        mult=_summed_cells(table, mult),
+        unit=_vec(unit),
+        mult=Tensor3(
+            dim,
+            [((i, j, k), c) for i, row in enumerate(mult) for j, cell in enumerate(row) for k, c in cell],
+        ),
         parity=tuple(parity) if parity is not None else (0,) * dim,
         super=super,
     )
-    # mult_ints, read off the same sum
-    object.__setattr__(algebra, "mult_ints", IntCells(table, mult))
     return HopfData(
         algebra=algebra,
         comult=tuple(Tensor2(dim, (((j, k), c) for j, k, c in entry)) for entry in comult),
-        counit=tuple(counit),
+        counit=_vec(counit),
         antipode=tuple(Vec(dim, col) for col in antipode),
     ).validate()
 
@@ -384,21 +386,9 @@ def make_hopf(dim, unit, mult, comult, counit, antipode, parity=None, super=Fals
 _ALGEBRA_FIELDS = ("dim", "unit", "mult", "parity", "super")
 
 
-def _table(dim: int, rows) -> Tensor3:
-    """The cells rows[i][j], each a list of (k, c) terms, as one Tensor3
-    keyed (i, j, k): one sparse sum over the whole table."""
-    return Tensor3(
-        dim,
-        [((i, j, k), c) for i, row in enumerate(rows) for j, cell in enumerate(row) for k, c in cell],
-    )
-
-
-def _summed_cells(table: Tensor3, rows) -> tuple[tuple[SparseRow, ...], ...]:
-    """The cells of table in the shape of rows, each in increasing k."""
-    cells: list = [[[] for _ in row] for row in rows]
-    for i, j, k, c in table.nonzeros:
-        cells[i][j].append((k, c))
-    return tuple(tuple(tuple(cell) for cell in row) for row in cells)
+def _vec(x) -> Vec:
+    """A Vec as it is, a dense list as its Vec."""
+    return x if isinstance(x, Vec) else Vec.from_entries(x)
 
 
 # ---------------------------------------------------------------------------
@@ -435,11 +425,7 @@ def antipode_contraction(h: HopfData, t: Tensor2, leg: int = 0, square: bool = F
 
 def counit_slants(h: HopfData, t: Tensor2) -> tuple[Vec, Vec]:
     """(eps (x) id)(t) and (id (x) eps)(t)."""
-    counit, terms = h.counit, t.nonzeros
-    return (
-        Vec(h.dim, ((j, c * counit[i]) for i, j, c in terms)),
-        Vec(h.dim, ((i, c * counit[j]) for i, j, c in terms)),
-    )
+    return contract(h.counit, t, 0), contract(h.counit, t, 1)
 
 
 def verify_hopf(h: HopfData) -> AxiomReport:
@@ -497,7 +483,7 @@ def _associativity_witness(h: Algebra, lead):
     (k, q), a left multiplication: L_{e_i e_j}, the map L applied to the
     product e_i e_j, and L_{e_i} o L_{e_j}, x -> e_i x applied to the
     second leg of L_{e_j} (IntCells.left_multiplication)."""
-    products, left = h.mult_ints.left_multiplication(h.dim)
+    products, left = h.mult_ints.left_multiplication()
     for i in lead:
         for j in range(h.dim):
             lhs = apply_map(left, products[i][j])
@@ -532,12 +518,16 @@ def _counit_witness(h: HopfData, basis):
 
 def _bialgebra_witness(h: HopfData, lead):
     """Counit multiplicativity and Delta(e_i e_j) = Delta(e_i) Delta(e_j),
-    Koszul-signed, on (i, j) for i in lead."""
+    Koszul-signed, on (i, j) for i in lead.  The first is one tensor
+    identity, eps o m = eps (x) eps, keyed (i, j)."""
+    eps = h.counit
+    unequal = {(i, j) for i, j, _ in (contract(eps, h.mult, 2) - Tensor2.outer(eps, eps)).nonzeros}
+    basis = [Vec.basis(h.dim, i) for i in range(h.dim)]
     for i in lead:
         for j in range(h.dim):
-            product = Vec(h.dim, h.mult[i][j])
-            if h.counit_vec(product) != h.counit[i] * h.counit[j]:
+            if (i, j) in unequal:
                 return (i, j)
+            product = h.mul_vec(basis[i], basis[j])
             if h.comult_vec(product) != tensor2_mul(h.comult[i], h.comult[j], h):
                 return (i, j)
     return None
@@ -545,7 +535,7 @@ def _bialgebra_witness(h: HopfData, lead):
 
 def _antipode_witness(h: HopfData):
     for i in range(h.dim):
-        target = h.unit.scale(h.counit[i])
+        target = h.unit.scale(h.counit.get(i))
         if (
             antipode_contraction(h, h.comult[i]) != target
             or antipode_contraction(h, h.comult[i], leg=1) != target
@@ -577,17 +567,15 @@ def dual_hopf(h: HopfData) -> HopfData:
             coef = -c if (h.super and par[a] and par[b]) else c
             mult_d[a][b].append((t, coef))
     comult_d = [[] for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            for t, c in h.mult[i][j]:
-                coef = -c if (h.super and par[i] and par[j]) else c
-                comult_d[t].append((i, j, coef))
+    for i, j, t, c in h.mult.nonzeros:
+        coef = -c if (h.super and par[i] and par[j]) else c
+        comult_d[t].append((i, j, coef))
     return make_hopf(
         dim=d,
-        unit=Vec.from_entries(h.counit),
-        mult=tuple(tuple(tuple(cell) for cell in row) for row in mult_d),
-        comult=tuple(tuple(entry) for entry in comult_d),
-        counit=h.unit.entries,
+        unit=h.counit,
+        mult=mult_d,
+        comult=comult_d,
+        counit=h.unit,
         antipode=[[(i, col.get(j)) for i, col in enumerate(h.antipode)] for j in range(d)],
         parity=par,
         super=h.super,
@@ -599,20 +587,14 @@ def dual_hopf(h: HopfData) -> HopfData:
 
 def trace_form(h: Algebra | HopfData) -> list[dict]:
     """Sparse rows of T[i][j] = trace of left multiplication by e_i * e_j:
-    row i maps each j with T[i][j] != 0 to T[i][j]."""
-    d = h.dim
-    # tr[k] = trace(L_{e_k})
-    tr = [sum((c for j in range(d) for t, c in h.mult[k][j] if t == j), SC_ZERO) for k in range(d)]
-    rows = []
-    for i in range(d):
-        row = {}
-        for j in range(d):
-            acc = SC_ZERO
-            for k, c in h.mult[i][j]:
-                acc = acc + c * tr[k]
-            if not acc.is_zero():
-                row[j] = acc
-        rows.append(row)
+    row i maps each j with T[i][j] != 0 to T[i][j].  T is mult with the
+    covector tr, tr[k] = trace(L_{e_k}) read off the diagonal
+    mult[k, j, j], contracted on its product leg."""
+    mult = h.mult
+    tr = Vec(h.dim, [(k, c) for k, j, l, c in mult.nonzeros if j == l])
+    rows: list[dict] = [{} for _ in range(h.dim)]
+    for i, j, c in contract(tr, mult, 2).nonzeros:
+        rows[i][j] = c
     return rows
 
 
@@ -664,19 +646,21 @@ def is_chevalley(h: HopfData) -> bool:
 def antipode_order(h: HopfData, bound: int = 16) -> int:
     """Least k >= 1 with S**k = id; OrderNotFound past the bound.
 
-    The powers are tuples of columns, S^(k+1)(e_i) = S(S^k(e_i)) by
-    apply_map; S^2 and S^4 are the cached HopfData.s2_columns and
-    s4_columns."""
+    The powers are tuples of columns.  When the cached S^4
+    (HopfData.s4_columns) is the identity the order divides 4, and is
+    read off S and S^2: S^3 = id would give S = S^4 S^-3 = id.  Only
+    otherwise are S^3, S^5, ... composed, S^(k+1)(e_i) = S(S^k(e_i)) by
+    apply_map."""
     identity = tuple(Vec.basis(h.dim, i) for i in range(h.dim))
-    power = h.antipode
-    for k in range(1, bound + 1):
-        if power == identity:
-            return k
-        if k in (1, 3):
-            power = h.s2_columns if k == 1 else h.s4_columns
-        else:
-            power = tuple(apply_map(h.antipode, col) for col in power)
-    raise OrderNotFound(f"antipode order exceeds bound {bound}")
+    if h.s4_columns == identity:
+        order = 1 if h.antipode == identity else 2 if h.s2_columns == identity else 4
+    else:
+        order, power = 3, tuple(apply_map(h.antipode, col) for col in h.s2_columns)
+        while power != identity and order <= bound:
+            order, power = order + 1, tuple(apply_map(h.antipode, col) for col in power)
+    if order > bound:
+        raise OrderNotFound(f"antipode order exceeds bound {bound}")
+    return order
 
 
 def algebra_inverse(h: HopfData, x: Vec) -> Vec:
@@ -687,12 +671,10 @@ def algebra_inverse(h: HopfData, x: Vec) -> Vec:
     sets every free unknown to 0 and is multiplied back on both sides.
     """
     d = h.dim
+    _, left = h.algebra.mult_ints.left_multiplication()
     rows: list[dict] = [{} for _ in range(d)]  # rows[k][t]: e_k-coefficient of x e_t
-    for s, a in x.nonzeros:
-        for t in range(d):
-            for k, c in h.mult[s][t]:
-                row = rows[k]
-                row[t] = row.get(t, SC_ZERO) + a * c
+    for t, k, c in apply_map(left, x).nonzeros:  # L_x, keyed (t, k)
+        rows[k][t] = c
     for k, b in h.unit.nonzeros:
         rows[k][d] = b
     sol = Echelon(rows).solution(d)

@@ -58,13 +58,8 @@ def mat_from_obj(obj) -> tuple[tuple[CycScalar, ...], ...]:
 
 
 def _mult_obj(h: Algebra) -> list:
-    """The "mult" entries [i, j, k, c] of a Hopf dump."""
-    return [
-        [i, j, k, scalar_to_obj(c)]
-        for i, row in enumerate(h.mult)
-        for j, cell in enumerate(row)
-        for k, c in cell
-    ]
+    """The "mult" entries [i, j, k, c] of a Hopf dump, in lexicographic order."""
+    return [[i, j, k, scalar_to_obj(c)] for i, j, k, c in h.mult.nonzeros]
 
 
 def hopf_to_obj(h: HopfData):
@@ -83,7 +78,7 @@ def _hopf_obj(h: HopfData, mult):
         "unit": vec_to_obj(h.unit),
         "mult": mult,
         "comult": comult,
-        "counit": [scalar_to_obj(c) for c in h.counit],
+        "counit": vec_to_obj(h.counit),
         "antipode": antipode,
     }
 
@@ -144,9 +139,9 @@ def hopf_from_obj(obj) -> HopfData:
     return make_hopf(
         dim=dim,
         unit=vec_from_obj(obj["unit"]),
-        mult=tuple(tuple(tuple(cell) for cell in row) for row in mult),
-        comult=tuple(comult),
-        counit=tuple(scalar_from_obj(c) for c in obj["counit"]),
+        mult=mult,
+        comult=comult,
+        counit=vec_from_obj(obj["counit"]),
         antipode=[tuple(enumerate(col)) for col in zip(*antipode)],
         parity=tuple(obj["parity"]),
         super=obj["super"],

@@ -19,10 +19,12 @@ vectors Y of a septuple), Tensor2s for a map into H (x) H (the
 coproduct Delta, x -> x (x) 1).  apply_map applies one to one leg of a
 Vec, Tensor2 or Tensor3 on integer numerators, so composing maps,
 Delta(x), (S (x) id)(t) and the embeddings into H (x) H (x) H
-(embed13_23_12) are one function.  The products Algebra.mul_vec,
-HopfData.mul_legs (m(t) for t in H (x) H), tensor2_mul and tensor3_mul
-run one integer kernel each on the numerators and on the host's mult
-in the same integer form (IntCells, made once per hopf.Algebra as
+(embed13_23_12) are one function; contract applies a covector (the
+counit, the trace of left multiplication), a Vec read as a row, the
+same way.  The products Algebra.mul_vec, HopfData.mul_legs (m(t) for
+t in H (x) H), tensor2_mul and tensor3_mul run one integer kernel each
+on the numerators and on the host's mult, a Tensor3 keyed (i, j, k),
+laid out by (i, j) (IntCells, made once per hopf.Algebra as
 Algebra.mult_ints), with Koszul signs when the host is a
 superalgebra.  At N = 1 that is one kernel call.  At N > 1 the
 operands and the table are split by powers of zeta_N, and the kernel's
@@ -31,9 +33,9 @@ scalar kernel's own root_of_unity and _embed.  A coefficient becomes a
 CycScalar only when nonzeros or get reads it, so CycScalar is the one
 scalar type at every interface (Echelon, serialize, the builders).
 
-The key of a Vec is its plain basis index, so Vec.nonzeros is a
-SparseRow: (a, c) pairs in increasing a.  Dense forms exist only in the
-dump format, a vector or a column as Vec.from_entries and Vec.entries.
+The key of a Vec is its plain basis index, so Vec.nonzeros is (a, c)
+pairs in increasing a.  Dense forms exist only in the dump format, a
+vector or a column as Vec.from_entries and Vec.entries.
 Every elimination goes through one sparse reduced row echelon basis,
 Echelon, with one field inverse per pivot: rank, kernel and solution of
 a linear system, span membership, the generating set and radical of a
@@ -46,7 +48,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain, product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 from typing import TYPE_CHECKING, Iterable, Optional
 
@@ -65,10 +67,6 @@ from .scalars import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from .hopf import Algebra, HopfData
-
-# the nonzeros of a Vec, and a cell of HopfData.mult: (index, coefficient)
-# pairs in increasing index
-SparseRow = tuple[tuple[int, CycScalar], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -221,29 +219,28 @@ def _power(order: int, e: int) -> tuple[tuple[int, int], ...]:
 
 
 class IntCells:
-    """A structure table (HopfData.mult) in the integer form of a sparse
-    tensor: one order, one positive denominator, and rows[i][j] the
-    (k, numerator) of cell (i, j), read off the table summed as one
-    Tensor3 keyed (i, j, k) and laid out in the shape of rows.
-    hopf.Algebra.mult_ints makes it once per algebra."""
+    """A structure table, the Tensor3 hopf.Algebra.mult keyed (i, j, k),
+    in the integer form of a sparse tensor: one order, one positive
+    denominator, and rows[i][j] the (k, numerator) of e_i e_j, laid out
+    once per algebra as hopf.Algebra.mult_ints."""
 
     __slots__ = ("order", "den", "rows", "_parts")
 
-    def __init__(self, table: "Tensor3", rows):
+    def __init__(self, table: "Tensor3"):
         self.order, self.den = table.order, table.den
-        cells: list = [[[] for _ in row] for row in rows]
+        cells: list = [[[] for _ in range(table.dim)] for _ in range(table.dim)]
         for (i, j, k), v in table._num.items():
             cells[i][j].append((k, v))
         shared: dict = {}  # one object per distinct cell
         self.rows = tuple(tuple(shared.setdefault(c, c) for c in map(tuple, row)) for row in cells)
         self._parts: dict = {}
 
-    def left_multiplication(self, dim: int) -> tuple[tuple["Vec", ...], tuple["Tensor2", ...]]:
-        """(P, L) for the table of an algebra of dimension dim: P[i][j] the
-        Vec e_i e_j, so P[i] holds the columns of x -> e_i x, and L[i] that
-        map as a Tensor2 keyed (j, k), so L holds the columns of the map
-        x -> (left multiplication by x) from H to H (x) H."""
-        order, den = self.order, self.den
+    def left_multiplication(self) -> tuple[tuple["Vec", ...], tuple["Tensor2", ...]]:
+        """(P, L): P[i][j] the Vec e_i e_j, so P[i] holds the columns of
+        x -> e_i x, and L[i] that map as a Tensor2 keyed (j, k), so L holds
+        the columns of the map x -> (left multiplication by x) from H to
+        H (x) H."""
+        order, den, dim = self.order, self.den, len(self.rows)
         products = tuple(
             tuple(Vec._of(dim, *_canonical(order, den, dict(cell))) for cell in row)
             for row in self.rows
@@ -370,16 +367,15 @@ class _SparseTensor:
 
     @classmethod
     def outer(cls, *vecs: Vec):
-        """The pure tensor v_1 (x) ... (x) v_arity."""
+        """The pure tensor v_1 (x) ... (x) v_arity, on integer numerators."""
         if len(vecs) != cls.arity or any(v.dim != vecs[0].dim for v in vecs):
             raise ShapeError("outer product of mismatched vectors")
-        terms = []
-        for factors in product(*(v.nonzeros for v in vecs)):
-            c = factors[0][1]
-            for _, b in factors[1:]:
-                c = c * b
-            terms.append((tuple(i for i, _ in factors), c))
-        return cls(vecs[0].dim, terms)
+        order = lcm(*(v.order for v in vecs))
+        times = mul if order == 1 else (lambda u, v: _mul_nums(u, v, order))
+        terms = [((i,), x) for i, x in _lift(vecs[0], order).items()]
+        for v in vecs[1:]:
+            terms = [(key + (i,), times(c, x)) for key, c in terms for i, x in _lift(v, order).items()]
+        return cls._of(vecs[0].dim, *_sum_ints(order, prod(v.den for v in vecs), terms))
 
     def get(self, *index: int) -> CycScalar:
         v = self._num.get(index)
@@ -435,8 +431,8 @@ class _SparseTensor:
 
 class Vec(_SparseTensor):
     """Element of H in its fixed basis: the arity-1 sparse tensor, keyed
-    by the plain basis index, so that nonzeros is a SparseRow and
-    Vec(dim, column) takes a column of a linear map as it is."""
+    by the plain basis index, so that nonzeros is (index, coefficient)
+    pairs and Vec(dim, column) takes a column of a linear map as it is."""
 
     __slots__ = ()
     arity = 1
@@ -462,7 +458,7 @@ class Vec(_SparseTensor):
         return tuple(out)
 
     @property
-    def nonzeros(self) -> SparseRow:
+    def nonzeros(self) -> tuple[tuple[int, CycScalar], ...]:
         """(index, coefficient) pairs in increasing index order."""
         if self._nz is None:
             s = self._value
@@ -675,6 +671,32 @@ def apply_map(cols, t, leg: int = 0):
         )
     cls = _ARITY[arity - 1 + cols[0].arity]
     return cls._of(cols[0].dim, *_sum_ints(order, t.den * den, terms))
+
+
+def contract(form: Vec, t, leg: int = 0):
+    """The covector form, a Vec read as the row of a map H -> k, applied
+    to leg `leg` of t on integer numerators: a CycScalar for a Vec, a Vec
+    for a Tensor2 and a Tensor2 for a Tensor3 (the counit slants, the
+    trace form, eps o m)."""
+    arity = t.arity
+    if not 0 <= leg < arity:
+        raise ShapeError(f"no leg {leg} in a tensor of arity {arity}")
+    if form.dim != t.dim:
+        raise ShapeError("covector/tensor dimension mismatch")
+    order = lcm(t.order, form.order)
+    row = _lift(form, order)
+    times = mul if order == 1 else (lambda u, v: _mul_nums(u, v, order))
+    num = _lift(t, order).items()
+    if arity == 1:
+        terms = ((0, times(c, row[k])) for k, c in num if k in row)
+    elif arity == 2:
+        terms = ((key[1 - leg], times(c, row[key[leg]])) for key, c in num if key[leg] in row)
+    else:
+        terms = ((key[:leg] + key[leg + 1:], times(c, row[key[leg]])) for key, c in num if key[leg] in row)
+    fields = _sum_ints(order, t.den * form.den, terms)
+    if arity == 1:
+        return Vec._of(1, *fields).get(0)
+    return _ARITY[arity - 1]._of(t.dim, *fields)
 
 
 def _unit_legs(unit: Vec) -> tuple[tuple[Tensor2, ...], tuple[Tensor2, ...]]:

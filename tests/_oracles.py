@@ -1,11 +1,12 @@
 """Independent oracles, kept apart from the library code paths.
 
 Elements of H are dense lists of coefficients here, and every product
-e_i e_j is read from h.mult into such a list (_basis_product,
-dense_product); the oracles call no product of the library and do no
-arithmetic on its vector type, whose values they read only as dense
-coefficients (_entries) or, for the columns of a linear map, as
-nonzeros (expand_map).  The radical oracle computes the maximal nilpotent ideal
+e_i e_j is read from the nonzeros of h.mult into such a list
+(mult_cells, _basis_product, dense_product); the oracles call no
+product of the library and do no arithmetic on its vector type, whose
+values they read only as dense coefficients (_entries, the counit) or
+as nonzeros (the mult table, the columns of a linear map in
+expand_map).  The radical oracle computes the maximal nilpotent ideal
 reachable from a sweep of candidate generators: for each candidate x it
 builds the two-sided principal ideal of x by closure under basis
 multiplication and keeps it when the ideal is nilpotent (every
@@ -101,10 +102,29 @@ def _nonzeros(x):
     return [(i, c) for i, c in enumerate(x) if not c.is_zero()]
 
 
+_CELLS: list = [None, {}]  # the table read last, and its cells
+
+
+def mult_cells(h):
+    """{(i, j): ((k, c), ...)}: the (k, c) of each nonzero product e_i e_j,
+    read off the (i, j, k, c) nonzeros of h.mult, once in a row per table."""
+    if _CELLS[0] is not h.mult:
+        cells: dict = {}
+        for i, j, k, c in h.mult.nonzeros:
+            cells[i, j] = cells.get((i, j), ()) + ((k, c),)
+        _CELLS[:] = [h.mult, cells]
+    return _CELLS[1]
+
+
+def mult_cell(h, i, j):
+    """The (k, c) of e_i e_j in increasing k; () for a zero product."""
+    return mult_cells(h).get((i, j), ())
+
+
 def _basis_product(h, i, j):
     """The nonzero (k, c) of e_i e_j, summed from h.mult."""
     acc = {}
-    for k, w in h.mult[i][j]:
+    for k, w in mult_cell(h, i, j):
         _add(acc, k, w)
     return list(_drop_zeros(acc).items())
 
@@ -115,7 +135,7 @@ def dense_product(h, x, y):
     right = _nonzeros(y)
     for i, a in _nonzeros(x):
         for j, b in right:
-            for k, w in h.mult[i][j]:
+            for k, w in mult_cell(h, i, j):
                 out[k] = out[k] + a * b * w
     return out
 
@@ -123,7 +143,7 @@ def dense_product(h, x, y):
 def _mul_basis_vec(h, i, v, side):
     out = [SC_ZERO] * h.dim
     for j, c in _nonzeros(v):
-        pairs = h.mult[i][j] if side == "left" else h.mult[j][i]
+        pairs = mult_cell(h, i, j) if side == "left" else mult_cell(h, j, i)
         for k, w in pairs:
             out[k] = out[k] + c * w
     return out
@@ -266,6 +286,16 @@ def expand_map(cols, a, leg):
     return _drop_zeros(out)
 
 
+def expand_contraction(row, a, leg):
+    """The covector with dense entries row applied to one leg of the
+    tensor whose coefficients are a, keyed by the other legs' indices:
+    () for an element of H, whose contraction is a scalar."""
+    out = {}
+    for key, c in a.items():
+        _add(out, key[:leg] + key[leg + 1:], c * row[key[leg]])
+    return _drop_zeros(out)
+
+
 def expand_legs(h, a):
     """m(t) = sum c e_i e_j for the tensor square with coefficients a, keyed (k,)."""
     out = {}
@@ -325,11 +355,12 @@ def exhaustive_axioms(h):
         return dense_product(h, x, y)
 
     deltas = [_coproduct(h, i) for i in range(d)]
+    eps = h.counit.entries
 
     def counit_of(v):
         acc = SC_ZERO
         for i, c in _nonzeros(v):
-            acc = acc + c * h.counit[i]
+            acc = acc + c * eps[i]
         return acc
 
     def coproduct_of(v):
@@ -342,8 +373,8 @@ def exhaustive_axioms(h):
     def counit_fails(i):
         left, right = [SC_ZERO] * d, [SC_ZERO] * d
         for (j, k), c in deltas[i].items():
-            left = _add_scaled(left, c * h.counit[j], e[k])
-            right = _add_scaled(right, c * h.counit[k], e[j])
+            left = _add_scaled(left, c * eps[j], e[k])
+            right = _add_scaled(right, c * eps[k], e[j])
         return left != e[i] or right != e[i]
 
     s_cols = [list(row) for row in zip(*dense_antipode(h))]
@@ -353,7 +384,7 @@ def exhaustive_axioms(h):
         for (j, k), c in deltas[i].items():
             left = _add_scaled(left, c, mul(s_cols[j], e[k]))
             right = _add_scaled(right, c, mul(e[j], s_cols[k]))
-        target = [h.counit[i] * u for u in unit]
+        target = [eps[i] * u for u in unit]
         return left != target or right != target
 
     found = {
@@ -370,7 +401,7 @@ def exhaustive_axioms(h):
         "counit": _first(idx1, counit_fails),
         "bialgebra": _first(
             idx2,
-            lambda i, j: counit_of(mul(e[i], e[j])) != h.counit[i] * h.counit[j]
+            lambda i, j: counit_of(mul(e[i], e[j])) != eps[i] * eps[j]
             or coproduct_of(mul(e[i], e[j])) != expand_product(h, deltas[i], deltas[j]),
         ),
         "antipode": _first(idx1, antipode_fails),

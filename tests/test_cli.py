@@ -325,6 +325,17 @@ def test_verify_rejects_duplicate_structure_constants(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "resize", [lambda e: e[:-1], lambda e: e + [e[0]], lambda e: 5], ids=["short", "long", "int"]
+)
+def test_verify_rejects_a_counit_of_another_length(tmp_path, capsys, resize):
+    dump = load(GOLDEN / "sweedler.hopf.json")
+    dump["counit"] = resize(dump["counit"])
+    assert main(["verify", write(tmp_path / "bad.json", dump)]) == 2
+    err = capsys.readouterr().err
+    assert "malformed input" in err and "Traceback" not in err
+
+
 def test_verify_rejects_zero_denominator(tmp_path, sweedler_input, capsys):
     out = tmp_path / "sw.hopf.json"
     main(["build", sweedler_input, "--kind", "modified-supergroup", "-o", str(out)])

@@ -30,7 +30,7 @@ from trihopf.hopf import (
     verify_hopf,
 )
 from trihopf.scalars import CycScalar, root_of_unity
-from trihopf.tensor import Tensor2, Vec, apply_map, unit_tensor2
+from trihopf.tensor import Tensor2, Tensor3, Vec, apply_map, unit_tensor2
 from trihopf.triangular import check_structure_theorems
 
 from _oracles import (
@@ -42,6 +42,7 @@ from _oracles import (
     dense_product,
     exhaustive_axioms,
     in_span,
+    mult_cell,
     rank,
     same_span,
 )
@@ -95,9 +96,7 @@ def test_broken_antipode_reports_witness():
 def test_broken_associativity_reports_witness():
     h = group_algebra(FiniteGroup.cyclic(2))
     # zero out 1*g: then (g*1)*g = 1 but g*(1*g) = 0
-    mult = list(list(row) for row in h.mult)
-    mult[0][1] = ()
-    broken = h.replace(mult=tuple(tuple(row) for row in mult))
+    broken = h.replace(mult=h.mult - Tensor3.from_dict(2, {(0, 1, 1): ONE}))
     report = verify_hopf(broken)
     assert not report.ok
     assert not report.associativity
@@ -149,6 +148,28 @@ def test_an_out_of_range_structure_index_is_malformed(part, table):
         make_hopf(dim=1, unit=[ONE], counit=[ONE], **tables)
 
 
+@pytest.mark.parametrize(
+    "key", [(4, 0, 0), (0, 4, 0), (0, 0, 4), (-1, 0, 0), (0, -1, 0), (0, 0, -1)],
+    ids=["i_past_the_end", "j_past_the_end", "k_past_the_end", "i_negative", "j_negative", "k_negative"],
+)
+def test_a_mult_key_out_of_range_is_malformed(sweedler, key):
+    # mult is one Tensor3, whose constructor trusts its keys
+    bad = sweedler.replace(mult=sweedler.mult + Tensor3(4, [(key, ONE)]))
+    with pytest.raises(ShapeError, match=r"^product index \(.*\) out of range at"):
+        bad.validate()
+
+
+def test_a_counit_of_another_length_or_type_is_malformed(sweedler):
+    eps = sweedler.counit
+    for counit in (Vec(3, eps.nonzeros[:1]), Vec.from_entries(eps.entries + (ONE,)), eps.entries):
+        with pytest.raises(ShapeError, match="unit/counit/parity length mismatch"):
+            sweedler.replace(counit=counit).validate()
+    raw = dict(dim=1, unit=[ONE], mult=((((0, ONE),),),), comult=(((0, 0, ONE),),), antipode=(((0, ONE),),))
+    assert make_hopf(counit=[ONE], **raw).counit == make_hopf(counit=Vec.basis(1, 0), **raw).counit
+    with pytest.raises(ShapeError, match="unit/counit/parity length mismatch"):
+        make_hopf(counit=[ONE, ZERO], **raw)
+
+
 def test_an_antipode_column_over_another_dimension_is_malformed(sweedler):
     columns = sweedler.antipode[:1] + (Vec.basis(5, 1),) + sweedler.antipode[2:]
     for antipode in (columns, sweedler.antipode[:3], tuple(v.nonzeros for v in sweedler.antipode)):
@@ -172,7 +193,7 @@ def test_corrupt_coproduct_witnesses_klein():
     # at e3, and the first pair whose product is e3 while Delta(e_i)
     # Delta(e_j) differs is (1, 2): (0, 3) multiplies by the unit
     h = group_algebra(FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2)))
-    assert h.mult[1][2] == ((3, ONE),)
+    assert mult_cell(h, 1, 2) == ((3, ONE),)
     broken = _with_coproduct(h, 3, Tensor2.from_dict(h.dim, {(1, 2): ONE}))
     report = verify_hopf(broken)
     assert report.associativity and report.unit
@@ -278,7 +299,7 @@ def test_generators_of_a_loaded_dump():
 def test_generators_none_without_a_unit():
     # a zero product: span{1} is closed under every e_s, so nothing spans
     h = group_algebra(FiniteGroup.cyclic(2))
-    broken = h.replace(mult=(((), ()), ((), ())))
+    broken = h.replace(mult=Tensor3(2, ()))
     assert broken.generators is None
     assert verify_hopf(broken).to_obj() == exhaustive_axioms(broken)
 
@@ -317,11 +338,7 @@ def _product_mutant(h):
     first cell (i, j) that breaks it when its product gains e_0."""
     for i in range(h.dim):
         for j in range(h.dim):
-            mult = [list(row) for row in h.mult]
-            cell = dict(mult[i][j])
-            cell[0] = cell.get(0, ZERO) + ONE
-            mult[i][j] = tuple((k, c) for k, c in sorted(cell.items()) if not c.is_zero())
-            mutant = h.replace(mult=tuple(tuple(row) for row in mult))
+            mutant = h.replace(mult=h.mult + Tensor3.from_dict(h.dim, {(i, j, 0): ONE}))
             if _exhaustive_algebra_witnesses(mutant)[0] is not None:
                 return mutant
     raise AssertionError("no associativity-breaking entry found")
@@ -407,11 +424,10 @@ def _corrupt(h, data):
     if kind in ("mult", "mult_term"):
         k = data.draw(st.sampled_from([k for k in range(d) if par[k] == (par[i] + par[j]) % 2]))
         c = data.draw(_SCALARS)
-        mult = [list(row) for row in h.mult]
-        cell = dict(mult[i][j]) if kind == "mult_term" else {}
-        cell[k] = cell.get(k, ZERO) + c
-        mult[i][j] = tuple((k, v) for k, v in cell.items() if not v.is_zero())
-        return h.replace(mult=tuple(tuple(row) for row in mult))
+        change = Tensor3.from_dict(d, {(i, j, k): c})
+        if kind == "mult":  # c e_k in place of the whole product e_i e_j
+            change -= Tensor3(d, [((i, j, l), w) for l, w in mult_cell(h, i, j)])
+        return h.replace(mult=h.mult + change)
     a = data.draw(st.sampled_from([a for a in range(d) if par[a] == (par[i] + par[j]) % 2]))
     c = data.draw(_SCALARS.filter(lambda c: not c.is_zero()))
     return _with_coproduct(h, a, h.comult[a] + Tensor2.from_dict(d, {(i, j): c}))
@@ -429,9 +445,7 @@ def test_verify_hopf_matches_exhaustive_scan_on_fixed_inputs(sweedler, sg_z2_sig
     hosts = [sweedler, sg_z2_sign, exterior_algebra(2), dual_hopf(group_algebra(FiniteGroup.cyclic(3)))]
     z2 = group_algebra(FiniteGroup.cyclic(2))
     hosts.append(z2.replace(antipode=(Vec(2, ()),) * 2))
-    mult = [list(row) for row in z2.mult]
-    mult[0][1] = ()
-    hosts.append(z2.replace(mult=tuple(tuple(row) for row in mult)))
+    hosts.append(z2.replace(mult=z2.mult - Tensor3.from_dict(2, {(0, 1, 1): ONE})))
     hosts.append(_with_coproduct(sweedler, 1, sweedler.comult[1] + Tensor2.from_dict(4, {(1, 1): ONE})))
     for h in hosts:
         assert verify_hopf(h).to_obj() == exhaustive_axioms(h)
@@ -465,9 +479,7 @@ def test_dual_of_kz2_is_idempotent_basis_table():
 def test_dual_of_s3_commutative_not_cocommutative():
     d = dual_hopf(group_algebra(FiniteGroup.symmetric3()))
     assert verify_hopf(d).ok
-    assert all(
-        dict(d.mult[i][j]) == dict(d.mult[j][i]) for i in range(6) for j in range(6)
-    )
+    assert d.mult == Tensor3(6, [((j, i, k), c) for i, j, k, c in d.mult.nonzeros])
     assert not is_cocommutative(d)
 
 

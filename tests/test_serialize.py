@@ -30,7 +30,7 @@ from trihopf.serialize import (
     tensor2_from_obj,
     tensor2_to_obj,
 )
-from trihopf.tensor import Tensor2, Vec
+from trihopf.tensor import Tensor2, Tensor3, Vec
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -274,7 +274,7 @@ def test_hopf_dumps_keeps_one_mult_text_per_multiplication():
     # a twist holds h's Algebra and reads h's text; a copy with another
     # mult (the opposite product, equal here) has an Algebra of its own
     twisted = h.replace(comult=h.comult)
-    opposite = h.replace(mult=tuple(zip(*h.mult)))
+    opposite = h.replace(mult=Tensor3(h.dim, [((j, i, k), c) for i, j, k, c in h.mult.nonzeros]))
     assert opposite.algebra == h.algebra and opposite.algebra is not h.algebra
     assert hopf_dumps(twisted) == hopf_dumps(h)
     assert twisted.algebra is h.algebra and h.algebra.mult_text is not None

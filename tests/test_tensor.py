@@ -37,6 +37,7 @@ from trihopf.tensor import (
     Tensor3,
     Vec,
     apply_map,
+    contract,
     embed13_23_12,
     flip,
     tensor2_inv,
@@ -47,6 +48,7 @@ from trihopf.tensor import (
 
 from _oracles import (
     dense_product,
+    expand_contraction,
     expand_embedding,
     expand_flip,
     expand_legs,
@@ -572,6 +574,37 @@ def test_integer_kernel_matches_scalar_oracles(host, data):
         _assert_exact(apply_map(into_h2, x, leg), expand_map(into_h2, a2, leg))
 
 
+@pytest.mark.parametrize("order", [1, 3, 8], ids=["Q", "Q(zeta3)", "Q(zeta8)"])
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_contract_matches_the_dense_oracle(order, data):
+    # a covector applied to each leg of a Vec, Tensor2 and Tensor3 whose
+    # coefficients and covector lie in one field, with repeated keys
+    d = data.draw(st.integers(1, 4))
+    scalars = st.builds(
+        lambda n, den, k: CycScalar.from_rational(n, den) * root_of_unity(order, k),
+        st.integers(-3, 3),
+        st.integers(1, 4),
+        st.integers(0, order - 1),
+    )
+    row = data.draw(st.lists(scalars, min_size=d, max_size=d))
+    form = Vec.from_entries(row)
+    for cls in (Vec, Tensor2, Tensor3):
+        keys = st.tuples(*[st.integers(0, d - 1)] * cls.arity)
+        terms = data.draw(st.lists(st.tuples(keys, scalars), max_size=6))
+        t = cls(d, [(k[0] if cls is Vec else k, c) for k, c in terms])
+        for leg in range(cls.arity):
+            expected = expand_contraction(row, _summed(terms), leg)
+            if cls is Vec:
+                assert contract(form, t, leg) == expected.get((), ZERO)
+            else:
+                _assert_exact(contract(form, t, leg), expected)
+        with pytest.raises(ShapeError):
+            contract(form, t, cls.arity)
+        with pytest.raises(ShapeError):
+            contract(Vec.basis(d + 1, 0), t)
+
+
 @given(st.data())
 @settings(max_examples=25, deadline=None)
 def test_zeta3_products_that_come_out_rational(data):
@@ -613,10 +646,28 @@ def _forbid_scalar_products(monkeypatch):
     monkeypatch.setattr(CycScalar, "__rmul__", guarded)
 
 
+def _covector_results(h, t, v):
+    """What the counit and the trace form give on h: eps(v), the slants of
+    t, the trace form, the inverse of 2 + e_{d-1} (left multiplication
+    applied to it), and the bialgebra witnesses of h and of h with
+    eps(e_{d-1}) raised by 1."""
+    d = h.dim
+    bad = h.replace(counit=h.counit + Vec.basis(d, d - 1))
+    return (
+        h.counit_vec(v),
+        hopf.counit_slants(h, t),
+        hopf.trace_form(h.algebra),
+        hopf.algebra_inverse(h, h.unit.scale(sc(2)) + Vec.basis(d, d - 1)),
+        hopf._bialgebra_witness(h, range(d)),
+        hopf._bialgebra_witness(bad, range(d)),
+    )
+
+
 def test_linear_maps_multiply_no_scalar(monkeypatch):
     # S, S^2, Delta, rho(g) and Y applied, composed and contracted on integer
-    # numerators; each result is compared with the one computed before the
-    # products were forbidden, on a fresh copy of the host and its Algebra
+    # numerators, and the counit and the trace form contracted; each result
+    # is compared with the one computed before the products were forbidden,
+    # on a fresh copy of the host and its Algebra
     i = root_of_unity(4, 1)
     chi, conj = (ONE, i, -ONE, -i), (ONE, -i, -ONE, i)
     z4 = FiniteGroup.cyclic(4)
@@ -629,10 +680,12 @@ def test_linear_maps_multiply_no_scalar(monkeypatch):
         expected.append((
             t, v, h.antipode_vec(v), h.comult_vec(v), h.s2_columns, antipode_order(h),
             [antipode_contraction(h, t, leg, square) for leg in (0, 1) for square in (False, True)],
+            _covector_results(h, t, v),
         ))
     _forbid_scalar_products(monkeypatch)
-    for h, (t, v, s_v, delta_v, s2, order, contractions) in zip(hosts, expected):
+    for h, (t, v, s_v, delta_v, s2, order, contractions, covectors) in zip(hosts, expected):
         fresh = h.replace(mult=h.mult)
+        assert fresh.validate() is fresh and _covector_results(fresh, t, v) == covectors
         assert fresh.antipode_vec(v) == s_v and fresh.comult_vec(v) == delta_v
         assert fresh.s2_columns == s2 and antipode_order(fresh) == order
         assert [
