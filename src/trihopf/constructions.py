@@ -32,9 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import prod
 from typing import Optional
 
 from .errors import (
+    BicharacterError,
     SeptupleInvariantViolation,
     ShapeError,
     TwistError,
@@ -45,7 +47,6 @@ from .groups import (
     Bicharacter,
     FiniteGroup,
     GroupRep,
-    characters,
     half_bicharacter,
 )
 from .hopf import (
@@ -55,9 +56,10 @@ from .hopf import (
     counit_slants,
     make_hopf,
 )
-from .scalars import SC_ONE, SC_ZERO, CycScalar
+from .scalars import SC_ONE, SC_ZERO, CycScalar, _reduce_int_poly
 from .tensor import (
     Echelon,
+    _canonical,
     Tensor2,
     Vec,
     apply_map,
@@ -295,33 +297,61 @@ def build_bicharacter_twist(a: AbelianSubgroup, beta: Bicharacter) -> Tensor2:
     beta is the bimultiplicative twist datum itself; to realize a
     classification datum gamma (alternating, nondegenerate) pass
     half_bicharacter(gamma), whose skew is gamma.
+
+    J is counted on the integer exponents of zeta_N, N = beta.root_order,
+    by Pontryagin duality.  With x(t, b) = sum_i t_i b_i N/n_i over the
+    factors n_i, the character of the label t is chi_t(b) = zeta_N**x(t, b)
+    and E_t = (1/|A|) sum_b chi_t(b)**-1 b.  beta(s, .) is a character of
+    the dual group, so it is evaluation at one element b_s of A:
+    beta(s, t) = chi_t(b_s), and b_s is read off beta's row s at the
+    unit labels, (b_s)_i = e[s][unit_i] n_i/N.  Then
+    w_s = sum_t beta(s,t) E_t = sum_t chi_t(b_s) E_t = b_s by the
+    orthogonality of characters, and
+
+        J = sum_s E_s (x) b_s = (1/|A|) sum_{s, a} zeta_N**-x(s, a) a (x) b_s,
+
+    one count at exponent -x(s, a) mod N in the cell (a, b_s) per (s, a).
+    Each cell's N counts are reduced mod Phi_N once.  The row of b_s is
+    compared with all of beta's row s before it is used, x(t, b_s) = e[s][t]
+    mod N for every t, so a table that is no bicharacter raises
+    BicharacterError.
     """
     if tuple(beta.factors) != tuple(a.factors):
         raise ShapeError(
             f"bicharacter factors {beta.factors} do not match subgroup factors {a.factors}"
         )
-    parent_dim = a.parent.order
-    _, _, idems = characters(a)
-    # inflate idempotents from subgroup coordinates to parent coordinates
-    inflated = [tuple((a.elements[local], c) for local, c in e.nonzeros) for e in idems]
+    factors, big_n = beta.factors, beta.root_order
+    steps = [big_n // f for f in factors]  # zeta_{n_i} = zeta_N**(N/n_i)
 
-    def terms():
-        # J = sum_s E_s (x) w_s with w_s = sum_t beta(s,t) E_t, summed once per s
-        for es, row in zip(inflated, beta.values):
-            w = Vec(parent_dim, ((q, b * cq) for et, b in zip(inflated, row) for q, cq in et))
-            for p, cp in es:
-                for q, c in w.nonzeros:
-                    yield (p, q), cp * c
+    def pairing(t, b) -> int:
+        return sum(ti * bi * step for ti, bi, step in zip(t, b, steps)) % big_n
 
-    return Tensor2(parent_dim, terms())
+    element = {x: g for g, x in a.exponents.items()}
+    # mixed-radix index of the unit label of factor i; a factor 1 has none
+    units = [prod(factors[i + 1:]) if f > 1 else None for i, f in enumerate(factors)]
+    cells: dict = {}
+    for s, row in zip(beta.labels, beta.exponents):
+        b = tuple(0 if u is None else row[u] // step for u, step in zip(units, steps))
+        if any(pairing(t, b) != k for t, k in zip(beta.labels, row)):
+            raise BicharacterError(f"row {s} of the table is no character of the dual group")
+        b_s = element[b]
+        for g, x in a.exponents.items():
+            counts = cells.setdefault((g, b_s), [0] * big_n)
+            counts[-pairing(s, x) % big_n] += 1
+    if big_n == 1:
+        num = {key: counts[0] for key, counts in cells.items()}
+    else:
+        num = {key: _reduce_int_poly(counts, big_n) for key, counts in cells.items()}
+    return Tensor2._of(a.parent.order, *_canonical(big_n, a.order, num))
 
 
 def inflate_group_tensor(t: Tensor2, factor: int, dim: int) -> Tensor2:
-    """Map a tensor over k[G] into the smash basis (index g -> g * factor)."""
+    """Map a tensor over k[G] into the smash basis (index g -> g * factor),
+    re-keying its integer numerators."""
     if t.dim * factor != dim:
         raise ShapeError("inflation factor does not match dimensions")
-    return Tensor2.from_dict(
-        dim, {(i * factor, j * factor): c for i, j, c in t.nonzeros}
+    return Tensor2._of(
+        dim, t.order, t.den, {(i * factor, j * factor): v for (i, j), v in t._num.items()}
     )
 
 
@@ -373,7 +403,10 @@ class Twist:
     Constructing one checks J: counit normalization, the cocycle identity
     (Delta (x) id)(J) J12 = (id (x) Delta)(J) J23, and J^-1 two-sided (it
     is solved for when not given); any failure raises TwistError, or
-    NotInvertible for a singular J.  R, when given, is a triangular
+    NotInvertible for a singular J.  A given J^-1 is multiplied back on
+    one side only, J J^-1 = 1: in the finite-dimensional algebra H (x) H
+    a right inverse is two-sided (x -> J x is then onto, so one-to-one,
+    and J (J^-1 J - 1) = 0 gives J^-1 J = 1).  R, when given, is a triangular
     structure of H to carry along; it is not checked here.  A J, J^-1 or
     R of another dimension than H raises ShapeError first.  The twisted
     coproduct, antipode and R (comult, antipode, r_twisted) are computed
@@ -394,10 +427,8 @@ class Twist:
             raise TwistError("counit or cocycle identity fails")
         if self.j_inv is None:
             object.__setattr__(self, "j_inv", tensor2_inv(j, h))
-        else:
-            unit2 = unit_tensor2(h)
-            if tensor2_mul(j, self.j_inv, h) != unit2 or tensor2_mul(self.j_inv, j, h) != unit2:
-                raise TwistError("provided inverse is not a two-sided inverse")
+        elif tensor2_mul(j, self.j_inv, h) != unit_tensor2(h):
+            raise TwistError("provided inverse is not a two-sided inverse")
 
     @cached_property
     def comult(self) -> tuple[Tensor2, ...]:
@@ -477,7 +508,8 @@ def bicharacter_twist_pair(
     """(J, J^-1) of the bicharacter twist on sub for the datum gamma,
     inflated from sub's parent G to dimension dim: J is built from
     beta = half_bicharacter(gamma), J^-1 in closed form from the
-    inverse bicharacter; Twist checks both."""
+    inverse bicharacter, each counted on exponents of zeta_N and
+    inflated by re-keying its integer numerators; Twist checks both."""
     beta = half_bicharacter(gamma)
     factor = dim // sub.parent.order
     return tuple(

@@ -7,8 +7,7 @@ of cyclic factor orders plus an exponent map, which feeds the character
 and idempotent machinery.  A bicharacter on such a group is its table
 of exponents k mod N, N the lcm of the factors, for the values
 zeta_N**k: it is checked, skewed, inverted and halved on those
-integers, and the roots of unity are made only when a twist is built
-from it.
+integers, and the bicharacter twist is counted on them too.
 """
 
 from __future__ import annotations
@@ -506,7 +505,8 @@ class Bicharacter:
     beta(s, t) = zeta_N**k; s and t run over the labels in mixed-radix
     order.  The same table is the wire form (to_obj).  The constructor
     reduces each integer mod N and checks bimultiplicativity as sums
-    mod N; the CycScalar table `values` is made only when first read.
+    mod N.  No root of unity is made of it: build_bicharacter_twist
+    counts J on these exponents.
     """
 
     def __init__(self, factors, exponents):
@@ -540,13 +540,6 @@ class Bicharacter:
                         raise BicharacterError("table not multiplicative in the first slot")
                     if e[i][j_g] != (e[i][j] + e[i][g]) % big_n:
                         raise BicharacterError("table not multiplicative in the second slot")
-
-    @cached_property
-    def values(self) -> tuple[tuple[CycScalar, ...], ...]:
-        """values[s][t] = beta(s, t) = zeta_N**exponents[s][t]."""
-        return tuple(
-            tuple(root_of_unity(self.root_order, k) for k in row) for row in self.exponents
-        )
 
     @classmethod
     def from_exponent_matrix(cls, factors, gen_exponents) -> "Bicharacter":

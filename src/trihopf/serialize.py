@@ -338,9 +338,9 @@ def bicharacter_from_file_obj(obj) -> Bicharacter:
 
     The table must be n x n for n the product of the factors, which is
     checked first: N <= n is then bounded by the size of the file, where
-    a lone factor of 10**9 would ask for roots of unity of that order
-    once J is built.  Every entry must be an integer; no root of unity
-    is made here (Bicharacter.values makes them when J is built).
+    a lone factor of 10**9 would have J counted over 10**9 exponents of
+    zeta_N once it is built (build_bicharacter_twist).  Every entry must
+    be an integer; no root of unity is made here.
     """
     factors = tuple(_int(f, "bicharacter factor") for f in obj["factors"])
     n = prod(factors)

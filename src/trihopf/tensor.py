@@ -372,7 +372,8 @@ class _SparseTensor:
             raise ShapeError("outer product of mismatched vectors")
         order = lcm(*(v.order for v in vecs))
         times = mul if order == 1 else (lambda u, v: _mul_nums(u, v, order))
-        terms = [((i,), x) for i, x in _lift(vecs[0], order).items()]
+        first = _lift(vecs[0], order).items()
+        terms = list(first) if cls.arity == 1 else [((i,), x) for i, x in first]
         for v in vecs[1:]:
             terms = [(key + (i,), times(c, x)) for key, c in terms for i, x in _lift(v, order).items()]
         return cls._of(vecs[0].dim, *_sum_ints(order, prod(v.den for v in vecs), terms))
@@ -740,8 +741,9 @@ def tensor2_inv(a: Tensor2, host: "HopfData") -> Tensor2:
     index pair, so the first power whose residue is tags only gives the
     polynomial, scaled to its least nonzero coefficient.  c_0 = 0 makes
     a a zero divisor; otherwise a^-1 = -c_0^-1 sum_{t>=1} c_t a^(t-1).
-    The candidate is multiplied back on both sides before it is
-    returned.
+    The candidate is multiplied back once before it is returned: it is a
+    polynomial in a, so it commutes with a, and a inv = 1 gives
+    inv a = 1 as well.
     """
     if a.dim != host.dim:
         raise ShapeError("tensor/host dimension mismatch")
@@ -768,7 +770,6 @@ def tensor2_inv(a: Tensor2, host: "HopfData") -> Tensor2:
             for i, j, x in powers[s - 1].nonzeros
         ],
     )
-    # certify two-sidedness
-    if tensor2_mul(a, inv, host) != unit2 or tensor2_mul(inv, a, host) != unit2:
+    if tensor2_mul(a, inv, host) != unit2:
         raise NotInvertible("tensor has no two-sided inverse in H(x)H")
     return inv

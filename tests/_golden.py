@@ -11,10 +11,17 @@ tests/golden/semisimple.sha256 pins semisimple_triangular: the twisted
 group algebra and its R for every semisimple (W = 0) instance of the
 atlas up to order 16, one (group, A, gamma, u) each.
 
+tests/golden/twists.sha256 pins build_bicharacter_twist: J over k[G]
+for every (group, A, gamma) of the atlas up to order 32, with
+beta = half_bicharacter(gamma) and its inverse, for beta = half(gamma)
+of each of the 28 alternating nondegenerate gamma on Z2^4, and for the
+non-alternating beta(s, t) = i**(st) on Z4.
+
 Running this file prints the digests in `sha256sum` format:
 
     PYTHONPATH=src python tests/_golden.py > tests/golden/builders.sha256
     PYTHONPATH=src python tests/_golden.py semisimple > tests/golden/semisimple.sha256
+    PYTHONPATH=src python tests/_golden.py twists > tests/golden/twists.sha256
 """
 
 import hashlib
@@ -22,12 +29,19 @@ import sys
 
 from trihopf.atlas import _bicharacters, _group_tables, _sign_rep, enumerate_instances
 from trihopf.constructions import (
+    build_bicharacter_twist,
     exterior_algebra,
     modified_supergroup_algebra,
     semisimple_triangular,
     supergroup_algebra,
 )
-from trihopf.groups import AbelianSubgroup, FiniteGroup, GroupRep
+from trihopf.groups import (
+    AbelianSubgroup,
+    Bicharacter,
+    FiniteGroup,
+    GroupRep,
+    half_bicharacter,
+)
 from trihopf.scalars import CycScalar
 from trihopf.serialize import dumps, hopf_to_obj, tensor2_to_obj
 
@@ -120,6 +134,33 @@ def semisimple_dumps(max_order: int = 16):
         yield f"{spec.name}.r.json", dumps(tensor2_to_obj(r))
 
 
+def twist_cases(max_order: int = 32):
+    """(label, A, beta) for every bicharacter twist pinned by twists.sha256."""
+    seen = set()
+    for spec in enumerate_instances(max_order):
+        key = (spec.group, spec.subgroup, spec.gamma_index)
+        if key in seen:
+            continue
+        seen.add(key)
+        g, _ = _group_tables(spec.group)
+        sub = AbelianSubgroup(g, spec.subgroup)
+        beta = half_bicharacter(_bicharacters(sub.factors)[spec.gamma_index])
+        label = f"{spec.group}_A{'-'.join(map(str, spec.subgroup))}_g{spec.gamma_index}"
+        yield label, sub, beta
+        yield f"{label}_inverse", sub, beta.inverse()
+    z2e4 = FiniteGroup.direct_product(*[FiniteGroup.cyclic(2)] * 4)
+    for k, gamma in enumerate(_bicharacters((2, 2, 2, 2))):
+        yield f"Z2^4_g{k}", AbelianSubgroup(z2e4, range(16)), half_bicharacter(gamma)
+    z4 = FiniteGroup.cyclic(4)
+    yield "Z4_i^st", AbelianSubgroup(z4, range(4)), Bicharacter.from_exponent_matrix((4,), [[1]])
+
+
+def twist_dumps():
+    """(file name, dumped text) of J for every case of twist_cases."""
+    for label, sub, beta in twist_cases():
+        yield f"{label}.j.json", dumps(tensor2_to_obj(build_bicharacter_twist(sub, beta)))
+
+
 def _digests(dumps_) -> dict:
     return {name: hashlib.sha256(text.encode()).hexdigest() for name, text in dumps_}
 
@@ -132,8 +173,16 @@ def semisimple_digests() -> dict:
     return _digests(semisimple_dumps())
 
 
+def twist_digests() -> dict:
+    return _digests(twist_dumps())
+
+
 if __name__ == "__main__":
     which = sys.argv[1] if len(sys.argv) > 1 else "builders"
-    digests = {"builders": builder_digests, "semisimple": semisimple_digests}[which]()
+    digests = {
+        "builders": builder_digests,
+        "semisimple": semisimple_digests,
+        "twists": twist_digests,
+    }[which]()
     for name, digest in sorted(digests.items()):
         print(f"{digest}  {name}")

@@ -536,18 +536,24 @@ def bruteforce_alternating_nondegenerate(factors):
     return out
 
 
+def bicharacter_values(beta):
+    """The table of beta's values, values[s][t] = zeta_N**exponents[s][t]."""
+    return tuple(tuple(root_of_unity(beta.root_order, k) for k in row) for row in beta.exponents)
+
+
 def bicharacter_twist_double_sum(a, beta):
     """J = sum over (s, t) of beta(s,t) E_s (x) E_t, every (s, t, p, q) term
     multiplied out, in parent-group coordinates."""
     from trihopf.groups import characters
 
     _, _, idems = characters(a)
+    values = bicharacter_values(beta)
     out = {}
     for i, es in enumerate(idems):
         for j, et in enumerate(idems):
             for p, cp in _nonzeros(_entries(es)):
                 for q, cq in _nonzeros(_entries(et)):
-                    _add(out, (a.elements[p], a.elements[q]), beta.values[i][j] * cp * cq)
+                    _add(out, (a.elements[p], a.elements[q]), values[i][j] * cp * cq)
     return _drop_zeros(out)
 
 

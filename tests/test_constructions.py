@@ -69,11 +69,14 @@ from _golden import (
     NON_DIAGONAL,
     builder_digests,
     semisimple_digests,
+    twist_cases,
+    twist_digests,
     z4_quarter_turn,
     z6_sixth_turn,
 )
 from _oracles import (
     bicharacter_twist_double_sum,
+    bicharacter_values,
     bruteforce_alternating_nondegenerate,
     bruteforce_sign_characters,
     exhaustive_axioms,
@@ -543,7 +546,7 @@ def test_alternating_bicharacters_match_brute_force():
         factor_sets |= _square_abelian_factors(g)
     assert (2, 2) in factor_sets and (3, 3) in factor_sets
     for factors in sorted(factor_sets):
-        tables = [b.values for b in alternating_nondegenerate_bicharacters(factors)]
+        tables = [bicharacter_values(b) for b in alternating_nondegenerate_bicharacters(factors)]
         assert tables == bruteforce_alternating_nondegenerate(factors), factors
 
 
@@ -556,10 +559,11 @@ def test_half_bicharacter_on_every_alternating_gamma(factors):
         gamma = Bicharacter.from_exponent_matrix(factors, [[0, c], [-c % g, 0]])
         assert gamma.is_alternating()
         beta = half_bicharacter(gamma)
-        assert is_bicharacter_table(factors, beta.values)
+        values, gamma_values = bicharacter_values(beta), bicharacter_values(gamma)
+        assert is_bicharacter_table(factors, values)
         n = len(beta.labels)
         assert all(
-            beta.values[s][t] * beta.values[t][s].inv() == gamma.values[s][t]
+            values[s][t] * values[t][s].inv() == gamma_values[s][t]
             for s in range(n) for t in range(n)
         )
 
@@ -620,6 +624,35 @@ def test_bicharacter_twist_matches_double_sum():
     for sub, beta in cases:
         j = build_bicharacter_twist(sub, beta)
         assert {(p, q): c for p, q, c in j.nonzeros} == bicharacter_twist_double_sum(sub, beta)
+
+
+def test_bicharacter_twist_counts_match_the_double_sum_and_the_old_bytes():
+    # J counted on exponents against every (s, t, p, q) term of
+    # sum beta(s,t) E_s (x) E_t multiplied out, field for field; on Z2
+    # factors chi = chi^-1, so only the Z3xZ3 and Z4 cases tell a twist
+    # built on chi_s(a) from one built on chi_s(a)^-1
+    cases = list(twist_cases())
+    assert len(cases) == 101
+    for label, sub, beta in cases:
+        j = build_bicharacter_twist(sub, beta)
+        expected = Tensor2(sub.parent.order, bicharacter_twist_double_sum(sub, beta).items())
+        assert (j.order, j.den, j._num) == (expected.order, expected.den, expected._num), label
+    # golden/twists.sha256 is what `python tests/_golden.py twists` printed
+    # while J was multiplied out of E_s and w_s = sum_t beta(s,t) E_t
+    assert twist_digests() == _committed_digests("twists.sha256")
+
+
+def test_a_table_that_is_no_bicharacter_is_refused_by_the_twist():
+    # the constructor checks the table; a row changed after it did is
+    # caught by the certificate x(t, b_s) = e[s][t] of the twist builder
+    from trihopf.errors import BicharacterError
+
+    z3 = FiniteGroup.cyclic(3)
+    beta = Bicharacter.from_exponent_matrix((3,), [[1]])
+    bad = object.__new__(Bicharacter)
+    vars(bad).update(vars(beta), exponents=((0, 0, 0), (0, 1, 2), (0, 2, 2)))
+    with pytest.raises(BicharacterError, match="no character"):
+        build_bicharacter_twist(z3.abelian_subgroup(range(3)), bad)
 
 
 def test_counit_normalization_forced_negative(z2):

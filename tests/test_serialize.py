@@ -127,7 +127,7 @@ def test_bicharacter_roundtrip():
     for factors in ((2, 2), (3, 3)):
         for b in alternating_nondegenerate_bicharacters(factors):
             back = bicharacter_from_file_obj(b.to_obj())
-            assert back.values == b.values and back.factors == b.factors
+            assert back.exponents == b.exponents and back.factors == b.factors
 
 
 @pytest.mark.parametrize(

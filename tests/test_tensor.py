@@ -13,6 +13,7 @@ from trihopf import hopf
 from trihopf.constructions import (
     Septuple,
     apply_twist,
+    bicharacter_twist_pair,
     build_bicharacter_twist,
     group_algebra,
     modified_supergroup_algebra,
@@ -665,7 +666,8 @@ def _covector_results(h, t, v):
 
 def test_linear_maps_multiply_no_scalar(monkeypatch):
     # S, S^2, Delta, rho(g) and Y applied, composed and contracted on integer
-    # numerators, and the counit and the trace form contracted; each result
+    # numerators, the counit and the trace form contracted, and bicharacter
+    # twists counted on exponents of zeta_N; each result
     # is compared with the one computed before the products were forbidden,
     # on a fresh copy of the host and its Algebra
     i = root_of_unity(4, 1)
@@ -682,7 +684,21 @@ def test_linear_maps_multiply_no_scalar(monkeypatch):
             [antipode_contraction(h, t, leg, square) for leg in (0, 1) for square in (False, True)],
             _covector_results(h, t, v),
         ))
+    # bicharacter twists, counted on exponents: J over Q(zeta_3) on Z3xZ3
+    # and over Q(i) for the non-alternating i**(st) on Z4, and the pair
+    # (J, J^-1) on Z3xZ3 inflated to dimension 18
+    z3z3 = FiniteGroup.direct_product(FiniteGroup.cyclic(3), FiniteGroup.cyclic(3))
+    sub33, gamma = AbelianSubgroup(z3z3, range(9)), _alternating((3, 3))[0]
+    betas = [
+        (sub33, half_bicharacter(gamma)),
+        (AbelianSubgroup(z4, range(4)), Bicharacter.from_exponent_matrix((4,), [[1]])),
+    ]
+    twists = [build_bicharacter_twist(sub, beta) for sub, beta in betas]
+    pair = bicharacter_twist_pair(sub33, gamma, 18)
+    assert [j.order for j in twists] == [3, 4] and pair[0].dim == 18
     _forbid_scalar_products(monkeypatch)
+    assert [build_bicharacter_twist(sub, beta) for sub, beta in betas] == twists
+    assert bicharacter_twist_pair(sub33, gamma, 18) == pair
     for h, (t, v, s_v, delta_v, s2, order, contractions, covectors) in zip(hosts, expected):
         fresh = h.replace(mult=h.mult)
         assert fresh.validate() is fresh and _covector_results(fresh, t, v) == covectors
@@ -727,6 +743,23 @@ def test_vec_from_dict_takes_one_index_keys():
     for key in ((2,), (-1,), (0, 0), 0):
         with pytest.raises(ShapeError):
             Vec.from_dict(2, {key: ONE})
+
+
+def test_outer_keys_a_vec_by_its_plain_index():
+    # Vec.outer(v) is v; Tensor2.outer and Tensor3.outer are the pure
+    # tensors the constructor sums, down to their fields and dumped bytes
+    from trihopf.serialize import dumps, tensor2_to_obj
+
+    v = Vec(3, ((0, sc(1, 2)), (2, root_of_unity(4, 1))))
+    w = Vec(3, ((1, root_of_unity(3, 1)), (2, -ONE)))
+    for x in (Vec.basis(2, 0), v, w):
+        assert Vec.outer(x) == x and Vec.outer(x)._num == x._num
+    t = Tensor2.outer(v, w)
+    expected = Tensor2(3, [((a, b), c * d) for a, c in v.nonzeros for b, d in w.nonzeros])
+    assert (t.order, t.den, t._num) == (expected.order, expected.den, expected._num)
+    assert dumps(tensor2_to_obj(t)) == dumps(tensor2_to_obj(expected))
+    cube = [((a, b, k), c * d * e) for a, c in v.nonzeros for b, d in w.nonzeros for k, e in v.nonzeros]
+    assert Tensor3.outer(v, w, v) == Tensor3(3, cube)
 
 
 def test_flip():

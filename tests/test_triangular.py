@@ -590,19 +590,21 @@ def test_atlas9_job_proves_each_host_once(monkeypatch, tmp_path):
     assert len(files) == 3 * 119
     # S, S^2, rho(g), Delta, the contractions by S and the associativity
     # rows multiply integer numerators (tensor.apply_map), and so do the
-    # counit and the trace form (tensor.contract); the CycScalar products
-    # left are those of Echelon, the bicharacter twists and the exterior
-    # expansion.  45,548 while the maps multiplied CycScalars, 19,300
-    # while the counit and the trace form did.
-    assert muls == 13906
+    # counit and the trace form (tensor.contract), and J is counted on
+    # exponents of zeta_N; the CycScalar products left are those of
+    # Echelon and the exterior expansion.  45,548 while the maps
+    # multiplied CycScalars, 19,300 while the counit and the trace form
+    # did, 13,906 while J was multiplied out of the idempotents E_s.
+    assert muls == 6964
     # linear maps applied: S^3 is composed only for an antipode whose S^4
     # is not the identity, which no atlas instance has.  6,087 while the
     # antipode order composed S^3 on every instance.
     assert maps == 5979
     # products in H (x) H: the twists' J^-1 Delta J and J21^-1 R J and their
     # checks of J, and the hosts' proofs; the premises of every H^J compare
-    # maps and multiply none.  5,085 while the premises multiplied back.
-    assert products == 3091
+    # maps and multiply none.  5,085 while the premises multiplied back,
+    # 3,091 while each instance multiplied J^-1 back on both sides.
+    assert products == 2972
     # the algebra half of the structural check, once per host: every H^J
     # holds its host's very Algebra
     assert algebra_scans == 43
@@ -726,7 +728,7 @@ def _calls(fn, *functions):
 
 
 @pytest.mark.parametrize(
-    "orders, products", [((3, 3), (25, 20, 55)), ((2, 2, 2, 2), (38, 34, 45))]
+    "orders, products", [((3, 3), (24, 20, 55)), ((2, 2, 2, 2), (37, 34, 45))]
 )
 def test_applying_a_twist_checks_no_axiom(orders, products):
     # the premises of Twist.proves_hopf run when the axioms are asked for,
@@ -736,7 +738,9 @@ def test_applying_a_twist_checks_no_axiom(orders, products):
     # elimination behind J^-1 (its echelon and the combination of powers);
     # the contractions m(S (x) id)(J) and m(id (x) S)(J^-1), the counit
     # slants of J, and the counit and 1 (x) 1 in the structural check
-    # multiply none (76 and 80 while the counit multiplied CycScalars)
+    # multiply none (76 and 80 while the counit multiplied CycScalars);
+    # J^-1 is multiplied back on one side (25 and 38 tensor2_mul calls
+    # while it was multiplied back on both)
     g = FiniteGroup.direct_product(*(FiniteGroup.cyclic(n) for n in orders))
     h = group_algebra(g)
     sub = AbelianSubgroup(g, range(g.order))
