@@ -46,7 +46,6 @@ from .groups import (
     FiniteGroup,
     GroupRep,
     alternating_nondegenerate_bicharacters,
-    characters,
     half_bicharacter,
     sign_characters,
 )

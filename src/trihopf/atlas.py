@@ -40,7 +40,7 @@ from .hopf import (
     antipode_order,
     is_cocommutative,
 )
-from .serialize import dumps, hopf_dumps, tensor2_to_obj
+from .serialize import dumps, hopf_dumps, tensor2_dumps
 from .tensor import Tensor2
 from .triangular import (
     certify_twisted_triangular,
@@ -294,7 +294,7 @@ def _build_and_write(args):
     report = analysis_report(h, r, twist)
     out = Path(out_dir)
     _atomic_write(out / f"{spec.name}.hopf.json", hopf_dumps(h))
-    _atomic_write(out / f"{spec.name}.r.json", dumps(tensor2_to_obj(r)))
+    _atomic_write(out / f"{spec.name}.r.json", tensor2_dumps(r))
     _atomic_write(out / f"{spec.name}.report.json", dumps(report))
     return spec.name, axioms.ok and report["chevalley"] and theorems_hold(report)
 

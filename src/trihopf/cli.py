@@ -46,14 +46,14 @@ from .serialize import (
     bicharacter_from_file_obj,
     dumps,
     group_from_file_obj,
+    hopf_dumps,
     hopf_from_obj,
-    hopf_to_obj,
     load,
     rep_from_file_obj,
     save,
     septuple_from_file_obj,
+    tensor2_dumps,
     tensor2_from_obj,
-    tensor2_to_obj,
 )
 from .tensor import Vec
 from .triangular import modify_r, verify_triangular
@@ -170,10 +170,10 @@ def cmd_build(args) -> int:
         h, r = septuple_twist(septuple).apply()
     else:  # argparse choices make this unreachable
         raise ShapeError(f"unknown kind {kind}")
-    save(args.output, hopf_to_obj(h))
+    save(args.output, hopf_dumps(h))
     if r is not None:
         r_path = args.r_out or _derived_r_path(args.output)
-        save(r_path, tensor2_to_obj(r))
+        save(r_path, tensor2_dumps(r))
     return EXIT_OK
 
 
@@ -222,9 +222,9 @@ def cmd_twist(args) -> int:
     # apply_twist checks the twist identities and inverts J itself;
     # TwistError and NotInvertible reach main's HopfError handler
     h2, r2 = apply_twist(h, j, r=r)
-    save(args.output, hopf_to_obj(h2))
+    save(args.output, hopf_dumps(h2))
     if r2 is not None:
-        save(args.r_out or _derived_r_path(args.output), tensor2_to_obj(r2))
+        save(args.r_out or _derived_r_path(args.output), tensor2_dumps(r2))
     return EXIT_OK
 
 
@@ -234,7 +234,7 @@ def cmd_modify(args) -> int:
     check_tensor_dims(h, r)
     u = Vec.basis(h.dim, int(args.u))
     r2 = modify_r(h, r, u)
-    save(args.output, tensor2_to_obj(r2))
+    save(args.output, tensor2_dumps(r2))
     return EXIT_OK
 
 

@@ -1,10 +1,10 @@
-"""Cayley-table groups, matrix representations, characters, bicharacters.
+"""Cayley-table groups, matrix representations, bicharacters.
 
 Groups are small (catalog order <= 16) and fully validated at
 construction: permutation rows/columns, associativity on all triples,
 identity behavior.  Abelian structure is carried explicitly as a list
-of cyclic factor orders plus an exponent map, which feeds the character
-and idempotent machinery.  A bicharacter on such a group is its table
+of cyclic factor orders plus an exponent map, which feeds the dual-group
+labels and the bicharacter twist.  A bicharacter on such a group is its table
 of exponents k mod N, N the lcm of the factors, for the values
 zeta_N**k: it is checked, skewed, inverted and halved on those
 integers, and the bicharacter twist is counted on them too.
@@ -17,7 +17,7 @@ from itertools import product
 from math import gcd, lcm, prod
 
 from .errors import BicharacterError, GroupError, NotAbelian, ShapeError
-from .scalars import SC_ONE, SC_ZERO, CycScalar, root_of_unity
+from .scalars import SC_ONE, SC_ZERO
 from .tensor import Vec, apply_map
 
 
@@ -364,45 +364,6 @@ class AbelianSubgroup:
 
     def __repr__(self):
         return f"AbelianSubgroup(order={self.order}, factors={self.factors})"
-
-
-def characters(a: AbelianSubgroup | FiniteGroup):
-    """Characters and orthogonal idempotents of a finite abelian group.
-
-    Returns (labels, chars, idempotents): chars[s] is the covector of
-    character values on the group elements, idempotents[s] the vector
-    E_s = (1/|A|) sum_a chi_s(a)^-1 a over the group's own basis.
-    """
-    if isinstance(a, FiniteGroup):
-        if a.invariant_factors is None:
-            raise NotAbelian("group carries no invariant factors")
-        a = AbelianSubgroup(a, range(a.order))
-    labels = a.labels()
-    factors = a.factors
-    n = a.order
-    inv_n = CycScalar.from_rational(1, n)
-    chars = []
-    idems = []
-    for s in labels:
-        values = []
-        for g in a.elements:
-            e = a.exponents[g]
-            val = SC_ONE
-            for f, si, ei in zip(factors, s, e):
-                if f > 1 and si and ei:
-                    val = val * root_of_unity(f, si * ei)
-            values.append(val)
-        chars.append(tuple(values))
-        idem = []
-        for k, g in enumerate(a.elements):
-            e = a.exponents[g]
-            val = SC_ONE
-            for f, si, ei in zip(factors, s, e):
-                if f > 1 and si and ei:
-                    val = val * root_of_unity(f, -si * ei)
-            idem.append((k, inv_n * val))
-        idems.append(Vec(n, idem))
-    return labels, chars, idems
 
 
 class GroupRep:

@@ -255,13 +255,15 @@ class HopfData:
             not isinstance(v, Vec) or v.dim != d for v in self.antipode
         ):
             return "antipode shape mismatch"
+        # indices and parities only: the keys, in increasing order, and no
+        # coefficient made a CycScalar
         for i in range(d):
-            for j, k, _ in self.comult[i].nonzeros:
+            for j, k in sorted(self.comult[i]._num):
                 if not (0 <= j < d and 0 <= k < d):
                     return f"coproduct index ({j},{k}) out of range at {i}"
                 if (par[j] + par[k]) % 2 != par[i]:
                     return f"coproduct parity violation at ({i},{j},{k})"
-            for j, _ in self.antipode[i].nonzeros:
+            for j in sorted(self.antipode[i]._num):
                 if not 0 <= j < d:
                     return f"antipode index {j} out of range at {i}"
         if self.counit_vec(self.unit) != SC_ONE:
@@ -482,12 +484,15 @@ def _associativity_witness(h: Algebra, lead):
     None.  Both sides for every k of one (i, j) are one Tensor2 keyed
     (k, q), a left multiplication: L_{e_i e_j}, the map L applied to the
     product e_i e_j, and L_{e_i} o L_{e_j}, x -> e_i x applied to the
-    second leg of L_{e_j} (IntCells.left_multiplication)."""
-    products, left = h.mult_ints.left_multiplication()
+    second leg of L_{e_j} (IntCells.left_multiplication).  The products
+    e_i e_j are made for i in lead only."""
+    cells = h.mult_ints
+    left = cells.left_multiplication()
     for i in lead:
+        products = cells.products(i)
         for j in range(h.dim):
-            lhs = apply_map(left, products[i][j])
-            rhs = apply_map(products[i], left[j], 1)
+            lhs = apply_map(left, products[j])
+            rhs = apply_map(products, left[j], 1)
             if lhs != rhs:
                 return (i, j, (lhs - rhs).nonzeros[0][0])
     return None
@@ -671,7 +676,7 @@ def algebra_inverse(h: HopfData, x: Vec) -> Vec:
     sets every free unknown to 0 and is multiplied back on both sides.
     """
     d = h.dim
-    _, left = h.algebra.mult_ints.left_multiplication()
+    left = h.algebra.mult_ints.left_multiplication()
     rows: list[dict] = [{} for _ in range(d)]  # rows[k][t]: e_k-coefficient of x e_t
     for t, k, c in apply_map(left, x).nonzeros:  # L_x, keyed (t, k)
         rows[k][t] = c

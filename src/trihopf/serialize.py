@@ -9,7 +9,13 @@ scalar is expected.
 A dump is the text json.dumps(obj, sort_keys=True, indent=2) plus a
 newline (ASCII escapes, two-space indent), written by dumps() below
 rather than by the json module, whose indenting encoder runs in pure
-Python.  Every file is read through load(), which refuses a key
+Python.  hopf_to_obj and tensor2_to_obj give the object of a Hopf dump
+and of an R-matrix or twist file; hopf_dumps and tensor2_dumps, which
+every command writes those files with, give the same text straight from
+the integer numerators of the sparse tensors: each distinct coefficient
+is rendered once per indent depth (_scalar_text) and handed to dumps as
+finished text, with no CycScalar made per cell, and dumps lays out the
+rest.  save writes such a text to a file.  Every file is read through load(), which refuses a key
 repeated within one JSON object (ShapeError, exit 2) instead of keeping
 its last value.
 """
@@ -17,6 +23,7 @@ its last value.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from math import prod
 from pathlib import Path
@@ -26,7 +33,7 @@ from .errors import ShapeError
 from .groups import Bicharacter, FiniteGroup, GroupRep
 from .hopf import Algebra, HopfData, make_hopf
 from .scalars import CycScalar
-from .tensor import Tensor2, Vec
+from .tensor import Tensor2, Vec, _coefficient
 
 
 def scalar_to_obj(c: CycScalar):
@@ -63,10 +70,6 @@ def _mult_obj(h: Algebra) -> list:
 
 
 def hopf_to_obj(h: HopfData):
-    return _hopf_obj(h, _mult_obj(h.algebra))
-
-
-def _hopf_obj(h: HopfData, mult):
     comult = []
     for i in range(h.dim):
         comult.append([[j, k, scalar_to_obj(c)] for j, k, c in h.comult[i].nonzeros])
@@ -76,7 +79,7 @@ def _hopf_obj(h: HopfData, mult):
         "super": h.super,
         "parity": list(h.parity),
         "unit": vec_to_obj(h.unit),
-        "mult": mult,
+        "mult": _mult_obj(h.algebra),
         "comult": comult,
         "counit": vec_to_obj(h.counit),
         "antipode": antipode,
@@ -192,14 +195,61 @@ def dumps(obj) -> str:
 
 
 def hopf_dumps(h: HopfData) -> str:
-    """dumps(hopf_to_obj(h)), with the text of mult made once per
-    hopf.Algebra and kept in its mult_text: the twists of one host hold
-    the host's very Algebra and share its text, and a copy with another
-    product, unit or grading has an Algebra, and a text, of its own."""
+    """dumps(hopf_to_obj(h)), rendered from the integer numerators of h's
+    sparse tensors: no CycScalar is made for a cell of S, Delta, the unit
+    or the counit (see _scalar_text), and a zero cell of the dense
+    antipode, unit and counit is one constant text.  The text of mult is
+    made once per hopf.Algebra and kept in its mult_text: the twists of
+    one host hold the host's very Algebra and share its text, and a copy
+    with another product, unit or grading has an Algebra, and a text, of
+    its own."""
     algebra = h.algebra
     if algebra.mult_text is None:
         object.__setattr__(algebra, "mult_text", _Text(_render(_mult_obj(algebra), 1)))
-    return dumps(_hopf_obj(h, algebra.mult_text))
+    # each column S(e_c) of the antipode, densely, transposed into rows
+    columns = [_cells(col, 3) for col in h.antipode]
+    return dumps({
+        "dim": h.dim,
+        "super": h.super,
+        "parity": list(h.parity),
+        "unit": _cells(h.unit, 2),
+        "mult": algebra.mult_text,
+        "comult": [_entries(t, 4) for t in h.comult],
+        "counit": _cells(h.counit, 2),
+        "antipode": list(zip(*columns)),
+    })
+
+
+def tensor2_dumps(t: Tensor2) -> str:
+    """dumps(tensor2_to_obj(t)), rendered from t's integer numerators
+    like hopf_dumps."""
+    return dumps({"entries": _entries(t, 3), "host_dim": t.dim})
+
+
+@lru_cache(maxsize=4096)
+def _scalar_text(order: int, den: int, num, depth: int) -> _Text:
+    """The text at depth of the coefficient num / den of a sparse tensor
+    at order (its integer form, tensor._SparseTensor), made once per value
+    and depth from the scalar's own wire form (CycScalar.to_obj, which
+    writes a value in its smallest field)."""
+    return _Text(_render(_coefficient(order, den, num).to_obj(), depth))
+
+
+def _cells(v: Vec, depth: int) -> list[_Text]:
+    """The text at depth of each dense coefficient of v."""
+    order, den = v.order, v.den
+    cells = [_scalar_text(1, 1, 0, depth)] * v.dim
+    for i, x in v._num.items():
+        cells[i] = _scalar_text(order, den, x, depth)
+    return cells
+
+
+def _entries(t, depth: int) -> list:
+    """The [index..., coefficient] lists of t's entries in increasing index
+    order, the wire form of a Tensor2's, with each coefficient's text made
+    for depth."""
+    order, den = t.order, t.den
+    return [[*key, _scalar_text(order, den, x, depth)] for key, x in sorted(t._num.items())]
 
 
 def _render(obj, depth: int) -> str:
@@ -276,8 +326,9 @@ def _render(obj, depth: int) -> str:
     return "".join(out)
 
 
-def save(path, obj):
-    Path(path).write_text(dumps(obj))
+def save(path, text: str):
+    """Write the text of a dump (dumps, hopf_dumps or tensor2_dumps)."""
+    Path(path).write_text(text)
 
 
 def _unique_keys(pairs) -> dict:

@@ -31,7 +31,8 @@ operands and the table are split by powers of zeta_N, and the kernel's
 results are shifted by their power and reduced mod Phi_N with the
 scalar kernel's own root_of_unity and _embed.  A coefficient becomes a
 CycScalar only when nonzeros or get reads it, so CycScalar is the one
-scalar type at every interface (Echelon, serialize, the builders).
+scalar type at every interface (Echelon, the builders); the dump
+writers of serialize render the numerators themselves (_coefficient).
 
 The key of a Vec is its plain basis index, so Vec.nonzeros is (a, c)
 pairs in increasing a.  Dense forms exist only in the dump format, a
@@ -235,23 +236,22 @@ class IntCells:
         self.rows = tuple(tuple(shared.setdefault(c, c) for c in map(tuple, row)) for row in cells)
         self._parts: dict = {}
 
-    def left_multiplication(self) -> tuple[tuple["Vec", ...], tuple["Tensor2", ...]]:
-        """(P, L): P[i][j] the Vec e_i e_j, so P[i] holds the columns of
-        x -> e_i x, and L[i] that map as a Tensor2 keyed (j, k), so L holds
+    def products(self, i: int) -> tuple["Vec", ...]:
+        """The Vecs e_i e_j for every j: the columns of x -> e_i x."""
+        order, den, dim = self.order, self.den, len(self.rows)
+        return tuple(Vec._of(dim, *_canonical(order, den, dict(cell))) for cell in self.rows[i])
+
+    def left_multiplication(self) -> tuple["Tensor2", ...]:
+        """L[i], the map x -> e_i x as a Tensor2 keyed (j, k), so L holds
         the columns of the map x -> (left multiplication by x) from H to
         H (x) H."""
         order, den, dim = self.order, self.den, len(self.rows)
-        products = tuple(
-            tuple(Vec._of(dim, *_canonical(order, den, dict(cell))) for cell in row)
-            for row in self.rows
-        )
-        left = tuple(
+        return tuple(
             Tensor2._of(dim, *_canonical(
                 order, den, {(j, k): v for j, cell in enumerate(row) for k, v in cell}
             ))
             for row in self.rows
         )
-        return products, left
 
     def components(self, order: int) -> list:
         """[(r, rows_r)]: the table at order, a multiple of self.order,
@@ -286,6 +286,13 @@ def _rational(num: int, den: int) -> CycScalar:
     values of a structure table are shared by its cells."""
     g = gcd(num, den)
     return _scalar(1, (num // g,), den // g)
+
+
+def _coefficient(order: int, den: int, v) -> CycScalar:
+    """The CycScalar of the numerator v of a tensor at order over den."""
+    if order == 1:
+        return _rational(v, den)
+    return _make(order, v, den)
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +344,7 @@ class _SparseTensor:
 
     def _value(self, v) -> CycScalar:
         """The CycScalar of the numerator v."""
-        if self.order == 1:
-            return _rational(v, self.den)
-        return _make(self.order, v, self.den)
+        return _coefficient(self.order, self.den, v)
 
     @property
     def nonzeros(self):

@@ -16,7 +16,10 @@ oracles' own dense echelon (_DenseSpan) and are compared by their own
 dense rank.  The tensor oracles expand products, embeddings and flips in
 tensor powers of H one pure tensor at a time.  The antipode oracle
 writes S out as a dense matrix of lists and multiplies those.  The group
-oracles try every candidate, and the cyclotomic reference
+oracles try every candidate; characters writes the characters and
+idempotents of an abelian group out as products of roots of unity, which
+the bicharacter twist, counted on exponents, is checked against; and the
+cyclotomic reference
 computes over Fraction modulo the product formula for Phi_n, with
 inverses from the Galois norm.
 """
@@ -536,6 +539,40 @@ def bruteforce_alternating_nondegenerate(factors):
     return out
 
 
+def characters(a):
+    """Characters and orthogonal idempotents of a finite abelian group (a
+    FiniteGroup with invariant factors, or an AbelianSubgroup), each value
+    a product of roots of unity: the library counts J on exponents
+    instead (constructions.build_bicharacter_twist).
+
+    Returns (labels, chars, idempotents): chars[s] is the covector of
+    character values on the group elements, idempotents[s] the Vec
+    E_s = (1/|A|) sum_a chi_s(a)^-1 a over the group's own basis.
+    """
+    from trihopf.errors import NotAbelian
+    from trihopf.groups import AbelianSubgroup, FiniteGroup
+    from trihopf.tensor import Vec
+
+    if isinstance(a, FiniteGroup):
+        if a.invariant_factors is None:
+            raise NotAbelian("group carries no invariant factors")
+        a = AbelianSubgroup(a, range(a.order))
+    labels = a.labels()
+    n = a.order
+    inv_n = CycScalar.from_rational(1, n)
+
+    def value(s, g, sign):
+        val = SC_ONE
+        for f, si, ei in zip(a.factors, s, a.exponents[g]):
+            if f > 1 and si and ei:
+                val = val * root_of_unity(f, sign * si * ei)
+        return val
+
+    chars = [tuple(value(s, g, 1) for g in a.elements) for s in labels]
+    idems = [Vec(n, [(k, inv_n * value(s, g, -1)) for k, g in enumerate(a.elements)]) for s in labels]
+    return labels, chars, idems
+
+
 def bicharacter_values(beta):
     """The table of beta's values, values[s][t] = zeta_N**exponents[s][t]."""
     return tuple(tuple(root_of_unity(beta.root_order, k) for k in row) for row in beta.exponents)
@@ -544,8 +581,6 @@ def bicharacter_values(beta):
 def bicharacter_twist_double_sum(a, beta):
     """J = sum over (s, t) of beta(s,t) E_s (x) E_t, every (s, t, p, q) term
     multiplied out, in parent-group coordinates."""
-    from trihopf.groups import characters
-
     _, _, idems = characters(a)
     values = bicharacter_values(beta)
     out = {}

@@ -35,7 +35,6 @@ from trihopf.groups import (
     FiniteGroup,
     GroupRep,
     alternating_nondegenerate_bicharacters,
-    characters,
     half_bicharacter,
     sign_characters,
 )
@@ -79,6 +78,7 @@ from _oracles import (
     bicharacter_values,
     bruteforce_alternating_nondegenerate,
     bruteforce_sign_characters,
+    characters,
     exhaustive_axioms,
     exhaustive_triangular,
     is_bicharacter_table,

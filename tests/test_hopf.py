@@ -761,3 +761,23 @@ def test_algebra_inverse(sweedler):
     assert algebra_inverse(sweedler, g) == g
     with pytest.raises(NotInvertible):
         algebra_inverse(sweedler, Vec.basis(4, 1))  # x is nilpotent
+
+
+def test_left_multiplication_and_products_match_the_table():
+    # L (x -> e_i x as a Tensor2 keyed (j, k)) and the products e_i e_j of
+    # one row, which the associativity witness makes for its lead rows
+    z2 = FiniteGroup.cyclic(2)
+    h = modified_supergroup_algebra(z2, GroupRep.from_sign_characters(z2, [(1, -1)]), u=1)[0]
+    fresh = h.replace(mult=h.mult)  # an Algebra, and mult_ints, of its own
+    cells = fresh.algebra.mult_ints
+    left = cells.left_multiplication()
+    basis = [Vec.basis(fresh.dim, i) for i in range(fresh.dim)]
+    for i, e_i in enumerate(basis):
+        products = tuple(fresh.mul_vec(e_i, e) for e in basis)
+        assert cells.products(i) == products
+        assert left[i] == Tensor2(
+            fresh.dim, [((j, k), c) for j, p in enumerate(products) for k, c in p.nonzeros]
+        )
+    assert hopf._associativity_witness(fresh.algebra, range(fresh.dim)) is None
+    assert hopf._associativity_witness(fresh.algebra, (0,)) is None
+    assert algebra_inverse(fresh, fresh.unit) == fresh.unit

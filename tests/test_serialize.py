@@ -2,12 +2,15 @@
 
 import hashlib
 import json
+import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trihopf.atlas import analysis_report, enumerate_instances, instance_twist
+from trihopf import atlas, serialize, tensor
+from trihopf.atlas import _build_and_write, analysis_report, enumerate_instances, instance_twist
 from trihopf.constructions import (
     Septuple,
     group_algebra,
@@ -18,7 +21,7 @@ from trihopf.constructions import (
 from trihopf.errors import ShapeError
 from trihopf.groups import Bicharacter, FiniteGroup, GroupRep
 from trihopf.hopf import make_hopf, verify_hopf
-from trihopf.scalars import SC_HALF, SC_ONE, CycScalar, root_of_unity
+from trihopf.scalars import SC_HALF, SC_ONE, CycScalar, euler_phi, root_of_unity
 from trihopf.serialize import (
     bicharacter_from_file_obj,
     dumps,
@@ -27,6 +30,7 @@ from trihopf.serialize import (
     hopf_from_obj,
     hopf_to_obj,
     septuple_from_file_obj,
+    tensor2_dumps,
     tensor2_from_obj,
     tensor2_to_obj,
 )
@@ -263,8 +267,128 @@ def test_dumps_matches_the_stdlib_writer_on_atlas_9():
         h, r = twist.apply()
         for obj in (hopf_to_obj(h), tensor2_to_obj(r), analysis_report(h, r, twist)):
             assert dumps(obj) == _stdlib_dump(obj), spec.name
-        # the Hopf dump the atlas writes, with the host's mult text
+        # the Hopf and R texts the atlas writes, rendered from integer
+        # numerators, with the host's mult text
         assert hopf_dumps(h) == _stdlib_dump(hopf_to_obj(h)), spec.name
+        assert tensor2_dumps(r) == _stdlib_dump(tensor2_to_obj(r)), spec.name
+
+
+# scalars over Q, Q(zeta_3) and Q(zeta_8), zero included
+_SCALARS = st.sampled_from((1, 3, 8)).flatmap(
+    lambda n: st.lists(
+        st.tuples(st.integers(-3, 3), st.integers(1, 4)),
+        min_size=euler_phi(n),
+        max_size=euler_phi(n),
+    ).map(lambda pairs: CycScalar(n, pairs))
+)
+
+
+def _vecs(d):
+    return st.dictionaries(st.integers(0, d - 1), _SCALARS, max_size=d).map(
+        lambda cells: Vec(d, tuple(cells.items()))
+    )
+
+
+def _tensor2s(d):
+    keys = st.tuples(st.integers(0, d - 1), st.integers(0, d - 1))
+    return st.dictionaries(keys, _SCALARS, max_size=4).map(
+        lambda cells: Tensor2(d, tuple(cells.items()))
+    )
+
+
+def _assert_writers_match_the_stdlib(h, r):
+    assert hopf_dumps(h) == _stdlib_dump(hopf_to_obj(h))
+    assert tensor2_dumps(r) == _stdlib_dump(tensor2_to_obj(r))
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda d: st.tuples(
+        st.just(d),
+        st.lists(_vecs(d), min_size=d, max_size=d),
+        st.lists(_tensor2s(d), min_size=d, max_size=d),
+        _vecs(d),
+        _vecs(d),
+        _tensor2s(d),
+    )
+))
+@settings(max_examples=150, deadline=None)
+def test_writers_match_the_stdlib_writer(case):
+    # each column, Delta(e_i), the unit, the counit and R mix coefficients
+    # over Q, Q(zeta_3) and Q(zeta_8), so a tensor's order is up to 24 and
+    # every value is written in its smallest field; the maps need not be
+    # a Hopf algebra's, the writers only read them
+    d, columns, comult, unit, counit, r = case
+    h = group_algebra(FiniteGroup.cyclic(d)).replace(
+        antipode=tuple(columns), comult=tuple(comult), unit=unit, counit=counit
+    )
+    _assert_writers_match_the_stdlib(h, r)
+
+
+def test_writers_match_the_stdlib_writer_on_edge_cases():
+    z8 = root_of_unity(8, 1)
+    k = group_algebra(FiniteGroup.cyclic(1))  # d = 1
+    _assert_writers_match_the_stdlib(k, Tensor2(1, ()))  # R with no entries
+    h = group_algebra(FiniteGroup.cyclic(3))
+    zero_column = h.replace(antipode=(Vec(3, ()), h.antipode[1], Vec(3, ((0, z8), (2, z8 * z8)))))
+    _assert_writers_match_the_stdlib(zero_column, Tensor2(3, (((0, 1), root_of_unity(3, 1)),)))
+    no_coproduct = h.replace(comult=(Tensor2(3, ()),) * 3, antipode=(Vec(3, ()),) * 3)
+    _assert_writers_match_the_stdlib(no_coproduct, Tensor2(3, (((2, 2), SC_HALF),)))
+
+
+def test_second_atlas_9_pass_writes_from_the_memo_alone(monkeypatch, tmp_path):
+    # with the memo of scalar texts cleared and filled by a first pass,
+    # the writers of a second pass make no scalar encoding and read no
+    # nonzeros; over that whole pass, the one Tensor2 read through
+    # nonzeros is R, by r_matrix_rank's elimination (the structural check
+    # of each H^J reads only the indices of Delta^J and S^J)
+    specs = enumerate_instances(9)
+    tracked = {
+        CycScalar.to_obj.__code__: "to_obj",
+        tensor._SparseTensor.nonzeros.fget.__code__: "nonzeros",
+        tensor.Vec.nonzeros.fget.__code__: "nonzeros",
+        serialize._scalar_text.__wrapped__.__code__: "memo miss",
+    }
+    in_writers: dict = {}
+    nonzeros_read: dict = {}
+
+    def profile(frame, event, arg):
+        name = tracked.get(frame.f_code) if event == "call" else None
+        if name is not None:
+            in_writers[name] = in_writers.get(name, 0) + 1
+
+    def traced(write):
+        def run(t):
+            sys.setprofile(profile)
+            try:
+                return write(t)
+            finally:
+                sys.setprofile(None)
+
+        return run
+
+    def run_pass(out):
+        out.mkdir()
+        for spec in specs:
+            _build_and_write((asdict(spec), str(out)))
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    monkeypatch.setattr(atlas, "hopf_dumps", traced(hopf_dumps))
+    monkeypatch.setattr(atlas, "tensor2_dumps", traced(tensor2_dumps))
+    serialize._scalar_text.cache_clear()
+    first = run_pass(tmp_path / "first")
+    assert in_writers.get("memo miss", 0) > 0
+    in_writers.clear()
+    original = tensor._SparseTensor.nonzeros
+
+    def counting(t):
+        name = type(t).__name__
+        nonzeros_read[name] = nonzeros_read.get(name, 0) + 1
+        return original.fget(t)
+
+    monkeypatch.setattr(tensor._SparseTensor, "nonzeros", property(counting))
+    assert run_pass(tmp_path / "second") == first
+    assert in_writers == {}
+    assert nonzeros_read == {"Tensor2": len(specs)}
 
 
 def test_hopf_dumps_keeps_one_mult_text_per_multiplication():
@@ -320,14 +444,15 @@ def test_dumps_refuses_other_types(obj):
 
 
 def test_bicharacter_table_shape_is_checked_before_any_root(monkeypatch):
-    from trihopf import groups
+    from trihopf import scalars
     from trihopf.groups import alternating_nondegenerate_bicharacters
 
     def no_root(n, k):
         raise AssertionError(f"root of unity of order {n} made while loading a bicharacter")
 
     valid = alternating_nondegenerate_bicharacters((3, 3))[1].to_obj()
-    monkeypatch.setattr(groups, "root_of_unity", no_root)
+    # every root_of_unity, whichever module calls it, goes through this
+    monkeypatch.setattr(scalars, "_root_of_unity", no_root)
     for obj in (
         {"factors": [10**9], "values": [[0]]},  # a root of order 10**9 would follow
         {"factors": [2], "values": [[0, 0], [0]]},
