@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -303,13 +302,16 @@ def run_atlas(max_order: int, out_dir, workers: int = 1):
     """Build, verify and dump every catalog instance; returns (ok, manifest).
 
     The jobs run in a process pool of min(workers, jobs) processes when
-    that is above 1, else in this process; the files are the same."""
+    that is above 1, else in this process; the files are the same.  The
+    pool's modules (multiprocessing and its kin) are imported only then."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     specs = enumerate_instances(max_order)
     jobs = [(asdict(s), str(out)) for s in specs]
     workers = min(workers, len(jobs))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_build_and_write, jobs))
     else:

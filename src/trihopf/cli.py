@@ -5,6 +5,11 @@ atlas.  Exit codes are a stable contract: 0 success, 1 verification or
 theorem failure, 2 malformed input, 3 unsupported stratum.  The
 environment variable HOPF_MAX_DIM (default 32) bounds accepted
 dimensions.
+
+A command imports the modules it runs when it runs: the module itself
+loads only the errors and the wire formats, so a fresh process spends
+no start-up on builders, groups, the atlas or a process pool that its
+command never calls.
 """
 
 from __future__ import annotations
@@ -15,20 +20,6 @@ import os
 import sys
 from pathlib import Path
 
-from .atlas import analysis_report, run_atlas, theorems_hold
-from .constructions import (
-    check_tensor_dims,
-    group_algebra,
-    exterior_algebra,
-    modified_supergroup_algebra,
-    Septuple,
-    semisimple_triangular,
-    septuple_twist,
-    supergroup_algebra,
-    validate_septuple,
-    verify_twist,
-    apply_twist,
-)
 from .errors import (
     BicharacterError,
     GroupError,
@@ -39,7 +30,6 @@ from .errors import (
     ShapeError,
     UnsupportedStratum,
 )
-from .groups import AbelianSubgroup
 from .serialize import (
     _int,
     _resolve_ref,
@@ -55,8 +45,7 @@ from .serialize import (
     tensor2_dumps,
     tensor2_from_obj,
 )
-from .tensor import Vec
-from .triangular import modify_r, verify_triangular
+from .tensor import Vec, check_tensor_dims
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -136,26 +125,39 @@ def cmd_build(args) -> int:
     obj = load(args.input)
     base = Path(args.input).parent
     r = None
+    # each kind bounds its output dimension before it imports a builder,
+    # so an input refused here compiles no groups or constructions
     if kind == "group-algebra":
         _check_predicted_dim(obj)
+        from .constructions import group_algebra
+
         h = group_algebra(group_from_file_obj(obj))
     elif kind == "exterior":
         n = _int(obj["n"], "n")
         _check_predicted_dim(None, n)
+        from .constructions import exterior_algebra
+
         h = exterior_algebra(n)
     elif kind == "supergroup":
         _check_predicted_dim(_resolve_ref(obj, "group", base)[0], obj["degree"])
+        from .constructions import supergroup_algebra
+
         rep = rep_from_file_obj(obj, base)
         h = supergroup_algebra(rep.group, rep)
     elif kind == "modified-supergroup":
         # a rep file names its group relative to its own directory
         rep_obj, rep_dir = _resolve_ref(obj, "rep", base)
         _check_predicted_dim(_resolve_ref(rep_obj, "group", rep_dir)[0], rep_obj["degree"])
+        from .constructions import modified_supergroup_algebra
+
         rep = rep_from_file_obj(rep_obj, rep_dir)
         h, r = modified_supergroup_algebra(rep.group, rep, _int(obj["u"], "u"))
     elif kind == "semisimple-triangular":
         group_obj, _ = _resolve_ref(obj, "group", base)
         _check_predicted_dim(group_obj)
+        from .constructions import semisimple_triangular
+        from .groups import AbelianSubgroup
+
         group = group_from_file_obj(group_obj)
         sub = AbelianSubgroup(group, [_int(i, "subgroup element") for i in obj["subgroup"]])
         gamma = bicharacter_from_file_obj(obj["bicharacter"])
@@ -166,6 +168,8 @@ def cmd_build(args) -> int:
         # a rep that names its own group is built on that group
         if "group" in rep_obj or "group_ref" in rep_obj:
             _check_predicted_dim(_resolve_ref(rep_obj, "group", rep_dir)[0], rep_obj["degree"])
+        from .constructions import septuple_twist
+
         septuple = septuple_from_file_obj(obj, base)
         h, r = septuple_twist(septuple).apply()
     else:  # argparse choices make this unreachable
@@ -185,11 +189,15 @@ def cmd_verify(args) -> int:
     out = {"axioms": report.to_obj(), "ok": report.ok}
     ok = report.ok
     if args.r:
+        from .triangular import verify_triangular
+
         r = tensor2_from_obj(load(args.r))
         tri = verify_triangular(h, r)
         out["triangular"] = tri
         out["ok"] = ok = ok and tri
     if args.twist:
+        from .constructions import verify_twist
+
         j = tensor2_from_obj(load(args.twist))
         try:
             tw = verify_twist(h, j)
@@ -202,6 +210,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .atlas import analysis_report, theorems_hold
+
     h = _load_hopf(args.dump)
     axioms = h.axioms
     if not axioms.ok:
@@ -216,6 +226,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_twist(args) -> int:
+    from .constructions import apply_twist
+
     h = _load_hopf(args.dump)
     j = tensor2_from_obj(load(args.twist))
     r = tensor2_from_obj(load(args.r)) if args.r else None
@@ -229,6 +241,8 @@ def cmd_twist(args) -> int:
 
 
 def cmd_modify(args) -> int:
+    from .triangular import modify_r
+
     h = _load_hopf(args.dump)
     r = tensor2_from_obj(load(args.r))
     check_tensor_dims(h, r)
@@ -239,6 +253,8 @@ def cmd_modify(args) -> int:
 
 
 def cmd_septuple_validate(args) -> int:
+    from .constructions import validate_septuple
+
     obj = load(args.input)
     septuple = septuple_from_file_obj(obj, Path(args.input).parent)
     report = validate_septuple(septuple)
@@ -249,6 +265,8 @@ def cmd_septuple_validate(args) -> int:
 def cmd_atlas(args) -> int:
     if args.max_order > max_dim():
         raise ShapeError(f"--max-order exceeds HOPF_MAX_DIM={max_dim()}")
+    from .atlas import run_atlas
+
     ok, manifest = run_atlas(args.max_order, args.output, workers=args.workers)
     print(f"atlas: {len(manifest['instances'])} instances, all verified: {ok}")
     return EXIT_OK if ok else EXIT_VERIFY_FAIL

@@ -61,6 +61,7 @@ from .tensor import (
     Echelon,
     _canonical,
     Tensor2,
+    check_tensor_dims,
     Vec,
     apply_map,
     flip,
@@ -353,13 +354,6 @@ def inflate_group_tensor(t: Tensor2, factor: int, dim: int) -> Tensor2:
     return Tensor2._of(
         dim, t.order, t.den, {(i * factor, j * factor): v for (i, j), v in t._num.items()}
     )
-
-
-def check_tensor_dims(h: HopfData, *tensors: Optional[Tensor2]):
-    """ShapeError unless every given tensor lies in H (x) H for this H."""
-    for t in tensors:
-        if t is not None and t.dim != h.dim:
-            raise ShapeError(f"tensor over dimension {t.dim} given for dimension {h.dim}")
 
 
 def _twist_identities_hold(h: HopfData, j: Tensor2) -> bool:

@@ -27,13 +27,16 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from math import prod
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .constructions import Septuple
 from .errors import ShapeError
-from .groups import Bicharacter, FiniteGroup, GroupRep
 from .hopf import Algebra, HopfData, make_hopf
 from .scalars import CycScalar
 from .tensor import Tensor2, Vec, _coefficient
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .constructions import Septuple
+    from .groups import Bicharacter, FiniteGroup, GroupRep
 
 
 def scalar_to_obj(c: CycScalar):
@@ -349,9 +352,13 @@ def load(path):
 
 
 # --- input-file loaders (group, representation, bicharacter, septuple) ----
+# Each imports its groups or constructions type when called, so loading
+# a Hopf dump or an R file needs only scalars, tensor and hopf.
 
 def group_from_file_obj(obj) -> FiniteGroup:
     """A group from its Cayley table and identity index (FiniteGroup.to_obj)."""
+    from .groups import FiniteGroup
+
     factors, iso_map = obj.get("invariant_factors"), obj.get("iso_map")
     return FiniteGroup(
         [[_int(x, "group table entry") for x in row] for row in obj["table"]],
@@ -373,6 +380,8 @@ def _resolve_ref(obj, key, base_dir):
 
 
 def _rep_on(group: FiniteGroup, obj) -> GroupRep:
+    from .groups import GroupRep
+
     degree = _int(obj["degree"], "degree")
     return GroupRep(group, degree, [mat_from_obj(m) for m in obj["matrices"]])
 
@@ -393,6 +402,8 @@ def bicharacter_from_file_obj(obj) -> Bicharacter:
     zeta_N once it is built (build_bicharacter_twist).  Every entry must
     be an integer; no root of unity is made here.
     """
+    from .groups import Bicharacter
+
     factors = tuple(_int(f, "bicharacter factor") for f in obj["factors"])
     n = prod(factors)
     values = obj["values"]
@@ -402,6 +413,8 @@ def bicharacter_from_file_obj(obj) -> Bicharacter:
 
 
 def septuple_from_file_obj(obj, base_dir=None) -> Septuple:
+    from .constructions import Septuple
+
     group_obj, _ = _resolve_ref(obj, "group", base_dir)
     group = group_from_file_obj(group_obj)
     rep_obj, rep_dir = _resolve_ref(obj, "rep", base_dir)

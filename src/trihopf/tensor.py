@@ -621,6 +621,13 @@ def tensor3_mul(a: Tensor3, b: Tensor3, host: "HopfData") -> Tensor3:
     return _product(_kernel3, (a, b), Tensor3, host.algebra)
 
 
+def check_tensor_dims(h: "HopfData", *tensors: Optional[Tensor2]):
+    """ShapeError unless every given tensor lies in H (x) H for this H."""
+    for t in tensors:
+        if t is not None and t.dim != h.dim:
+            raise ShapeError(f"tensor over dimension {t.dim} given for dimension {h.dim}")
+
+
 def flip(a: Tensor2, host: Optional["HopfData"] = None) -> Tensor2:
     """Swap the tensor factors; Koszul sign when the host is super."""
     parity = host.parity if host is not None and host.super else None

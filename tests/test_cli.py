@@ -1,9 +1,13 @@
 """Command-line surface: exit codes, files, determinism."""
 
+import concurrent.futures
 import copy
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -12,6 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import trihopf
 from trihopf import atlas, constructions
 from trihopf.cli import main
 from trihopf.groups import FiniteGroup, alternating_nondegenerate_bicharacters, half_bicharacter
@@ -851,7 +856,8 @@ def test_atlas_determinism_across_worker_counts(tmp_path):
 
 
 def test_atlas_pool_has_no_more_workers_than_jobs(tmp_path, monkeypatch):
-    # an in-process stand-in for the pool: no process is started
+    # an in-process stand-in for the pool: no process is started; run_atlas
+    # imports the pool class from concurrent.futures when it needs one
     sizes = []
 
     class InProcessPool:
@@ -867,7 +873,7 @@ def test_atlas_pool_has_no_more_workers_than_jobs(tmp_path, monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(atlas, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     many, one = tmp_path / "many", tmp_path / "one"
     atlas.run_atlas(4, many, workers=10**6)
     atlas.run_atlas(4, one, workers=1)
@@ -914,3 +920,96 @@ def test_atlas_max_order_1(tmp_path):
 
 def test_atlas_rejects_order_beyond_dim_bound(tmp_path):
     assert main(["atlas", "--max-order", "64", "-o", str(tmp_path / "a")]) == 2
+
+
+# runs one command in a fresh interpreter, then prints its exit code and
+# the trihopf, concurrent and multiprocessing modules it loaded
+_IMPORT_PROBE = """
+import os, sys
+import trihopf.cli
+
+stdout, sys.stdout = sys.stdout, open(os.devnull, "w")
+code = trihopf.cli.main(sys.argv[1:])
+sys.stdout = stdout
+print(code, *sorted(m for m in sys.modules if m.startswith(("trihopf", "concurrent", "multiprocessing"))))
+"""
+_SRC = str(Path(trihopf.__file__).resolve().parents[1])
+_LOAD_AND_SERIALIZE = {
+    "trihopf",
+    "trihopf.errors",
+    "trihopf.scalars",
+    "trihopf.tensor",
+    "trihopf.hopf",
+    "trihopf.serialize",
+    "trihopf.cli",
+}
+_EVERY_MODULE = _LOAD_AND_SERIALIZE | {
+    "trihopf.triangular",
+    "trihopf.groups",
+    "trihopf.constructions",
+    "trihopf.atlas",
+}
+_SWEEDLER, _SWEEDLER_R = str(GOLDEN / "sweedler.hopf.json"), str(GOLDEN / "sweedler.r.json")
+
+
+def _run_fresh(argv, cwd, script=_IMPORT_PROBE):
+    path = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+@pytest.mark.parametrize(
+    "argv, code, loaded",
+    [
+        pytest.param(["verify", _SWEEDLER], 0, _LOAD_AND_SERIALIZE, id="verify"),
+        pytest.param(
+            ["verify", _SWEEDLER, "--r", _SWEEDLER_R],
+            0,
+            _LOAD_AND_SERIALIZE | {"trihopf.triangular"},
+            id="verify_r",
+        ),
+        pytest.param(
+            ["build", "bad.json", "--kind", "group-algebra", "-o", "o.json"], 2, _LOAD_AND_SERIALIZE, id="build_badjson"
+        ),
+        pytest.param(
+            ["build", "ext9.json", "--kind", "exterior", "-o", "o.json"], 2, _LOAD_AND_SERIALIZE, id="build_oversized"
+        ),
+        pytest.param(["analyze", _SWEEDLER, "--r", _SWEEDLER_R], 0, _EVERY_MODULE, id="analyze"),
+        pytest.param(
+            ["atlas", "--max-order", "4", "--workers", "1", "-o", "a"], 0, _EVERY_MODULE, id="atlas_one_worker"
+        ),
+    ],
+)
+def test_a_command_imports_only_what_it_runs(tmp_path, argv, code, loaded):
+    # a refused build compiles no builder, and no command without --workers
+    # above 1 loads the process pool's modules
+    (tmp_path / "bad.json").write_text("{nope")
+    write(tmp_path / "ext9.json", {"n": 9})
+    exit_code, *modules = _run_fresh(argv, tmp_path)
+    assert int(exit_code) == code
+    assert set(modules) == loaded
+
+
+def test_package_names_load_their_modules_on_first_use(tmp_path):
+    for name in trihopf.__all__:
+        namespace = {}
+        exec(f"from trihopf import {name}", namespace)
+        obj = namespace[name]
+        assert obj is getattr(sys.modules[obj.__module__], name) is getattr(trihopf, name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        trihopf.no_such_name
+    # in a fresh process dir lists the names before any is read, and one
+    # name loads its own module and what that imports, nothing else
+    probe = (
+        "import sys, trihopf; listed = set(trihopf.__all__) <= set(dir(trihopf)); trihopf.Vec; "
+        "print(listed, *sorted(m for m in sys.modules if m.startswith('trihopf')))"
+    )
+    loaded = ["True", "trihopf", "trihopf.errors", "trihopf.scalars", "trihopf.tensor"]
+    assert _run_fresh([], tmp_path, probe) == loaded
