@@ -1,4 +1,5 @@
-"""Catalog enumeration: every triangular instance the builders reach.
+"""The catalog and its runner: every triangular instance the builders
+reach, built, verified and written.
 
 The group catalog is a fixed, documented list (cyclic groups up to
 order 16, the elementary-abelian and mixed 2-groups, Z3xZ3, S3, D4,
@@ -9,7 +10,9 @@ nondegenerate alternating bicharacters on them, and emits one verified
 instance per combination with output dimension bounded by max_order.
 
 Instances rebuild purely from their parameter tuple, so output trees
-are byte-identical for any worker count.
+are byte-identical for any worker count.  Each instance's files are its
+H^J, its R^J and their report, triangular.analysis_report, which the
+analyze command prints for the same pair read back from those files.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from pathlib import Path
 
 from .constructions import (
     Septuple,
-    Twist,
     bicharacter_twist_pair,
     modified_supergroup_algebra,
     septuple_twist,
@@ -34,19 +36,10 @@ from .groups import (
     alternating_nondegenerate_bicharacters,
     sign_characters,
 )
-from .hopf import (
-    HopfData,
-    antipode_order,
-    is_cocommutative,
-)
+from .hopf import HopfData
 from .serialize import dumps, hopf_dumps, tensor2_dumps
 from .tensor import Tensor2
-from .triangular import (
-    certify_twisted_triangular,
-    check_structure_theorems,
-    r_matrix_rank,
-    verify_triangular,
-)
+from .triangular import analysis_report, theorems_hold
 
 
 def _cyclic_product(*orders: int):
@@ -195,10 +188,10 @@ def enumerate_instances(max_order: int) -> list[InstanceSpec]:
     return specs
 
 
-def instance_twist(spec: InstanceSpec) -> Twist:
-    """The checked twist (H, J, J^-1, R_u) an instance spec twists, on the
-    per-process host of its (group, W, u); the septuple is validated
-    for every instance."""
+def instance_twist(spec: InstanceSpec):
+    """The checked constructions.Twist (H, J, J^-1, R_u) an instance spec
+    twists, on the per-process host of its (group, W, u); the septuple is
+    validated for every instance."""
     g, _ = _group_tables(spec.group)
     _, gamma = _gamma(spec.group, spec.subgroup, spec.gamma_index)
     septuple = Septuple(
@@ -221,57 +214,6 @@ def build_instance(spec: InstanceSpec):
     return instance_twist(spec).apply()
 
 
-def analysis_report(h, r=None, twist: Twist | None = None) -> dict:
-    """The flat report the analyze command and atlas both emit.
-
-    When (h, r) came from twist, triangularity is certified by the
-    twisting theorem (certify_twisted_triangular); if a premise fails,
-    and always without a twist, verify_triangular decides.  The Chevalley
-    property is HopfData.chevalley, once per object, which an H^J whose
-    axioms the twisting theorem proves reads off its host.
-    """
-    rad = h.algebra.radical
-    cocommutative = is_cocommutative(h)
-    order = antipode_order(h)
-    block = None
-    if r is not None:
-        tri = (
-            twist is not None and certify_twisted_triangular(h, r, twist)
-        ) or verify_triangular(h, r)
-        block = {"triangular": tri, "r_rank": r_matrix_rank(r)}
-        if tri:
-            block.update(check_structure_theorems(h, r).to_obj())
-    obj = {
-        "dim": h.dim,
-        "super": h.super,
-        "cocommutative": cocommutative,
-        "semisimple": not rad,
-        "radical_dim": len(rad),
-        "chevalley": h.chevalley,
-        "antipode_order": order,
-    }
-    if block is not None:
-        obj["triangular"] = block
-    return obj
-
-
-_THEOREM_KEYS = (
-    "u_squared_is_one",
-    "u_grouplike",
-    "s4_is_id",
-    "s2_is_ad_u",
-    "odd_dim_forces_u1_semisimple",
-)
-
-
-def theorems_hold(report: dict) -> bool:
-    """R is triangular and its structure theorems hold, read off an
-    analysis_report made with an R.  The Chevalley property is left to
-    the caller: the atlas requires it, analyze does not."""
-    tri = report["triangular"]
-    return tri["triangular"] and all(tri.get(k, False) for k in _THEOREM_KEYS)
-
-
 def _atomic_write(path: Path, text: str):
     """Write text to path through a temporary file, which is removed if
     the write or the rename fails, so none joins the output tree."""
@@ -287,10 +229,9 @@ def _atomic_write(path: Path, text: str):
 def _build_and_write(args):
     spec_fields, out_dir = args
     spec = InstanceSpec(**spec_fields)
-    twist = instance_twist(spec)
-    h, r = twist.apply()
+    h, r = build_instance(spec)
     axioms = h.axioms
-    report = analysis_report(h, r, twist)
+    report = analysis_report(h, r)
     out = Path(out_dir)
     _atomic_write(out / f"{spec.name}.hopf.json", hopf_dumps(h))
     _atomic_write(out / f"{spec.name}.r.json", tensor2_dumps(r))

@@ -210,7 +210,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    from .atlas import analysis_report, theorems_hold
+    from .triangular import analysis_report, theorems_hold
 
     h = _load_hopf(args.dump)
     axioms = h.axioms

@@ -67,11 +67,6 @@ def mat_from_obj(obj) -> tuple[tuple[CycScalar, ...], ...]:
     return rows
 
 
-def _mult_obj(h: Algebra) -> list:
-    """The "mult" entries [i, j, k, c] of a Hopf dump, in lexicographic order."""
-    return [[i, j, k, scalar_to_obj(c)] for i, j, k, c in h.mult.nonzeros]
-
-
 def hopf_to_obj(h: HopfData):
     comult = []
     for i in range(h.dim):
@@ -82,7 +77,7 @@ def hopf_to_obj(h: HopfData):
         "super": h.super,
         "parity": list(h.parity),
         "unit": vec_to_obj(h.unit),
-        "mult": _mult_obj(h.algebra),
+        "mult": [[i, j, k, scalar_to_obj(c)] for i, j, k, c in h.mult.nonzeros],
         "comult": comult,
         "counit": vec_to_obj(h.counit),
         "antipode": antipode,
@@ -199,16 +194,16 @@ def dumps(obj) -> str:
 
 def hopf_dumps(h: HopfData) -> str:
     """dumps(hopf_to_obj(h)), rendered from the integer numerators of h's
-    sparse tensors: no CycScalar is made for a cell of S, Delta, the unit
-    or the counit (see _scalar_text), and a zero cell of the dense
-    antipode, unit and counit is one constant text.  The text of mult is
-    made once per hopf.Algebra and kept in its mult_text: the twists of
-    one host hold the host's very Algebra and share its text, and a copy
-    with another product, unit or grading has an Algebra, and a text, of
-    its own."""
+    sparse tensors: no CycScalar is made for a cell of S, Delta, the
+    product, the unit or the counit (see _scalar_text), and a zero cell of
+    the dense antipode, unit and counit is one constant text.  The text of
+    mult (_mult_text) is made once per hopf.Algebra and kept in its
+    mult_text: the twists of one host hold the host's very Algebra and
+    share its text, and a copy with another product, unit or grading has
+    an Algebra, and a text, of its own."""
     algebra = h.algebra
     if algebra.mult_text is None:
-        object.__setattr__(algebra, "mult_text", _Text(_render(_mult_obj(algebra), 1)))
+        object.__setattr__(algebra, "mult_text", _mult_text(algebra))
     # each column S(e_c) of the antipode, densely, transposed into rows
     columns = [_cells(col, 3) for col in h.antipode]
     return dumps({
@@ -221,6 +216,12 @@ def hopf_dumps(h: HopfData) -> str:
         "counit": _cells(h.counit, 2),
         "antipode": list(zip(*columns)),
     })
+
+
+def _mult_text(algebra: Algebra) -> _Text:
+    """The text of the "mult" entries [i, j, k, c] of a Hopf dump, in
+    lexicographic order, rendered like Delta's from integer numerators."""
+    return _Text(_render(_entries(algebra.mult, 3), 1))
 
 
 def tensor2_dumps(t: Tensor2) -> str:
@@ -249,8 +250,8 @@ def _cells(v: Vec, depth: int) -> list[_Text]:
 
 def _entries(t, depth: int) -> list:
     """The [index..., coefficient] lists of t's entries in increasing index
-    order, the wire form of a Tensor2's, with each coefficient's text made
-    for depth."""
+    order, the wire form of a Tensor2's or of a product's Tensor3, with
+    each coefficient's text made for depth."""
     order, den = t.order, t.den
     return [[*key, _scalar_text(order, den, x, depth)] for key, x in sorted(t._num.items())]
 
@@ -258,10 +259,12 @@ def _entries(t, depth: int) -> list:
 def _render(obj, depth: int) -> str:
     """The json.dumps text of obj written at the given indent depth.
 
-    The tree is walked once into one list of fragments.  A dump repeats a
-    few scalars (1, -1, 1/2, powers of zeta) thousands of times, so the
-    text of each scalar encoding is made once per depth and content and
-    then looked up.
+    The tree is walked once into one list of fragments.  A _Text in it is
+    finished text for its depth and is copied as it is (hopf_dumps and
+    tensor2_dumps hand every coefficient over as one, _scalar_text).  An
+    object of hopf_to_obj or tensor2_to_obj repeats a few scalar encodings
+    (1, -1, 1/2, powers of zeta) thousands of times, so the text of each is
+    made once per depth and content and then looked up.
     """
     out: list[str] = []
     append = out.append

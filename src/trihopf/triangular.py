@@ -1,4 +1,4 @@
-"""Triangular structure verification.
+"""Triangular structure verification, and the report of a pair (H, R).
 
 An R-matrix lives in H (x) H; verify_triangular checks the hexagon
 identities in H (x) H (x) H and the conjugation identity
@@ -31,22 +31,23 @@ Quantum Groups, XV.3, in the convention of Etingof and Gelaki): if
 (Delta (x) id)(J) J12 = (id (x) Delta)(J) J23, then (H^J, R^J) is
 triangular.  certify_twisted_triangular checks the premises on the data
 the twist came from, not R^J itself:
-1. the axioms of H, and those of H^J, which has the multiplication,
-   unit and counit of H;
+1. H^J is the Hopf algebra the twist makes of H
+   (constructions.Twist.proves_hopf): the axioms of H hold, H^J has
+   the multiplication, unit and counit of H, and its coproduct and
+   antipode equal the twist's own J^-1 Delta J and Q^-1 S Q,
+   Q = m(S (x) id)(J);
 2. R triangular on H, by verify_triangular on the generators of H,
    whose axioms are proved;
 3. J normalized and the cocycle identity in the order above;
 4. J^-1 two-sided;
-5. Delta^J = J^-1 Delta J and R^J = J21^-1 R J, as equalities with the
-   twist's own maps (constructions.Twist.comult and r_twisted).
+5. R^J = J21^-1 R J, as an equality with the twist's own
+   constructions.Twist.r_twisted.
 Premises 3 and 4 are checked when the constructions.Twist is made; 5
 needs no product, as J21^-1 = flip(J^-1) for an ordinary H.  H's axioms
-are proved, and H^J's follow from them by the same theorem: 5 and 3
-make H^J a Hopf algebra with the antipode Q^-1 S Q, Q = m(S (x) id)(J).
-So the axioms of an H^J made by the twist are H's proof plus the
-equality of its stored antipode with the twist's Q^-1 S Q
-(constructions.Twist.proves_hopf); if a premise fails they are
-verified on H^J itself (hopf.verify_hopf).
+are proved, and H^J's follow from them by the same theorem: 1 and 3
+make H^J a Hopf algebra, so HopfData.axioms of an H^J made by the twist
+is premise 1; if a premise fails they are verified on H^J itself
+(hopf.verify_hopf).
 
 Which facts belong to what.  H's axioms are a fact of H, proved once
 and kept on it (HopfData.axioms); the associativity and unit witnesses
@@ -79,8 +80,10 @@ from .errors import InvalidDrinfeldElement, NotInvertible, NotQuasitriangular
 from .hopf import (
     HopfData,
     antipode_contraction,
+    antipode_order,
     certified_inverse,
     is_chevalley,
+    is_cocommutative,
     is_semisimple,
 )
 from .scalars import SC_HALF
@@ -172,21 +175,18 @@ def certify_twisted_triangular(h: HopfData, r: Tensor2, twist: Twist) -> bool:
     to come from; constructing it checked that J is a normalized cocycle
     with a two-sided inverse.  The remaining premises (see the module
     docstring) are checked here, each exactly:
-    - H.axioms.ok and h.axioms.ok, and h has H's algebra and counit
-      (HopfData.keeps_algebra_of): the very hopf.Algebra of H, which
-      Twist.apply hands to H^J, or an equal one;
+    - twist.proves_hopf(h): H's axioms hold, h has H's algebra and
+      counit, and h's coproduct and antipode are the twist's own;
     - R is triangular on H, by verify_triangular, proved once per
       (H, R) pair and kept on H;
-    - Delta_h and r equal the twist's own J^-1 Delta_H J and J21^-1 R J
-      (Twist.comult, Twist.r_twisted), computed once per twist.
+    - r equals the twist's own J21^-1 R J (Twist.r_twisted), computed
+      once per twist.
     False means a premise failed, not that r is not triangular.
     """
-    host, r0 = twist.host, twist.r
-    if r0 is None or not host.axioms.ok or not h.axioms.ok:
+    r0 = twist.r
+    if r0 is None or not twist.proves_hopf(h) or not _host_triangular(twist.host, r0):
         return False
-    if not h.keeps_algebra_of(host) or not _host_triangular(host, r0):
-        return False
-    return h.comult == twist.comult and r == twist.r_twisted
+    return r == twist.r_twisted
 
 
 def drinfeld_element(h: HopfData, r: Tensor2) -> Vec:
@@ -305,3 +305,47 @@ def check_structure_theorems(h: HopfData, r: Tensor2) -> TheoremReport:
         odd_dim_forces_u1_semisimple=odd_ok,
         chevalley=is_chevalley(h),
     )
+
+
+def theorems_hold(report: dict) -> bool:
+    """R is triangular and its structure theorems hold, read off an
+    analysis_report made with an R.  The Chevalley property is left out:
+    analyze does not require it, and the atlas requires it through
+    report["chevalley"]."""
+    tri = report["triangular"]
+    return tri["triangular"] and all(tri.get(k, False) for k in _THEOREMS if k != "chevalley")
+
+
+def analysis_report(h: HopfData, r: Tensor2 | None = None) -> dict:
+    """The flat report of (h, r) that the analyze command and the atlas
+    both emit.
+
+    When h is an H^J made by a twist (HopfData.twist), triangularity is
+    certified by the twisting theorem (certify_twisted_triangular); if a
+    premise fails, and on any other h, verify_triangular decides.  The
+    Chevalley property is HopfData.chevalley, once per object, which an
+    H^J whose axioms the twisting theorem proves reads off its host.
+    """
+    rad = h.algebra.radical
+    cocommutative = is_cocommutative(h)
+    order = antipode_order(h)
+    block = None
+    if r is not None:
+        tri = (
+            h.twist is not None and certify_twisted_triangular(h, r, h.twist)
+        ) or verify_triangular(h, r)
+        block = {"triangular": tri, "r_rank": r_matrix_rank(r)}
+        if tri:
+            block.update(check_structure_theorems(h, r).to_obj())
+    obj = {
+        "dim": h.dim,
+        "super": h.super,
+        "cocommutative": cocommutative,
+        "semisimple": not rad,
+        "radical_dim": len(rad),
+        "chevalley": h.chevalley,
+        "antipode_order": order,
+    }
+    if block is not None:
+        obj["triangular"] = block
+    return obj

@@ -894,6 +894,19 @@ def test_atlas_8_bytes_match_the_committed_digests(tmp_path):
     assert actual == expected
 
 
+def test_analyze_prints_the_report_the_atlas_wrote(tmp_path, capsys):
+    # the atlas certifies each H^J by the twisting theorem; analyze proves
+    # the loaded files, which carry no twist, directly.  Both print one report.
+    assert main(["atlas", "--max-order", "8", "-o", str(tmp_path)]) == 0
+    capsys.readouterr()
+    reports = sorted(tmp_path.glob("*.report.json"))
+    assert len(reports) == 115
+    for report in reports:
+        stem = str(report)[: -len(".report.json")]
+        assert main(["analyze", f"{stem}.hopf.json", "--r", f"{stem}.r.json"]) == 0
+        assert capsys.readouterr().out == report.read_text(), report.name
+
+
 @pytest.mark.parametrize("fail_in", ["write_text", "replace"])
 def test_a_failed_atlas_write_leaves_no_temporary_file(tmp_path, monkeypatch, fail_in):
     # a write that stops after one character, or a rename that fails
@@ -981,7 +994,13 @@ def _run_fresh(argv, cwd, script=_IMPORT_PROBE):
         pytest.param(
             ["build", "ext9.json", "--kind", "exterior", "-o", "o.json"], 2, _LOAD_AND_SERIALIZE, id="build_oversized"
         ),
-        pytest.param(["analyze", _SWEEDLER, "--r", _SWEEDLER_R], 0, _EVERY_MODULE, id="analyze"),
+        pytest.param(["analyze", _SWEEDLER], 0, _LOAD_AND_SERIALIZE | {"trihopf.triangular"}, id="analyze_no_r"),
+        pytest.param(
+            ["analyze", _SWEEDLER, "--r", _SWEEDLER_R],
+            0,
+            _LOAD_AND_SERIALIZE | {"trihopf.triangular"},
+            id="analyze",
+        ),
         pytest.param(
             ["atlas", "--max-order", "4", "--workers", "1", "-o", "a"], 0, _EVERY_MODULE, id="atlas_one_worker"
         ),

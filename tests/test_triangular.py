@@ -9,7 +9,6 @@ import pytest
 from trihopf import atlas, constructions, hopf, serialize, tensor, triangular
 from trihopf.atlas import (
     _build_and_write,
-    analysis_report,
     build_instance,
     enumerate_instances,
     instance_twist,
@@ -47,6 +46,7 @@ from trihopf.tensor import (
     unit_tensor2,
 )
 from trihopf.triangular import (
+    analysis_report,
     certify_twisted_triangular,
     check_structure_theorems,
     drinfeld_element,
@@ -465,14 +465,14 @@ def test_certificate_needs_the_twisted_algebra():
 @pytest.mark.parametrize("certified", [True, False])
 def test_atlas_report_falls_back_when_a_premise_fails(monkeypatch, certified):
     calls = []
-    monkeypatch.setattr("trihopf.atlas.certify_twisted_triangular", lambda h, r, tw: certified)
-    monkeypatch.setattr("trihopf.atlas.verify_triangular", lambda h, r: calls.append(1) or True)
+    monkeypatch.setattr("trihopf.triangular.certify_twisted_triangular", lambda h, r, tw: certified)
+    monkeypatch.setattr("trihopf.triangular.verify_triangular", lambda h, r: calls.append(1) or True)
     tw = instance_twist(enumerate_instances(8)[5])
     h, r = tw.apply()
-    assert analysis_report(h, r, tw)["triangular"]["triangular"]
+    assert analysis_report(h, r)["triangular"]["triangular"]
     assert len(calls) == (0 if certified else 1)
     # without a twist the exhaustive check decides
-    assert analysis_report(h, r)["triangular"]["triangular"]
+    assert analysis_report(h.replace(twist=None), r)["triangular"]["triangular"]
     assert len(calls) == (1 if certified else 2)
 
 
@@ -566,7 +566,7 @@ def test_atlas9_job_proves_each_host_once(monkeypatch, tmp_path):
         (triangular, "_triangular"),
         (hopf, "_bialgebra_witness"),
         (constructions, "build_bicharacter_twist"),
-        (serialize, "_mult_obj"),
+        (serialize, "_mult_text"),
         (hopf, "subspace_is_hopf_ideal"),
     ):
         original = getattr(module, name)
@@ -618,7 +618,7 @@ def test_atlas9_job_proves_each_host_once(monkeypatch, tmp_path):
         # J and J^-1, once per (group, A, gamma, dim)
         "build_bicharacter_twist": 2 * len(twists),
         # the text of each host's mult, once per host
-        "_mult_obj": 43,
+        "_mult_text": 43,
         # the Chevalley property, once per host; every H^J reads its host's
         "subspace_is_hopf_ideal": 43,
     }
