@@ -18,9 +18,11 @@ keeps its own direct tables.
 
 One sign rule: _wedge gives the sign of v_A ^ v_B, and the coproduct
 split Delta(v_S) = sum eps v_T (x) v_{S-T} takes eps from
-v_T ^ v_{S-T} = eps v_S.  One exterior expansion: rho(h) v_S wedges
-the columns rho(h) v_b together one at a time, which is one term for
-a monomial rho(h) and the minors otherwise.  One twist datum:
+v_T ^ v_{S-T} = eps v_S.  One exterior expansion: rho(h) v_S is
+rho(h) v_{S-b} wedged with the column rho(h) v_b, b the top bit of S,
+and x -> x ^ rho(h) v_b is a linear map applied on integer numerators
+(tensor.apply_map), which gives one term for a monomial rho(h) and the
+minors otherwise.  One twist datum:
 bicharacter_twist_pair builds (J, J^-1) on an abelian subgroup, for a
 septuple and for semisimple_triangular, which is the W = 0 case.
 
@@ -123,30 +125,34 @@ def _subsets(mask: int):
         sub = (sub - 1) & mask
 
 
-def _exterior_image(cols, mask: int):
-    """rho(v_mask) = rho(v_b1) ^ rho(v_b2) ^ ... for b1 < b2 < ... in mask,
-    with rho(v_b) the column cols[b], a Vec (GroupRep.matrices):
-    sparse (mask, coefficient) pairs.
+def _exterior_images(cols) -> list[Vec]:
+    """rho(v_S) = rho(v_b1) ^ rho(v_b2) ^ ... for b1 < b2 < ... in S, for
+    every mask S, with rho(v_b) the column cols[b], a Vec
+    (GroupRep.matrices): Vecs over Lambda(V), keyed by mask.
 
-    The running image is a Vec over Lambda(V), keyed by mask.  A monomial
-    rho keeps one term at every step; any other rho gives the minors of
-    rho on the columns in mask.
+    x -> x ^ rho(v_b) is a linear map, built once per b as columns whose
+    signs come from _wedge; the image of S is that map for the top bit b
+    of S applied to the image of S without b.  A monomial rho keeps one
+    term at every step; any other rho gives the minors of rho on the
+    columns in S.
     """
     size = 1 << len(cols)
-    image = Vec.basis(size, 0)
-    for b in range(mask.bit_length()):
-        if not mask >> b & 1:
-            continue
-        terms = []
-        for out_mask, coeff in image.nonzeros:
-            for a, c in cols[b].nonzeros:
-                wedge = _wedge(out_mask, 1 << a)
+    wedges = []
+    for col in cols:
+        columns = []
+        for mask in range(size):
+            terms = []
+            for a, c in col.nonzeros:
+                wedge = _wedge(mask, 1 << a)
                 if wedge is not None:
-                    sign, k = wedge
-                    term = coeff * c
-                    terms.append((k, term if sign > 0 else -term))
-        image = Vec(size, terms)
-    return image.nonzeros
+                    terms.append((wedge[1], c if wedge[0] > 0 else -c))
+            columns.append(Vec(size, terms))
+        wedges.append(columns)
+    images = [Vec.basis(size, 0)]
+    for mask in range(1, size):
+        top = mask.bit_length() - 1
+        images.append(apply_map(wedges[top], images[mask ^ (1 << top)]))
+    return images
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +165,7 @@ def _smash_product(g: FiniteGroup, v: GroupRep):
     size = 2**degree, each mult cell as its raw signed terms (make_hopf
     sums them) and the antipode as sparse columns (HopfData.antipode).
     With rho(h) v_S expanded once per h
-    (_exterior_image) and every sign read off _wedge:
+    (_exterior_images) and every sign read off _wedge:
       (g, S)(h, T) = (gh, rho(h^-1)(v_S) ^ v_T), so g v = rho(g)(v) g;
       Delta(g v_S) = sum over T in S of eps g v_T (x) g v_{S-T}, where
         v_T ^ v_{S-T} = eps v_S;
@@ -168,7 +174,7 @@ def _smash_product(g: FiniteGroup, v: GroupRep):
     w = v.degree
     size = 1 << w
     dim = g.order * size
-    images = [tuple(_exterior_image(cols, mask) for mask in range(size)) for cols in v.matrices]
+    images = [[image.nonzeros for image in _exterior_images(cols)] for cols in v.matrices]
     mult = []
     for i in range(dim):
         gi, si = divmod(i, size)
@@ -356,24 +362,25 @@ def inflate_group_tensor(t: Tensor2, factor: int, dim: int) -> Tensor2:
     )
 
 
-def _twist_identities_hold(h: HopfData, j: Tensor2) -> bool:
-    """Counit normalization and (Delta (x) id)(J) J12 = (id (x) Delta)(J) J23.
+def _twist_identity_failure(h: HopfData, j: Tensor2) -> Optional[str]:
+    """The twist identity that J fails, named, or None when both hold:
+    counit normalization, on the side where a slant of J is not 1, or
+    (Delta (x) id)(J) J12 = (id (x) Delta)(J) J23, at the least (i, j, k)
+    where the two sides differ.
 
     This is the cocycle order under which Delta^J = J^-1 Delta J is
     coassociative; J12 (Delta (x) id)(J) = J23 (id (x) Delta)(J) is the
     one for J Delta J^-1.  A J of another dimension raises ShapeError.
     """
     check_tensor_dims(h, j)
-    left, right = counit_slants(h, j)
-    if left != h.unit or right != h.unit:
-        return False
-    lhs = tensor3_mul(
-        embed13_23_12(j, "delta_id", h), embed13_23_12(j, "12", h), h
-    )
-    rhs = tensor3_mul(
-        embed13_23_12(j, "id_delta", h), embed13_23_12(j, "23", h), h
-    )
-    return lhs == rhs
+    for side, slant in zip(("(eps (x) id)(J)", "(id (x) eps)(J)"), counit_slants(h, j)):
+        if slant != h.unit:
+            return f"counit normalization fails: {side} != 1"
+    lhs = tensor3_mul(embed13_23_12(j, "delta_id", h), embed13_23_12(j, "12", h), h)
+    rhs = tensor3_mul(embed13_23_12(j, "id_delta", h), embed13_23_12(j, "23", h), h)
+    if lhs != rhs:
+        return f"cocycle identity fails at {(lhs - rhs).nonzeros[0][:3]}"
+    return None
 
 
 def verify_twist(h: HopfData, j: Tensor2) -> bool:
@@ -384,7 +391,7 @@ def verify_twist(h: HopfData, j: Tensor2) -> bool:
     identity failures; raises NotInvertible when the identities hold but
     j is singular in H (x) H.
     """
-    if not _twist_identities_hold(h, j):
+    if _twist_identity_failure(h, j) is not None:
         return False
     tensor2_inv(j, h)
     return True
@@ -396,7 +403,8 @@ class Twist:
 
     Constructing one checks J: counit normalization, the cocycle identity
     (Delta (x) id)(J) J12 = (id (x) Delta)(J) J23, and J^-1 two-sided (it
-    is solved for when not given); any failure raises TwistError, or
+    is solved for when not given); any failure raises TwistError, whose
+    message names the failed identity (_twist_identity_failure), or
     NotInvertible for a singular J.  A given J^-1 is multiplied back on
     one side only, J J^-1 = 1: in the finite-dimensional algebra H (x) H
     a right inverse is two-sided (x -> J x is then onto, so one-to-one,
@@ -417,8 +425,9 @@ class Twist:
         check_tensor_dims(h, j, self.j_inv, self.r)
         if h.super:
             raise TwistError("twisting super Hopf algebras is not supported")
-        if not _twist_identities_hold(h, j):
-            raise TwistError("counit or cocycle identity fails")
+        failure = _twist_identity_failure(h, j)
+        if failure is not None:
+            raise TwistError(failure)
         if self.j_inv is None:
             object.__setattr__(self, "j_inv", tensor2_inv(j, h))
         elif tensor2_mul(j, self.j_inv, h) != unit_tensor2(h):

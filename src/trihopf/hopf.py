@@ -10,8 +10,8 @@ structure constants into these forms through the one sparse
 constructor, which trusts its indices: validate() refuses any outside.
 Every map on elements applies such columns with tensor.apply_map on
 integer numerators (S(x), Delta(x), S^2 and S^4, S^2 = Ad(u),
-m(S (x) id)(t) with m = HopfData.mul_legs, the associativity rows, L_x
-in algebra_inverse, the Hopf-ideal projection), and every covector
+m(S (x) id)(t) with m = HopfData.mul_legs, the associativity rows, the
+Hopf-ideal projection), and every covector
 with tensor.contract (eps(x), the counit slants, eps o m, the trace
 form).  Products read mult in integer form (Algebra.mult_ints, a
 tensor.IntCells).  No dense matrix exists outside the dump format
@@ -50,11 +50,13 @@ I is a Hopf ideal; the coproduct condition Delta(I) in I (x) H + H (x) I
 is (pi (x) pi)(Delta(I)) = 0 for the projection pi along I, read off
 I's reduced row echelon basis.
 
-Inverses in H: algebra_inverse solves x y = 1 on the sparse rows of
-left multiplication by x.  Where a theorem gives the inverse in closed
-form, certified_inverse takes it after multiplying it back on both
-sides and solves only if that fails, so a wrong closed form changes
-neither a value nor an exception.  The two closed forms are
+Inverses in H: algebra_inverse finds x^-1 as a polynomial in x, by
+the minimal polynomial of x (tensor._polynomial_inverse, which inverts
+in H (x) H too), and multiplies it back on both sides.  Where a theorem
+gives the inverse in closed form, certified_inverse takes it after
+multiplying it back on both sides and falls back to algebra_inverse
+only if that fails, so a wrong closed form changes neither a value nor
+an exception.  The two closed forms are
 Q^-1 = m(id (x) S)(J^-1) for a twist's Q = m(S (x) id)(J)
 (constructions.Twist.antipode) and u^-1 = sum b_i S^2(a_i) for the
 Drinfeld element of R = sum a_i (x) b_i (triangular.drinfeld_element).
@@ -73,6 +75,7 @@ from .tensor import (
     Echelon,
     _kernel1,
     _kernel_legs,
+    _polynomial_inverse,
     _product,
     _unit_legs,
     IntCells,
@@ -669,25 +672,13 @@ def antipode_order(h: HopfData, bound: int = 16) -> int:
 
 
 def algebra_inverse(h: HopfData, x: Vec) -> Vec:
-    """Two-sided inverse of an element of H, by exact linear solve.
-
-    The sparse rows of x y = 1 in the unknown y, with the unit as an
-    extra column d, go to one Echelon (Echelon.solution); the solution
-    sets every free unknown to 0 and is multiplied back on both sides.
-    """
-    d = h.dim
-    left = h.algebra.mult_ints.left_multiplication()
-    rows: list[dict] = [{} for _ in range(d)]  # rows[k][t]: e_k-coefficient of x e_t
-    for t, k, c in apply_map(left, x).nonzeros:  # L_x, keyed (t, k)
-        rows[k][t] = c
-    for k, b in h.unit.nonzeros:
-        rows[k][d] = b
-    sol = Echelon(rows).solution(d)
-    if sol is None:
-        raise NotInvertible("element has no inverse")
-    if h.mul_vec(sol, x) != h.unit or h.mul_vec(x, sol) != h.unit:
-        raise NotInvertible("element has no two-sided inverse")
-    return sol
+    """Two-sided inverse of an element of H, a polynomial in x
+    (tensor._polynomial_inverse), multiplied back on both sides: a loaded
+    dump's product may not be associative."""
+    inv = _polynomial_inverse(x, h.unit, h.mul_vec)
+    if h.mul_vec(inv, x) != h.unit:
+        raise NotInvertible("element has no two-sided inverse in H")
+    return inv
 
 
 def certified_inverse(h: HopfData, x: Vec, candidate: Vec) -> Vec:

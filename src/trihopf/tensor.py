@@ -38,19 +38,22 @@ The key of a Vec is its plain basis index, so Vec.nonzeros is (a, c)
 pairs in increasing a.  Dense forms exist only in the dump format, a
 vector or a column as Vec.from_entries and Vec.entries.
 Every elimination goes through one sparse reduced row echelon basis,
-Echelon, with one field inverse per pivot: rank, kernel and solution of
-a linear system, span membership, the generating set and radical of a
-Hopf algebra, and the minimal polynomial behind an inverse in
-H (x) H, which is a polynomial in the element, so it needs no linear
-system over H (x) H.
+Echelon, with one field inverse per pivot: rank and kernel of a linear
+system, span membership, the generating set and radical of a Hopf
+algebra, and the minimal polynomial behind every inverse.  An element
+of H or of H (x) H is invertible exactly when the constant term of its
+minimal polynomial is not 0, and its inverse is then a polynomial in
+it, so one routine (_polynomial_inverse) inverts in both and sets up no
+linear system.  Outside CycScalar itself, Echelon is the only code
+that multiplies CycScalars.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain, product
 from math import gcd, lcm, prod
-from operator import mul
+from operator import add, mul
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from .errors import NotInvertible, ShapeError
@@ -136,16 +139,6 @@ class Echelon:
                 x[f] = SC_ONE
                 basis.append(Vec(ncols, tuple(x.items())))
         return basis
-
-    def solution(self, n: int) -> Optional[Vec]:
-        """The solution of the reduced system in the unknowns 0..n-1 whose
-        right-hand side is the label n, with every free unknown 0, or None.
-
-        None means the system is inconsistent: a row has its pivot at n.
-        """
-        if n in self.rows:
-            return None
-        return Vec(n, tuple((p, row[n]) for p, row in self.rows.items() if n in row))
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +237,8 @@ class IntCells:
     def left_multiplication(self) -> tuple["Tensor2", ...]:
         """L[i], the map x -> e_i x as a Tensor2 keyed (j, k), so L holds
         the columns of the map x -> (left multiplication by x) from H to
-        H (x) H."""
+        H (x) H; hopf._associativity_witness compares L_{e_i e_j} with
+        L_{e_i} o L_{e_j} on it."""
         order, den, dim = self.order, self.den, len(self.rows)
         return tuple(
             Tensor2._of(dim, *_canonical(
@@ -745,43 +739,45 @@ def embed13_23_12(a: Tensor2, pattern: str, host: "HopfData") -> Tensor3:
     return apply_map(cols, a, leg)
 
 
-def tensor2_inv(a: Tensor2, host: "HopfData") -> Tensor2:
-    """Two-sided inverse of a in the algebra H (x) H.
+def _polynomial_inverse(a, one, mul):
+    """The inverse of a, a Vec or a Tensor2, in the algebra whose unit is
+    one and whose product is mul: H, or H (x) H.
 
     a is a root of its minimal polynomial sum_t c_t a^t.  Each power a^t
-    joins one echelon with the tag (dim, t), which sorts after every
-    index pair, so the first power whose residue is tags only gives the
-    polynomial, scaled to its least nonzero coefficient.  c_0 = 0 makes
-    a a zero divisor; otherwise a^-1 = -c_0^-1 sum_{t>=1} c_t a^(t-1).
-    The candidate is multiplied back once before it is returned: it is a
-    polynomial in a, so it commutes with a, and a inv = 1 gives
-    inv a = 1 as well.
+    joins one echelon with the tag (dim, t), which sorts after every key
+    of a Vec, (i,), and of a Tensor2, (i, j), so the first power whose
+    residue is tags only gives the polynomial, scaled to its least
+    nonzero coefficient.  c_0 = 0 makes a a zero divisor; otherwise
+    a^-1 = -c_0^-1 sum_{t>=1} c_t a^(t-1), summed on integer numerators.
+    The candidate is multiplied back once, a inv = 1, before it is
+    returned.
     """
-    if a.dim != host.dim:
-        raise ShapeError("tensor/host dimension mismatch")
     dim = a.dim
-    unit2 = unit_tensor2(host)
+    if dim != one.dim:
+        raise ShapeError("tensor/host dimension mismatch")
     span = Echelon()
-    powers = [unit2]
+    powers = [one]
     while True:
         t = len(powers) - 1
         terms = ((e[:-1], e[-1]) for e in powers[t].nonzeros)
         pivot = span.add(chain(terms, (((dim, t), SC_ONE),)))
         if pivot[0] == dim:
             break
-        powers.append(tensor2_mul(powers[t], a, host))
+        powers.append(mul(powers[t], a))
+    where = "H" if a.arity == 1 else "H(x)H"
     if pivot != (dim, 0):
-        raise NotInvertible("tensor is a zero divisor in H(x)H")
+        raise NotInvertible(f"element is a zero divisor in {where}")
     # span.rows[pivot] is c_0^-1 sum_t c_t (dim, t)
-    inv = Tensor2(
-        dim,
-        [
-            ((i, j), -c * x)
-            for (_, s), c in span.rows[pivot].items()
-            if s
-            for i, j, x in powers[s - 1].nonzeros
-        ],
-    )
-    if tensor2_mul(a, inv, host) != unit2:
-        raise NotInvertible("tensor has no two-sided inverse in H(x)H")
+    inv = -reduce(add, (powers[s - 1].scale(c) for (_, s), c in span.rows[pivot].items() if s))
+    if mul(a, inv) != one:
+        raise NotInvertible(f"element has no two-sided inverse in {where}")
     return inv
+
+
+def tensor2_inv(a: Tensor2, host: "HopfData") -> Tensor2:
+    """Two-sided inverse of a in the algebra H (x) H (_polynomial_inverse).
+
+    A polynomial in a commutes with a, so a inv = 1 gives inv a = 1 as
+    well, and the one multiply-back certifies both sides.
+    """
+    return _polynomial_inverse(a, unit_tensor2(host), lambda x, y: tensor2_mul(x, y, host))

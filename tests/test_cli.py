@@ -19,10 +19,18 @@ from hypothesis import given, settings, strategies as st
 import trihopf
 from trihopf import atlas, constructions
 from trihopf.cli import main
-from trihopf.groups import FiniteGroup, alternating_nondegenerate_bicharacters, half_bicharacter
+from trihopf.groups import (
+    FiniteGroup,
+    alternating_nondegenerate_bicharacters,
+    half_bicharacter,
+    sign_characters,
+)
+from trihopf.scalars import CycScalar
 from trihopf.constructions import build_bicharacter_twist, group_algebra
 from trihopf.serialize import dumps, hopf_to_obj, load, tensor2_to_obj
-from trihopf.tensor import tensor2_inv
+from trihopf.tensor import Tensor2, Vec, tensor2_inv, unit_tensor2
+
+from _oracles import expand_embedding, expand_product
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -442,8 +450,36 @@ def test_twist_rejects_bad_twist(tmp_path, z2_file, capsys):
     jfile = write(tmp_path / "j.json", bad)
     out = tmp_path / "o.json"
     assert main(["twist", str(dump), "--twist", str(jfile), "-o", str(out)]) == 1
-    assert "counit or cocycle identity fails" in capsys.readouterr().err
+    assert "counit normalization fails" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_twist_names_the_cocycle_key_it_fails(tmp_path, capsys):
+    # J = 1 (x) 1 + E_x (x) E_y on k[Z2 x Z2], E_x and E_y the idempotents of
+    # two distinct nontrivial characters: eps(E_x) = 0, so J is counit
+    # normalized, but its f(x, y) = 2, f = 1 elsewhere, is no 2-cocycle
+    g = FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2))
+    h = group_algebra(g)
+    quarter = CycScalar.from_rational(1, 4)
+    ex, ey = (
+        Vec(4, [(k, quarter if sign > 0 else -quarter) for k, sign in enumerate(chi)])
+        for chi in sign_characters(g)[1:3]
+    )
+    j = unit_tensor2(h) + Tensor2.outer(ex, ey)
+    dump = write(tmp_path / "h.hopf.json", hopf_to_obj(h))
+    jfile = write(tmp_path / "j.json", tensor2_to_obj(j))
+    out = tmp_path / "o.json"
+    assert main(["twist", dump, "--twist", jfile, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert not out.exists() and "counit" not in err
+    # the least (i, j, k) where the oracle's two sides differ
+    coefficients = {(a, b): c for a, b, c in j.nonzeros}
+    lhs, rhs = (
+        expand_product(h, expand_embedding(h, coefficients, delta), expand_embedding(h, coefficients, unit))
+        for delta, unit in (("delta_id", "12"), ("id_delta", "23"))
+    )
+    key = min(k for k in lhs.keys() | rhs.keys() if lhs.get(k) != rhs.get(k))
+    assert f"cocycle identity fails at {key}" in err
 
 
 def test_modify_command(tmp_path, sweedler_input):

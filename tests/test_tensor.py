@@ -4,12 +4,11 @@ import functools
 import json
 import random
 import sys
-from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trihopf import hopf
+from trihopf import atlas, hopf
 from trihopf.constructions import (
     Septuple,
     apply_twist,
@@ -47,6 +46,7 @@ from trihopf.tensor import (
     unit_tensor2,
 )
 
+from _golden import NON_DIAGONAL
 from _oracles import (
     dense_product,
     expand_contraction,
@@ -79,14 +79,6 @@ def echelon_of(rows):
 def apply(rows, v):
     """The image of v under the matrix given by its rows."""
     return Vec.from_entries(sum((x * y for x, y in zip(row, v.entries)), ZERO) for row in rows)
-
-
-def solve(rows, rhs):
-    """The solution of rows @ x = rhs read off the augmented echelon, whose
-    right-hand side is the label one past the last column."""
-    n = len(rows[0])
-    augmented = (chain(enumerate(row), ((n, b),)) for row, b in zip(rows, rhs.entries))
-    return Echelon(augmented).solution(n)
 
 
 # --- kernels and ranks ------------------------------------------------------
@@ -127,14 +119,6 @@ def test_kernel_with_cyclotomic_entries():
     basis = echelon_of(rows).kernel(2)
     assert len(basis) == 1
     assert not apply(rows, basis[0]).nonzeros
-
-
-def test_solve_linear():
-    rows = ints([[2, 1], [1, 1]])
-    rhs = Vec.from_entries([sc(3), sc(2)])
-    x = solve(rows, rhs)
-    assert apply(rows, x) == rhs
-    assert solve(ints([[1, 0], [1, 0]]), Vec.from_entries([sc(0), sc(1)])) is None
 
 
 # rationals times powers of zeta_3, zero included
@@ -209,19 +193,6 @@ def test_elimination_property(data):
     for v, f in zip(basis, free):
         assert not apply(rows, v).nonzeros
         assert [v.entries[g] for g in free] == [ONE if g == f else ZERO for g in free]
-    # the solution sets every free unknown to 0; None exactly off the column space
-    rhs = Vec.from_entries(data.draw(_CYC3_SCALARS) for _ in range(nrows))
-    x = solve(rows, rhs)
-    solvable = rank([list(r) + [c] for r, c in zip(rows, rhs.entries)]) == rank(rows)
-    if x is None:
-        assert not solvable
-    else:
-        assert solvable
-        assert apply(rows, x) == rhs
-        assert all(x.entries[f].is_zero() for f in free)
-    # an rhs built from the columns is always solvable
-    y = Vec.from_entries(data.draw(_CYC3_SCALARS) for _ in range(ncols))
-    assert solve(rows, apply(rows, y)) is not None
 
 
 @pytest.mark.parametrize(
@@ -358,7 +329,8 @@ TWISTS = {
 
 
 def test_tensor2_inv_solves_nothing(monkeypatch):
-    # the inverse is a polynomial in the element: no linear system is set up
+    # an inverse in H or in H (x) H is a polynomial in the element: no
+    # linear system is set up
     cases = []
     for name in ("Z2^4-16nz", "Z2^4-64nz", "Z3xZ3-0", "Z4xZ4-0"):
         h, sub, beta = TWISTS[name]()
@@ -372,16 +344,19 @@ def test_tensor2_inv_solves_nothing(monkeypatch):
     cases.append((super32, r32, flip(r32, super32)))  # triangular: R^-1 = R21
 
     def no_solve(*args):
-        raise AssertionError("tensor2_inv set up a linear system")
+        raise AssertionError("an inverse set up a linear system")
 
-    for name in ("solution", "kernel"):
-        monkeypatch.setattr(Echelon, name, no_solve)
+    monkeypatch.setattr(Echelon, "kernel", no_solve)
     for h, a, expected in cases:
         inv = tensor2_inv(a, h)
         unit2 = unit_tensor2(h)
         assert tensor2_mul(a, inv, h) == unit2 == tensor2_mul(inv, a, h)
         if expected is not None:
             assert inv == expected
+        # 2 + e_{d-1}: a group-like of finite order, or 1 + g on super32
+        x = h.unit.scale(sc(2)) + Vec.basis(h.dim, h.dim - 1)
+        inv = hopf.algebra_inverse(h, x)
+        assert h.mul_vec(x, inv) == h.unit == h.mul_vec(inv, x)
 
 
 @pytest.mark.parametrize("name", list(TWISTS))
@@ -409,24 +384,34 @@ def _left_mult_rows(a, h):
 @given(st.data())
 @settings(max_examples=30, deadline=None)
 def test_tensor2_inv_property(host, data):
+    # an element of H (algebra_inverse) or of H (x) H (tensor2_inv)
     d = host.dim
-    entries = data.draw(
-        st.dictionaries(
-            st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)), _CYC3_SCALARS, max_size=4
-        )
-    )
-    a = Tensor2.from_dict(d, entries)
+    in_h = data.draw(st.booleans())
+    index = st.integers(0, d - 1) if in_h else st.tuples(st.integers(0, d - 1), st.integers(0, d - 1))
+    entries = data.draw(st.dictionaries(index, _CYC3_SCALARS, max_size=4))
+    if in_h:
+        a, one, mul = Vec(d, entries.items()), host.unit, host.mul_vec
+    else:
+        a, one = Tensor2.from_dict(d, entries), unit_tensor2(host)
+        mul = functools.partial(tensor2_mul, host=host)
     if data.draw(st.booleans()):
-        a = a + unit_tensor2(host)
+        a = a + one
     try:
-        inv = tensor2_inv(a, host)
+        inv = hopf.algebra_inverse(host, a) if in_h else tensor2_inv(a, host)
     except NotInvertible:
         # independent witness: left multiplication by a has a kernel
-        assert rank(_left_mult_rows(a, host)) < d * d
+        if in_h:
+            rows = [dense_product(host, a.entries, Vec.basis(d, t).entries) for t in range(d)]
+            assert rank(rows) < d
+        else:
+            assert rank(_left_mult_rows(a, host)) < d * d
     else:
-        unit2 = unit_tensor2(host)
-        assert tensor2_mul(a, inv, host) == unit2
-        assert tensor2_mul(inv, a, host) == unit2
+        assert mul(a, inv) == one
+        assert mul(inv, a) == one
+        if in_h:
+            unit = list(host.unit.entries)
+            assert dense_product(host, a.entries, inv.entries) == unit
+            assert dense_product(host, inv.entries, a.entries) == unit
 
 
 def _coefficients(t):
@@ -719,6 +704,48 @@ def test_linear_maps_multiply_no_scalar(monkeypatch):
     assert validate_septuple(s).valid
     bad = Septuple(z4, w, (0, 1, 2, 3), y, ((ONE, ZERO), (ZERO, ONE)), Bicharacter.trivial((4,)), 1, 2)
     assert "b_symmetric_invariant_nondegenerate" in validate_septuple(bad).failures()
+
+
+def _structure(h):
+    """The fields of h that equality of two builds compares."""
+    return h.algebra, h.comult, h.counit, h.antipode
+
+
+def _clear_atlas_caches():
+    for cached in (atlas._group_tables, atlas._sign_rep, atlas._host, atlas._bicharacters, atlas._twist_pair):
+        cached.cache_clear()
+
+
+def test_only_echelon_multiplies_scalars(monkeypatch, tmp_path):
+    # an atlas-9 job from cold caches, the smash builders on each W that is
+    # not diagonal, and the inverses in H (x) H and in H give what they gave
+    # before CycScalar products were forbidden outside Echelon; every input
+    # is built first, as the _golden matrices multiply scalars themselves
+    reps = [build() for build in NON_DIAGONAL.values()]
+    builds = [
+        (_structure(supergroup_algebra(g, w)), modified_supergroup_algebra(g, w, u))
+        for g, w, u in reps
+    ]
+    twists = [(h, build_bicharacter_twist(sub, beta)) for h, sub, beta in (
+        TWISTS["Z3xZ3-0"](), TWISTS["Z2^4-64nz"]()
+    )]
+    j_invs = [tensor2_inv(j, h) for h, j in twists]
+    x = _Z3.unit.scale(sc(2)) + Vec(3, [(1, root_of_unity(3, 1))])  # over Q(zeta_3)
+    x_inv = hopf.algebra_inverse(_Z3, x)
+    assert x_inv.order == 3 and [j.order for _, j in twists] == [3, 1]
+    _clear_atlas_caches()
+    ok, manifest = atlas.run_atlas(9, tmp_path / "before")
+    _clear_atlas_caches()
+    _forbid_scalar_products(monkeypatch)
+    assert atlas.run_atlas(9, tmp_path / "after") == (ok, manifest) and ok
+    for path in sorted((tmp_path / "before").iterdir()):
+        assert (tmp_path / "after" / path.name).read_bytes() == path.read_bytes()
+    for (g, w, u), (sup, (h, r)) in zip(reps, builds):
+        assert _structure(supergroup_algebra(g, w)) == sup
+        h2, r2 = modified_supergroup_algebra(g, w, u)
+        assert _structure(h2) == _structure(h) and r2 == r
+    assert [tensor2_inv(j, h) for h, j in twists] == j_invs
+    assert hopf.algebra_inverse(_Z3, x) == x_inv
 
 
 @pytest.mark.parametrize("cls, key", [

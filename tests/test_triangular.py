@@ -590,16 +590,20 @@ def test_atlas9_job_proves_each_host_once(monkeypatch, tmp_path):
     assert len(files) == 3 * 119
     # S, S^2, rho(g), Delta, the contractions by S and the associativity
     # rows multiply integer numerators (tensor.apply_map), and so do the
-    # counit and the trace form (tensor.contract), and J is counted on
-    # exponents of zeta_N; the CycScalar products left are those of
-    # Echelon and the exterior expansion.  45,548 while the maps
-    # multiplied CycScalars, 19,300 while the counit and the trace form
-    # did, 13,906 while J was multiplied out of the idempotents E_s.
-    assert muls == 6964
+    # counit and the trace form (tensor.contract), J is counted on
+    # exponents of zeta_N and the exterior expansion wedges through
+    # apply_map; the CycScalar products left are those of Echelon.
+    # 45,548 while the maps multiplied CycScalars, 19,300 while the
+    # counit and the trace form did, 13,906 while J was multiplied out of
+    # the idempotents E_s, 6,964 while the exterior expansion multiplied
+    # per term.
+    assert muls == 6930
     # linear maps applied: S^3 is composed only for an antipode whose S^4
-    # is not the identity, which no atlas instance has.  6,087 while the
-    # antipode order composed S^3 on every instance.
-    assert maps == 5979
+    # is not the identity, which no atlas instance has, and each host's
+    # exterior expansion wedges once per nonempty mask and group element.
+    # 6,087 while the antipode order composed S^3 on every instance, 5,979
+    # while the exterior expansion multiplied per term.
+    assert maps == 6011
     # products in H (x) H: the twists' J^-1 Delta J and J21^-1 R J and their
     # checks of J, and the hosts' proofs; the premises of every H^J compare
     # maps and multiply none.  5,085 while the premises multiplied back,
@@ -728,15 +732,15 @@ def _calls(fn, *functions):
 
 
 @pytest.mark.parametrize(
-    "orders, products", [((3, 3), (24, 20, 55)), ((2, 2, 2, 2), (37, 34, 45))]
+    "orders, products", [((3, 3), (24, 20, 46)), ((2, 2, 2, 2), (37, 34, 29))]
 )
 def test_applying_a_twist_checks_no_axiom(orders, products):
     # the premises of Twist.proves_hopf run when the axioms are asked for,
     # not in apply_twist: products holds the tensor2_mul and mul_vec calls
     # that check J and build Delta^J, S^J and R^J, which multiply integer
-    # numerators, and the CycScalar products left: those of the
-    # elimination behind J^-1 (its echelon and the combination of powers);
-    # the contractions m(S (x) id)(J) and m(id (x) S)(J^-1), the counit
+    # numerators, and the CycScalar products left: those of the echelon
+    # behind J^-1 (55 and 45 while its powers were combined by CycScalar
+    # products, not on integer numerators); the contractions m(S (x) id)(J) and m(id (x) S)(J^-1), the counit
     # slants of J, and the counit and 1 (x) 1 in the structural check
     # multiply none (76 and 80 while the counit multiplied CycScalars);
     # J^-1 is multiplied back on one side (25 and 38 tensor2_mul calls
