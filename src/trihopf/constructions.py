@@ -32,7 +32,6 @@ subsets in bitmask order: index = g * 2**w + mask.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import prod
 from typing import Optional
@@ -53,6 +52,7 @@ from .groups import (
 )
 from .hopf import (
     HopfData,
+    _read_only,
     antipode_contraction,
     certified_inverse,
     counit_slants,
@@ -384,20 +384,20 @@ def _twist_identity_failure(h: HopfData, j: Tensor2) -> Optional[str]:
 
 
 def verify_twist(h: HopfData, j: Tensor2) -> bool:
-    """Counit normalization and the cocycle identity, checked exhaustively.
-
-    The cocycle identity is (Delta (x) id)(J) J12 = (id (x) Delta)(J) J23,
-    the one apply_twist's Delta^J = J^-1 Delta J needs.  Returns False on
-    identity failures; raises NotInvertible when the identities hold but
-    j is singular in H (x) H.
+    """Whether J is a twist of H, as Twist decides: H ordinary, counit
+    normalization and the cocycle identity (Delta (x) id)(J) J12 =
+    (id (x) Delta)(J) J23, the one apply_twist's Delta^J = J^-1 Delta J
+    needs, each checked exhaustively.  Returns False where Twist raises
+    TwistError; raises NotInvertible when the identities hold but j is
+    singular in H (x) H.
     """
-    if _twist_identity_failure(h, j) is not None:
+    try:
+        Twist(h, j)
+    except TwistError:
         return False
-    tensor2_inv(j, h)
     return True
 
 
-@dataclass(frozen=True)
 class Twist:
     """A twist J of an ordinary Hopf algebra H, with J^-1 and an optional R.
 
@@ -413,25 +413,31 @@ class Twist:
     R of another dimension than H raises ShapeError first.  The twisted
     coproduct, antipode and R (comult, antipode, r_twisted) are computed
     once per twist, and are what apply hands to H^J.
+
+    A Twist refuses attribute assignment: those maps, and the verdict of
+    proves_hopf that H^J caches, hold only for the J it checked.
     """
 
-    host: HopfData
-    j: Tensor2
-    j_inv: Optional[Tensor2] = None
-    r: Optional[Tensor2] = None
-
-    def __post_init__(self):
-        h, j = self.host, self.j
-        check_tensor_dims(h, j, self.j_inv, self.r)
-        if h.super:
+    def __init__(
+        self,
+        host: HopfData,
+        j: Tensor2,
+        j_inv: Optional[Tensor2] = None,
+        r: Optional[Tensor2] = None,
+    ):
+        check_tensor_dims(host, j, j_inv, r)
+        if host.super:
             raise TwistError("twisting super Hopf algebras is not supported")
-        failure = _twist_identity_failure(h, j)
+        failure = _twist_identity_failure(host, j)
         if failure is not None:
             raise TwistError(failure)
-        if self.j_inv is None:
-            object.__setattr__(self, "j_inv", tensor2_inv(j, h))
-        elif tensor2_mul(j, self.j_inv, h) != unit_tensor2(h):
+        if j_inv is None:
+            j_inv = tensor2_inv(j, host)
+        elif tensor2_mul(j, j_inv, host) != unit_tensor2(host):
             raise TwistError("provided inverse is not a two-sided inverse")
+        vars(self).update(host=host, j=j, j_inv=j_inv, r=r)
+
+    __setattr__ = __delattr__ = _read_only
 
     @cached_property
     def comult(self) -> tuple[Tensor2, ...]:
@@ -538,7 +544,6 @@ def semisimple_triangular(
 # ---------------------------------------------------------------------------
 # septuples
 
-@dataclass(frozen=True)
 class Septuple:
     """Classification datum (G, W, A, Y, B, V, u).
 
@@ -549,19 +554,32 @@ class Septuple:
     those coordinates, a transforms B as R B R^T.
     """
 
-    group: FiniteGroup
-    w: GroupRep
-    a_elements: tuple[int, ...]
-    y_basis: tuple[Vec, ...]
-    b: Optional[tuple[tuple[CycScalar, ...], ...]]
-    v_beta: Bicharacter
-    v_dim: int
-    u: int
+    def __init__(
+        self,
+        group: FiniteGroup,
+        w: GroupRep,
+        a_elements: tuple[int, ...],
+        y_basis: tuple[Vec, ...],
+        b: Optional[tuple[tuple[CycScalar, ...], ...]],
+        v_beta: Bicharacter,
+        v_dim: int,
+        u: int,
+    ):
+        self.group = group
+        self.w = w
+        self.a_elements = a_elements
+        self.y_basis = y_basis
+        self.b = b
+        self.v_beta = v_beta
+        self.v_dim = v_dim
+        self.u = u
 
 
-@dataclass(frozen=True)
 class SeptupleReport:
-    checks: tuple[tuple[str, bool, str], ...]
+    """validate_septuple's checks, each (name, passed, detail)."""
+
+    def __init__(self, checks: tuple[tuple[str, bool, str], ...]):
+        self.checks = checks
 
     @property
     def valid(self) -> bool:

@@ -64,7 +64,6 @@ Drinfeld element of R = sum a_i (x) b_i (triangular.drinfeld_element).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import attrgetter
 from typing import Any, Optional, Sequence
@@ -90,24 +89,41 @@ from .tensor import (
 )
 
 
-@dataclass(frozen=True)
+_ALGEBRA_FIELDS = ("dim", "unit", "mult", "parity", "super")
+_algebra_fields = attrgetter(*_ALGEBRA_FIELDS)
+_HOPF_FIELDS = ("algebra", "comult", "counit", "antipode", "twist")
+
+
+def _read_only(obj, name, *value):
+    """__setattr__ and __delattr__ of a record whose cached facts assume
+    that its fields never change."""
+    raise AttributeError(f"{type(obj).__name__} is read-only: cannot set or delete {name!r}")
+
+
 class Algebra:
     """The product, unit and grading of a (super) Hopf algebra, and every
     fact of them, each computed once per object (see the module
     docstring).  mult is the Tensor3 of structure constants keyed
     (i, j, k): e_i * e_j = sum_k mult[i, j, k] e_k.  Equality compares
     the five fields, so an Algebra is unhashable (its unit is a Vec).
+
+    An Algebra refuses attribute assignment: the facts cached on it
+    (generators, radical, witnesses, mult_ints) hold only for the fields
+    it was made with.  mult_text, the dump text of mult, starts as None
+    and is written once, by serialize.hopf_dumps with object.__setattr__.
     """
 
     __hash__ = None
 
-    dim: int
-    unit: Vec
-    mult: Tensor3
-    parity: tuple[int, ...]
-    super: bool = False
-    # the dump text of mult, written once by serialize.hopf_dumps
-    mult_text: Optional[str] = field(default=None, init=False, compare=False, repr=False)
+    def __init__(self, dim: int, unit: Vec, mult: Tensor3, parity: tuple[int, ...], super: bool = False):
+        vars(self).update(dim=dim, unit=unit, mult=mult, parity=parity, super=super, mult_text=None)
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other):
+        if other.__class__ is not Algebra:
+            return NotImplemented
+        return _algebra_fields(self) == _algebra_fields(other)
 
     @cached_property
     def malformation(self) -> Optional[str]:
@@ -209,7 +225,6 @@ class Algebra:
         return tuple(jacobson_radical(self))
 
 
-@dataclass(frozen=True, eq=False)
 class HopfData:
     """A (super) Hopf algebra given by structure constants.
 
@@ -218,15 +233,26 @@ class HopfData:
     Delta(e_i), so S and Delta are tuples of sparse columns, which
     tensor.apply_map applies, and counit is the Vec of eps(e_i), a
     covector that tensor.contract applies.  dim, unit, mult, parity and
-    super read through to the algebra.
+    super read through to the algebra.  twist is the constructions.Twist
+    whose apply() made this object, or None (see axioms).
+
+    A HopfData refuses attribute assignment, since its cached facts
+    (axioms, chevalley, S^2, S^4, the structural check) hold only for
+    the maps it was made with; replace() makes a changed copy.
+    Equality is identity.
     """
 
-    algebra: Algebra
-    comult: tuple[Tensor2, ...]
-    counit: Vec
-    antipode: tuple[Vec, ...]
-    # the constructions.Twist whose apply() made this object (see axioms)
-    twist: Optional[Any] = field(default=None, repr=False)
+    def __init__(
+        self,
+        algebra: Algebra,
+        comult: tuple[Tensor2, ...],
+        counit: Vec,
+        antipode: tuple[Vec, ...],
+        twist: Optional[Any] = None,
+    ):
+        vars(self).update(algebra=algebra, comult=comult, counit=counit, antipode=antipode, twist=twist)
+
+    __setattr__ = __delattr__ = _read_only
 
     dim = property(attrgetter("algebra.dim"))
     unit = property(attrgetter("algebra.unit"))
@@ -279,10 +305,11 @@ class HopfData:
         """A copy with the given fields changed.  A change to dim, unit,
         mult, parity or super makes a fresh Algebra, so a product mutant
         shares no fact with this object; any other copy keeps it."""
-        algebra = {name: changes.pop(name) for name in _ALGEBRA_FIELDS if name in changes}
-        if algebra:
-            changes["algebra"] = replace(self.algebra, **algebra)
-        return replace(self, **changes)
+        if any(name in changes for name in _ALGEBRA_FIELDS):
+            old = self.algebra
+            changes["algebra"] = Algebra(*(changes.pop(name, getattr(old, name)) for name in _ALGEBRA_FIELDS))
+        fields = [changes.pop(name, getattr(self, name)) for name in _HOPF_FIELDS]
+        return HopfData(*fields, **changes)
 
     def keeps_algebra_of(self, host: "HopfData") -> bool:
         """True when this object has host's algebra, the very Algebra or an
@@ -388,9 +415,6 @@ def make_hopf(dim, unit, mult, comult, counit, antipode, parity=None, super=Fals
     ).validate()
 
 
-_ALGEBRA_FIELDS = ("dim", "unit", "mult", "parity", "super")
-
-
 def _vec(x) -> Vec:
     """A Vec as it is, a dense list as its Vec."""
     return x if isinstance(x, Vec) else Vec.from_entries(x)
@@ -402,15 +426,18 @@ def _vec(x) -> Vec:
 _AXIOMS = ("associativity", "unit", "coassociativity", "counit", "bialgebra", "antipode")
 
 
-@dataclass(frozen=True)
 class AxiomReport:
-    associativity: bool
-    unit: bool
-    coassociativity: bool
-    counit: bool
-    bialgebra: bool
-    antipode: bool
-    witnesses: dict
+    """One verdict per Hopf axiom, and the lowest-index witness of each
+    failed axiom in witnesses, keyed by the axiom's name."""
+
+    def __init__(self, associativity, unit, coassociativity, counit, bialgebra, antipode, witnesses):
+        self.associativity = associativity
+        self.unit = unit
+        self.coassociativity = coassociativity
+        self.counit = counit
+        self.bialgebra = bialgebra
+        self.antipode = antipode
+        self.witnesses = witnesses
 
     @property
     def ok(self) -> bool:

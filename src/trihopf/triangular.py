@@ -73,7 +73,6 @@ failures instead of raising.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import InvalidDrinfeldElement, NotInvertible, NotQuasitriangular
@@ -249,17 +248,20 @@ def r_matrix_rank(r: Tensor2) -> int:
     return len(Echelon(rows.values()))
 
 
-@dataclass(frozen=True)
 class TheoremReport:
-    """Bundled structural facts about a triangular pair (H, R)."""
+    """Bundled structural facts about a triangular pair (H, R): the
+    Drinfeld element u and one verdict per theorem in _THEOREMS."""
 
-    u: Vec
-    u_squared_is_one: bool
-    u_grouplike: bool
-    s4_is_id: bool
-    s2_is_ad_u: bool
-    odd_dim_forces_u1_semisimple: bool
-    chevalley: bool
+    def __init__(
+        self, u, u_squared_is_one, u_grouplike, s4_is_id, s2_is_ad_u, odd_dim_forces_u1_semisimple, chevalley
+    ):
+        self.u = u
+        self.u_squared_is_one = u_squared_is_one
+        self.u_grouplike = u_grouplike
+        self.s4_is_id = s4_is_id
+        self.s2_is_ad_u = s2_is_ad_u
+        self.odd_dim_forces_u1_semisimple = odd_dim_forces_u1_semisimple
+        self.chevalley = chevalley
 
     @property
     def ok(self) -> bool:

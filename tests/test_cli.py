@@ -21,6 +21,7 @@ from trihopf import atlas, constructions
 from trihopf.cli import main
 from trihopf.groups import (
     FiniteGroup,
+    GroupRep,
     alternating_nondegenerate_bicharacters,
     half_bicharacter,
     sign_characters,
@@ -432,11 +433,31 @@ def test_verify_twist_flag(tmp_path, capsys):
     jfile.write_text(dumps(tensor2_to_obj(build_bicharacter_twist(a, beta))))
     assert main(["verify", str(dump), "--twist", str(jfile)]) == 0
     rep = json.loads(capsys.readouterr().out)
-    assert rep["twist"] and rep["ok"]
-    # a counit-violating tensor fails the twist suite
+    assert rep["twist"] and rep["ok"] and "twist_failure" not in rep
+    # a counit-violating tensor fails the twist suite, which says where
     bad = write(tmp_path / "jbad.json", {"host_dim": 4, "entries": [[0, 0, 1], [0, 1, 1]]})
     assert main(["verify", str(dump), "--twist", bad]) == 1
-    capsys.readouterr()
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["twist"] is False and rep["ok"] is False
+    assert rep["twist_failure"] == "counit normalization fails: (eps (x) id)(J) != 1"
+
+
+def test_verify_and_twist_refuse_a_super_dump_alike(tmp_path, capsys):
+    # both decide through constructions.Twist, which twists ordinary
+    # Hopf algebras only; the super Z2 x Z2 algebra of both sign
+    # characters passes its axioms, and J = e_0 (x) e_0 is 1 (x) 1
+    g = FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2))
+    rep = GroupRep.from_sign_characters(g, sign_characters(g)[1:3])
+    dump = tmp_path / "super.hopf.json"
+    assert main(["build", write(tmp_path / "rep.json", rep.to_obj()), "--kind", "supergroup", "-o", str(dump)]) == 0
+    jfile = write(tmp_path / "j.json", {"host_dim": 16, "entries": [[0, 0, 1]]})
+    assert main(["verify", str(dump), "--twist", jfile]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["axioms"]["witnesses"] == {} and report["twist"] is False and report["ok"] is False
+    assert report["twist_failure"] == "twisting super Hopf algebras is not supported"
+    out = tmp_path / "o.json"
+    assert main(["twist", str(dump), "--twist", jfile, "-o", str(out)]) == 1
+    assert report["twist_failure"] in capsys.readouterr().err and not out.exists()
 
 
 def test_twist_rejects_bad_twist(tmp_path, z2_file, capsys):
@@ -480,6 +501,9 @@ def test_twist_names_the_cocycle_key_it_fails(tmp_path, capsys):
     )
     key = min(k for k in lhs.keys() | rhs.keys() if lhs.get(k) != rhs.get(k))
     assert f"cocycle identity fails at {key}" in err
+    # verify --twist names the same key
+    assert main(["verify", dump, "--twist", jfile]) == 1
+    assert json.loads(capsys.readouterr().out)["twist_failure"] == f"cocycle identity fails at {key}"
 
 
 def test_modify_command(tmp_path, sweedler_input):
@@ -980,7 +1004,8 @@ import trihopf.cli
 stdout, sys.stdout = sys.stdout, open(os.devnull, "w")
 code = trihopf.cli.main(sys.argv[1:])
 sys.stdout = stdout
-print(code, *sorted(m for m in sys.modules if m.startswith(("trihopf", "concurrent", "multiprocessing"))))
+shown = ("trihopf", "concurrent", "multiprocessing", "dataclasses", "inspect")
+print(code, *sorted(m for m in sys.modules if m.startswith(shown)))
 """
 _SRC = str(Path(trihopf.__file__).resolve().parents[1])
 _LOAD_AND_SERIALIZE = {
@@ -992,11 +1017,10 @@ _LOAD_AND_SERIALIZE = {
     "trihopf.serialize",
     "trihopf.cli",
 }
-_EVERY_MODULE = _LOAD_AND_SERIALIZE | {
+_EVERY_BUILDER = _LOAD_AND_SERIALIZE | {
     "trihopf.triangular",
     "trihopf.groups",
     "trihopf.constructions",
-    "trihopf.atlas",
 }
 _SWEEDLER, _SWEEDLER_R = str(GOLDEN / "sweedler.hopf.json"), str(GOLDEN / "sweedler.r.json")
 
@@ -1038,15 +1062,26 @@ def _run_fresh(argv, cwd, script=_IMPORT_PROBE):
             id="analyze",
         ),
         pytest.param(
-            ["atlas", "--max-order", "4", "--workers", "1", "-o", "a"], 0, _EVERY_MODULE, id="atlas_one_worker"
+            ["build", "sweedler.json", "--kind", "modified-supergroup", "-o", "o.json"],
+            0,
+            _EVERY_BUILDER,
+            id="build_modified_supergroup",
+        ),
+        pytest.param(
+            ["atlas", "--max-order", "4", "--workers", "1", "-o", "a"],
+            0,
+            _EVERY_BUILDER | {"trihopf.atlas", "dataclasses", "inspect"},
+            id="atlas_one_worker",
         ),
     ],
 )
 def test_a_command_imports_only_what_it_runs(tmp_path, argv, code, loaded):
-    # a refused build compiles no builder, and no command without --workers
-    # above 1 loads the process pool's modules
+    # a refused build compiles no builder, no command without --workers
+    # above 1 loads the process pool's modules, and only the atlas, whose
+    # InstanceSpec is a dataclass, loads dataclasses (and inspect with it)
     (tmp_path / "bad.json").write_text("{nope")
     write(tmp_path / "ext9.json", {"n": 9})
+    write(tmp_path / "sweedler.json", _sweedler_input())
     exit_code, *modules = _run_fresh(argv, tmp_path)
     assert int(exit_code) == code
     assert set(modules) == loaded

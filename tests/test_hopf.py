@@ -30,6 +30,7 @@ from trihopf.hopf import (
     verify_hopf,
 )
 from trihopf.scalars import CycScalar, root_of_unity
+from trihopf.serialize import hopf_dumps
 from trihopf.tensor import Tensor2, Tensor3, Vec, apply_map, unit_tensor2
 from trihopf.triangular import check_structure_theorems
 
@@ -370,13 +371,33 @@ def test_algebra_witnesses_match_the_exhaustive_scan_on_atlas9_hosts():
 
 def test_a_twist_shares_the_algebra_of_its_host():
     host = _sweedler_host()
-    h2, _ = Twist(host, unit_tensor2(host)).apply()
+    tw = Twist(host, unit_tensor2(host))
+    h2, _ = tw.apply()
     assert h2.algebra is host.algebra and h2.counit is host.counit
     assert h2.mult is host.mult and h2.unit is host.unit and h2.parity is host.parity
     assert h2.generators is host.generators
     # a twist of a twist holds the first host's Algebra too
     h3, _ = Twist(h2, unit_tensor2(h2)).apply()
     assert h3.algebra is host.algebra
+    # the records that cache facts once per object refuse assignment
+    for record, name in ((host.algebra, "mult"), (host, "comult"), (h2, "twist"), (tw, "j_inv")):
+        with pytest.raises(AttributeError, match=name):
+            setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError, match="extra"):
+            record.extra = None
+    # replace keeps the very Algebra unless a field of it changes; a fresh
+    # Algebra starts with no dump text and no cached fact
+    assert hopf_dumps(host) and host.algebra.mult_text is not None
+    assert host.replace(antipode=host.antipode, twist=tw).algebra is host.algebra
+    fields = ("dim", "unit", "mult", "parity", "super")
+    for name in fields:
+        fresh = host.replace(**{name: getattr(host, name)}).algebra
+        assert fresh is not host.algebra and fresh == host.algebra
+        assert fresh.mult_text is None and set(vars(fresh)) <= {*fields, "mult_text"}
+    with pytest.raises(TypeError):
+        host.replace(mult_text=host.algebra.mult_text)
+    with pytest.raises(TypeError):
+        hopf.Algebra(host.dim, host.unit, host.mult, host.parity, False, None)
 
 
 def test_apply_twist_on_a_loaded_dump_computes_no_algebra_fact(monkeypatch):
