@@ -59,10 +59,6 @@ CATALOG = {
 }
 
 
-def catalog_groups() -> list[tuple[str, FiniteGroup]]:
-    return [(name, build()) for name, build in CATALOG.items()]
-
-
 def catalog_group(name: str) -> FiniteGroup:
     """Build one catalog group, and only that one."""
     build = CATALOG.get(name)

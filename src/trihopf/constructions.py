@@ -33,7 +33,6 @@ subsets in bitmask order: index = g * 2**w + mask.
 from __future__ import annotations
 
 from functools import cached_property
-from math import prod
 from typing import Optional
 
 from .errors import (
@@ -334,11 +333,9 @@ def build_bicharacter_twist(a: AbelianSubgroup, beta: Bicharacter) -> Tensor2:
         return sum(ti * bi * step for ti, bi, step in zip(t, b, steps)) % big_n
 
     element = {x: g for g, x in a.exponents.items()}
-    # mixed-radix index of the unit label of factor i; a factor 1 has none
-    units = [prod(factors[i + 1:]) if f > 1 else None for i, f in enumerate(factors)]
     cells: dict = {}
     for s, row in zip(beta.labels, beta.exponents):
-        b = tuple(0 if u is None else row[u] // step for u, step in zip(units, steps))
+        b = tuple(row[u] // step for u, step in zip(beta.units, steps))
         if any(pairing(t, b) != k for t, k in zip(beta.labels, row)):
             raise BicharacterError(f"row {s} of the table is no character of the dual group")
         b_s = element[b]

@@ -22,7 +22,7 @@ class GroupError(HopfError, ValueError):
 
 
 class NotAbelian(HopfError):
-    """Operation requires an abelian group with invariant factors."""
+    """Operation requires an abelian (sub)group."""
 
 
 class BicharacterError(HopfError, ValueError):

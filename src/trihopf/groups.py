@@ -2,9 +2,10 @@
 
 Groups are small (catalog order <= 16) and fully validated at
 construction: permutation rows/columns, associativity on all triples,
-identity behavior.  Abelian structure is carried explicitly as a list
-of cyclic factor orders plus an exponent map, which feeds the dual-group
-labels and the bicharacter twist.  A bicharacter on such a group is its table
+identity behavior.  A group is its Cayley table alone: an abelian
+subgroup finds its own cyclic factors and exponent map
+(AbelianSubgroup), which feed the dual-group labels and the
+bicharacter twist.  A bicharacter on such a group is its table
 of exponents k mod N, N the lcm of the factors, for the values
 zeta_N**k: it is checked, skewed, inverted and halved on those
 integers, and the bicharacter twist is counted on them too.
@@ -13,7 +14,7 @@ integers, and the bicharacter twist is counted on them too.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import product
+from itertools import combinations, product
 from math import gcd, lcm, prod
 
 from .errors import BicharacterError, GroupError, NotAbelian, ShapeError
@@ -24,16 +25,12 @@ from .tensor import Vec, apply_map
 class FiniteGroup:
     """A finite group as a Cayley table on indices 0..order-1."""
 
-    def __init__(self, table, identity, invariant_factors=None, iso_map=None, name=""):
+    def __init__(self, table, identity, name=""):
         self.table = tuple(tuple(row) for row in table)
         self.order = len(self.table)
         self.identity = identity
         self.name = name
         self._validate()
-        self.invariant_factors = tuple(invariant_factors) if invariant_factors else None
-        self.iso_map = tuple(tuple(e) for e in iso_map) if iso_map else None
-        if self.invariant_factors is not None:
-            self._validate_factors()
 
     def _validate(self):
         n = self.order
@@ -58,34 +55,6 @@ class FiniteGroup:
                 for c in range(n):
                     if self.table[ab][c] != self.table[a][self.table[b][c]]:
                         raise GroupError(f"associativity fails at ({a},{b},{c})")
-
-    def _validate_factors(self):
-        factors = self.invariant_factors
-        if self.iso_map is None or len(self.iso_map) != self.order:
-            raise GroupError("invariant factors require a full exponent map")
-        prod_order = 1
-        for f in factors:
-            prod_order *= f
-        if prod_order != self.order:
-            raise GroupError("factor orders do not multiply to the group order")
-        seen = set()
-        for idx, exps in enumerate(self.iso_map):
-            if len(exps) != len(factors) or any(
-                not (0 <= e < f) for e, f in zip(exps, factors)
-            ):
-                raise GroupError("exponent tuple out of range")
-            if exps in seen:
-                raise GroupError("exponent map is not injective")
-            seen.add(exps)
-        lookup = {exps: idx for idx, exps in enumerate(self.iso_map)}
-        for a in range(self.order):
-            for b in range(self.order):
-                target = tuple(
-                    (x + y) % f
-                    for x, y, f in zip(self.iso_map[a], self.iso_map[b], factors)
-                )
-                if lookup[target] != self.table[a][b]:
-                    raise GroupError("exponent map is not a homomorphism")
 
     # --- basic queries ---------------------------------------------------
 
@@ -162,21 +131,18 @@ class FiniteGroup:
             frontier = new
         return sorted(found, key=lambda s: (len(s), s))
 
-    def abelian_subgroup(self, elements) -> "AbelianSubgroup":
-        return AbelianSubgroup(self, elements)
-
     # --- constructors ----------------------------------------------------
 
     @classmethod
     def trivial(cls) -> "FiniteGroup":
-        return cls(((0,),), 0, invariant_factors=(1,), iso_map=((0,),), name="Z1")
+        return cls(((0,),), 0, name="Z1")
 
     @classmethod
     def cyclic(cls, n: int) -> "FiniteGroup":
         if n < 1:
             raise GroupError("cyclic order must be positive")
         table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-        return cls(table, 0, invariant_factors=(n,), iso_map=tuple((i,) for i in range(n)), name=f"Z{n}")
+        return cls(table, 0, name=f"Z{n}")
 
     @classmethod
     def direct_product(cls, *groups: "FiniteGroup") -> "FiniteGroup":
@@ -191,16 +157,8 @@ class FiniteGroup:
             for eb in elems:
                 row.append(index[tuple(g.mul(x, y) for g, x, y in zip(groups, ea, eb))])
             table.append(tuple(row))
-        factors = None
-        iso = None
-        if all(g.invariant_factors is not None for g in groups):
-            factors = tuple(f for g in groups for f in g.invariant_factors)
-            iso = tuple(
-                tuple(x for g, part in zip(groups, e) for x in g.iso_map[part]) for e in elems
-            )
         name = "x".join(g.name or "?" for g in groups)
-        ident = index[tuple(g.identity for g in groups)]
-        return cls(table, ident, invariant_factors=factors, iso_map=iso, name=name)
+        return cls(table, index[tuple(g.identity for g in groups)], name=name)
 
     @classmethod
     def symmetric3(cls) -> "FiniteGroup":
@@ -261,78 +219,59 @@ class FiniteGroup:
     # --- serialization -----------------------------------------------------
 
     def to_obj(self):
-        obj = {"order": self.order, "table": [list(r) for r in self.table], "identity": self.identity}
-        if self.invariant_factors is not None:
-            obj["invariant_factors"] = list(self.invariant_factors)
-            obj["iso_map"] = [list(e) for e in self.iso_map]
-        return obj
+        return {"order": self.order, "table": [list(r) for r in self.table], "identity": self.identity}
 
     def __repr__(self):
         return f"FiniteGroup({self.name or self.order})"
 
 
 def _find_cyclic_decomposition(table, elements, identity):
-    """Orders and exponent map of a small abelian group, by generator search."""
-    n = len(elements)
-    pos = {g: i for i, g in enumerate(elements)}
-
-    def order_of(a):
-        k, x = 1, a
-        while x != identity:
-            x = table[x][a]
-            k += 1
-        return k
-
-    orders = {g: order_of(g) for g in elements}
-
-    def powers(g):
-        out = [identity]
-        x = g
-        while x != identity:
-            out.append(x)
-            x = table[x][g]
-        return out
-
-    # breadth over generator tuple sizes, deterministic order
-    def search_tuples(k, gens):
-        if k == 0:
-            prod_order = 1
-            for g in gens:
-                prod_order *= orders[g]
-            if prod_order != n:
-                return None
+    """Factor orders and exponent map of a finite abelian group: the first
+    tuple of non-identity elements, increasing in index order and shortest
+    first, whose products of powers reach every element exactly once."""
+    if len(elements) == 1:
+        return (1,), {identity: (0,)}
+    powers = {}  # g -> [1, g, g**2, ...] up to the order of g
+    for g in elements:
+        if g != identity:
+            powers[g] = [identity, g]
+            while (x := table[powers[g][-1]][g]) != identity:
+                powers[g].append(x)
+    for k in range(1, len(powers) + 1):
+        for gens in combinations(powers, k):
+            orders = tuple(len(powers[g]) for g in gens)
+            if prod(orders) != len(elements):
+                continue
             seen = {}
-            for exps in product(*[range(orders[g]) for g in gens]):
+            for exps in product(*map(range, orders)):
                 x = identity
                 for g, e in zip(gens, exps):
-                    p = powers(g)[e]
-                    x = table[x][p]
+                    x = table[x][powers[g][e]]
                 if x in seen:
-                    return None
+                    break
                 seen[x] = exps
-            return gens, seen
-        start = elements.index(gens[-1]) + 1 if gens else 0
-        for gi in range(start, n):
-            g = elements[gi]
-            if orders[g] == 1:
-                continue
-            hit = search_tuples(k - 1, gens + (g,))
-            if hit is not None:
-                return hit
-        return None
-
-    if n == 1:
-        return (1,), {identity: (0,)}
-    for k in range(1, 5):
-        hit = search_tuples(k, ())
-        if hit is not None:
-            gens, seen = hit
-            return tuple(orders[g] for g in gens), seen
+            else:
+                return orders, seen
     raise GroupError("could not decompose abelian group into cyclic factors")
 
 
+def _labels(factors) -> list[tuple[int, ...]]:
+    """The labels of Z_{n_1} x ... x Z_{n_r}: exponent tuples in
+    mixed-radix order, the last slot running fastest."""
+    return list(product(*map(range, factors)))
+
+
 class AbelianSubgroup:
-    """An abelian subgroup of a parent group, with explicit cyclic factors."""
+    """An abelian subgroup A of a parent group with one cyclic
+    decomposition A = Z_{n_1} x ... x Z_{n_r}: factors holds the n_i and
+    exponents[g] the coordinates of g, so that the exponents of ab are
+    those of a plus those of b mod the factors.
+
+    The decomposition is the first generator tuple in index order
+    (_find_cyclic_decomposition).  That choice fixes the dual-group
+    labels, and so every bicharacter table, every twist J and the bytes
+    of the atlas.
+    """
 
     def __init__(self, parent: FiniteGroup, elements):
         self.parent = parent
@@ -354,13 +293,13 @@ class AbelianSubgroup:
                     raise NotAbelian("subgroup is not abelian")
         self.order = len(self.elements)
         self.factors, exp_map = _find_cyclic_decomposition(
-            parent.table, list(self.elements), parent.identity
+            parent.table, self.elements, parent.identity
         )
-        self.exponents = {g: tuple(exp_map[g]) for g in self.elements}
+        self.exponents = {g: exp_map[g] for g in self.elements}
 
     def labels(self) -> list[tuple[int, ...]]:
         """Dual-group labels: exponent tuples in mixed-radix order."""
-        return [tuple(t) for t in product(*[range(f) for f in self.factors])]
+        return _labels(self.factors)
 
     def __repr__(self):
         return f"AbelianSubgroup(order={self.order}, factors={self.factors})"
@@ -473,7 +412,7 @@ class Bicharacter:
     def __init__(self, factors, exponents):
         self.factors = tuple(factors)
         self.root_order = big_n = lcm(1, *self.factors)
-        self.labels = [tuple(t) for t in product(*[range(f) for f in self.factors])]
+        self.labels = _labels(self.factors)
         rows = tuple(tuple(row) for row in exponents)
         n = len(self.labels)
         if len(rows) != n or any(len(r) != n for r in rows):
@@ -482,17 +421,19 @@ class Bicharacter:
             raise BicharacterError("exponents must be integers")
         self.exponents = e = tuple(tuple(k % big_n for k in row) for row in rows)
         index = {lab: i for i, lab in enumerate(self.labels)}
-        zero_label = tuple(0 for _ in self.factors)
-        gens = [i for i, f in enumerate(self.factors) if f > 1]
 
         def plus_unit(lab, i):
             return index[lab[:i] + ((lab[i] + 1) % self.factors[i],) + lab[i + 1 :]]
 
+        # units[i]: the index of the unit label g_i, 1 in slot i and 0
+        # elsewhere; for a factor 1 that is the zero label, index 0
+        self.units = tuple(plus_unit(self.labels[0], i) for i in range(len(self.factors)))
         # additive mod N along each unit label g: each slot is then a
         # homomorphism (induction on the label).  The step 0 -> g reads
         # e[g][t] = e[0][t] + e[g][t], so every table that passes is
         # normalized, e[0][t] = e[s][0] = 0, without a check of its own
-        units = [plus_unit(zero_label, i) for i in gens]
+        gens = [i for i, f in enumerate(self.factors) if f > 1]
+        units = [self.units[i] for i in gens]
         shift = [[plus_unit(lab, i) for i in gens] for lab in self.labels]
         for i in range(n):
             for j in range(n):
@@ -514,7 +455,7 @@ class Bicharacter:
             for j, c in enumerate(row)
             if c
         ]
-        labels = list(product(*[range(f) for f in factors]))
+        labels = _labels(factors)
         return cls(
             factors,
             [[sum(c * s[i] * t[j] for i, j, c in terms) for t in labels] for s in labels],
@@ -585,10 +526,8 @@ def half_bicharacter(gamma: Bicharacter) -> Bicharacter:
     """
     if not gamma.is_alternating():
         raise BicharacterError("half of a non-alternating bicharacter")
-    factors, big_n = gamma.factors, gamma.root_order
+    factors, big_n, units = gamma.factors, gamma.root_order, gamma.units
     r = len(factors)
-    # mixed-radix index of the unit label g_i (0 if the factor is 1)
-    units = [prod(factors[i + 1 :]) if factors[i] > 1 else 0 for i in range(r)]
     gen = [[0] * r for _ in range(r)]
     for i in range(r):
         for j in range(i + 1, r):

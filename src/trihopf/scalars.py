@@ -513,5 +513,4 @@ def _root_of_unity(n: int, p: int) -> CycScalar:
 
 SC_ZERO = _scalar(1, (0,), 1)
 SC_ONE = _scalar(1, (1,), 1)
-SC_MINUS_ONE = _scalar(1, (-1,), 1)
 SC_HALF = _scalar(1, (1,), 2)

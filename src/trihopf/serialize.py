@@ -359,15 +359,13 @@ def load(path):
 # a Hopf dump or an R file needs only scalars, tensor and hopf.
 
 def group_from_file_obj(obj) -> FiniteGroup:
-    """A group from its Cayley table and identity index (FiniteGroup.to_obj)."""
+    """A group from its Cayley table, identity index and optional name
+    (FiniteGroup.to_obj); any other key, "order" among them, is ignored."""
     from .groups import FiniteGroup
 
-    factors, iso_map = obj.get("invariant_factors"), obj.get("iso_map")
     return FiniteGroup(
         [[_int(x, "group table entry") for x in row] for row in obj["table"]],
         _int(obj["identity"], "identity"),
-        invariant_factors=factors and [_int(f, "invariant factor") for f in factors],
-        iso_map=iso_map and [[_int(x, "exponent") for x in e] for e in iso_map],
         name=obj.get("name", ""),
     )
 

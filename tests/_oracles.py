@@ -540,8 +540,8 @@ def bruteforce_alternating_nondegenerate(factors):
 
 
 def characters(a):
-    """Characters and orthogonal idempotents of a finite abelian group (a
-    FiniteGroup with invariant factors, or an AbelianSubgroup), each value
+    """Characters and orthogonal idempotents of a finite abelian group (an
+    abelian FiniteGroup, else NotAbelian, or an AbelianSubgroup), each value
     a product of roots of unity: the library counts J on exponents
     instead (constructions.build_bicharacter_twist).
 
@@ -549,13 +549,10 @@ def characters(a):
     character values on the group elements, idempotents[s] the Vec
     E_s = (1/|A|) sum_a chi_s(a)^-1 a over the group's own basis.
     """
-    from trihopf.errors import NotAbelian
     from trihopf.groups import AbelianSubgroup, FiniteGroup
     from trihopf.tensor import Vec
 
     if isinstance(a, FiniteGroup):
-        if a.invariant_factors is None:
-            raise NotAbelian("group carries no invariant factors")
         a = AbelianSubgroup(a, range(a.order))
     labels = a.labels()
     n = a.order
@@ -593,14 +590,13 @@ def bicharacter_twist_double_sum(a, beta):
 
 
 def subgroup_as_group(sub):
-    """An abelian subgroup as a standalone FiniteGroup on local indices,
-    with its own cyclic factors: the group of k[A] apart from its parent."""
+    """An abelian subgroup as a standalone FiniteGroup on local indices:
+    the group of k[A] apart from its parent."""
     from trihopf.groups import FiniteGroup
 
     pos = {g: i for i, g in enumerate(sub.elements)}
     table = [[pos[sub.parent.table[a][b]] for b in sub.elements] for a in sub.elements]
-    iso = [sub.exponents[g] for g in sub.elements]
-    return FiniteGroup(table, pos[sub.parent.identity], invariant_factors=sub.factors, iso_map=iso)
+    return FiniteGroup(table, pos[sub.parent.identity])
 
 
 # --- cyclotomic numbers over Fraction --------------------------------------

@@ -9,7 +9,7 @@ import time
 from itertools import combinations_with_replacement
 from pathlib import Path
 
-from trihopf.atlas import build_instance, catalog_groups, enumerate_instances, run_atlas
+from trihopf.atlas import CATALOG, build_instance, enumerate_instances, run_atlas
 from trihopf.constructions import (
     apply_twist,
     build_bicharacter_twist,
@@ -55,7 +55,8 @@ def _report(num, name, failures):
 
 def _supergroup_pairs():
     """All (G, V) with |G| <= 8 and dim V <= 2 over the sign characters."""
-    for gname, g in catalog_groups():
+    for gname, build in CATALOG.items():
+        g = build()
         if g.order > 8:
             continue
         chars = sign_characters(g)
@@ -81,7 +82,8 @@ def _modifier_candidates(g, chars, combo):
 def test_acceptance_1_axiom_suite():
     failures = []
     t0 = time.perf_counter()
-    for gname, g in catalog_groups():
+    for gname, build in CATALOG.items():
+        g = build()
         if g.order <= 16 and not verify_hopf(group_algebra(g)).ok:
             failures.append(f"group_algebra({gname})")
     for n in range(4):
@@ -198,7 +200,8 @@ def test_acceptance_4_chevalley_everywhere():
 def test_acceptance_5_twist_contract():
     failures = []
     count = 0
-    for gname, g in catalog_groups():
+    for gname, build in CATALOG.items():
+        g = build()
         if g.order > 9:
             continue
         for elements in g.all_subgroups():
@@ -258,7 +261,8 @@ def test_acceptance_6_rank_bound():
 def test_acceptance_7_radical_oracle():
     failures = []
     pool = []
-    for gname, g in catalog_groups():
+    for gname, build in CATALOG.items():
+        g = build()
         if g.order <= 8:
             pool.append((f"k[{gname}]", group_algebra(g)))
     for n in range(4):

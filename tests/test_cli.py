@@ -20,6 +20,8 @@ import trihopf
 from trihopf import atlas, constructions
 from trihopf.cli import main
 from trihopf.groups import (
+    AbelianSubgroup,
+    Bicharacter,
     FiniteGroup,
     GroupRep,
     alternating_nondegenerate_bicharacters,
@@ -403,7 +405,7 @@ def test_twist_command_roundtrip(tmp_path, capsys, monkeypatch):
     gfile = write(tmp_path / "g.json", z2z2.to_obj())
     dump = tmp_path / "g.hopf.json"
     main(["build", gfile, "--kind", "group-algebra", "-o", str(dump)])
-    a = z2z2.abelian_subgroup(range(4))
+    a = AbelianSubgroup(z2z2, range(4))
     beta = half_bicharacter(alternating_nondegenerate_bicharacters((2, 2))[0])
     j = build_bicharacter_twist(a, beta)
     jfile = tmp_path / "j.json"
@@ -427,7 +429,7 @@ def test_verify_twist_flag(tmp_path, capsys):
     gfile = write(tmp_path / "g.json", z2z2.to_obj())
     dump = tmp_path / "g.hopf.json"
     main(["build", gfile, "--kind", "group-algebra", "-o", str(dump)])
-    a = z2z2.abelian_subgroup(range(4))
+    a = AbelianSubgroup(z2z2, range(4))
     beta = half_bicharacter(alternating_nondegenerate_bicharacters((2, 2))[0])
     jfile = tmp_path / "j.json"
     jfile.write_text(dumps(tensor2_to_obj(build_bicharacter_twist(a, beta))))
@@ -814,6 +816,23 @@ def test_semisimple_triangular_build(tmp_path, capsys):
     assert main(["analyze", str(dump), "--r", str(tmp_path / "st.hopf.r.json")]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["semisimple"] and rep["triangular"]["r_rank"] == 4
+
+
+def test_semisimple_triangular_build_of_rank_5(tmp_path, capsys):
+    """G = A = Z2^5 with the trivial bicharacter: five cyclic factors, so
+    the decomposition search must not stop at rank 4."""
+    z2 = FiniteGroup.cyclic(2)
+    obj = {
+        "group": FiniteGroup.direct_product(*[z2] * 5).to_obj(),
+        "subgroup": list(range(32)),
+        "bicharacter": Bicharacter.trivial((2,) * 5).to_obj(),
+        "u": 0,
+    }
+    dump = tmp_path / "st.hopf.json"
+    assert main(["build", write(tmp_path / "st.json", obj), "--kind", "semisimple-triangular", "-o", str(dump)]) == 0
+    assert main(["verify", str(dump), "--r", str(tmp_path / "st.hopf.r.json")]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["ok"] and rep["triangular"]
 
 
 def _with_gamma_entries(swap):

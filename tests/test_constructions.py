@@ -1,7 +1,7 @@
 """Builders: group algebras, smash products, modifications, twists, septuples."""
 
 from itertools import product
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from pathlib import Path
 
 import pytest
@@ -31,6 +31,7 @@ from trihopf.errors import (
     UnsupportedStratum,
 )
 from trihopf.groups import (
+    AbelianSubgroup,
     Bicharacter,
     FiniteGroup,
     GroupRep,
@@ -141,6 +142,41 @@ def test_malformed_cayley_table():
         FiniteGroup([[0, 1], [0, 1]], 0)
     with pytest.raises(GroupError):
         FiniteGroup([[1, 0], [0, 1]], 0)  # identity misplated
+
+
+def _decomposed_groups():
+    """The catalog, the order-16 groups of the CLI benchmark, and Z2^5."""
+    from trihopf.atlas import CATALOG
+
+    cyc, dp = FiniteGroup.cyclic, FiniteGroup.direct_product
+    yield from ((name, build()) for name, build in CATALOG.items())
+    for factors in ((4, 4), (8, 2), (4, 2, 2), (2, 2, 2, 2), (2, 2, 2, 2, 2)):
+        yield "x".join(f"Z{f}" for f in factors), dp(*map(cyc, factors))
+    yield "D4xZ2", dp(FiniteGroup.dihedral4(), cyc(2))
+    yield "Q8xZ2", dp(FiniteGroup.quaternion8(), cyc(2))
+
+
+def test_abelian_subgroup_exponents_are_an_isomorphism():
+    """exponents maps A onto the mixed-radix labels of Z_{n_1} x ... x
+    Z_{n_r}, bijectively and additively, for every abelian subgroup A."""
+    count = 0
+    for name, g in _decomposed_groups():
+        for elements in g.all_subgroups():
+            if any(g.table[x][y] != g.table[y][x] for x in elements for y in elements):
+                continue
+            a = AbelianSubgroup(g, elements)
+            count += 1
+            assert prod(a.factors) == a.order, (name, elements)
+            assert sorted(a.exponents.values()) == a.labels(), (name, elements)
+            for x in elements:
+                for y in elements:
+                    ex, ey = a.exponents[x], a.exponents[y]
+                    assert a.exponents[g.mul(x, y)] == tuple(
+                        (i + j) % f for i, j, f in zip(ex, ey, a.factors)
+                    ), (name, x, y)
+    assert count == 268 + 374  # Z2^5 has 374 subgroups
+    z2e5 = FiniteGroup.direct_product(*[FiniteGroup.cyclic(2)] * 5)
+    assert AbelianSubgroup(z2e5, range(32)).factors == (2,) * 5
 
 
 # --- characters and idempotents -----------------------------------------------
@@ -387,7 +423,7 @@ def test_quarter_turn_modification_mixes_the_generators():
 # --- bicharacter twists -----------------------------------------------------------
 
 def test_trivial_bicharacter_gives_unit_twist(z2):
-    a = z2.abelian_subgroup(range(2))
+    a = AbelianSubgroup(z2, range(2))
     j = build_bicharacter_twist(a, Bicharacter.trivial((2,)))
     h = group_algebra(z2)
     assert j == unit_tensor2(h)
@@ -396,7 +432,7 @@ def test_trivial_bicharacter_gives_unit_twist(z2):
 
 def test_symmetric_z2_bicharacter_twist(z2):
     # beta(1,1) = -1 on the nontrivial character: J = 1 (x) 1 - 2 E- (x) E-
-    a = z2.abelian_subgroup(range(2))
+    a = AbelianSubgroup(z2, range(2))
     beta = Bicharacter((2,), ((0, 0), (0, 1)))
     j = build_bicharacter_twist(a, beta)
     h = group_algebra(z2)
@@ -441,7 +477,7 @@ def test_flipped_r_twists_sweedler_to_its_opposite(sweedler):
 
 def test_twist_record_checks_its_premises(z2z2):
     h = group_algebra(z2z2)
-    a = z2z2.abelian_subgroup(range(4))
+    a = AbelianSubgroup(z2z2, range(4))
     beta = half_bicharacter(alternating_nondegenerate_bicharacters((2, 2))[0])
     j = build_bicharacter_twist(a, beta)
     tw = Twist(h, j)
@@ -481,9 +517,9 @@ def _z2e4():
 
 
 def _catalog_and_z2e4():
-    from trihopf.atlas import catalog_groups
+    from trihopf.atlas import CATALOG
 
-    return catalog_groups() + [("Z2xZ2xZ2xZ2", _z2e4())]
+    return [(name, build()) for name, build in CATALOG.items()] + [("Z2xZ2xZ2xZ2", _z2e4())]
 
 
 def _square_abelian_factors(g):
@@ -493,7 +529,7 @@ def _square_abelian_factors(g):
         if isqrt(len(elements)) ** 2 == len(elements) and all(
             g.table[a][b] == g.table[b][a] for a in elements for b in elements
         ):
-            out.add(tuple(g.abelian_subgroup(elements).factors))
+            out.add(tuple(AbelianSubgroup(g, elements).factors))
     return out
 
 
@@ -597,14 +633,15 @@ def test_bicharacter_rejects_broken_tables(factors):
 
 
 def _klein_subgroups_of_order_8_catalog():
-    from trihopf.atlas import catalog_groups
+    from trihopf.atlas import CATALOG
 
-    for name, g in catalog_groups():
+    for name, build in CATALOG.items():
+        g = build()
         if g.order != 8:
             continue
         for elements in g.all_subgroups():
             if len(elements) == 4 and all(g.table[a][b] == g.table[b][a] for a in elements for b in elements):
-                sub = g.abelian_subgroup(elements)
+                sub = AbelianSubgroup(g, elements)
                 if tuple(sub.factors) == (2, 2):
                     yield name, sub
 
@@ -613,7 +650,7 @@ def test_bicharacter_twist_matches_double_sum():
     cases = []
     for factors in ((2, 2, 2, 2), (3, 3)):
         g = FiniteGroup.direct_product(*[FiniteGroup.cyclic(f) for f in factors])
-        sub = g.abelian_subgroup(range(g.order))
+        sub = AbelianSubgroup(g, range(g.order))
         gammas = alternating_nondegenerate_bicharacters(factors)
         cases += [(sub, half_bicharacter(gamma)) for gamma in (gammas[0], gammas[-1])]
     klein = list(_klein_subgroups_of_order_8_catalog())
@@ -652,7 +689,7 @@ def test_a_table_that_is_no_bicharacter_is_refused_by_the_twist():
     bad = object.__new__(Bicharacter)
     vars(bad).update(vars(beta), exponents=((0, 0, 0), (0, 1, 2), (0, 2, 2)))
     with pytest.raises(BicharacterError, match="no character"):
-        build_bicharacter_twist(z3.abelian_subgroup(range(3)), bad)
+        build_bicharacter_twist(AbelianSubgroup(z3, range(3)), bad)
 
 
 def test_counit_normalization_forced_negative(z2):
@@ -673,7 +710,7 @@ def test_singular_tensor_surfaces_not_invertible(z2):
 
 def test_z2z2_twist_matches_hand_formula(z2z2):
     h = group_algebra(z2z2)
-    a = z2z2.abelian_subgroup(range(4))
+    a = AbelianSubgroup(z2z2, range(4))
     gamma = alternating_nondegenerate_bicharacters((2, 2))[0]
     j = build_bicharacter_twist(a, half_bicharacter(gamma))
     assert verify_twist(h, j)
@@ -682,7 +719,7 @@ def test_z2z2_twist_matches_hand_formula(z2z2):
     # R[a][b] = (1/4) * (-1)**(a2 b1 + a1 b2) in exponent coordinates
     for x in range(4):
         for y in range(4):
-            ex, ey = z2z2.iso_map[x], z2z2.iso_map[y]
+            ex, ey = a.exponents[x], a.exponents[y]
             sgn = (ex[1] * ey[0] + ex[0] * ey[1]) % 2
             assert r.get(x, y) == sc(-1 if sgn else 1, 4)
     assert r_matrix_rank(r) == 4
@@ -694,7 +731,7 @@ def test_z2z2_twist_matches_hand_formula(z2z2):
 
 def test_twist_roundtrip_restores_structure(z2z2):
     h = group_algebra(z2z2)
-    a = z2z2.abelian_subgroup(range(4))
+    a = AbelianSubgroup(z2z2, range(4))
     beta = half_bicharacter(alternating_nondegenerate_bicharacters((2, 2))[0])
     j = build_bicharacter_twist(a, beta)
     j_inv = build_bicharacter_twist(a, beta.inverse())
@@ -705,7 +742,7 @@ def test_twist_roundtrip_restores_structure(z2z2):
 
 def test_twisting_preserves_algebra_semisimplicity(z2z2):
     h = group_algebra(z2z2)
-    a = z2z2.abelian_subgroup(range(4))
+    a = AbelianSubgroup(z2z2, range(4))
     beta = half_bicharacter(alternating_nondegenerate_bicharacters((2, 2))[0])
     h2, _ = apply_twist(h, build_bicharacter_twist(a, beta))
     assert is_semisimple(h2)
@@ -715,7 +752,7 @@ def test_twisting_preserves_algebra_semisimplicity(z2z2):
 # --- semisimple triangular construction ----------------------------------------
 
 def test_semisimple_triangular_trivial_subgroup(z2):
-    a = z2.abelian_subgroup([0])
+    a = AbelianSubgroup(z2, [0])
     h, r = semisimple_triangular(z2, a, Bicharacter.trivial((1,)), u=1)
     assert h.same_structure(group_algebra(z2))
     # R = R_u exactly (J = 1 (x) 1)
@@ -729,7 +766,7 @@ def test_semisimple_triangular_trivial_subgroup(z2):
 
 def test_semisimple_triangular_z3z3_odd(z2z2):
     z3z3 = FiniteGroup.direct_product(FiniteGroup.cyclic(3), FiniteGroup.cyclic(3))
-    a = z3z3.abelian_subgroup(range(9))
+    a = AbelianSubgroup(z3z3, range(9))
     gamma = alternating_nondegenerate_bicharacters((3, 3))[0]
     h, r = semisimple_triangular(z3z3, a, gamma, u=0)
     assert h.dim == 9 and is_semisimple(h)
@@ -739,7 +776,7 @@ def test_semisimple_triangular_z3z3_odd(z2z2):
 
 def test_semisimple_triangular_rejects_noncentral_u():
     s3 = FiniteGroup.symmetric3()
-    a = s3.abelian_subgroup([0])
+    a = AbelianSubgroup(s3, [0])
     with pytest.raises(SeptupleInvariantViolation):
         semisimple_triangular(s3, a, Bicharacter.trivial((1,)), u=3)
 

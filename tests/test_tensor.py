@@ -292,7 +292,7 @@ def test_tensor2_inv_singular(kz2):
 def _full_twist(factors, index):
     """Host k[A], A and half of the index-th alternating bicharacter on A."""
     group = FiniteGroup.direct_product(*[FiniteGroup.cyclic(f) for f in factors])
-    sub = group.abelian_subgroup(range(group.order))
+    sub = AbelianSubgroup(group, range(group.order))
     beta = half_bicharacter(_alternating(factors)[index])
     return group_algebra(group), sub, beta
 

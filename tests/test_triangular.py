@@ -118,7 +118,7 @@ def z3_symmetric_r():
     # symmetric nondegenerate bicharacter on Z3: R = sum beta(s,t) E_s (x) E_t
     # satisfies the hexagons on the cocommutative k[Z3] but flip(R) R != 1.
     z3 = FiniteGroup.cyclic(3)
-    a = z3.abelian_subgroup(range(3))
+    a = AbelianSubgroup(z3, range(3))
     exponents = tuple(tuple((s * t) % 3 for t in range(3)) for s in range(3))
     return group_algebra(z3), build_bicharacter_twist(a, Bicharacter((3,), exponents))
 
@@ -188,7 +188,7 @@ def test_r_matrix_rank_examples(kz2, sweedler):
 
 def test_rank4_twisted_z2z2():
     z2z2 = FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2))
-    a = z2z2.abelian_subgroup(range(4))
+    a = AbelianSubgroup(z2z2, range(4))
     gamma = alternating_nondegenerate_bicharacters((2, 2))[0]
     h, r = semisimple_triangular(z2z2, a, gamma, u=0)
     assert r_matrix_rank(r) == 4
@@ -211,7 +211,7 @@ def test_verify_triangular_solves_nothing(monkeypatch, sweedler):
     super32, r32 = modified_supergroup_algebra(z2cubed, v, u=1)
     assert super32.dim == 32
     gamma = alternating_nondegenerate_bicharacters((2, 2))[0]
-    twisted, r_tw = semisimple_triangular(z2z2, z2z2.abelian_subgroup(range(4)), gamma, u=1)
+    twisted, r_tw = semisimple_triangular(z2z2, AbelianSubgroup(z2z2, range(4)), gamma, u=1)
     for h, r in (sweedler, (super32, r32), (twisted, r_tw)):
         assert verify_triangular(h, r)
         assert not verify_triangular(h, Tensor2.from_dict(h.dim, {}))
@@ -240,7 +240,7 @@ def test_structure_theorems_odd_dim():
 
 def test_structure_theorems_twisted_z3z3():
     z3z3 = FiniteGroup.direct_product(FiniteGroup.cyclic(3), FiniteGroup.cyclic(3))
-    a = z3z3.abelian_subgroup(range(9))
+    a = AbelianSubgroup(z3z3, range(9))
     gamma = alternating_nondegenerate_bicharacters((3, 3))[1]
     h, r = semisimple_triangular(z3z3, a, gamma, u=0)
     rep = check_structure_theorems(h, r)
@@ -252,7 +252,7 @@ def test_drinfeld_element_twist_invariant():
     # compute u before and after twisting: it must not move
     z2z2 = FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2))
     h = group_algebra(z2z2)
-    a = z2z2.abelian_subgroup(range(4))
+    a = AbelianSubgroup(z2z2, range(4))
     beta = half_bicharacter(alternating_nondegenerate_bicharacters((2, 2))[0])
     for u_idx in range(4):
         ru = r_u(h, Vec.basis(4, u_idx))
