@@ -25,8 +25,9 @@ from pathlib import Path
 
 from .constructions import (
     Septuple,
+    _modify,
+    _smash_product,
     bicharacter_twist_pair,
-    modified_supergroup_algebra,
     septuple_twist,
 )
 from .groups import (
@@ -68,11 +69,9 @@ def catalog_group(name: str) -> FiniteGroup:
 
 
 # Per-process tables, built once per catalog group, representation,
-# host, twist (J, J^-1) or factor tuple instead of once per instance;
-# the keys range over the finite catalog.  A host keeps its own proofs
-# (its axioms, R_u triangular) and the text of its multiplication table
-# (serialize.hopf_dumps).  Nothing built for one instance alone (H^J,
-# R^J, a report) is kept.
+# smash product, host, twist (J, J^-1) or factor tuple instead of once
+# per instance; the keys range over the finite catalog.  Nothing built
+# for one instance alone (H^J, R^J, a report) is kept.
 
 @lru_cache(maxsize=None)
 def _group_tables(name: str) -> tuple[FiniteGroup, tuple]:
@@ -91,13 +90,20 @@ def _sign_rep(name: str, v_chars: tuple[int, ...]) -> GroupRep:
 
 
 @lru_cache(maxsize=None)
+def _smash(name: str, v_chars: tuple[int, ...]):
+    """constructions._smash_product(G, W) of a catalog (group, W)."""
+    return _smash_product(_group_tables(name)[0], _sign_rep(name, v_chars))
+
+
+@lru_cache(maxsize=None)
 def _host(name: str, v_chars: tuple[int, ...], u: int) -> tuple[HopfData, Tensor2]:
     """The untwisted host (H, R_u) = modified_supergroup_algebra(G, W, u)
-    of a catalog (group, W, u).  H keeps its own facts: its generators,
-    radical and algebra witnesses, and the exhaustive proof that R_u is
-    triangular on it, so every instance twisting it reuses them."""
-    g, _ = _group_tables(name)
-    return modified_supergroup_algebra(g, _sign_rep(name, v_chars), u)
+    of a catalog (group, W, u), made by its modification step from the
+    one smash product of (G, W): every host of one (G, W), and every H^J
+    twisted from them, holds one Algebra, whose facts (generators,
+    radical, witnesses, mult text) are made once.  H keeps the facts of
+    its coalgebra, its axioms and the proof that R_u is triangular."""
+    return _modify(_group_tables(name)[0], _smash(name, v_chars), u)
 
 
 @lru_cache(maxsize=None)

@@ -5,16 +5,16 @@ supported on abelian subgroups, and the septuple twist that composes
 them.  Every builder returns validated HopfData whose axioms the
 verifiers re-check exhaustively in the test suite.
 
-Each step of the construction chain has one implementation.  The smash
-product is built once, as the super Hopf algebra supergroup_algebra
-returns; the other two derive from it.  The exterior algebra
-Lambda(V) is the supergroup algebra of the trivial group, and the
-modified supergroup algebra is the ordinary Hopf algebra on the same
-algebra obtained with a central involution u acting by -1 on V:
-Delta'(x) = sum x_1 u^|x_2| (x) x_2 and S'(x) = u^|x| S(x).  Since u
-moves a basis element g v_T to the basis element (ug) v_T, up to sign,
-the modification is one pass over the super tables' nonzeros.  k[G]
-keeps its own direct tables.
+Each step of the construction chain has one implementation.
+_smash_product builds the product of (G, W) once, as an ordinary
+Algebra, with the super coalgebra tables; supergroup_algebra wraps its
+Tensor3 in a graded Algebra, and Lambda(V) is the supergroup algebra of
+the trivial group.  The modified supergroup algebra keeps that very
+Algebra and changes only the coalgebra, by a central involution u
+acting by -1 on V: Delta'(x) = sum x_1 u^|x_2| (x) x_2 and S'(x) =
+u^|x| S(x).  Since u moves a basis element g v_T to (ug) v_T, up to
+sign, this modification (_modify) is one pass over the coalgebra
+tables.  k[G] keeps its own direct tables.
 
 One sign rule: _wedge gives the sign of v_A ^ v_B, and the coproduct
 split Delta(v_S) = sum eps v_T (x) v_{S-T} takes eps from
@@ -50,6 +50,7 @@ from .groups import (
     half_bicharacter,
 )
 from .hopf import (
+    Algebra,
     HopfData,
     _read_only,
     antipode_contraction,
@@ -62,6 +63,7 @@ from .tensor import (
     Echelon,
     _canonical,
     Tensor2,
+    Tensor3,
     check_tensor_dims,
     Vec,
     apply_map,
@@ -81,15 +83,10 @@ from .triangular import r_u
 def group_algebra(g: FiniteGroup) -> HopfData:
     """k[G]: basis the group elements, Delta(g) = g (x) g, S(g) = g^-1."""
     d = g.order
-    mult = tuple(
-        tuple(((g.table[i][j], SC_ONE),) for j in range(d)) for i in range(d)
-    )
-    comult = tuple(((i, i, SC_ONE),) for i in range(d))
+    mult = Tensor3(d, [((i, j, g.table[i][j]), SC_ONE) for i in range(d) for j in range(d)])
     return make_hopf(
-        dim=d,
-        unit=Vec.basis(d, g.identity),
-        mult=mult,
-        comult=comult,
+        Algebra(d, Vec.basis(d, g.identity), mult, (0,) * d),
+        comult=tuple(((i, i, SC_ONE),) for i in range(d)),
         counit=(SC_ONE,) * d,
         antipode=tuple(((g.inverse[i], SC_ONE),) for i in range(d)),
     )
@@ -158,37 +155,33 @@ def _exterior_images(cols) -> list[Vec]:
 # smash products k[G] x Lambda(V)
 
 def _smash_product(g: FiniteGroup, v: GroupRep):
-    """The super Hopf tables of k[G] x Lambda(V), shared by both smash builders.
+    """The product of k[G] x Lambda(V), and the super coalgebra tables of
+    the supergroup algebra on it, shared by both smash builders.
 
-    Returns (mult, comult, counit, antipode, parity, size) with
-    size = 2**degree, each mult cell as its raw signed terms (make_hopf
-    sums them) and the antipode as sparse columns (HopfData.antipode).
-    With rho(h) v_S expanded once per h
-    (_exterior_images) and every sign read off _wedge:
+    Returns (algebra, comult, counit, antipode, parity): algebra is the
+    ordinary Algebra of the product, its Tensor3 summed from raw signed
+    terms; comult and antipode are the raw columns make_hopf takes and
+    parity the Z2 grading, |g v_S| = |S| mod 2.  With rho(h) v_S expanded
+    once per h (_exterior_images) and every sign read off _wedge:
       (g, S)(h, T) = (gh, rho(h^-1)(v_S) ^ v_T), so g v = rho(g)(v) g;
       Delta(g v_S) = sum over T in S of eps g v_T (x) g v_{S-T}, where
         v_T ^ v_{S-T} = eps v_S;
       S(g v_S) = (-1)^|S| (g^-1, rho(g) v_S).
     """
-    w = v.degree
-    size = 1 << w
+    size = 1 << v.degree
     dim = g.order * size
     images = [[image.nonzeros for image in _exterior_images(cols)] for cols in v.matrices]
-    mult = []
+    terms = []
     for i in range(dim):
         gi, si = divmod(i, size)
-        row = []
         for j in range(dim):
             hj, tj = divmod(j, size)
             base = g.table[gi][hj] * size
-            cell = []
             for u_mask, coeff in images[g.inverse[hj]][si]:
                 wedge = _wedge(u_mask, tj)
                 if wedge is not None:
                     sign, mask = wedge
-                    cell.append((base + mask, coeff if sign > 0 else -coeff))
-            row.append(cell)
-        mult.append(row)
+                    terms.append(((i, j, base + mask), coeff if sign > 0 else -coeff))
     splits = [
         tuple(
             (t, s & ~t, SC_ONE if _wedge(t, s & ~t)[0] > 0 else -SC_ONE)
@@ -208,7 +201,8 @@ def _smash_product(g: FiniteGroup, v: GroupRep):
             tuple((ginv + mask, -c if parity[i] else c) for mask, c in images[gi][si])
         )
     counit = tuple(SC_ONE if i % size == 0 else SC_ZERO for i in range(dim))
-    return tuple(mult), comult, counit, s_cols, parity, size
+    algebra = Algebra(dim, Vec.basis(dim, g.identity * size), Tensor3(dim, terms), (0,) * dim)
+    return algebra, tuple(comult), counit, tuple(s_cols), parity
 
 
 def _check_rep(g: FiniteGroup, v: GroupRep):
@@ -219,17 +213,9 @@ def _check_rep(g: FiniteGroup, v: GroupRep):
 def supergroup_algebra(g: FiniteGroup, v: GroupRep) -> HopfData:
     """k[G] x Lambda(V): group-likes even, generators odd and primitive."""
     _check_rep(g, v)
-    mult, comult, counit, s_cols, parity, size = _smash_product(g, v)
-    return make_hopf(
-        dim=len(mult),
-        unit=Vec.basis(len(mult), g.identity * size),
-        mult=mult,
-        comult=comult,
-        counit=counit,
-        antipode=s_cols,
-        parity=parity,
-        super=True,
-    )
+    algebra, comult, counit, s_cols, parity = _smash_product(g, v)
+    graded = Algebra(algebra.dim, algebra.unit, algebra.mult, parity, super=True)
+    return make_hopf(graded, comult, counit, s_cols)
 
 
 def exterior_algebra(n: int) -> HopfData:
@@ -267,8 +253,17 @@ def modified_supergroup_algebra(
     """
     _check_rep(g, v)
     _check_modifier(g, v, u)
-    mult, comult, counit, s_cols, parity, size = _smash_product(g, v)
-    dim = len(mult)
+    return _modify(g, _smash_product(g, v), u)
+
+
+def _modify(g: FiniteGroup, smash, u: int) -> tuple[HopfData, Tensor2]:
+    """(H, R_u) of modified_supergroup_algebra from smash, the
+    _smash_product of (G, W), for a central involution u acting by -1 on
+    W.  Only the coalgebra changes: H holds smash's very Algebra, so
+    every u of one (G, W) shares it and every fact of it."""
+    algebra, comult, counit, s_cols, parity = smash
+    dim = algebra.dim
+    size = dim // g.order
     # u (g v_T) = (ug) v_T and (g v_T) u = (-1)^|T| (gu) v_T: one signed
     # basis element each, at index shifted[i]
     shifted = [g.table[i // size][u] * size + i % size for i in range(dim)]
@@ -283,14 +278,7 @@ def modified_supergroup_algebra(
         tuple((shifted[k], c) for k, c in col) if parity[i] else col
         for i, col in enumerate(s_cols)
     ]
-    h = make_hopf(
-        dim=dim,
-        unit=Vec.basis(dim, g.identity * size),
-        mult=mult,
-        comult=comult,
-        counit=counit,
-        antipode=s_cols,
-    )
+    h = make_hopf(algebra, comult, counit, s_cols)
     return h, r_u(h, Vec.basis(dim, u * size))
 
 

@@ -14,7 +14,7 @@ integers, and the bicharacter twist is counted on them too.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations, product
+from itertools import product
 from math import gcd, lcm, prod
 
 from .errors import BicharacterError, GroupError, NotAbelian, ShapeError
@@ -228,31 +228,57 @@ class FiniteGroup:
 def _find_cyclic_decomposition(table, elements, identity):
     """Factor orders and exponent map of a finite abelian group: the first
     tuple of non-identity elements, increasing in index order and shortest
-    first, whose products of powers reach every element exactly once."""
-    if len(elements) == 1:
+    first, whose products of powers reach every element exactly once.
+
+    The tuples of each length are searched depth first in lexicographic
+    order.  A prefix is dropped once two of its products coincide, or once
+    the largest element order cannot bring their count to |A| in the
+    slots left, since every tuple it begins fails too.
+    """
+    n = len(elements)
+    if n == 1:
         return (1,), {identity: (0,)}
-    powers = {}  # g -> [1, g, g**2, ...] up to the order of g
+    powers = []  # [1, g, g**2, ...] up to the order of g, per g != 1 in index order
     for g in elements:
         if g != identity:
-            powers[g] = [identity, g]
-            while (x := table[powers[g][-1]][g]) != identity:
-                powers[g].append(x)
+            powers.append([identity, g])
+            while (x := table[powers[-1][-1]][g]) != identity:
+                powers[-1].append(x)
+    top = max(map(len, powers))
+
+    def search(slots, start, span):
+        """(orders, exponent map) of the first tuple of slots more
+        elements, from powers[start:], that brings span to all of A, or
+        None."""
+        if not slots:
+            return ((), span) if len(span) == n else None
+        if len(span) * top**slots < n:
+            return None
+        for index in range(start, len(powers)):
+            grown = _times_powers(table, span, powers[index])
+            found = grown and search(slots - 1, index + 1, grown)
+            if found:
+                return (len(powers[index]),) + found[0], found[1]
+        return None
+
     for k in range(1, len(powers) + 1):
-        for gens in combinations(powers, k):
-            orders = tuple(len(powers[g]) for g in gens)
-            if prod(orders) != len(elements):
-                continue
-            seen = {}
-            for exps in product(*map(range, orders)):
-                x = identity
-                for g, e in zip(gens, exps):
-                    x = table[x][powers[g][e]]
-                if x in seen:
-                    break
-                seen[x] = exps
-            else:
-                return orders, seen
+        found = search(k, 0, {identity: ()})
+        if found:
+            return found
     raise GroupError("could not decompose abelian group into cyclic factors")
+
+
+def _times_powers(table, span, powers):
+    """x g**e for x in span and g**e = powers[e], mapped to the exponents
+    of x with e appended, in product order; None when two coincide."""
+    grown = {}
+    for x, exps in span.items():
+        for e, power in enumerate(powers):
+            y = table[x][power]
+            if y in grown:
+                return None
+            grown[y] = exps + (e,)
+    return grown
 
 
 def _labels(factors) -> list[tuple[int, ...]]:

@@ -5,9 +5,10 @@ structure constants, each a sparse tensor: an Algebra (mult, one
 tensor.Tensor3 keyed (i, j, k), the unit and a Z2 parity grading for
 the super case), the counit as the tensor.Vec of eps(e_i), and S and
 Delta as tuples of columns: antipode[i] is the Vec S(e_i) and
-comult[i] the tensor.Tensor2 Delta(e_i).  make_hopf normalizes raw
-structure constants into these forms through the one sparse
-constructor, which trusts its indices: validate() refuses any outside.
+comult[i] the tensor.Tensor2 Delta(e_i).  Builders and loaders sum a
+product into the Tensor3 of an Algebra, and make_hopf the raw
+coalgebra into these forms, with the one sparse constructor, which
+trusts its indices: validate() refuses any outside.
 Every map on elements applies such columns with tensor.apply_map on
 integer numerators (S(x), Delta(x), S^2 and S^4, S^2 = Ad(u),
 m(S (x) id)(t) with m = HopfData.mul_legs, the associativity rows, the
@@ -34,15 +35,16 @@ and the antipode, so every fact of the algebra (mult_ints, unit_legs,
 the generators, the radical, the associativity and unit witnesses and
 the algebra half of the structural check) lives on the Algebra object
 and is computed once per Algebra: H^J holds H's very Algebra, so it
-computes none of them, and HopfData.replace with another product,
-unit or grading makes a fresh one.  The Hopf axioms are proved once
-per host: H^J keeps the Twist that made it, and its axioms follow from
-H's by the twisting theorem (HopfData.axioms) once its stored
-coproduct and antipode equal the twist's J^-1 Delta J and Q^-1 S Q, as
-does the Chevalley property (HopfData.chevalley).  Everything else that
-reads the coproduct or the antipode (the coalgebra half of the
-structural check, S^2, S^4) is computed once per object, so once per
-instance.  Facts of a pair (H, R) live in triangular.py.
+computes none of them, and HopfData.replace with another product, unit
+or grading makes a fresh one.  The atlas's hosts of one (G, W) hold
+one Algebra too: u changes only Delta and S.  The Hopf axioms are
+proved once per host: H^J keeps the Twist that made it, and its axioms
+follow from H's by the twisting theorem (HopfData.axioms) once its
+stored coproduct and antipode equal the twist's J^-1 Delta J and Q^-1
+S Q, as does the Chevalley property (HopfData.chevalley).  Everything
+else that reads the coproduct or the antipode (the coalgebra half of
+the structural check, S^2, S^4) is computed once per object, so once
+per instance.  Facts of a pair (H, R) live in triangular.py.
 
 The radical is computed from the kernel of the regular trace form
 (valid in characteristic 0).  The Chevalley check tests that the radical
@@ -386,32 +388,18 @@ class HopfData:
         return same_maps and self.keeps_algebra_of(other)
 
 
-def make_hopf(dim, unit, mult, comult, counit, antipode, parity=None, super=False) -> HopfData:
-    """Normalize raw structure constants into a validated HopfData.
-
-    mult[i][j] and antipode[i] are (k, c) pairs and comult[i] is
-    (j, k, c) triples, in any order; every one goes through the sparse
-    constructor, which sums a repeated index and drops zeros, so mult is
-    stored as one Tensor3 keyed (i, j, k), S(e_i) as its Vec and
-    Delta(e_i) as its Tensor2.  unit and counit are Vecs or dense lists.
-    """
-    if len(mult) != dim or any(len(row) != dim for row in mult):
-        raise ShapeError("multiplication tensor shape mismatch")
-    algebra = Algebra(
-        dim=dim,
-        unit=_vec(unit),
-        mult=Tensor3(
-            dim,
-            [((i, j, k), c) for i, row in enumerate(mult) for j, cell in enumerate(row) for k, c in cell],
-        ),
-        parity=tuple(parity) if parity is not None else (0,) * dim,
-        super=super,
-    )
+def make_hopf(algebra: Algebra, comult, counit, antipode) -> HopfData:
+    """A validated HopfData on a built Algebra, with its coalgebra
+    normalized: antipode[i] is (k, c) pairs and comult[i] (j, k, c)
+    triples, in any order, each summed by the sparse constructor into
+    the Vec S(e_i) and the Tensor2 Delta(e_i).  counit is a Vec or a
+    dense list."""
+    d = algebra.dim
     return HopfData(
         algebra=algebra,
-        comult=tuple(Tensor2(dim, (((j, k), c) for j, k, c in entry)) for entry in comult),
+        comult=tuple(Tensor2(d, (((j, k), c) for j, k, c in entry)) for entry in comult),
         counit=_vec(counit),
-        antipode=tuple(Vec(dim, col) for col in antipode),
+        antipode=tuple(Vec(d, col) for col in antipode),
     ).validate()
 
 
@@ -596,24 +584,19 @@ def dual_hopf(h: HopfData) -> HopfData:
     sign (-1)**(|i||j|) on both transposed structures.
     """
     d, par = h.dim, h.parity
-    mult_d = [[[] for _ in range(d)] for _ in range(d)]
+    mult_d = []
     for t in range(d):
         for a, b, c in h.comult[t].nonzeros:
-            coef = -c if (h.super and par[a] and par[b]) else c
-            mult_d[a][b].append((t, coef))
+            mult_d.append(((a, b, t), -c if (h.super and par[a] and par[b]) else c))
     comult_d = [[] for _ in range(d)]
     for i, j, t, c in h.mult.nonzeros:
         coef = -c if (h.super and par[i] and par[j]) else c
         comult_d[t].append((i, j, coef))
     return make_hopf(
-        dim=d,
-        unit=h.counit,
-        mult=mult_d,
+        Algebra(d, h.counit, Tensor3(d, mult_d), par, h.super),
         comult=comult_d,
         counit=h.unit,
         antipode=[[(i, col.get(j)) for i, col in enumerate(h.antipode)] for j in range(d)],
-        parity=par,
-        super=h.super,
     )
 
 

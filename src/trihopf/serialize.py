@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 from .errors import ShapeError
 from .hopf import Algebra, HopfData, make_hopf
 from .scalars import CycScalar
-from .tensor import Tensor2, Vec, _coefficient
+from .tensor import Tensor2, Tensor3, Vec, _coefficient
 
 if TYPE_CHECKING:  # pragma: no cover
     from .constructions import Septuple
@@ -121,13 +121,11 @@ def hopf_from_obj(obj) -> HopfData:
         raise ShapeError("parity entries must be 0 or 1")
     if type(obj["super"]) is not bool:
         raise ShapeError(f"super {obj['super']!r} is not true or false")
-    mult = [[[] for _ in range(dim)] for _ in range(dim)]
     entries = _unique_entries(
         (((_index(i, dim), _index(j, dim), _index(k, dim)), c) for i, j, k, c in obj["mult"]),
         "mult",
     )
-    for (i, j, k), c in entries.items():
-        mult[i][j].append((k, scalar_from_obj(c)))
+    mult = Tensor3(dim, [(key, scalar_from_obj(c)) for key, c in entries.items()])
     comult = []
     for entry in obj["comult"]:
         terms = _unique_entries(
@@ -138,14 +136,10 @@ def hopf_from_obj(obj) -> HopfData:
     if len(antipode) != dim or any(len(row) != dim for row in antipode):
         raise ShapeError("antipode shape mismatch")
     return make_hopf(
-        dim=dim,
-        unit=vec_from_obj(obj["unit"]),
-        mult=mult,
+        Algebra(dim, vec_from_obj(obj["unit"]), mult, tuple(obj["parity"]), obj["super"]),
         comult=comult,
         counit=vec_from_obj(obj["counit"]),
         antipode=[tuple(enumerate(col)) for col in zip(*antipode)],
-        parity=tuple(obj["parity"]),
-        super=obj["super"],
     )
 
 

@@ -26,8 +26,8 @@ inverses from the Galois norm.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import gcd
+from itertools import combinations, product
+from math import gcd, prod
 
 from trihopf.scalars import SC_ONE, SC_ZERO, CycScalar, root_of_unity
 from trihopf.tensor import Tensor2
@@ -488,6 +488,36 @@ def bruteforce_sign_characters(group):
         ):
             out.append(bits)
     return out
+
+
+def cyclic_decomposition(table, elements, identity):
+    """Factor orders and exponent map of a finite abelian group, by trying
+    every increasing tuple of non-identity elements whole, shortest first:
+    the first whose products of powers reach every element exactly once."""
+    if len(elements) == 1:
+        return (1,), {identity: (0,)}
+    powers = {}
+    for g in elements:
+        if g != identity:
+            powers[g] = [identity, g]
+            while (x := table[powers[g][-1]][g]) != identity:
+                powers[g].append(x)
+    for k in range(1, len(powers) + 1):
+        for gens in combinations(powers, k):
+            orders = tuple(len(powers[g]) for g in gens)
+            if prod(orders) != len(elements):
+                continue
+            seen = {}
+            for exps in product(*map(range, orders)):
+                x = identity
+                for g, e in zip(gens, exps):
+                    x = table[x][powers[g][e]]
+                if x in seen:
+                    break
+                seen[x] = exps
+            else:
+                return orders, seen
+    return None
 
 
 def _label_add(factors, s, t):

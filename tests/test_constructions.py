@@ -38,6 +38,7 @@ from trihopf.groups import (
     alternating_nondegenerate_bicharacters,
     half_bicharacter,
     sign_characters,
+    _find_cyclic_decomposition,
 )
 from trihopf.hopf import (
     dual_hopf,
@@ -80,6 +81,7 @@ from _oracles import (
     bruteforce_alternating_nondegenerate,
     bruteforce_sign_characters,
     characters,
+    cyclic_decomposition,
     exhaustive_axioms,
     exhaustive_triangular,
     is_bicharacter_table,
@@ -158,7 +160,9 @@ def _decomposed_groups():
 
 def test_abelian_subgroup_exponents_are_an_isomorphism():
     """exponents maps A onto the mixed-radix labels of Z_{n_1} x ... x
-    Z_{n_r}, bijectively and additively, for every abelian subgroup A."""
+    Z_{n_r}, bijectively and additively, for every abelian subgroup A,
+    and the pruned search picks the factors, the exponent map and its
+    order that trying every tuple whole picks."""
     count = 0
     for name, g in _decomposed_groups():
         for elements in g.all_subgroups():
@@ -166,6 +170,11 @@ def test_abelian_subgroup_exponents_are_an_isomorphism():
                 continue
             a = AbelianSubgroup(g, elements)
             count += 1
+            found = _find_cyclic_decomposition(g.table, a.elements, g.identity)
+            expected = cyclic_decomposition(g.table, a.elements, g.identity)
+            assert found[0] == a.factors == expected[0], (name, elements)
+            assert list(found[1].items()) == list(expected[1].items()), (name, elements)
+            assert a.exponents == expected[1], (name, elements)
             assert prod(a.factors) == a.order, (name, elements)
             assert sorted(a.exponents.values()) == a.labels(), (name, elements)
             for x in elements:
@@ -177,6 +186,16 @@ def test_abelian_subgroup_exponents_are_an_isomorphism():
     assert count == 268 + 374  # Z2^5 has 374 subgroups
     z2e5 = FiniteGroup.direct_product(*[FiniteGroup.cyclic(2)] * 5)
     assert AbelianSubgroup(z2e5, range(32)).factors == (2,) * 5
+
+
+def test_z2_to_the_6_decomposes():
+    # trying every 6-tuple of its 63 non-identity elements whole took 13 s
+    g = FiniteGroup.direct_product(*[FiniteGroup.cyclic(2)] * 6)
+    a = AbelianSubgroup(g, range(64))
+    assert a.factors == (2,) * 6
+    assert sorted(a.exponents.values()) == a.labels()
+    gens = [x for x in a.elements if sum(a.exponents[x]) == 1]
+    assert gens == [1, 2, 4, 8, 16, 32]
 
 
 # --- characters and idempotents -----------------------------------------------

@@ -18,6 +18,7 @@ from trihopf.constructions import (
 from trihopf.errors import NotInvertible, OrderNotFound, ShapeError
 from trihopf.groups import FiniteGroup, GroupRep
 from trihopf.hopf import (
+    Algebra,
     algebra_inverse,
     antipode_contraction,
     antipode_order,
@@ -113,7 +114,7 @@ def _with_coproduct(h, i, delta):
 
 
 def test_a_coproduct_entry_that_is_no_tensor_of_h_is_malformed(sweedler):
-    # the (j, k, c) triples are only the raw input of make_hopf
+    # the (j, k, c) triples are only the raw coalgebra make_hopf takes
     for delta in (sweedler.comult[1].nonzeros, Tensor2(3, ())):
         with pytest.raises(ShapeError, match="comultiplication shape mismatch"):
             _with_coproduct(sweedler, 1, delta).validate()
@@ -122,8 +123,8 @@ def test_a_coproduct_entry_that_is_no_tensor_of_h_is_malformed(sweedler):
 @pytest.mark.parametrize(
     "part, table",
     [
-        ("mult", ((((0, ONE), (1, ONE)),),)),
-        ("mult", ((((0, ONE), (-1, ONE)),),)),
+        ("mult", (((0, 0, 0), ONE), ((0, 0, 1), ONE))),
+        ("mult", (((0, 0, 0), ONE), ((0, 0, -1), ONE))),
         ("comult", (((0, 0, ONE), (0, 1, ONE)),)),
         ("comult", (((0, 0, ONE), (0, -1, ONE)),)),
         ("comult", (((0, 0, ONE), (-1, 0, ONE)),)),
@@ -135,18 +136,20 @@ def test_a_coproduct_entry_that_is_no_tensor_of_h_is_malformed(sweedler):
          "antipode_negative"],
 )
 def test_an_out_of_range_structure_index_is_malformed(part, table):
-    # the field k (dim 1) with one stray index; make_hopf sums raw terms
-    # with a constructor that trusts its indices, so the structural check
-    # refuses each index outside 0..dim-1 and names it
+    # the field k (dim 1) with one stray index; the product is summed into
+    # its Tensor3 and make_hopf sums the raw coalgebra, each with a
+    # constructor that trusts its indices, so the structural check refuses
+    # each index outside 0..dim-1 and names it
     tables = {
-        "mult": ((((0, ONE),),),),
+        "mult": (((0, 0, 0), ONE),),
         "comult": (((0, 0, ONE),),),
         "antipode": (((0, ONE),),),
         part: table,
     }
+    algebra = Algebra(1, Vec.basis(1, 0), Tensor3(1, tables.pop("mult")), (0,))
     named = {"mult": "product", "comult": "coproduct", "antipode": "antipode"}[part]
     with pytest.raises(ShapeError, match=f"^{named} index .* out of range at"):
-        make_hopf(dim=1, unit=[ONE], counit=[ONE], **tables)
+        make_hopf(algebra, counit=[ONE], **tables)
 
 
 @pytest.mark.parametrize(
@@ -165,7 +168,8 @@ def test_a_counit_of_another_length_or_type_is_malformed(sweedler):
     for counit in (Vec(3, eps.nonzeros[:1]), Vec.from_entries(eps.entries + (ONE,)), eps.entries):
         with pytest.raises(ShapeError, match="unit/counit/parity length mismatch"):
             sweedler.replace(counit=counit).validate()
-    raw = dict(dim=1, unit=[ONE], mult=((((0, ONE),),),), comult=(((0, 0, ONE),),), antipode=(((0, ONE),),))
+    field = Algebra(1, Vec.basis(1, 0), Tensor3(1, [((0, 0, 0), ONE)]), (0,))
+    raw = dict(algebra=field, comult=(((0, 0, ONE),),), antipode=(((0, ONE),),))
     assert make_hopf(counit=[ONE], **raw).counit == make_hopf(counit=Vec.basis(1, 0), **raw).counit
     with pytest.raises(ShapeError, match="unit/counit/parity length mismatch"):
         make_hopf(counit=[ONE, ZERO], **raw)
@@ -481,12 +485,7 @@ def test_dual_of_kz2_is_idempotent_basis_table():
     # hand computation in the basis f+- = (1 +- g)/2: multiplication is
     # diagonal, Delta(f+) = f+ (x) f+ + f- (x) f-, Delta(f-) mixes.
     expected = make_hopf(
-        dim=2,
-        unit=Vec.from_entries([ONE, ONE]),
-        mult=(
-            (((0, ONE),), ()),
-            ((), ((1, ONE),)),
-        ),
+        Algebra(2, Vec.from_entries([ONE, ONE]), Tensor3(2, [((0, 0, 0), ONE), ((1, 1, 1), ONE)]), (0, 0)),
         comult=(
             ((0, 0, ONE), (1, 1, ONE)),
             ((0, 1, ONE), (1, 0, ONE)),

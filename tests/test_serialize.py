@@ -20,7 +20,7 @@ from trihopf.constructions import (
 )
 from trihopf.errors import ShapeError
 from trihopf.groups import AbelianSubgroup, Bicharacter, FiniteGroup, GroupRep
-from trihopf.hopf import make_hopf, verify_hopf
+from trihopf.hopf import Algebra, make_hopf, verify_hopf
 from trihopf.scalars import SC_HALF, SC_ONE, CycScalar, euler_phi, root_of_unity
 from trihopf.serialize import (
     bicharacter_from_file_obj,
@@ -59,7 +59,7 @@ _HALVES = ((0, SC_HALF), (0, SC_HALF))
     "split",
     [
         {"comult": (((0, 0, SC_HALF), (0, 0, SC_HALF)),)},
-        {"mult": ((_HALVES,),)},
+        {"mult": (((0, 0, 0), SC_HALF), ((0, 0, 0), SC_HALF))},
         {"antipode": (_HALVES,)},
     ],
     ids=["comult", "mult", "antipode"],
@@ -67,11 +67,13 @@ _HALVES = ((0, SC_HALF), (0, SC_HALF))
 def test_repeated_index_is_summed_before_the_round_trip(split):
     # the ground field k, with one structure constant 1 given as 1/2 + 1/2
     raw = {
-        "mult": ((((0, SC_ONE),),),),
+        "mult": (((0, 0, 0), SC_ONE),),
         "comult": (((0, 0, SC_ONE),),),
         "antipode": (((0, SC_ONE),),),
+        **split,
     }
-    h = make_hopf(dim=1, unit=[SC_ONE], counit=(SC_ONE,), **{**raw, **split})
+    algebra = Algebra(1, Vec.basis(1, 0), Tensor3(1, raw.pop("mult")), (0,))
+    h = make_hopf(algebra, counit=(SC_ONE,), **raw)
     again = hopf_from_obj(hopf_to_obj(h))
     assert h.axioms.ok and again.axioms.ok
     assert again.same_structure(h)

@@ -20,7 +20,7 @@ from trihopf.constructions import (
     validate_septuple,
 )
 from trihopf.errors import NotInvertible, ShapeError
-from trihopf.hopf import antipode_contraction, antipode_order, make_hopf
+from trihopf.hopf import Algebra, antipode_contraction, antipode_order, make_hopf
 from trihopf.groups import (
     AbelianSubgroup,
     Bicharacter,
@@ -465,11 +465,10 @@ def _scaled_group_algebra(g, scales):
     structure constants are cyclotomic where the scales are."""
     d, t = g.order, g.table
     inv = [next(y for y in range(d) if t[x][y] == g.identity) for x in range(d)]
+    mult = Tensor3(d, [((x, y, t[x][y]), scales[x] * scales[y] / scales[t[x][y]])
+                       for x in range(d) for y in range(d)])
     return make_hopf(
-        dim=d,
-        unit=[ONE if x == g.identity else ZERO for x in range(d)],
-        mult=[[[(t[x][y], scales[x] * scales[y] / scales[t[x][y]])] for y in range(d)]
-              for x in range(d)],
+        Algebra(d, Vec.basis(d, g.identity), mult, (0,) * d),
         comult=[[(x, x, scales[x].inv())] for x in range(d)],
         counit=list(scales),
         antipode=[[(inv[x], scales[x] / scales[inv[x]])] for x in range(d)],

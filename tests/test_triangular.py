@@ -534,6 +534,25 @@ def test_instances_share_their_cached_host():
         assert not isinstance(value, (hopf.HopfData, Twist, Tensor2))
 
 
+def test_hosts_of_one_group_and_w_share_one_algebra():
+    # u changes only the coalgebra, so every atlas-9 host of one (group, W)
+    # holds one Algebra object, equal to the one a fresh build makes
+    shared: dict = {}
+    for name, v_chars, u in sorted({(s.group, s.v_chars, s.u) for s in enumerate_instances(9)}):
+        host, _ = atlas._host(name, v_chars, u)
+        algebra = shared.setdefault((name, v_chars), host.algebra)
+        assert host.algebra is algebra
+        g = atlas.catalog_group(name)
+        chars = sign_characters(g)
+        w = GroupRep.from_sign_characters(g, [chars[i] for i in v_chars]) if v_chars else GroupRep.zero(g)
+        fresh, _ = modified_supergroup_algebra(g, w, u)
+        assert fresh.algebra is not algebra and fresh.algebra == algebra
+        # a product mutant gets an Algebra of its own
+        mutant = host.replace(mult=host.mult + Tensor3.from_dict(host.dim, {(0, 0, 0): ONE}))
+        assert mutant.algebra is not algebra and mutant.algebra != algebra
+    assert len(shared) == 21
+
+
 def test_host_proof_is_kept_per_r_not_per_host():
     # R_u is proved triangular on the cached host once; 1 (x) 1 on the same
     # host is proved afresh and refused, and R_u is then proved again
@@ -553,14 +572,17 @@ def test_host_proof_is_kept_per_r_not_per_host():
 
 
 def test_atlas9_job_proves_each_host_once(monkeypatch, tmp_path):
-    # every host fact runs once per distinct (group, W, u), not per instance
+    # every algebra fact runs once per distinct (group, W), every host fact
+    # once per distinct (group, W, u), not per instance
     specs = enumerate_instances(9)
     hosts = {(s.group, s.v_chars, s.u) for s in specs}
+    smash = {(s.group, s.v_chars) for s in specs}
     twists = {(s.group, s.subgroup, s.gamma_index, s.dim) for s in specs}
     assert (len(specs), len(hosts), len(twists)) == (119, 43, 33)
     calls = {}
     for module, name in (
-        (constructions, "_smash_product"),
+        # the name the atlas calls, which it imports from constructions
+        (atlas, "_smash_product"),
         (hopf, "_associativity_witness"),
         (hopf, "jacobson_radical"),
         (triangular, "_triangular"),
@@ -577,6 +599,7 @@ def test_atlas9_job_proves_each_host_once(monkeypatch, tmp_path):
 
         monkeypatch.setattr(module, name, counting)
     atlas._sign_rep.cache_clear()  # its GroupRep checks apply rho(g)
+    atlas._smash.cache_clear()
     atlas._host.cache_clear()
     atlas._twist_pair.cache_clear()
     files: dict = {}
@@ -596,33 +619,37 @@ def test_atlas9_job_proves_each_host_once(monkeypatch, tmp_path):
     # 45,548 while the maps multiplied CycScalars, 19,300 while the
     # counit and the trace form did, 13,906 while J was multiplied out of
     # the idempotents E_s, 6,964 while the exterior expansion multiplied
-    # per term.
-    assert muls == 6930
+    # per term, 6,930 while every host of one (G, W) built its own Algebra.
+    assert muls == 6373
     # linear maps applied: S^3 is composed only for an antipode whose S^4
     # is not the identity, which no atlas instance has, and each host's
     # exterior expansion wedges once per nonempty mask and group element.
     # 6,087 while the antipode order composed S^3 on every instance, 5,979
-    # while the exterior expansion multiplied per term.
-    assert maps == 6011
+    # while the exterior expansion multiplied per term, 6,011 while every
+    # host of one (G, W) built its own Algebra.
+    assert maps == 5255
     # products in H (x) H: the twists' J^-1 Delta J and J21^-1 R J and their
     # checks of J, and the hosts' proofs; the premises of every H^J compare
     # maps and multiply none.  5,085 while the premises multiplied back,
     # 3,091 while each instance multiplied J^-1 back on both sides.
     assert products == 2972
-    # the algebra half of the structural check, once per host: every H^J
-    # holds its host's very Algebra
-    assert algebra_scans == 43
+    # the algebra half of the structural check, once per (group, W): every
+    # host of one (group, W) and every H^J twisted from them holds one
+    # Algebra.  43, once per host, while each host built its own.
+    assert algebra_scans == len(smash) == 21
     assert {name: len(args) for name, args in calls.items()} == {
-        "_smash_product": 43,
-        "_associativity_witness": 43,
-        "jacobson_radical": 43,
+        # the product and every fact of it, once per (group, W)
+        "_smash_product": 21,
+        "_associativity_witness": 21,
+        "jacobson_radical": 21,
+        # the facts of a host's coalgebra, once per host
         "_triangular": 43,
         # the axioms of H, once per host; every H^J's follow from them
         "_bialgebra_witness": 43,
         # J and J^-1, once per (group, A, gamma, dim)
         "build_bicharacter_twist": 2 * len(twists),
-        # the text of each host's mult, once per host
-        "_mult_text": 43,
+        # the text of each (group, W)'s mult, once per Algebra
+        "_mult_text": 21,
         # the Chevalley property, once per host; every H^J reads its host's
         "subspace_is_hopf_ideal": 43,
     }
