@@ -397,7 +397,11 @@ class Twist:
     structure of H to carry along; it is not checked here.  A J, J^-1 or
     R of another dimension than H raises ShapeError first.  The twisted
     coproduct, antipode and R (comult, antipode, r_twisted) are computed
-    once per twist, and are what apply hands to H^J.
+    once per twist, and are what apply hands to H^J.  When H's algebra is
+    commutative, associative and unital, so is H (x) H, and the twist
+    changes only R: Delta^J = J^-1 Delta J = Delta J^-1 J = Delta and
+    S^J = S by the same argument with Q, so comult and antipode are H's
+    own (_keeps_coalgebra).
 
     A Twist refuses attribute assignment: those maps, and the verdict of
     proves_hopf that H^J caches, hold only for the J it checked.
@@ -425,10 +429,22 @@ class Twist:
     __setattr__ = __delattr__ = _read_only
 
     @cached_property
+    def _keeps_coalgebra(self) -> bool:
+        """True when H's algebra is commutative (Algebra.commutative) and
+        associative and unital (Algebra.witnesses): then, with the
+        certified J^-1, J^-1 x J = x J^-1 J = x for every x in H (x) H,
+        and Q^-1 x Q = x in H with the certified Q^-1."""
+        algebra = self.host.algebra
+        return algebra.commutative and algebra.witnesses == (None, None)
+
+    @cached_property
     def comult(self) -> tuple[Tensor2, ...]:
         """Delta^J as its columns Delta^J(e_i) = J^-1 Delta(e_i) J,
-        computed once per twist."""
+        computed once per twist: H's own columns when the conjugation
+        fixes every element (_keeps_coalgebra), multiplied out otherwise."""
         h, j, j_inv = self.host, self.j, self.j_inv
+        if self._keeps_coalgebra:
+            return h.comult
         return tuple(tensor2_mul(tensor2_mul(j_inv, d, h), j, h) for d in h.comult)
 
     @cached_property
@@ -438,10 +454,14 @@ class Twist:
 
         Q^-1 is the closed form m(id (x) S)(J^-1) with the certified
         J^-1, multiplied back on both sides (certified_inverse); if that
-        fails it is solved for, as a singular Q would raise."""
+        fails it is solved for, as a singular Q would raise.  Q^-1 is
+        certified on every host; where the conjugation fixes every
+        element (_keeps_coalgebra) S^J is H's own columns."""
         h = self.host
         q = antipode_contraction(h, self.j)
         q_inv = certified_inverse(h, q, antipode_contraction(h, self.j_inv, leg=1))
+        if self._keeps_coalgebra:
+            return h.antipode
         return tuple(h.mul_vec(q_inv, h.mul_vec(s, q)) for s in h.antipode)
 
     @cached_property

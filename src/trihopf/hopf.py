@@ -32,19 +32,23 @@ the exhaustive scan over all basis tuples runs and names the witness.
 
 Which facts belong to what.  A twist H^J changes only the coproduct
 and the antipode, so every fact of the algebra (mult_ints, unit_legs,
-the generators, the radical, the associativity and unit witnesses and
-the algebra half of the structural check) lives on the Algebra object
-and is computed once per Algebra: H^J holds H's very Algebra, so it
-computes none of them, and HopfData.replace with another product, unit
-or grading makes a fresh one.  The atlas's hosts of one (G, W) hold
-one Algebra too: u changes only Delta and S.  The Hopf axioms are
-proved once per host: H^J keeps the Twist that made it, and its axioms
-follow from H's by the twisting theorem (HopfData.axioms) once its
-stored coproduct and antipode equal the twist's J^-1 Delta J and Q^-1
-S Q, as does the Chevalley property (HopfData.chevalley).  Everything
-else that reads the coproduct or the antipode (the coalgebra half of
-the structural check, S^2, S^4) is computed once per object, so once
-per instance.  Facts of a pair (H, R) live in triangular.py.
+the generators, the radical, the associativity and unit witnesses,
+commutativity and the algebra half of the structural check) lives on
+the Algebra object and is computed once per Algebra: H^J holds H's
+very Algebra, so it computes none of them, and HopfData.replace with
+another product, unit or grading makes a fresh one.  The atlas's hosts
+of one (G, W) hold one Algebra too: u changes only Delta and S.  The
+Hopf axioms are proved once per host: H^J keeps the Twist that made
+it, and its axioms follow from H's by the twisting theorem
+(HopfData.axioms) once its stored coproduct and antipode equal the
+twist's J^-1 Delta J and Q^-1 S Q, as does the Chevalley property
+(HopfData.chevalley).  On a commutative, associative and unital
+algebra those conjugations are the identity, so a twist of it keeps
+H's coproduct and antipode (constructions.Twist) and changes only R.
+Everything else that reads the coproduct or the antipode (the
+coalgebra half of the structural check, S^2, S^4) is computed once per
+object, so once per instance.  Facts of a pair (H, R) live in
+triangular.py.
 
 The radical is computed from the kernel of the regular trace form
 (valid in characteristic 0).  The Chevalley check tests that the radical
@@ -110,9 +114,10 @@ class Algebra:
     the five fields, so an Algebra is unhashable (its unit is a Vec).
 
     An Algebra refuses attribute assignment: the facts cached on it
-    (generators, radical, witnesses, mult_ints) hold only for the fields
-    it was made with.  mult_text, the dump text of mult, starts as None
-    and is written once, by serialize.hopf_dumps with object.__setattr__.
+    (generators, radical, witnesses, commutative, mult_ints) hold only
+    for the fields it was made with.  mult_text, the dump text of mult,
+    starts as None and is written once, by serialize.hopf_dumps with
+    object.__setattr__.
     """
 
     __hash__ = None
@@ -220,6 +225,14 @@ class Algebra:
         if unit is None and gens is not None and _associativity_witness(self, gens) is None:
             return None, None
         return _associativity_witness(self, range(self.dim)), unit
+
+    @cached_property
+    def commutative(self) -> bool:
+        """Whether e_i e_j = e_j e_i for all i, j: every nonzero
+        mult[i, j, k] equals mult[j, i, k], compared on the integer
+        numerators of mult (one order and denominator for all cells)."""
+        num = self.mult._num
+        return all(num.get((j, i, k)) == v for (i, j, k), v in num.items())
 
     @cached_property
     def radical(self) -> tuple[Vec, ...]:

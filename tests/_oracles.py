@@ -6,7 +6,8 @@ e_i e_j is read from the nonzeros of h.mult into such a list
 product of the library and do no arithmetic on its vector type, whose
 values they read only as dense coefficients (_entries, the counit) or
 as nonzeros (the mult table, the columns of a linear map in
-expand_map).  The radical oracle computes the maximal nilpotent ideal
+expand_map).  The commutativity oracle compares e_i e_j with e_j e_i
+as dense lists.  The radical oracle computes the maximal nilpotent ideal
 reachable from a sweep of candidate generators: for each candidate x it
 builds the two-sided principal ideal of x by closure under basis
 multiplication and keeps it when the ideal is nilpotent (every
@@ -150,6 +151,18 @@ def _mul_basis_vec(h, i, v, side):
         for k, w in pairs:
             out[k] = out[k] + c * w
     return out
+
+
+def is_commutative(h):
+    """e_i e_j = e_j e_i for every pair of basis elements, both products
+    summed densely from h.mult."""
+    d = h.dim
+    basis = [_unit_vector(d, i) for i in range(d)]
+    return all(
+        dense_product(h, basis[i], basis[j]) == dense_product(h, basis[j], basis[i])
+        for i in range(d)
+        for j in range(i)
+    )
 
 
 def principal_ideal(h, x):

@@ -30,10 +30,11 @@ from trihopf.groups import (
 )
 from trihopf.scalars import CycScalar
 from trihopf.constructions import build_bicharacter_twist, group_algebra
-from trihopf.serialize import dumps, hopf_to_obj, load, tensor2_to_obj
+from trihopf.serialize import dumps, hopf_to_obj, load, tensor2_from_obj, tensor2_to_obj
 from trihopf.tensor import Tensor2, Vec, tensor2_inv, unit_tensor2
+from trihopf.triangular import r_u
 
-from _oracles import expand_embedding, expand_product
+from _oracles import expand_embedding, expand_flip, expand_product
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -424,6 +425,48 @@ def test_twist_command_roundtrip(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def _no_cocycle(g, h):
+    """J = 1 (x) 1 + E_x (x) E_y on k[Z2 x Z2], E_x and E_y the idempotents of
+    two distinct nontrivial characters: eps(E_x) = 0, so J is counit
+    normalized, but its f(x, y) = 2, f = 1 elsewhere, is no 2-cocycle."""
+    quarter = CycScalar.from_rational(1, 4)
+    ex, ey = (
+        Vec(4, [(k, quarter if sign > 0 else -quarter) for k, sign in enumerate(chi)])
+        for chi in sign_characters(g)[1:3]
+    )
+    return unit_tensor2(h) + Tensor2.outer(ex, ey)
+
+
+def test_twist_of_a_commutative_dump_changes_only_r(tmp_path, capsys):
+    # k[Z2 x Z2] is commutative: Delta^J = J^-1 Delta J = Delta and
+    # S^J = S, so the twisted dump is the input byte for byte, and R_u
+    # becomes J21^-1 R_u J, here multiplied out by the oracle
+    z2z2 = FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2))
+    h = group_algebra(z2z2)
+    dump = tmp_path / "g.hopf.json"
+    assert main(["build", write(tmp_path / "g.json", z2z2.to_obj()), "--kind", "group-algebra", "-o", str(dump)]) == 0
+    a = AbelianSubgroup(z2z2, range(4))
+    beta = half_bicharacter(alternating_nondegenerate_bicharacters((2, 2))[0])
+    j, j_inv = (build_bicharacter_twist(a, b) for b in (beta, beta.inverse()))
+    r = r_u(h, Vec.basis(4, 1))
+    jfile = write(tmp_path / "j.json", tensor2_to_obj(j))
+    rfile = write(tmp_path / "r.json", tensor2_to_obj(r))
+    out = tmp_path / "tw.hopf.json"
+    assert main(["twist", str(dump), "--twist", jfile, "--r", rfile, "-o", str(out)]) == 0
+    assert out.read_bytes() == dump.read_bytes()
+    coefficients = [{(p, q): c for p, q, c in t.nonzeros} for t in (j_inv, r, j)]
+    expected = expand_product(h, expand_product(h, expand_flip(h, coefficients[0]), coefficients[1]), coefficients[2])
+    r_out = tensor2_from_obj(load(tmp_path / "tw.hopf.r.json"))
+    assert {(p, q): c for p, q, c in r_out.nonzeros} == expected != coefficients[1]
+    # a J that fails the cocycle identity on this host is still refused
+    bad = write(tmp_path / "bad.json", tensor2_to_obj(_no_cocycle(z2z2, h)))
+    capsys.readouterr()
+    refused = tmp_path / "no.hopf.json"
+    assert main(["twist", str(dump), "--twist", bad, "--r", rfile, "-o", str(refused)]) == 1
+    assert capsys.readouterr().err == "verification failure: cocycle identity fails at (0, 1, 0)\n"
+    assert not refused.exists()
+
+
 def test_verify_twist_flag(tmp_path, capsys):
     z2z2 = FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2))
     gfile = write(tmp_path / "g.json", z2z2.to_obj())
@@ -478,17 +521,9 @@ def test_twist_rejects_bad_twist(tmp_path, z2_file, capsys):
 
 
 def test_twist_names_the_cocycle_key_it_fails(tmp_path, capsys):
-    # J = 1 (x) 1 + E_x (x) E_y on k[Z2 x Z2], E_x and E_y the idempotents of
-    # two distinct nontrivial characters: eps(E_x) = 0, so J is counit
-    # normalized, but its f(x, y) = 2, f = 1 elsewhere, is no 2-cocycle
     g = FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2))
     h = group_algebra(g)
-    quarter = CycScalar.from_rational(1, 4)
-    ex, ey = (
-        Vec(4, [(k, quarter if sign > 0 else -quarter) for k, sign in enumerate(chi)])
-        for chi in sign_characters(g)[1:3]
-    )
-    j = unit_tensor2(h) + Tensor2.outer(ex, ey)
+    j = _no_cocycle(g, h)
     dump = write(tmp_path / "h.hopf.json", hopf_to_obj(h))
     jfile = write(tmp_path / "j.json", tensor2_to_obj(j))
     out = tmp_path / "o.json"

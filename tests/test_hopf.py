@@ -5,18 +5,25 @@ import functools
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from trihopf import hopf
-from trihopf.atlas import _host, enumerate_instances, instance_twist
+from trihopf import constructions, hopf
+from trihopf.atlas import CATALOG, _host, enumerate_instances, instance_twist
 from trihopf.constructions import (
     Twist,
     apply_twist,
+    build_bicharacter_twist,
     exterior_algebra,
     group_algebra,
     modified_supergroup_algebra,
     supergroup_algebra,
 )
 from trihopf.errors import NotInvertible, OrderNotFound, ShapeError
-from trihopf.groups import FiniteGroup, GroupRep
+from trihopf.groups import (
+    AbelianSubgroup,
+    FiniteGroup,
+    GroupRep,
+    alternating_nondegenerate_bicharacters,
+    half_bicharacter,
+)
 from trihopf.hopf import (
     Algebra,
     algebra_inverse,
@@ -32,7 +39,7 @@ from trihopf.hopf import (
 )
 from trihopf.scalars import CycScalar, root_of_unity
 from trihopf.serialize import hopf_dumps
-from trihopf.tensor import Tensor2, Tensor3, Vec, apply_map, unit_tensor2
+from trihopf.tensor import Tensor2, Tensor3, Vec, apply_map, tensor2_mul, unit_tensor2
 from trihopf.triangular import check_structure_theorems
 
 from _oracles import (
@@ -44,6 +51,7 @@ from _oracles import (
     dense_product,
     exhaustive_axioms,
     in_span,
+    is_commutative,
     mult_cell,
     rank,
     same_span,
@@ -371,6 +379,106 @@ def test_algebra_witnesses_match_the_exhaustive_scan_on_atlas9_hosts():
             assert verify_hopf(mutant).to_obj() == exhaustive_axioms(mutant)
     # the unit moved keeps the product; the other two break associativity
     assert failing["associativity"] == 2 * 42 and failing["unit"] >= 42
+
+
+def _atlas16_hosts():
+    keys = {(s.group, s.v_chars, s.u) for s in enumerate_instances(16)}
+    return [_host(*key)[0] for key in sorted(keys)]
+
+
+def test_algebra_commutative_matches_the_dense_oracle():
+    algebras = [group_algebra(build()) for build in CATALOG.values()] + _atlas16_hosts()
+    assert len(algebras) == 23 + 96
+    verdicts = [h.algebra.commutative for h in algebras]
+    assert verdicts == [is_commutative(h) for h in algebras]
+    # k[G] of the 20 abelian catalog groups, and the 41 hosts with W = 0 on
+    # them: W != 0 gives u v = -v u
+    assert sum(verdicts[:23]) == 20 and sum(verdicts[23:]) == 41
+    # one product cell changed, so that e_1 e_2 != e_2 e_1
+    h = group_algebra(FiniteGroup.cyclic(3))
+    mutant = h.replace(mult=h.mult + Tensor3.from_dict(3, {(1, 2, 0): ONE}))
+    assert h.algebra.commutative and not is_commutative(mutant)
+    assert mutant.algebra is not h.algebra and not mutant.algebra.commutative
+
+
+def _conjugated(tw):
+    """J^-1 Delta(e_i) J and Q^-1 S(e_i) Q for every i, Q = m(S (x) id)(J),
+    multiplied out with Q^-1 solved for."""
+    h, j, j_inv = tw.host, tw.j, tw.j_inv
+    comult = tuple(tensor2_mul(tensor2_mul(j_inv, d, h), j, h) for d in h.comult)
+    q = antipode_contraction(h, j)
+    q_inv = algebra_inverse(h, q)
+    return comult, tuple(h.mul_vec(q_inv, h.mul_vec(s, q)) for s in h.antipode)
+
+
+def _twisted_maps(monkeypatch, tw):
+    """(comult, antipode, tensor2_mul calls that built comult) of tw."""
+    calls = []
+    monkeypatch.setattr(constructions, "tensor2_mul", lambda *a: calls.append(a) or tensor2_mul(*a))
+    comult = tw.comult
+    monkeypatch.undo()
+    return comult, tw.antipode, len(calls)
+
+
+def _abelian(g):
+    return all(g.table[a][b] == g.table[b][a] for a in range(g.order) for b in range(a))
+
+
+def _group_twists():
+    """(G, Twist of k[G]) on the whole of Z3xZ3 and Z2^4 and on every
+    Klein subgroup of Z2xZ2xZ2, Z4xZ2 and D4, by the first datum."""
+    z2 = FiniteGroup.cyclic(2)
+    cases = [(g, range(g.order)) for g in (CATALOG["Z3xZ3"](), FiniteGroup.direct_product(z2, z2, z2, z2))]
+    for name in ("Z2xZ2xZ2", "Z4xZ2", "D4"):
+        g = CATALOG[name]()
+        cases += [(g, e) for e in g.all_subgroups() if len(e) == 4 and AbelianSubgroup(g, e).factors == (2, 2)]
+    for g, elements in cases:
+        sub = AbelianSubgroup(g, elements)
+        gamma = alternating_nondegenerate_bicharacters(sub.factors)[0]
+        yield g, Twist(group_algebra(g), build_bicharacter_twist(sub, half_bicharacter(gamma)))
+
+
+def test_a_twist_of_a_commutative_host_keeps_its_coalgebra(monkeypatch):
+    # J^-1 x J = x in the commutative H (x) H, and Q^-1 x Q = x in H: on
+    # k[G] for G abelian the twist's maps are H's own and equal the
+    # conjugations multiplied out; every other host, a nonabelian G or
+    # W != 0, conjugates, by 2 products in H (x) H per column
+    cases = [
+        (CATALOG[s.group](), instance_twist(s), not s.v_chars) for s in enumerate_instances(9)
+    ]
+    cases += [(g, tw, True) for g, tw in _group_twists()]
+    kept = 0
+    for g, tw, w_zero in cases:
+        h = tw.host
+        comult, antipode, calls = _twisted_maps(monkeypatch, tw)
+        assert (comult, antipode) == _conjugated(tw)
+        if w_zero and _abelian(g):
+            kept += 1
+            assert comult is h.comult and antipode is h.antipode and calls == 0
+        else:
+            assert calls == 2 * h.dim
+    # 96 atlas-9 instances with W = 0 on an abelian group, and the 10 of
+    # the 12 twists above that are not on D4; 14 atlas-9 instances have
+    # W != 0 and 9 a nonabelian group
+    assert len(cases) == 119 + 12 and kept == 96 + 10
+
+
+def test_a_symmetric_product_that_is_not_associative_conjugates(monkeypatch):
+    # e_4 e_5 = e_5 e_4 = 2 e_1 in k[Z2xZ2xZ2]: symmetric, but
+    # (e_4 e_5) e_1 = 2 e_0 != e_0 = e_4 (e_5 e_1).  J lives on the Klein
+    # subgroup {0, 1, 2, 3}, whose products are untouched, so it passes its
+    # checks; Delta^J and S^J are multiplied out as on the parent, since
+    # J^-1 x J = x needs an associative, unital product too
+    g = CATALOG["Z2xZ2xZ2"]()
+    h = group_algebra(g)
+    mutant = h.replace(mult=h.mult + Tensor3.from_dict(8, {(4, 5, 1): ONE, (5, 4, 1): ONE}))
+    assert mutant.algebra.commutative and is_commutative(mutant)
+    assert mutant.algebra.witnesses == _exhaustive_algebra_witnesses(mutant) != (None, None)
+    sub = AbelianSubgroup(g, (0, 1, 2, 3))
+    gamma = alternating_nondegenerate_bicharacters(sub.factors)[0]
+    tw = Twist(mutant, build_bicharacter_twist(sub, half_bicharacter(gamma)))
+    comult, antipode, calls = _twisted_maps(monkeypatch, tw)
+    assert calls == 2 * 8 and (comult, antipode) == _conjugated(tw)
 
 
 def test_a_twist_shares_the_algebra_of_its_host():

@@ -628,11 +628,13 @@ def test_atlas9_job_proves_each_host_once(monkeypatch, tmp_path):
     # while the exterior expansion multiplied per term, 6,011 while every
     # host of one (G, W) built its own Algebra.
     assert maps == 5255
-    # products in H (x) H: the twists' J^-1 Delta J and J21^-1 R J and their
-    # checks of J, and the hosts' proofs; the premises of every H^J compare
-    # maps and multiply none.  5,085 while the premises multiplied back,
-    # 3,091 while each instance multiplied J^-1 back on both sides.
-    assert products == 2972
+    # products in H (x) H: the twists' J21^-1 R J, J^-1 Delta J on a host
+    # that is not commutative, their checks of J, and the hosts' proofs;
+    # the premises of every H^J compare maps and multiply none.  5,085
+    # while the premises multiplied back, 3,091 while each instance
+    # multiplied J^-1 back on both sides, 2,972 while the twists of a
+    # commutative host multiplied out J^-1 Delta J.
+    assert products == 1572
     # the algebra half of the structural check, once per (group, W): every
     # host of one (group, W) and every H^J twisted from them holds one
     # Algebra.  43, once per host, while each host built its own.
@@ -759,22 +761,33 @@ def _calls(fn, *functions):
 
 
 @pytest.mark.parametrize(
-    "orders, products", [((3, 3), (24, 20, 46)), ((2, 2, 2, 2), (37, 34, 29))]
+    "group, elements, products",
+    [
+        # (24, 20, 46) and (37, 34, 29) while Delta^J and S^J of a
+        # commutative host were multiplied out
+        (atlas._cyclic_product(3, 3), None, (6, 2, 67)),
+        (atlas._cyclic_product(2, 2, 2, 2), None, (5, 2, 99)),
+        # D4 is not commutative: its twist on a Klein subgroup conjugates
+        (FiniteGroup.dihedral4, (0, 2, 4, 6), (21, 18, 17)),
+    ],
+    ids=["Z3xZ3", "Z2xZ2xZ2xZ2", "D4_klein"],
 )
-def test_applying_a_twist_checks_no_axiom(orders, products):
+def test_applying_a_twist_checks_no_axiom(group, elements, products):
     # the premises of Twist.proves_hopf run when the axioms are asked for,
     # not in apply_twist: products holds the tensor2_mul and mul_vec calls
     # that check J and build Delta^J, S^J and R^J, which multiply integer
     # numerators, and the CycScalar products left: those of the echelon
     # behind J^-1 (55 and 45 while its powers were combined by CycScalar
-    # products, not on integer numerators); the contractions m(S (x) id)(J) and m(id (x) S)(J^-1), the counit
+    # products, not on integer numerators) and, on a commutative host, of
+    # Algebra.witnesses, which decide that J^-1 Delta J = Delta; the
+    # contractions m(S (x) id)(J) and m(id (x) S)(J^-1), the counit
     # slants of J, and the counit and 1 (x) 1 in the structural check
     # multiply none (76 and 80 while the counit multiplied CycScalars);
     # J^-1 is multiplied back on one side (25 and 38 tensor2_mul calls
     # while it was multiplied back on both)
-    g = FiniteGroup.direct_product(*(FiniteGroup.cyclic(n) for n in orders))
+    g = group()
     h = group_algebra(g)
-    sub = AbelianSubgroup(g, range(g.order))
+    sub = AbelianSubgroup(g, range(g.order) if elements is None else elements)
     j = build_bicharacter_twist(sub, half_bicharacter(alternating_nondegenerate_bicharacters(sub.factors)[0]))
     r = r_u(h, Vec.basis(h.dim, g.identity))
     out = []
