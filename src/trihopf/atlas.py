@@ -27,7 +27,7 @@ from .constructions import (
     Septuple,
     _modify,
     _smash_product,
-    bicharacter_twist_pair,
+    bicharacter_twist,
     septuple_twist,
 )
 from .groups import (
@@ -69,7 +69,7 @@ def catalog_group(name: str) -> FiniteGroup:
 
 
 # Per-process tables, built once per catalog group, representation,
-# smash product, host, twist (J, J^-1) or factor tuple instead of once
+# smash product, host, twist J or factor tuple instead of once
 # per instance; the keys range over the finite catalog.  Nothing built
 # for one instance alone (H^J, R^J, a report) is kept.
 
@@ -119,10 +119,10 @@ def _gamma(name: str, subgroup: tuple[int, ...], gamma_index: int):
 
 
 @lru_cache(maxsize=None)
-def _twist_pair(name: str, subgroup: tuple[int, ...], gamma_index: int, dim: int):
-    """bicharacter_twist_pair(A, gamma, dim) of a catalog (group, A,
-    gamma), dim = |G| 2^|W|; each Twist made from it checks it again."""
-    return bicharacter_twist_pair(*_gamma(name, subgroup, gamma_index), dim)
+def _twist(name: str, subgroup: tuple[int, ...], gamma_index: int, dim: int):
+    """bicharacter_twist(A, gamma, dim) of a catalog (group, A, gamma),
+    dim = |G| 2^|W|; each Twist made from it checks it again."""
+    return bicharacter_twist(*_gamma(name, subgroup, gamma_index), dim)
 
 
 @dataclass(frozen=True)
@@ -191,7 +191,7 @@ def enumerate_instances(max_order: int) -> list[InstanceSpec]:
 
 
 def instance_twist(spec: InstanceSpec):
-    """The checked constructions.Twist (H, J, J^-1, R_u) an instance spec
+    """The checked constructions.Twist (H, J, R_u) an instance spec
     twists, on the per-process host of its (group, W, u); the septuple is
     validated for every instance."""
     g, _ = _group_tables(spec.group)
@@ -207,8 +207,8 @@ def instance_twist(spec: InstanceSpec):
         u=spec.u,
     )
     host = _host(spec.group, tuple(spec.v_chars), spec.u)
-    pair = _twist_pair(spec.group, tuple(spec.subgroup), spec.gamma_index, spec.dim)
-    return septuple_twist(septuple, host, pair)
+    j = _twist(spec.group, tuple(spec.subgroup), spec.gamma_index, spec.dim)
+    return septuple_twist(septuple, host, j)
 
 
 def build_instance(spec: InstanceSpec):

@@ -23,8 +23,9 @@ rho(h) v_{S-b} wedged with the column rho(h) v_b, b the top bit of S,
 and x -> x ^ rho(h) v_b is a linear map applied on integer numerators
 (tensor.apply_map), which gives one term for a monomial rho(h) and the
 minors otherwise.  One twist datum:
-bicharacter_twist_pair builds (J, J^-1) on an abelian subgroup, for a
-septuple and for semisimple_triangular, which is the W = 0 case.
+bicharacter_twist builds J on an abelian subgroup, for a septuple and
+for semisimple_triangular, which is the W = 0 case; Twist derives J^-1
+from J itself.
 
 Basis order of the smash product is group-major, subset-minor with
 subsets in bitmask order: index = g * 2**w + mask.
@@ -387,21 +388,31 @@ class Twist:
     """A twist J of an ordinary Hopf algebra H, with J^-1 and an optional R.
 
     Constructing one checks J: counit normalization, the cocycle identity
-    (Delta (x) id)(J) J12 = (id (x) Delta)(J) J23, and J^-1 two-sided (it
-    is solved for when not given); any failure raises TwistError, whose
-    message names the failed identity (_twist_identity_failure), or
-    NotInvertible for a singular J.  A given J^-1 is multiplied back on
-    one side only, J J^-1 = 1: in the finite-dimensional algebra H (x) H
-    a right inverse is two-sided (x -> J x is then onto, so one-to-one,
-    and J (J^-1 J - 1) = 0 gives J^-1 J = 1).  R, when given, is a triangular
-    structure of H to carry along; it is not checked here.  A J, J^-1 or
-    R of another dimension than H raises ShapeError first.  The twisted
-    coproduct, antipode and R (comult, antipode, r_twisted) are computed
-    once per twist, and are what apply hands to H^J.  When H's algebra is
-    commutative, associative and unital, so is H (x) H, and the twist
-    changes only R: Delta^J = J^-1 Delta J = Delta J^-1 J = Delta and
-    S^J = S by the same argument with Q, so comult and antipode are H's
-    own (_keeps_coalgebra).
+    (Delta (x) id)(J) J12 = (id (x) Delta)(J) J23, and J^-1 two-sided;
+    any failure raises TwistError, whose message names the failed
+    identity (_twist_identity_failure), or NotInvertible for a singular
+    J.  J^-1 is multiplied back on one side only, J J^-1 = 1: in the
+    finite-dimensional algebra H (x) H a right inverse is two-sided
+    (x -> J x is then onto, so one-to-one, and J (J^-1 J - 1) = 0 gives
+    J^-1 J = 1).
+
+    When J^-1 is not given, the candidate is (S (x) id)(J), one leg map.
+    For a bicharacter twist J = sum_s E_s (x) b_s, s -> b_s is a
+    homomorphism, so (Delta (x) id)(J) = J13 J23, and m12(S (x) id (x) id)
+    of both sides gives 1 (x) (eps (x) id)(J) = 1 (x) 1 = (S (x) id)(J) J:
+    the identity behind R^-1 = (S (x) id)(R) for a quasitriangular R.
+    The candidate is taken when it passes the multiply-back; otherwise
+    J^-1 is solved for (tensor2_inv), which a singular J fails with
+    NotInvertible.  An inverse is unique, so both give the same J^-1.
+
+    R, when given, is a triangular structure of H to carry along; it is
+    not checked here.  A J, J^-1 or R of another dimension than H raises
+    ShapeError first.  The twisted coproduct, antipode and R (comult,
+    antipode, r_twisted) are computed once per twist, and are what apply
+    hands to H^J.  When H's algebra is commutative, associative and
+    unital, so is H (x) H, and the twist changes only R: Delta^J =
+    J^-1 Delta J = Delta J^-1 J = Delta and S^J = S by the same argument
+    with Q, so comult and antipode are H's own (_keeps_coalgebra).
 
     A Twist refuses attribute assignment: those maps, and the verdict of
     proves_hopf that H^J caches, hold only for the J it checked.
@@ -420,9 +431,12 @@ class Twist:
         failure = _twist_identity_failure(host, j)
         if failure is not None:
             raise TwistError(failure)
+        one = unit_tensor2(host)
         if j_inv is None:
-            j_inv = tensor2_inv(j, host)
-        elif tensor2_mul(j, j_inv, host) != unit_tensor2(host):
+            j_inv = apply_map(host.antipode, j)
+            if tensor2_mul(j, j_inv, host) != one:
+                j_inv = tensor2_inv(j, host)
+        elif tensor2_mul(j, j_inv, host) != one:
             raise TwistError("provided inverse is not a two-sided inverse")
         vars(self).update(host=host, j=j, j_inv=j_inv, r=r)
 
@@ -516,20 +530,13 @@ def apply_twist(
     return Twist(h, j, j_inv, r).apply()
 
 
-def bicharacter_twist_pair(
-    sub: AbelianSubgroup, gamma: Bicharacter, dim: int
-) -> tuple[Tensor2, Tensor2]:
-    """(J, J^-1) of the bicharacter twist on sub for the datum gamma,
-    inflated from sub's parent G to dimension dim: J is built from
-    beta = half_bicharacter(gamma), J^-1 in closed form from the
-    inverse bicharacter, each counted on exponents of zeta_N and
-    inflated by re-keying its integer numerators; Twist checks both."""
-    beta = half_bicharacter(gamma)
-    factor = dim // sub.parent.order
-    return tuple(
-        inflate_group_tensor(build_bicharacter_twist(sub, b), factor, dim)
-        for b in (beta, beta.inverse())
-    )
+def bicharacter_twist(sub: AbelianSubgroup, gamma: Bicharacter, dim: int) -> Tensor2:
+    """J of the bicharacter twist on sub for the datum gamma, built from
+    beta = half_bicharacter(gamma) and inflated from sub's parent G to
+    dimension dim by re-keying its integer numerators; Twist checks J
+    and takes J^-1 = (S (x) id)(J)."""
+    j = build_bicharacter_twist(sub, half_bicharacter(gamma))
+    return inflate_group_tensor(j, dim // sub.parent.order, dim)
 
 
 def semisimple_triangular(
@@ -543,7 +550,7 @@ def semisimple_triangular(
     the alternating classification datum on A.
     """
     h, r = modified_supergroup_algebra(g, GroupRep.zero(a.parent), u)
-    return Twist(h, *bicharacter_twist_pair(a, gamma, h.dim), r).apply()
+    return Twist(h, bicharacter_twist(a, gamma, h.dim), r=r).apply()
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +709,7 @@ def validate_septuple(s: Septuple) -> SeptupleReport:
 def septuple_twist(
     s: Septuple,
     host: Optional[tuple[HopfData, Tensor2]] = None,
-    pair: Optional[tuple[Tensor2, Tensor2]] = None,
+    j: Optional[Tensor2] = None,
 ) -> Twist:
     """The checked twist of a septuple: the modified supergroup algebra,
     its R_u, and the bicharacter twist on the abelian subgroup;
@@ -711,10 +718,10 @@ def septuple_twist(
     Realizes the Y = B = 0 stratum; anything with Y or B nonzero is
     rejected as UnsupportedStratum.  The septuple is checked first.
     host is (H, R_u) = modified_supergroup_algebra(s.group, s.w, s.u)
-    and pair is (J, J^-1) = bicharacter_twist_pair(A, s.v_beta, dim H)
-    when the caller has built them already (the atlas keeps one per
-    catalog host and one per (G, A, gamma, dim H)); each is built here
-    otherwise.  The Twist checks J and J^-1 either way.
+    and j is J = bicharacter_twist(A, s.v_beta, dim H) when the caller
+    has built them already (the atlas keeps one host per catalog host and
+    one J per (G, A, gamma, dim H)); each is built here otherwise.  The
+    Twist checks J and derives J^-1 either way.
     """
     report = validate_septuple(s)
     if not report.valid:
@@ -726,6 +733,6 @@ def septuple_twist(
             "only the Y = B = 0 stratum is implemented; nonzero Y or B is out of range"
         )
     h, r = host or modified_supergroup_algebra(s.group, s.w, s.u)
-    if pair is None:
-        pair = bicharacter_twist_pair(AbelianSubgroup(s.group, s.a_elements), s.v_beta, h.dim)
-    return Twist(h, *pair, r)
+    if j is None:
+        j = bicharacter_twist(AbelianSubgroup(s.group, s.a_elements), s.v_beta, h.dim)
+    return Twist(h, j, r=r)

@@ -778,6 +778,8 @@ def tensor2_inv(a: Tensor2, host: "HopfData") -> Tensor2:
     """Two-sided inverse of a in the algebra H (x) H (_polynomial_inverse).
 
     A polynomial in a commutes with a, so a inv = 1 gives inv a = 1 as
-    well, and the one multiply-back certifies both sides.
+    well, and the one multiply-back certifies both sides.  For a twist J
+    this is the fallback: constructions.Twist first tries the closed form
+    (S (x) id)(J), which inverts every bicharacter twist.
     """
     return _polynomial_inverse(a, unit_tensor2(host), lambda x, y: tensor2_mul(x, y, host))

@@ -757,3 +757,15 @@ def sweedler_r(ru):
     return ru + Tensor2.from_dict(
         4, {(1, 1): -half, (1, 3): half, (3, 1): -half, (3, 3): -half}
     )
+
+
+def gauge_transformed_twist():
+    """J' = Delta(x)^-1 J (x (x) x) on k[Z2 x Z2] (group_algebra basis), J
+    the bicharacter twist of the alternating datum and x = 2 e - g, g the
+    element at index 1, written out by hand.  J' is a twist, but not
+    bimultiplicative: (S (x) id)(J') is not its inverse."""
+    f = CycScalar.from_rational
+    return Tensor2.from_dict(4, {
+        (0, 0): f(1, 2), (0, 2): f(5, 2), (0, 3): f(-2),
+        (1, 0): f(1, 2), (1, 2): f(-5, 2), (1, 3): f(2),
+    })

@@ -34,7 +34,7 @@ from trihopf.serialize import dumps, hopf_to_obj, load, tensor2_from_obj, tensor
 from trihopf.tensor import Tensor2, Vec, tensor2_inv, unit_tensor2
 from trihopf.triangular import r_u
 
-from _oracles import expand_embedding, expand_flip, expand_product
+from _oracles import expand_embedding, expand_flip, expand_product, gauge_transformed_twist
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -420,9 +420,59 @@ def test_twist_command_roundtrip(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(constructions, "tensor2_inv", counting_inv)
     assert main(["twist", str(dump), "--twist", str(jfile), "-o", str(out)]) == 0
-    assert len(inversions) == 1  # J is inverted once per run
+    # the certified closed form (S (x) id)(J) inverts J, and nothing is
+    # solved for (1 while J^-1 was solved for once per run)
+    assert len(inversions) == 0
     assert main(["verify", str(out)]) == 0
     capsys.readouterr()
+
+
+def test_twist_command_solves_where_the_closed_form_fails(tmp_path, capsys, monkeypatch):
+    # the gauge-transformed twist J' is no bicharacter twist: its closed
+    # form (S (x) id)(J') fails the multiply-back, so the run solves for
+    # J^-1 once and writes the bytes of a run without the closed form
+    z2z2 = FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2))
+    dump = tmp_path / "g.hopf.json"
+    assert main(["build", write(tmp_path / "g.json", z2z2.to_obj()), "--kind", "group-algebra", "-o", str(dump)]) == 0
+    jfile = write(tmp_path / "j.json", tensor2_to_obj(gauge_transformed_twist()))
+    rfile = write(tmp_path / "r.json", tensor2_to_obj(r_u(group_algebra(z2z2), Vec.basis(4, 1))))
+    inversions = []
+
+    def counting_inv(t, host):
+        inversions.append(t)
+        return tensor2_inv(t, host)
+
+    monkeypatch.setattr(constructions, "tensor2_inv", counting_inv)
+    outputs = []
+    for run in ("closed form", "solver only"):
+        out = tmp_path / f"{run}.hopf.json"
+        assert main(["twist", str(dump), "--twist", jfile, "--r", rfile, "-o", str(out)]) == 0
+        outputs.append((out.read_bytes(), (tmp_path / f"{run}.hopf.r.json").read_bytes()))
+        # the second run's candidate inverse is 0, which no J passes
+        monkeypatch.setattr(constructions, "apply_map", lambda cols, t, leg=0: Tensor2(t.dim, []))
+    assert len(inversions) == 2 and outputs[0] == outputs[1]
+    capsys.readouterr()
+
+
+def test_twist_command_refuses_a_singular_twist(tmp_path, capsys):
+    # J = 1 (x) 1 - E- (x) E- on k[Z2] passes both twist identities, but is
+    # a zero divisor: the closed form (S (x) id)(J) = J fails, and the
+    # solver's NotInvertible exits 1 with its message, as before
+    z2 = FiniteGroup.cyclic(2)
+    dump = tmp_path / "g.hopf.json"
+    assert main(["build", write(tmp_path / "g.json", z2.to_obj()), "--kind", "group-algebra", "-o", str(dump)]) == 0
+    h = group_algebra(z2)
+    half = CycScalar.from_rational(1, 2)
+    e_minus = Vec(2, [(0, half), (1, -half)])
+    jfile = write(tmp_path / "j.json", tensor2_to_obj(unit_tensor2(h) - Tensor2.outer(e_minus, e_minus)))
+    capsys.readouterr()
+    out = tmp_path / "tw.hopf.json"
+    assert main(["twist", str(dump), "--twist", jfile, "-o", str(out)]) == 1
+    assert capsys.readouterr().err == "verification failure: element is a zero divisor in H(x)H\n"
+    assert not out.exists()
+    assert main(["verify", str(dump), "--twist", jfile]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["twist"] is False and report["twist_failure"] == "element is a zero divisor in H(x)H"
 
 
 def _no_cocycle(g, h):

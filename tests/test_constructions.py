@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from trihopf import atlas, constructions
 from trihopf.constructions import (
     Septuple,
     Twist,
@@ -41,6 +42,7 @@ from trihopf.groups import (
     _find_cyclic_decomposition,
 )
 from trihopf.hopf import (
+    algebra_inverse,
     dual_hopf,
     is_cocommutative,
     is_semisimple,
@@ -52,9 +54,11 @@ from trihopf.tensor import (
     Tensor2,
     Tensor3,
     Vec,
+    apply_map,
     embed13_23_12,
     flip,
     tensor2_inv,
+    tensor2_mul,
     tensor3_mul,
     unit_tensor2,
 )
@@ -84,6 +88,7 @@ from _oracles import (
     cyclic_decomposition,
     exhaustive_axioms,
     exhaustive_triangular,
+    gauge_transformed_twist,
     is_bicharacter_table,
     mult_cell,
     sweedler_r,
@@ -508,6 +513,84 @@ def test_twist_record_checks_its_premises(z2z2):
         Twist(h, j, unit_tensor2(h))
     with pytest.raises(TwistError):
         Twist(exterior_algebra(1), unit_tensor2(exterior_algebra(1)))
+
+
+def _closed_form_cases():
+    """(H, J) for every twist of the atlas up to order 9 on its host, and
+    for every bicharacter twist of the atlas strata of Z3xZ3, Z2^4 and the
+    Klein subgroups of Z2^3, Z4xZ2 and D4 on the group algebra."""
+    for spec in atlas.enumerate_instances(9):
+        h, _ = atlas._host(spec.group, spec.v_chars, spec.u)
+        yield h, atlas._twist(spec.group, spec.subgroup, spec.gamma_index, spec.dim)
+    for g, order in (
+        (atlas._cyclic_product(3, 3)(), 9),
+        (atlas._cyclic_product(2, 2, 2, 2)(), 16),
+        (atlas._cyclic_product(2, 2, 2)(), 4),
+        (atlas._cyclic_product(4, 2)(), 4),
+        (FiniteGroup.dihedral4(), 4),
+    ):
+        h = group_algebra(g)
+        for elements, gammas in atlas._square_subgroup_strata(g):
+            if len(elements) == order:
+                sub = AbelianSubgroup(g, elements)
+                for gamma in gammas:
+                    yield h, build_bicharacter_twist(sub, half_bicharacter(gamma))
+
+
+def test_bicharacter_twists_invert_in_closed_form(monkeypatch):
+    # (S (x) id)(J) J = 1 for every bicharacter twist, so Twist takes the
+    # closed form and never solves; it is the solver's J^-1, as an
+    # inverse is unique
+    cases = [(h, j, tensor2_inv(j, h)) for h, j in _closed_form_cases()]
+
+    def no_solve(t, host):
+        raise AssertionError("J^-1 solved for")
+
+    monkeypatch.setattr(constructions, "tensor2_inv", no_solve)
+    for h, j, j_inv in cases:
+        assert Twist(h, j).j_inv == j_inv
+    # 119 atlas instances, 2 twists on Z3xZ3, 28 on Z2^4, and one on each
+    # Klein subgroup: 7 in Z2^3, 1 in Z4xZ2, 2 in D4
+    assert len(cases) == 119 + 2 + 28 + 7 + 1 + 2
+
+
+def test_twist_solves_where_the_closed_form_fails(z2z2, monkeypatch):
+    # the gauge transform J' = Delta(x)^-1 J (x (x) x), x = 2 e - g, of the
+    # bicharacter twist J on Z2 x Z2 is a twist whose closed form fails
+    h = group_algebra(z2z2)
+    a = AbelianSubgroup(z2z2, range(4))
+    bichar = build_bicharacter_twist(a, half_bicharacter(alternating_nondegenerate_bicharacters((2, 2))[0]))
+    x = Vec(4, [(0, sc(2)), (1, sc(-1))])
+    delta_x_inv = h.comult_vec(algebra_inverse(h, x))
+    j = gauge_transformed_twist()
+    assert tensor2_mul(tensor2_mul(delta_x_inv, bichar, h), Tensor2.outer(x, x), h) == j
+    assert verify_twist(h, j)
+    candidate = apply_map(h.antipode, j)
+    assert tensor2_mul(j, candidate, h) != unit_tensor2(h)
+    assert tensor2_mul(candidate, j, h) != unit_tensor2(h)
+    j_inv = tensor2_inv(j, h)
+    solved = []
+
+    def counting_inv(t, host):
+        solved.append(t)
+        return j_inv
+
+    monkeypatch.setattr(constructions, "tensor2_inv", counting_inv)
+    assert Twist(h, j).j_inv is j_inv
+    assert solved == [j]
+
+
+def test_singular_twist_still_raises_not_invertible(z2):
+    # J = 1 (x) 1 - E- (x) E- passes both twist identities; its closed form
+    # (S (x) id)(J) is J itself, and J J = J != 1, so J goes to the solver
+    h = group_algebra(z2)
+    e_minus = Vec.from_entries([sc(1, 2), sc(-1, 2)])
+    j = unit_tensor2(h) - Tensor2.outer(e_minus, e_minus)
+    assert apply_map(h.antipode, j) == j == tensor2_mul(j, j, h)
+    with pytest.raises(NotInvertible, match=r"^element is a zero divisor in H\(x\)H$"):
+        Twist(h, j)
+    with pytest.raises(NotInvertible, match=r"^element is a zero divisor in H\(x\)H$"):
+        verify_twist(h, j)
 
 
 def test_unit_twist_is_a_no_op(z2z2):

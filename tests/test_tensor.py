@@ -11,10 +11,12 @@ from hypothesis import given, settings, strategies as st
 from trihopf import atlas, hopf
 from trihopf.constructions import (
     Septuple,
+    Twist,
     apply_twist,
-    bicharacter_twist_pair,
+    bicharacter_twist,
     build_bicharacter_twist,
     group_algebra,
+    inflate_group_tensor,
     modified_supergroup_algebra,
     supergroup_algebra,
     validate_septuple,
@@ -669,8 +671,9 @@ def test_linear_maps_multiply_no_scalar(monkeypatch):
             _covector_results(h, t, v),
         ))
     # bicharacter twists, counted on exponents: J over Q(zeta_3) on Z3xZ3
-    # and over Q(i) for the non-alternating i**(st) on Z4, and the pair
-    # (J, J^-1) on Z3xZ3 inflated to dimension 18
+    # and over Q(i) for the non-alternating i**(st) on Z4, and J on Z3xZ3
+    # inflated to dimension 18; on k[Z3xZ3], Twist derives the J^-1 that
+    # the inverse bicharacter builds
     z3z3 = FiniteGroup.direct_product(FiniteGroup.cyclic(3), FiniteGroup.cyclic(3))
     sub33, gamma = AbelianSubgroup(z3z3, range(9)), _alternating((3, 3))[0]
     betas = [
@@ -678,11 +681,14 @@ def test_linear_maps_multiply_no_scalar(monkeypatch):
         (AbelianSubgroup(z4, range(4)), Bicharacter.from_exponent_matrix((4,), [[1]])),
     ]
     twists = [build_bicharacter_twist(sub, beta) for sub, beta in betas]
-    pair = bicharacter_twist_pair(sub33, gamma, 18)
-    assert [j.order for j in twists] == [3, 4] and pair[0].dim == 18
+    inflated = bicharacter_twist(sub33, gamma, 18)
+    assert [j.order for j in twists] == [3, 4] and inflated == inflate_group_tensor(twists[0], 2, 18)
+    kz3z3 = group_algebra(z3z3)
+    j_inv = build_bicharacter_twist(sub33, half_bicharacter(gamma).inverse())
     _forbid_scalar_products(monkeypatch)
     assert [build_bicharacter_twist(sub, beta) for sub, beta in betas] == twists
-    assert bicharacter_twist_pair(sub33, gamma, 18) == pair
+    assert bicharacter_twist(sub33, gamma, 18) == inflated
+    assert Twist(kz3z3, bicharacter_twist(sub33, gamma, 9)).j_inv == j_inv
     for h, (t, v, s_v, delta_v, s2, order, contractions, covectors) in zip(hosts, expected):
         fresh = h.replace(mult=h.mult)
         assert fresh.validate() is fresh and _covector_results(fresh, t, v) == covectors
@@ -711,7 +717,7 @@ def _structure(h):
 
 
 def _clear_atlas_caches():
-    for cached in (atlas._group_tables, atlas._sign_rep, atlas._host, atlas._bicharacters, atlas._twist_pair):
+    for cached in (atlas._group_tables, atlas._sign_rep, atlas._host, atlas._bicharacters, atlas._twist):
         cached.cache_clear()
 
 

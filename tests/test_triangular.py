@@ -601,7 +601,7 @@ def test_atlas9_job_proves_each_host_once(monkeypatch, tmp_path):
     atlas._sign_rep.cache_clear()  # its GroupRep checks apply rho(g)
     atlas._smash.cache_clear()
     atlas._host.cache_clear()
-    atlas._twist_pair.cache_clear()
+    atlas._twist.cache_clear()
     files: dict = {}
     muls, algebra_scans, products, maps = _calls(
         lambda: files.update(_atlas_files(specs, tmp_path / "atlas")),
@@ -626,8 +626,10 @@ def test_atlas9_job_proves_each_host_once(monkeypatch, tmp_path):
     # exterior expansion wedges once per nonempty mask and group element.
     # 6,087 while the antipode order composed S^3 on every instance, 5,979
     # while the exterior expansion multiplied per term, 6,011 while every
-    # host of one (G, W) built its own Algebra.
-    assert maps == 5255
+    # host of one (G, W) built its own Algebra; each instance's Twist
+    # derives J^-1 = (S (x) id)(J), one map each (5,255 while J^-1 was
+    # built from the inverse bicharacter).
+    assert maps == 5374
     # products in H (x) H: the twists' J21^-1 R J, J^-1 Delta J on a host
     # that is not commutative, their checks of J, and the hosts' proofs;
     # the premises of every H^J compare maps and multiply none.  5,085
@@ -648,8 +650,9 @@ def test_atlas9_job_proves_each_host_once(monkeypatch, tmp_path):
         "_triangular": 43,
         # the axioms of H, once per host; every H^J's follow from them
         "_bialgebra_witness": 43,
-        # J and J^-1, once per (group, A, gamma, dim)
-        "build_bicharacter_twist": 2 * len(twists),
+        # J, once per (group, A, gamma, dim); each Twist derives J^-1 (2 * 33
+        # while J^-1 was built from the inverse bicharacter)
+        "build_bicharacter_twist": len(twists),
         # the text of each (group, W)'s mult, once per Algebra
         "_mult_text": 21,
         # the Chevalley property, once per host; every H^J reads its host's
@@ -764,11 +767,12 @@ def _calls(fn, *functions):
     "group, elements, products",
     [
         # (24, 20, 46) and (37, 34, 29) while Delta^J and S^J of a
-        # commutative host were multiplied out
-        (atlas._cyclic_product(3, 3), None, (6, 2, 67)),
-        (atlas._cyclic_product(2, 2, 2, 2), None, (5, 2, 99)),
+        # commutative host were multiplied out; (6, 2, 67), (5, 2, 99) and
+        # (21, 18, 17) while J^-1 was solved for
+        (atlas._cyclic_product(3, 3), None, (3, 2, 21)),
+        (atlas._cyclic_product(2, 2, 2, 2), None, (3, 2, 70)),
         # D4 is not commutative: its twist on a Klein subgroup conjugates
-        (FiniteGroup.dihedral4, (0, 2, 4, 6), (21, 18, 17)),
+        (FiniteGroup.dihedral4, (0, 2, 4, 6), (19, 18, 0)),
     ],
     ids=["Z3xZ3", "Z2xZ2xZ2xZ2", "D4_klein"],
 )
@@ -776,15 +780,15 @@ def test_applying_a_twist_checks_no_axiom(group, elements, products):
     # the premises of Twist.proves_hopf run when the axioms are asked for,
     # not in apply_twist: products holds the tensor2_mul and mul_vec calls
     # that check J and build Delta^J, S^J and R^J, which multiply integer
-    # numerators, and the CycScalar products left: those of the echelon
-    # behind J^-1 (55 and 45 while its powers were combined by CycScalar
-    # products, not on integer numerators) and, on a commutative host, of
-    # Algebra.witnesses, which decide that J^-1 Delta J = Delta; the
-    # contractions m(S (x) id)(J) and m(id (x) S)(J^-1), the counit
-    # slants of J, and the counit and 1 (x) 1 in the structural check
-    # multiply none (76 and 80 while the counit multiplied CycScalars);
-    # J^-1 is multiplied back on one side (25 and 38 tensor2_mul calls
-    # while it was multiplied back on both)
+    # numerators, and the CycScalar products left: on a commutative host,
+    # those of Algebra.witnesses, which decide that J^-1 Delta J = Delta.
+    # No echelon runs behind J^-1: it is the closed form (S (x) id)(J),
+    # certified by the one multiply-back J J^-1 = 1.  The contractions
+    # m(S (x) id)(J) and m(id (x) S)(J^-1), the counit slants of J, and
+    # the counit and 1 (x) 1 in the structural check multiply none (76
+    # and 80 while the counit multiplied CycScalars); J^-1 is multiplied
+    # back on one side (25 and 38 tensor2_mul calls while it was
+    # multiplied back on both)
     g = group()
     h = group_algebra(g)
     sub = AbelianSubgroup(g, range(g.order) if elements is None else elements)
