@@ -33,7 +33,8 @@ subsets in bitmask order: index = g * 2**w + mask.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
+from math import lcm, prod
 from typing import Optional
 
 from .errors import (
@@ -48,6 +49,7 @@ from .groups import (
     Bicharacter,
     FiniteGroup,
     GroupRep,
+    _labels,
     half_bicharacter,
 )
 from .hopf import (
@@ -286,6 +288,21 @@ def _modify(g: FiniteGroup, smash, u: int) -> tuple[HopfData, Tensor2]:
 # ---------------------------------------------------------------------------
 # bicharacter twists
 
+@lru_cache(maxsize=None)
+def _pairings(factors: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The table of x(t, b) = sum_i t_i b_i N/n_i mod N, N = lcm of the
+    factors n_i, over the labels t and b of Z_{n_1} x ... x Z_{n_r} in
+    mixed-radix order, so that chi_t(b) = zeta_N**x(t, b).  Made once per
+    factor tuple; x is symmetric, so row b is also the column of b."""
+    big_n = lcm(1, *factors)
+    steps = [big_n // f for f in factors]  # zeta_{n_i} = zeta_N**(N/n_i)
+    labels = _labels(factors)
+    return tuple(
+        tuple(sum(ti * bi * step for ti, bi, step in zip(t, b, steps)) % big_n for b in labels)
+        for t in labels
+    )
+
+
 def build_bicharacter_twist(a: AbelianSubgroup, beta: Bicharacter) -> Tensor2:
     """J = sum over dual labels of beta(s,t) E_s (x) E_t inside k[G] (x) k[G].
 
@@ -295,8 +312,9 @@ def build_bicharacter_twist(a: AbelianSubgroup, beta: Bicharacter) -> Tensor2:
 
     J is counted on the integer exponents of zeta_N, N = beta.root_order,
     by Pontryagin duality.  With x(t, b) = sum_i t_i b_i N/n_i over the
-    factors n_i, the character of the label t is chi_t(b) = zeta_N**x(t, b)
-    and E_t = (1/|A|) sum_b chi_t(b)**-1 b.  beta(s, .) is a character of
+    factors n_i, read from one table per factor tuple (_pairings), the
+    character of the label t is chi_t(b) = zeta_N**x(t, b) and
+    E_t = (1/|A|) sum_b chi_t(b)**-1 b.  beta(s, .) is a character of
     the dual group, so it is evaluation at one element b_s of A:
     beta(s, t) = chi_t(b_s), and b_s is read off beta's row s at the
     unit labels, (b_s)_i = e[s][unit_i] n_i/N.  Then
@@ -306,31 +324,32 @@ def build_bicharacter_twist(a: AbelianSubgroup, beta: Bicharacter) -> Tensor2:
         J = sum_s E_s (x) b_s = (1/|A|) sum_{s, a} zeta_N**-x(s, a) a (x) b_s,
 
     one count at exponent -x(s, a) mod N in the cell (a, b_s) per (s, a).
-    Each cell's N counts are reduced mod Phi_N once.  The row of b_s is
-    compared with all of beta's row s before it is used, x(t, b_s) = e[s][t]
-    mod N for every t, so a table that is no bicharacter raises
-    BicharacterError.
+    Each cell's N counts are reduced mod Phi_N once.  The row of b_s in
+    the table is compared with all of beta's row s before it is used,
+    x(t, b_s) = e[s][t] mod N for every t, so a table that is no
+    bicharacter raises BicharacterError.
     """
     if tuple(beta.factors) != tuple(a.factors):
         raise ShapeError(
             f"bicharacter factors {beta.factors} do not match subgroup factors {a.factors}"
         )
     factors, big_n = beta.factors, beta.root_order
-    steps = [big_n // f for f in factors]  # zeta_{n_i} = zeta_N**(N/n_i)
-
-    def pairing(t, b) -> int:
-        return sum(ti * bi * step for ti, bi, step in zip(t, b, steps)) % big_n
-
-    element = {x: g for g, x in a.exponents.items()}
+    x = _pairings(factors)
+    # radix[i]: the weight of slot i in a label's mixed-radix index, and
+    # element[k] the element of A whose exponents are the label at index k
+    radix = [prod(factors[i + 1 :]) for i in range(len(factors))]
+    element = [0] * a.order
+    for g, exps in a.exponents.items():
+        element[sum(e * w for e, w in zip(exps, radix))] = g
     cells: dict = {}
-    for s, row in zip(beta.labels, beta.exponents):
-        b = tuple(row[u] // step for u, step in zip(beta.units, steps))
-        if any(pairing(t, b) != k for t, k in zip(beta.labels, row)):
-            raise BicharacterError(f"row {s} of the table is no character of the dual group")
+    for s, row in enumerate(beta.exponents):
+        b = sum(row[u] // (big_n // f) * w for u, f, w in zip(beta.units, factors, radix))
+        if x[b] != row:
+            raise BicharacterError(f"row {beta.labels[s]} of the table is no character of the dual group")
         b_s = element[b]
-        for g, x in a.exponents.items():
+        for g, k in zip(element, x[s]):
             counts = cells.setdefault((g, b_s), [0] * big_n)
-            counts[-pairing(s, x) % big_n] += 1
+            counts[-k % big_n] += 1
     if big_n == 1:
         num = {key: counts[0] for key, counts in cells.items()}
     else:
@@ -411,8 +430,10 @@ class Twist:
     antipode, r_twisted) are computed once per twist, and are what apply
     hands to H^J.  When H's algebra is commutative, associative and
     unital, so is H (x) H, and the twist changes only R: Delta^J =
-    J^-1 Delta J = Delta J^-1 J = Delta and S^J = S by the same argument
-    with Q, so comult and antipode are H's own (_keeps_coalgebra).
+    J^-1 Delta J = Delta J^-1 J = Delta, so H^J is H as a bialgebra, and
+    S^J = S since a bialgebra has one antipode at most; comult and
+    antipode are H's own (_keeps_coalgebra), and no Q = m(S (x) id)(J)
+    is formed.
 
     A Twist refuses attribute assignment: those maps, and the verdict of
     proves_hopf that H^J caches, hold only for the J it checked.
@@ -446,8 +467,7 @@ class Twist:
     def _keeps_coalgebra(self) -> bool:
         """True when H's algebra is commutative (Algebra.commutative) and
         associative and unital (Algebra.witnesses): then, with the
-        certified J^-1, J^-1 x J = x J^-1 J = x for every x in H (x) H,
-        and Q^-1 x Q = x in H with the certified Q^-1."""
+        certified J^-1, J^-1 x J = x J^-1 J = x for every x in H (x) H."""
         algebra = self.host.algebra
         return algebra.commutative and algebra.witnesses == (None, None)
 
@@ -463,19 +483,20 @@ class Twist:
 
     @cached_property
     def antipode(self) -> tuple[Vec, ...]:
-        """S^J as its columns S^J(e_i) = Q^-1 S(e_i) Q, Q = m(S (x) id)(J),
-        computed once per twist.
+        """S^J as its columns, computed once per twist.
 
-        Q^-1 is the closed form m(id (x) S)(J^-1) with the certified
-        J^-1, multiplied back on both sides (certified_inverse); if that
-        fails it is solved for, as a singular Q would raise.  Q^-1 is
-        certified on every host; where the conjugation fixes every
-        element (_keeps_coalgebra) S^J is H's own columns."""
+        Where the coalgebra is kept (_keeps_coalgebra), H's own columns:
+        Delta^J = Delta, so H^J is the bialgebra H, whose antipode S is
+        unique, and neither Q nor Q^-1 is formed.  Otherwise
+        S^J(e_i) = Q^-1 S(e_i) Q with Q = m(S (x) id)(J), and Q^-1 the
+        closed form m(id (x) S)(J^-1) with the certified J^-1, multiplied
+        back on both sides (certified_inverse); if that fails it is
+        solved for, as a singular Q would raise."""
         h = self.host
-        q = antipode_contraction(h, self.j)
-        q_inv = certified_inverse(h, q, antipode_contraction(h, self.j_inv, leg=1))
         if self._keeps_coalgebra:
             return h.antipode
+        q = antipode_contraction(h, self.j)
+        q_inv = certified_inverse(h, q, antipode_contraction(h, self.j_inv, leg=1))
         return tuple(h.mul_vec(q_inv, h.mul_vec(s, q)) for s in h.antipode)
 
     @cached_property
@@ -493,8 +514,10 @@ class Twist:
         (hopf.Algebra: multiplication, unit and grading, with every fact
         computed of them, such as the generators, the radical and the
         associativity and unit witnesses) and H's counit.  The coalgebra
-        half of the structural check runs on H^J; its axioms are proved
-        from H's when first asked (proves_hopf)."""
+        half of the structural check runs on H^J unless H^J holds H's
+        very comult and antipode too (_keeps_coalgebra), when it is H's
+        verdict (HopfData._malformation); its axioms are proved from H's
+        when first asked (proves_hopf)."""
         out = self.host.replace(comult=self.comult, antipode=self.antipode, twist=self)
         return out.validate(), self.r_twisted
 
@@ -505,7 +528,11 @@ class Twist:
         formed and has H's algebra and counit (HopfData.keeps_algebra_of:
         H's very Algebra, as apply hands it, or an equal one); and
         Delta_h and S_h equal this twist's J^-1 Delta J and Q^-1 S Q
-        (comult, antipode), with J^-1 and Q^-1 certified two-sided.
+        (comult, antipode), with J^-1 and Q^-1 certified two-sided.  On a
+        kept coalgebra (_keeps_coalgebra) those are H's own Delta and S:
+        J^-1 Delta J = Delta by the certified J^-1 and the algebra's
+        commutativity and witnesses, and S^J = S by the uniqueness of the
+        antipode of the bialgebra H, with no Q formed.
         False means a premise failed, not that h is no Hopf algebra."""
         host = self.host
         if not host.axioms.ok or h._malformation is not None or not h.keeps_algebra_of(host):

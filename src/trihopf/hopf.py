@@ -43,12 +43,14 @@ it, and its axioms follow from H's by the twisting theorem
 (HopfData.axioms) once its stored coproduct and antipode equal the
 twist's J^-1 Delta J and Q^-1 S Q, as does the Chevalley property
 (HopfData.chevalley).  On a commutative, associative and unital
-algebra those conjugations are the identity, so a twist of it keeps
-H's coproduct and antipode (constructions.Twist) and changes only R.
+algebra J^-1 Delta J = Delta, so H^J is the bialgebra H and S^J = S by
+the uniqueness of the antipode: a twist of it keeps H's coproduct and
+antipode (constructions.Twist), forms no Q, and changes only R.  Such
+an H^J holds H's very maps, so it takes H's structural check too.
 Everything else that reads the coproduct or the antipode (the
-coalgebra half of the structural check, S^2, S^4) is computed once per
-object, so once per instance.  Facts of a pair (H, R) live in
-triangular.py.
+coalgebra half of the structural check of any other H^J, S^2, S^4) is
+computed once per object, so once per instance.  Facts of a pair
+(H, R) live in triangular.py.
 
 The radical is computed from the kernel of the regular trace form
 (valid in characteristic 0).  The Chevalley check tests that the radical
@@ -98,6 +100,7 @@ from .tensor import (
 _ALGEBRA_FIELDS = ("dim", "unit", "mult", "parity", "super")
 _algebra_fields = attrgetter(*_ALGEBRA_FIELDS)
 _HOPF_FIELDS = ("algebra", "comult", "counit", "antipode", "twist")
+_STRUCTURE_FIELDS = _HOPF_FIELDS[:4]
 
 
 def _read_only(obj, name, *value):
@@ -284,37 +287,17 @@ class HopfData:
     @cached_property
     def _malformation(self) -> Optional[str]:
         """Why the structure is not well formed, or None: Algebra.malformation,
-        then the coalgebra's half, checked once per object."""
+        then the coalgebra's half (_coalgebra_malformation), checked once
+        per object.  An H^J that holds its twist's host's very algebra,
+        comult, counit and antipode (Twist.apply on a kept coalgebra)
+        takes the host's verdict."""
+        twist = self.twist
+        if twist is not None and all(
+            getattr(self, name) is getattr(twist.host, name) for name in _STRUCTURE_FIELDS
+        ):
+            return twist.host._malformation
         problem = self.algebra.malformation
-        if problem is not None:
-            return problem
-        d, par = self.dim, self.parity
-        if not isinstance(self.counit, Vec) or self.counit.dim != d:
-            return "unit/counit/parity length mismatch"
-        if len(self.comult) != d or any(
-            not isinstance(t, Tensor2) or t.dim != d for t in self.comult
-        ):
-            return "comultiplication shape mismatch"
-        if len(self.antipode) != d or any(
-            not isinstance(v, Vec) or v.dim != d for v in self.antipode
-        ):
-            return "antipode shape mismatch"
-        # indices and parities only: the keys, in increasing order, and no
-        # coefficient made a CycScalar
-        for i in range(d):
-            for j, k in sorted(self.comult[i]._num):
-                if not (0 <= j < d and 0 <= k < d):
-                    return f"coproduct index ({j},{k}) out of range at {i}"
-                if (par[j] + par[k]) % 2 != par[i]:
-                    return f"coproduct parity violation at ({i},{j},{k})"
-            for j in sorted(self.antipode[i]._num):
-                if not 0 <= j < d:
-                    return f"antipode index {j} out of range at {i}"
-        if self.counit_vec(self.unit) != SC_ONE:
-            return "counit(unit) != 1"
-        if self.comult_vec(self.unit) != Tensor2.outer(self.unit, self.unit):
-            return "Delta(unit) != unit (x) unit"
-        return None
+        return problem if problem is not None else _coalgebra_malformation(self)
 
     def replace(self, **changes) -> "HopfData":
         """A copy with the given fields changed.  A change to dim, unit,
@@ -414,6 +397,36 @@ def make_hopf(algebra: Algebra, comult, counit, antipode) -> HopfData:
         counit=_vec(counit),
         antipode=tuple(Vec(d, col) for col in antipode),
     ).validate()
+
+
+def _coalgebra_malformation(h: HopfData) -> Optional[str]:
+    """Why the coalgebra of h, on a well-formed algebra, is not well
+    formed, or None: shapes, the index range and parity of each
+    coproduct term, the index range of each antipode term, and the
+    counit and coproduct of the unit."""
+    d, par = h.dim, h.parity
+    if not isinstance(h.counit, Vec) or h.counit.dim != d:
+        return "unit/counit/parity length mismatch"
+    if len(h.comult) != d or any(not isinstance(t, Tensor2) or t.dim != d for t in h.comult):
+        return "comultiplication shape mismatch"
+    if len(h.antipode) != d or any(not isinstance(v, Vec) or v.dim != d for v in h.antipode):
+        return "antipode shape mismatch"
+    # indices and parities only: the keys, in increasing order, and no
+    # coefficient made a CycScalar
+    for i in range(d):
+        for j, k in sorted(h.comult[i]._num):
+            if not (0 <= j < d and 0 <= k < d):
+                return f"coproduct index ({j},{k}) out of range at {i}"
+            if (par[j] + par[k]) % 2 != par[i]:
+                return f"coproduct parity violation at ({i},{j},{k})"
+        for j in sorted(h.antipode[i]._num):
+            if not 0 <= j < d:
+                return f"antipode index {j} out of range at {i}"
+    if h.counit_vec(h.unit) != SC_ONE:
+        return "counit(unit) != 1"
+    if h.comult_vec(h.unit) != Tensor2.outer(h.unit, h.unit):
+        return "Delta(unit) != unit (x) unit"
+    return None
 
 
 def _vec(x) -> Vec:

@@ -632,6 +632,43 @@ def bicharacter_twist_double_sum(a, beta):
     return _drop_zeros(out)
 
 
+def generator_sum_bicharacter_twist(a, beta):
+    """J of constructions.build_bicharacter_twist, counted the way it was
+    before the pairing table: each x(t, b) = sum_i t_i b_i N/n_i summed
+    over the generators where it is used, and the row check one sum per
+    label.  The reduction mod Phi_N and the canonical fields are the
+    library's, so the two builders can be compared field for field."""
+    from trihopf.errors import BicharacterError, ShapeError
+    from trihopf.scalars import _reduce_int_poly
+    from trihopf.tensor import _canonical
+
+    if tuple(beta.factors) != tuple(a.factors):
+        raise ShapeError(
+            f"bicharacter factors {beta.factors} do not match subgroup factors {a.factors}"
+        )
+    factors, big_n = beta.factors, beta.root_order
+    steps = [big_n // f for f in factors]
+
+    def pairing(t, b):
+        return sum(ti * bi * step for ti, bi, step in zip(t, b, steps)) % big_n
+
+    element = {x: g for g, x in a.exponents.items()}
+    cells = {}
+    for s, row in zip(beta.labels, beta.exponents):
+        b = tuple(row[u] // step for u, step in zip(beta.units, steps))
+        if any(pairing(t, b) != k for t, k in zip(beta.labels, row)):
+            raise BicharacterError(f"row {s} of the table is no character of the dual group")
+        b_s = element[b]
+        for g, x in a.exponents.items():
+            counts = cells.setdefault((g, b_s), [0] * big_n)
+            counts[-pairing(s, x) % big_n] += 1
+    if big_n == 1:
+        num = {key: counts[0] for key, counts in cells.items()}
+    else:
+        num = {key: _reduce_int_poly(counts, big_n) for key, counts in cells.items()}
+    return Tensor2._of(a.parent.order, *_canonical(big_n, a.order, num))
+
+
 def subgroup_as_group(sub):
     """An abelian subgroup as a standalone FiniteGroup on local indices:
     the group of k[A] apart from its parent."""

@@ -487,10 +487,15 @@ def _no_cocycle(g, h):
     return unit_tensor2(h) + Tensor2.outer(ex, ey)
 
 
-def test_twist_of_a_commutative_dump_changes_only_r(tmp_path, capsys):
+def test_twist_of_a_commutative_dump_changes_only_r(tmp_path, capsys, monkeypatch):
     # k[Z2 x Z2] is commutative: Delta^J = J^-1 Delta J = Delta and
     # S^J = S, so the twisted dump is the input byte for byte, and R_u
-    # becomes J21^-1 R_u J, here multiplied out by the oracle
+    # becomes J21^-1 R_u J, here multiplied out by the oracle.  S^J = S by
+    # the uniqueness of the antipode, so no Q = m(S (x) id)(J) is formed
+    def no_q(*args, **kwargs):
+        raise AssertionError("a twist of a commutative host formed Q")
+
+    monkeypatch.setattr(constructions, "antipode_contraction", no_q)
     z2z2 = FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2))
     h = group_algebra(z2z2)
     dump = tmp_path / "g.hopf.json"

@@ -89,6 +89,7 @@ from _oracles import (
     exhaustive_axioms,
     exhaustive_triangular,
     gauge_transformed_twist,
+    generator_sum_bicharacter_twist,
     is_bicharacter_table,
     mult_cell,
     sweedler_r,
@@ -790,8 +791,52 @@ def test_a_table_that_is_no_bicharacter_is_refused_by_the_twist():
     beta = Bicharacter.from_exponent_matrix((3,), [[1]])
     bad = object.__new__(Bicharacter)
     vars(bad).update(vars(beta), exponents=((0, 0, 0), (0, 1, 2), (0, 2, 2)))
-    with pytest.raises(BicharacterError, match="no character"):
+    with pytest.raises(BicharacterError, match=r"^row \(2,\) of the table is no character"):
         build_bicharacter_twist(AbelianSubgroup(z3, range(3)), bad)
+
+
+def _fields(j):
+    return j.dim, j.order, j.den, j._num
+
+
+def test_pairing_table_twist_matches_the_generator_sums():
+    # J read from the cached table x(t, b) against J summed over the
+    # generators per use, field for field: every (A, gamma) of atlas-16
+    # and all 28 data on Z2^4
+    data = {(s.group, s.subgroup, s.gamma_index) for s in atlas.enumerate_instances(16)}
+    cases = [atlas._gamma(*key) for key in sorted(data)]
+    z2_4 = FiniteGroup.direct_product(*[FiniteGroup.cyclic(2)] * 4)
+    whole = AbelianSubgroup(z2_4, range(16))
+    cases += [(whole, gamma) for gamma in alternating_nondegenerate_bicharacters((2, 2, 2, 2))]
+    assert (len(data), len(cases)) == (36, 36 + 28)
+    for sub, gamma in cases:
+        beta = half_bicharacter(gamma)
+        assert _fields(build_bicharacter_twist(sub, beta)) == _fields(generator_sum_bicharacter_twist(sub, beta))
+    assert constructions._pairings((2, 2, 2, 2)) is constructions._pairings((2, 2, 2, 2))
+
+
+@pytest.mark.parametrize("cyclic, gen, row, label", [
+    ((3,), [[1]], 2, r"\(2,\)"),
+    ((2, 2), [[0, 1], [0, 0]], 3, r"\(1, 1\)"),
+    # Z2 x Z4 decomposes as Z4 x Z2, whose label at index 5 is (2, 1)
+    ((2, 4), [[0, 1], [1, 0]], 5, r"\(2, 1\)"),
+])
+def test_a_row_that_is_no_character_is_named_by_both_builders(cyclic, gen, row, label):
+    # the last cell of one row changed after the constructor checked the
+    # table, its unit cells kept: the pairing table's row compare names
+    # the same row as the sums did
+    from trihopf.errors import BicharacterError
+
+    g = FiniteGroup.direct_product(*[FiniteGroup.cyclic(f) for f in cyclic])
+    sub = AbelianSubgroup(g, range(g.order))
+    beta = Bicharacter.from_exponent_matrix(sub.factors, gen)
+    exponents = [list(r) for r in beta.exponents]
+    exponents[row][-1] = (exponents[row][-1] + 1) % beta.root_order
+    bad = object.__new__(Bicharacter)
+    vars(bad).update(vars(beta), exponents=tuple(map(tuple, exponents)))
+    for build in (build_bicharacter_twist, generator_sum_bicharacter_twist):
+        with pytest.raises(BicharacterError, match=f"^row {label} of the table is no character of the dual group$"):
+            build(sub, bad)
 
 
 def test_counit_normalization_forced_negative(z2):

@@ -438,21 +438,27 @@ def _group_twists():
         yield g, Twist(group_algebra(g), build_bicharacter_twist(sub, half_bicharacter(gamma)))
 
 
+def _twist_cases():
+    """(twist, whether its host is commutative) for every atlas-9 instance
+    and every twist of _group_twists: W = 0 on an abelian group."""
+    cases = [(instance_twist(s), not s.v_chars and _abelian(CATALOG[s.group]())) for s in enumerate_instances(9)]
+    return cases + [(tw, _abelian(g)) for g, tw in _group_twists()]
+
+
 def test_a_twist_of_a_commutative_host_keeps_its_coalgebra(monkeypatch):
-    # J^-1 x J = x in the commutative H (x) H, and Q^-1 x Q = x in H: on
-    # k[G] for G abelian the twist's maps are H's own and equal the
-    # conjugations multiplied out; every other host, a nonabelian G or
-    # W != 0, conjugates, by 2 products in H (x) H per column
-    cases = [
-        (CATALOG[s.group](), instance_twist(s), not s.v_chars) for s in enumerate_instances(9)
-    ]
-    cases += [(g, tw, True) for g, tw in _group_twists()]
+    # J^-1 x J = x in the commutative H (x) H, and S^J = S by the
+    # uniqueness of the antipode: on k[G] for G abelian the twist's maps
+    # are H's own and equal the conjugations multiplied out; every other
+    # host, a nonabelian G or W != 0, conjugates, by 2 products in H (x) H
+    # per column
+    cases = _twist_cases()
     kept = 0
-    for g, tw, w_zero in cases:
+    for tw, commutative in cases:
         h = tw.host
         comult, antipode, calls = _twisted_maps(monkeypatch, tw)
         assert (comult, antipode) == _conjugated(tw)
-        if w_zero and _abelian(g):
+        assert tw._keeps_coalgebra == commutative
+        if commutative:
             kept += 1
             assert comult is h.comult and antipode is h.antipode and calls == 0
         else:
@@ -461,6 +467,70 @@ def test_a_twist_of_a_commutative_host_keeps_its_coalgebra(monkeypatch):
     # the 12 twists above that are not on D4; 14 atlas-9 instances have
     # W != 0 and 9 a nonabelian group
     assert len(cases) == 119 + 12 and kept == 96 + 10
+
+
+def test_a_kept_coalgebra_forms_no_q(monkeypatch):
+    # on the 106 kept cases Twist.antipode forms neither Q = m(S (x) id)(J)
+    # nor Q^-1; on the 25 others it forms Q^-1 once, certified, and
+    # conjugates.  On all 131 the closed form m(id (x) S)(J^-1) inverts Q
+    # on both sides: Q was invertible wherever it is no longer formed, so
+    # no verdict moved
+    calls = []
+    for name in ("antipode_contraction", "certified_inverse"):
+        original = getattr(constructions, name)
+        monkeypatch.setattr(
+            constructions, name, lambda *a, name=name, original=original, **k: calls.append(name) or original(*a, **k)
+        )
+    conjugating = 0
+    for tw, commutative in _twist_cases():
+        h = tw.host
+        calls.clear()
+        antipode = tw.antipode
+        if commutative:
+            assert antipode is h.antipode and calls == []
+        else:
+            conjugating += 1
+            assert calls == ["antipode_contraction"] * 2 + ["certified_inverse"]
+            assert antipode == _conjugated(tw)[1]
+        q, q_inv = antipode_contraction(h, tw.j), antipode_contraction(h, tw.j_inv, leg=1)
+        assert h.mul_vec(q, q_inv) == h.unit == h.mul_vec(q_inv, q)
+    assert conjugating == 25
+
+
+def test_a_kept_coalgebra_shares_its_hosts_structural_check(monkeypatch):
+    # an H^J that holds its host's very algebra, comult, counit and
+    # antipode takes the host's verdict; any copy with a map of its own
+    # is checked afresh, and a malformed one is refused by name
+    checked = []
+    check = hopf._coalgebra_malformation
+    monkeypatch.setattr(hopf, "_coalgebra_malformation", lambda h: checked.append(h) or check(h))
+    kept = []
+    for s in enumerate_instances(9):
+        tw = instance_twist(s)
+        assert "_malformation" in vars(tw.host)
+        checked.clear()
+        h2, _ = tw.apply()
+        assert h2._malformation is None and h2.axioms.ok
+        if tw._keeps_coalgebra:
+            kept.append(h2)
+            assert checked == []
+        else:
+            assert checked == [h2]
+    assert len(kept) == 96
+    # the last kept H^J: a copy with one antipode index out of range, and
+    # copies with another counit, equal or not
+    h2 = kept[-1]
+    d = h2.dim
+    bad = h2.replace(antipode=h2.antipode[:-1] + (Vec(d, [(d, ONE)]),))
+    assert bad.twist is h2.twist
+    with pytest.raises(ShapeError, match=rf"^antipode index {d} out of range at {d - 1}$"):
+        bad.validate()
+    checked.clear()
+    doubled = h2.replace(counit=h2.counit.scale(CycScalar.from_rational(2)))
+    assert doubled._malformation == "counit(unit) != 1" and checked == [doubled]
+    copy = h2.replace(counit=Vec(d, h2.counit.nonzeros))
+    assert copy.counit == h2.counit and copy.counit is not h2.counit
+    assert copy._malformation is None and checked == [doubled, copy]
 
 
 def test_a_symmetric_product_that_is_not_associative_conjugates(monkeypatch):

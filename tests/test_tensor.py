@@ -8,7 +8,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trihopf import atlas, hopf
+from trihopf import atlas, constructions, hopf
 from trihopf.constructions import (
     Septuple,
     Twist,
@@ -717,7 +717,8 @@ def _structure(h):
 
 
 def _clear_atlas_caches():
-    for cached in (atlas._group_tables, atlas._sign_rep, atlas._host, atlas._bicharacters, atlas._twist):
+    caches = (atlas._group_tables, atlas._sign_rep, atlas._host, atlas._bicharacters, atlas._twist, constructions._pairings)
+    for cached in caches:
         cached.cache_clear()
 
 
