@@ -48,6 +48,7 @@ _EXPORTS = {
         (
             "Algebra",
             "AxiomReport",
+            "Coalgebra",
             "HopfData",
             "antipode_order",
             "dual_hopf",

@@ -101,8 +101,10 @@ def _host(name: str, v_chars: tuple[int, ...], u: int) -> tuple[HopfData, Tensor
     of a catalog (group, W, u), made by its modification step from the
     one smash product of (G, W): every host of one (G, W), and every H^J
     twisted from them, holds one Algebra, whose facts (generators,
-    radical, witnesses, mult text) are made once.  H keeps the facts of
-    its coalgebra, its axioms and the proof that R_u is triangular."""
+    radical, witnesses, mult text) are made once.  H's Coalgebra keeps
+    its structural check, S^2 and S^4, for H and every H^J that keeps
+    it (an abelian G with W = 0); H keeps its axioms and the proof that
+    R_u is triangular."""
     return _modify(_group_tables(name)[0], _smash(name, v_chars), u)
 
 

@@ -33,6 +33,7 @@ from .errors import (
 )
 from .serialize import (
     _int,
+    _object,
     _resolve_ref,
     bicharacter_from_file_obj,
     dumps,
@@ -89,7 +90,7 @@ def _check_predicted_dim(group_obj, degree=0):
 
 
 def _load_hopf(path):
-    obj = load(path)
+    obj = _object(load(path), "a Hopf dump")
     _check_dim(_int(obj["dim"], "dim"))
     return hopf_from_obj(obj)
 
@@ -123,7 +124,7 @@ def _derived_r_path(out_path: str) -> str:
 
 def cmd_build(args) -> int:
     kind = args.kind
-    obj = load(args.input)
+    obj = _object(load(args.input), "a build input")
     base = Path(args.input).parent
     r = None
     # each kind bounds its output dimension before it imports a builder,

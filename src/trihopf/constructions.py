@@ -54,6 +54,7 @@ from .groups import (
 )
 from .hopf import (
     Algebra,
+    Coalgebra,
     HopfData,
     _read_only,
     antipode_contraction,
@@ -426,14 +427,13 @@ class Twist:
 
     R, when given, is a triangular structure of H to carry along; it is
     not checked here.  A J, J^-1 or R of another dimension than H raises
-    ShapeError first.  The twisted coproduct, antipode and R (comult,
-    antipode, r_twisted) are computed once per twist, and are what apply
-    hands to H^J.  When H's algebra is commutative, associative and
-    unital, so is H (x) H, and the twist changes only R: Delta^J =
-    J^-1 Delta J = Delta J^-1 J = Delta, so H^J is H as a bialgebra, and
-    S^J = S since a bialgebra has one antipode at most; comult and
-    antipode are H's own (_keeps_coalgebra), and no Q = m(S (x) id)(J)
-    is formed.
+    ShapeError first.  The twisted coalgebra and R (coalgebra,
+    r_twisted) are computed once per twist, and are what apply hands to
+    H^J.  When H's algebra is commutative, associative and unital, so is
+    H (x) H, and the twist changes only R: Delta^J = J^-1 Delta J =
+    Delta J^-1 J = Delta, so H^J is H as a bialgebra, and S^J = S since
+    a bialgebra has one antipode at most; coalgebra is H's very
+    Coalgebra (_keeps_coalgebra), and no Q = m(S (x) id)(J) is formed.
 
     A Twist refuses attribute assignment: those maps, and the verdict of
     proves_hopf that H^J caches, hold only for the J it checked.
@@ -472,32 +472,22 @@ class Twist:
         return algebra.commutative and algebra.witnesses == (None, None)
 
     @cached_property
-    def comult(self) -> tuple[Tensor2, ...]:
-        """Delta^J as its columns Delta^J(e_i) = J^-1 Delta(e_i) J,
-        computed once per twist: H's own columns when the conjugation
-        fixes every element (_keeps_coalgebra), multiplied out otherwise."""
+    def coalgebra(self) -> Coalgebra:
+        """The Coalgebra of H^J, computed once per twist: H's very
+        Coalgebra where the conjugations fix every element
+        (_keeps_coalgebra).  Otherwise Delta^J(e_i) = J^-1 Delta(e_i) J
+        and S^J(e_i) = Q^-1 S(e_i) Q with Q = m(S (x) id)(J), and Q^-1
+        the closed form m(id (x) S)(J^-1) with the certified J^-1,
+        multiplied back on both sides (certified_inverse); if that
+        fails it is solved for, as a singular Q would raise."""
         h, j, j_inv = self.host, self.j, self.j_inv
         if self._keeps_coalgebra:
-            return h.comult
-        return tuple(tensor2_mul(tensor2_mul(j_inv, d, h), j, h) for d in h.comult)
-
-    @cached_property
-    def antipode(self) -> tuple[Vec, ...]:
-        """S^J as its columns, computed once per twist.
-
-        Where the coalgebra is kept (_keeps_coalgebra), H's own columns:
-        Delta^J = Delta, so H^J is the bialgebra H, whose antipode S is
-        unique, and neither Q nor Q^-1 is formed.  Otherwise
-        S^J(e_i) = Q^-1 S(e_i) Q with Q = m(S (x) id)(J), and Q^-1 the
-        closed form m(id (x) S)(J^-1) with the certified J^-1, multiplied
-        back on both sides (certified_inverse); if that fails it is
-        solved for, as a singular Q would raise."""
-        h = self.host
-        if self._keeps_coalgebra:
-            return h.antipode
-        q = antipode_contraction(h, self.j)
-        q_inv = certified_inverse(h, q, antipode_contraction(h, self.j_inv, leg=1))
-        return tuple(h.mul_vec(q_inv, h.mul_vec(s, q)) for s in h.antipode)
+            return h.coalgebra
+        comult = tuple(tensor2_mul(tensor2_mul(j_inv, d, h), j, h) for d in h.comult)
+        q = antipode_contraction(h, j)
+        q_inv = certified_inverse(h, q, antipode_contraction(h, j_inv, leg=1))
+        antipode = tuple(h.mul_vec(q_inv, h.mul_vec(s, q)) for s in h.antipode)
+        return Coalgebra(h.dim, comult, h.counit, antipode, h.parity)
 
     @cached_property
     def r_twisted(self) -> Optional[Tensor2]:
@@ -509,35 +499,29 @@ class Twist:
         return tensor2_mul(tensor2_mul(flip(self.j_inv), self.r, h), self.j, h)
 
     def apply(self) -> tuple[HopfData, Optional[Tensor2]]:
-        """(H^J, R^J): H with this twist's comult and antipode, and
-        r_twisted.  H^J keeps this twist and holds H's very Algebra
-        (hopf.Algebra: multiplication, unit and grading, with every fact
-        computed of them, such as the generators, the radical and the
-        associativity and unit witnesses) and H's counit.  The coalgebra
-        half of the structural check runs on H^J unless H^J holds H's
-        very comult and antipode too (_keeps_coalgebra), when it is H's
-        verdict (HopfData._malformation); its axioms are proved from H's
-        when first asked (proves_hopf)."""
-        out = self.host.replace(comult=self.comult, antipode=self.antipode, twist=self)
-        return out.validate(), self.r_twisted
+        """(H^J, R^J): H's very Algebra (hopf.Algebra, with every fact
+        computed of it, such as the generators, the radical and the
+        witnesses) with this twist's coalgebra, and r_twisted.  H^J keeps
+        this twist.  On a kept coalgebra it holds H's very Coalgebra too,
+        whose structural check and S^2 and S^4 are H's; its axioms are
+        proved from H's when first asked (proves_hopf)."""
+        return HopfData(self.host.algebra, self.coalgebra, self).validate(), self.r_twisted
 
     def proves_hopf(self, h: HopfData) -> bool:
         """True when Drinfeld's twisting theorem proves h = H^J a Hopf
         algebra (Kassel, Quantum Groups, XV.3): J was checked when this
         twist was made; H's axioms hold (proved once per host); h is well
-        formed and has H's algebra and counit (HopfData.keeps_algebra_of:
-        H's very Algebra, as apply hands it, or an equal one); and
-        Delta_h and S_h equal this twist's J^-1 Delta J and Q^-1 S Q
-        (comult, antipode), with J^-1 and Q^-1 certified two-sided.  On a
-        kept coalgebra (_keeps_coalgebra) those are H's own Delta and S:
-        J^-1 Delta J = Delta by the certified J^-1 and the algebra's
-        commutativity and witnesses, and S^J = S by the uniqueness of the
-        antipode of the bialgebra H, with no Q formed.
+        formed, its Algebra is H's and its Coalgebra this twist's
+        (coalgebra: H's counit, J^-1 Delta J and Q^-1 S Q, with J^-1 and
+        Q^-1 certified two-sided), each the very record, as apply hands
+        it, or an equal one.  On a kept coalgebra (_keeps_coalgebra) that
+        is H's own: J^-1 Delta J = Delta by the certified J^-1 and the
+        algebra's commutativity and witnesses, and S^J = S by the
+        uniqueness of the antipode of the bialgebra H, with no Q formed.
         False means a premise failed, not that h is no Hopf algebra."""
-        host = self.host
-        if not host.axioms.ok or h._malformation is not None or not h.keeps_algebra_of(host):
+        if not self.host.axioms.ok or h._malformation is not None:
             return False
-        return h.comult == self.comult and h.antipode == self.antipode
+        return h.algebra == self.host.algebra and h.coalgebra == self.coalgebra
 
 
 def apply_twist(

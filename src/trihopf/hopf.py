@@ -1,14 +1,15 @@
 """The central (super) Hopf algebra datatype and its verifiers.
 
 HopfData records a finite-dimensional algebra-and-coalgebra by exact
-structure constants, each a sparse tensor: an Algebra (mult, one
-tensor.Tensor3 keyed (i, j, k), the unit and a Z2 parity grading for
-the super case), the counit as the tensor.Vec of eps(e_i), and S and
-Delta as tuples of columns: antipode[i] is the Vec S(e_i) and
-comult[i] the tensor.Tensor2 Delta(e_i).  Builders and loaders sum a
-product into the Tensor3 of an Algebra, and make_hopf the raw
-coalgebra into these forms, with the one sparse constructor, which
-trusts its indices: validate() refuses any outside.
+structure constants, each a sparse tensor, in two records: an Algebra
+(mult, one tensor.Tensor3 keyed (i, j, k), the unit and a Z2 parity
+grading for the super case) and a Coalgebra (the counit as the
+tensor.Vec of eps(e_i), and S and Delta as tuples of columns:
+antipode[i] is the Vec S(e_i) and comult[i] the tensor.Tensor2
+Delta(e_i)).  Builders and loaders sum a product into the Tensor3 of an
+Algebra, and make_hopf the raw coalgebra into a Coalgebra, with the one
+sparse constructor, which trusts its indices: validate() refuses any
+outside.
 Every map on elements applies such columns with tensor.apply_map on
 integer numerators (S(x), Delta(x), S^2 and S^4, S^2 = Ad(u),
 m(S (x) id)(t) with m = HopfData.mul_legs, the associativity rows, the
@@ -34,23 +35,22 @@ Which facts belong to what.  A twist H^J changes only the coproduct
 and the antipode, so every fact of the algebra (mult_ints, unit_legs,
 the generators, the radical, the associativity and unit witnesses,
 commutativity and the algebra half of the structural check) lives on
-the Algebra object and is computed once per Algebra: H^J holds H's
-very Algebra, so it computes none of them, and HopfData.replace with
-another product, unit or grading makes a fresh one.  The atlas's hosts
-of one (G, W) hold one Algebra too: u changes only Delta and S.  The
-Hopf axioms are proved once per host: H^J keeps the Twist that made
-it, and its axioms follow from H's by the twisting theorem
-(HopfData.axioms) once its stored coproduct and antipode equal the
-twist's J^-1 Delta J and Q^-1 S Q, as does the Chevalley property
-(HopfData.chevalley).  On a commutative, associative and unital
-algebra J^-1 Delta J = Delta, so H^J is the bialgebra H and S^J = S by
-the uniqueness of the antipode: a twist of it keeps H's coproduct and
-antipode (constructions.Twist), forms no Q, and changes only R.  Such
-an H^J holds H's very maps, so it takes H's structural check too.
-Everything else that reads the coproduct or the antipode (the
-coalgebra half of the structural check of any other H^J, S^2, S^4) is
-computed once per object, so once per instance.  Facts of a pair
-(H, R) live in triangular.py.
+the Algebra, and every fact of the coalgebra (its half of the
+structural check, S^2 and S^4) on the Coalgebra; each is computed once
+per record.  H^J holds H's very Algebra, and HopfData.replace makes a
+fresh record only of the half whose field it changes.  The atlas's
+hosts of one (G, W) hold one Algebra too: u changes only Delta and S.
+On a commutative, associative and unital algebra J^-1 Delta J = Delta,
+so H^J is the bialgebra H and S^J = S by the uniqueness of the
+antipode: such a twist hands H^J H's very Coalgebra
+(constructions.Twist.coalgebra), forms no Q, and changes only R;
+otherwise H^J gets a Coalgebra of its own.  A HopfData keeps what
+needs both halves: eps(1) = 1 and Delta(1) = 1 (x) 1, the axioms and
+the Chevalley property.  The Hopf axioms are proved once per host: H^J
+keeps the Twist that made it, and its axioms follow from H's by the
+twisting theorem (HopfData.axioms) once its records equal H's Algebra
+and the twist's Coalgebra, as does the Chevalley property
+(HopfData.chevalley).  Facts of a pair (H, R) live in triangular.py.
 
 The radical is computed from the kernel of the regular trace form
 (valid in characteristic 0).  The Chevalley check tests that the radical
@@ -66,7 +66,7 @@ multiplying it back on both sides and falls back to algebra_inverse
 only if that fails, so a wrong closed form changes neither a value nor
 an exception.  The two closed forms are
 Q^-1 = m(id (x) S)(J^-1) for a twist's Q = m(S (x) id)(J)
-(constructions.Twist.antipode) and u^-1 = sum b_i S^2(a_i) for the
+(constructions.Twist.coalgebra) and u^-1 = sum b_i S^2(a_i) for the
 Drinfeld element of R = sum a_i (x) b_i (triangular.drinfeld_element).
 """
 
@@ -99,8 +99,8 @@ from .tensor import (
 
 _ALGEBRA_FIELDS = ("dim", "unit", "mult", "parity", "super")
 _algebra_fields = attrgetter(*_ALGEBRA_FIELDS)
-_HOPF_FIELDS = ("algebra", "comult", "counit", "antipode", "twist")
-_STRUCTURE_FIELDS = _HOPF_FIELDS[:4]
+_COALGEBRA_FIELDS = ("dim", "comult", "counit", "antipode", "parity")
+_coalgebra_fields = attrgetter(*_COALGEBRA_FIELDS)
 
 
 def _read_only(obj, name, *value):
@@ -243,32 +243,78 @@ class Algebra:
         return tuple(jacobson_radical(self))
 
 
-class HopfData:
-    """A (super) Hopf algebra given by structure constants.
+class Coalgebra:
+    """The coproduct, counit and antipode of a (super) Hopf algebra, and
+    the facts of them, each computed once per object (see the module
+    docstring): comult[i] is the Tensor2 Delta(e_i), counit the Vec of
+    eps(e_i), antipode[i] the Vec S(e_i), and parity the grading the
+    coproduct must respect.  Equality compares the five fields, so a
+    Coalgebra is unhashable; it refuses attribute assignment, as
+    Algebra does."""
 
-    algebra holds the product, unit and grading and every fact of them
-    (Algebra); antipode[i] is the Vec S(e_i) and comult[i] the Tensor2
-    Delta(e_i), so S and Delta are tuples of sparse columns, which
-    tensor.apply_map applies, and counit is the Vec of eps(e_i), a
-    covector that tensor.contract applies.  dim, unit, mult, parity and
-    super read through to the algebra.  twist is the constructions.Twist
-    whose apply() made this object, or None (see axioms).
+    __hash__ = None
+
+    def __init__(self, dim: int, comult: tuple, counit: Vec, antipode: tuple, parity: tuple[int, ...]):
+        vars(self).update(dim=dim, comult=comult, counit=counit, antipode=antipode, parity=parity)
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other):
+        if other.__class__ is not Coalgebra:
+            return NotImplemented
+        return _coalgebra_fields(self) == _coalgebra_fields(other)
+
+    @cached_property
+    def malformation(self) -> Optional[str]:
+        """Why the coalgebra is not well formed, or None: shapes, the
+        index range and parity of each coproduct term and the index range
+        of each antipode term."""
+        d, par = self.dim, self.parity
+        if not isinstance(self.counit, Vec) or self.counit.dim != d or len(par) != d:
+            return "unit/counit/parity length mismatch"
+        if len(self.comult) != d or any(not isinstance(t, Tensor2) or t.dim != d for t in self.comult):
+            return "comultiplication shape mismatch"
+        if len(self.antipode) != d or any(not isinstance(v, Vec) or v.dim != d for v in self.antipode):
+            return "antipode shape mismatch"
+        # indices and parities only: the keys, in increasing order, and no
+        # coefficient made a CycScalar
+        for i in range(d):
+            for j, k in sorted(self.comult[i]._num):
+                if not (0 <= j < d and 0 <= k < d):
+                    return f"coproduct index ({j},{k}) out of range at {i}"
+                if (par[j] + par[k]) % 2 != par[i]:
+                    return f"coproduct parity violation at ({i},{j},{k})"
+            for j in sorted(self.antipode[i]._num):
+                if not 0 <= j < d:
+                    return f"antipode index {j} out of range at {i}"
+        return None
+
+    @cached_property
+    def s2_columns(self) -> tuple[Vec, ...]:
+        """S^2 as its columns S^2(e_i)."""
+        return tuple(apply_map(self.antipode, col) for col in self.antipode)
+
+    @cached_property
+    def s4_columns(self) -> tuple[Vec, ...]:
+        """S^4 = S^2 o S^2 as its columns."""
+        return tuple(apply_map(self.s2_columns, col) for col in self.s2_columns)
+
+
+class HopfData:
+    """A (super) Hopf algebra given by structure constants: an Algebra,
+    a Coalgebra and the constructions.Twist whose apply() made this
+    object, or None (see axioms).  dim, unit, mult, parity and super
+    read through to the algebra, and comult, counit, antipode,
+    s2_columns and s4_columns to the coalgebra.
 
     A HopfData refuses attribute assignment, since its cached facts
-    (axioms, chevalley, S^2, S^4, the structural check) hold only for
-    the maps it was made with; replace() makes a changed copy.
-    Equality is identity.
+    (axioms, chevalley, the structural check) hold only for the records
+    it was made with; replace() makes a changed copy.  Equality is
+    identity.
     """
 
-    def __init__(
-        self,
-        algebra: Algebra,
-        comult: tuple[Tensor2, ...],
-        counit: Vec,
-        antipode: tuple[Vec, ...],
-        twist: Optional[Any] = None,
-    ):
-        vars(self).update(algebra=algebra, comult=comult, counit=counit, antipode=antipode, twist=twist)
+    def __init__(self, algebra: Algebra, coalgebra: Coalgebra, twist: Optional[Any] = None):
+        vars(self).update(algebra=algebra, coalgebra=coalgebra, twist=twist)
 
     __setattr__ = __delattr__ = _read_only
 
@@ -277,6 +323,11 @@ class HopfData:
     mult = property(attrgetter("algebra.mult"))
     parity = property(attrgetter("algebra.parity"))
     super = property(attrgetter("algebra.super"))
+    comult = property(attrgetter("coalgebra.comult"))
+    counit = property(attrgetter("coalgebra.counit"))
+    antipode = property(attrgetter("coalgebra.antipode"))
+    s2_columns = property(attrgetter("coalgebra.s2_columns"))
+    s4_columns = property(attrgetter("coalgebra.s4_columns"))
 
     def validate(self) -> "HopfData":
         """Structural well-formedness; axiom checking lives in verify_hopf."""
@@ -286,46 +337,41 @@ class HopfData:
 
     @cached_property
     def _malformation(self) -> Optional[str]:
-        """Why the structure is not well formed, or None: Algebra.malformation,
-        then the coalgebra's half (_coalgebra_malformation), checked once
-        per object.  An H^J that holds its twist's host's very algebra,
-        comult, counit and antipode (Twist.apply on a kept coalgebra)
-        takes the host's verdict."""
-        twist = self.twist
-        if twist is not None and all(
-            getattr(self, name) is getattr(twist.host, name) for name in _STRUCTURE_FIELDS
-        ):
-            return twist.host._malformation
-        problem = self.algebra.malformation
-        return problem if problem is not None else _coalgebra_malformation(self)
+        """Why the structure is not well formed, or None: each record's
+        own check (Algebra.malformation, Coalgebra.malformation), then
+        what needs both halves: one grading, eps(1) = 1 and
+        Delta(1) = 1 (x) 1."""
+        algebra, coalgebra = self.algebra, self.coalgebra
+        problem = algebra.malformation or coalgebra.malformation
+        if problem is not None:
+            return problem
+        if (coalgebra.dim, coalgebra.parity) != (algebra.dim, algebra.parity):
+            return "algebra and coalgebra grading mismatch"
+        if self.counit_vec(self.unit) != SC_ONE:
+            return "counit(unit) != 1"
+        if self.comult_vec(self.unit) != Tensor2.outer(self.unit, self.unit):
+            return "Delta(unit) != unit (x) unit"
+        return None
 
     def replace(self, **changes) -> "HopfData":
-        """A copy with the given fields changed.  A change to dim, unit,
-        mult, parity or super makes a fresh Algebra, so a product mutant
-        shares no fact with this object; any other copy keeps it."""
-        if any(name in changes for name in _ALGEBRA_FIELDS):
-            old = self.algebra
-            changes["algebra"] = Algebra(*(changes.pop(name, getattr(old, name)) for name in _ALGEBRA_FIELDS))
-        fields = [changes.pop(name, getattr(self, name)) for name in _HOPF_FIELDS]
-        return HopfData(*fields, **changes)
-
-    def keeps_algebra_of(self, host: "HopfData") -> bool:
-        """True when this object has host's algebra, the very Algebra or an
-        equal one, and host's counit: all that a twist leaves unchanged."""
-        same = self.algebra is host.algebra or self.algebra == host.algebra
-        return same and self.counit == host.counit
+        """A copy with the given fields changed.  A change to a field of
+        the Algebra or the Coalgebra (dim and parity are both's) makes a
+        fresh record of it, which shares no fact with this object's; an
+        unchanged record is kept.  algebra, coalgebra and twist replace
+        whole parts."""
+        algebra = changes.pop("algebra", self.algebra)
+        coalgebra = changes.pop("coalgebra", self.coalgebra)
+        twist = changes.pop("twist", self.twist)
+        unknown = changes.keys() - {*_ALGEBRA_FIELDS, *_COALGEBRA_FIELDS}
+        if unknown:
+            raise TypeError(f"replace() got unknown fields {sorted(unknown)}")
+        if changes.keys() & _ALGEBRA_FIELDS:
+            algebra = Algebra(*(changes.get(name, getattr(algebra, name)) for name in _ALGEBRA_FIELDS))
+        if changes.keys() & _COALGEBRA_FIELDS:
+            coalgebra = Coalgebra(*(changes.get(name, getattr(coalgebra, name)) for name in _COALGEBRA_FIELDS))
+        return HopfData(algebra, coalgebra, twist)
 
     # --- basic linear maps -------------------------------------------------
-
-    @cached_property
-    def s2_columns(self) -> tuple[Vec, ...]:
-        """S^2 as its columns S^2(e_i), composed once per object."""
-        return tuple(apply_map(self.antipode, col) for col in self.antipode)
-
-    @cached_property
-    def s4_columns(self) -> tuple[Vec, ...]:
-        """S^4 = S^2 o S^2 as its columns, composed once per object."""
-        return tuple(apply_map(self.s2_columns, col) for col in self.s2_columns)
 
     @property
     def generators(self) -> Optional[tuple[int, ...]]:
@@ -380,8 +426,7 @@ class HopfData:
 
     def same_structure(self, other: "HopfData") -> bool:
         """Exact structure-constant equality in the shared fixed basis."""
-        same_maps = self.antipode == other.antipode and self.comult == other.comult
-        return same_maps and self.keeps_algebra_of(other)
+        return self.algebra == other.algebra and self.coalgebra == other.coalgebra
 
 
 def make_hopf(algebra: Algebra, comult, counit, antipode) -> HopfData:
@@ -392,41 +437,15 @@ def make_hopf(algebra: Algebra, comult, counit, antipode) -> HopfData:
     dense list."""
     d = algebra.dim
     return HopfData(
-        algebra=algebra,
-        comult=tuple(Tensor2(d, (((j, k), c) for j, k, c in entry)) for entry in comult),
-        counit=_vec(counit),
-        antipode=tuple(Vec(d, col) for col in antipode),
+        algebra,
+        Coalgebra(
+            d,
+            tuple(Tensor2(d, (((j, k), c) for j, k, c in entry)) for entry in comult),
+            _vec(counit),
+            tuple(Vec(d, col) for col in antipode),
+            algebra.parity,
+        ),
     ).validate()
-
-
-def _coalgebra_malformation(h: HopfData) -> Optional[str]:
-    """Why the coalgebra of h, on a well-formed algebra, is not well
-    formed, or None: shapes, the index range and parity of each
-    coproduct term, the index range of each antipode term, and the
-    counit and coproduct of the unit."""
-    d, par = h.dim, h.parity
-    if not isinstance(h.counit, Vec) or h.counit.dim != d:
-        return "unit/counit/parity length mismatch"
-    if len(h.comult) != d or any(not isinstance(t, Tensor2) or t.dim != d for t in h.comult):
-        return "comultiplication shape mismatch"
-    if len(h.antipode) != d or any(not isinstance(v, Vec) or v.dim != d for v in h.antipode):
-        return "antipode shape mismatch"
-    # indices and parities only: the keys, in increasing order, and no
-    # coefficient made a CycScalar
-    for i in range(d):
-        for j, k in sorted(h.comult[i]._num):
-            if not (0 <= j < d and 0 <= k < d):
-                return f"coproduct index ({j},{k}) out of range at {i}"
-            if (par[j] + par[k]) % 2 != par[i]:
-                return f"coproduct parity violation at ({i},{j},{k})"
-        for j in sorted(h.antipode[i]._num):
-            if not 0 <= j < d:
-                return f"antipode index {j} out of range at {i}"
-    if h.counit_vec(h.unit) != SC_ONE:
-        return "counit(unit) != 1"
-    if h.comult_vec(h.unit) != Tensor2.outer(h.unit, h.unit):
-        return "Delta(unit) != unit (x) unit"
-    return None
 
 
 def _vec(x) -> Vec:

@@ -92,6 +92,13 @@ def _int(x, what: str) -> int:
     return x
 
 
+def _object(obj, what: str) -> dict:
+    """obj, refused with ShapeError (exit 2) unless it is a JSON object."""
+    if not isinstance(obj, dict):
+        raise ShapeError(f"{what} must be a JSON object, not {obj!r:.40}")
+    return obj
+
+
 def _index(i, dim: int):
     """Check a basis index read from a file: an integer in 0..dim-1; a
     negative one would wrap around."""
@@ -116,7 +123,7 @@ def _unique_entries(entries, where: str) -> dict:
 
 
 def hopf_from_obj(obj) -> HopfData:
-    dim = _int(obj["dim"], "dim")
+    dim = _int(_object(obj, "a Hopf dump")["dim"], "dim")
     if any(type(p) is not int or p not in (0, 1) for p in obj["parity"]):
         raise ShapeError("parity entries must be 0 or 1")
     if type(obj["super"]) is not bool:
@@ -149,7 +156,7 @@ def tensor2_to_obj(t: Tensor2):
 
 
 def tensor2_from_obj(obj) -> Tensor2:
-    dim = _int(obj["host_dim"], "host_dim")
+    dim = _int(_object(obj, "an R-matrix or twist file")["host_dim"], "host_dim")
     entries = _unique_entries(
         (((_index(i, dim), _index(j, dim)), c) for i, j, c in obj["entries"]),
         "tensor",
@@ -358,26 +365,26 @@ def group_from_file_obj(obj) -> FiniteGroup:
     from .groups import FiniteGroup
 
     return FiniteGroup(
-        [[_int(x, "group table entry") for x in row] for row in obj["table"]],
+        [[_int(x, "group table entry") for x in row] for row in _object(obj, "a group")["table"]],
         _int(obj["identity"], "identity"),
         name=obj.get("name", ""),
     )
 
 
 def _resolve_ref(obj, key, base_dir):
-    if key in obj:
-        return obj[key], base_dir
+    if key in _object(obj, f"an input holding {key!r}"):
+        return _object(obj[key], f"its {key!r}"), base_dir
     ref = obj.get(key + "_ref")
     if ref is None:
         raise ShapeError(f"missing {key!r} or {key}_ref")
     path = Path(base_dir) / ref if base_dir is not None else Path(ref)
-    return load(path), path.parent
+    return _object(load(path), f"the file its {key}_ref names"), path.parent
 
 
 def _rep_on(group: FiniteGroup, obj) -> GroupRep:
     from .groups import GroupRep
 
-    degree = _int(obj["degree"], "degree")
+    degree = _int(_object(obj, "a representation")["degree"], "degree")
     return GroupRep(group, degree, [mat_from_obj(m) for m in obj["matrices"]])
 
 
@@ -399,7 +406,7 @@ def bicharacter_from_file_obj(obj) -> Bicharacter:
     """
     from .groups import Bicharacter
 
-    factors = tuple(_int(f, "bicharacter factor") for f in obj["factors"])
+    factors = tuple(_int(f, "bicharacter factor") for f in _object(obj, "a bicharacter")["factors"])
     n = prod(factors)
     values = obj["values"]
     if any(f < 1 for f in factors) or len(values) != n or any(len(row) != n for row in values):

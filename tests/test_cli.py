@@ -850,10 +850,21 @@ _DUPLICATE = "\0duplicate"  # a key no input has; replaced in the text
 def _mutated_input_file(draw):
     """One input file other than a dump, as text, with one mutation: an
     integer swapped for a float, bool or string, an integer moved out of
-    range, a key dropped or a key repeated.  Returns (text, argv, kind)."""
+    range, a key dropped or a key repeated, or an object, the top level
+    included, replaced by an array or a string.  Returns (text, argv,
+    kind)."""
     obj, argv = copy.deepcopy(draw(st.sampled_from(_INPUT_FUZZ_CASES)))
-    kind = draw(st.sampled_from(["type", "range", "drop", "duplicate"]))
-    if kind in ("drop", "duplicate"):
+    kind = draw(st.sampled_from(["type", "range", "drop", "duplicate", "object"]))
+    if kind == "object":
+        path = draw(st.sampled_from([p for p, v in _json_paths(obj) if isinstance(v, dict)]))
+        value = draw(st.sampled_from([[], "x"]))
+        if not path:
+            return json.dumps(value), argv, kind
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    elif kind in ("drop", "duplicate"):
         path = draw(st.sampled_from([p for p, v in _json_paths(obj) if isinstance(v, dict) and v]))
         parent = obj
         for key in path:
@@ -888,8 +899,58 @@ def test_input_files_survive_mutation(case):
         err = io.StringIO()
         with redirect_stdout(io.StringIO()), redirect_stderr(err):
             code = main(argv)
-    assert code in ((2,) if kind == "duplicate" else (0, 1, 2, 3))
+    assert code in ((2,) if kind in ("duplicate", "object") else (0, 1, 2, 3))
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "obj, argv",
+    [
+        ([], ["build", "{in}", "--kind", "modified-supergroup", "-o", "{out}"]),
+        ({"group": FiniteGroup.cyclic(2).to_obj(), "rep": [], "u": 0}, ["build", "{in}", "--kind", "modified-supergroup", "-o", "{out}"]),
+        ("x", ["build", "{in}", "--kind", "semisimple-triangular", "-o", "{out}"]),
+        ([], ["build", "{in}", "--kind", "septuple-pipeline", "-o", "{out}"]),
+        ("x", ["septuple", "validate", "{in}"]),
+        ([], ["build", "{in}", "--kind", "group-algebra", "-o", "{out}"]),
+        ("x", ["build", "{in}", "--kind", "exterior", "-o", "{out}"]),
+        ({**_semisimple_input(), "group": "x"}, ["build", "{in}", "--kind", "semisimple-triangular", "-o", "{out}"]),
+        ({"group": FiniteGroup.cyclic(2).to_obj(), "rep": []}, ["build", "{in}", "--kind", "septuple-pipeline", "-o", "{out}"]),
+        ({"rep": {"group": "x", "degree": 1, "matrices": []}, "u": 0}, ["build", "{in}", "--kind", "modified-supergroup", "-o", "{out}"]),
+        ([], ["analyze", "{in}"]),
+    ],
+    ids=[
+        "modified_supergroup",
+        "modified_supergroup_rep",
+        "semisimple_triangular",
+        "septuple_pipeline",
+        "septuple_validate",
+        "group_algebra",
+        "exterior",
+        "semisimple_triangular_group",
+        "septuple_pipeline_rep",
+        "modified_supergroup_rep_group",
+        "analyze",
+    ],
+)
+def test_an_input_that_is_no_object_exits_2(tmp_path, capsys, obj, argv):
+    # the top level, the rep or a group of a build input or septuple, or
+    # a dump, is an array or a string: refused by name, with no traceback
+    inp, out = write(tmp_path / "in.json", obj), tmp_path / "out.json"
+    assert main([a.format(**{"in": inp, "out": str(out)}) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert "must be a JSON object, not" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_a_referenced_file_that_is_no_object_exits_2(tmp_path, capsys):
+    # a group_ref names a file whose top level is an array
+    write(tmp_path / "g.json", [])
+    obj = {key: value for key, value in _semisimple_input().items() if key != "group"}
+    inp, out = write(tmp_path / "in.json", {**obj, "group_ref": "g.json"}), tmp_path / "out.json"
+    assert main(["build", inp, "--kind", "semisimple-triangular", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "the file its group_ref names must be a JSON object, not []" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_max_dim_env(tmp_path, monkeypatch):

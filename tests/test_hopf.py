@@ -183,6 +183,15 @@ def test_a_counit_of_another_length_or_type_is_malformed(sweedler):
         make_hopf(counit=[ONE, ZERO], **raw)
 
 
+def test_records_of_two_gradings_are_malformed(sweedler):
+    # each record is well formed on its own; together they disagree on
+    # the grading (k[Z2] and the super Lambda(1)) or on the dimension
+    z2, wedge = group_algebra(FiniteGroup.cyclic(2)), exterior_algebra(1)
+    for algebra, coalgebra in ((z2.algebra, wedge.coalgebra), (sweedler.algebra, z2.coalgebra)):
+        with pytest.raises(ShapeError, match="^algebra and coalgebra grading mismatch$"):
+            hopf.HopfData(algebra, coalgebra).validate()
+
+
 def test_an_antipode_column_over_another_dimension_is_malformed(sweedler):
     columns = sweedler.antipode[:1] + (Vec.basis(5, 1),) + sweedler.antipode[2:]
     for antipode in (columns, sweedler.antipode[:3], tuple(v.nonzeros for v in sweedler.antipode)):
@@ -412,12 +421,12 @@ def _conjugated(tw):
 
 
 def _twisted_maps(monkeypatch, tw):
-    """(comult, antipode, tensor2_mul calls that built comult) of tw."""
+    """(comult, antipode, tensor2_mul calls that built them) of tw.coalgebra."""
     calls = []
-    monkeypatch.setattr(constructions, "tensor2_mul", lambda *a: calls.append(a) or tensor2_mul(*a))
-    comult = tw.comult
-    monkeypatch.undo()
-    return comult, tw.antipode, len(calls)
+    with monkeypatch.context() as patch:
+        patch.setattr(constructions, "tensor2_mul", lambda *a: calls.append(a) or tensor2_mul(*a))
+        coalgebra = tw.coalgebra
+    return coalgebra.comult, coalgebra.antipode, len(calls)
 
 
 def _abelian(g):
@@ -460,7 +469,8 @@ def test_a_twist_of_a_commutative_host_keeps_its_coalgebra(monkeypatch):
         assert tw._keeps_coalgebra == commutative
         if commutative:
             kept += 1
-            assert comult is h.comult and antipode is h.antipode and calls == 0
+            assert tw.coalgebra is h.coalgebra and calls == 0
+            assert comult is h.comult and antipode is h.antipode
         else:
             assert calls == 2 * h.dim
     # 96 atlas-9 instances with W = 0 on an abelian group, and the 10 of
@@ -470,7 +480,7 @@ def test_a_twist_of_a_commutative_host_keeps_its_coalgebra(monkeypatch):
 
 
 def test_a_kept_coalgebra_forms_no_q(monkeypatch):
-    # on the 106 kept cases Twist.antipode forms neither Q = m(S (x) id)(J)
+    # on the 106 kept cases Twist.coalgebra forms neither Q = m(S (x) id)(J)
     # nor Q^-1; on the 25 others it forms Q^-1 once, certified, and
     # conjugates.  On all 131 the closed form m(id (x) S)(J^-1) inverts Q
     # on both sides: Q was invertible wherever it is no longer formed, so
@@ -485,25 +495,28 @@ def test_a_kept_coalgebra_forms_no_q(monkeypatch):
     for tw, commutative in _twist_cases():
         h = tw.host
         calls.clear()
-        antipode = tw.antipode
+        coalgebra = tw.coalgebra
         if commutative:
-            assert antipode is h.antipode and calls == []
+            assert coalgebra is h.coalgebra and calls == []
         else:
             conjugating += 1
             assert calls == ["antipode_contraction"] * 2 + ["certified_inverse"]
-            assert antipode == _conjugated(tw)[1]
+            assert coalgebra.antipode == _conjugated(tw)[1]
         q, q_inv = antipode_contraction(h, tw.j), antipode_contraction(h, tw.j_inv, leg=1)
         assert h.mul_vec(q, q_inv) == h.unit == h.mul_vec(q_inv, q)
     assert conjugating == 25
 
 
 def test_a_kept_coalgebra_shares_its_hosts_structural_check(monkeypatch):
-    # an H^J that holds its host's very algebra, comult, counit and
-    # antipode takes the host's verdict; any copy with a map of its own
-    # is checked afresh, and a malformed one is refused by name
+    # an H^J that holds its host's very Coalgebra takes the host's
+    # verdict on it, S^2 and S^4; any copy with a map of its own holds a
+    # fresh Coalgebra, checked afresh, and a malformed one is refused by
+    # name
     checked = []
-    check = hopf._coalgebra_malformation
-    monkeypatch.setattr(hopf, "_coalgebra_malformation", lambda h: checked.append(h) or check(h))
+    check = hopf.Coalgebra.malformation.func
+    counted = functools.cached_property(lambda c: checked.append(c) or check(c))
+    counted.__set_name__(hopf.Coalgebra, "malformation")
+    monkeypatch.setattr(hopf.Coalgebra, "malformation", counted)
     kept = []
     for s in enumerate_instances(9):
         tw = instance_twist(s)
@@ -513,24 +526,25 @@ def test_a_kept_coalgebra_shares_its_hosts_structural_check(monkeypatch):
         assert h2._malformation is None and h2.axioms.ok
         if tw._keeps_coalgebra:
             kept.append(h2)
-            assert checked == []
+            assert h2.coalgebra is tw.host.coalgebra and checked == []
+            assert h2.s4_columns is tw.host.s4_columns and h2.s2_columns is tw.host.s2_columns
         else:
-            assert checked == [h2]
+            assert checked == [h2.coalgebra]
     assert len(kept) == 96
     # the last kept H^J: a copy with one antipode index out of range, and
     # copies with another counit, equal or not
     h2 = kept[-1]
     d = h2.dim
     bad = h2.replace(antipode=h2.antipode[:-1] + (Vec(d, [(d, ONE)]),))
-    assert bad.twist is h2.twist
+    assert bad.twist is h2.twist and bad.coalgebra is not h2.coalgebra
     with pytest.raises(ShapeError, match=rf"^antipode index {d} out of range at {d - 1}$"):
         bad.validate()
     checked.clear()
     doubled = h2.replace(counit=h2.counit.scale(CycScalar.from_rational(2)))
-    assert doubled._malformation == "counit(unit) != 1" and checked == [doubled]
+    assert doubled._malformation == "counit(unit) != 1" and checked == [doubled.coalgebra]
     copy = h2.replace(counit=Vec(d, h2.counit.nonzeros))
     assert copy.counit == h2.counit and copy.counit is not h2.counit
-    assert copy._malformation is None and checked == [doubled, copy]
+    assert copy._malformation is None and checked == [doubled.coalgebra, copy.coalgebra]
 
 
 def test_a_symmetric_product_that_is_not_associative_conjugates(monkeypatch):
@@ -562,7 +576,8 @@ def test_a_twist_shares_the_algebra_of_its_host():
     h3, _ = Twist(h2, unit_tensor2(h2)).apply()
     assert h3.algebra is host.algebra
     # the records that cache facts once per object refuse assignment
-    for record, name in ((host.algebra, "mult"), (host, "comult"), (h2, "twist"), (tw, "j_inv")):
+    records = ((host.algebra, "mult"), (host.coalgebra, "antipode"), (host, "comult"), (h2, "twist"), (tw, "j_inv"))
+    for record, name in records:
         with pytest.raises(AttributeError, match=name):
             setattr(record, name, getattr(record, name))
         with pytest.raises(AttributeError, match="extra"):
@@ -576,8 +591,18 @@ def test_a_twist_shares_the_algebra_of_its_host():
         fresh = host.replace(**{name: getattr(host, name)}).algebra
         assert fresh is not host.algebra and fresh == host.algebra
         assert fresh.mult_text is None and set(vars(fresh)) <= {*fields, "mult_text"}
-    with pytest.raises(TypeError):
+    # and likewise the Coalgebra; dim and parity belong to both records
+    assert host.s4_columns and host.replace(mult=host.mult).coalgebra is host.coalgebra
+    fields = ("dim", "comult", "counit", "antipode", "parity")
+    for name in fields:
+        fresh = host.replace(**{name: getattr(host, name)}).coalgebra
+        assert fresh is not host.coalgebra and fresh == host.coalgebra and set(vars(fresh)) == set(fields)
+    with pytest.raises(TypeError, match="mult_text"):
         host.replace(mult_text=host.algebra.mult_text)
+    # a whole record, or the twist, replaces its part as it is
+    copy = host.replace(algebra=h2.algebra, coalgebra=h2.coalgebra, twist=tw)
+    assert (copy.algebra, copy.coalgebra, copy.twist) == (h2.algebra, h2.coalgebra, tw)
+    assert copy.algebra is h2.algebra and copy.coalgebra is h2.coalgebra
     with pytest.raises(TypeError):
         hopf.Algebra(host.dim, host.unit, host.mult, host.parity, False, None)
 
@@ -602,9 +627,10 @@ def test_apply_twist_on_a_loaded_dump_computes_no_algebra_fact(monkeypatch):
 
 def test_an_algebra_is_unhashable(sweedler):
     # equality compares the fields, so identity hashing would break the
-    # hash contract; the error names the Algebra, not its unit Vec
-    with pytest.raises(TypeError, match="Algebra"):
-        hash(sweedler.algebra)
+    # hash contract; the error names the record, not one of its Vecs
+    for record in (sweedler.algebra, sweedler.coalgebra):
+        with pytest.raises(TypeError, match=type(record).__name__):
+            hash(record)
 
 
 def test_axioms_report_cached(sweedler):

@@ -655,7 +655,7 @@ def test_linear_maps_multiply_no_scalar(monkeypatch):
     # numerators, the counit and the trace form contracted, and bicharacter
     # twists counted on exponents of zeta_N; each result
     # is compared with the one computed before the products were forbidden,
-    # on a fresh copy of the host and its Algebra
+    # on a fresh copy of the host: an Algebra and a Coalgebra of its own
     i = root_of_unity(4, 1)
     chi, conj = (ONE, i, -ONE, -i), (ONE, -i, -ONE, i)
     z4 = FiniteGroup.cyclic(4)
@@ -690,7 +690,8 @@ def test_linear_maps_multiply_no_scalar(monkeypatch):
     assert bicharacter_twist(sub33, gamma, 18) == inflated
     assert Twist(kz3z3, bicharacter_twist(sub33, gamma, 9)).j_inv == j_inv
     for h, (t, v, s_v, delta_v, s2, order, contractions, covectors) in zip(hosts, expected):
-        fresh = h.replace(mult=h.mult)
+        fresh = h.replace(mult=h.mult, antipode=h.antipode)
+        assert fresh.algebra is not h.algebra and fresh.coalgebra is not h.coalgebra
         assert fresh.validate() is fresh and _covector_results(fresh, t, v) == covectors
         assert fresh.antipode_vec(v) == s_v and fresh.comult_vec(v) == delta_v
         assert fresh.s2_columns == s2 and antipode_order(fresh) == order

@@ -634,10 +634,12 @@ def test_atlas9_job_proves_each_host_once(monkeypatch, tmp_path):
     # host of one (G, W) built its own Algebra; each instance's Twist
     # derives J^-1 = (S (x) id)(J), one map each (5,255 while J^-1 was
     # built from the inverse bicharacter).  The 96 twists of a commutative
-    # host form no Q and no Q^-1 candidate, and their H^J takes its host's
-    # structural check, so none applies Delta to 1: 3 maps fewer each
-    # (5,374 while they did).
-    assert maps == 5086
+    # host form no Q and no Q^-1 candidate (5,374 while they did), and
+    # their H^J holds its host's very Coalgebra, so it composes no S^2 and
+    # no S^4 of its own; it applies Delta to 1 for its own structural check
+    # (5,086 while it took its host's whole verdict and composed S^2 and
+    # S^4 afresh).
+    assert maps == 4154
     # products in H (x) H: the twists' J21^-1 R J, J^-1 Delta J on a host
     # that is not commutative, their checks of J, and the hosts' proofs;
     # the premises of every H^J compare maps and multiply none.  5,085
