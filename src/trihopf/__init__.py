@@ -50,10 +50,8 @@ _EXPORTS = {
             "AxiomReport",
             "Coalgebra",
             "HopfData",
-            "antipode_order",
             "dual_hopf",
             "is_chevalley",
-            "is_cocommutative",
             "is_semisimple",
             "jacobson_radical",
             "make_hopf",

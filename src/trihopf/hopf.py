@@ -36,10 +36,13 @@ and the antipode, so every fact of the algebra (mult_ints, unit_legs,
 the generators, the radical, the associativity and unit witnesses,
 commutativity and the algebra half of the structural check) lives on
 the Algebra, and every fact of the coalgebra (its half of the
-structural check, S^2 and S^4) on the Coalgebra; each is computed once
-per record.  H^J holds H's very Algebra, and HopfData.replace makes a
-fresh record only of the half whose field it changes.  The atlas's
-hosts of one (G, W) hold one Algebra too: u changes only Delta and S.
+structural check, S^2, S^4, cocommutativity, the antipode order and the
+counit witness) on the Coalgebra; each is computed once per record.
+Coassociativity stays on HopfData: its generator lemma needs Delta
+multiplicative, a fact of both halves.  H^J holds H's very Algebra, and
+HopfData.replace makes a fresh record only of the half whose field it
+changes.  The atlas's hosts of one (G, W) hold one Algebra too: u
+changes only Delta and S.
 On a commutative, associative and unital algebra J^-1 Delta J = Delta,
 so H^J is the bialgebra H and S^J = S by the uniqueness of the
 antipode: such a twist hands H^J H's very Coalgebra
@@ -245,12 +248,12 @@ class Algebra:
 
 class Coalgebra:
     """The coproduct, counit and antipode of a (super) Hopf algebra, and
-    the facts of them, each computed once per object (see the module
-    docstring): comult[i] is the Tensor2 Delta(e_i), counit the Vec of
-    eps(e_i), antipode[i] the Vec S(e_i), and parity the grading the
-    coproduct must respect.  Equality compares the five fields, so a
-    Coalgebra is unhashable; it refuses attribute assignment, as
-    Algebra does."""
+    the facts of them (malformation, S^2, S^4, cocommutative,
+    counit_witness, antipode_order), each computed once per object:
+    comult[i] is the Tensor2 Delta(e_i), counit the Vec of eps(e_i),
+    antipode[i] the Vec S(e_i), and parity the grading the coproduct
+    must respect.  Equality compares the five fields, so a Coalgebra is
+    unhashable; it refuses attribute assignment, as Algebra does."""
 
     __hash__ = None
 
@@ -299,13 +302,47 @@ class Coalgebra:
         """S^4 = S^2 o S^2 as its columns."""
         return tuple(apply_map(self.s2_columns, col) for col in self.s2_columns)
 
+    @cached_property
+    def cocommutative(self) -> bool:
+        """flip(Delta(e_i)) = Delta(e_i) for every i, the flip signed by this record's parity."""
+        return all(flip(t, self) == t for t in self.comult)
+
+    @cached_property
+    def counit_witness(self) -> Optional[tuple[int]]:
+        """The least (i,) with a counit slant of Delta(e_i) other than e_i, or None."""
+        for i, t in enumerate(self.comult):
+            e = Vec.basis(self.dim, i)
+            if counit_slants(self, t) != (e, e):
+                return (i,)
+        return None
+
+    @cached_property
+    def antipode_order(self) -> int:
+        """Least k >= 1 with S**k = id; OrderNotFound past 8 dim H.
+
+        When the cached S^4 is the identity the order divides 4 and is
+        read off S and S^2 (S^3 = id would give S = S^4 S^-3 = id); only
+        otherwise are S^3, S^5, ... composed by apply_map.  The bound
+        holds for every (super) Hopf algebra: Radford gives S^(4 dim B) = id,
+        and a super H lies in its bosonization H x| k[Z2], of dimension
+        2 dim H, whose S^4 restricts to S_H^4."""
+        identity = tuple(Vec.basis(self.dim, i) for i in range(self.dim))
+        if self.s4_columns == identity:
+            return 1 if self.antipode == identity else 2 if self.s2_columns == identity else 4
+        order, power = 3, tuple(apply_map(self.antipode, col) for col in self.s2_columns)
+        while power != identity:
+            if order == 8 * self.dim:
+                raise OrderNotFound(f"antipode order exceeds 8 dim H = {order}")
+            order, power = order + 1, tuple(apply_map(self.antipode, col) for col in power)
+        return order
+
 
 class HopfData:
     """A (super) Hopf algebra given by structure constants: an Algebra,
     a Coalgebra and the constructions.Twist whose apply() made this
     object, or None (see axioms).  dim, unit, mult, parity and super
-    read through to the algebra, and comult, counit, antipode,
-    s2_columns and s4_columns to the coalgebra.
+    read through to the algebra, and comult, counit and antipode to the
+    coalgebra; a fact of one half is read on its record.
 
     A HopfData refuses attribute assignment, since its cached facts
     (axioms, chevalley, the structural check) hold only for the records
@@ -326,8 +363,6 @@ class HopfData:
     comult = property(attrgetter("coalgebra.comult"))
     counit = property(attrgetter("coalgebra.counit"))
     antipode = property(attrgetter("coalgebra.antipode"))
-    s2_columns = property(attrgetter("coalgebra.s2_columns"))
-    s4_columns = property(attrgetter("coalgebra.s4_columns"))
 
     def validate(self) -> "HopfData":
         """Structural well-formedness; axiom checking lives in verify_hopf."""
@@ -485,10 +520,10 @@ class AxiomReport:
 def antipode_contraction(h: HopfData, t: Tensor2, leg: int = 0, square: bool = False) -> Vec:
     """m(S (x) id)(t), or m(id (x) S)(t) when leg is 1; S^2 in place of S
     when square is set."""
-    return h.mul_legs(apply_map(h.s2_columns if square else h.antipode, t, leg))
+    return h.mul_legs(apply_map(h.coalgebra.s2_columns if square else h.antipode, t, leg))
 
 
-def counit_slants(h: HopfData, t: Tensor2) -> tuple[Vec, Vec]:
+def counit_slants(h: HopfData | Coalgebra, t: Tensor2) -> tuple[Vec, Vec]:
     """(eps (x) id)(t) and (id (x) eps)(t)."""
     return contract(h.counit, t, 0), contract(h.counit, t, 1)
 
@@ -526,13 +561,12 @@ def _axiom_scan(h: HopfData, lead: Sequence[int]) -> AxiomReport:
     coassociativity and the bialgebra identity.  The associativity and
     unit witnesses are the algebra's (Algebra.witnesses), which equal
     the exhaustive scan's."""
-    basis = [Vec.basis(h.dim, i) for i in range(h.dim)]
     associativity, unit = h.algebra.witnesses
     found = {
         "associativity": associativity,
         "unit": unit,
         "coassociativity": _coassociativity_witness(h, lead),
-        "counit": _counit_witness(h, basis),
+        "counit": h.coalgebra.counit_witness,
         "bialgebra": _bialgebra_witness(h, lead),
         "antipode": _antipode_witness(h),
     }
@@ -576,14 +610,6 @@ def _coassociativity_witness(h: HopfData, lead):
     return None
 
 
-def _counit_witness(h: HopfData, basis):
-    for i in range(h.dim):
-        left, right = counit_slants(h, h.comult[i])
-        if left != basis[i] or right != basis[i]:
-            return (i,)
-    return None
-
-
 def _bialgebra_witness(h: HopfData, lead):
     """Counit multiplicativity and Delta(e_i e_j) = Delta(e_i) Delta(e_j),
     Koszul-signed, on (i, j) for i in lead.  The first is one tensor
@@ -610,11 +636,6 @@ def _antipode_witness(h: HopfData):
         ):
             return (i,)
     return None
-
-
-def is_cocommutative(h: HopfData) -> bool:
-    """flip(Delta) == Delta on every basis element (signed flip if super)."""
-    return all(flip(t, h) == t for t in h.comult)
 
 
 # ---------------------------------------------------------------------------
@@ -704,26 +725,6 @@ def subspace_is_hopf_ideal(h: HopfData, basis: Sequence[Vec]) -> bool:
 def is_chevalley(h: HopfData) -> bool:
     """True iff the radical is a Hopf ideal (HopfData.chevalley)."""
     return h.chevalley
-
-
-def antipode_order(h: HopfData, bound: int = 16) -> int:
-    """Least k >= 1 with S**k = id; OrderNotFound past the bound.
-
-    The powers are tuples of columns.  When the cached S^4
-    (HopfData.s4_columns) is the identity the order divides 4, and is
-    read off S and S^2: S^3 = id would give S = S^4 S^-3 = id.  Only
-    otherwise are S^3, S^5, ... composed, S^(k+1)(e_i) = S(S^k(e_i)) by
-    apply_map."""
-    identity = tuple(Vec.basis(h.dim, i) for i in range(h.dim))
-    if h.s4_columns == identity:
-        order = 1 if h.antipode == identity else 2 if h.s2_columns == identity else 4
-    else:
-        order, power = 3, tuple(apply_map(h.antipode, col) for col in h.s2_columns)
-        while power != identity and order <= bound:
-            order, power = order + 1, tuple(apply_map(h.antipode, col) for col in power)
-    if order > bound:
-        raise OrderNotFound(f"antipode order exceeds bound {bound}")
-    return order
 
 
 def algebra_inverse(h: HopfData, x: Vec) -> Vec:

@@ -108,17 +108,23 @@ def _index(i, dim: int):
     return i
 
 
-def _unique_entries(entries, where: str) -> dict:
-    """Index -> value from a file's (index, value) pairs, refusing a repeated index.
-
-    A repeated structure constant would be summed by some readers and
-    overwritten by others.
+def _unique_entries(entries, where: str, dim: int, shape: str) -> dict:
+    """Index tuple -> value from the field `where` of a file, a list of
+    entries shaped like shape, "[i, j, scalar]" say.  ShapeError names an
+    entry of another shape by its position, and refuses an index out of
+    range or repeated: a repeated structure constant would be summed by
+    some readers and overwritten by others.
     """
-    out = {}
-    for key, c in entries:
+    if not isinstance(entries, list):
+        raise ShapeError(f"{where}: expected a list of {shape}")
+    arity, out = shape.count(","), {}
+    for pos, entry in enumerate(entries):
+        if not isinstance(entry, list) or len(entry) != arity + 1:
+            raise ShapeError(f"{where}[{pos}]: expected {shape}")
+        key = tuple(_index(i, dim) for i in entry[:arity])
         if key in out:
             raise ShapeError(f"duplicate entry at index {key} in {where}")
-        out[key] = c
+        out[key] = entry[arity]
     return out
 
 
@@ -128,16 +134,11 @@ def hopf_from_obj(obj) -> HopfData:
         raise ShapeError("parity entries must be 0 or 1")
     if type(obj["super"]) is not bool:
         raise ShapeError(f"super {obj['super']!r} is not true or false")
-    entries = _unique_entries(
-        (((_index(i, dim), _index(j, dim), _index(k, dim)), c) for i, j, k, c in obj["mult"]),
-        "mult",
-    )
+    entries = _unique_entries(obj["mult"], "mult", dim, "[i, j, k, scalar]")
     mult = Tensor3(dim, [(key, scalar_from_obj(c)) for key, c in entries.items()])
     comult = []
-    for entry in obj["comult"]:
-        terms = _unique_entries(
-            (((_index(j, dim), _index(k, dim)), c) for j, k, c in entry), "comult"
-        )
+    for i, entry in enumerate(obj["comult"]):
+        terms = _unique_entries(entry, f"comult[{i}]", dim, "[j, k, scalar]")
         comult.append(tuple((j, k, scalar_from_obj(c)) for (j, k), c in terms.items()))
     antipode = mat_from_obj(obj["antipode"])
     if len(antipode) != dim or any(len(row) != dim for row in antipode):
@@ -157,10 +158,7 @@ def tensor2_to_obj(t: Tensor2):
 
 def tensor2_from_obj(obj) -> Tensor2:
     dim = _int(_object(obj, "an R-matrix or twist file")["host_dim"], "host_dim")
-    entries = _unique_entries(
-        (((_index(i, dim), _index(j, dim)), c) for i, j, c in obj["entries"]),
-        "tensor",
-    )
+    entries = _unique_entries(obj["entries"], "entries", dim, "[i, j, scalar]")
     return Tensor2.from_dict(dim, {key: scalar_from_obj(c) for key, c in entries.items()})
 
 

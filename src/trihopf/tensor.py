@@ -70,7 +70,7 @@ from .scalars import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .hopf import Algebra, HopfData
+    from .hopf import Algebra, Coalgebra, HopfData
 
 
 # ---------------------------------------------------------------------------
@@ -622,9 +622,9 @@ def check_tensor_dims(h: "HopfData", *tensors: Optional[Tensor2]):
             raise ShapeError(f"tensor over dimension {t.dim} given for dimension {h.dim}")
 
 
-def flip(a: Tensor2, host: Optional["HopfData"] = None) -> Tensor2:
-    """Swap the tensor factors; Koszul sign when the host is super."""
-    parity = host.parity if host is not None and host.super else None
+def flip(a: Tensor2, host: Optional["HopfData | Coalgebra"] = None) -> Tensor2:
+    """Swap the tensor factors; Koszul sign on pairs of odd elements of host's grading."""
+    parity = host.parity if host is not None and any(host.parity) else None
     num = a._num
     if parity is None:
         out = {(j, i): v for (i, j), v in num.items()}

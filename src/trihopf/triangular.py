@@ -65,10 +65,10 @@ drinfeld_element takes it once it multiplies back to 1 on both sides
 compared with the cached sparse columns of S^2.
 
 The checks bundled in check_structure_theorems assert u^2 = 1, u
-group-like, S^4 = id (HopfData.s4_columns, S^2 composed with itself
-once per object) and the
-odd-dimension degeneration u = 1 with semisimplicity, recording
-failures instead of raising.
+group-like, S^4 = id (Coalgebra.s4_columns, S^2 composed with itself
+once per Coalgebra, which an H^J that keeps its host's coalgebra
+shares) and the odd-dimension degeneration u = 1 with semisimplicity,
+recording failures instead of raising.
 """
 
 from __future__ import annotations
@@ -79,10 +79,8 @@ from .errors import InvalidDrinfeldElement, NotInvertible, NotQuasitriangular
 from .hopf import (
     HopfData,
     antipode_contraction,
-    antipode_order,
     certified_inverse,
     is_chevalley,
-    is_cocommutative,
     is_semisimple,
 )
 from .scalars import SC_HALF
@@ -206,7 +204,7 @@ def drinfeld_element(h: HopfData, r: Tensor2) -> Vec:
         u_inv = certified_inverse(h, u, antipode_contraction(h, r21, leg=1, square=True))
     except NotInvertible:
         raise NotQuasitriangular("Drinfeld candidate is not invertible") from None
-    s2 = h.s2_columns
+    s2 = h.coalgebra.s2_columns
     gens = _certified_generators(h)
     for i in range(h.dim) if gens is None else gens:
         if h.mul_vec(h.mul_vec(u, Vec.basis(h.dim, i)), u_inv) != s2[i]:
@@ -293,7 +291,7 @@ def check_structure_theorems(h: HopfData, r: Tensor2) -> TheoremReport:
     u = drinfeld_element(h, r)
     u_sq = h.mul_vec(u, u) == h.unit
     u_gl = h.comult_vec(u) == Tensor2.outer(u, u)
-    s4_ok = h.s4_columns == tuple(Vec.basis(h.dim, i) for i in range(h.dim))
+    s4_ok = h.coalgebra.s4_columns == tuple(Vec.basis(h.dim, i) for i in range(h.dim))
     if h.dim % 2 == 1:
         odd_ok = u == h.unit and is_semisimple(h)
     else:
@@ -326,11 +324,12 @@ def analysis_report(h: HopfData, r: Tensor2 | None = None) -> dict:
     certified by the twisting theorem (certify_twisted_triangular); if a
     premise fails, and on any other h, verify_triangular decides.  The
     Chevalley property is HopfData.chevalley, once per object, which an
-    H^J whose axioms the twisting theorem proves reads off its host.
+    H^J whose axioms the twisting theorem proves reads off its host;
+    cocommutativity and the antipode order are facts of h.coalgebra,
+    which an H^J that keeps its host's coalgebra shares.
     """
-    rad = h.algebra.radical
-    cocommutative = is_cocommutative(h)
-    order = antipode_order(h)
+    rad, coalgebra = h.algebra.radical, h.coalgebra
+    order = coalgebra.antipode_order  # OrderNotFound before any R is checked
     block = None
     if r is not None:
         tri = (
@@ -342,7 +341,7 @@ def analysis_report(h: HopfData, r: Tensor2 | None = None) -> dict:
     obj = {
         "dim": h.dim,
         "super": h.super,
-        "cocommutative": cocommutative,
+        "cocommutative": coalgebra.cocommutative,
         "semisimple": not rad,
         "radical_dim": len(rad),
         "chevalley": h.chevalley,

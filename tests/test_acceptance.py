@@ -29,7 +29,6 @@ from trihopf.groups import (
     sign_characters,
 )
 from trihopf.hopf import (
-    antipode_order,
     dual_hopf,
     is_chevalley,
     is_semisimple,
@@ -170,7 +169,7 @@ def test_acceptance_3_structure_theorem_suite():
         for key in ("u_squared_is_one", "u_grouplike", "s4_is_id", "s2_is_ad_u"):
             if not getattr(rep, key):
                 failures.append(f"{spec.name}: {key}")
-        if antipode_order(h) not in (1, 2, 4):
+        if h.coalgebra.antipode_order not in (1, 2, 4):
             failures.append(f"{spec.name}: antipode order does not divide 4")
         if h.dim % 2 == 1:
             odd_seen.add(spec.dim)

@@ -343,6 +343,32 @@ def test_verify_rejects_duplicate_structure_constants(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "field, change, message",
+    [
+        ("mult", lambda m: ["x"], "mult[0]: expected [i, j, k, scalar]"),
+        ("mult", lambda m: m[:1] + [m[1][:3]] + m[2:], "mult[1]: expected [i, j, k, scalar]"),
+        ("mult", lambda m: {"0": m[0]}, "mult: expected a list of [i, j, k, scalar]"),
+        ("comult", lambda c: c[:2] + [c[2] + [[0, 0, 1, 1]]] + c[3:], "comult[2][1]: expected [j, k, scalar]"),
+        ("comult", lambda c: c[:1] + [5] + c[2:], "comult[1]: expected a list of [j, k, scalar]"),
+        ("entries", lambda e: e + [{"i": 0}], "entries[4]: expected [i, j, scalar]"),
+    ],
+)
+def test_a_malformed_dump_entry_names_itself(tmp_path, capsys, field, change, message):
+    # an entry of another shape is refused by its field and position, not
+    # by Python's unpacking error
+    hopf = GOLDEN / "sweedler.hopf.json"
+    dump, r = load(hopf), load(GOLDEN / "sweedler.r.json")
+    if field == "entries":
+        r["entries"] = change(r["entries"])
+        code = main(["verify", str(hopf), "--r", write(tmp_path / "r.json", r)])
+    else:
+        dump[field] = change(dump[field])
+        code = main(["verify", write(tmp_path / "bad.json", dump)])
+    assert code == 2
+    assert capsys.readouterr().err == f"malformed input: {message}\n"
+
+
+@pytest.mark.parametrize(
     "resize", [lambda e: e[:-1], lambda e: e + [e[0]], lambda e: 5], ids=["short", "long", "int"]
 )
 def test_verify_rejects_a_counit_of_another_length(tmp_path, capsys, resize):

@@ -44,7 +44,6 @@ from trihopf.groups import (
 from trihopf.hopf import (
     algebra_inverse,
     dual_hopf,
-    is_cocommutative,
     is_semisimple,
     jacobson_radical,
     verify_hopf,
@@ -291,7 +290,7 @@ def test_supergroup_z2_sign_relations(z2, sign_line):
     sg = supergroup_algebra(z2, sign_line)
     assert sg.dim == 4 and sg.super
     assert verify_hopf(sg).ok
-    assert is_cocommutative(sg)
+    assert sg.coalgebra.cocommutative
     # g v = -v g: basis order 1, v, g, gv
     g, v = Vec.basis(4, 2), Vec.basis(4, 1)
     assert sg.mul_vec(g, v) == Vec.from_entries([ZERO, ZERO, ZERO, ONE])

@@ -28,10 +28,8 @@ from trihopf.hopf import (
     Algebra,
     algebra_inverse,
     antipode_contraction,
-    antipode_order,
     dual_hopf,
     is_chevalley,
-    is_cocommutative,
     is_semisimple,
     jacobson_radical,
     make_hopf,
@@ -84,7 +82,7 @@ def test_group_algebras_verify():
     ):
         h = group_algebra(g)
         assert verify_hopf(h).ok
-        assert is_cocommutative(h)
+        assert h.coalgebra.cocommutative
         powers = dense_antipode_powers(h, 2)
         assert powers[2] == powers[0]
 
@@ -224,18 +222,18 @@ def test_corrupt_coproduct_witnesses_klein():
 
 
 def test_cocommutativity():
-    assert is_cocommutative(group_algebra(FiniteGroup.symmetric3()))
+    assert group_algebra(FiniteGroup.symmetric3()).coalgebra.cocommutative
     dual = dual_hopf(group_algebra(FiniteGroup.symmetric3()))
-    assert not is_cocommutative(dual)
+    assert not dual.coalgebra.cocommutative
 
 
 def test_supergroup_supercocommutative(sg_z2_sign):
     assert verify_hopf(sg_z2_sign).ok
-    assert is_cocommutative(sg_z2_sign)
+    assert sg_z2_sign.coalgebra.cocommutative
 
 
 def test_modified_supergroup_not_cocommutative(sweedler):
-    assert not is_cocommutative(sweedler)
+    assert not sweedler.coalgebra.cocommutative
 
 
 # --- generator certificates ---------------------------------------------------
@@ -527,7 +525,7 @@ def test_a_kept_coalgebra_shares_its_hosts_structural_check(monkeypatch):
         if tw._keeps_coalgebra:
             kept.append(h2)
             assert h2.coalgebra is tw.host.coalgebra and checked == []
-            assert h2.s4_columns is tw.host.s4_columns and h2.s2_columns is tw.host.s2_columns
+            assert h2.coalgebra.s4_columns is tw.host.coalgebra.s4_columns
         else:
             assert checked == [h2.coalgebra]
     assert len(kept) == 96
@@ -592,7 +590,7 @@ def test_a_twist_shares_the_algebra_of_its_host():
         assert fresh is not host.algebra and fresh == host.algebra
         assert fresh.mult_text is None and set(vars(fresh)) <= {*fields, "mult_text"}
     # and likewise the Coalgebra; dim and parity belong to both records
-    assert host.s4_columns and host.replace(mult=host.mult).coalgebra is host.coalgebra
+    assert host.coalgebra.s4_columns and host.replace(mult=host.mult).coalgebra is host.coalgebra
     fields = ("dim", "comult", "counit", "antipode", "parity")
     for name in fields:
         fresh = host.replace(**{name: getattr(host, name)}).coalgebra
@@ -704,7 +702,7 @@ def test_dual_of_s3_commutative_not_cocommutative():
     d = dual_hopf(group_algebra(FiniteGroup.symmetric3()))
     assert verify_hopf(d).ok
     assert d.mult == Tensor3(6, [((j, i, k), c) for i, j, k, c in d.mult.nonzeros])
-    assert not is_cocommutative(d)
+    assert not d.coalgebra.cocommutative
 
 
 def test_double_dual_identity():
@@ -811,9 +809,9 @@ def test_hopf_ideal_subroutine_tests_the_coproduct():
 # --- antipode order -----------------------------------------------------------
 
 def test_antipode_orders(sweedler):
-    assert antipode_order(group_algebra(FiniteGroup.cyclic(2))) == 1
-    assert antipode_order(group_algebra(FiniteGroup.cyclic(3))) == 2
-    assert antipode_order(sweedler) == 4
+    assert group_algebra(FiniteGroup.cyclic(2)).coalgebra.antipode_order == 1
+    assert group_algebra(FiniteGroup.cyclic(3)).coalgebra.antipode_order == 2
+    assert sweedler.coalgebra.antipode_order == 4
     powers = dense_antipode_powers(sweedler, 4)
     assert powers[2] != powers[0]
     assert powers[4] == powers[0]
@@ -821,10 +819,22 @@ def test_antipode_orders(sweedler):
 
 def test_antipode_order_bound():
     h = group_algebra(FiniteGroup.cyclic(3))
-    # scaled antipode never returns to the identity
+    # scaled antipode never returns to the identity; the search stops at
+    # Radford's bound 8 dim H
     twisted = h.replace(antipode=tuple(col + col for col in h.antipode))
-    with pytest.raises(OrderNotFound):
-        antipode_order(twisted, bound=8)
+    with pytest.raises(OrderNotFound, match=r"^antipode order exceeds 8 dim H = 24$"):
+        twisted.coalgebra.antipode_order
+
+
+def test_an_antipode_order_above_16_is_found():
+    # S a permutation of the basis of k[Z11] with cycle type (2, 9): order
+    # 18, under the bound 8 * 11 = 88 (a fixed bound of 16 refused it)
+    h = group_algebra(FiniteGroup.cyclic(11))
+    perm = (1, 0, *range(3, 11), 2)
+    permuted = h.replace(antipode=tuple(Vec.basis(11, perm[i]) for i in range(11)))
+    assert permuted.coalgebra.antipode_order == 18
+    powers = dense_antipode_powers(permuted, 18)
+    assert dense_antipode_order(powers) == 18
 
 
 def _nonzeros(cols):
@@ -846,12 +856,12 @@ def test_sparse_antipode_powers_match_the_dense_oracle_on_atlas9():
         for host in (h, tw.host):
             powers = dense_antipode_powers(host, 4)
             order = dense_antipode_order(powers)
-            assert order is not None and antipode_order(host) == order
+            assert order is not None and host.coalgebra.antipode_order == order
             orders.append(order)
             assert _nonzeros(host.antipode) == dense_columns(powers[1])
-            assert _nonzeros(host.s2_columns) == dense_columns(powers[2])
-            assert _nonzeros(host.s4_columns) == dense_columns(powers[4])
-            assert host.s4_columns is host.s4_columns
+            assert _nonzeros(host.coalgebra.s2_columns) == dense_columns(powers[2])
+            assert _nonzeros(host.coalgebra.s4_columns) == dense_columns(powers[4])
+            assert host.coalgebra.s4_columns is host.coalgebra.s4_columns
             identity = _vec_columns(powers[0])
             assert _vec_columns(powers[order]) == identity
             assert not any(_vec_columns(p) == identity for p in powers[1:order])

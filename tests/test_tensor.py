@@ -22,7 +22,7 @@ from trihopf.constructions import (
     validate_septuple,
 )
 from trihopf.errors import NotInvertible, ShapeError
-from trihopf.hopf import Algebra, antipode_contraction, antipode_order, make_hopf
+from trihopf.hopf import Algebra, antipode_contraction, make_hopf
 from trihopf.groups import (
     AbelianSubgroup,
     Bicharacter,
@@ -666,7 +666,7 @@ def test_linear_maps_multiply_no_scalar(monkeypatch):
         t = Tensor2(d, [((k % d, (3 * k + 1) % d), c) for k, c in enumerate((sc(1, 2), i, -ONE))])
         v = Vec(d, [(0, sc(2, 3)), (d - 1, root_of_unity(3, 1))])
         expected.append((
-            t, v, h.antipode_vec(v), h.comult_vec(v), h.s2_columns, antipode_order(h),
+            t, v, h.antipode_vec(v), h.comult_vec(v), h.coalgebra.s2_columns, h.coalgebra.antipode_order,
             [antipode_contraction(h, t, leg, square) for leg in (0, 1) for square in (False, True)],
             _covector_results(h, t, v),
         ))
@@ -694,7 +694,7 @@ def test_linear_maps_multiply_no_scalar(monkeypatch):
         assert fresh.algebra is not h.algebra and fresh.coalgebra is not h.coalgebra
         assert fresh.validate() is fresh and _covector_results(fresh, t, v) == covectors
         assert fresh.antipode_vec(v) == s_v and fresh.comult_vec(v) == delta_v
-        assert fresh.s2_columns == s2 and antipode_order(fresh) == order
+        assert fresh.coalgebra.s2_columns == s2 and fresh.coalgebra.antipode_order == order
         assert [
             antipode_contraction(fresh, t, leg, square) for leg in (0, 1) for square in (False, True)
         ] == contractions

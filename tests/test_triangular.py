@@ -1,6 +1,7 @@
 """Quasitriangularity, the Drinfeld element, structural theorem checks."""
 
 import copy
+import functools
 import sys
 from dataclasses import asdict
 
@@ -33,7 +34,7 @@ from trihopf.groups import (
     half_bicharacter,
     sign_characters,
 )
-from trihopf.hopf import is_cocommutative, verify_hopf
+from trihopf.hopf import verify_hopf
 from trihopf.scalars import CycScalar
 from trihopf.tensor import (
     Tensor2,
@@ -96,7 +97,7 @@ def test_unit_r_on_supercocommutative(n):
     # dim V = 2 on, Delta(v1 v2) has odd (x) odd terms and the opposite
     # coproduct needs the Koszul-signed flip
     h = exterior_algebra(n)
-    assert verify_hopf(h).ok and is_cocommutative(h)
+    assert verify_hopf(h).ok and h.coalgebra.cocommutative
     assert verify_triangular(h, unit_tensor2(h))
 
 
@@ -401,7 +402,7 @@ def test_certificate_mutants_fail_on_atlas9():
     for k, spec in enumerate(enumerate_instances(9)):
         tw = instance_twist(spec)
         h, r = tw.apply()
-        cocommutative = is_cocommutative(h)
+        cocommutative = h.coalgebra.cocommutative
         noncommuting += not cocommutative
         # one R^J entry perturbed
         assert not certify_twisted_triangular(h, _perturbed(r, k), tw)
@@ -422,7 +423,7 @@ def test_certificate_mutants_fail_on_atlas9():
         assert not certify_twisted_triangular(h, r, _forged(tw, r=_perturbed(tw.r, k)))
         # R = 1 (x) 1 is not triangular on a non-cocommutative host, and
         # neither is its twist
-        if not is_cocommutative(tw.host):
+        if not tw.host.coalgebra.cocommutative:
             plain = Twist(tw.host, tw.j, tw.j_inv, unit_tensor2(tw.host))
             assert not certify_twisted_triangular(*plain.apply(), plain)
     assert twisted > 50 and noncommuting > 10
@@ -563,7 +564,7 @@ def test_host_proof_is_kept_per_r_not_per_host():
     # host is proved afresh and refused, and R_u is then proved again
     spec = next(s for s in enumerate_instances(8) if s.name == "Z2xZ2_u1_V2_A0-1-2-3_g0")
     tw = instance_twist(spec)
-    assert not is_cocommutative(tw.host)
+    assert not tw.host.coalgebra.cocommutative
     h, r = tw.apply()
     assert certify_twisted_triangular(h, r, tw)
     assert tw.host._triangular_proof[0] is tw.r
@@ -603,6 +604,14 @@ def test_atlas9_job_proves_each_host_once(monkeypatch, tmp_path):
             return original(*args)
 
         monkeypatch.setattr(module, name, counting)
+    facts: dict = {}
+    for name in ("cocommutative", "antipode_order"):
+        fact = getattr(hopf.Coalgebra, name).func
+        counted = functools.cached_property(
+            lambda c, name=name, fact=fact: facts.setdefault(name, []).append(c) or fact(c)
+        )
+        counted.__set_name__(hopf.Coalgebra, name)
+        monkeypatch.setattr(hopf.Coalgebra, name, counted)
     atlas._sign_rep.cache_clear()  # its GroupRep checks apply rho(g)
     atlas._smash.cache_clear()
     atlas._host.cache_clear()
@@ -668,6 +677,20 @@ def test_atlas9_job_proves_each_host_once(monkeypatch, tmp_path):
         # the Chevalley property, once per host; every H^J reads its host's
         "subspace_is_hopf_ideal": 43,
     }
+    # cocommutativity and the antipode order, once per distinct Coalgebra
+    # of the 119 H^J (119 each while they were free functions of a
+    # HopfData): one per H^J with a coalgebra of its own, and one per host
+    # whose kept coalgebra its H^J hold, read by every such H^J
+    host_coalgebras = {id(atlas._host(*key)[0].coalgebra): key for key in hosts}
+    kept = [s for s in specs if atlas._host(s.group, s.v_chars, s.u)[0].algebra.commutative]
+    assert len(kept) == 96
+    for name in ("cocommutative", "antipode_order"):
+        records = [id(c) for c in facts[name]]
+        assert len(records) == len(set(records)) == 53
+        assert {host_coalgebras[i] for i in records if i in host_coalgebras} == {
+            (s.group, s.v_chars, s.u) for s in kept
+        }
+        assert sum(i not in host_coalgebras for i in records) == len(specs) - len(kept)
     # the triangular proofs take the generator path, on the untwisted hosts
     assert all(
         gens is not None and gens == h.generators and h.twist is None
