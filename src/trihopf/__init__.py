@@ -54,7 +54,6 @@ _EXPORTS = {
             "is_chevalley",
             "is_semisimple",
             "jacobson_radical",
-            "make_hopf",
             "verify_hopf",
         ),
         "hopf",

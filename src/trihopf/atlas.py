@@ -91,7 +91,8 @@ def _sign_rep(name: str, v_chars: tuple[int, ...]) -> GroupRep:
 
 @lru_cache(maxsize=None)
 def _smash(name: str, v_chars: tuple[int, ...]):
-    """constructions._smash_product(G, W) of a catalog (group, W)."""
+    """constructions._smash_product(G, W) of a catalog (group, W): its
+    Algebra and super Coalgebra."""
     return _smash_product(_group_tables(name)[0], _sign_rep(name, v_chars))
 
 
@@ -103,8 +104,9 @@ def _host(name: str, v_chars: tuple[int, ...], u: int) -> tuple[HopfData, Tensor
     twisted from them, holds one Algebra, whose facts (generators,
     radical, witnesses, mult text) are made once.  H's Coalgebra keeps
     its structural check, S^2 and S^4, for H and every H^J that keeps
-    it (an abelian G with W = 0); H keeps its axioms and the proof that
-    R_u is triangular."""
+    it (an abelian G with W = 0); with W = 0 it is the smash product's
+    own, so the hosts of one group share it whatever their u.  H keeps
+    its axioms and the proof that R_u is triangular."""
     return _modify(_group_tables(name)[0], _smash(name, v_chars), u)
 
 

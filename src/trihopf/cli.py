@@ -89,6 +89,15 @@ def _check_predicted_dim(group_obj, degree=0):
         raise ShapeError(f"dimension {order}*2^{degree} exceeds HOPF_MAX_DIM={max_dim()}")
 
 
+def _check_septuple_dim(obj, base):
+    """Bound a septuple file's |G| * 2^deg W before it is loaded, for its
+    group and for the group its rep names, on which the rep is built."""
+    rep_obj, rep_dir = _resolve_ref(obj, "rep", base)
+    _check_predicted_dim(_resolve_ref(obj, "group", base)[0], rep_obj["degree"])
+    if "group" in rep_obj or "group_ref" in rep_obj:
+        _check_predicted_dim(_resolve_ref(rep_obj, "group", rep_dir)[0], rep_obj["degree"])
+
+
 def _load_hopf(path):
     obj = _object(load(path), "a Hopf dump")
     _check_dim(_int(obj["dim"], "dim"))
@@ -165,11 +174,7 @@ def cmd_build(args) -> int:
         gamma = bicharacter_from_file_obj(obj["bicharacter"])
         h, r = semisimple_triangular(group, sub, gamma, _int(obj["u"], "u"))
     elif kind == "septuple-pipeline":
-        rep_obj, rep_dir = _resolve_ref(obj, "rep", base)
-        _check_predicted_dim(_resolve_ref(obj, "group", base)[0], rep_obj["degree"])
-        # a rep that names its own group is built on that group
-        if "group" in rep_obj or "group_ref" in rep_obj:
-            _check_predicted_dim(_resolve_ref(rep_obj, "group", rep_dir)[0], rep_obj["degree"])
+        _check_septuple_dim(obj, base)
         from .constructions import septuple_twist
 
         septuple = septuple_from_file_obj(obj, base)
@@ -260,8 +265,9 @@ def cmd_modify(args) -> int:
 def cmd_septuple_validate(args) -> int:
     from .constructions import validate_septuple
 
-    obj = load(args.input)
-    septuple = septuple_from_file_obj(obj, Path(args.input).parent)
+    obj, base = load(args.input), Path(args.input).parent
+    _check_septuple_dim(obj, base)
+    septuple = septuple_from_file_obj(obj, base)
     report = validate_septuple(septuple)
     _print_report(report.to_obj(), args.format)
     return EXIT_OK if report.valid else EXIT_VERIFY_FAIL

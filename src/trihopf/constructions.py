@@ -2,19 +2,20 @@
 
 Group algebras, smash products k[G] x Lambda(V), bicharacter twists
 supported on abelian subgroups, and the septuple twist that composes
-them.  Every builder returns validated HopfData whose axioms the
-verifiers re-check exhaustively in the test suite.
+them.  Every builder returns HopfData(algebra, coalgebra).validate(), whose
+axioms the verifiers re-check exhaustively in the test suite.
 
 Each step of the construction chain has one implementation.
 _smash_product builds the product of (G, W) once, as an ordinary
-Algebra, with the super coalgebra tables; supergroup_algebra wraps its
-Tensor3 in a graded Algebra, and Lambda(V) is the supergroup algebra of
-the trivial group.  The modified supergroup algebra keeps that very
-Algebra and changes only the coalgebra, by a central involution u
-acting by -1 on V: Delta'(x) = sum x_1 u^|x_2| (x) x_2 and S'(x) =
-u^|x| S(x).  Since u moves a basis element g v_T to (ug) v_T, up to
-sign, this modification (_modify) is one pass over the coalgebra
-tables.  k[G] keeps its own direct tables.
+Algebra, with the super Coalgebra; supergroup_algebra wraps its Tensor3
+in a graded Algebra, and Lambda(V) is the supergroup algebra of the
+trivial group.  The modified supergroup algebra keeps that very Algebra
+and changes only the coalgebra, by a central involution u acting by -1
+on V: Delta'(x) = sum x_1 u^|x_2| (x) x_2 and S'(x) = u^|x| S(x).
+Since u moves a basis element g v_T to (ug) v_T, up to sign, this
+modification (_modify) re-keys the columns it moves and keeps the
+others, and with W = 0 it keeps the whole Coalgebra.  k[G] keeps its
+own direct tables.
 
 One sign rule: _wedge gives the sign of v_A ^ v_B, and the coproduct
 split Delta(v_S) = sum eps v_T (x) v_{S-T} takes eps from
@@ -60,9 +61,8 @@ from .hopf import (
     antipode_contraction,
     certified_inverse,
     counit_slants,
-    make_hopf,
 )
-from .scalars import SC_ONE, SC_ZERO, CycScalar, _reduce_int_poly
+from .scalars import SC_ONE, CycScalar, _reduce_int_poly
 from .tensor import (
     Echelon,
     _canonical,
@@ -86,14 +86,12 @@ from .triangular import r_u
 
 def group_algebra(g: FiniteGroup) -> HopfData:
     """k[G]: basis the group elements, Delta(g) = g (x) g, S(g) = g^-1."""
-    d = g.order
+    d, even = g.order, (0,) * g.order
     mult = Tensor3(d, [((i, j, g.table[i][j]), SC_ONE) for i in range(d) for j in range(d)])
-    return make_hopf(
-        Algebra(d, Vec.basis(d, g.identity), mult, (0,) * d),
-        comult=tuple(((i, i, SC_ONE),) for i in range(d)),
-        counit=(SC_ONE,) * d,
-        antipode=tuple(((g.inverse[i], SC_ONE),) for i in range(d)),
-    )
+    comult = tuple(Tensor2._of(d, 1, 1, {(i, i): 1}) for i in range(d))
+    antipode = tuple(Vec.basis(d, g.inverse[i]) for i in range(d))
+    coalgebra = Coalgebra(d, comult, Vec._of(d, 1, 1, dict.fromkeys(range(d), 1)), antipode, even)
+    return HopfData(Algebra(d, Vec.basis(d, g.identity), mult, even), coalgebra).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -158,15 +156,15 @@ def _exterior_images(cols) -> list[Vec]:
 # ---------------------------------------------------------------------------
 # smash products k[G] x Lambda(V)
 
-def _smash_product(g: FiniteGroup, v: GroupRep):
-    """The product of k[G] x Lambda(V), and the super coalgebra tables of
-    the supergroup algebra on it, shared by both smash builders.
+def _smash_product(g: FiniteGroup, v: GroupRep) -> tuple[Algebra, Coalgebra]:
+    """The product of k[G] x Lambda(V), and the super coalgebra of the
+    supergroup algebra on it, shared by both smash builders.
 
-    Returns (algebra, comult, counit, antipode, parity): algebra is the
-    ordinary Algebra of the product, its Tensor3 summed from raw signed
-    terms; comult and antipode are the raw columns make_hopf takes and
-    parity the Z2 grading, |g v_S| = |S| mod 2.  With rho(h) v_S expanded
-    once per h (_exterior_images) and every sign read off _wedge:
+    Returns (algebra, coalgebra): the ordinary Algebra of the product,
+    its Tensor3 summed from raw signed terms, and the super Coalgebra,
+    graded by |g v_S| = |S| mod 2, its columns made on integer numerators.
+    With rho(h) v_S expanded once per h (_exterior_images) and every sign
+    read off _wedge:
       (g, S)(h, T) = (gh, rho(h^-1)(v_S) ^ v_T), so g v = rho(g)(v) g;
       Delta(g v_S) = sum over T in S of eps g v_T (x) g v_{S-T}, where
         v_T ^ v_{S-T} = eps v_S;
@@ -174,39 +172,32 @@ def _smash_product(g: FiniteGroup, v: GroupRep):
     """
     size = 1 << v.degree
     dim = g.order * size
-    images = [[image.nonzeros for image in _exterior_images(cols)] for cols in v.matrices]
+    images = [_exterior_images(cols) for cols in v.matrices]
     terms = []
     for i in range(dim):
         gi, si = divmod(i, size)
         for j in range(dim):
             hj, tj = divmod(j, size)
             base = g.table[gi][hj] * size
-            for u_mask, coeff in images[g.inverse[hj]][si]:
+            for u_mask, coeff in images[g.inverse[hj]][si].nonzeros:
                 wedge = _wedge(u_mask, tj)
                 if wedge is not None:
                     sign, mask = wedge
                     terms.append(((i, j, base + mask), coeff if sign > 0 else -coeff))
-    splits = [
-        tuple(
-            (t, s & ~t, SC_ONE if _wedge(t, s & ~t)[0] > 0 else -SC_ONE)
-            for t in _subsets(s)
-        )
-        for s in range(size)
-    ]
+    splits = [tuple((t, s & ~t, _wedge(t, s & ~t)[0]) for t in _subsets(s)) for s in range(size)]
     parity = tuple(bin(i % size).count("1") % 2 for i in range(dim))
-    comult = []
-    s_cols = []
+    comult, antipode = [], []
     for i in range(dim):
         gi, si = divmod(i, size)
-        base = gi * size
-        comult.append(tuple((base + t, base + c, sign) for t, c, sign in splits[si]))
-        ginv = g.inverse[gi] * size
-        s_cols.append(
-            tuple((ginv + mask, -c if parity[i] else c) for mask, c in images[gi][si])
-        )
-    counit = tuple(SC_ONE if i % size == 0 else SC_ZERO for i in range(dim))
-    algebra = Algebra(dim, Vec.basis(dim, g.identity * size), Tensor3(dim, terms), (0,) * dim)
-    return algebra, tuple(comult), counit, tuple(s_cols), parity
+        base, ginv = gi * size, g.inverse[gi] * size
+        comult.append(Tensor2._of(dim, 1, 1, {(base + t, base + c): sign for t, c, sign in splits[si]}))
+        image = -images[gi][si] if parity[i] else images[gi][si]
+        antipode.append(Vec._of(dim, image.order, image.den, {ginv + m: x for m, x in image._num.items()}))
+    counit = Vec._of(dim, 1, 1, dict.fromkeys(range(0, dim, size), 1))
+    return (
+        Algebra(dim, Vec.basis(dim, g.identity * size), Tensor3(dim, terms), (0,) * dim),
+        Coalgebra(dim, tuple(comult), counit, tuple(antipode), parity),
+    )
 
 
 def _check_rep(g: FiniteGroup, v: GroupRep):
@@ -217,9 +208,9 @@ def _check_rep(g: FiniteGroup, v: GroupRep):
 def supergroup_algebra(g: FiniteGroup, v: GroupRep) -> HopfData:
     """k[G] x Lambda(V): group-likes even, generators odd and primitive."""
     _check_rep(g, v)
-    algebra, comult, counit, s_cols, parity = _smash_product(g, v)
-    graded = Algebra(algebra.dim, algebra.unit, algebra.mult, parity, super=True)
-    return make_hopf(graded, comult, counit, s_cols)
+    algebra, coalgebra = _smash_product(g, v)
+    graded = Algebra(algebra.dim, algebra.unit, algebra.mult, coalgebra.parity, super=True)
+    return HopfData(graded, coalgebra).validate()
 
 
 def exterior_algebra(n: int) -> HopfData:
@@ -228,8 +219,7 @@ def exterior_algebra(n: int) -> HopfData:
     if n < 0:
         raise ShapeError("negative exterior dimension")
     triv = FiniteGroup.trivial()
-    identity = [[SC_ONE if a == b else SC_ZERO for b in range(n)] for a in range(n)]
-    return supergroup_algebra(triv, GroupRep(triv, n, [identity]))
+    return supergroup_algebra(triv, GroupRep.from_sign_characters(triv, [(1,)] * n))
 
 
 def _check_modifier(g: FiniteGroup, v: GroupRep, u: int):
@@ -260,30 +250,43 @@ def modified_supergroup_algebra(
     return _modify(g, _smash_product(g, v), u)
 
 
-def _modify(g: FiniteGroup, smash, u: int) -> tuple[HopfData, Tensor2]:
+def _modify(g: FiniteGroup, smash: tuple[Algebra, Coalgebra], u: int) -> tuple[HopfData, Tensor2]:
     """(H, R_u) of modified_supergroup_algebra from smash, the
     _smash_product of (G, W), for a central involution u acting by -1 on
     W.  Only the coalgebra changes: H holds smash's very Algebra, so
-    every u of one (G, W) shares it and every fact of it."""
-    algebra, comult, counit, s_cols, parity = smash
-    dim = algebra.dim
+    every u of one (G, W) shares it and every fact of it.
+
+    u (g v_T) = (ug) v_T and (g v_T) u = (-1)^|T| (gu) v_T are one signed
+    basis element each, at index shifted[i], a bijection that keeps
+    parity; so S' and Delta' re-key integer numerators, no two keys meet,
+    and each column they fix (S(e_i) for even e_i, Delta(e_i) with no odd
+    right leg) is smash's very object.  With W = 0 nothing is odd: H holds
+    smash's very Coalgebra, and the hosts of every u share its facts."""
+    algebra, coalgebra = smash
+    dim, parity = algebra.dim, coalgebra.parity
     size = dim // g.order
-    # u (g v_T) = (ug) v_T and (g v_T) u = (-1)^|T| (gu) v_T: one signed
-    # basis element each, at index shifted[i]
-    shifted = [g.table[i // size][u] * size + i % size for i in range(dim)]
-    comult = [
-        tuple(
-            (shifted[j], k, -c if parity[j] else c) if parity[k] else (j, k, c)
-            for j, k, c in entry
+    if size > 1:
+        shifted = [g.table[i // size][u] * size + i % size for i in range(dim)]
+        comult = tuple(_move_odd_right_legs(t, shifted, parity) for t in coalgebra.comult)
+        antipode = tuple(
+            Vec._of(dim, s.order, s.den, {shifted[k]: x for k, x in s._num.items()}) if parity[i] else s
+            for i, s in enumerate(coalgebra.antipode)
         )
-        for entry in comult
-    ]
-    s_cols = [
-        tuple((shifted[k], c) for k, c in col) if parity[i] else col
-        for i, col in enumerate(s_cols)
-    ]
-    h = make_hopf(algebra, comult, counit, s_cols)
+        coalgebra = Coalgebra(dim, comult, coalgebra.counit, antipode, algebra.parity)
+    h = HopfData(algebra, coalgebra).validate()
     return h, r_u(h, Vec.basis(dim, u * size))
+
+
+def _move_odd_right_legs(t: Tensor2, shifted: list[int], parity: tuple[int, ...]) -> Tensor2:
+    """Each term x_1 (x) x_2 of t, a Delta(e_i) of _smash_product (integer
+    numerators, order 1), with an odd right leg moved to x_1 u (x) x_2, at
+    (shifted[j], k) and signed by |x_1|; t itself when none is odd."""
+    if not any(parity[k] for _, k in t._num):
+        return t
+    return Tensor2._of(t.dim, t.order, t.den, {
+        (shifted[j], k) if parity[k] else (j, k): -x if parity[j] and parity[k] else x
+        for (j, k), x in t._num.items()
+    })
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,9 @@ structure constants, each a sparse tensor, in two records: an Algebra
 grading for the super case) and a Coalgebra (the counit as the
 tensor.Vec of eps(e_i), and S and Delta as tuples of columns:
 antipode[i] is the Vec S(e_i) and comult[i] the tensor.Tensor2
-Delta(e_i)).  Builders and loaders sum a product into the Tensor3 of an
-Algebra, and make_hopf the raw coalgebra into a Coalgebra, with the one
-sparse constructor, which trusts its indices: validate() refuses any
-outside.
+Delta(e_i)).  Every HopfData is made from its two records, whose
+tensors each builder and loader makes itself; the sparse constructor
+trusts its indices, and validate() refuses any outside.
 Every map on elements applies such columns with tensor.apply_map on
 integer numerators (S(x), Delta(x), S^2 and S^4, S^2 = Ad(u),
 m(S (x) id)(t) with m = HopfData.mul_legs, the associativity rows, the
@@ -41,8 +40,8 @@ counit witness) on the Coalgebra; each is computed once per record.
 Coassociativity stays on HopfData: its generator lemma needs Delta
 multiplicative, a fact of both halves.  H^J holds H's very Algebra, and
 HopfData.replace makes a fresh record only of the half whose field it
-changes.  The atlas's hosts of one (G, W) hold one Algebra too: u
-changes only Delta and S.
+changes.  The atlas's hosts of one (G, W) hold one Algebra too, and
+with W = 0 one Coalgebra: u changes only Delta and S, and only on W.
 On a commutative, associative and unital algebra J^-1 Delta J = Delta,
 so H^J is the bialgebra H and S^J = S by the uniqueness of the
 antipode: such a twist hands H^J H's very Coalgebra
@@ -459,34 +458,6 @@ class HopfData:
     def comult_vec(self, x: Vec) -> Tensor2:
         return apply_map(self.comult, x)
 
-    def same_structure(self, other: "HopfData") -> bool:
-        """Exact structure-constant equality in the shared fixed basis."""
-        return self.algebra == other.algebra and self.coalgebra == other.coalgebra
-
-
-def make_hopf(algebra: Algebra, comult, counit, antipode) -> HopfData:
-    """A validated HopfData on a built Algebra, with its coalgebra
-    normalized: antipode[i] is (k, c) pairs and comult[i] (j, k, c)
-    triples, in any order, each summed by the sparse constructor into
-    the Vec S(e_i) and the Tensor2 Delta(e_i).  counit is a Vec or a
-    dense list."""
-    d = algebra.dim
-    return HopfData(
-        algebra,
-        Coalgebra(
-            d,
-            tuple(Tensor2(d, (((j, k), c) for j, k, c in entry)) for entry in comult),
-            _vec(counit),
-            tuple(Vec(d, col) for col in antipode),
-            algebra.parity,
-        ),
-    ).validate()
-
-
-def _vec(x) -> Vec:
-    """A Vec as it is, a dense list as its Vec."""
-    return x if isinstance(x, Vec) else Vec.from_entries(x)
-
 
 # ---------------------------------------------------------------------------
 # axiom verification
@@ -657,13 +628,12 @@ def dual_hopf(h: HopfData) -> HopfData:
     comult_d = [[] for _ in range(d)]
     for i, j, t, c in h.mult.nonzeros:
         coef = -c if (h.super and par[i] and par[j]) else c
-        comult_d[t].append((i, j, coef))
-    return make_hopf(
+        comult_d[t].append(((i, j), coef))
+    antipode_d = (Vec(d, [(i, col.get(j)) for i, col in enumerate(h.antipode)]) for j in range(d))
+    return HopfData(
         Algebra(d, h.counit, Tensor3(d, mult_d), par, h.super),
-        comult=comult_d,
-        counit=h.unit,
-        antipode=[[(i, col.get(j)) for i, col in enumerate(h.antipode)] for j in range(d)],
-    )
+        Coalgebra(d, tuple(Tensor2(d, t) for t in comult_d), h.unit, tuple(antipode_d), par),
+    ).validate()
 
 
 # ---------------------------------------------------------------------------

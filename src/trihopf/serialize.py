@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import ShapeError
-from .hopf import Algebra, HopfData, make_hopf
+from .hopf import Algebra, Coalgebra, HopfData
 from .scalars import CycScalar
 from .tensor import Tensor2, Tensor3, Vec, _coefficient
 
@@ -136,19 +136,18 @@ def hopf_from_obj(obj) -> HopfData:
         raise ShapeError(f"super {obj['super']!r} is not true or false")
     entries = _unique_entries(obj["mult"], "mult", dim, "[i, j, k, scalar]")
     mult = Tensor3(dim, [(key, scalar_from_obj(c)) for key, c in entries.items()])
-    comult = []
-    for i, entry in enumerate(obj["comult"]):
-        terms = _unique_entries(entry, f"comult[{i}]", dim, "[j, k, scalar]")
-        comult.append(tuple((j, k, scalar_from_obj(c)) for (j, k), c in terms.items()))
-    antipode = mat_from_obj(obj["antipode"])
-    if len(antipode) != dim or any(len(row) != dim for row in antipode):
-        raise ShapeError("antipode shape mismatch")
-    return make_hopf(
-        Algebra(dim, vec_from_obj(obj["unit"]), mult, tuple(obj["parity"]), obj["super"]),
-        comult=comult,
-        counit=vec_from_obj(obj["counit"]),
-        antipode=[tuple(enumerate(col)) for col in zip(*antipode)],
+    comult = tuple(
+        Tensor2(dim, [(key, scalar_from_obj(c)) for key, c in
+                      _unique_entries(entry, f"comult[{i}]", dim, "[j, k, scalar]").items()])
+        for i, entry in enumerate(obj["comult"])
     )
+    # S(e_i) is column i of the dense rows; validate() refuses another shape
+    antipode = tuple(map(Vec.from_entries, zip(*mat_from_obj(obj["antipode"]))))
+    parity = tuple(obj["parity"])
+    return HopfData(
+        Algebra(dim, vec_from_obj(obj["unit"]), mult, parity, obj["super"]),
+        Coalgebra(dim, comult, vec_from_obj(obj["counit"]), antipode, parity),
+    ).validate()
 
 
 def tensor2_to_obj(t: Tensor2):

@@ -151,6 +151,11 @@ def test_build_bounds_the_dimension_before_building(tmp_path, monkeypatch, capsy
     assert main(["build", inp, "--kind", kind, "-o", str(out)]) == 2
     assert "exceeds HOPF_MAX_DIM" in capsys.readouterr().err
     assert not out.exists()
+    if kind == "septuple-pipeline":
+        # septuple validate applies the same bound (exit 0 while it
+        # validated a septuple of any size)
+        assert main(["septuple", "validate", inp]) == 2
+        assert "exceeds HOPF_MAX_DIM" in capsys.readouterr().err
 
 
 def test_build_rejects_b_nonzero_septuple(tmp_path):
@@ -330,7 +335,7 @@ def test_verify_rejects_duplicate_tensor_entries(tmp_path, z2_file, capsys):
 
 
 def test_verify_rejects_duplicate_structure_constants(tmp_path, capsys):
-    # a repeated copy would be summed by the verifiers but kept once by same_structure
+    # a repeated copy would be summed by one reader and overwritten by another
     dump = load(GOLDEN / "sweedler.hopf.json")
     dump["mult"].append(dump["mult"][0])
     assert main(["verify", write(tmp_path / "dupmult.json", dump)]) == 2

@@ -26,13 +26,14 @@ from trihopf.groups import (
 )
 from trihopf.hopf import (
     Algebra,
+    Coalgebra,
+    HopfData,
     algebra_inverse,
     antipode_contraction,
     dual_hopf,
     is_chevalley,
     is_semisimple,
     jacobson_radical,
-    make_hopf,
     verify_hopf,
 )
 from trihopf.scalars import CycScalar, root_of_unity
@@ -120,7 +121,7 @@ def _with_coproduct(h, i, delta):
 
 
 def test_a_coproduct_entry_that_is_no_tensor_of_h_is_malformed(sweedler):
-    # the (j, k, c) triples are only the raw coalgebra make_hopf takes
+    # (j, k, c) triples are only the dump format of a coproduct
     for delta in (sweedler.comult[1].nonzeros, Tensor2(3, ())):
         with pytest.raises(ShapeError, match="comultiplication shape mismatch"):
             _with_coproduct(sweedler, 1, delta).validate()
@@ -131,31 +132,27 @@ def test_a_coproduct_entry_that_is_no_tensor_of_h_is_malformed(sweedler):
     [
         ("mult", (((0, 0, 0), ONE), ((0, 0, 1), ONE))),
         ("mult", (((0, 0, 0), ONE), ((0, 0, -1), ONE))),
-        ("comult", (((0, 0, ONE), (0, 1, ONE)),)),
-        ("comult", (((0, 0, ONE), (0, -1, ONE)),)),
-        ("comult", (((0, 0, ONE), (-1, 0, ONE)),)),
-        ("antipode", (((0, ONE), (1, ONE)),)),
-        ("antipode", (((0, ONE), (-1, ONE)),)),
+        ("comult", (((0, 0), ONE), ((0, 1), ONE))),
+        ("comult", (((0, 0), ONE), ((0, -1), ONE))),
+        ("comult", (((0, 0), ONE), ((-1, 0), ONE))),
+        ("antipode", ((0, ONE), (1, ONE))),
+        ("antipode", ((0, ONE), (-1, ONE))),
     ],
     ids=["mult_past_the_end", "mult_negative", "comult_past_the_end",
          "comult_negative_right", "comult_negative_left", "antipode_past_the_end",
          "antipode_negative"],
 )
 def test_an_out_of_range_structure_index_is_malformed(part, table):
-    # the field k (dim 1) with one stray index; the product is summed into
-    # its Tensor3 and make_hopf sums the raw coalgebra, each with a
-    # constructor that trusts its indices, so the structural check refuses
-    # each index outside 0..dim-1 and names it
-    tables = {
-        "mult": (((0, 0, 0), ONE),),
-        "comult": (((0, 0, ONE),),),
-        "antipode": (((0, ONE),),),
-        part: table,
-    }
-    algebra = Algebra(1, Vec.basis(1, 0), Tensor3(1, tables.pop("mult")), (0,))
+    # the field k (dim 1) with one stray index; the product, Delta(e_0) and
+    # S(e_0) are each summed by a sparse constructor that trusts its
+    # indices, so the structural check refuses each index outside
+    # 0..dim-1 and names it
+    tables = {"mult": (((0, 0, 0), ONE),), "comult": (((0, 0), ONE),), "antipode": ((0, ONE),), part: table}
+    algebra = Algebra(1, Vec.basis(1, 0), Tensor3(1, tables["mult"]), (0,))
+    coalgebra = Coalgebra(1, (Tensor2(1, tables["comult"]),), Vec.basis(1, 0), (Vec(1, tables["antipode"]),), (0,))
     named = {"mult": "product", "comult": "coproduct", "antipode": "antipode"}[part]
     with pytest.raises(ShapeError, match=f"^{named} index .* out of range at"):
-        make_hopf(algebra, counit=[ONE], **tables)
+        HopfData(algebra, coalgebra).validate()
 
 
 @pytest.mark.parametrize(
@@ -175,10 +172,9 @@ def test_a_counit_of_another_length_or_type_is_malformed(sweedler):
         with pytest.raises(ShapeError, match="unit/counit/parity length mismatch"):
             sweedler.replace(counit=counit).validate()
     field = Algebra(1, Vec.basis(1, 0), Tensor3(1, [((0, 0, 0), ONE)]), (0,))
-    raw = dict(algebra=field, comult=(((0, 0, ONE),),), antipode=(((0, ONE),),))
-    assert make_hopf(counit=[ONE], **raw).counit == make_hopf(counit=Vec.basis(1, 0), **raw).counit
+    coalgebra = Coalgebra(1, (Tensor2(1, [((0, 0), ONE)]),), Vec.from_entries([ONE, ZERO]), (Vec.basis(1, 0),), (0,))
     with pytest.raises(ShapeError, match="unit/counit/parity length mismatch"):
-        make_hopf(counit=[ONE, ZERO], **raw)
+        HopfData(field, coalgebra).validate()
 
 
 def test_records_of_two_gradings_are_malformed(sweedler):
@@ -686,16 +682,16 @@ def test_dual_of_kz2_is_idempotent_basis_table():
     assert verify_hopf(d).ok
     # hand computation in the basis f+- = (1 +- g)/2: multiplication is
     # diagonal, Delta(f+) = f+ (x) f+ + f- (x) f-, Delta(f-) mixes.
-    expected = make_hopf(
-        Algebra(2, Vec.from_entries([ONE, ONE]), Tensor3(2, [((0, 0, 0), ONE), ((1, 1, 1), ONE)]), (0, 0)),
-        comult=(
-            ((0, 0, ONE), (1, 1, ONE)),
-            ((0, 1, ONE), (1, 0, ONE)),
-        ),
-        counit=(ONE, ZERO),
-        antipode=(((0, ONE),), ((1, ONE),)),
+    assert d.algebra == Algebra(
+        2, Vec.from_entries([ONE, ONE]), Tensor3(2, [((0, 0, 0), ONE), ((1, 1, 1), ONE)]), (0, 0)
     )
-    assert d.same_structure(expected)
+    assert d.coalgebra == Coalgebra(
+        2,
+        (Tensor2(2, [((0, 0), ONE), ((1, 1), ONE)]), Tensor2(2, [((0, 1), ONE), ((1, 0), ONE)])),
+        Vec.basis(2, 0),
+        (Vec.basis(2, 0), Vec.basis(2, 1)),
+        (0, 0),
+    )
 
 
 def test_dual_of_s3_commutative_not_cocommutative():
@@ -715,7 +711,7 @@ def test_double_dual_identity():
         ),
     ):
         dd = dual_hopf(dual_hopf(h))
-        assert dd.same_structure(h)
+        assert (dd.algebra, dd.coalgebra) == (h.algebra, h.coalgebra)
 
 
 def test_dual_super_verifies():

@@ -13,6 +13,7 @@ from trihopf import atlas, serialize, tensor
 from trihopf.atlas import _build_and_write, enumerate_instances, instance_twist
 from trihopf.constructions import (
     Septuple,
+    exterior_algebra,
     group_algebra,
     modified_supergroup_algebra,
     supergroup_algebra,
@@ -20,7 +21,7 @@ from trihopf.constructions import (
 )
 from trihopf.errors import ShapeError
 from trihopf.groups import AbelianSubgroup, Bicharacter, FiniteGroup, GroupRep
-from trihopf.hopf import Algebra, make_hopf, verify_hopf
+from trihopf.hopf import Algebra, Coalgebra, HopfData, verify_hopf
 from trihopf.scalars import SC_HALF, SC_ONE, CycScalar, euler_phi, root_of_unity
 from trihopf.serialize import (
     bicharacter_from_file_obj,
@@ -49,7 +50,8 @@ def sweedler():
 
 def test_hopf_roundtrip(sweedler):
     h, _ = sweedler
-    assert hopf_from_obj(hopf_to_obj(h)).same_structure(h)
+    again = hopf_from_obj(hopf_to_obj(h))
+    assert (again.algebra, again.coalgebra) == (h.algebra, h.coalgebra)
 
 
 _HALVES = ((0, SC_HALF), (0, SC_HALF))
@@ -58,9 +60,9 @@ _HALVES = ((0, SC_HALF), (0, SC_HALF))
 @pytest.mark.parametrize(
     "split",
     [
-        {"comult": (((0, 0, SC_HALF), (0, 0, SC_HALF)),)},
+        {"comult": (((0, 0), SC_HALF), ((0, 0), SC_HALF))},
         {"mult": (((0, 0, 0), SC_HALF), ((0, 0, 0), SC_HALF))},
-        {"antipode": (_HALVES,)},
+        {"antipode": _HALVES},
     ],
     ids=["comult", "mult", "antipode"],
 )
@@ -68,23 +70,44 @@ def test_repeated_index_is_summed_before_the_round_trip(split):
     # the ground field k, with one structure constant 1 given as 1/2 + 1/2
     raw = {
         "mult": (((0, 0, 0), SC_ONE),),
-        "comult": (((0, 0, SC_ONE),),),
-        "antipode": (((0, SC_ONE),),),
+        "comult": (((0, 0), SC_ONE),),
+        "antipode": ((0, SC_ONE),),
         **split,
     }
-    algebra = Algebra(1, Vec.basis(1, 0), Tensor3(1, raw.pop("mult")), (0,))
-    h = make_hopf(algebra, counit=(SC_ONE,), **raw)
+    algebra = Algebra(1, Vec.basis(1, 0), Tensor3(1, raw["mult"]), (0,))
+    coalgebra = Coalgebra(1, (Tensor2(1, raw["comult"]),), Vec.basis(1, 0), (Vec(1, raw["antipode"]),), (0,))
+    h = HopfData(algebra, coalgebra).validate()
     again = hopf_from_obj(hopf_to_obj(h))
     assert h.axioms.ok and again.axioms.ok
-    assert again.same_structure(h)
+    assert (again.algebra, again.coalgebra) == (h.algebra, h.coalgebra)
 
 
 def test_hopf_roundtrip_super():
     z2 = FiniteGroup.cyclic(2)
     sg = supergroup_algebra(z2, GroupRep.from_sign_characters(z2, [(1, -1)]))
     again = hopf_from_obj(hopf_to_obj(sg))
-    assert again.same_structure(sg)
+    assert (again.algebra, again.coalgebra) == (sg.algebra, sg.coalgebra)
     assert again.super and again.parity == sg.parity
+
+
+def test_atlas9_algebras_reload_as_their_records():
+    # each untwisted host and each H^J of an atlas-9 job, and the
+    # supergroup algebra of each of its (G, W) with W != 0 and the exterior
+    # algebras, reload from their dump text with an Algebra and a Coalgebra
+    # equal to their own
+    specs = enumerate_instances(9)
+    hosts = sorted({(s.group, s.v_chars, s.u) for s in specs})
+    algebras = [atlas._host(*key)[0] for key in hosts]
+    algebras += [instance_twist(s).apply()[0] for s in specs]
+    algebras += [
+        supergroup_algebra(atlas._group_tables(group)[0], atlas._sign_rep(group, v_chars))
+        for group, v_chars in sorted({(g, v) for g, v, _ in hosts if v})
+    ]
+    algebras += [exterior_algebra(n) for n in range(4)]
+    assert len(algebras) == 43 + 119 + 5 + 4
+    for h in algebras:
+        again = hopf_from_obj(json.loads(hopf_dumps(h)))
+        assert (again.algebra, again.coalgebra) == (h.algebra, h.coalgebra)
 
 
 def test_tensor2_roundtrip(sweedler):

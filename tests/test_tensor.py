@@ -22,7 +22,7 @@ from trihopf.constructions import (
     validate_septuple,
 )
 from trihopf.errors import NotInvertible, ShapeError
-from trihopf.hopf import Algebra, antipode_contraction, make_hopf
+from trihopf.hopf import Algebra, Coalgebra, HopfData, antipode_contraction
 from trihopf.groups import (
     AbelianSubgroup,
     Bicharacter,
@@ -469,12 +469,14 @@ def _scaled_group_algebra(g, scales):
     inv = [next(y for y in range(d) if t[x][y] == g.identity) for x in range(d)]
     mult = Tensor3(d, [((x, y, t[x][y]), scales[x] * scales[y] / scales[t[x][y]])
                        for x in range(d) for y in range(d)])
-    return make_hopf(
-        Algebra(d, Vec.basis(d, g.identity), mult, (0,) * d),
-        comult=[[(x, x, scales[x].inv())] for x in range(d)],
-        counit=list(scales),
-        antipode=[[(inv[x], scales[x] / scales[inv[x]])] for x in range(d)],
+    coalgebra = Coalgebra(
+        d,
+        tuple(Tensor2(d, [((x, x), scales[x].inv())]) for x in range(d)),
+        Vec.from_entries(scales),
+        tuple(Vec(d, [(inv[x], scales[x] / scales[inv[x]])]) for x in range(d)),
+        (0,) * d,
     )
+    return HopfData(Algebra(d, Vec.basis(d, g.identity), mult, (0,) * d), coalgebra).validate()
 
 
 # mult has entries in Q(zeta_8) and Q(zeta_3) at once
