@@ -2,9 +2,9 @@
 
 Subcommands: build, verify, analyze, twist, modify, septuple validate,
 atlas.  Exit codes are a stable contract: 0 success, 1 verification or
-theorem failure, 2 malformed input, 3 unsupported stratum.  The
-environment variable HOPF_MAX_DIM (default 32) bounds accepted
-dimensions.
+theorem failure, 2 malformed input, 3 unsupported stratum.  HOPF_MAX_DIM
+(default 32) bounds accepted dimensions, on the input tree in which
+serialize.resolve_refs has put each referenced file, read once, inline.
 
 A command imports the modules it runs when it runs: the module itself
 loads only the errors and the wire formats, so a fresh process spends
@@ -33,8 +33,8 @@ from .errors import (
 )
 from .serialize import (
     _int,
+    _member,
     _object,
-    _resolve_ref,
     bicharacter_from_file_obj,
     dumps,
     group_from_file_obj,
@@ -42,6 +42,7 @@ from .serialize import (
     hopf_from_obj,
     load,
     rep_from_file_obj,
+    resolve_refs,
     save,
     septuple_from_file_obj,
     tensor2_dumps,
@@ -73,11 +74,6 @@ def max_dim() -> int:
     return int(os.environ.get("HOPF_MAX_DIM", "32"))
 
 
-def _check_dim(dim: int):
-    if dim > max_dim():
-        raise ShapeError(f"dimension {dim} exceeds HOPF_MAX_DIM={max_dim()}")
-
-
 def _check_predicted_dim(group_obj, degree=0):
     """Bound the output dimension |G| * 2^degree, read off the input file
     (|G| the row count of the group's table, 1 without a group), before
@@ -89,18 +85,20 @@ def _check_predicted_dim(group_obj, degree=0):
         raise ShapeError(f"dimension {order}*2^{degree} exceeds HOPF_MAX_DIM={max_dim()}")
 
 
-def _check_septuple_dim(obj, base):
-    """Bound a septuple file's |G| * 2^deg W before it is loaded, for its
-    group and for the group its rep names, on which the rep is built."""
-    rep_obj, rep_dir = _resolve_ref(obj, "rep", base)
-    _check_predicted_dim(_resolve_ref(obj, "group", base)[0], rep_obj["degree"])
-    if "group" in rep_obj or "group_ref" in rep_obj:
-        _check_predicted_dim(_resolve_ref(rep_obj, "group", rep_dir)[0], rep_obj["degree"])
+def _septuple_intake(obj, base):
+    """A septuple file's septuple, its refs resolved and |G| * 2^deg W
+    bounded for its group and the one its rep is built on, if it names one."""
+    obj = resolve_refs(obj, ("group", "rep"), base)
+    rep = _member(obj, "rep")
+    for holder in (obj, rep) if "group" in rep else (obj,):
+        _check_predicted_dim(_member(holder, "group"), rep["degree"])
+    return septuple_from_file_obj(obj)
 
 
 def _load_hopf(path):
     obj = _object(load(path), "a Hopf dump")
-    _check_dim(_int(obj["dim"], "dim"))
+    if _int(obj["dim"], "dim") > max_dim():
+        raise ShapeError(f"dimension {obj['dim']} exceeds HOPF_MAX_DIM={max_dim()}")
     return hopf_from_obj(obj)
 
 
@@ -149,22 +147,20 @@ def cmd_build(args) -> int:
         from .constructions import exterior_algebra
 
         h = exterior_algebra(n)
-    elif kind == "supergroup":
-        _check_predicted_dim(_resolve_ref(obj, "group", base)[0], obj["degree"])
-        from .constructions import supergroup_algebra
+    elif kind in ("supergroup", "modified-supergroup"):
+        # a supergroup input is a rep, a modified one names its rep
+        holder = {"rep": obj} if kind == "supergroup" else obj
+        rep_obj = _member(resolve_refs(holder, ("rep",), base), "rep")
+        _check_predicted_dim(_member(rep_obj, "group"), rep_obj["degree"])
+        from .constructions import modified_supergroup_algebra, supergroup_algebra
 
-        rep = rep_from_file_obj(obj, base)
-        h = supergroup_algebra(rep.group, rep)
-    elif kind == "modified-supergroup":
-        # a rep file names its group relative to its own directory
-        rep_obj, rep_dir = _resolve_ref(obj, "rep", base)
-        _check_predicted_dim(_resolve_ref(rep_obj, "group", rep_dir)[0], rep_obj["degree"])
-        from .constructions import modified_supergroup_algebra
-
-        rep = rep_from_file_obj(rep_obj, rep_dir)
-        h, r = modified_supergroup_algebra(rep.group, rep, _int(obj["u"], "u"))
+        rep = rep_from_file_obj(rep_obj)
+        if kind == "supergroup":
+            h = supergroup_algebra(rep.group, rep)
+        else:
+            h, r = modified_supergroup_algebra(rep.group, rep, _int(obj["u"], "u"))
     elif kind == "semisimple-triangular":
-        group_obj, _ = _resolve_ref(obj, "group", base)
+        group_obj = _member(resolve_refs(obj, ("group",), base), "group")
         _check_predicted_dim(group_obj)
         from .constructions import semisimple_triangular
         from .groups import AbelianSubgroup
@@ -174,17 +170,15 @@ def cmd_build(args) -> int:
         gamma = bicharacter_from_file_obj(obj["bicharacter"])
         h, r = semisimple_triangular(group, sub, gamma, _int(obj["u"], "u"))
     elif kind == "septuple-pipeline":
-        _check_septuple_dim(obj, base)
+        septuple = _septuple_intake(obj, base)
         from .constructions import septuple_twist
 
-        septuple = septuple_from_file_obj(obj, base)
         h, r = septuple_twist(septuple).apply()
     else:  # argparse choices make this unreachable
         raise ShapeError(f"unknown kind {kind}")
     save(args.output, hopf_dumps(h))
     if r is not None:
-        r_path = args.r_out or _derived_r_path(args.output)
-        save(r_path, tensor2_dumps(r))
+        save(args.r_out or _derived_r_path(args.output), tensor2_dumps(r))
     return EXIT_OK
 
 
@@ -263,11 +257,9 @@ def cmd_modify(args) -> int:
 
 
 def cmd_septuple_validate(args) -> int:
+    septuple = _septuple_intake(load(args.input), Path(args.input).parent)
     from .constructions import validate_septuple
 
-    obj, base = load(args.input), Path(args.input).parent
-    _check_septuple_dim(obj, base)
-    septuple = septuple_from_file_obj(obj, base)
     report = validate_septuple(septuple)
     _print_report(report.to_obj(), args.format)
     return EXIT_OK if report.valid else EXIT_VERIFY_FAIL

@@ -624,7 +624,8 @@ class SeptupleReport:
 
 
 def validate_septuple(s: Septuple) -> SeptupleReport:
-    """Check every septuple invariant; failures are report entries."""
+    """Check every septuple invariant as a report entry; W on another group raises ShapeError."""
+    _check_rep(s.group, s.w)
     checks: list[tuple[str, bool, str]] = []
     g = s.group
     elems = tuple(sorted(set(s.a_elements)))

@@ -15,9 +15,10 @@ every command writes those files with, give the same text straight from
 the integer numerators of the sparse tensors: each distinct coefficient
 is rendered once per indent depth (_scalar_text) and handed to dumps as
 finished text, with no CycScalar made per cell, and dumps lays out the
-rest.  save writes such a text to a file.  Every file is read through load(), which refuses a key
-repeated within one JSON object (ShapeError, exit 2) instead of keeping
-its last value.
+rest.  save writes such a text to a file.  Every file is read through
+load(), which refuses a key repeated within one JSON object (ShapeError,
+exit 2) instead of keeping its last value.  The input-file loaders open
+no file: they read a tree in which resolve_refs put each reference inline.
 """
 
 from __future__ import annotations
@@ -368,14 +369,29 @@ def group_from_file_obj(obj) -> FiniteGroup:
     )
 
 
-def _resolve_ref(obj, key, base_dir):
-    if key in _object(obj, f"an input holding {key!r}"):
-        return _object(obj[key], f"its {key!r}"), base_dir
-    ref = obj.get(key + "_ref")
-    if ref is None:
+def resolve_refs(obj, keys, base_dir) -> dict:
+    """obj, in place, with each of keys ("group", "rep") it names by key_ref
+    put inline, a rep's own group_ref too, each path relative to the
+    directory of the file naming it (base_dir for obj): an inline value
+    wins, no other key is resolved, and each file is read once."""
+    files, todo = {}, [(_object(obj, "an input holding references"), key, base_dir) for key in keys]
+    for holder, key, base in todo:  # a rep appends its own group
+        if key not in holder and holder.get(key + "_ref") is not None:
+            path = Path(base) / holder[key + "_ref"]
+            real, base = path.resolve(), path.parent
+            if real not in files:
+                files[real] = _object(load(path), f"the file its {key}_ref names")
+            holder[key] = files[real]
+        if key == "rep" and isinstance(holder.get(key), dict):
+            todo.append((holder[key], "group", base))
+    return obj
+
+
+def _member(obj, key) -> dict:
+    """obj[key] of a tree resolve_refs gave, which must be an object."""
+    if key not in obj:
         raise ShapeError(f"missing {key!r} or {key}_ref")
-    path = Path(base_dir) / ref if base_dir is not None else Path(ref)
-    return _object(load(path), f"the file its {key}_ref names"), path.parent
+    return _object(obj[key], f"its {key!r}")
 
 
 def _rep_on(group: FiniteGroup, obj) -> GroupRep:
@@ -385,9 +401,8 @@ def _rep_on(group: FiniteGroup, obj) -> GroupRep:
     return GroupRep(group, degree, [mat_from_obj(m) for m in obj["matrices"]])
 
 
-def rep_from_file_obj(obj, base_dir=None) -> GroupRep:
-    group_obj, _ = _resolve_ref(obj, "group", base_dir)
-    return _rep_on(group_from_file_obj(group_obj), obj)
+def rep_from_file_obj(obj) -> GroupRep:
+    return _rep_on(group_from_file_obj(_member(obj, "group")), obj)
 
 
 def bicharacter_from_file_obj(obj) -> Bicharacter:
@@ -411,28 +426,20 @@ def bicharacter_from_file_obj(obj) -> Bicharacter:
     return Bicharacter(factors, [[_int(k, "bicharacter exponent") for k in row] for row in values])
 
 
-def septuple_from_file_obj(obj, base_dir=None) -> Septuple:
+def septuple_from_file_obj(obj) -> Septuple:
     from .constructions import Septuple
 
-    group_obj, _ = _resolve_ref(obj, "group", base_dir)
-    group = group_from_file_obj(group_obj)
-    rep_obj, rep_dir = _resolve_ref(obj, "rep", base_dir)
-    if "group" not in rep_obj and "group_ref" not in rep_obj:
-        rep = _rep_on(group, rep_obj)
-    else:
-        rep = rep_from_file_obj(rep_obj, rep_dir)
-    y_basis = tuple(vec_from_obj(v) for v in obj.get("y_basis", []))
-    b_rows = obj.get("b", [])
-    b = mat_from_obj(b_rows) if b_rows else None
+    group, rep = group_from_file_obj(_member(obj, "group")), _member(obj, "rep")
     a_elements = tuple(_int(i, "subgroup element") for i in obj["subgroup"])
     if len(set(a_elements)) != len(a_elements):
         raise ShapeError("repeated subgroup element")
+    b = obj.get("b", [])
     return Septuple(
         group=group,
-        w=rep,
+        w=rep_from_file_obj(rep) if "group" in rep or "group_ref" in rep else _rep_on(group, rep),
         a_elements=a_elements,
-        y_basis=y_basis,
-        b=b,
+        y_basis=tuple(vec_from_obj(v) for v in obj.get("y_basis", [])),
+        b=mat_from_obj(b) if b else None,
         v_beta=bicharacter_from_file_obj(obj["bicharacter"]),
         v_dim=_int(obj["v_dim"], "v_dim"),
         u=_int(obj["u"], "u"),

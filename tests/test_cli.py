@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, files, determinism."""
 
+import collections
 import concurrent.futures
 import copy
 import hashlib
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import trihopf
-from trihopf import atlas, constructions
+from trihopf import atlas, constructions, serialize
 from trihopf.cli import main
 from trihopf.groups import (
     AbelianSubgroup,
@@ -110,38 +111,54 @@ def test_build_exterior_checks_dim_before_building(tmp_path, capsys):
 def _oversized_inputs():
     """Inputs, by case name, of group-based kinds whose predicted output
     dimension exceeds 32: a 300-row table, or |G| = 16 with W of
-    dimension 2; each maps to (kind, input).  A septuple whose rep names
-    its own group is built on that group, so a small septuple group does
-    not bound it."""
+    dimension 2; each maps to (kind, input, files), files the files the
+    input references, by name, written beside it.  A septuple whose rep
+    names its own group is built on that group, so a small septuple group
+    does not bound it."""
     z300 = {"table": [[(a + b) % 300 for b in range(300)] for a in range(300)], "identity": 0}
     z16 = FiniteGroup.cyclic(16).to_obj()
     rep = {"group": z16, "degree": 2, "matrices": []}
 
-    def septuple(group, rep):
-        return {"group": group, "rep": rep, "subgroup": [0], "bicharacter": {}, "v_dim": 1, "u": 8}
+    def septuple(rep, **group):
+        return {**group, "rep": rep, "subgroup": [0], "bicharacter": {}, "v_dim": 1, "u": 8}
 
     return {
-        "group-algebra": ("group-algebra", z300),
+        "group-algebra": ("group-algebra", z300, {}),
         "semisimple-triangular": (
             "semisimple-triangular",
             {"group": z300, "subgroup": [0], "bicharacter": {}, "u": 0},
+            {},
         ),
-        "supergroup": ("supergroup", rep),
-        "modified-supergroup": ("modified-supergroup", {"rep": rep, "u": 8}),
+        "supergroup": ("supergroup", rep, {}),
+        "modified-supergroup": ("modified-supergroup", {"rep": rep, "u": 8}, {}),
         "septuple-pipeline": (
-            "septuple-pipeline", septuple(z16, {"degree": 2, "matrices": []})
+            "septuple-pipeline", septuple({"degree": 2, "matrices": []}, group=z16), {}
         ),
         "septuple-pipeline-rep-group": (
             "septuple-pipeline",
-            septuple(FiniteGroup.cyclic(2).to_obj(), {"group": z300, "degree": 1, "matrices": []}),
+            septuple({"group": z300, "degree": 1, "matrices": []}, group=FiniteGroup.cyclic(2).to_obj()),
+            {},
+        ),
+        # the oversized group reachable only through files
+        "modified-supergroup-rep-ref-group-ref": (
+            "modified-supergroup",
+            {"rep_ref": "rep.json", "u": 0},
+            {"rep.json": {"group_ref": "z300.json", "degree": 1, "matrices": []}, "z300.json": z300},
+        ),
+        "septuple-pipeline-group-ref": (
+            "septuple-pipeline",
+            septuple({"degree": 2, "matrices": []}, group_ref="z16.json"),
+            {"z16.json": z16},
         ),
     }
 
 
 @pytest.mark.parametrize("case", list(_oversized_inputs()))
 def test_build_bounds_the_dimension_before_building(tmp_path, monkeypatch, capsys, case):
-    kind, obj = _oversized_inputs()[case]
+    kind, obj, files = _oversized_inputs()[case]
     inp = write(tmp_path / "in.json", obj)
+    for name, file_obj in files.items():
+        write(tmp_path / name, file_obj)
 
     def no_group(self):
         raise AssertionError("group built before the dimension bound")
@@ -156,6 +173,72 @@ def test_build_bounds_the_dimension_before_building(tmp_path, monkeypatch, capsy
         # validated a septuple of any size)
         assert main(["septuple", "validate", inp]) == 2
         assert "exceeds HOPF_MAX_DIM" in capsys.readouterr().err
+
+
+def test_each_referenced_file_is_read_once(tmp_path, monkeypatch):
+    # the inputs reach their groups and reps through group_ref, rep_ref
+    # and the rep file's own group_ref; a septuple names z2.json twice,
+    # itself and through sub/rep.json, which names it relative to sub/
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    z2, z2z2, rep = tmp_path / "z2.json", tmp_path / "z2z2.json", sub / "rep.json"
+    write(z2, FiniteGroup.cyclic(2).to_obj())
+    write(z2z2, _semisimple_input()["group"])
+    sign = {"degree": 1, "matrices": [[[1]], [[-1]]]}
+    write(rep, {"group_ref": "../z2.json", **sign})
+    septuple = _z2_septuple(rep_ref="sub/rep.json", group_ref="z2.json")
+    del septuple["group"], septuple["rep"]
+    semisimple = {key: v for key, v in _semisimple_input().items() if key != "group"}
+    runs = [
+        ("supergroup", {"group_ref": "z2.json", **sign}, [z2]),
+        ("modified-supergroup", {"rep_ref": "sub/rep.json", "u": 1}, [rep, z2]),
+        ("semisimple-triangular", {**semisimple, "group_ref": "z2z2.json"}, [z2z2]),
+        ("septuple-pipeline", septuple, [z2, rep]),
+        (None, septuple, [z2, rep]),  # septuple validate
+    ]
+    reads = collections.Counter()
+    read_text = Path.read_text
+
+    def counted(self, *args, **kwargs):
+        reads[self.resolve()] += 1
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counted)
+    for kind, obj, files in runs:
+        inp = Path(write(tmp_path / "in.json", obj))
+        reads.clear()
+        if kind is None:
+            argv = ["septuple", "validate", str(inp)]
+        else:
+            argv = ["build", str(inp), "--kind", kind, "-o", str(tmp_path / "out.json")]
+        with redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, kind
+        assert reads == collections.Counter(p.resolve() for p in [inp, *files]), kind
+
+    # the loaders read the resolved tree and open no file
+    tree = serialize.resolve_refs(load(inp), ("group", "rep"), tmp_path)
+
+    def no_load(path):
+        raise AssertionError(f"{path} loaded")
+
+    monkeypatch.setattr(serialize, "load", no_load)
+    s = serialize.septuple_from_file_obj(tree)
+    assert s.w.group.table == s.group.table and s.w.degree == 1
+    assert serialize.rep_from_file_obj(tree["rep"]).group.table == s.group.table
+
+
+@pytest.mark.parametrize("argv", [
+    ["septuple", "validate", "{in}"],
+    ["build", "{in}", "--kind", "septuple-pipeline", "-o", "{out}"],
+], ids=["validate", "pipeline"])
+def test_a_septuple_rep_on_another_group_is_malformed(tmp_path, capsys, argv):
+    # W is a representation of the septuple's own G: validate reported
+    # a rep on Z4 beside G = Z2 valid (exit 0), the pipeline refused it
+    z4_sign = {"group": FiniteGroup.cyclic(4).to_obj(), "degree": 1, "matrices": [[[(-1) ** g]] for g in range(4)]}
+    inp, out = write(tmp_path / "in.json", _z2_septuple(rep=z4_sign)), tmp_path / "out.json"
+    assert main([a.format(**{"in": inp, "out": str(out)}) for a in argv]) == 2
+    assert "representation must act on the given group" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_build_rejects_b_nonzero_septuple(tmp_path):
@@ -1255,6 +1338,9 @@ def _run_fresh(argv, cwd, script=_IMPORT_PROBE):
         pytest.param(
             ["build", "ext9.json", "--kind", "exterior", "-o", "o.json"], 2, _LOAD_AND_SERIALIZE, id="build_oversized"
         ),
+        pytest.param(
+            ["septuple", "validate", "sept16.json"], 2, _LOAD_AND_SERIALIZE, id="septuple_validate_oversized"
+        ),
         pytest.param(["analyze", _SWEEDLER], 0, _LOAD_AND_SERIALIZE | {"trihopf.triangular"}, id="analyze_no_r"),
         pytest.param(
             ["analyze", _SWEEDLER, "--r", _SWEEDLER_R],
@@ -1282,6 +1368,7 @@ def test_a_command_imports_only_what_it_runs(tmp_path, argv, code, loaded):
     # InstanceSpec is a dataclass, loads dataclasses (and inspect with it)
     (tmp_path / "bad.json").write_text("{nope")
     write(tmp_path / "ext9.json", {"n": 9})
+    write(tmp_path / "sept16.json", _oversized_inputs()["septuple-pipeline"][1])
     write(tmp_path / "sweedler.json", _sweedler_input())
     exit_code, *modules = _run_fresh(argv, tmp_path)
     assert int(exit_code) == code

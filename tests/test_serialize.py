@@ -200,7 +200,7 @@ def test_scalar_shortcut_accepts_ints():
     assert h.dim == 1 and h.unit.entries[0] == CycScalar.one()
 
 
-def test_septuple_file_loader(tmp_path):
+def test_septuple_file_loader():
     z2 = FiniteGroup.cyclic(2)
     obj = {
         "group": z2.to_obj(),
@@ -212,7 +212,7 @@ def test_septuple_file_loader(tmp_path):
         "v_dim": 1,
         "u": 1,
     }
-    s = septuple_from_file_obj(obj, tmp_path)
+    s = septuple_from_file_obj(obj)
     assert s.u == 1 and s.w.degree == 1 and s.b is None
 
 
